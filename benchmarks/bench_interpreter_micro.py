@@ -26,28 +26,3 @@ def test_interpreter_micro(benchmark):
         assert res.heap_bytes <= 1024
         assert res.interp_ns_per_packet > res.native_ns_per_packet
 
-
-def test_dispatch_micro(benchmark):
-    """ns/op before (tree walk) and after (fast dispatch).
-
-    The closure-threaded dispatcher must win by at least 2x on the
-    PIAS demotion search — the hottest interpreted loop in the
-    case studies.  ops/invocation is identical across dispatch modes
-    (superinstructions count constituents), so ns/op compares fairly.
-    """
-    results = benchmark.pedantic(
-        micro.run_dispatch_micro,
-        kwargs=dict(invocations=1500, repeat=3), rounds=1,
-        iterations=1)
-    record_result("Interpreter dispatch — before/after ns/op",
-                  micro.format_dispatch_results(results))
-    for res in results:
-        benchmark.extra_info[f"{res.name}_tree_ns_op"] = \
-            round(res.tree_ns_per_op, 1)
-        benchmark.extra_info[f"{res.name}_fast_ns_op"] = \
-            round(res.fast_ns_per_op, 1)
-        benchmark.extra_info[f"{res.name}_speedup"] = \
-            round(res.speedup, 2)
-        assert res.speedup >= 2.0, (
-            f"{res.name}: fast dispatch only {res.speedup:.2f}x over "
-            f"the tree walk (need >= 2x)")

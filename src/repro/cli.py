@@ -76,165 +76,16 @@ def _cmd_micro(args) -> int:
 
 
 def _cmd_bench_smoke(args) -> int:
-    """Fast dispatch-speed regression gate (runs in a few seconds).
-
-    Compares ns/op of both interpreter dispatch modes against the
-    checked-in baseline and fails when either regresses by more than
-    2x — catching accidental de-optimization of the hot path without
-    the full pytest-benchmark run.
-    """
-    import json
-    import os
-
-    from .experiments import micro
-
-    if args.baseline is None:
-        if args.scale:
-            args.baseline = "benchmarks/sim_scale_baseline.json"
-        elif args.batch:
-            args.baseline = "benchmarks/interp_batch_baseline.json"
-        elif args.codegen:
-            args.baseline = "benchmarks/interp_codegen_baseline.json"
-        else:
-            args.baseline = "benchmarks/interp_baseline.json"
+    """Quick regression gates against checked-in baselines: the
+    batched data path (``--batch``) or the sharded simulator
+    (``--scale``)."""
     if args.scale:
+        if args.baseline is None:
+            args.baseline = "benchmarks/sim_scale_baseline.json"
         return _bench_smoke_scale(args)
-    if args.batch:
-        return _bench_smoke_batch(args)
-    if args.codegen:
-        return _bench_smoke_codegen(args)
-
-    results = micro.run_dispatch_micro(invocations=args.invocations)
-    print(micro.format_dispatch_results(results))
-
-    if args.update_baseline:
-        baseline = {r.name: {"ops_per_invoke": r.ops_per_invoke,
-                             "tree_ns_per_op": round(r.tree_ns_per_op, 1),
-                             "fast_ns_per_op": round(r.fast_ns_per_op, 1)}
-                    for r in results}
-        with open(args.baseline, "w") as handle:
-            json.dump(baseline, handle, indent=2)
-            handle.write("\n")
-        print(f"wrote baseline {args.baseline}")
-        return 0
-
-    if not os.path.exists(args.baseline):
-        print(f"no baseline at {args.baseline}; run with "
-              f"--update-baseline to create one")
-        return 1
-    with open(args.baseline) as handle:
-        baseline = json.load(handle)
-
-    status = 0
-    for res in results:
-        ref = baseline.get(res.name)
-        if ref is None:
-            print(f"FAIL {res.name}: not in baseline "
-                  f"{args.baseline}")
-            status = 1
-            continue
-        if res.ops_per_invoke != ref["ops_per_invoke"]:
-            print(f"FAIL {res.name}: ops/invocation changed "
-                  f"{ref['ops_per_invoke']} -> {res.ops_per_invoke} "
-                  f"(program or accounting drifted; re-baseline if "
-                  f"intended)")
-            status = 1
-            continue
-        for mode in ("tree", "fast"):
-            now = getattr(res, f"{mode}_ns_per_op")
-            ref_ns = ref[f"{mode}_ns_per_op"]
-            if now > args.threshold * ref_ns:
-                print(f"FAIL {res.name} [{mode}]: {now:.1f} ns/op is "
-                      f">{args.threshold}x the baseline "
-                      f"{ref_ns:.1f} ns/op")
-                status = 1
-    if status == 0:
-        print(f"bench-smoke OK (within {args.threshold}x of "
-              f"{args.baseline})")
-    return status
-
-
-def _bench_smoke_codegen(args) -> int:
-    """Pycodegen-backend regression gate.
-
-    Two checks: generated code must stay at least ``--min-speedup``x
-    faster per op than the tree-walk baseline ns/op recorded in
-    ``benchmarks/interp_baseline.json`` (the tentpole claim of the
-    codegen backend), and its absolute ns/op must stay within
-    ``--threshold``x of the checked-in codegen baseline.
-    """
-    import json
-    import os
-
-    from .experiments import micro
-
-    results = micro.run_dispatch_micro(invocations=args.invocations)
-    print(micro.format_dispatch_results(results))
-
-    if args.update_baseline:
-        baseline = {
-            r.name: {"ops_per_invoke": r.ops_per_invoke,
-                     "codegen_ns_per_op":
-                         round(r.codegen_ns_per_op, 1)}
-            for r in results}
-        with open(args.baseline, "w") as handle:
-            json.dump(baseline, handle, indent=2)
-            handle.write("\n")
-        print(f"wrote baseline {args.baseline}")
-        return 0
-
-    status = 0
-    interp_path = "benchmarks/interp_baseline.json"
-    interp_baseline = {}
-    if os.path.exists(interp_path):
-        with open(interp_path) as handle:
-            interp_baseline = json.load(handle)
-    for res in results:
-        ref = interp_baseline.get(res.name)
-        if ref is None:
-            print(f"FAIL {res.name}: not in {interp_path}")
-            status = 1
-            continue
-        gain = ref["tree_ns_per_op"] / res.codegen_ns_per_op
-        if gain < args.min_speedup:
-            print(f"FAIL {res.name}: codegen "
-                  f"{res.codegen_ns_per_op:.1f} ns/op is only "
-                  f"{gain:.2f}x the interpreter baseline "
-                  f"{ref['tree_ns_per_op']:.1f} ns/op "
-                  f"(need {args.min_speedup}x)")
-            status = 1
-
-    if not os.path.exists(args.baseline):
-        print(f"no baseline at {args.baseline}; run with "
-              f"--update-baseline to create one")
-        return 1
-    with open(args.baseline) as handle:
-        baseline = json.load(handle)
-    for res in results:
-        ref = baseline.get(res.name)
-        if ref is None:
-            print(f"FAIL {res.name}: not in baseline {args.baseline}")
-            status = 1
-            continue
-        if res.ops_per_invoke != ref["ops_per_invoke"]:
-            print(f"FAIL {res.name}: ops/invocation changed "
-                  f"{ref['ops_per_invoke']} -> {res.ops_per_invoke} "
-                  f"(program or accounting drifted; re-baseline if "
-                  f"intended)")
-            status = 1
-            continue
-        ref_ns = ref["codegen_ns_per_op"]
-        if res.codegen_ns_per_op > args.threshold * ref_ns:
-            print(f"FAIL {res.name} [pycodegen]: "
-                  f"{res.codegen_ns_per_op:.1f} ns/op is "
-                  f">{args.threshold}x the baseline "
-                  f"{ref_ns:.1f} ns/op")
-            status = 1
-    if status == 0:
-        print(f"bench-smoke --codegen OK (>= {args.min_speedup}x "
-              f"over tree baseline, within {args.threshold}x of "
-              f"{args.baseline})")
-    return status
+    if args.baseline is None:
+        args.baseline = "benchmarks/interp_batch_baseline.json"
+    return _bench_smoke_batch(args)
 
 
 def _bench_smoke_batch(args) -> int:
@@ -388,82 +239,6 @@ def _bench_smoke_scale(args) -> int:
         print(f"bench-smoke --scale OK (digests match; within "
               f"{args.threshold}x of {args.baseline})")
     return status
-
-
-def _cmd_mine_superinstructions(args) -> int:
-    """Regenerate ``src/repro/lang/mined_patterns.py`` from the corpus.
-
-    Mines every fusable bytecode window across the function library,
-    the checked-in differential corpus (``tests/lang/corpus/``) and
-    the seeded fuzz programs of ``tests/lang/program_gen``, ranks op
-    sequences by frequency, and writes the table that fastdispatch's
-    fusion pass compiles into superinstructions.  ``--check`` verifies
-    the checked-in table is up to date instead of rewriting it.
-    """
-    import os
-    import sys
-
-    from .lang import compile_ast
-    from .lang import mining
-
-    programs = mining.library_programs()
-    n_lib = len(programs)
-    n_corpus = n_fuzz = 0
-    tests_dir = os.path.abspath(args.tests_dir)
-    if os.path.isdir(tests_dir):
-        sys.path.insert(0, tests_dir)
-        try:
-            import program_gen as pg
-            corpus_dir = os.path.join(tests_dir, "corpus")
-            if os.path.isdir(corpus_dir):
-                for fname in sorted(os.listdir(corpus_dir)):
-                    if not fname.endswith(".py"):
-                        continue
-                    with open(os.path.join(corpus_dir, fname)) as fh:
-                        source = fh.read()
-                    programs.append(
-                        compile_ast(pg.lower_source(source)))
-                    n_corpus += 1
-            for profile in pg.PROFILES:
-                for seed in range(args.seeds):
-                    source = pg.generate_program(seed,
-                                                 profile=profile)
-                    programs.append(
-                        compile_ast(pg.lower_source(source)))
-                    n_fuzz += 1
-            profiles = ", ".join(pg.PROFILES)
-        finally:
-            sys.path.remove(tests_dir)
-    else:
-        profiles = "none"
-        print(f"note: {args.tests_dir} not found — mining the "
-              f"function library only")
-    counter = mining.mine_programs(programs, max_len=args.max_len)
-    ranked = mining.rank(counter, top=args.top)
-    provenance = (f"Corpus: {n_lib} library demos, {n_corpus} corpus "
-                  f"files, {n_fuzz} fuzz seeds\n"
-                  f"(profiles: {profiles});\n"
-                  f"{sum(counter.values())} fusable windows, "
-                  f"{len(counter)} distinct sequences, "
-                  f"top {len(ranked)} kept.")
-    text = mining.render_module(ranked, provenance)
-    if args.check:
-        try:
-            with open(args.out) as fh:
-                current = fh.read()
-        except OSError:
-            current = None
-        if current != text:
-            print(f"STALE {args.out}: re-run `python -m repro "
-                  f"mine-superinstructions`")
-            return 1
-        print(f"{args.out} is up to date ({len(ranked)} patterns)")
-        return 0
-    with open(args.out, "w") as fh:
-        fh.write(text)
-    print(provenance)
-    print(f"wrote {args.out}")
-    return 0
 
 
 def _cmd_control_demo(args) -> int:
@@ -770,10 +545,7 @@ _COMMANDS = {
     "fig12": (_cmd_fig12, "Eden CPU overheads"),
     "micro": (_cmd_micro, "interpreter microbenchmarks"),
     "bench-smoke": (_cmd_bench_smoke,
-                    "dispatch-speed regression gate vs baseline JSON"),
-    "mine-superinstructions": (
-        _cmd_mine_superinstructions,
-        "regenerate the mined fastdispatch fusion table"),
+                    "batch / scale regression gates vs baseline JSON"),
     "control-demo": (_cmd_control_demo,
                      "lossy control-channel PIAS/WCMP convergence"),
     "telemetry-report": (_cmd_telemetry_report,
@@ -818,26 +590,24 @@ def build_parser() -> argparse.ArgumentParser:
                            choices=("interpreter",)
                            + tuple(lang_backends.names()))
         if name == "bench-smoke":
+            mode = p.add_mutually_exclusive_group(required=True)
+            mode.add_argument("--batch", action="store_true",
+                              help="gate the batched data path")
+            mode.add_argument("--scale", action="store_true",
+                              help="gate the sharded simulator on the "
+                                   "fat-tree scale benchmark")
             p.add_argument("--baseline", default=None,
                            help="baseline JSON path (default: "
-                                "benchmarks/interp_baseline.json, or "
                                 "benchmarks/interp_batch_baseline.json "
-                                "with --batch)")
-            p.add_argument("--invocations", type=int, default=800)
+                                "with --batch, "
+                                "benchmarks/sim_scale_baseline.json "
+                                "with --scale)")
             p.add_argument("--threshold", type=float, default=2.0,
-                           help="fail when ns/op exceeds this "
-                                "multiple of the baseline")
+                           help="fail when the measured cost exceeds "
+                                "this multiple of the baseline")
             p.add_argument("--update-baseline", action="store_true",
                            help="rewrite the baseline instead of "
                                 "checking against it")
-            p.add_argument("--batch", action="store_true",
-                           help="gate the batched data path instead "
-                                "of interpreter dispatch")
-            p.add_argument("--codegen", action="store_true",
-                           help="gate the pycodegen backend: "
-                                ">= --min-speedup x over the tree "
-                                "baseline plus a codegen baseline "
-                                "check")
             p.add_argument("--batch-size", type=int, default=64,
                            help="packets per enclave batch (--batch)")
             p.add_argument("--packets", type=int, default=4096,
@@ -846,9 +616,6 @@ def build_parser() -> argparse.ArgumentParser:
                            help="required batch-over-scalar (--batch) "
                                 "or mp-over-single-heap (--scale) "
                                 "speedup")
-            p.add_argument("--scale", action="store_true",
-                           help="gate the sharded simulator on the "
-                                "fat-tree scale benchmark instead")
             p.add_argument("--scale-k", type=int, default=8,
                            help="fat-tree arity (--scale; k=8 gives "
                                 "128 hosts)")
@@ -860,23 +627,6 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--force-mp", action="store_true",
                            help="run the multiprocessing speedup "
                                 "check even on <4 cores (--scale)")
-        if name == "mine-superinstructions":
-            p.add_argument("--tests-dir", default="tests/lang",
-                           help="directory holding program_gen.py and "
-                                "corpus/ (skipped when absent)")
-            p.add_argument("--seeds", type=int, default=240,
-                           help="fuzz seeds to mine (matches the "
-                                "differential harness)")
-            p.add_argument("--top", type=int, default=64,
-                           help="patterns to keep in the table")
-            p.add_argument("--max-len", type=int, default=3,
-                           help="longest window to mine")
-            p.add_argument("--out",
-                           default="src/repro/lang/mined_patterns.py",
-                           help="generated module path")
-            p.add_argument("--check", action="store_true",
-                           help="fail if the checked-in table is "
-                                "stale instead of rewriting it")
         if name in ("control-demo", "telemetry-report"):
             default_ms = 400 if name == "control-demo" else 100
             p.add_argument("--loss", type=float, default=0.10,

@@ -116,9 +116,9 @@ class InstalledFunction:
     ``backend`` selects how invocations execute: ``"interpreter"``
     runs on the enclave's shared :class:`Interpreter` with whatever
     dispatch it was configured with, while any name from the
-    :mod:`repro.lang.backends` registry (``tree``, ``fast``,
-    ``pycodegen``, ``native``) pins this function to that execution
-    backend regardless of the interpreter default.  The authoritative
+    :mod:`repro.lang.backends` registry (``tree``, ``pycodegen``,
+    ``native``) pins this function to that execution backend
+    regardless of the interpreter default.  The authoritative
     message/global state lives here.
     """
 
@@ -165,8 +165,10 @@ class InstalledFunction:
         self.concurrency = concurrency_of(self.prog_ast)
         self.guard = ConcurrencyGuard(self.concurrency)
         self.interpreter = interpreter
-        self.native = NativeFunction(self.prog_ast, self.program,
-                                     rng=rng, clock=clock)
+        # Only the native backend ever runs the AST-level compilation.
+        self.native = (NativeFunction(self.prog_ast, self.program,
+                                      rng=rng, clock=clock)
+                       if backend == "native" else None)
         self.global_store = (GlobalStore(global_schema)
                              if global_schema is not None else None)
         self.message_store = (MessageStore(message_schema)
@@ -547,8 +549,8 @@ class Enclave:
                         f"{rule.rule_id} in table {table.table_id}")
         removed = self._functions.pop(name)
         # Drop every backend's compiled artifact for the removed
-        # program so no cache (fast handler lists, generated code,
-        # native closures) can outlive the function that owned it.
+        # program so no cache (generated code, native closures) can
+        # outlive the function that owned it.
         removed._batch_runner = None
         lang_backends.invalidate(removed.program)
 
@@ -922,9 +924,9 @@ class Enclave:
 
         # Execution context built once per group: the function's
         # backend supplies a batch runner when it can hoist per-call
-        # setup (fast's BatchRunner, pycodegen's CodegenRunner), else
-        # the scalar execute (tree, native, or instrumented
-        # interpreters, which must keep their per-invocation spans).
+        # setup (pycodegen's CodegenRunner), else the scalar execute
+        # (tree, native, or instrumented interpreters, which must
+        # keep their per-invocation spans).
         runner = None
         if fn.backend != "native" and \
                 self.interpreter.telemetry is None:

@@ -130,77 +130,6 @@ def format_results(results: List[MicroResult]) -> str:
     return "\n".join(lines)
 
 
-# -- dispatch-mode micro: tree walk vs fast vs codegen ------------------
-
-@dataclass
-class DispatchResult:
-    """ns/op of one program under every interpreter dispatch mode.
-
-    ops/invocation is identical across modes by construction
-    (superinstructions and codegen segments count their constituent
-    ops; enforced by ``tests/lang/test_execstats.py``), so ns/op is
-    directly comparable.
-    """
-
-    name: str
-    ops_per_invoke: int
-    tree_ns_per_op: float
-    fast_ns_per_op: float
-    codegen_ns_per_op: float = 0.0
-
-    @property
-    def speedup(self) -> float:
-        if self.fast_ns_per_op <= 0:
-            return 0.0
-        return self.tree_ns_per_op / self.fast_ns_per_op
-
-    @property
-    def codegen_speedup(self) -> float:
-        if self.codegen_ns_per_op <= 0:
-            return 0.0
-        return self.tree_ns_per_op / self.codegen_ns_per_op
-
-    def row(self) -> str:
-        line = (f"{self.name:<18} ops {self.ops_per_invoke:4d}  "
-                f"tree {self.tree_ns_per_op:7.1f} ns/op  fast "
-                f"{self.fast_ns_per_op:7.1f} ns/op "
-                f"({self.speedup:4.2f}x)")
-        if self.codegen_ns_per_op > 0:
-            line += (f"  pycodegen {self.codegen_ns_per_op:7.1f} "
-                     f"ns/op ({self.codegen_speedup:5.2f}x)")
-        return line
-
-
-def _pias_search_snapshot(levels: int = 16):
-    """The PIAS program plus a snapshot that runs its search loop.
-
-    ``levels`` (threshold, priority) records with the message size
-    above every threshold force the demotion search (Fig 2's loop) to
-    walk the whole table — the interpreter's hottest realistic path.
-    """
-    from ..lang import DEFAULT_PACKET_SCHEMA
-    from ..lang.compiler import compile_action
-
-    spec = _spec_for("PIAS")
-    _, program = compile_action(
-        spec.action, packet_schema=DEFAULT_PACKET_SCHEMA,
-        message_schema=spec.message_schema,
-        global_schema=spec.global_schema, name=spec.function_name)
-    records: List[int] = []
-    for i in range(levels):
-        records.extend((10_000 * (i + 1), 7 - min(i, 7)))
-    fields = []
-    for ref in program.field_table:
-        if (ref.scope, ref.name) == ("message", "size"):
-            fields.append(10_000 * levels + 1)   # above every threshold
-        elif (ref.scope, ref.name) == ("message", "priority"):
-            fields.append(1)   # demotion enabled -> search runs
-        else:
-            fields.append(0)
-    arrays = [list(records) for _ in program.array_table]
-    return program, fields, arrays
-
-
 @contextlib.contextmanager
 def _gc_paused():
     """Pause the cyclic GC around a timed region (timeit does the
@@ -213,56 +142,6 @@ def _gc_paused():
     finally:
         if was_enabled:
             gc.enable()
-
-
-def _time_dispatch(program, fields, arrays, dispatch: str,
-                   invocations: int, repeat: int) -> Tuple[float, int]:
-    """Best-of-``repeat`` (ns/invocation, ops/invocation)."""
-    from ..lang.interpreter import Interpreter
-
-    interp = Interpreter(dispatch=dispatch)
-    result = interp.execute(program, list(fields),
-                            [list(a) for a in arrays])  # warm-up
-    ops = result.stats.ops_executed
-    best = float("inf")
-    with _gc_paused():
-        for _ in range(repeat):
-            t0 = time.perf_counter_ns()
-            for _ in range(invocations):
-                interp.execute(program, list(fields),
-                               [list(a) for a in arrays])
-            best = min(best,
-                       (time.perf_counter_ns() - t0) / invocations)
-    return best, ops
-
-
-def run_dispatch_micro(invocations: int = 1500, repeat: int = 3,
-                       levels: int = 16) -> List[DispatchResult]:
-    """ns/op per backend: tree walk vs fast dispatch vs codegen."""
-    program, fields, arrays = _pias_search_snapshot(levels)
-    results = []
-    tree_ns, ops = _time_dispatch(program, fields, arrays, "tree",
-                                  invocations, repeat)
-    fast_ns, fast_ops = _time_dispatch(program, fields, arrays,
-                                       "fast", invocations, repeat)
-    cg_ns, cg_ops = _time_dispatch(program, fields, arrays,
-                                   "pycodegen", invocations, repeat)
-    assert ops == fast_ops == cg_ops, \
-        "dispatch modes disagree on op count"
-    results.append(DispatchResult(
-        name=f"PIAS search x{levels}",
-        ops_per_invoke=ops,
-        tree_ns_per_op=tree_ns / ops,
-        fast_ns_per_op=fast_ns / ops,
-        codegen_ns_per_op=cg_ns / ops))
-    return results
-
-
-def format_dispatch_results(results: List[DispatchResult]) -> str:
-    lines = ["Interpreter dispatch — tree walk vs closure-threaded "
-             "fast dispatch vs pycodegen"]
-    lines += [r.row() for r in results]
-    return "\n".join(lines)
 
 
 # -- batch micro: scalar data path vs Enclave.process_batch -------------

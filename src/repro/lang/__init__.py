@@ -18,7 +18,7 @@ from .annotations import (AccessLevel, DEFAULT_PACKET_SCHEMA, Field,
                           FieldKind, Lifetime, Schema, SchemaError,
                           schema)
 from .ast_nodes import ProgramAST
-from .backends import (Backend, default_dispatch, get as get_backend,
+from .backends import (Backend, get as get_backend,
                        invalidate as invalidate_backends,
                        names as backend_names, register
                        as register_backend)
@@ -26,8 +26,6 @@ from .bytecode import (ArrayRef, FieldRef, FunctionCode, Instr, Op,
                        Program, wrap64)
 from .compiler import CompileError, compile_action, compile_ast
 from .dsl import DslError, lower, quote
-from .fastdispatch import compile_program as compile_fast_dispatch
-from .fastdispatch import execute_fast, fast_code
 from .interpreter import (ExecResult, ExecStats, Interpreter,
                           InterpreterFault)
 from .native import NativeFault, NativeFunction
@@ -44,9 +42,8 @@ __all__ = [
     "InterpreterFault", "Lifetime", "NativeFault", "NativeFunction",
     "Op", "Program", "ProgramAST", "Schema", "SchemaError",
     "VerificationError", "backend_names", "compile_action",
-    "compile_ast", "compile_fast_dispatch", "default_dispatch",
-    "execute_codegen", "execute_codegen_batch", "execute_fast",
-    "fast_code", "get_backend", "invalidate_backends", "lower",
+    "compile_ast", "execute_codegen", "execute_codegen_batch",
+    "get_backend", "invalidate_backends", "lower",
     "optimize_function", "optimize_program", "quote",
     "register_backend", "schema", "verify", "wrap64",
 ]

@@ -1,20 +1,24 @@
 """Execution-backend registry for :mod:`repro.lang`.
 
-Every way of running a compiled :class:`~repro.lang.bytecode.Program`
-— the tree-walk reference, closure-threaded fast dispatch, generated
-straight-line Python, and the AST-level native compiler — lives behind
-one :class:`Backend` protocol.  Consumers (the :class:`Interpreter`,
-the enclave's batch runner, ``bench-smoke``, the CLI ``--backend``
-flags) resolve backends by name through :func:`get` instead of
-hard-coding dispatch modes, so adding an execution strategy (SoA
-vectorization, trace specialization, ...) is one ``register()`` call,
-not a fork of the interpreter.
+Three ways of running a compiled :class:`~repro.lang.bytecode.Program`
+live behind one :class:`Backend` protocol:
 
-The contract, enforced by the five-backend differential harness in
+* ``tree`` — the decode-per-op walk, the executable semantics every
+  other path is checked against;
+* ``pycodegen`` — what runs: the tree walk while a program is cold,
+  generated straight-line Python once it is hot
+  (:mod:`repro.lang.pycodegen`);
+* ``native`` — the AST-level compiler, the paper's Eden-vs-native
+  baseline (Fig 12).
+
+Consumers (the :class:`Interpreter`, the enclave's batch runner, the
+CLI ``--backend`` flags) resolve backends by name through :func:`get`.
+
+The contract, enforced by the differential harness in
 ``tests/lang/test_differential.py``:
 
-* ``tree``, ``fast`` and ``pycodegen`` are bit-for-bit equivalent —
-  results, :class:`ExecStats`, fault class and fault *reason*.
+* ``tree`` and ``pycodegen`` are bit-for-bit equivalent — results,
+  :class:`ExecStats`, fault class and fault *reason* — cold or hot.
 * ``native`` agrees on the ok/fault outcome and, when ok, on
   ``(value, fields, arrays)``; its stats are empty and its fault
   wording is its own (it runs Python semantics, not the bytecode VM).
@@ -30,21 +34,12 @@ removed so stale handlers can never run.
 
 from __future__ import annotations
 
-import os
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
+from . import pycodegen
 from .bytecode import Program
 from .interpreter import ExecResult, InterpreterFault
-
-#: Environment variable overriding the default dispatch for every
-#: ``Interpreter`` constructed without an explicit one.  CI's codegen
-#: job sets ``REPRO_DISPATCH=pycodegen`` to force the generated-code
-#: backend through every enclave/stack path.
-DISPATCH_ENV = "REPRO_DISPATCH"
-
-
-def default_dispatch() -> str:
-    return os.environ.get(DISPATCH_ENV, "fast")
+from .native import NativeFunction
 
 
 class Backend:
@@ -58,7 +53,7 @@ class Backend:
     honor all of them to keep fault parity.
     """
 
-    #: Registry key, e.g. ``"fast"``.
+    #: Registry key, e.g. ``"tree"``.
     name: str = ""
 
     def execute(self, interp, program: Program,
@@ -110,54 +105,15 @@ class TreeBackend(Backend):
         return interp.execute_tree(program, fields, arrays, args)
 
 
-class FastBackend(Backend):
-    """Closure-threaded dispatch with mined superinstructions."""
-
-    name = "fast"
-
-    def execute(self, interp, program, fields, arrays, args=()):
-        from .fastdispatch import execute_fast
-        return execute_fast(interp, program, fields, arrays, args)
-
-    def execute_batch(self, interp, program, snapshots, args=()):
-        from .fastdispatch import execute_fast_batch
-        return execute_fast_batch(interp, program, snapshots, args)
-
-    def make_batch_runner(self, interp, program):
-        from .fastdispatch import BatchRunner
-        return BatchRunner(interp, program)
-
-    def invalidate(self, program):
-        if getattr(program, "_fast_lists", None) is not None:
-            object.__setattr__(program, "_fast_lists", None)
-            return True
-        return False
-
-
 class PycodegenBackend(Backend):
-    """Generated straight-line Python per program (zero dispatch)."""
+    """Tree walk while cold, generated straight-line Python once hot."""
 
     name = "pycodegen"
-
-    def execute(self, interp, program, fields, arrays, args=()):
-        from .pycodegen import execute_codegen
-        return execute_codegen(interp, program, fields, arrays, args)
-
-    def execute_batch(self, interp, program, snapshots, args=()):
-        from .pycodegen import execute_codegen_batch
-        return execute_codegen_batch(interp, program, snapshots, args)
-
-    def make_batch_runner(self, interp, program):
-        from .pycodegen import CodegenRunner
-        return CodegenRunner(interp, program)
-
-    def invalidate(self, program):
-        from .pycodegen import invalidate
-        return invalidate(program)
-
-    def stats(self):
-        from .pycodegen import stats
-        return stats()
+    execute = staticmethod(pycodegen.execute_codegen)
+    execute_batch = staticmethod(pycodegen.execute_codegen_batch)
+    make_batch_runner = staticmethod(pycodegen.CodegenRunner)
+    invalidate = staticmethod(pycodegen.invalidate)
+    stats = staticmethod(pycodegen.stats)
 
 
 class NativeBackend(Backend):
@@ -172,8 +128,6 @@ class NativeBackend(Backend):
     name = "native"
 
     def _function(self, interp, program):
-        from .native import NativeFunction
-
         prog_ast = getattr(program, "_prog_ast", None)
         if prog_ast is None:
             raise InterpreterFault(
@@ -238,6 +192,5 @@ def invalidate(program: Program) -> Dict[str, bool]:
 
 
 register(TreeBackend())
-register(FastBackend())
 register(PycodegenBackend())
 register(NativeBackend())

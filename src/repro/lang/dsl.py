@@ -51,21 +51,19 @@ class DslError(Exception):
         super().__init__(message)
 
 
-def quote(fn: Union[Callable, str]) -> ast.FunctionDef:
-    """Recover the AST of an action function (the "code quotation").
-
-    Accepts either a live function object or its source text.  Returns
-    the ``ast.FunctionDef`` node of the outermost function.
-    """
+def source_of(fn: Union[Callable, str]) -> str:
+    """The dedented source text of a live function (or of ``fn`` itself
+    when it already is source text)."""
     if callable(fn):
         try:
-            source = inspect.getsource(fn)
+            fn = inspect.getsource(fn)
         except (OSError, TypeError) as exc:
             raise DslError(
                 f"cannot recover source of {fn!r}: {exc}") from exc
-    else:
-        source = fn
-    source = textwrap.dedent(source)
+    return textwrap.dedent(fn)
+
+
+def _function_node(source: str) -> ast.FunctionDef:
     try:
         module = ast.parse(source)
     except SyntaxError as exc:
@@ -76,10 +74,13 @@ def quote(fn: Union[Callable, str]) -> ast.FunctionDef:
     raise DslError("source does not contain a function definition")
 
 
-def source_of(fn: Union[Callable, str]) -> str:
-    if callable(fn):
-        return textwrap.dedent(inspect.getsource(fn))
-    return textwrap.dedent(fn)
+def quote(fn: Union[Callable, str]) -> ast.FunctionDef:
+    """Recover the AST of an action function (the "code quotation").
+
+    Accepts either a live function object or its source text.  Returns
+    the ``ast.FunctionDef`` node of the outermost function.
+    """
+    return _function_node(source_of(fn))
 
 
 @dataclass
@@ -118,8 +119,10 @@ class Lowerer:
 
     def lower(self, fn: Union[Callable, str],
               name: Optional[str] = None) -> T.ProgramAST:
-        node = quote(fn)
+        # One ``inspect.getsource`` per install: the text feeds both
+        # the parse and ``ProgramAST.source``.
         source = source_of(fn)
+        node = _function_node(source)
         prog_name = name or node.name
         self._bind_state_params(node)
         self._collect_functions(node)

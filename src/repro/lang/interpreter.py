@@ -86,7 +86,7 @@ class _Frame:
         self.return_pc = return_pc
 
 
-# -- shared helpers (used by both the tree walk and fast dispatch) ------
+# -- shared helpers (used by the tree walk and the generated code) ------
 
 def _make_locals(n_locals: int, args: Sequence[int]) -> List[int]:
     locals_ = list(args) + [0] * (n_locals - len(args))
@@ -158,15 +158,13 @@ class Interpreter:
     sources, not per-invocation state.
 
     ``dispatch`` names the execution backend in the
-    :mod:`repro.lang.backends` registry: ``"fast"`` (default) runs the
-    closure-threaded dispatch of :mod:`repro.lang.fastdispatch`;
-    ``"tree"`` the original decode-per-op loop; ``"pycodegen"`` the
-    generated straight-line Python of :mod:`repro.lang.pycodegen`.
-    Those three are bit-for-bit identical (enforced by
+    :mod:`repro.lang.backends` registry.  The default, ``"pycodegen"``,
+    runs a program on the tree walk while it is cold and on the
+    generated straight-line Python of :mod:`repro.lang.pycodegen`
+    once it is hot; ``"tree"`` pins the decode-per-op reference loop.
+    Those two are bit-for-bit identical (enforced by
     ``tests/lang/test_differential``); any other registered backend
-    (e.g. ``"native"``) resolves the same way.  ``dispatch=None``
-    picks the default — ``"fast"``, or the ``REPRO_DISPATCH``
-    environment variable when set.
+    (e.g. ``"native"``) resolves the same way.
     """
 
     def __init__(self,
@@ -176,7 +174,7 @@ class Interpreter:
                  op_budget: Optional[int] = None,
                  rng: Optional[random.Random] = None,
                  clock: Optional[Callable[[], int]] = None,
-                 dispatch: Optional[str] = None,
+                 dispatch: str = "pycodegen",
                  telemetry=None) -> None:
         self.max_operand_stack = max_operand_stack
         self.max_call_depth = max_call_depth
@@ -186,8 +184,6 @@ class Interpreter:
         self.clock = clock if clock is not None else (lambda: 0)
         # Deferred import: backends imports from this module.
         from . import backends as _backends
-        if dispatch is None:
-            dispatch = _backends.default_dispatch()
         try:
             self._backend = _backends.get(dispatch)
         except KeyError:
@@ -196,15 +192,11 @@ class Interpreter:
                 f"{', '.join(_backends.names())}; got {dispatch!r}"
             ) from None
         self.dispatch = dispatch
-        if dispatch == "fast":
-            # The default backend keeps its direct function reference:
-            # the hot path pays one string compare and a bound call,
-            # nothing registry-shaped.
-            from .fastdispatch import execute_fast
-            self._execute_fast = execute_fast
+        # The one execute callable, bound once so the hot path pays no
+        # registry lookup: ``self._execute(self, program, ...)``.
+        self._execute = self._backend.execute
         # ``telemetry`` stays None when disabled so the hot path pays
-        # one ``is None`` check and nothing else (the 5%-of-baseline
-        # overhead gate in tests/lang/test_telemetry_overhead.py).
+        # one ``is None`` check and nothing else.
         self.telemetry = None
         if telemetry is not None:
             self.bind_telemetry(telemetry)
@@ -245,13 +237,7 @@ class Interpreter:
         if self.telemetry is not None:
             return self._execute_instrumented(program, fields, arrays,
                                               args)
-        if self.dispatch == "fast":
-            return self._execute_fast(self, program, fields, arrays,
-                                      args)
-        if self.dispatch == "tree":
-            return self.execute_tree(program, fields, arrays, args)
-        return self._backend.execute(self, program, fields, arrays,
-                                     args)
+        return self._execute(self, program, fields, arrays, args)
 
     def execute_batch(self, program: Program,
                       snapshots: Sequence[Tuple[Sequence[int],
@@ -273,22 +259,6 @@ class Interpreter:
         if self.telemetry is not None:
             return self._execute_batch_instrumented(program, snapshots,
                                                     args)
-        return self._execute_batch_impl(program, snapshots, args)
-
-    def _execute_batch_impl(self, program: Program, snapshots,
-                            args: Sequence[int]) -> List[object]:
-        if self.dispatch == "fast":
-            from .fastdispatch import execute_fast_batch
-            return execute_fast_batch(self, program, snapshots, args)
-        if self.dispatch == "tree":
-            out: List[object] = []
-            for fields, arrays in snapshots:
-                try:
-                    out.append(self.execute_tree(program, fields,
-                                                 arrays, args))
-                except InterpreterFault as fault:
-                    out.append(fault)
-            return out
         return self._backend.execute_batch(self, program, snapshots,
                                            args)
 
@@ -298,8 +268,8 @@ class Interpreter:
         with self.telemetry.tracer.span(
                 "interpreter.execute_batch", program=program.name,
                 dispatch=self.dispatch) as span:
-            results = self._execute_batch_impl(program, snapshots,
-                                               args)
+            results = self._backend.execute_batch(self, program,
+                                                  snapshots, args)
             faults = 0
             for res in results:
                 self._m_invocations.inc()
@@ -322,16 +292,8 @@ class Interpreter:
                 dispatch=self.dispatch) as span:
             self._m_invocations.inc()
             try:
-                if self.dispatch == "fast":
-                    result = self._execute_fast(self, program, fields,
-                                                arrays, args)
-                elif self.dispatch == "tree":
-                    result = self.execute_tree(program, fields, arrays,
-                                               args)
-                else:
-                    result = self._backend.execute(self, program,
-                                                   fields, arrays,
-                                                   args)
+                result = self._execute(self, program, fields, arrays,
+                                       args)
             except InterpreterFault as fault:
                 self._m_faults.inc()
                 span.set(fault=fault.reason)

@@ -1,41 +1,51 @@
 """Bytecode -> straight-line Python codegen backend.
 
-The fast-dispatch backend (:mod:`repro.lang.fastdispatch`) still pays
-one closure call per (super)instruction.  This module removes dispatch
-entirely: each :class:`~repro.lang.bytecode.Program` is translated to
-Python source — one ``def`` per bytecode function, operand-stack slots
-lowered to Python locals — and ``compile()``d once.  Branches are
-recovered into real ``while``/``if`` structures (the compiler emits
-reducible, linearly laid out control flow), guards and budget checks
-are inlined, and the 64-bit wraparound is folded away wherever the
-operand ranges make it the identity (``&``, ``|``, ``^``, ``~``,
-``>>``, ``%`` of in-range values stay in range).
+The tree walk (``Interpreter.execute_tree``) re-decodes every
+instruction through a long ``Op`` comparison chain.  This module
+removes dispatch entirely: each :class:`~repro.lang.bytecode.Program`
+is translated to Python source — one ``def`` per bytecode function,
+operand-stack slots lowered to Python locals — and ``compile()``d
+once.  Branches are recovered into real ``while``/``if`` structures
+(the compiler emits reducible, linearly laid out control flow), guards
+and budget checks are inlined, and the 64-bit wraparound is folded
+away wherever the operand ranges make it the identity (``&``, ``|``,
+``^``, ``~``, ``>>``, ``%`` of in-range values stay in range).
 
-Three execution tiers, chosen per program at compile time:
+Generating and compiling the source costs a few tree-walk executions,
+so a program starts *cold*: its first :data:`TIER_UP_CALLS`
+invocations run on the tree walk — the executable semantics this
+backend is proven against — and the next one compiles it.
+:func:`code_for` is the one place that decides; the scalar
+(:func:`execute_codegen`) and batch (:class:`CodegenRunner`) entry
+points both ask it on every call.
+
+Once hot, each bytecode function is emitted in one of two shapes:
 
 * ``structured`` — loops become ``while True:`` regions, forward
   branches become ``if``/``else``; zero dispatch overhead.
 * ``blocks`` — a ``while``/``elif`` basic-block machine for control
   flow the structurizer does not recognize (e.g. exotic
   optimizer-threaded jumps); still straight-line inside blocks.
-* ``delegate`` — programs whose operand-stack depth is not statically
-  consistent (hand-assembled bytecode the verifier would reject) run
-  unchanged on fast dispatch, which is bit-for-bit the tree walk.
+
+Programs whose operand-stack depth is not statically consistent
+(hand-assembled bytecode the verifier would reject) never compile;
+they stay on the tree walk (``stats()["programs_delegated"]``).
 
 Semantics are kept bit-for-bit identical to the tree walk on results,
 :class:`ExecStats` and fault *reasons* (the differential harness in
-``tests/lang/test_differential.py`` enforces this across five
-backends).  Two knowing divergences, both shared with fast dispatch:
-jumps to negative targets fault as "fell off end of code" instead of
-wrapping Python-style, and op-budget accounting is hoisted to segment
+``tests/lang/test_differential.py`` enforces this, including across
+the cold-to-hot boundary).  Two knowing divergences once hot: jumps to
+negative targets fault as "fell off end of code" instead of wrapping
+Python-style, and op-budget accounting is hoisted to segment
 granularity — a budget fault can fire at a segment boundary a few ops
 before the tree walk would raise it mid-segment (observable only with
-budgets tighter than one straight-line segment; superinstruction
-windows hoist identically).
+budgets tighter than one straight-line segment).
 
-Compiled code objects are cached on the ``Program`` instance plus a
-bounded LRU registry; :func:`invalidate` drops both (the enclave calls
-it from ``replace_function``/``remove_function``).
+The cold-call counter and, later, the compiled code live in one slot
+on the ``Program`` instance; compiled programs are also tracked by a
+bounded LRU registry.  :func:`invalidate` (the enclave calls it from
+``replace_function``/``remove_function``) and LRU eviction both clear
+the slot, returning the program to cold.
 """
 
 from __future__ import annotations
@@ -45,21 +55,35 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from .bytecode import (INT_MASK, INT_MAX, Instr, Op, Program,
                        STACK_EFFECT, wrap64)
-from .fastdispatch import (_Ctx, _NO_BUDGET, _budget_fault,
-                           _stack_fault, execute_fast)
 from .interpreter import (ExecResult, ExecStats, InterpreterFault,
                           _copy_in, _finish, _make_locals)
 
 _CARRY = 1 << 64
+#: Sentinel budget for "no budget": never exceeded by a real program.
+_NO_BUDGET = 1 << 62
 
 #: Modes a program can compile to (``stats()`` reports the tally).
 MODE_STRUCTURED = "structured"
 MODE_BLOCKS = "blocks"
-MODE_DELEGATE = "delegate"
+
+#: Invocations a program runs on the tree walk before it is compiled.
+#: Compiling pays off after ``compile cost / (tree cost - generated
+#: cost)`` invocations.  For the 344-op PIAS search the benchmark's
+#: rows give ``lang.first_exec_us.pycodegen`` = 1831 us when the first
+#: call still compiled (so ~1810 us of compile), 344 ops x
+#: ``lang.exec_ns_per_op.tree`` 1733 ns = 596 us per tree call and
+#: 344 x 60 ns = 21 us per generated call: break-even at ~4 calls.
+#: The 15-to-30-op library functions (mcrouter, Pulsar, QJump) compile
+#: in ~0.8-1.1 ms and save ~40-50 us a call: ~20 calls.  16 sits
+#: between the two — the regret either way is a few milliseconds per
+#: program, once — keeps a function that only ever sees a handful of
+#: packets (a fleet probe: eight) off the compiler entirely, and is
+#: noise to one that sees thousands.
+TIER_UP_CALLS = 16
 
 #: Bounded code cache: at most this many compiled programs are kept
-#: alive by the registry (the per-Program side attribute is dropped on
-#: eviction, forcing a recompile if the program is executed again).
+#: alive by the registry (the per-Program slot is cleared on eviction,
+#: returning the program to cold).
 CACHE_LIMIT = 256
 
 _CMP_SYM = {
@@ -73,6 +97,28 @@ _KNOWN_OPS = frozenset(Op)
 
 class _Bail(Exception):
     """Structurizer cannot express this function; fall to blocks."""
+
+
+class _Ctx:
+    """Mutable per-invocation state shared by the generated functions."""
+
+    __slots__ = (
+        "fields", "heap", "bases", "lengths", "wranges", "ops",
+        "budget", "outer", "max_seen", "stack_limit", "depth",
+        "call_limit", "max_depth", "rng", "clock", "clock_value",
+        "halted", "name",
+    )
+
+
+def _budget_fault(ctx: _Ctx, pc: int) -> None:
+    raise InterpreterFault(f"op budget of {ctx.budget} exceeded",
+                           ctx.name, pc)
+
+
+def _stack_fault(ctx: _Ctx, depth: int, pc: int) -> None:
+    raise InterpreterFault(
+        f"operand stack of {depth} words exceeds limit "
+        f"{ctx.stack_limit}", ctx.name, pc)
 
 
 class CompiledProgram:
@@ -100,7 +146,7 @@ def _depth_map(program: Program, code: Sequence[Instr]
     empty stack) and out-of-range jump targets simply have no
     successor (they fault as "fell off end" at run time).  A depth
     mismatch at a merge point or a static underflow returns None —
-    such programs delegate to fast dispatch.
+    such programs stay on the tree walk.
     """
     n = len(code)
     depth_at: Dict[int, int] = {0: 0}
@@ -440,8 +486,7 @@ class _FuncEmitter:
 
     def _underflow_raiser(self, pc: int) -> bool:
         # The tree walk hits IndexError on out-of-range table/slot
-        # operands and reports an operand-stack underflow; fast
-        # dispatch reproduces that, and so do we.
+        # operands and reports an operand-stack underflow; so do we.
         self._raise("'operand stack underflow'", pc)
         return False
 
@@ -885,9 +930,10 @@ def stats() -> Dict[str, int]:
 
 
 def compile_pycode(program: Program) -> Optional[CompiledProgram]:
-    """Generate + compile() this program; None -> delegate to fast.
+    """Generate + compile() this program now; None -> not compilable.
 
-    The result is NOT cached here; use :func:`code_for`.
+    The result is NOT cached here and the cold-call counter is not
+    consulted; use :func:`code_for` on the execution path.
     """
     parts: List[str] = []
     modes: List[str] = []
@@ -918,55 +964,54 @@ def compile_pycode(program: Program) -> Optional[CompiledProgram]:
                            source)
 
 
-_DELEGATED = object()   # cached "this program delegates" marker
+_DELEGATED = object()   # slot value: "this program never compiles"
 
 
-def code_for(program: Program):
-    """Cached compile; returns CompiledProgram or the delegate marker.
+def code_for(program: Program) -> Optional[CompiledProgram]:
+    """The compiled program once hot; None while the tree walk runs it.
 
-    Cached on the Program instance (cheap hot-path probe) plus a
-    bounded LRU registry; eviction drops the instance attribute so an
-    evicted program recompiles on next use.
+    Every execution asks exactly once, so a call that answers None is
+    also counted: the ``_pycodegen`` slot on the Program holds the
+    number of cold calls so far, then the :class:`CompiledProgram`
+    (also tracked by the bounded LRU registry), or the delegate marker
+    for programs the emitters cannot express.
     """
-    cached = getattr(program, "_pycodegen", None)
-    if cached is not None:
+    slot = getattr(program, "_pycodegen", None)
+    if slot.__class__ is CompiledProgram:
         if id(program) in _CACHE:
             _CACHE.move_to_end(id(program), last=True)
-        return cached
+        return slot
+    if slot is _DELEGATED:
+        return None
+    calls = slot or 0
+    if calls < TIER_UP_CALLS:
+        object.__setattr__(program, "_pycodegen", calls + 1)
+        return None
     compiled = compile_pycode(program)
-    value = compiled if compiled is not None else _DELEGATED
-    object.__setattr__(program, "_pycodegen", value)
+    if compiled is None:
+        object.__setattr__(program, "_pycodegen", _DELEGATED)
+        return None
+    object.__setattr__(program, "_pycodegen", compiled)
     _CACHE[id(program)] = program
-    _CACHE.move_to_end(id(program), last=True)
     while len(_CACHE) > CACHE_LIMIT:
         _, evicted = _CACHE.popitem(last=False)
-        if getattr(evicted, "_pycodegen", None) is not None:
-            object.__setattr__(evicted, "_pycodegen", None)
+        object.__setattr__(evicted, "_pycodegen", None)
         _STATS["cache_evictions"] += 1
-    return value
+    return compiled
 
 
 def invalidate(program: Program) -> bool:
-    """Drop a program's compiled code (enclave function replace/remove).
+    """Return a program to cold (enclave function replace/remove).
 
-    Returns True when something was actually dropped.
+    Drops the compiled code *and* the cold-call count.  Returns True
+    when there was anything to drop.
     """
-    dropped = False
-    if getattr(program, "_pycodegen", None) is not None:
-        object.__setattr__(program, "_pycodegen", None)
-        dropped = True
-    if _CACHE.pop(id(program), None) is not None:
-        dropped = True
+    dropped = getattr(program, "_pycodegen", None) is not None
     if dropped:
+        object.__setattr__(program, "_pycodegen", None)
         _STATS["cache_invalidations"] += 1
+    _CACHE.pop(id(program), None)
     return dropped
-
-
-def clear_cache() -> None:
-    while _CACHE:
-        _, prog = _CACHE.popitem(last=False)
-        if getattr(prog, "_pycodegen", None) is not None:
-            object.__setattr__(prog, "_pycodegen", None)
 
 
 # -- execution ----------------------------------------------------------
@@ -1002,20 +1047,18 @@ def _reset_ctx(ctx: _Ctx, field_file, heap, bases, lengths,
 def execute_codegen(interp, program: Program, fields: Sequence[int],
                     arrays: Sequence[Sequence[int]],
                     args: Sequence[int] = ()) -> ExecResult:
-    """Codegen twin of ``Interpreter.execute_tree``/``execute_fast``."""
+    """Run ``program``: the tree walk while cold, generated code after."""
     compiled = code_for(program)
-    if compiled is _DELEGATED:
-        return execute_fast(interp, program, fields, arrays, args)
-    locals_ = _make_locals(compiled.n_locals, args)
-    if len(locals_) != compiled.n_locals:
-        # Over-long entry args grow the frame beyond the generated
-        # signature; the tree walk tolerates it, so delegate.
-        return execute_fast(interp, program, fields, arrays, args)
+    if compiled is None or len(args) > compiled.n_locals:
+        # Cold, not compilable, or over-long entry args growing the
+        # frame beyond the generated signature (the tree walk
+        # tolerates that).
+        return interp.execute_tree(program, fields, arrays, args)
     field_file, heap, bases, lengths, wranges = _copy_in(
         program, fields, arrays, interp.max_heap_words)
     ctx = _fresh_ctx(interp, program)
     _reset_ctx(ctx, field_file, heap, bases, lengths, wranges)
-    result = compiled.entry(ctx, *locals_)
+    result = compiled.entry(ctx, *_make_locals(compiled.n_locals, args))
     stats_ = ExecStats(ops_executed=ctx.ops,
                        max_operand_stack=ctx.max_seen,
                        max_call_depth=ctx.max_depth,
@@ -1025,27 +1068,19 @@ def execute_codegen(interp, program: Program, fields: Sequence[int],
 
 
 class CodegenRunner:
-    """Batch executor: the :class:`~.fastdispatch.BatchRunner` analog.
+    """Batch executor for one ``(interpreter, program)`` pair.
 
-    Hoists the compiled entry, limits and the context across a run of
-    invocations of one ``(interpreter, program)`` pair; every
-    :meth:`run` is bit-for-bit one ``execute_codegen`` call.
+    Hoists the limits and the execution context across a run of
+    invocations; every :meth:`run` is bit-for-bit one
+    :func:`execute_codegen` call, cold tier included.
     """
 
-    __slots__ = ("program", "compiled", "ctx", "n_locals", "n_fields",
-                 "no_arrays", "max_heap_words", "_interp", "_fallback")
+    __slots__ = ("program", "ctx", "n_locals", "n_fields",
+                 "no_arrays", "max_heap_words", "_interp")
 
     def __init__(self, interp, program: Program) -> None:
         self.program = program
         self._interp = interp
-        compiled = code_for(program)
-        if compiled is _DELEGATED:
-            from .fastdispatch import BatchRunner
-            self._fallback = BatchRunner(interp, program)
-            self.compiled = None
-        else:
-            self._fallback = None
-            self.compiled = compiled
         self.n_locals = program.entry.n_locals
         self.n_fields = len(program.field_table)
         self.no_arrays = not program.array_table
@@ -1055,9 +1090,10 @@ class CodegenRunner:
     def run(self, fields: Sequence[int],
             arrays: Sequence[Sequence[int]],
             args: Sequence[int] = ()) -> ExecResult:
-        if self._fallback is not None:
-            return self._fallback.run(fields, arrays, args)
-        compiled = self.compiled
+        compiled = code_for(self.program)
+        if compiled is None or len(args) > self.n_locals:
+            return self._interp.execute_tree(self.program, fields,
+                                             arrays, args)
         if self.no_arrays and not args:
             if len(fields) != self.n_fields:
                 raise InterpreterFault(
@@ -1078,18 +1114,12 @@ class CodegenRunner:
                                 max_operand_stack=ctx.max_seen,
                                 max_call_depth=ctx.max_depth,
                                 heap_words=0))
-        locals_ = _make_locals(self.n_locals, args)
-        if len(locals_) != self.n_locals:
-            # Over-long entry args: frame wider than the generated
-            # signature; route this (and future) runs to fast dispatch.
-            from .fastdispatch import BatchRunner
-            self._fallback = BatchRunner(self._interp, self.program)
-            return self._fallback.run(fields, arrays, args)
         field_file, heap, bases, lengths, wranges = _copy_in(
             self.program, fields, arrays, self.max_heap_words)
         ctx = self.ctx
         _reset_ctx(ctx, field_file, heap, bases, lengths, wranges)
-        result = compiled.entry(ctx, *locals_)
+        result = compiled.entry(ctx,
+                                *_make_locals(self.n_locals, args))
         stats_ = ExecStats(ops_executed=ctx.ops,
                            max_operand_stack=ctx.max_seen,
                            max_call_depth=ctx.max_depth,
@@ -1104,9 +1134,8 @@ def execute_codegen_batch(interp, program: Program,
                                                         Sequence[int]]]],
                           args: Sequence[int] = ()) -> List[object]:
     """Batched twin of :func:`execute_codegen`, faults isolated."""
-    runner = CodegenRunner(interp, program)
+    run = CodegenRunner(interp, program).run
     out: List[object] = []
-    run = runner.run
     for fields, arrays in snapshots:
         try:
             out.append(run(fields, arrays, args))

@@ -6,8 +6,8 @@ from repro.core import (Classification, ConcurrencyGuard,
                         ConcurrencyLevel, ConcurrencyViolation,
                         Enclave, EnclaveError, MatchRule,
                         PLACEMENT_NIC, PLACEMENT_OS)
-from repro.lang import (AccessLevel, Field, FieldKind, Lifetime,
-                        schema)
+from repro.lang import (AccessLevel, Field, FieldKind, Interpreter,
+                        Lifetime, pycodegen, schema)
 
 
 # Action functions must live at module level so their source is
@@ -427,7 +427,34 @@ def new_behavior(packet):
     packet.priority = 7
 
 
-ALL_BACKENDS = ("interpreter", "tree", "fast", "pycodegen", "native")
+ALL_BACKENDS = ("interpreter", "tree", "pycodegen", "native")
+#: Backends whose programs tier up to generated code.
+TIERED_BACKENDS = ("interpreter", "pycodegen")
+
+
+def _is_hot(program):
+    return isinstance(getattr(program, "_pycodegen", None),
+                      pycodegen.CompiledProgram)
+
+
+def _heat(enclave):
+    """Enough traffic, scalar then batched, to turn a function hot."""
+    for _ in range(pycodegen.TIER_UP_CALLS):
+        enclave.process_packet(FakePacket())
+    enclave.process_batch([(FakePacket(), []) for _ in range(2)])
+
+
+def _assert_cold_again(program):
+    """Cold means the whole count again, not an instant recompile."""
+    assert getattr(program, "_pycodegen", None) is None
+    interp = Interpreter()
+    fields = [0] * len(program.field_table)
+    for _ in range(pycodegen.TIER_UP_CALLS):
+        interp.execute(program, fields, [])
+    assert not _is_hot(program)
+    interp.execute(program, fields, [])
+    assert _is_hot(program)
+    pycodegen.invalidate(program)
 
 
 class TestBackendRegistry:
@@ -450,17 +477,25 @@ class TestBackendRegistry:
 
     def test_registered_names_accepted_others_rejected(self, enclave):
         from repro.lang import backend_names
-        assert set(backend_names()) == {"tree", "fast", "pycodegen",
-                                        "native"}
-        with pytest.raises(EnclaveError, match="unknown backend"):
-            enclave.install_function(set_priority_five, name="x",
-                                     backend="jit")
+        assert backend_names() == ["native", "pycodegen", "tree"]
+        for retired in ("fast", "jit"):
+            with pytest.raises(EnclaveError, match="unknown backend"):
+                enclave.install_function(set_priority_five, name="x",
+                                         backend=retired)
+
+    def test_native_function_built_only_for_native_backend(self):
+        enclave = Enclave("e.native")
+        for backend in ALL_BACKENDS:
+            fn = enclave.install_function(
+                set_priority_five, name=f"f.{backend}", backend=backend)
+            assert (fn.native is not None) == (backend == "native")
 
     @pytest.mark.parametrize("backend", ALL_BACKENDS)
     def test_replace_runs_new_program_not_stale_handler(self, backend):
         """Satellite regression: warm every per-program cache (scalar
-        + batch paths), hot-swap the function, and require the new
-        behavior — a stale compiled handler must never run again."""
+        + batch paths, past the tier-up), hot-swap the function, and
+        require the new behavior — a stale compiled handler must
+        never run again, and both programs are cold afterwards."""
         enclave = Enclave(f"e.swap.{backend}")
         fn = enclave.install_function(old_behavior, name="policy",
                                       backend=backend)
@@ -468,10 +503,12 @@ class TestBackendRegistry:
         old_program = fn.program
         packet = FakePacket()
         enclave.process_packet(packet)
-        enclave.process_batch([(FakePacket(), []) for _ in range(2)])
         assert packet.priority == 1
+        _heat(enclave)
+        assert _is_hot(old_program) == (backend in TIERED_BACKENDS)
 
-        enclave.replace_function("policy", new_behavior)
+        replacement = enclave.replace_function("policy", new_behavior)
+        assert not _is_hot(replacement.program)
         packet = FakePacket()
         enclave.process_packet(packet)
         assert packet.priority == 7
@@ -479,25 +516,24 @@ class TestBackendRegistry:
         enclave.process_batch([(p, []) for p in batch])
         assert [p.priority for p in batch] == [7, 7]
         # The old program's compiled artifacts were dropped.
-        assert getattr(old_program, "_fast_lists", None) is None
-        assert getattr(old_program, "_pycodegen", None) is None
+        assert fn._batch_runner is None
         assert getattr(old_program, "_native_fn", None) is None
+        _assert_cold_again(old_program)
 
     def test_remove_function_invalidates_backend_caches(self, enclave):
         fn = enclave.install_function(old_behavior, name="policy",
                                       backend="pycodegen")
         enclave.install_rule("*", "policy")
         old_program = fn.program
-        enclave.process_packet(FakePacket())
-        assert getattr(old_program, "_pycodegen", None) is not None
+        _heat(enclave)
+        assert _is_hot(old_program)
         enclave.remove_rule(1)
         enclave.remove_function("policy")
-        assert getattr(old_program, "_pycodegen", None) is None
         assert fn._batch_runner is None
+        _assert_cold_again(old_program)
 
-    def test_interpreter_dispatch_env_reaches_enclave(self, monkeypatch):
-        monkeypatch.setenv("REPRO_DISPATCH", "pycodegen")
-        enclave = Enclave("e.env")
+    def test_default_interpreter_reaches_enclave(self):
+        enclave = Enclave("e.default")
         assert enclave.interpreter.dispatch == "pycodegen"
         enclave.install_function(set_priority_five)
         enclave.install_rule("*", "set_priority_five")

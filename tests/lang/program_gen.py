@@ -5,7 +5,8 @@ yields the same program, which makes failures reproducible from a
 single integer and lets the corpus under ``tests/lang/corpus/`` replay
 byte-identical inputs in CI.  It is shared by:
 
-* ``test_differential.py`` — the five-backend differential harness;
+* ``test_differential.py`` — the tree / pycodegen / native / batch
+  differential harness;
 * ``test_fuzz_programs.py`` — pipeline fuzzing (compile/verify/optimize);
 * ``test_optimizer_properties.py`` — optimizer equivalence properties.
 
@@ -22,7 +23,7 @@ import ast
 import random
 
 from repro.lang import (DEFAULT_PACKET_SCHEMA, Interpreter,
-                        InterpreterFault, NativeFunction)
+                        InterpreterFault, NativeFunction, pycodegen)
 from repro.lang.dsl import lower
 
 from conftest import GLB_SCHEMA, MSG_SCHEMA
@@ -45,8 +46,8 @@ ARRAY_LEN = 8
 #: "loops" skews toward nested for/while bodies (back-edges, break
 #: jumps, budget pressure); "arrays" skews toward weights/scratch
 #: reads and writes (ABASE/HLOAD/HSTORE address arithmetic).  The
-#: superinstruction miner and the differential harness sweep all
-#: three so fused windows and codegen see every statement shape.
+#: differential harness sweeps all three so codegen sees every
+#: statement shape.
 PROFILES = ("default", "loops", "arrays")
 
 
@@ -275,12 +276,14 @@ def run_interp_batch(program, snapshots, dispatch, seed=3,
 
 
 def run_interp_seq(program, snapshots, dispatch, seed=3,
-                   op_budget=OP_BUDGET, **limits):
+                   op_budget=OP_BUDGET, rng=None, **limits):
     """The scalar reference for :func:`run_interp_batch`: the same
     snapshots through ``execute`` on one shared interpreter (so RNG
     state threads across invocations exactly as in a batch), faults
-    isolated per invocation."""
-    interp = Interpreter(dispatch=dispatch, rng=random.Random(seed),
+    isolated per invocation.  Pass ``rng`` to inspect the generator's
+    state afterwards."""
+    interp = Interpreter(dispatch=dispatch,
+                         rng=rng or random.Random(seed),
                          op_budget=op_budget, **limits)
     out = []
     for fvec, avec in snapshots:
@@ -307,6 +310,16 @@ def run_native(prog_ast, program, fvec, avec, seed=3):
     return ("ok", r.value, r.fields, r.arrays)
 
 
+def warm(program):
+    """Spend ``program``'s cold calls so its next ``pycodegen`` run is
+    generated code, not the tree walk.  Returns False for programs
+    that never compile (they stay on the tree walk)."""
+    for _ in range(pycodegen.TIER_UP_CALLS + 1):
+        if pycodegen.code_for(program) is not None:
+            return True
+    return False
+
+
 #: Copies of each snapshot run through ``execute_batch`` by
 #: check_parity — >1 so the batch threads RNG/dispatch state across
 #: invocations exactly as back-to-back scalar calls do.
@@ -315,37 +328,36 @@ BATCH_COPIES = 3
 
 def check_parity(prog_ast, program, fields, arrays, seed=3,
                  native=True):
-    """Run all five backends on one input; return an error or None.
+    """Run every backend on one input; return an error or None.
 
-    tree vs fast vs pycodegen must agree on everything — value,
+    The tree walk and the generated code (the program is warmed first,
+    so the pycodegen legs are hot) must agree on everything — value,
     fields, arrays, stats, fault class and fault reason.  native must
     agree on the fault/ok outcome and, when ok, on (value, fields,
-    arrays).  Batch execution (the fifth backend) must agree
-    entry-for-entry with back-to-back scalar fast-dispatch calls on a
-    shared interpreter — including ``ExecStats`` and fault identity.
+    arrays).  Batch execution must agree entry-for-entry with
+    back-to-back scalar calls on a shared interpreter — including
+    ``ExecStats`` and fault identity.
     """
     fvec, avec = vectors(program, fields, arrays)
     tree = run_interp(program, fvec, avec, "tree", seed=seed)
-    fast = run_interp(program, fvec, avec, "fast", seed=seed)
-    if tree != fast:
-        return (f"tree/fast divergence on fields={fields!r} "
-                f"arrays={arrays!r}:\n  tree={tree!r}\n  fast={fast!r}")
+    warm(program)
     codegen = run_interp(program, fvec, avec, "pycodegen", seed=seed)
     if tree != codegen:
         return (f"tree/pycodegen divergence on fields={fields!r} "
                 f"arrays={arrays!r}:\n  tree={tree!r}\n"
                 f"  pycodegen={codegen!r}")
     snapshots = [(fvec, avec)] * BATCH_COPIES
-    batch = run_interp_batch(program, snapshots, "fast", seed=seed)
-    scalar = run_interp_seq(program, snapshots, "fast", seed=seed)
+    batch = run_interp_batch(program, snapshots, "pycodegen",
+                             seed=seed)
+    scalar = run_interp_seq(program, snapshots, "pycodegen", seed=seed)
     if batch != scalar:
         return (f"batch/scalar divergence on fields={fields!r} "
                 f"arrays={arrays!r}:\n  batch={batch!r}\n"
                 f"  scalar={scalar!r}")
-    if batch[0] != fast:
+    if batch[0] != codegen:
         return (f"batch first entry differs from single scalar run "
                 f"on fields={fields!r} arrays={arrays!r}:\n"
-                f"  batch[0]={batch[0]!r}\n  fast={fast!r}")
+                f"  batch[0]={batch[0]!r}\n  pycodegen={codegen!r}")
     if native:
         nat = run_native(prog_ast, program, fvec, avec, seed=seed)
         if nat[0] != tree[0]:

@@ -1,20 +1,20 @@
-"""Edge-case pins for the codegen/fusion fault contract.
+"""Edge-case pins for the codegen fault contract.
 
-Three scenarios where the superinstruction fusion pass and the
-pycodegen backend hoist or batch work that the tree walk does one op
-at a time — exactly where a sloppy implementation would drift from
-the reference semantics:
+Three scenarios where the pycodegen backend hoists or batches work
+that the tree walk does one op at a time — exactly where a sloppy
+implementation would drift from the reference semantics:
 
-* an op-budget fault whose boundary lands *inside* a fused window
-  (both fast dispatch and codegen charge a window's ops up-front);
-* an operand-stack-depth fault at the exact limit (fused windows only
-  check depth at new running maxima);
-* a ``PUTF`` to a read-only field slot (fusion must refuse to fuse
-  the window; the plain handler owns the fault).
+* an op-budget fault whose boundary lands *inside* a straight-line
+  segment (codegen charges a segment's ops up-front);
+* an operand-stack-depth fault at the exact limit (generated code
+  only checks depth at new running maxima);
+* a ``PUTF`` to a read-only field slot (the generated code must raise
+  the scope fault itself).
 
 Every scenario is pinned to identical ``ExecStats`` and identical
-fault class + *message* across tree / fast / pycodegen, using the
-same summary tuples as the differential harness.
+fault class + *message* for the tree walk and the generated code
+(every program is warmed first), using the same summary tuples as the
+differential harness.
 """
 
 import pytest
@@ -22,11 +22,10 @@ import pytest
 from repro.lang.bytecode import (Assembler, FieldRef, Op,
                                  Program)
 from repro.lang.compiler import compile_ast
-from repro.lang.fastdispatch import fast_code
 
 import program_gen as pg
 
-DISPATCHES = ("tree", "fast", "pycodegen")
+DISPATCHES = ("tree", "pycodegen")
 
 LOOP_SOURCE = (
     "def f(packet, msg, _global):\n"
@@ -44,7 +43,9 @@ DEEP_EXPR_SOURCE = (
 
 
 def _compile(source):
-    return compile_ast(pg.lower_source(source))
+    program = compile_ast(pg.lower_source(source))
+    assert pg.warm(program)
+    return program
 
 
 def _zero_vectors(program):
@@ -52,23 +53,17 @@ def _zero_vectors(program):
             [[] for _ in program.array_table])
 
 
-class TestBudgetFaultMidSuperinstruction:
-    """Budget hoisting inside fused windows never changes outcomes."""
-
-    def test_loop_program_actually_fuses(self):
-        program = _compile(LOOP_SOURCE)
-        quals = [h.__qualname__ for h in fast_code(program)[0]]
-        assert any(q.startswith("_w.") for q in quals), (
-            "loop body no longer compiles to any fused window; "
-            "the budget sweep below would not cross one")
+class TestBudgetFaultMidSegment:
+    """Budget hoisting inside generated segments never changes
+    outcomes."""
 
     def test_every_budget_boundary_agrees(self):
-        """Sweep the budget across every op of a fused loop.
+        """Sweep the budget across every op of a loop.
 
-        Fast dispatch and codegen charge a whole window/segment at
-        its first op, so many of these budgets land mid-window; the
-        fault (class, reason) and any ok-run stats must still be
-        bit-identical to the per-op tree walk.
+        Codegen charges a whole segment at its first op, so many of
+        these budgets land mid-segment; the fault (class, reason) and
+        any ok-run stats must still be bit-identical to the per-op
+        tree walk.
         """
         program = _compile(LOOP_SOURCE)
         fvec, avec = _zero_vectors(program)
@@ -79,7 +74,6 @@ class TestBudgetFaultMidSuperinstruction:
             runs = {d: pg.run_interp(program, fvec, avec, d,
                                      op_budget=budget)
                     for d in DISPATCHES}
-            assert runs["fast"] == runs["tree"], budget
             assert runs["pycodegen"] == runs["tree"], budget
             if runs["tree"][0] == "fault":
                 faults += 1
@@ -106,7 +100,7 @@ class TestStackDepthFaultAtExactLimit:
                               max_operand_stack=depth)
                 for d in DISPATCHES]
         assert runs[0][0] == "ok"
-        assert runs[0] == runs[1] == runs[2]
+        assert runs[0] == runs[1]
         assert runs[0][4][1] == depth  # stats pin the exact maximum
 
     def test_one_below_limit_faults_identically(self):
@@ -116,7 +110,7 @@ class TestStackDepthFaultAtExactLimit:
         runs = [pg.run_interp(program, fvec, avec, d,
                               max_operand_stack=depth - 1)
                 for d in DISPATCHES]
-        assert runs[0] == runs[1] == runs[2]
+        assert runs[0] == runs[1]
         assert runs[0] == (
             "fault", "InterpreterFault",
             f"operand stack of {depth} words exceeds limit "
@@ -128,20 +122,20 @@ def _readonly_putf_program():
 
     The DSL frontend and the verifier both reject this statically, so
     the runtime check is reachable only from raw bytecode — exactly
-    the defense-in-depth path fusion must not bypass (a window
-    containing a read-only ``PUTF`` is refused at compile time and
-    the plain handler faults).
+    the defense-in-depth path generated code must not bypass.
     """
     asm = Assembler("f", n_args=0)
     asm.emit(Op.CONST, 7)
     asm.emit(Op.PUTF, 0)
     asm.emit(Op.CONST, 0)
     asm.emit(Op.RET)
-    return Program(
+    program = Program(
         name="readonly_putf",
         functions=(asm.finish(n_locals=0),),
         field_table=(FieldRef("message", "limit", False),),
         array_table=())
+    assert pg.warm(program)
+    return program
 
 
 class TestReadonlyPutfScopeFault:
@@ -149,13 +143,13 @@ class TestReadonlyPutfScopeFault:
         program = _readonly_putf_program()
         runs = [pg.run_interp(program, [5], [], d)
                 for d in DISPATCHES]
-        assert runs[0] == runs[1] == runs[2]
+        assert runs[0] == runs[1]
         assert runs[0] == (
             "fault", "InterpreterFault",
             "write to read-only field message.limit")
 
-    def test_writable_twin_is_fused_and_succeeds(self):
-        """The same shape against a writable slot fuses fine."""
+    def test_writable_twin_succeeds(self):
+        """The same shape against a writable slot runs fine."""
         asm = Assembler("f", n_args=0)
         asm.emit(Op.CONST, 7)
         asm.emit(Op.PUTF, 0)
@@ -166,8 +160,9 @@ class TestReadonlyPutfScopeFault:
             functions=(asm.finish(n_locals=0),),
             field_table=(FieldRef("message", "counter", True),),
             array_table=())
+        assert pg.warm(program)
         runs = [pg.run_interp(program, [5], [], d)
                 for d in DISPATCHES]
-        assert runs[0] == runs[1] == runs[2]
+        assert runs[0] == runs[1]
         assert runs[0][0] == "ok"
         assert runs[0][2] == [7]  # the PUTF landed

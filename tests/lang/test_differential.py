@@ -1,5 +1,4 @@
-"""Five-backend differential harness: tree, fast, pycodegen, native,
-and batch.
+"""Differential harness: tree, pycodegen, native, and batch.
 
 This is the correctness guard for every execution backend in the
 :mod:`repro.lang.backends` registry and the enclave hot path: every
@@ -7,13 +6,13 @@ DSL program in the repo (the §5 functions library via ``table1()``)
 plus hundreds of seeded fuzz programs — across the default, loop-heavy
 and array-heavy generator profiles — run through
 
-* the original decode-per-op tree walk  (``Interpreter(dispatch="tree")``),
-* the closure-threaded fast dispatch    (``Interpreter(dispatch="fast")``),
-* generated straight-line Python        (``Interpreter(dispatch="pycodegen")``),
-* the native compiled backend           (``repro.lang.native``),
-* batched execution                     (``Interpreter.execute_batch``),
+* the decode-per-op tree walk      (``Interpreter(dispatch="tree")``),
+* generated straight-line Python   (``Interpreter(dispatch="pycodegen")``
+  on a program ``program_gen.warm`` has made hot),
+* the native compiled backend      (``repro.lang.native``),
+* batched execution                (``Interpreter.execute_batch``),
 
-on randomized-but-seeded inputs.  tree, fast and pycodegen must agree
+on randomized-but-seeded inputs.  tree and pycodegen must agree
 bit-for-bit on ``(value, fields, arrays)``, on ``ExecStats``, and on
 the fault class *and reason*; native must agree on the fault/ok
 outcome and the result triple (its fault wording legitimately differs
@@ -21,6 +20,11 @@ outcome and the result triple (its fault wording legitimately differs
 entry-for-entry with back-to-back scalar calls on a shared
 interpreter, including stats and fault identity — batching is an
 optimization, never a semantic.
+
+``TestTierBoundary`` pins the one behaviour the default backend adds:
+a program runs on the tree walk for its first
+``pycodegen.TIER_UP_CALLS`` invocations and on generated code after,
+and nothing observable changes at the switch.
 
 ``TestEnclaveBatchDifferential`` lifts the same property to the whole
 enclave data path: ``Enclave.process_batch`` over the fuzz corpus must
@@ -44,7 +48,9 @@ import pytest
 
 from repro.core.enclave import Enclave
 from repro.core.stage import Classification
-from repro.lang import DEFAULT_PACKET_SCHEMA
+from repro.lang import (DEFAULT_PACKET_SCHEMA, Interpreter,
+                        VerificationError, pycodegen, verify)
+from repro.lang.bytecode import Assembler, FieldRef, Op, Program
 from repro.lang.compiler import compile_action, compile_ast
 from repro.functions.library import table1
 
@@ -100,7 +106,7 @@ class TestLibraryPrograms:
 
 
 class TestFuzzedPrograms:
-    """Seeded random programs through all five backends."""
+    """Seeded random programs through every backend."""
 
     @pytest.mark.parametrize("seed", FUZZ_SEEDS)
     def test_backends_agree(self, seed):
@@ -145,10 +151,179 @@ class TestFuzzedPrograms:
             fields, arrays = pg.generate_inputs(program, seed * 31)
             fvec, avec = pg.vectors(program, fields, arrays)
             outcomes.add(
-                pg.run_interp(program, fvec, avec, "fast")[0])
+                pg.run_interp(program, fvec, avec, "tree")[0])
             if outcomes == {"ok", "fault"}:
                 return
         assert outcomes == {"ok", "fault"}
+
+
+#: Calls past the tier-up call that the boundary tests keep running.
+HOT_CALLS = 4
+
+RAND_SOURCE = (
+    "def f(packet, msg, _global):\n"
+    "    msg.counter = msg.counter + rand(1000)\n"
+    "    packet.priority = rand(8)\n"
+)
+
+
+def _is_hot(program):
+    return isinstance(getattr(program, "_pycodegen", None),
+                      pycodegen.CompiledProgram)
+
+
+def _run_calls(program, fvec, avec, calls, dispatch="pycodegen"):
+    """``calls`` back-to-back executions on ONE interpreter: the
+    per-call summaries plus the RNG state left behind."""
+    rng = random.Random(3)
+    out = pg.run_interp_seq(program, [(fvec, avec)] * calls, dispatch,
+                            rng=rng)
+    return out, rng.getstate()
+
+
+def _assert_boundary_invisible(program, fvec, avec, label):
+    """Default interpreter == tree on every call before, at and after
+    the tier-up — and the tier-up really happens where it should."""
+    calls = pycodegen.TIER_UP_CALLS + HOT_CALLS
+    pycodegen.invalidate(program)
+    want, want_rng = _run_calls(program, fvec, avec, calls,
+                                dispatch="tree")
+    assert not _is_hot(program), "tree runs must not count"
+    compiled_before = pycodegen.stats()["programs_compiled"]
+    cold, _ = _run_calls(program, fvec, avec, pycodegen.TIER_UP_CALLS)
+    assert not _is_hot(program), f"{label}: compiled while cold"
+    assert pycodegen.stats()["programs_compiled"] == compiled_before
+    assert cold == want[:pycodegen.TIER_UP_CALLS], label
+    pycodegen.invalidate(program)
+    got, got_rng = _run_calls(program, fvec, avec, calls)
+    assert _is_hot(program), f"{label}: still cold after {calls} calls"
+    for i, (g, w) in enumerate(zip(got, want)):
+        assert g == w, f"{label}: call {i + 1} of {calls} diverges"
+    assert got_rng == want_rng, f"{label}: RNG streams diverge"
+
+
+class TestTierBoundary:
+    """Cold (tree walk) -> hot (generated code) changes nothing."""
+
+    def test_default_interpreter_is_the_tiered_backend(self):
+        assert Interpreter().dispatch == "pycodegen"
+
+    @pytest.mark.parametrize(
+        "entry", _library_entries(), ids=lambda e: e.name)
+    def test_library_demo_across_boundary(self, entry):
+        _, program = _compile_demo(entry.demo)
+        base = _stable_seed(entry.name)
+        for i in range(2):
+            fields, arrays = pg.generate_inputs(program, base + i)
+            fvec, avec = pg.vectors(program, fields, arrays)
+            _assert_boundary_invisible(program, fvec, avec, entry.name)
+
+    @pytest.mark.parametrize("profile", pg.PROFILES)
+    @pytest.mark.parametrize("seed", range(20))
+    def test_fuzz_program_across_boundary(self, profile, seed):
+        program = compile_ast(pg.lower_source(
+            pg.generate_program(seed, profile=profile)))
+        fields, arrays = pg.generate_inputs(program, seed * 31)
+        fvec, avec = pg.vectors(program, fields, arrays)
+        _assert_boundary_invisible(program, fvec, avec,
+                                   f"{profile}{seed}")
+
+    def test_rng_stream_threads_through_the_switch(self):
+        program = compile_ast(pg.lower_source(RAND_SOURCE))
+        fvec, avec = pg.vectors(program, {}, {})
+        _assert_boundary_invisible(program, fvec, avec, "rand")
+        got, _ = _run_calls(program, fvec, avec, 3)
+        assert len({g[2][1] for g in got}) > 1, \
+            "rand() should actually vary the result"
+
+    def test_fault_on_the_compiling_call_is_an_interpreter_fault(self):
+        """The call that triggers compilation of a faulting program
+        raises the same InterpreterFault as every call around it."""
+        path = os.path.join(CORPUS_DIR, "fault_div_and_shift.py")
+        with open(path) as fh:
+            program = compile_ast(pg.lower_source(fh.read()))
+        fields = {("packet", "size"): 3, ("message", "counter"): 1,
+                  ("message", "limit"): 5, ("global", "knob"): 0}
+        fvec, avec = pg.vectors(program, fields, {})
+        got, _ = _run_calls(program, fvec, avec,
+                            pycodegen.TIER_UP_CALLS + HOT_CALLS)
+        assert _is_hot(program)
+        assert set(got) == {("fault", "InterpreterFault",
+                             "division by zero")}
+
+    @pytest.mark.batch
+    @pytest.mark.parametrize("seed", range(12))
+    def test_execute_batch_crossing_mid_batch_equals_scalar(self, seed):
+        program = compile_ast(pg.lower_source(
+            pg.generate_program(seed, profile="arrays")))
+        snapshots = []
+        for i in range(pycodegen.TIER_UP_CALLS + HOT_CALLS):
+            fields, arrays = pg.generate_inputs(program,
+                                                seed * 31 + i)
+            snapshots.append(pg.vectors(program, fields, arrays))
+        want = pg.run_interp_seq(program, snapshots, "tree")
+        pycodegen.invalidate(program)
+        batch = pg.run_interp_batch(program, snapshots, "pycodegen")
+        assert _is_hot(program)
+        pycodegen.invalidate(program)
+        scalar = pg.run_interp_seq(program, snapshots, "pycodegen")
+        assert batch == scalar == want
+
+    def test_lru_eviction_returns_a_program_to_cold(self, monkeypatch):
+        monkeypatch.setattr(pycodegen, "CACHE_LIMIT", 2)
+        programs = [compile_ast(pg.lower_source(pg.generate_program(s)))
+                    for s in range(3)]
+        evictions = pycodegen.stats()["cache_evictions"]
+        for program in programs:
+            assert pg.warm(program)
+        oldest = programs[0]
+        assert not _is_hot(oldest)
+        assert _is_hot(programs[1]) and _is_hot(programs[2])
+        assert pycodegen.stats()["cache_evictions"] > evictions
+        assert pycodegen.stats()["cache_size"] == 2
+        # Cold means the full count again, not an immediate recompile.
+        for _ in range(pycodegen.TIER_UP_CALLS):
+            assert pycodegen.code_for(oldest) is None
+        assert pycodegen.code_for(oldest) is not None
+
+    def test_invalidate_resets_the_call_count(self):
+        program = compile_ast(pg.lower_source(pg.generate_program(1)))
+        for _ in range(pycodegen.TIER_UP_CALLS):
+            assert pycodegen.code_for(program) is None
+        assert pycodegen.invalidate(program)
+        for _ in range(pycodegen.TIER_UP_CALLS):
+            assert pycodegen.code_for(program) is None
+        assert pycodegen.code_for(program) is not None
+        assert pycodegen.invalidate(program)
+        assert not pycodegen.invalidate(program)
+
+    def test_unverifiable_program_stays_on_the_tree_walk(self):
+        """Hand-assembled bytecode with inconsistent stack depth at a
+        join (the verifier rejects it) never compiles, and keeps
+        matching the tree walk however often it runs."""
+        asm = Assembler("f", n_args=0)
+        asm.emit(Op.GETF, 0)
+        asm.emit(Op.JZ, 4)
+        asm.emit(Op.CONST, 1)
+        asm.emit(Op.CONST, 2)
+        asm.emit(Op.CONST, 3)      # join: depth 0 or 2
+        asm.emit(Op.RET)
+        program = Program(
+            name="uneven_join", functions=(asm.finish(n_locals=0),),
+            field_table=(FieldRef("message", "counter", True),),
+            array_table=())
+        with pytest.raises(VerificationError):
+            verify(program)
+        delegated = pycodegen.stats()["programs_delegated"]
+        calls = pycodegen.TIER_UP_CALLS + HOT_CALLS
+        for flag in (0, 1):
+            want, _ = _run_calls(program, [flag], [], calls,
+                                 dispatch="tree")
+            got, _ = _run_calls(program, [flag], [], calls)
+            assert got == want
+            assert got[0][0] == "ok"
+        assert not _is_hot(program)
+        assert pycodegen.stats()["programs_delegated"] == delegated + 1
 
 
 class _DiffPacket:
@@ -182,7 +357,8 @@ class TestEnclaveBatchDifferential:
     fuzz corpus: per-packet results, packet writes, function stats,
     and the message/global state left behind."""
 
-    N_PACKETS = 12
+    #: Enough packets that the function turns hot mid-batch.
+    N_PACKETS = pycodegen.TIER_UP_CALLS + 8
 
     def _packets(self, seed):
         rng = random.Random(seed * 7 + 1)
@@ -232,7 +408,7 @@ class TestEnclaveBatchDifferential:
         assert batch.packets_dropped == scalar.packets_dropped
 
     def test_batch_matches_scalar_on_corpus_reproducers(self):
-        """Past tree/fast divergences are exactly the programs most
+        """Past backend divergences are exactly the programs most
         likely to trip the batch runner too — replay them through the
         enclave pairing as well."""
         paths = sorted(glob.glob(os.path.join(CORPUS_DIR, "*.py")))
@@ -306,9 +482,10 @@ class TestCorpus:
                   ("message", "limit"): 5, ("global", "knob"): 0}
         fvec, avec = pg.vectors(program, fields, {})
         tree = pg.run_interp(program, fvec, avec, "tree")
-        fast = pg.run_interp(program, fvec, avec, "fast")
+        assert pg.warm(program)
+        hot = pg.run_interp(program, fvec, avec, "pycodegen")
         assert tree[0] == "fault"
-        assert tree == fast
+        assert tree == hot
         assert tree[1] == "InterpreterFault"
         assert "division by zero" in tree[2]
         nat = pg.run_native(prog_ast, program, fvec, avec)

@@ -1,19 +1,19 @@
 """ExecStats accounting across dispatch modes.
 
-The fast-dispatch backend fuses instruction pairs/triples into
-superinstructions; ``ops_executed`` must still count the *constituent*
+Generated code charges a whole straight-line segment's ops at its
+first op; ``ops_executed`` must still count the *constituent*
 bytecode ops so the §5.4 micro-bench (ns/op) stays comparable across
-dispatch modes.  These tests pin the count for hand-assembled programs
-whose fusion shapes are known, and assert tree/fast stats equality on
-compiled programs.
+dispatch modes.  These tests pin the count for hand-assembled
+programs, and assert tree/pycodegen stats equality on compiled
+programs (the pycodegen runs are warmed, so they are generated code).
 """
 
 import pytest
 
 from repro.lang import Instr, Interpreter, Op
 from repro.lang.bytecode import FunctionCode, Program
-from repro.lang.fastdispatch import fast_code
 
+import program_gen as pg
 from conftest import Harness
 
 
@@ -23,33 +23,33 @@ def _program(code, name="pinned", n_locals=2):
 
 
 class TestPinnedOpCounts:
-    def test_fused_straight_line_counts_constituents(self):
-        # CONST;CONST fuse to push_push, ADD;RET stay single: the
-        # fast path executes 2 handlers but must report 4 ops.
+    def test_straight_line_counts_constituents(self):
+        # One generated segment of four ops must report 4 ops.
         prog = _program([
             Instr(Op.CONST, 2),
             Instr(Op.CONST, 3),
             Instr(Op.ADD),
             Instr(Op.RET),
         ])
-        for dispatch in ("tree", "fast"):
+        assert pg.warm(prog)
+        for dispatch in ("tree", "pycodegen"):
             res = Interpreter(dispatch=dispatch).execute(prog, [], [])
             assert res.value == 5
             assert res.stats.ops_executed == 4, dispatch
             assert res.stats.max_operand_stack == 2, dispatch
 
-    def test_fused_loop_counts_constituents(self):
-        # A count-down loop built from fusable pairs:
-        #   0 CONST 5        \ fused push+STORE
-        #   1 STORE 0        /
-        #   2 LOAD 0         \ fused push+cmp+branch (loop header)
-        #   3 CONST 0        |   ...actually LOAD;CONST;CGT -> the
-        #   4 CGT            |   fuser sees LOAD;CONST as push_push
-        #   5 JZ 11          /   then CGT;JZ as cmp_branch
-        #   6 LOAD 0         \ fused push+binop (CONST;SUB)
-        #   7 CONST 1        |
-        #   8 SUB            |
-        #   9 STORE 0        / STORE fused with nothing (prev is SUB)
+    def test_loop_counts_constituents(self):
+        # A count-down loop:
+        #   0 CONST 5
+        #   1 STORE 0
+        #   2 LOAD 0         loop header
+        #   3 CONST 0
+        #   4 CGT
+        #   5 JZ 11
+        #   6 LOAD 0
+        #   7 CONST 1
+        #   8 SUB
+        #   9 STORE 0
         #  10 JMP 2
         #  11 LOAD 0
         #  12 RET
@@ -71,31 +71,12 @@ class TestPinnedOpCounts:
         # 2 setup ops + 5 iterations of 9 ops (2..10) + the exit pass
         # (2..5, then 11..12) = 2 + 45 + 4 + 2 = 53.
         tree = Interpreter(dispatch="tree").execute(prog, [], [])
-        fast = Interpreter(dispatch="fast").execute(prog, [], [])
+        assert pg.warm(prog)
+        hot = Interpreter(dispatch="pycodegen").execute(prog, [], [])
         assert tree.value == 0
-        assert fast.value == tree.value
+        assert hot.value == tree.value
         assert tree.stats.ops_executed == 53
-        assert fast.stats.ops_executed == tree.stats.ops_executed
-        assert fast.stats.max_operand_stack == \
-            tree.stats.max_operand_stack
-        assert fast.stats.max_call_depth == tree.stats.max_call_depth
-
-    def test_fusion_actually_happened(self):
-        # Guard against the fusion pass silently regressing: the
-        # straight-line program above must compile to fewer distinct
-        # handlers than instructions.
-        prog = _program([
-            Instr(Op.CONST, 2),
-            Instr(Op.CONST, 3),
-            Instr(Op.ADD),
-            Instr(Op.RET),
-        ])
-        handlers = fast_code(prog)[0]
-        # pc 0 holds the push_push superinstruction; pc 1 keeps its
-        # unfused handler only as a jump-target fallback.
-        res = Interpreter(dispatch="fast").execute(prog, [], [])
-        assert res.stats.ops_executed == 4
-        assert len(handlers) == 5  # 4 instructions + fell-off sentinel
+        assert hot.stats == tree.stats
 
 
 class TestCompiledProgramStats:
@@ -119,12 +100,8 @@ class TestCompiledProgramStats:
         arrays = {("global", "weights"): [3, 1, 4, 1, 5, 9, 2, 6]}
         res_tree, _, _ = h.run(fields=fields, arrays=arrays,
                                dispatch="tree")
-        res_fast, _, _ = h.run(fields=fields, arrays=arrays,
-                               dispatch="fast")
-        assert res_fast.stats.ops_executed == \
-            res_tree.stats.ops_executed
-        assert res_fast.stats.max_operand_stack == \
-            res_tree.stats.max_operand_stack
-        assert res_fast.stats.max_call_depth == \
-            res_tree.stats.max_call_depth
-        assert res_fast.stats.heap_words == res_tree.stats.heap_words
+        assert pg.warm(h.program)
+        res_hot, _, _ = h.run(fields=fields, arrays=arrays,
+                              dispatch="pycodegen")
+        assert res_hot.stats == res_tree.stats
+        assert res_tree.stats.ops_executed > 0

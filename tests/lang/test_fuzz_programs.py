@@ -40,9 +40,9 @@ class TestFuzzedPrograms:
         fvec_raw, avec_raw = pg.vectors(raw, fields, arrays)
         fvec_opt, avec_opt = pg.vectors(opt, fields, arrays)
 
-        res_interp = pg.run_interp(raw, fvec_raw, avec_raw, "fast")
+        res_interp = pg.run_interp(raw, fvec_raw, avec_raw, "tree")
         res_native = pg.run_native(prog_ast, raw, fvec_raw, avec_raw)
-        res_opt = pg.run_interp(opt, fvec_opt, avec_opt, "fast")
+        res_opt = pg.run_interp(opt, fvec_opt, avec_opt, "tree")
 
         # Interpreter vs native: same outcome; same results when ok.
         assert res_interp[0] == res_native[0], source

@@ -46,8 +46,8 @@ class TestOptimizerProperties:
             fields, arrays = pg.generate_inputs(raw, seed * 977 + i)
             fvec_r, avec_r = pg.vectors(raw, fields, arrays)
             fvec_o, avec_o = pg.vectors(opt, fields, arrays)
-            res_raw = pg.run_interp(raw, fvec_r, avec_r, "fast")
-            res_opt = pg.run_interp(opt, fvec_o, avec_o, "fast")
+            res_raw = pg.run_interp(raw, fvec_r, avec_r, "tree")
+            res_opt = pg.run_interp(opt, fvec_o, avec_o, "tree")
             assert res_raw[0] == res_opt[0], source
             if res_raw[0] == "ok":
                 # value, fields, arrays — stats legitimately differ.

@@ -112,7 +112,7 @@ class TestStatsReportRegistry:
         snap = report.registry
         assert snap["counters"]["enclave_packets_total"
                                 "{enclave=h1.enclave}"] == 1
-        assert "interp_ops_per_invocation{dispatch=fast}" in \
+        assert "interp_ops_per_invocation{dispatch=pycodegen}" in \
             snap["histograms"]
         assert tel.registry.total("agent_reports_total") >= 1
         assert tel.registry.total("plane_reports_total") >= 1
