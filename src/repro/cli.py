@@ -8,7 +8,7 @@ Runs any of the paper-reproduction experiments without writing code:
     python -m repro fig11 --duration-ms 200
     python -m repro fig12 --duration-ms 20
     python -m repro micro --packets 300
-    python -m repro bench-smoke
+    python -m repro bench-smoke --scale
     python -m repro control-demo --enclaves 8 --loss 0.1
     python -m repro telemetry-report --duration-ms 100
     python -m repro fleet-demo --attackers 8
@@ -76,83 +76,6 @@ def _cmd_micro(args) -> int:
 
 
 def _cmd_bench_smoke(args) -> int:
-    """Quick regression gates against checked-in baselines: the
-    batched data path (``--batch``) or the sharded simulator
-    (``--scale``)."""
-    if args.scale:
-        if args.baseline is None:
-            args.baseline = "benchmarks/sim_scale_baseline.json"
-        return _bench_smoke_scale(args)
-    if args.baseline is None:
-        args.baseline = "benchmarks/interp_batch_baseline.json"
-    return _bench_smoke_batch(args)
-
-
-def _bench_smoke_batch(args) -> int:
-    """Batched-data-path regression gate.
-
-    Two checks: the batched path must stay at least
-    ``--min-speedup``x faster than the scalar path on
-    rule-homogeneous traffic (the tentpole claim of the batched
-    execution work), and its absolute ns/packet must stay within
-    ``--threshold``x of the checked-in batch baseline.
-    """
-    import json
-    import os
-
-    from .experiments import micro
-
-    results = micro.run_batch_micro(packets=args.packets,
-                                    batch_size=args.batch_size)
-    print(micro.format_batch_results(results))
-
-    if args.update_baseline:
-        baseline = {
-            r.name: {
-                "batch_size": r.batch_size,
-                "scalar_ns_per_packet":
-                    round(r.scalar_ns_per_packet, 1),
-                "batch_ns_per_packet": round(r.batch_ns_per_packet, 1),
-                "speedup": round(r.speedup, 2)}
-            for r in results}
-        with open(args.baseline, "w") as handle:
-            json.dump(baseline, handle, indent=2)
-            handle.write("\n")
-        print(f"wrote baseline {args.baseline}")
-        return 0
-
-    status = 0
-    for res in results:
-        if res.speedup < args.min_speedup:
-            print(f"FAIL {res.name}: batch speedup {res.speedup:.2f}x "
-                  f"< required {args.min_speedup}x")
-            status = 1
-
-    if not os.path.exists(args.baseline):
-        print(f"no baseline at {args.baseline}; run with "
-              f"--update-baseline to create one")
-        return 1
-    with open(args.baseline) as handle:
-        baseline = json.load(handle)
-    for res in results:
-        ref = baseline.get(res.name)
-        if ref is None:
-            print(f"FAIL {res.name}: not in baseline {args.baseline}")
-            status = 1
-            continue
-        ref_ns = ref["batch_ns_per_packet"]
-        if res.batch_ns_per_packet > args.threshold * ref_ns:
-            print(f"FAIL {res.name}: {res.batch_ns_per_packet:.1f} "
-                  f"ns/pkt is >{args.threshold}x the baseline "
-                  f"{ref_ns:.1f} ns/pkt")
-            status = 1
-    if status == 0:
-        print(f"bench-smoke --batch OK (>= {args.min_speedup}x over "
-              f"scalar; within {args.threshold}x of {args.baseline})")
-    return status
-
-
-def _bench_smoke_scale(args) -> int:
     """Sharded-simulator scale gate (the fat-tree benchmark).
 
     Three checks: the per-host receive digests must agree between the
@@ -545,7 +468,7 @@ _COMMANDS = {
     "fig12": (_cmd_fig12, "Eden CPU overheads"),
     "micro": (_cmd_micro, "interpreter microbenchmarks"),
     "bench-smoke": (_cmd_bench_smoke,
-                    "batch / scale regression gates vs baseline JSON"),
+                    "sharded-simulator scale gate vs baseline JSON"),
     "control-demo": (_cmd_control_demo,
                      "lossy control-channel PIAS/WCMP convergence"),
     "telemetry-report": (_cmd_telemetry_report,
@@ -590,32 +513,21 @@ def build_parser() -> argparse.ArgumentParser:
                            choices=("interpreter",)
                            + tuple(lang_backends.names()))
         if name == "bench-smoke":
-            mode = p.add_mutually_exclusive_group(required=True)
-            mode.add_argument("--batch", action="store_true",
-                              help="gate the batched data path")
-            mode.add_argument("--scale", action="store_true",
-                              help="gate the sharded simulator on the "
-                                   "fat-tree scale benchmark")
-            p.add_argument("--baseline", default=None,
-                           help="baseline JSON path (default: "
-                                "benchmarks/interp_batch_baseline.json "
-                                "with --batch, "
-                                "benchmarks/sim_scale_baseline.json "
-                                "with --scale)")
+            p.add_argument("--scale", action="store_true",
+                           required=True,
+                           help="gate the sharded simulator on the "
+                                "fat-tree scale benchmark")
+            p.add_argument("--baseline",
+                           default="benchmarks/sim_scale_baseline.json",
+                           help="baseline JSON path")
             p.add_argument("--threshold", type=float, default=2.0,
                            help="fail when the measured cost exceeds "
                                 "this multiple of the baseline")
             p.add_argument("--update-baseline", action="store_true",
                            help="rewrite the baseline instead of "
                                 "checking against it")
-            p.add_argument("--batch-size", type=int, default=64,
-                           help="packets per enclave batch (--batch)")
-            p.add_argument("--packets", type=int, default=4096,
-                           help="packets per timed run (--batch)")
             p.add_argument("--min-speedup", type=float, default=2.0,
-                           help="required batch-over-scalar (--batch) "
-                                "or mp-over-single-heap (--scale) "
-                                "speedup")
+                           help="required mp-over-single-heap speedup")
             p.add_argument("--scale-k", type=int, default=8,
                            help="fat-tree arity (--scale; k=8 gives "
                                 "128 hosts)")

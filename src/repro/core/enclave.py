@@ -17,7 +17,7 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass, field
-from typing import (Callable, Dict, Iterable, List, Mapping, Optional,
+from typing import (Callable, Dict, Iterable, List, Optional,
                     Sequence, Tuple, Union)
 
 from ..lang import ast_nodes as T
@@ -26,7 +26,7 @@ from ..lang.annotations import (DEFAULT_PACKET_SCHEMA,
                                 Field, Schema)
 from ..lang.bytecode import Program
 from ..lang.compiler import compile_action
-from ..lang.interpreter import (ExecResult, Interpreter,
+from ..lang.interpreter import (WORD_BYTES, ExecResult, Interpreter,
                                 InterpreterFault)
 from ..lang.native import NativeFunction
 from ..lang.verifier import verify
@@ -258,20 +258,39 @@ class InstalledFunction:
             (i, aref.name)
             for i, aref in enumerate(self.program.array_table)
             if aref.writable and aref.scope == "global"]
-        # Lazily built backend batch executor (see Enclave._run_group);
-        # replace_function swaps in a fresh InstalledFunction and
-        # invalidates the old program's backend caches, so a stale
-        # runner never outlives its program.
-        self._batch_runner = None
+        self._run: Optional[Callable] = None
 
     def execute(self, fields: Sequence[int],
                 arrays: Sequence[Sequence[int]]) -> ExecResult:
-        if self.backend == "native":
-            return self.native.execute(fields, arrays)
-        if self._exec_backend is not None:
-            return self._exec_backend.execute(
-                self.interpreter, self.program, fields, arrays)
-        return self.interpreter.execute(self.program, fields, arrays)
+        """Run the program over one state snapshot.
+
+        The first call binds the backend's executor for this program
+        (``Backend.bind`` / ``Interpreter.bind``); later calls go
+        straight to it until :meth:`retire` drops it.
+        """
+        run = self._run
+        if run is None:
+            if self.native is not None:
+                run = self.native.execute
+            elif self._exec_backend is not None:
+                run = self._exec_backend.bind(self.interpreter,
+                                              self.program)
+            else:
+                run = self.interpreter.bind(self.program)
+            self._run = run
+        return run(fields, arrays)
+
+    def retire(self) -> None:
+        """Drop the bound executor and every backend's compiled
+        artifact for this program.
+
+        The enclave calls it when the function leaves the data path
+        (replace, remove, restart): a controller or test still holding
+        this object or its ``Program`` can then only ever run the cold
+        tree walk, never a stale compiled handler.
+        """
+        self._run = None
+        lang_backends.invalidate(self.program)
 
 
 @dataclass(frozen=True)
@@ -356,27 +375,6 @@ class MatchActionTable:
         self._lookup_cache[key] = found
         return found
 
-    def lookup_batch(self, keys: Sequence[Tuple[str, ...]]
-                     ) -> List[Optional[Tuple[MatchRule, str]]]:
-        """Memoized lookup of many class-name key tuples in one pass.
-
-        Semantically identical to ``[self.lookup(k) for k in keys]``
-        (same memo cache, same eviction), but written as the batch
-        data path's single vectorized pass: a rule-homogeneous batch
-        costs one dict probe per packet and at most one rule scan.
-        """
-        cache = self._lookup_cache
-        out: List[Optional[Tuple[MatchRule, str]]] = []
-        for key in keys:
-            hit = cache.get(key, _MISS)
-            if hit is _MISS:
-                hit = self._scan(key)
-                if len(cache) >= _LOOKUP_CACHE_LIMIT:
-                    cache.clear()
-                cache[key] = hit
-            out.append(hit)
-        return out
-
     def rules(self) -> List[MatchRule]:
         return list(self._rules)
 
@@ -411,16 +409,6 @@ _PLACEMENT_BASE_COST_NS = {PLACEMENT_OS: 500, PLACEMENT_NIC: 120}
 #: Class name of the enclave's own flow-granularity classification
 #: (appended to every packet; paper Table 2, last row).
 _FLOW_CLASS = "enclave.flows.default"
-
-#: Guard key used for the once-per-group acquisition of PARALLEL and
-#: SERIAL concurrency guards in the batch path; a unique object so it
-#: can never collide with a real message key.
-_BATCH_GUARD_KEY = object()
-
-#: Cached in InstalledFunction._batch_runner when the function's
-#: execution backend answered make_batch_runner() with None (the
-#: scalar path is already optimal), so the batch path asks only once.
-_NO_BATCH_RUNNER = object()
 
 
 class Enclave:
@@ -465,10 +453,8 @@ class Enclave:
         self._next_rule_id = itertools.count(1)
         self.packets_processed = 0
         self.packets_dropped = 0
-        # Instruments are bound once here; in the NULL_TELEMETRY case
-        # they are shared no-ops, so the data path below needs no
-        # enabled checks for counters (spans gate on _tracing because
-        # they allocate).
+        # Instruments are bound once here; the data path touches them
+        # (and opens spans) only behind the one _tracing test.
         registry = self.telemetry.registry
         self._m_packets = registry.counter("enclave_packets_total",
                                            enclave=name)
@@ -533,6 +519,8 @@ class Enclave:
         desired state afterwards (:mod:`repro.control`).  Rule ids
         keep counting up so ids are never reused across restarts.
         """
+        for fn in self._functions.values():
+            fn.retire()
         self._functions = {}
         self._tables = {0: MatchActionTable(0)}
         self.packets_processed = 0
@@ -547,12 +535,9 @@ class Enclave:
                     raise EnclaveError(
                         f"function {name!r} still referenced by rule "
                         f"{rule.rule_id} in table {table.table_id}")
-        removed = self._functions.pop(name)
-        # Drop every backend's compiled artifact for the removed
-        # program so no cache (generated code, native closures) can
-        # outlive the function that owned it.
-        removed._batch_runner = None
-        lang_backends.invalidate(removed.program)
+        # No cache (generated code, native closures) may outlive the
+        # function that owned it.
+        self._functions.pop(name).retire()
 
     def function(self, name: str) -> InstalledFunction:
         try:
@@ -645,78 +630,32 @@ class Enclave:
         ``packet`` is any object exposing the packet-schema fields as
         attributes.  ``classifications`` carries the class/metadata
         annotations the packet's message received from stages; the
-        enclave always appends its own flow-granularity classification
-        so functions that need no application support still apply
+        enclave always appends its own flow-granularity class so
+        functions that need no application support still apply
         (e.g. PIAS over unmodified applications).
         """
-        if not self._tracing:
-            return self._process_packet_impl(packet, classifications,
-                                             now_ns)
-        with self.telemetry.tracer.span(
-                "enclave.process", enclave=self.name,
-                packet_id=getattr(packet, "packet_id", None),
-                flow_id=getattr(packet, "five_tuple", None)) as span:
-            result = self._process_packet_impl(packet, classifications,
-                                               now_ns)
-            span.set(executed=len(result.executed), drop=result.drop)
-        return result
-
-    def _process_packet_impl(self, packet,
-                             classifications: Sequence[Classification],
-                             now_ns: Optional[int]) -> ProcessResult:
         now = now_ns if now_ns is not None else self.clock()
-        t0 = self.accounting.now()
-        flow_cls = self._flow_classification(packet)
-        all_cls = (list(classifications) +
-                   self._enclave_stage_classifications(packet) +
-                   [flow_cls])
-        class_names = [c.class_name for c in all_cls]
-        metadata: Dict[str, object] = {}
-        msg_id: Optional[object] = None
-        for cls in classifications:
-            metadata.update(cls.metadata)
-            if msg_id is None and cls.message_id is not None:
-                msg_id = cls.message_id
-        if msg_id is None:
-            msg_id = flow_cls.message_id
-
-        result = ProcessResult(executed=[], matched_classes=[])
-        table_id = 0
-        hops = 0
-        while table_id is not None and hops < self.MAX_TABLE_HOPS:
-            hops += 1
-            if self._tracing:
-                with self.telemetry.tracer.span(
-                        "enclave.lookup", enclave=self.name,
-                        table=table_id,
-                        packet_id=getattr(packet, "packet_id", None)
-                        ) as lspan:
-                    hit = self._tables[table_id].lookup(class_names)
-                    lspan.set(hit=hit is not None)
-            else:
-                hit = self._tables[table_id].lookup(class_names)
-            self._m_lookups.inc()
-            if hit is None:
-                break
-            self._m_lookup_hits.inc()
-            rule, matched = hit
-            result.matched_classes.append(matched)
-            fn = self._functions[rule.function]
-            self.accounting.record("enclave",
-                                   self.accounting.now() - t0)
-            self._invoke(fn, packet, msg_id, metadata, now, result)
-            t0 = self.accounting.now()
-            table_id = rule.next_table
-        self.accounting.record("enclave", self.accounting.now() - t0)
-
+        key = self._class_key(packet, classifications)
+        if not self._tracing:
+            result = self._process_one(packet, classifications, key,
+                                       now)
+        else:
+            with self.telemetry.tracer.span(
+                    "enclave.process", enclave=self.name,
+                    packet_id=getattr(packet, "packet_id", None),
+                    flow_id=getattr(packet, "five_tuple", None)
+                    ) as span:
+                result = self._process_one(packet, classifications,
+                                           key, now)
+                span.set(executed=len(result.executed),
+                         drop=result.drop)
+            self._m_packets.inc()
+            self._h_packet_ops.observe(result.interpreter_ops)
+            if result.drop:
+                self._m_drops.inc()
         self.packets_processed += 1
-        self._m_packets.inc()
-        self._h_packet_ops.observe(result.interpreter_ops)
-        result.drop = bool(getattr(packet, "drop", 0))
-        result.to_controller = bool(getattr(packet, "to_controller", 0))
         if result.drop:
             self.packets_dropped += 1
-            self._m_drops.inc()
         return result
 
     def process_batch(self, packets_with_cls: Sequence[Tuple],
@@ -729,337 +668,206 @@ class Enclave:
         packets from multiple messages, the enclave will have to
         pre-process it and split it into messages."
 
-        Batching is an *optimization, never a semantic*: per-packet
-        results, packet writes, message/global state and function
-        stats are identical to calling :meth:`process_packet` on the
-        same packets in the same order (the batch differential harness
-        in ``tests/lang/test_differential.py`` enforces this).  The
-        batch is grouped by the rule matched in table 0 via one
-        memoized :meth:`MatchActionTable.lookup_batch` pass; each
-        group then executes back-to-back so the reader closures,
-        concurrency-guard acquisition and interpreter dispatch context
-        are set up once per group instead of once per packet.  Groups
-        run in first-arrival order with packet order preserved inside
-        each group; a batch that mixes rules can therefore consume the
-        shared enclave RNG in a different interleaving than strict
-        arrival order — invisible unless two different functions both
-        call ``rand``.
+        Batching is an *optimization, never a semantic*: every packet
+        takes the same per-packet step as :meth:`process_packet`, in
+        arrival order, so results, packet writes, message/global
+        state, function stats and RNG consumption are those of the
+        scalar calls (``tests/lang/test_differential.py`` enforces
+        it).  What a batch saves is around the step: one class key per
+        classification list, one clock read and one counter update
+        per batch.
 
         The one divergence from the scalar path is deliberate: a
         packet whose invocation would raise
         :class:`ConcurrencyViolation` gets a :class:`ProcessResult`
-        with ``error`` set while the rest of the batch still
-        processes.  Results are returned in the original order.
+        with ``error`` set (and is not counted as processed) while the
+        rest of the batch still processes.
         """
         entries = list(packets_with_cls)
         if not entries:
             return []
         now = now_ns if now_ns is not None else self.clock()
-        if not self._tracing:
-            return self._process_batch_impl(entries, now)
+        # Without enclave-stage rules the key depends only on the
+        # classification list, so a batch reusing one list object (the
+        # common TX case) builds it once — ``entries`` keeps the lists
+        # alive, making id() stable.
+        key_per_list = not self.flow_stage._rule_sets
+        key_of_list: Dict[int, Tuple[str, ...]] = {}
+        step = self._process_one
+        results: List[ProcessResult] = []
+        processed = drops = 0
         with self.telemetry.tracer.span("enclave.process_batch",
                                         enclave=self.name) as span:
-            results = self._process_batch_impl(entries, now)
-            span.set(size=len(entries),
-                     drops=sum(1 for r in results if r.drop))
+            for packet, cls in entries:
+                key = key_of_list.get(id(cls)) if key_per_list else None
+                if key is None:
+                    key = key_of_list[id(cls)] = self._class_key(
+                        packet, cls)
+                try:
+                    result = step(packet, cls, key, now)
+                except ConcurrencyViolation as violation:
+                    # Only a table-0 hit can have reached a guard.
+                    _, matched = self._tables[0].lookup(key)
+                    result = ProcessResult(executed=[],
+                                           matched_classes=[matched],
+                                           error=violation)
+                else:
+                    processed += 1
+                    if result.drop:
+                        drops += 1
+                results.append(result)
+            span.set(size=len(entries), drops=drops)
+        self.packets_processed += processed
+        self.packets_dropped += drops
+        if self._tracing:
+            self._h_batch_size.observe(len(entries))
+            self._m_packets.inc(processed)
+            if drops:
+                self._m_drops.inc(drops)
+            for result in results:
+                if result.error is None:
+                    self._h_packet_ops.observe(result.interpreter_ops)
         return results
 
-    def _process_batch_impl(self, entries: List[Tuple],
-                            now: int) -> List[ProcessResult]:
-        self._h_batch_size.observe(len(entries))
-        table0 = self._tables[0]
-        stage_rules = bool(self.flow_stage._rule_sets)
+    def _class_key(self, packet, classifications
+                   ) -> Tuple[str, ...]:
+        """The class names the tables match on: the stages' classes,
+        those of the enclave's own stage rules, then the flow class
+        every packet carries (paper Table 2, last row)."""
+        names = [c.class_name for c in classifications]
+        if self.flow_stage._rule_sets:
+            names += self._enclave_stage_classes(packet)
+        names.append(_FLOW_CLASS)
+        return tuple(names)
 
-        # One lookup key per packet, exactly the class-name tuple the
-        # scalar path builds.  When the enclave's own stage has no
-        # rules the key depends only on the classification list, so a
-        # batch reusing one list object (the common TX case) computes
-        # it once — entries keep the lists alive, making id() stable.
-        keys: List[Tuple[str, ...]] = []
-        if stage_rules:
-            for packet, cls in entries:
-                names = [c.class_name for c in cls]
-                names += [c.class_name for c in
-                          self._enclave_stage_classifications(packet)]
-                names.append(_FLOW_CLASS)
-                keys.append(tuple(names))
-        else:
-            key_of_list: Dict[int, Tuple[str, ...]] = {}
-            for packet, cls in entries:
-                key = key_of_list.get(id(cls))
-                if key is None:
-                    key = tuple([c.class_name for c in cls]
-                                + [_FLOW_CLASS])
-                    key_of_list[id(cls)] = key
-                keys.append(key)
+    def _process_one(self, packet,
+                     classifications: Sequence[Classification],
+                     key: Tuple[str, ...], now: int) -> ProcessResult:
+        """The per-packet envelope, the only place a function runs.
 
-        hits = table0.lookup_batch(keys)
-
-        # Group packet indexes by matched rule, first-arrival order.
-        results: List[Optional[ProcessResult]] = [None] * len(entries)
-        scalar_done = [False] * len(entries)
-        groups: Dict[int, List[int]] = {}
-        group_rule: Dict[int, MatchRule] = {}
-        order: List[int] = []
-        misses = 0
-        for i, hit in enumerate(hits):
-            if hit is None:
-                misses += 1
-                results[i] = ProcessResult(executed=[],
-                                           matched_classes=[])
-                continue
-            rule = hit[0]
-            bucket = groups.get(rule.rule_id)
-            if bucket is None:
-                groups[rule.rule_id] = bucket = []
-                group_rule[rule.rule_id] = rule
-                order.append(rule.rule_id)
-            bucket.append(i)
-        if misses:
-            self._m_lookups.inc(misses)
-
-        for rule_id in order:
-            self._run_group(group_rule[rule_id], groups[rule_id],
-                            entries, hits, results, scalar_done, now)
-
-        # Finalize in arrival order, mirroring the scalar epilogue.
-        # Counters are summed locally and added once — same final
-        # values, one bump per batch instead of per packet.
-        processed = 0
-        drops = 0
-        observe_ops = self._h_packet_ops.observe
-        for i, (packet, _cls) in enumerate(entries):
-            result = results[i]
-            if scalar_done[i] or result.error is not None:
-                continue
-            processed += 1
-            observe_ops(result.interpreter_ops)
-            if getattr(packet, "drop", 0):
-                result.drop = True
-                drops += 1
-            if getattr(packet, "to_controller", 0):
-                result.to_controller = True
-        self.packets_processed += processed
-        self._m_packets.inc(processed)
-        if drops:
-            self.packets_dropped += drops
-            self._m_drops.inc(drops)
-        return results  # type: ignore[return-value]
-
-    def _batch_msg_id(self, packet, classifications) -> object:
-        """The message id the scalar path would derive for a packet."""
-        for cls in classifications:
-            msg_id = cls.message_id
-            if msg_id is not None:
-                return msg_id
-        return ("enclave", (getattr(packet, "src_ip", 0),
-                            getattr(packet, "src_port", 0),
-                            getattr(packet, "dst_ip", 0),
-                            getattr(packet, "dst_port", 0),
-                            getattr(packet, "proto", 0)))
-
-    def _run_group(self, rule: MatchRule, indexes: List[int],
-                   entries: List[Tuple], hits: List,
-                   results: List[Optional[ProcessResult]],
-                   scalar_done: List[bool], now: int) -> None:
-        """Execute one rule-homogeneous group of a batch."""
-        fn = self._functions[rule.function]
-
-        if rule.next_table is not None:
-            # Chained pipelines stay on the scalar per-packet loop:
-            # hops after the first are data-dependent and don't group.
-            for i in indexes:
-                packet, cls = entries[i]
-                try:
-                    results[i] = self._process_packet_impl(packet, cls,
-                                                           now)
-                    scalar_done[i] = True
-                except ConcurrencyViolation as violation:
-                    results[i] = ProcessResult(
-                        executed=[], matched_classes=[hits[i][1]],
-                        error=violation)
-            return
-
-        self._m_lookups.inc(len(indexes))
-        self._m_lookup_hits.inc(len(indexes))
-
-        store = fn.message_store
-        level = fn.concurrency
-        need_msg = (store is not None
-                    or level is not ConcurrencyLevel.PARALLEL)
-        msg_id_of: Dict[int, object] = {}
-        if need_msg:
-            for i in indexes:
-                packet, cls = entries[i]
-                msg_id_of[i] = self._batch_msg_id(packet, cls)
-
-        # Concurrency-guard acquisition once per group (PARALLEL and
-        # SERIAL guards ignore the key) or once per distinct message
-        # (PER_MESSAGE).  Equivalent to the scalar per-packet bracket
-        # on the single-threaded data path: the guard state after the
-        # group equals the state before it, and an externally held
-        # guard rejects exactly the packets the scalar path would.
-        guard = fn.guard
-        held: List[object] = []
-        group_error: Optional[ConcurrencyViolation] = None
-        error_of_msg: Dict[object, ConcurrencyViolation] = {}
-        if level is ConcurrencyLevel.PER_MESSAGE:
-            acquired = set()
-            for i in indexes:
-                msg_id = msg_id_of[i]
-                if msg_id in acquired or msg_id in error_of_msg:
-                    continue
-                try:
-                    guard.acquire(msg_id)
-                    held.append(msg_id)
-                    acquired.add(msg_id)
-                except ConcurrencyViolation as violation:
-                    error_of_msg[msg_id] = violation
-        else:
-            try:
-                guard.acquire(_BATCH_GUARD_KEY)
-                held.append(_BATCH_GUARD_KEY)
-            except ConcurrencyViolation as violation:
-                group_error = violation
-
-        # Execution context built once per group: the function's
-        # backend supplies a batch runner when it can hoist per-call
-        # setup (pycodegen's CodegenRunner), else the scalar execute
-        # (tree, native, or instrumented interpreters, which must
-        # keep their per-invocation spans).
-        runner = None
-        if fn.backend != "native" and \
-                self.interpreter.telemetry is None:
-            runner = fn._batch_runner
-            if runner is None:
-                backend_obj = (fn._exec_backend
-                               if fn._exec_backend is not None
-                               else self.interpreter._backend)
-                runner = backend_obj.make_batch_runner(
-                    self.interpreter, fn.program)
-                fn._batch_runner = (runner if runner is not None
-                                    else _NO_BATCH_RUNNER)
-            elif runner is _NO_BATCH_RUNNER:
-                runner = None
-
+        Per table hop: lookup -> concurrency guard -> message/global
+        state read -> ``fn.execute`` -> commit -> function stats ->
+        ``next_table``.  Raises :class:`ConcurrencyViolation` when a
+        ``PER_MESSAGE``/``SERIAL`` guard refuses the invocation;
+        state committed by earlier hops stays committed.
+        """
+        tracing = self._tracing
         acct = self.accounting
         acct_on = acct.enabled
-        fn_stats = fn.stats
-        fn_name = fn.name
-        readers = fn._field_readers
-        array_readers = fn._array_readers
-        fields = fn._field_buf
-        arrays = fn._array_buf
-        execute = runner.run if runner is not None else fn.execute
-        exec_bucket = ("native" if fn.backend == "native"
-                       else "interpreter")
-        # The commit plan, unpacked once per group; per-packet this
-        # mirrors Enclave._commit exactly.
-        packet_writes = (fn._packet_writes
-                         if fn.commit_packet_writes else ())
-        message_writes = (fn._message_writes
-                          if store is not None else ())
-        global_writes = fn._global_writes
-        array_writes = fn._array_writes
-        global_store = fn.global_store
-        # FunctionStats accumulated locally, folded in once per group —
-        # same final values as the scalar per-packet updates.
-        invocations = 0
-        faults = 0
-        ops_total = 0
-        max_stack = fn_stats.max_stack_bytes
-        max_heap = fn_stats.max_heap_bytes
-        try:
-            for i in indexes:
-                packet, cls = entries[i]
-                matched = hits[i][1]
-                if group_error is not None:
-                    results[i] = ProcessResult(
-                        executed=[], matched_classes=[matched],
-                        error=group_error)
-                    continue
-                if error_of_msg:
-                    violation = error_of_msg.get(msg_id_of[i])
-                    if violation is not None:
-                        results[i] = ProcessResult(
-                            executed=[], matched_classes=[matched],
-                            error=violation)
-                        continue
+        if acct_on:
+            t0 = acct.now()
+        executed: List[str] = []
+        matched_classes: List[str] = []
+        faults = ops = 0
+        # Derived on the first hop that needs them, once per packet.
+        msg_id: Optional[object] = None
+        int_metadata: Optional[Dict[str, int]] = None
 
-                t0 = acct.now() if acct_on else 0
+        table_id: Optional[int] = 0
+        hops = 0
+        while table_id is not None and hops < self.MAX_TABLE_HOPS:
+            hops += 1
+            if tracing:
+                with self.telemetry.tracer.span(
+                        "enclave.lookup", enclave=self.name,
+                        table=table_id,
+                        packet_id=getattr(packet, "packet_id", None)
+                        ) as lspan:
+                    hit = self._tables[table_id].lookup(key)
+                    lspan.set(hit=hit is not None)
+                self._m_lookups.inc()
+                if hit is not None:
+                    self._m_lookup_hits.inc()
+            else:
+                hit = self._tables[table_id].lookup(key)
+            if hit is None:
+                break
+            rule, matched = hit
+            matched_classes.append(matched)
+            table_id = rule.next_table
+            fn = self._functions[rule.function]
+            store = fn.message_store
+            # A PARALLEL guard never refuses, so it is not taken.
+            guarded = fn.concurrency is not ConcurrencyLevel.PARALLEL
+            if msg_id is None and (guarded or store is not None):
+                msg_id = _message_id(packet, classifications)
+            if guarded:
+                fn.guard.acquire(msg_id)
+            try:
                 msg_entry = None
-                msg_id = None
-                if need_msg:
-                    msg_id = msg_id_of[i]
                 if store is not None:
-                    metadata: Dict[str, object] = {}
-                    for c in cls:
-                        metadata.update(c.metadata)
-                    int_metadata = {
-                        k: v for k, v in metadata.items()
-                        if isinstance(v, int)
-                        and not isinstance(v, bool)}
+                    if int_metadata is None:
+                        int_metadata = _int_metadata(classifications)
                     msg_entry, _ = store.lookup(msg_id, now,
                                                 int_metadata)
-                for j, read in enumerate(readers):
-                    fields[j] = read(packet, msg_entry)
-                for j, read_array in enumerate(array_readers):
-                    arrays[j] = read_array(packet)
+                # Preallocated buffers + one precomputed reader per
+                # slot (see InstalledFunction._build_hot_path); every
+                # backend copies these inputs before mutating them.
+                fields = fn._field_buf
+                for i, read in enumerate(fn._field_readers):
+                    fields[i] = read(packet, msg_entry)
+                arrays = fn._array_buf
+                for i, read_array in enumerate(fn._array_readers):
+                    arrays[i] = read_array(packet)
                 if acct_on:
                     acct.record("enclave", acct.now() - t0)
-                    t1 = acct.now()
+                    t0 = acct.now()
                 try:
-                    exec_result = execute(fields, arrays)
+                    exec_result = fn.execute(fields, arrays)
                 except InterpreterFault:
-                    # Section 3.4.3: the faulty invocation terminates
-                    # alone; the packet is forwarded unmodified.
+                    # Section 3.4.3: a faulty function terminates its
+                    # own execution without affecting the rest of the
+                    # system — the packet is forwarded unmodified and
+                    # the chain continues.
+                    exec_result = None
+                if acct_on:
+                    acct.record("native" if fn.native is not None
+                                else "interpreter", acct.now() - t0)
+                    t0 = acct.now()
+                if exec_result is None:
+                    fn.stats.faults += 1
                     faults += 1
-                    results[i] = ProcessResult(
-                        executed=[], matched_classes=[matched],
-                        faults=1)
-                    if acct_on:
-                        acct.record(exec_bucket, acct.now() - t1)
+                    if tracing:
+                        self._m_faults.inc()
                     continue
-                if acct_on:
-                    acct.record(exec_bucket, acct.now() - t1)
-                    t2 = acct.now()
+
                 out = exec_result.fields
-                for j, name in packet_writes:
-                    setattr(packet, name, out[j])
-                if message_writes:
+                if fn.commit_packet_writes:
+                    for i, name in fn._packet_writes:
+                        setattr(packet, name, out[i])
+                if fn._message_writes and store is not None:
                     store.commit(msg_id,
-                                 {name: out[j]
-                                  for j, name in message_writes})
-                for j, name in global_writes:
-                    global_store.commit_scalar(name, out[j])
-                for j, name in array_writes:
-                    global_store.commit_array(name,
-                                              exec_result.arrays[j])
-                invocations += 1
+                                 {name: out[i]
+                                  for i, name in fn._message_writes})
+                for i, name in fn._global_writes:
+                    fn.global_store.commit_scalar(name, out[i])
+                for i, name in fn._array_writes:
+                    fn.global_store.commit_array(
+                        name, exec_result.arrays[i])
                 stats = exec_result.stats
-                ops = stats.ops_executed
-                ops_total += ops
-                if stats.stack_bytes > max_stack:
-                    max_stack = stats.stack_bytes
-                if stats.heap_bytes > max_heap:
-                    max_heap = stats.heap_bytes
-                results[i] = ProcessResult(
-                    executed=[fn_name], matched_classes=[matched],
-                    interpreter_ops=ops)
-                if acct_on:
-                    acct.record("enclave", acct.now() - t2)
-        finally:
-            fn_stats.invocations += invocations
-            fn_stats.faults += faults
-            fn_stats.ops_executed += ops_total
-            fn_stats.max_stack_bytes = max_stack
-            fn_stats.max_heap_bytes = max_heap
-            if invocations:
-                self._m_invocations.inc(invocations)
-            if faults:
-                self._m_faults.inc(faults)
-            for key in held:
-                guard.release(key)
+                fn_stats = fn.stats
+                fn_stats.invocations += 1
+                fn_stats.ops_executed += stats.ops_executed
+                stack_bytes = stats.max_operand_stack * WORD_BYTES
+                if stack_bytes > fn_stats.max_stack_bytes:
+                    fn_stats.max_stack_bytes = stack_bytes
+                heap_bytes = stats.heap_words * WORD_BYTES
+                if heap_bytes > fn_stats.max_heap_bytes:
+                    fn_stats.max_heap_bytes = heap_bytes
+                ops += stats.ops_executed
+                executed.append(fn.name)
+                if tracing:
+                    self._m_invocations.inc()
+            finally:
+                if guarded:
+                    fn.guard.release(msg_id)
+        if acct_on:
+            acct.record("enclave", acct.now() - t0)
+        return ProcessResult(
+            executed, matched_classes,
+            True if getattr(packet, "drop", 0) else False,
+            True if getattr(packet, "to_controller", 0) else False,
+            faults, ops)
 
     def replace_function(self, name: str, source_fn,
                          backend: Optional[str] = None,
@@ -1090,12 +898,10 @@ class Enclave:
         replacement.global_store = old.global_store
         replacement.message_store = old.message_store
         self._functions[name] = replacement
-        # Explicitly invalidate every backend cache keyed on the old
-        # program: the swap already unlinks it from the data path, but
-        # a controller (or test) holding the old Program must never be
-        # able to run a stale compiled handler again.
-        old._batch_runner = None
-        lang_backends.invalidate(old.program)
+        # The swap already unlinks the old program from the data path;
+        # retiring it makes sure nobody still holding it can run a
+        # stale compiled handler.
+        old.retire()
         return replacement
 
     def query_rules(self, table_id: int = 0) -> List[MatchRule]:
@@ -1135,47 +941,22 @@ class Enclave:
                 total += fn.message_store.expire_idle(now_ns)
         return total
 
-    # -- internals ------------------------------------------------------
+    # -- the enclave's own stage -------------------------------------------
 
-    def _flow_classification(self, packet) -> Classification:
-        flow_key = (getattr(packet, "src_ip", 0),
-                    getattr(packet, "src_port", 0),
-                    getattr(packet, "dst_ip", 0),
-                    getattr(packet, "dst_port", 0),
-                    getattr(packet, "proto", 0))
-        return Classification(class_name="enclave.flows.default",
-                              metadata={"msg_id": ("enclave", flow_key)})
-
-    def _enclave_stage_classifications(
-            self, packet) -> List[Classification]:
-        """Run the enclave's own stage rules over the packet headers.
+    def _enclave_stage_classes(self, packet) -> List[str]:
+        """Class names from the enclave's own stage rules.
 
         Paper Table 2, last row: the enclave classifies on
         ``<src_ip, src_port, dst_ip, dst_port, proto>`` — "when
         classification is done at the granularity of TCP flows, each
         transport connection is a message", so the message id is the
-        five-tuple.  The controller installs rules with
-        :meth:`install_flow_rule`.
+        five-tuple (:func:`_message_id`).  The controller installs
+        rules with :meth:`install_flow_rule`.
         """
-        if not self.flow_stage._rule_sets:
-            return []
-        attrs = {
-            "src_ip": getattr(packet, "src_ip", 0),
-            "src_port": getattr(packet, "src_port", 0),
-            "dst_ip": getattr(packet, "dst_ip", 0),
-            "dst_port": getattr(packet, "dst_port", 0),
-            "proto": getattr(packet, "proto", 0),
-        }
-        flow_key = (attrs["src_ip"], attrs["src_port"],
-                    attrs["dst_ip"], attrs["dst_port"],
-                    attrs["proto"])
-        results = self.flow_stage.classify(attrs, msg_id=flow_key)
-        # Flow identity must be the five-tuple, not a per-call id.
-        return [Classification(class_name=c.class_name,
-                               metadata={**c.metadata,
-                                         "msg_id": ("enclave",
-                                                    flow_key)})
-                for c in results]
+        attrs = {name: getattr(packet, name, 0)
+                 for name in self.flow_stage.classifier_fields}
+        return [c.class_name for c in self.flow_stage.classify(
+            attrs, msg_id=tuple(attrs.values()))]
 
     def install_flow_rule(self, rule_set: str, classifier,
                           class_name: str) -> int:
@@ -1184,80 +965,28 @@ class Enclave:
         return self.flow_stage.create_stage_rule(
             rule_set, classifier, class_name, ["msg_id"])
 
-    def _invoke(self, fn: InstalledFunction, packet, msg_id: object,
-                metadata: Mapping[str, object], now_ns: int,
-                result: ProcessResult) -> None:
-        t0 = self.accounting.now()
-        fn.guard.acquire(msg_id)
-        try:
-            msg_entry = None
-            if fn.message_store is not None:
-                int_metadata = {
-                    k: v for k, v in metadata.items()
-                    if isinstance(v, int) and not isinstance(v, bool)}
-                msg_entry, _ = fn.message_store.lookup(
-                    msg_id, now_ns, int_metadata)
 
-            # Preallocated buffers + one precomputed reader per slot
-            # (see InstalledFunction._build_hot_path); both backends
-            # copy these inputs before mutating them.
-            fields = fn._field_buf
-            for i, read in enumerate(fn._field_readers):
-                fields[i] = read(packet, msg_entry)
-            arrays = fn._array_buf
-            for i, read_array in enumerate(fn._array_readers):
-                arrays[i] = read_array(packet)
-            self.accounting.record("enclave",
-                                   self.accounting.now() - t0)
+def _message_id(packet,
+                classifications: Sequence[Classification]) -> object:
+    """The packet's message: the first id a stage attached, else its
+    flow (five-tuple) — the enclave's own classification."""
+    for cls in classifications:
+        msg_id = cls.message_id
+        if msg_id is not None:
+            return msg_id
+    return ("enclave", (getattr(packet, "src_ip", 0),
+                        getattr(packet, "src_port", 0),
+                        getattr(packet, "dst_ip", 0),
+                        getattr(packet, "dst_port", 0),
+                        getattr(packet, "proto", 0)))
 
-            t1 = self.accounting.now()
-            try:
-                exec_result = fn.execute(fields, arrays)
-            except InterpreterFault:
-                # Section 3.4.3: a faulty function terminates its own
-                # execution without affecting the rest of the system —
-                # the packet is forwarded unmodified.
-                fn.stats.faults += 1
-                result.faults += 1
-                self._m_faults.inc()
-                self.accounting.record(
-                    "native" if fn.backend == "native"
-                    else "interpreter",
-                    self.accounting.now() - t1)
-                return
-            self.accounting.record(
-                "native" if fn.backend == "native"
-                else "interpreter",
-                self.accounting.now() - t1)
 
-            t2 = self.accounting.now()
-            self._commit(fn, packet, msg_id, exec_result)
-            fn.stats.invocations += 1
-            self._m_invocations.inc()
-            stats = exec_result.stats
-            fn.stats.ops_executed += stats.ops_executed
-            fn.stats.max_stack_bytes = max(fn.stats.max_stack_bytes,
-                                           stats.stack_bytes)
-            fn.stats.max_heap_bytes = max(fn.stats.max_heap_bytes,
-                                          stats.heap_bytes)
-            result.interpreter_ops += stats.ops_executed
-            result.executed.append(fn.name)
-            self.accounting.record("enclave",
-                                   self.accounting.now() - t2)
-        finally:
-            fn.guard.release(msg_id)
-
-    def _commit(self, fn: InstalledFunction, packet, msg_id: object,
-                exec_result: ExecResult) -> None:
-        out = exec_result.fields
-        if fn.commit_packet_writes:
-            for i, name in fn._packet_writes:
-                setattr(packet, name, out[i])
-        if fn._message_writes and fn.message_store is not None:
-            fn.message_store.commit(
-                msg_id, {name: out[i]
-                         for i, name in fn._message_writes})
-        for i, name in fn._global_writes:
-            fn.global_store.commit_scalar(name, out[i])
-        for i, name in fn._array_writes:
-            fn.global_store.commit_array(name, exec_result.arrays[i])
+def _int_metadata(classifications: Sequence[Classification]
+                  ) -> Dict[str, int]:
+    """Stage metadata that can seed message state: the integer values,
+    later classifications overriding earlier ones."""
+    merged: Dict[str, object] = {}
+    for cls in classifications:
+        merged.update(cls.metadata)
+    return {k: v for k, v in merged.items()
+            if isinstance(v, int) and not isinstance(v, bool)}

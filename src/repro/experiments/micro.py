@@ -142,106 +142,3 @@ def _gc_paused():
     finally:
         if was_enabled:
             gc.enable()
-
-
-# -- batch micro: scalar data path vs Enclave.process_batch -------------
-
-@dataclass
-class BatchResult:
-    """ns/packet of rule-homogeneous traffic, scalar vs batched.
-
-    Both paths run the same packets through the same match-action
-    pipeline (``tests/lang/test_differential.py`` proves the results
-    identical); the batch path amortizes the per-packet lookup,
-    concurrency-guard and dispatch-context setup across each group.
-    """
-
-    name: str
-    batch_size: int
-    scalar_ns_per_packet: float
-    batch_ns_per_packet: float
-
-    @property
-    def speedup(self) -> float:
-        if self.batch_ns_per_packet <= 0:
-            return 0.0
-        return self.scalar_ns_per_packet / self.batch_ns_per_packet
-
-    def row(self) -> str:
-        return (f"{self.name:<18} batch={self.batch_size:3d}  scalar "
-                f"{self.scalar_ns_per_packet:8.0f} ns/pkt  batch "
-                f"{self.batch_ns_per_packet:8.0f} ns/pkt  "
-                f"({self.speedup:4.2f}x)")
-
-
-def _batch_tag_action(packet):
-    """A tiny header-rewriting action (PARALLEL, packet state only):
-    small enough that per-packet setup, not bytecode execution,
-    dominates — the traffic profile batching targets."""
-    if packet.size > 1000:
-        packet.priority = 1
-    else:
-        packet.priority = 5
-    packet.path_id = 1
-
-
-def _batch_enclave():
-    from ..core.enclave import Enclave
-
-    enclave = Enclave("micro.batch")
-    enclave.install_function(_batch_tag_action, name="tag")
-    enclave.install_rule("*", "tag")
-    return enclave
-
-
-def run_batch_micro(packets: int = 4096, batch_size: int = 64,
-                    repeat: int = 3) -> List[BatchResult]:
-    """Best-of-``repeat`` ns/packet: scalar loop vs batched chunks.
-
-    Rule-homogeneous traffic (every packet matches the same rule) so
-    every batch collapses into one group — the headline case of the
-    batched data path.  Building the ``(packet, classifications)``
-    entry list is charged to the batch side: the host stack pays it
-    when flushing a tick's backlog.
-    """
-    from ..functions.library import DemoPacket
-
-    cls: Tuple = ()
-    scalar_best = float("inf")
-    batch_best = float("inf")
-    for _ in range(repeat):
-        enclave = _batch_enclave()
-        pkts = [DemoPacket() for _ in range(packets)]
-        enclave.process_packet(DemoPacket(), cls, now_ns=0)  # warm-up
-        with _gc_paused():
-            t0 = time.perf_counter_ns()
-            for packet in pkts:
-                enclave.process_packet(packet, cls, now_ns=0)
-            scalar_best = min(
-                scalar_best,
-                (time.perf_counter_ns() - t0) / packets)
-
-        enclave = _batch_enclave()
-        pkts = [DemoPacket() for _ in range(packets)]
-        enclave.process_packet(DemoPacket(), cls, now_ns=0)  # warm-up
-        with _gc_paused():
-            t0 = time.perf_counter_ns()
-            for start in range(0, packets, batch_size):
-                enclave.process_batch(
-                    [(packet, cls)
-                     for packet in pkts[start:start + batch_size]],
-                    now_ns=0)
-            batch_best = min(
-                batch_best,
-                (time.perf_counter_ns() - t0) / packets)
-    return [BatchResult(name="tag homogeneous",
-                        batch_size=batch_size,
-                        scalar_ns_per_packet=scalar_best,
-                        batch_ns_per_packet=batch_best)]
-
-
-def format_batch_results(results: List[BatchResult]) -> str:
-    lines = ["Enclave data path — scalar process_packet vs batched "
-             "process_batch (rule-homogeneous)"]
-    lines += [r.row() for r in results]
-    return "\n".join(lines)

@@ -11,8 +11,9 @@ live behind one :class:`Backend` protocol:
 * ``native`` — the AST-level compiler, the paper's Eden-vs-native
   baseline (Fig 12).
 
-Consumers (the :class:`Interpreter`, the enclave's batch runner, the
-CLI ``--backend`` flags) resolve backends by name through :func:`get`.
+Consumers (the :class:`Interpreter`, the enclave's installed functions,
+the CLI ``--backend`` flags) resolve backends by name through
+:func:`get`.
 
 The contract, enforced by the differential harness in
 ``tests/lang/test_differential.py``:
@@ -29,11 +30,12 @@ The contract, enforced by the differential harness in
 Backends may cache compiled artifacts on ``Program`` instances;
 :func:`invalidate` (or ``Backend.invalidate``) must drop every such
 artifact — the enclave calls it whenever a function is replaced or
-removed so stale handlers can never run.
+removed, or the enclave restarts, so stale handlers can never run.
 """
 
 from __future__ import annotations
 
+import functools
 from typing import Dict, List, Sequence, Tuple
 
 from . import pycodegen
@@ -47,7 +49,7 @@ class Backend:
 
     Subclasses override :meth:`execute` (required) and, when they can
     do better than the generic scalar loop, :meth:`execute_batch` and
-    :meth:`make_batch_runner`.  ``interp`` carries the limits
+    :meth:`bind`.  ``interp`` carries the limits
     (``max_operand_stack``, ``max_call_depth``, ``max_heap_words``,
     ``op_budget``) plus the ``rng``/``clock`` sources; backends must
     honor all of them to keep fault parity.
@@ -77,11 +79,17 @@ class Backend:
                 out.append(fault)
         return out
 
-    def make_batch_runner(self, interp, program: Program):
-        """An object with ``.run(fields, arrays, args=())`` hoisting
-        per-call setup across a batch group, or None when the scalar
-        path is already optimal for this backend."""
-        return None
+    def bind(self, interp, program: Program):
+        """A callable ``run(fields, arrays)`` equal to
+        ``execute(interp, program, fields, arrays)``.
+
+        The enclave binds one per installed function and calls it per
+        packet; a backend overrides this to hoist per-call setup.  The
+        callable must read limits, RNG and clock from ``interp`` on
+        every call, and must hold no compiled artifact that
+        :meth:`invalidate` could not take away from it.
+        """
+        return functools.partial(self.execute, interp, program)
 
     def invalidate(self, program: Program) -> bool:
         """Drop any compiled artifact cached on ``program``.
@@ -111,7 +119,11 @@ class PycodegenBackend(Backend):
     name = "pycodegen"
     execute = staticmethod(pycodegen.execute_codegen)
     execute_batch = staticmethod(pycodegen.execute_codegen_batch)
-    make_batch_runner = staticmethod(pycodegen.CodegenRunner)
+
+    @staticmethod
+    def bind(interp, program):
+        return pycodegen.CodegenRunner(interp, program).run
+
     invalidate = staticmethod(pycodegen.invalidate)
     stats = staticmethod(pycodegen.stats)
 
@@ -184,7 +196,8 @@ def invalidate(program: Program) -> Dict[str, bool]:
     """Drop every backend's cached artifact for ``program``.
 
     The enclave calls this on ``replace_function``/``remove_function``
-    so no backend can ever reuse a stale compiled handler.  Returns
+    /``clear`` (``InstalledFunction.retire``) so no backend can ever
+    reuse a stale compiled handler.  Returns
     ``{backend name: dropped?}`` for observability.
     """
     return {name: backend.invalidate(program)

@@ -15,6 +15,7 @@ paranoid deployments can set one.
 
 from __future__ import annotations
 
+import functools
 import random
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence, Tuple
@@ -238,6 +239,21 @@ class Interpreter:
             return self._execute_instrumented(program, fields, arrays,
                                               args)
         return self._execute(self, program, fields, arrays, args)
+
+    def bind(self, program: Program
+             ) -> Callable[[Sequence[int], Sequence[Sequence[int]]],
+                           ExecResult]:
+        """A callable ``run(fields, arrays)`` equal to
+        ``execute(program, fields, arrays)``, for a caller that runs
+        one program many times (the enclave, per installed function).
+
+        The backend may hoist per-call setup into it; an instrumented
+        interpreter hands back :meth:`execute` itself so every
+        invocation keeps its span and boundary metrics.
+        """
+        if self.telemetry is not None:
+            return functools.partial(self.execute, program)
+        return self._backend.bind(self, program)
 
     def execute_batch(self, program: Program,
                       snapshots: Sequence[Tuple[Sequence[int],

@@ -15,9 +15,10 @@ Generating and compiling the source costs a few tree-walk executions,
 so a program starts *cold*: its first :data:`TIER_UP_CALLS`
 invocations run on the tree walk — the executable semantics this
 backend is proven against — and the next one compiles it.
-:func:`code_for` is the one place that decides; the scalar
-(:func:`execute_codegen`) and batch (:class:`CodegenRunner`) entry
-points both ask it on every call.
+:func:`code_for` is the one place that decides, and
+:meth:`CodegenRunner.run` — the one execution body, which
+:func:`execute_codegen` and :func:`execute_codegen_batch` wrap — asks
+it on every call.
 
 Once hot, each bytecode function is emitted in one of two shapes:
 
@@ -44,8 +45,8 @@ budgets tighter than one straight-line segment).
 The cold-call counter and, later, the compiled code live in one slot
 on the ``Program`` instance; compiled programs are also tracked by a
 bounded LRU registry.  :func:`invalidate` (the enclave calls it from
-``replace_function``/``remove_function``) and LRU eviction both clear
-the slot, returning the program to cold.
+``replace_function``/``remove_function``/``clear``) and LRU eviction
+both clear the slot, returning the program to cold.
 """
 
 from __future__ import annotations
@@ -1016,67 +1017,19 @@ def invalidate(program: Program) -> bool:
 
 # -- execution ----------------------------------------------------------
 
-def _fresh_ctx(interp, program: Program) -> _Ctx:
-    ctx = _Ctx()
-    ctx.budget = (interp.op_budget if interp.op_budget is not None
-                  else _NO_BUDGET)
-    ctx.stack_limit = interp.max_operand_stack
-    ctx.call_limit = interp.max_call_depth
-    ctx.rng = interp.rng
-    ctx.clock = interp.clock
-    ctx.name = program.name
-    return ctx
-
-
-def _reset_ctx(ctx: _Ctx, field_file, heap, bases, lengths,
-               wranges) -> None:
-    ctx.fields = field_file
-    ctx.heap = heap
-    ctx.bases = bases
-    ctx.lengths = lengths
-    ctx.wranges = wranges
-    ctx.ops = 0
-    ctx.outer = 0
-    ctx.max_seen = 0
-    ctx.depth = 1
-    ctx.max_depth = 1
-    ctx.clock_value = None
-    ctx.halted = False
-
-
-def execute_codegen(interp, program: Program, fields: Sequence[int],
-                    arrays: Sequence[Sequence[int]],
-                    args: Sequence[int] = ()) -> ExecResult:
-    """Run ``program``: the tree walk while cold, generated code after."""
-    compiled = code_for(program)
-    if compiled is None or len(args) > compiled.n_locals:
-        # Cold, not compilable, or over-long entry args growing the
-        # frame beyond the generated signature (the tree walk
-        # tolerates that).
-        return interp.execute_tree(program, fields, arrays, args)
-    field_file, heap, bases, lengths, wranges = _copy_in(
-        program, fields, arrays, interp.max_heap_words)
-    ctx = _fresh_ctx(interp, program)
-    _reset_ctx(ctx, field_file, heap, bases, lengths, wranges)
-    result = compiled.entry(ctx, *_make_locals(compiled.n_locals, args))
-    stats_ = ExecStats(ops_executed=ctx.ops,
-                       max_operand_stack=ctx.max_seen,
-                       max_call_depth=ctx.max_depth,
-                       heap_words=len(heap))
-    return _finish(program, result, field_file, heap, bases, lengths,
-                   stats_)
-
-
 class CodegenRunner:
-    """Batch executor for one ``(interpreter, program)`` pair.
+    """Executor bound to one ``(interpreter, program)`` pair.
 
-    Hoists the limits and the execution context across a run of
-    invocations; every :meth:`run` is bit-for-bit one
-    :func:`execute_codegen` call, cold tier included.
+    The one place a program goes copy-in -> generated entry ->
+    copy-out.  It keeps the execution context across invocations, but
+    nothing the interpreter can change: limits, RNG and clock are read
+    from it on every :meth:`run`, and :func:`code_for` is asked on
+    every :meth:`run`, so a lowered budget or an invalidated program
+    takes effect on the next call.
     """
 
     __slots__ = ("program", "ctx", "n_locals", "n_fields",
-                 "no_arrays", "max_heap_words", "_interp")
+                 "no_arrays", "_interp")
 
     def __init__(self, interp, program: Program) -> None:
         self.program = program
@@ -1084,48 +1037,71 @@ class CodegenRunner:
         self.n_locals = program.entry.n_locals
         self.n_fields = len(program.field_table)
         self.no_arrays = not program.array_table
-        self.max_heap_words = interp.max_heap_words
-        self.ctx = _fresh_ctx(interp, program)
+        self.ctx = _Ctx()
+        self.ctx.name = program.name
 
     def run(self, fields: Sequence[int],
             arrays: Sequence[Sequence[int]],
             args: Sequence[int] = ()) -> ExecResult:
-        compiled = code_for(self.program)
+        """Run the program: the tree walk while cold, generated code
+        after."""
+        program = self.program
+        interp = self._interp
+        compiled = code_for(program)
         if compiled is None or len(args) > self.n_locals:
-            return self._interp.execute_tree(self.program, fields,
-                                             arrays, args)
-        if self.no_arrays and not args:
-            if len(fields) != self.n_fields:
-                raise InterpreterFault(
-                    f"expected {self.n_fields} fields, got "
-                    f"{len(fields)}", self.program.name)
-            if len(arrays):
-                raise InterpreterFault(
-                    f"expected 0 arrays, got {len(arrays)}",
-                    self.program.name)
+            # Cold, not compilable, or over-long entry args growing the
+            # frame beyond the generated signature (the tree walk
+            # tolerates that).
+            return interp.execute_tree(program, fields, arrays, args)
+        plain = (self.no_arrays and not args and not len(arrays)
+                 and len(fields) == self.n_fields)
+        if plain:
+            # Scalar state only (most of Table 1): nothing to lay out
+            # on the heap, nothing to slice back out.
             field_file = [wrap64(v) for v in fields]
-            ctx = self.ctx
-            _reset_ctx(ctx, field_file, [], (), (), ())
-            result = compiled.entry(
-                ctx, *([0] * self.n_locals))
-            return ExecResult(
-                value=result, fields=field_file, arrays=[],
-                stats=ExecStats(ops_executed=ctx.ops,
-                                max_operand_stack=ctx.max_seen,
-                                max_call_depth=ctx.max_depth,
-                                heap_words=0))
-        field_file, heap, bases, lengths, wranges = _copy_in(
-            self.program, fields, arrays, self.max_heap_words)
+            heap: List[int] = []
+            bases = lengths = wranges = ()
+            locals_ = [0] * self.n_locals
+        else:
+            field_file, heap, bases, lengths, wranges = _copy_in(
+                program, fields, arrays, interp.max_heap_words)
+            locals_ = _make_locals(self.n_locals, args)
         ctx = self.ctx
-        _reset_ctx(ctx, field_file, heap, bases, lengths, wranges)
-        result = compiled.entry(ctx,
-                                *_make_locals(self.n_locals, args))
+        budget = interp.op_budget
+        ctx.budget = budget if budget is not None else _NO_BUDGET
+        ctx.stack_limit = interp.max_operand_stack
+        ctx.call_limit = interp.max_call_depth
+        ctx.rng = interp.rng
+        ctx.clock = interp.clock
+        ctx.fields = field_file
+        ctx.heap = heap
+        ctx.bases = bases
+        ctx.lengths = lengths
+        ctx.wranges = wranges
+        ctx.ops = 0
+        ctx.outer = 0
+        ctx.max_seen = 0
+        ctx.depth = 1
+        ctx.max_depth = 1
+        ctx.clock_value = None
+        ctx.halted = False
+        result = compiled.entry(ctx, *locals_)
         stats_ = ExecStats(ops_executed=ctx.ops,
                            max_operand_stack=ctx.max_seen,
                            max_call_depth=ctx.max_depth,
                            heap_words=len(heap))
-        return _finish(self.program, result, field_file, heap, bases,
+        if plain:
+            return ExecResult(value=result, fields=field_file,
+                              arrays=[], stats=stats_)
+        return _finish(program, result, field_file, heap, bases,
                        lengths, stats_)
+
+
+def execute_codegen(interp, program: Program, fields: Sequence[int],
+                    arrays: Sequence[Sequence[int]],
+                    args: Sequence[int] = ()) -> ExecResult:
+    """One-shot :meth:`CodegenRunner.run`."""
+    return CodegenRunner(interp, program).run(fields, arrays, args)
 
 
 def execute_codegen_batch(interp, program: Program,

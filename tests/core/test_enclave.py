@@ -457,6 +457,25 @@ def _assert_cold_again(program):
     pycodegen.invalidate(program)
 
 
+def _assert_retired_handle_runs_cold(monkeypatch, enclave, fn):
+    """``fn`` left the data path: calling the old handle still runs
+    its program, but on the cold tree walk — never on a stale compiled
+    handler."""
+    tree_calls = []
+    real = enclave.interpreter.execute_tree
+    monkeypatch.setattr(
+        enclave.interpreter, "execute_tree",
+        lambda *args: tree_calls.append(1) or real(*args))
+    compiled = pycodegen.stats()["programs_compiled"]
+    result = fn.execute([0] * len(fn.program.field_table), [])
+    assert result.fields == [1]     # old_behavior's priority
+    assert not _is_hot(fn.program)
+    assert pycodegen.stats()["programs_compiled"] == compiled
+    if fn.backend in TIERED_BACKENDS:
+        assert tree_calls == [1]
+    pycodegen.invalidate(fn.program)
+
+
 class TestBackendRegistry:
     """Enclave plumbing of the repro.lang.backends registry."""
 
@@ -491,7 +510,8 @@ class TestBackendRegistry:
             assert (fn.native is not None) == (backend == "native")
 
     @pytest.mark.parametrize("backend", ALL_BACKENDS)
-    def test_replace_runs_new_program_not_stale_handler(self, backend):
+    def test_replace_runs_new_program_not_stale_handler(
+            self, backend, monkeypatch):
         """Satellite regression: warm every per-program cache (scalar
         + batch paths, past the tier-up), hot-swap the function, and
         require the new behavior — a stale compiled handler must
@@ -516,11 +536,12 @@ class TestBackendRegistry:
         enclave.process_batch([(p, []) for p in batch])
         assert [p.priority for p in batch] == [7, 7]
         # The old program's compiled artifacts were dropped.
-        assert fn._batch_runner is None
         assert getattr(old_program, "_native_fn", None) is None
         _assert_cold_again(old_program)
+        _assert_retired_handle_runs_cold(monkeypatch, enclave, fn)
 
-    def test_remove_function_invalidates_backend_caches(self, enclave):
+    def test_remove_function_invalidates_backend_caches(
+            self, enclave, monkeypatch):
         fn = enclave.install_function(old_behavior, name="policy",
                                       backend="pycodegen")
         enclave.install_rule("*", "policy")
@@ -529,19 +550,45 @@ class TestBackendRegistry:
         assert _is_hot(old_program)
         enclave.remove_rule(1)
         enclave.remove_function("policy")
-        assert fn._batch_runner is None
         _assert_cold_again(old_program)
+        _assert_retired_handle_runs_cold(monkeypatch, enclave, fn)
+
+    def test_clear_invalidates_backend_caches(self, enclave,
+                                              monkeypatch):
+        """A restarted enclave leaves nothing in pycodegen's
+        process-wide cache."""
+        fn = enclave.install_function(old_behavior, name="policy")
+        enclave.install_rule("*", "policy")
+        cached = pycodegen.stats()["cache_size"]
+        _heat(enclave)
+        assert _is_hot(fn.program)
+        assert pycodegen.stats()["cache_size"] == cached + 1
+        enclave.clear()
+        assert enclave.functions() == []
+        assert pycodegen.stats()["cache_size"] == cached
+        _assert_cold_again(fn.program)
+        _assert_retired_handle_runs_cold(monkeypatch, enclave, fn)
 
     def test_default_interpreter_reaches_enclave(self):
-        enclave = Enclave("e.default")
-        assert enclave.interpreter.dispatch == "pycodegen"
-        enclave.install_function(set_priority_five)
-        enclave.install_rule("*", "set_priority_five")
-        packet = FakePacket()
-        enclave.process_packet(packet)
-        assert packet.priority == 5
-        from repro.lang.pycodegen import CodegenRunner
-        enclave.process_batch([(FakePacket(), [])])
-        assert isinstance(
-            enclave.function("set_priority_five")._batch_runner,
-            CodegenRunner)
+        """The default enclave runs the tiered backend: its program
+        turns hot after TIER_UP_CALLS packets, through either entry
+        point."""
+        for use_batch in (False, True):
+            enclave = Enclave("e.default")
+            assert enclave.interpreter.dispatch == "pycodegen"
+            fn = enclave.install_function(set_priority_five)
+            enclave.install_rule("*", "set_priority_five")
+
+            def send(n):
+                packets = [FakePacket() for _ in range(n)]
+                if use_batch:
+                    enclave.process_batch([(p, []) for p in packets])
+                else:
+                    for packet in packets:
+                        enclave.process_packet(packet)
+                assert [p.priority for p in packets] == [5] * n
+
+            send(pycodegen.TIER_UP_CALLS)
+            assert not _is_hot(fn.program)
+            send(1)
+            assert _is_hot(fn.program)

@@ -4,14 +4,18 @@ The batch path must be packet-for-packet equivalent to scalar
 ``process_packet`` — these tests pin the boundary conditions the
 differential harness is unlikely to hit by chance: empty batches,
 rule churn between batches (memo invalidation), a ConcurrencyViolation
-striking part of a batch (the rest keeps processing), and
-message-scoped state accumulated across a batch.
+striking part of a batch (the rest keeps processing) or the second hop
+of a table chain, message-scoped state accumulated across a batch,
+two functions drawing from the shared RNG in one batch, and
+interpreter limits changed after a function turned hot.
 """
+
+import random
 
 import pytest
 
 from repro.core import (Classification, ConcurrencyViolation, Enclave)
-from repro.lang import AccessLevel, Field, Lifetime, schema
+from repro.lang import AccessLevel, Field, Lifetime, pycodegen, schema
 
 pytestmark = pytest.mark.batch
 
@@ -32,6 +36,14 @@ def count_message_bytes(packet, msg):
 
 def bump_counter(packet, _global):
     _global.counter = _global.counter + 1
+
+
+def rand_priority(packet):
+    packet.priority = rand(1000)
+
+
+def rand_path(packet):
+    packet.path_id = rand(1000)
 
 
 MSG_SCHEMA = schema("Msg", Lifetime.MESSAGE, [
@@ -62,6 +74,14 @@ class FakePacket:
 
 def _msg_cls(key):
     return [Classification("app.r1.x", {"msg_id": ("m", key)})]
+
+
+def _send(enclave, pairs, use_batch, now_ns=None):
+    """The same packets through either entry point."""
+    if use_batch:
+        return enclave.process_batch(pairs, now_ns=now_ns)
+    return [enclave.process_packet(p, cls, now_ns=now_ns)
+            for p, cls in pairs]
 
 
 def test_empty_batch_returns_empty_list():
@@ -188,3 +208,121 @@ def test_message_scoped_state_accumulates_across_batch():
     assert batch_state == scalar_state
     assert batch_state[("m", 0)] == (100 + 300 + 500, 3)
     assert batch_state[("m", 1)] == (200 + 400, 2)
+
+
+def test_mixed_rule_batch_shares_the_rng_like_scalar():
+    """Two functions that both call ``rand()`` draw from the one
+    enclave RNG in arrival order, whichever entry point runs them."""
+    classes = ["app.r1.a", "app.r1.b", "app.r1.b", "app.r1.a",
+               "app.r1.b", "app.r1.a", "app.r1.a", "app.r1.b"]
+
+    def run(use_batch):
+        rng = random.Random(11)
+        enclave = Enclave("batch.test", rng=rng)
+        enclave.install_function(rand_priority)
+        enclave.install_function(rand_path)
+        enclave.install_rule("app.r1.a", "rand_priority")
+        enclave.install_rule("app.r1.b", "rand_path")
+        pairs = [(FakePacket(), [Classification(name, {})])
+                 for name in classes]
+        results = _send(enclave, pairs, use_batch, now_ns=1)
+        return ([(p.priority, p.path_id) for p, _ in pairs], results,
+                rng.getstate())
+
+    fields, results, rng_state = run(use_batch=True)
+    assert (fields, results, rng_state) == run(use_batch=False)
+    assert [r.executed for r in results] == [
+        ["rand_priority" if name.endswith("a") else "rand_path"]
+        for name in classes]
+    assert len(set(fields)) > 2, "rand() should actually vary"
+
+
+def test_violation_on_second_hop_of_a_chain_is_parked_per_packet():
+    """table 0 -> PARALLEL function -> table 1 -> PER_MESSAGE function
+    whose guard is held for one message: in a batch only that
+    message's packets carry the error, and every counter equals the
+    scalar run, which raises after the first hop committed."""
+
+    def run(use_batch):
+        enclave = Enclave("batch.test")
+        enclave.create_table(1)
+        first = enclave.install_function(set_priority_five)
+        second = enclave.install_function(count_message_bytes,
+                                          message_schema=MSG_SCHEMA)
+        enclave.install_rule("*", "set_priority_five", next_table=1)
+        enclave.install_rule("*", "count_message_bytes", table_id=1)
+        pairs = [(FakePacket(size=100 + i), _msg_cls(i % 2))
+                 for i in range(6)]
+        second.guard.acquire(("m", 0))
+        try:
+            if use_batch:
+                results = enclave.process_batch(pairs, now_ns=7)
+            else:
+                results = []
+                for packet, cls in pairs:
+                    try:
+                        results.append(enclave.process_packet(
+                            packet, cls, now_ns=7))
+                    except ConcurrencyViolation as violation:
+                        results.append(violation)
+        finally:
+            second.guard.release(("m", 0))
+        state = {key: (entry.values["total"], entry.packets)
+                 for key, entry in second.message_store._entries.items()}
+        return results, (
+            [p.priority for p, _ in pairs], first.stats, second.stats,
+            state, enclave.packets_processed, enclave.packets_dropped)
+
+    batch_results, batch_counters = run(use_batch=True)
+    scalar_results, scalar_counters = run(use_batch=False)
+    assert batch_counters == scalar_counters
+    priorities, first_stats, second_stats, state, processed, _ = \
+        batch_counters
+    # The first hop ran and committed for every packet ...
+    assert priorities == [5] * 6
+    assert first_stats.invocations == 6
+    # ... the second only for the message whose guard was free.
+    assert second_stats.invocations == 3
+    assert state == {("m", 1): (101 + 103 + 105, 3)}
+    assert processed == 3
+    for i, (got, want) in enumerate(zip(batch_results, scalar_results)):
+        if i % 2:
+            assert got == want and got.error is None
+            assert got.executed == ["set_priority_five",
+                                    "count_message_bytes"]
+        else:
+            assert isinstance(want, ConcurrencyViolation)
+            assert isinstance(got.error, ConcurrencyViolation)
+            assert str(got.error) == str(want)
+            assert got.executed == []
+            assert got.matched_classes == ["app.r1.x"]
+
+
+def test_lowered_op_budget_faults_on_both_entry_points():
+    """Interpreter limits are read on every invocation: lowering the
+    op budget after a function turned hot faults the next packet,
+    identically through either entry point."""
+
+    def run(use_batch):
+        enclave = Enclave("batch.test")
+        fn = enclave.install_function(set_priority_five)
+        enclave.install_rule("*", "set_priority_five")
+
+        def send(n):
+            pairs = [(FakePacket(), ()) for _ in range(n)]
+            results = _send(enclave, pairs, use_batch)
+            return results, [p.priority for p, _ in pairs]
+
+        send(pycodegen.TIER_UP_CALLS + 1)
+        assert isinstance(fn.program._pycodegen,
+                          pycodegen.CompiledProgram)
+        enclave.interpreter.op_budget = 1
+        return send(2), fn.stats
+
+    (results, priorities), stats = run(use_batch=True)
+    assert ((results, priorities), stats) == run(use_batch=False)
+    assert [r.faults for r in results] == [1, 1]
+    assert [r.executed for r in results] == [[], []]
+    assert priorities == [0, 0]       # forwarded unmodified
+    assert stats.faults == 2
+    assert stats.invocations == pycodegen.TIER_UP_CALLS + 1

@@ -82,24 +82,6 @@ def test_interleaved_ops_agree_with_fresh_table(seed):
             assert table.lookup(key) == want
 
 
-@pytest.mark.parametrize("seed", range(10))
-def test_lookup_batch_matches_scalar_lookup(seed):
-    rng = random.Random(1000 + seed)
-    rules = [MatchRule(rule_id=i, pattern=rng.choice(PATTERN_POOL),
-                       function=f"fn{i}", priority=rng.randint(0, 3))
-             for i in range(rng.randint(1, 6))]
-
-    batch_table = _fresh_reference(rules)
-    scalar_table = _fresh_reference(rules)
-    keys = [_random_key(rng) for _ in range(40)]
-
-    got = batch_table.lookup_batch(keys)
-    want = [scalar_table.lookup(k) for k in keys]
-    assert got == want
-    # Both paths populate the same memo cache.
-    assert batch_table._lookup_cache == scalar_table._lookup_cache
-
-
 def test_cache_eviction_keeps_answers_correct():
     """Overflow the memo past ``_LOOKUP_CACHE_LIMIT``; answers after
     the wholesale eviction must still match a fresh table."""
@@ -118,15 +100,6 @@ def test_cache_eviction_keeps_answers_correct():
     ref = _fresh_reference(rules)
     for key in distinct[:10] + distinct[-10:] + [("db.x",), ()]:
         assert table.lookup(key) == ref.lookup(key)
-
-
-def test_lookup_batch_evicts_like_scalar():
-    table = MatchActionTable(table_id=0)
-    table.add(MatchRule(rule_id=0, pattern="*", function="f"))
-    keys = [(f"c{i}",) for i in range(_LOOKUP_CACHE_LIMIT + 3)]
-    out = table.lookup_batch(keys)
-    assert all(hit is not None for hit in out)
-    assert len(table._lookup_cache) <= _LOOKUP_CACHE_LIMIT
 
 
 def test_add_remove_invalidate_memo():

@@ -409,8 +409,8 @@ class TestEnclaveBatchDifferential:
 
     def test_batch_matches_scalar_on_corpus_reproducers(self):
         """Past backend divergences are exactly the programs most
-        likely to trip the batch runner too — replay them through the
-        enclave pairing as well."""
+        likely to trip the batch entry point too — replay them through
+        the enclave pairing as well."""
         paths = sorted(glob.glob(os.path.join(CORPUS_DIR, "*.py")))
         assert paths, "corpus should not be empty"
         for path in paths:
