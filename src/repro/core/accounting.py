@@ -67,6 +67,7 @@ class CpuAccounting:
                  reservoir_size: int = RESERVOIR_SIZE,
                  rng: Optional[random.Random] = None) -> None:
         self.enabled = enabled
+        self._lap_start = 0
         # Exact aggregates (never sampled) ...
         self._totals: Dict[str, int] = {b: 0 for b in BUCKETS}
         self._counts: Dict[str, int] = {b: 0 for b in BUCKETS}
@@ -92,6 +93,17 @@ class CpuAccounting:
 
     def now(self) -> int:
         return time.perf_counter_ns() if self.enabled else 0
+
+    def mark(self) -> None:
+        """Start timing a stretch that :meth:`lap` will close."""
+        self._lap_start = self.now()
+
+    def lap(self, bucket: str) -> None:
+        """Record the time since the last :meth:`mark` or :meth:`lap`
+        under ``bucket`` and start the next stretch; the cost of
+        recording falls in neither."""
+        self.record(bucket, self.now() - self._lap_start)
+        self._lap_start = self.now()
 
     @property
     def samples(self) -> Dict[str, List[int]]:

@@ -234,16 +234,16 @@ class InstalledFunction:
                     _fn.global_store.array(_n))
         self._array_readers = array_readers
 
-        # Preallocated per-packet buffers; both backends copy their
-        # inputs before mutating, so reuse across invocations is safe.
-        self._field_buf: List[int] = [0] * len(readers)
-        self._array_buf: List[Sequence[int]] = [()] * len(array_readers)
-
+        # The static write set as (slot, name) lists per scope: the
+        # writable slots some PUTF targets, and writable arrays only
+        # when the program has an HSTORE at all.  Both tiers write
+        # back exactly these (the plan is generated from them).
+        written, stores_to_heap = self.program.write_set()
         packet_writes: List[Tuple[int, str]] = []
         message_writes: List[Tuple[int, str]] = []
         global_writes: List[Tuple[int, str]] = []
         for i, ref in enumerate(self.program.field_table):
-            if not ref.writable:
+            if not ref.writable or i not in written:
                 continue
             if ref.scope == "packet":
                 packet_writes.append((i, ref.name))
@@ -251,14 +251,16 @@ class InstalledFunction:
                 message_writes.append((i, ref.name))
             else:
                 global_writes.append((i, ref.name))
-        self._packet_writes = packet_writes
-        self._message_writes = message_writes
-        self._global_writes = global_writes
-        self._array_writes = [
+        self.packet_writes = packet_writes
+        self.message_writes = message_writes
+        self.global_writes = global_writes
+        self.array_writes = [
             (i, aref.name)
             for i, aref in enumerate(self.program.array_table)
-            if aref.writable and aref.scope == "global"]
+            if aref.writable and aref.scope == "global"
+        ] if stores_to_heap else []
         self._run: Optional[Callable] = None
+        self._plan: Optional[Callable] = None
 
     def execute(self, fields: Sequence[int],
                 arrays: Sequence[Sequence[int]]) -> ExecResult:
@@ -280,16 +282,79 @@ class InstalledFunction:
             self._run = run
         return run(fields, arrays)
 
+    def _ask_for_plan(self) -> Optional[Callable]:
+        if self.native is not None:
+            return None
+        if self._exec_backend is not None:
+            return self._exec_backend.plan(self.interpreter, self)
+        return self.interpreter.plan(self)
+
+    def run_packet(self, packet, msg_entry, acct=None) -> int:
+        """One invocation against live state; returns the op count.
+
+        State read -> :meth:`execute` -> write-back of the static
+        write set -> function stats.  That is the generic tier: cold
+        programs, ``tree``/``native`` pins and an instrumented
+        interpreter run it, and it is the oracle for the backend's
+        plan (``Backend.plan``), the same sequence as one generated
+        callable, which takes over for as long as the program is hot.
+        An :class:`InterpreterFault` propagates with nothing of the
+        invocation committed.  ``acct`` is the enclave's
+        :class:`CpuAccounting` when it is enabled, else None.
+        """
+        plan = self._plan
+        if plan is None:
+            plan = self._plan = self._ask_for_plan()
+        if plan is not None:
+            ops = plan(packet, msg_entry, acct)
+            if ops is not None:
+                return ops
+            self._plan = None       # the program went back to cold
+        fields = [read(packet, msg_entry)
+                  for read in self._field_readers]
+        arrays = [read(packet) for read in self._array_readers]
+        if acct is not None:
+            acct.lap("enclave")
+        try:
+            result = self.execute(fields, arrays)
+        finally:
+            if acct is not None:
+                acct.lap("native" if self.native is not None
+                         else "interpreter")
+        out = result.fields
+        if self.commit_packet_writes:
+            for i, name in self.packet_writes:
+                setattr(packet, name, out[i])
+        if self.message_writes:
+            values = msg_entry.values
+            for i, name in self.message_writes:
+                values[name] = out[i]
+        for i, name in self.global_writes:
+            self.global_store.commit_scalar(name, out[i])
+        for i, name in self.array_writes:
+            self.global_store.commit_array(name, result.arrays[i])
+        stats = result.stats
+        fn_stats = self.stats
+        fn_stats.invocations += 1
+        fn_stats.ops_executed += stats.ops_executed
+        stack_bytes = stats.max_operand_stack * WORD_BYTES
+        if stack_bytes > fn_stats.max_stack_bytes:
+            fn_stats.max_stack_bytes = stack_bytes
+        heap_bytes = stats.heap_words * WORD_BYTES
+        if heap_bytes > fn_stats.max_heap_bytes:
+            fn_stats.max_heap_bytes = heap_bytes
+        return stats.ops_executed
+
     def retire(self) -> None:
-        """Drop the bound executor and every backend's compiled
-        artifact for this program.
+        """Drop the bound executor, the plan and every backend's
+        compiled artifact for this program.
 
         The enclave calls it when the function leaves the data path
         (replace, remove, restart): a controller or test still holding
         this object or its ``Program`` can then only ever run the cold
         tree walk, never a stale compiled handler.
         """
-        self._run = None
+        self._run = self._plan = None
         lang_backends.invalidate(self.program)
 
 
@@ -564,6 +629,15 @@ class Enclave:
             raise UnknownIdError(
                 f"no table with id {table_id} "
                 f"(known: {sorted(self._tables)})")
+        for table in self._tables.values():
+            if table.table_id == table_id:
+                continue
+            for rule in table.rules():
+                if rule.next_table == table_id:
+                    raise EnclaveError(
+                        f"table {table_id} still referenced as next "
+                        f"table by rule {rule.rule_id} in table "
+                        f"{table.table_id}")
         del self._tables[table_id]
 
     def table(self, table_id: int) -> MatchActionTable:
@@ -691,7 +765,7 @@ class Enclave:
         # classification list, so a batch reusing one list object (the
         # common TX case) builds it once — ``entries`` keeps the lists
         # alive, making id() stable.
-        key_per_list = not self.flow_stage._rule_sets
+        key_per_list = not self.flow_stage.has_rules()
         key_of_list: Dict[int, Tuple[str, ...]] = {}
         step = self._process_one
         results: List[ProcessResult] = []
@@ -735,7 +809,7 @@ class Enclave:
         those of the enclave's own stage rules, then the flow class
         every packet carries (paper Table 2, last row)."""
         names = [c.class_name for c in classifications]
-        if self.flow_stage._rule_sets:
+        if self.flow_stage.has_rules():
             names += self._enclave_stage_classes(packet)
         names.append(_FLOW_CLASS)
         return tuple(names)
@@ -745,17 +819,17 @@ class Enclave:
                      key: Tuple[str, ...], now: int) -> ProcessResult:
         """The per-packet envelope, the only place a function runs.
 
-        Per table hop: lookup -> concurrency guard -> message/global
-        state read -> ``fn.execute`` -> commit -> function stats ->
-        ``next_table``.  Raises :class:`ConcurrencyViolation` when a
-        ``PER_MESSAGE``/``SERIAL`` guard refuses the invocation;
-        state committed by earlier hops stays committed.
+        Per table hop: lookup -> concurrency guard -> message-state
+        lookup -> ``fn.run_packet`` (state read, body, write-back,
+        function stats) -> fault accounting -> ``next_table``.  Raises
+        :class:`ConcurrencyViolation` when a ``PER_MESSAGE``/``SERIAL``
+        guard refuses the invocation; state committed by earlier hops
+        stays committed.
         """
         tracing = self._tracing
-        acct = self.accounting
-        acct_on = acct.enabled
-        if acct_on:
-            t0 = acct.now()
+        acct = self.accounting if self.accounting.enabled else None
+        if acct is not None:
+            acct.mark()
         executed: List[str] = []
         matched_classes: List[str] = []
         faults = ops = 0
@@ -800,69 +874,26 @@ class Enclave:
                         int_metadata = _int_metadata(classifications)
                     msg_entry, _ = store.lookup(msg_id, now,
                                                 int_metadata)
-                # Preallocated buffers + one precomputed reader per
-                # slot (see InstalledFunction._build_hot_path); every
-                # backend copies these inputs before mutating them.
-                fields = fn._field_buf
-                for i, read in enumerate(fn._field_readers):
-                    fields[i] = read(packet, msg_entry)
-                arrays = fn._array_buf
-                for i, read_array in enumerate(fn._array_readers):
-                    arrays[i] = read_array(packet)
-                if acct_on:
-                    acct.record("enclave", acct.now() - t0)
-                    t0 = acct.now()
                 try:
-                    exec_result = fn.execute(fields, arrays)
+                    ops += fn.run_packet(packet, msg_entry, acct)
                 except InterpreterFault:
                     # Section 3.4.3: a faulty function terminates its
                     # own execution without affecting the rest of the
                     # system — the packet is forwarded unmodified and
                     # the chain continues.
-                    exec_result = None
-                if acct_on:
-                    acct.record("native" if fn.native is not None
-                                else "interpreter", acct.now() - t0)
-                    t0 = acct.now()
-                if exec_result is None:
                     fn.stats.faults += 1
                     faults += 1
                     if tracing:
                         self._m_faults.inc()
-                    continue
-
-                out = exec_result.fields
-                if fn.commit_packet_writes:
-                    for i, name in fn._packet_writes:
-                        setattr(packet, name, out[i])
-                if fn._message_writes and store is not None:
-                    store.commit(msg_id,
-                                 {name: out[i]
-                                  for i, name in fn._message_writes})
-                for i, name in fn._global_writes:
-                    fn.global_store.commit_scalar(name, out[i])
-                for i, name in fn._array_writes:
-                    fn.global_store.commit_array(
-                        name, exec_result.arrays[i])
-                stats = exec_result.stats
-                fn_stats = fn.stats
-                fn_stats.invocations += 1
-                fn_stats.ops_executed += stats.ops_executed
-                stack_bytes = stats.max_operand_stack * WORD_BYTES
-                if stack_bytes > fn_stats.max_stack_bytes:
-                    fn_stats.max_stack_bytes = stack_bytes
-                heap_bytes = stats.heap_words * WORD_BYTES
-                if heap_bytes > fn_stats.max_heap_bytes:
-                    fn_stats.max_heap_bytes = heap_bytes
-                ops += stats.ops_executed
-                executed.append(fn.name)
-                if tracing:
-                    self._m_invocations.inc()
+                else:
+                    executed.append(fn.name)
+                    if tracing:
+                        self._m_invocations.inc()
             finally:
                 if guarded:
                     fn.guard.release(msg_id)
-        if acct_on:
-            acct.record("enclave", acct.now() - t0)
+        if acct is not None:
+            acct.lap("enclave")
         return ProcessResult(
             executed, matched_classes,
             True if getattr(packet, "drop", 0) else False,

@@ -165,12 +165,20 @@ class Stage:
 
     def remove_stage_rule(self, rule_set: str, rule_id: int) -> None:
         """S2: remove a previously installed rule."""
-        rule = self._rules.pop(rule_id, None)
+        rule = self._rules.get(rule_id)
         if rule is None or rule.rule_set != rule_set:
             raise StageError(
                 f"stage {self.name!r}: no rule {rule_id} in rule set "
                 f"{rule_set!r}")
-        self._rule_sets[rule_set].remove(rule)
+        del self._rules[rule_id]
+        bucket = self._rule_sets[rule_set]
+        bucket.remove(rule)
+        if not bucket:
+            del self._rule_sets[rule_set]
+
+    def has_rules(self) -> bool:
+        """Whether :meth:`classify` can return anything at all."""
+        return bool(self._rules)
 
     # -- data-path classification ------------------------------------------
 

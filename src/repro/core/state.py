@@ -225,6 +225,13 @@ class MessageStore:
         return entry, True
 
     def commit(self, key: object, values: Dict[str, int]) -> None:
+        """Overlay ``values`` on the entry of message ``key``.
+
+        The enclave itself writes straight into the
+        :class:`MessageEntry` that :meth:`lookup` handed it
+        (``InstalledFunction.run_packet``); this is the by-key form
+        for everyone else.
+        """
         entry = self._entries.get(key)
         if entry is None:
             raise StateError(f"no message entry for {key!r}")

@@ -48,8 +48,8 @@ class Backend:
     """One way to execute compiled programs.
 
     Subclasses override :meth:`execute` (required) and, when they can
-    do better than the generic scalar loop, :meth:`execute_batch` and
-    :meth:`bind`.  ``interp`` carries the limits
+    do better than the generic scalar loop, :meth:`execute_batch`,
+    :meth:`bind` and :meth:`plan`.  ``interp`` carries the limits
     (``max_operand_stack``, ``max_call_depth``, ``max_heap_words``,
     ``op_budget``) plus the ``rng``/``clock`` sources; backends must
     honor all of them to keep fault parity.
@@ -91,6 +91,20 @@ class Backend:
         """
         return functools.partial(self.execute, interp, program)
 
+    def plan(self, interp, fn):
+        """A callable ``plan(packet, msg_entry, acct)`` that is one
+        whole invocation of the enclave's installed function ``fn`` —
+        state read, body, write-back, function stats — or None.
+
+        ``InstalledFunction.run_packet`` asks while it holds no plan
+        and otherwise runs its generic tier, which the plan must equal
+        bit for bit.  The rules of :meth:`bind` apply: limits, RNG and
+        clock are read from ``interp`` on every call, and a plan whose
+        compiled artifact :meth:`invalidate` took away runs nothing
+        and answers None.  The default is no plan.
+        """
+        return None
+
     def invalidate(self, program: Program) -> bool:
         """Drop any compiled artifact cached on ``program``.
 
@@ -124,6 +138,7 @@ class PycodegenBackend(Backend):
     def bind(interp, program):
         return pycodegen.CodegenRunner(interp, program).run
 
+    plan = staticmethod(pycodegen.plan_for)
     invalidate = staticmethod(pycodegen.invalidate)
     stats = staticmethod(pycodegen.stats)
 

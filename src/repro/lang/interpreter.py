@@ -255,6 +255,15 @@ class Interpreter:
             return functools.partial(self.execute, program)
         return self._backend.bind(self, program)
 
+    def plan(self, fn):
+        """The backend's whole-invocation plan for the enclave's
+        installed function ``fn`` (``Backend.plan``), or None; an
+        instrumented interpreter never hands one out, for the reason
+        :meth:`bind` gives."""
+        if self.telemetry is not None:
+            return None
+        return self._backend.plan(self, fn)
+
     def execute_batch(self, program: Program,
                       snapshots: Sequence[Tuple[Sequence[int],
                                                 Sequence[Sequence[int]]]],

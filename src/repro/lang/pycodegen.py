@@ -51,13 +51,15 @@ both clear the slot, returning the program to cold.
 
 from __future__ import annotations
 
+import keyword
 from collections import OrderedDict
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from .bytecode import (INT_MASK, INT_MAX, Instr, Op, Program,
                        STACK_EFFECT, wrap64)
-from .interpreter import (ExecResult, ExecStats, InterpreterFault,
-                          _copy_in, _finish, _make_locals)
+from .interpreter import (WORD_BYTES, ExecResult, ExecStats,
+                          InterpreterFault, _copy_in, _finish,
+                          _make_locals)
 
 _CARRY = 1 << 64
 #: Sentinel budget for "no budget": never exceeded by a real program.
@@ -196,6 +198,12 @@ def _depth_map(program: Program, code: Sequence[Instr]
 
 # -- shared per-op statement emission -----------------------------------
 
+def _wrap_lines(target: str, expr: str) -> List[str]:
+    """``target = wrap64(expr)``, inline."""
+    return [f"_v = ({expr}) & {INT_MASK}",
+            f"{target} = _v - {_CARRY} if _v > {INT_MAX} else _v"]
+
+
 class _FuncEmitter:
     """Emits the Python body of one bytecode function.
 
@@ -273,8 +281,8 @@ class _FuncEmitter:
         self.w(f"        _stack_fault(ctx, _d, {fault_pc})")
 
     def _wrap_into(self, slot: str, expr: str) -> None:
-        self.w(f"_v = ({expr}) & {INT_MASK}")
-        self.w(f"{slot} = _v - {_CARRY} if _v > {INT_MAX} else _v")
+        for line in _wrap_lines(slot, expr):
+            self.w(line)
 
     def _raise(self, reason_expr: str, pc: int) -> None:
         self.w(f"raise InterpreterFault({reason_expr}, _NAME, {pc})")
@@ -1095,6 +1103,175 @@ class CodegenRunner:
                               arrays=[], stats=stats_)
         return _finish(program, result, field_file, heap, bases,
                        lengths, stats_)
+
+
+# -- the per-packet plan ------------------------------------------------
+
+def plan_for(interp, fn):
+    """The whole invocation of an installed function as one generated
+    callable, once its program is hot; None while it is cold.
+
+    ``plan(packet, msg_entry, acct)`` is ``fn.run_packet``'s generic
+    tier with nothing in between: each field-table slot read straight
+    from the packet / ``msg_entry.values`` / ``fn.global_store``
+    (``int()`` and the 64-bit wrap inline), arrays laid out on the
+    heap with the stride and heap-limit checks, only the context slots
+    this program's ops read reset — limits, RNG and clock from
+    ``interp`` on every call — the generated body, the function's
+    write lists (``fn.packet_writes`` and its siblings: the static
+    write set) written back, ``fn.stats`` updated; it returns the op count
+    and lets an :class:`InterpreterFault` out before anything is
+    written.  Its first statement is the tier decision: once
+    :func:`invalidate` or an eviction has taken the compiled program
+    away it runs nothing and answers None.
+
+    A cold program is only peeked at, never counted: the generic tier
+    runs it through :meth:`CodegenRunner.run`, which asks
+    :func:`code_for` once.
+    """
+    program = fn.program
+    compiled = getattr(program, "_pycodegen", None)
+    if compiled.__class__ is not CompiledProgram or \
+            id(program) not in _CACHE or \
+            any(ref.scope != "global" for ref in program.array_table):
+        return None
+    ns = {
+        "InterpreterFault": InterpreterFault, "_NAME": program.name,
+        "_program": program, "_compiled": compiled,
+        "_touch": _CACHE.move_to_end, "_pid": id(program),
+        "_fn": fn, "_interp": interp, "_f0": compiled.entry,
+    }
+    ops_used = {i.op for f in program.functions for i in f.code}
+    scopes = ({ref.scope for ref in program.field_table} |
+              {ref.scope for ref in program.array_table})
+    head = ["def _plan(packet, msg, acct):",
+            "    if _program._pycodegen is not _compiled:",
+            "        return None",
+            "    _touch(_pid)"]
+    if "global" in scopes:
+        head.append("    _g = _fn.global_store")
+    if "message" in scopes:
+        head.append("    _m = msg.values")
+    for i, ref in enumerate(program.field_table):
+        if ref.scope == "message":
+            expr = f"_m[{ref.name!r}]"
+        else:
+            packet = ref.scope == "packet"
+            field = (fn.packet_schema if packet
+                     else fn.global_schema).field_named(ref.name)
+            if field.binder is not None:
+                ns[f"_b{i}"] = field.binder
+                expr = f"int(_b{i}(packet, {'None' if packet else '_g'}))"
+            elif packet:
+                ns[f"_d{i}"] = field.default
+                expr = f"int(getattr(packet, {ref.name!r}, _d{i}))"
+            else:
+                expr = f"_g.scalar({ref.name!r})"
+        head += ["    " + ln for ln in _wrap_lines(f"f{i}", expr)]
+    for i, ref in enumerate(program.array_table):
+        binder = fn.global_schema.field_named(ref.name).binder
+        if binder is not None:
+            ns[f"_ab{i}"] = binder
+            head.append(f"    a{i} = list(_ab{i}(packet, _g))")
+        else:
+            head.append(f"    a{i} = _g.array({ref.name!r})")
+
+    # What the generic tier does inside ``execute``: heap layout,
+    # frame set-up, the body.
+    body: List[str] = []
+    if program.array_table:
+        body.append("H = []")
+        for i, ref in enumerate(program.array_table):
+            body.append(f"n{i} = len(a{i})")
+            if ref.stride != 1:
+                what = f"array {ref.scope}.{ref.name}: length "
+                body += [
+                    f"if n{i} % {ref.stride}:",
+                    f"    raise InterpreterFault({what!r} + str(n{i}) "
+                    f"+ ' not a multiple of stride {ref.stride}', "
+                    f"_NAME)"]
+            body += [
+                f"b{i} = len(H)",
+                f"H += [_w - {_CARRY} if (_w := _x & {INT_MASK}) > "
+                f"{INT_MAX} else _w for _x in a{i}]"]
+        n = len(program.array_table)
+        body += [
+            "if len(H) > _interp.max_heap_words:",
+            "    raise InterpreterFault('heap of %d words exceeds "
+            "limit %d' % (len(H), _interp.max_heap_words), _NAME)",
+            "ctx.heap = H",
+            "ctx.bases = (%s,)" % ", ".join(f"b{i}" for i in range(n)),
+            "ctx.lengths = (%s,)" % ", ".join(
+                f"n{i} // {ref.stride}"
+                for i, ref in enumerate(program.array_table)),
+            "ctx.wranges = (%s)" % "".join(
+                f"(b{i}, b{i} + n{i}), "
+                for i, ref in enumerate(program.array_table)
+                if ref.writable)]
+    fields = ", ".join(f"f{i}" for i in range(len(program.field_table)))
+    body += [f"ctx.fields = F = [{fields}]",
+             "ctx.ops = ctx.outer = ctx.max_seen = 0",
+             "_b = _interp.op_budget",
+             f"ctx.budget = {_NO_BUDGET} if _b is None else _b",
+             "ctx.stack_limit = _interp.max_operand_stack"]
+    if Op.CALL in ops_used:
+        body += ["ctx.depth = ctx.max_depth = 1",
+                 "ctx.call_limit = _interp.max_call_depth",
+                 "ctx.halted = False"]
+    if Op.RAND in ops_used:
+        body.append("ctx.rng = _interp.rng")
+    if Op.CLOCK in ops_used:
+        body += ["ctx.clock = _interp.clock", "ctx.clock_value = None"]
+    body.append("_f0(%s)" % ", ".join(
+        ["ctx"] + ["0"] * compiled.n_locals))
+
+    # The same write lists the generic tier walks, in its order.
+    tail: List[str] = []
+    if fn.packet_writes:
+        tail.append("if _fn.commit_packet_writes:")
+        for i, name in fn.packet_writes:
+            plain = name.isidentifier() and not keyword.iskeyword(name)
+            tail.append(f"    packet.{name} = F[{i}]" if plain else
+                        f"    setattr(packet, {name!r}, F[{i}])")
+    tail += [f"_m[{name!r}] = F[{i}]" for i, name in fn.message_writes]
+    tail += [f"_g.commit_scalar({name!r}, F[{i}])"
+             for i, name in fn.global_writes]
+    tail += [f"_g.commit_array({name!r}, H[b{i}:b{i} + n{i}])"
+             for i, name in fn.array_writes]
+    tail += ["_s = _fn.stats",
+             "_s.invocations += 1",
+             "ops = ctx.ops",
+             "_s.ops_executed += ops",
+             f"_v = ctx.max_seen * {WORD_BYTES}",
+             "if _v > _s.max_stack_bytes:",
+             "    _s.max_stack_bytes = _v"]
+    if program.array_table:
+        tail += [f"_v = len(H) * {WORD_BYTES}",
+                 "if _v > _s.max_heap_bytes:",
+                 "    _s.max_heap_bytes = _v"]
+    tail.append("return ops")
+
+    source = "\n".join(
+        head +
+        ["    if acct is not None:",
+         "        acct.lap('enclave')",
+         "    try:"] +
+        ["        " + ln for ln in body] +
+        ["    finally:",
+         "        if acct is not None:",
+         "            acct.lap('interpreter')"] +
+        ["    " + ln for ln in tail]) + "\n"
+    ctx = ns["ctx"] = _Ctx()
+    ctx.name = program.name
+    # A program without arrays may still carry heap ops (they fault
+    # on the empty heap); the body must find the slots set.
+    ctx.heap = []
+    ctx.bases = ctx.lengths = ctx.wranges = ()
+    exec(compile(source, f"<pycodegen-plan:{program.name}>", "exec"),
+         ns)
+    plan = ns["_plan"]
+    plan.source = source
+    return plan
 
 
 def execute_codegen(interp, program: Program, fields: Sequence[int],

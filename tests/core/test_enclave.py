@@ -6,6 +6,7 @@ from repro.core import (Classification, ConcurrencyGuard,
                         ConcurrencyLevel, ConcurrencyViolation,
                         Enclave, EnclaveError, MatchRule,
                         PLACEMENT_NIC, PLACEMENT_OS)
+from repro.core.accounting import CpuAccounting
 from repro.lang import (AccessLevel, Field, FieldKind, Interpreter,
                         Lifetime, pycodegen, schema)
 
@@ -417,6 +418,117 @@ class TestEnclaveFlowStage:
         packet = FakePacket()
         assert enclave.process_packet(packet).executed == \
             ["set_priority_five"]
+
+
+    def test_removed_flow_rule_stops_costing_per_packet(self, enclave):
+        """Once its last rule is gone the enclave's own stage is not
+        consulted again, by either entry point."""
+        from repro.core import Classifier
+        enclave.install_function(set_priority_five)
+        enclave.install_rule("*", "set_priority_five")
+        rule_id = enclave.install_flow_rule(
+            "r1", Classifier.of(dst_port=80), "web")
+        classify_calls = []
+        real = enclave.flow_stage.classify
+        enclave.flow_stage.classify = \
+            lambda *a, **kw: classify_calls.append(1) or real(*a, **kw)
+        enclave.process_packet(FakePacket())
+        enclave.process_batch([(FakePacket(), ())])
+        assert len(classify_calls) == 2
+        enclave.flow_stage.remove_stage_rule("r1", rule_id)
+        enclave.process_packet(FakePacket())
+        results = enclave.process_batch([(FakePacket(), ())] * 3)
+        assert len(classify_calls) == 2
+        assert all(r.executed == ["set_priority_five"] for r in results)
+
+
+def chain_second(packet):
+    packet.path_id = 2
+
+
+class _CountingAccounting(CpuAccounting):
+    """Counts the clock reads behind every sample."""
+
+    def __init__(self, enabled):
+        super().__init__(enabled=enabled)
+        self.clock_reads = 0
+
+    def now(self):
+        self.clock_reads += 1
+        return super().now()
+
+
+class TestCpuAccounting:
+    """Fig 12's enclave/interpreter split: a packet with k invocations
+    records k + 1 ``enclave`` samples (state prep per invocation, then
+    the tail) and k ``interpreter`` samples, in both tiers."""
+
+    def _enclave(self, acct, backend="interpreter"):
+        enclave = Enclave("acct.test", accounting=acct)
+        enclave.create_table(1)
+        enclave.install_function(set_priority_five, backend=backend)
+        enclave.install_function(chain_second, backend=backend)
+        enclave.install_function(faulty_divide, backend=backend)
+        enclave.install_rule("app.r1.two", "set_priority_five",
+                             next_table=1)
+        enclave.install_rule("app.r1.one", "chain_second")
+        enclave.install_rule("app.r1.fault", "faulty_divide")
+        enclave.install_rule("*", "chain_second", table_id=1)
+        return enclave
+
+    @pytest.mark.parametrize("use_batch", (False, True))
+    @pytest.mark.parametrize("backend", ("interpreter", "native"))
+    def test_samples_per_invocation(self, backend, use_batch):
+        acct = CpuAccounting(enabled=True)
+        enclave = self._enclave(acct, backend)
+        bucket = "native" if backend == "native" else "interpreter"
+        # (class, invocations per packet); a faulted one counts.
+        mix = [("two", 2), ("one", 1), ("miss", 0), ("fault", 1)]
+
+        def send(rounds):
+            pairs = [(FakePacket(size=54),
+                      [Classification(f"app.r1.{name}", {})])
+                     for _ in range(rounds) for name, _ in mix]
+            if use_batch:
+                enclave.process_batch(pairs)
+            else:
+                for packet, cls in pairs:
+                    enclave.process_packet(packet, cls)
+
+        packets = invocations = 0
+        # Cold, across the tier-up, and with every plan built.
+        for rounds in (3, pycodegen.TIER_UP_CALLS, 5):
+            send(rounds)
+            packets += rounds * len(mix)
+            invocations += rounds * sum(k for _, k in mix)
+            counts = acct.counts()
+            assert counts["enclave"] == invocations + packets
+            assert counts[bucket] == invocations
+            assert sum(counts.values()) == 2 * invocations + packets
+        assert enclave.function("faulty_divide").stats.faults == \
+            packets // len(mix)
+        if backend == "interpreter":
+            assert _is_hot(enclave.function("chain_second").program)
+        assert all(ns > 0 for ns in acct.samples[bucket])
+
+    @pytest.mark.parametrize("use_batch", (False, True))
+    def test_disabled_reads_no_clock_and_records_nothing(self,
+                                                         use_batch):
+        acct = _CountingAccounting(enabled=False)
+        enclave = self._enclave(acct)
+        pairs = [(FakePacket(), [Classification("app.r1.two", {})])
+                 for _ in range(pycodegen.TIER_UP_CALLS + 4)]
+        if use_batch:
+            enclave.process_batch(pairs)
+        else:
+            for packet, cls in pairs:
+                enclave.process_packet(packet, cls)
+        assert acct.clock_reads == 0
+        assert not any(acct.counts().values())
+        enabled = _CountingAccounting(enabled=True)
+        self._enclave(enabled).process_packet(
+            FakePacket(), [Classification("app.r1.two", {})])
+        assert enabled.clock_reads > 0
 
 
 def old_behavior(packet):

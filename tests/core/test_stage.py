@@ -62,6 +62,26 @@ class TestRuleManagement:
             msg_type="GET"), "GET", ["msg_id"])
         with pytest.raises(StageError):
             stage.remove_stage_rule("r2", rid)
+        # The refused call removed nothing: the rule still classifies
+        # and can still be removed from the rule set it belongs to.
+        assert [r.rule_id for r in stage.rules()] == [rid]
+        assert len(stage.classify({"msg_type": "GET"})) == 1
+        stage.remove_stage_rule("r1", rid)
+        assert stage.rules() == []
+
+    def test_has_rules_follows_install_and_remove(self, stage):
+        assert not stage.has_rules()
+        first = stage.create_stage_rule("r1", Classifier.of(
+            msg_type="GET"), "GET", ["msg_id"])
+        second = stage.create_stage_rule("r2", Classifier.of(
+            msg_type="PUT"), "PUT", ["msg_id"])
+        assert stage.has_rules()
+        stage.remove_stage_rule("r1", first)
+        assert stage.has_rules()
+        stage.remove_stage_rule("r2", second)
+        assert not stage.has_rules()
+        # No emptied rule set is left behind to be walked per message.
+        assert stage._rule_sets == {}
 
 
 class TestClassification:

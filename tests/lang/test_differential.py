@@ -29,7 +29,12 @@ and nothing observable changes at the switch.
 ``TestEnclaveBatchDifferential`` lifts the same property to the whole
 enclave data path: ``Enclave.process_batch`` over the fuzz corpus must
 leave identical per-packet results, packet writes, function stats, and
-message/global state as sequential ``process_packet`` calls.
+message/global state as sequential ``process_packet`` calls.  Its
+plan legs run the fuzz seeds, the library demos and the corpus through
+a default enclave — whose function switches mid-run from the tree walk
+to the generated per-packet plan — and a ``backend="tree"`` enclave,
+which stays on the generic tier of ``InstalledFunction.run_packet``,
+and require the same of those two, RNG state included.
 
 Any fuzz failure is minimized (``program_gen.minimize``) and persisted
 into ``tests/lang/corpus/``; the corpus is replayed here in CI so past
@@ -52,7 +57,7 @@ from repro.lang import (DEFAULT_PACKET_SCHEMA, Interpreter,
                         VerificationError, pycodegen, verify)
 from repro.lang.bytecode import Assembler, FieldRef, Op, Program
 from repro.lang.compiler import compile_action, compile_ast
-from repro.functions.library import table1
+from repro.functions.library import DemoPacket, table1
 
 import program_gen as pg
 from conftest import GLB_SCHEMA, MSG_SCHEMA
@@ -340,22 +345,60 @@ class _DiffPacket:
         self.proto = 6
 
 
-def _batch_enclave_for(source, seed):
+def _batch_enclave_for(source, seed, backend="interpreter"):
     enclave = Enclave("diff", rng=random.Random(seed))
     enclave.install_function(source, name="f",
                              message_schema=MSG_SCHEMA,
-                             global_schema=GLB_SCHEMA)
+                             global_schema=GLB_SCHEMA, backend=backend)
     enclave.set_global_array("f", "weights", list(range(1, 9)))
     enclave.set_global_array("f", "scratch", [0] * 8)
     enclave.install_rule("*", "f")
     return enclave
 
 
+def _left_behind(enclave, packets):
+    """Everything a run leaves behind that an equivalent run must
+    leave too: packet attributes, counters, RNG state and, per
+    function, stats, global snapshot and message entries."""
+    state = {"packets": [dict(p.__dict__) for p in packets],
+             "processed": enclave.packets_processed,
+             "dropped": enclave.packets_dropped,
+             "rng": enclave.rng.getstate()}
+    for name in enclave.functions():
+        fn = enclave.function(name)
+        entries = (fn.message_store._entries
+                   if fn.message_store is not None else {})
+        state[name] = (
+            fn.stats,
+            fn.global_store is not None and fn.global_store.snapshot(),
+            {key: (dict(e.values), e.packets, e.created_at,
+                   e.last_used_at) for key, e in entries.items()})
+    return state
+
+
+def _count_executes(fn):
+    """Wrap ``fn.execute`` the way ``bench/tracing.py`` does; the
+    returned list holds the number of calls.  Only the generic tier of
+    ``run_packet`` goes through it, so it tells the tiers apart."""
+    calls = [0]
+    inner = fn.execute
+
+    def counted(fields, arrays):
+        calls[0] += 1
+        return inner(fields, arrays)
+
+    fn.execute = counted
+    return calls
+
+
 @pytest.mark.batch
 class TestEnclaveBatchDifferential:
     """``process_batch`` == sequential ``process_packet`` over the
-    fuzz corpus: per-packet results, packet writes, function stats,
-    and the message/global state left behind."""
+    fuzz corpus — per-packet results, packet writes, function stats,
+    and the message/global state left behind — and, through either
+    entry point, the default enclave (tree walk, then the generated
+    per-packet plan) == a ``backend="tree"`` enclave (the generic tier
+    of ``run_packet`` throughout)."""
 
     #: Enough packets that the function turns hot mid-batch.
     N_PACKETS = pycodegen.TIER_UP_CALLS + 8
@@ -370,6 +413,15 @@ class TestEnclaveBatchDifferential:
         return [Classification(class_name=f"app.r1.c{i % 2}",
                                metadata={"msg_id": ("app", i % 2)})]
 
+    def _run(self, enclave, packets, use_batch):
+        cls_list = [self._classifications(i)
+                    for i in range(len(packets))]
+        if use_batch:
+            return enclave.process_batch(
+                list(zip(packets, cls_list)), now_ns=5)
+        return [enclave.process_packet(p, cls_list[i], now_ns=5 + i)
+                for i, p in enumerate(packets)]
+
     @pytest.mark.parametrize("seed", range(24))
     def test_batch_equals_scalar(self, seed):
         source = pg.generate_program(seed)
@@ -383,29 +435,11 @@ class TestEnclaveBatchDifferential:
 
         batch = _batch_enclave_for(source, seed)
         pkts_b = self._packets(seed)
-        res_b = batch.process_batch(
-            [(p, cls_list[i]) for i, p in enumerate(pkts_b)],
-            now_ns=5)
+        res_b = self._run(batch, pkts_b, use_batch=True)
 
         assert res_b == res_s
-        for ps, pb in zip(pkts_s, pkts_b):
-            assert pb.__dict__ == ps.__dict__
-        fn_s = scalar.function("f")
-        fn_b = batch.function("f")
-        assert fn_b.stats == fn_s.stats
-        assert fn_b.global_store.snapshot() == \
-            fn_s.global_store.snapshot()
-        store_s = fn_s.message_store
-        store_b = fn_b.message_store
-        assert set(store_b._entries) == set(store_s._entries)
-        for key, entry_s in store_s._entries.items():
-            entry_b = store_b._entries[key]
-            assert (entry_b.values, entry_b.packets,
-                    entry_b.created_at, entry_b.last_used_at) == \
-                (entry_s.values, entry_s.packets,
-                 entry_s.created_at, entry_s.last_used_at)
-        assert batch.packets_processed == scalar.packets_processed
-        assert batch.packets_dropped == scalar.packets_dropped
+        assert _left_behind(batch, pkts_b) == \
+            _left_behind(scalar, pkts_s)
 
     def test_batch_matches_scalar_on_corpus_reproducers(self):
         """Past backend divergences are exactly the programs most
@@ -425,14 +459,113 @@ class TestEnclaveBatchDifferential:
                      for i, p in enumerate(pkts_s)]
             batch = _batch_enclave_for(source, seed)
             pkts_b = self._packets(seed)
-            res_b = batch.process_batch(
-                [(p, cls_list[i]) for i, p in enumerate(pkts_b)],
-                now_ns=5)
+            res_b = self._run(batch, pkts_b, use_batch=True)
             assert res_b == res_s, path
-            for ps, pb in zip(pkts_s, pkts_b):
-                assert pb.__dict__ == ps.__dict__, path
-            assert batch.function("f").stats == \
-                scalar.function("f").stats, path
+            assert _left_behind(batch, pkts_b) == \
+                _left_behind(scalar, pkts_s), path
+
+    def _assert_plan_equals_tree(self, source, seed, label):
+        """Default enclave vs ``backend="tree"`` enclave on the same
+        packets; odd seeds go through ``process_batch``.  Returns the
+        faults seen."""
+        tree = _batch_enclave_for(source, seed, backend="tree")
+        pkts_t = self._packets(seed)
+        res_t = self._run(tree, pkts_t, use_batch=seed % 2)
+
+        hot = _batch_enclave_for(source, seed)
+        executes = _count_executes(hot.function("f"))
+        pkts_h = self._packets(seed)
+        res_h = self._run(hot, pkts_h, use_batch=seed % 2)
+
+        # Cold calls and the compiling one took the generic tier,
+        # every later packet the plan.
+        assert executes[0] == pycodegen.TIER_UP_CALLS + 1, label
+        assert res_h == res_t, label
+        assert _left_behind(hot, pkts_h) == _left_behind(tree, pkts_t), \
+            label
+        return sum(r.faults for r in res_h)
+
+    @pytest.mark.parametrize("profile,seed", [
+        (profile, seed) for profile in pg.PROFILES
+        for seed in (FUZZ_SEEDS if profile == "default"
+                     else PROFILE_SEEDS)])
+    def test_plan_equals_generic_tier(self, profile, seed):
+        self._assert_plan_equals_tree(
+            pg.generate_program(seed, profile=profile), seed,
+            f"{profile}{seed}")
+
+    def test_plan_fuzz_sees_faults_in_both_tiers(self):
+        """The sweep above compares faulting invocations too: some of
+        its programs fault before the switch and some after."""
+        cold = hot = 0
+        for seed in range(40):
+            enclave = _batch_enclave_for(pg.generate_program(seed), seed)
+            results = self._run(enclave, self._packets(seed), False)
+            cold += sum(r.faults for r in
+                        results[:pycodegen.TIER_UP_CALLS])
+            hot += sum(r.faults for r in
+                       results[pycodegen.TIER_UP_CALLS + 1:])
+        assert cold and hot
+
+    def test_plan_equals_generic_tier_on_corpus_reproducers(self):
+        paths = sorted(glob.glob(os.path.join(CORPUS_DIR, "*.py")))
+        assert paths, "corpus should not be empty"
+        for path in paths:
+            with open(path) as fh:
+                source = fh.read()
+            self._assert_plan_equals_tree(
+                source, _stable_seed(os.path.basename(path)) % 1000,
+                path)
+
+    @pytest.mark.parametrize(
+        "entry", _library_entries(), ids=lambda e: e.name)
+    def test_plan_equals_generic_tier_on_library_demo(self, entry):
+        """Every Table 1 demo — binders, keyed arrays, record arrays,
+        ``rand()`` — with its own schemas and seeded state."""
+        spec = entry.demo
+        name = spec.function_name
+        metadata = dict(spec.metadata)
+        metadata.setdefault("msg_id", ("demo", 1))
+        cls = [Classification("demo.r1.msg", metadata)]
+        demo_packets = list(spec.packets) or [{}]
+
+        def run(backend, use_batch):
+            enclave = Enclave("diff", rng=random.Random(7))
+            fn = enclave.install_function(
+                spec.action, name=name,
+                message_schema=spec.message_schema,
+                global_schema=spec.global_schema, backend=backend)
+            for field_name, value in spec.global_scalars.items():
+                enclave.set_global(name, field_name, value)
+            for field_name, values in spec.global_arrays.items():
+                enclave.set_global_array(name, field_name,
+                                         list(values))
+            for field_name, keyed in spec.global_keyed.items():
+                for key, values in keyed.items():
+                    enclave.set_global_keyed(name, field_name, key,
+                                             list(values))
+            enclave.install_rule("*", name)
+            executes = _count_executes(fn)
+            packets = []
+            for i in range(self.N_PACKETS):
+                overrides = demo_packets[i % len(demo_packets)]
+                packets.append(DemoPacket(**{
+                    "src_port": 1111 + i % 3, "size": 64 + 97 * i,
+                    **overrides}))
+            if use_batch:
+                results = enclave.process_batch(
+                    [(p, cls) for p in packets], now_ns=3)
+            else:
+                results = [enclave.process_packet(p, cls, now_ns=3 + i)
+                           for i, p in enumerate(packets)]
+            return results, _left_behind(enclave, packets), executes[0]
+
+        for use_batch in (False, True):
+            *want, generic_calls = run("tree", use_batch)
+            *got, hot_calls = run("interpreter", use_batch)
+            assert got == want, entry.name
+            assert generic_calls == self.N_PACKETS
+            assert hot_calls == pycodegen.TIER_UP_CALLS + 1
 
 
 def _persist_failure(source, fields, arrays, seed):
