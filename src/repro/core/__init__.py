@@ -12,7 +12,7 @@ from .stage import (Classification, ClassificationRule, Classifier,
                     Stage, StageError, StageInfo, WILDCARD,
                     http_stage, memcached_stage, storage_stage)
 from .state import (ConcurrencyLevel, GlobalStore, MessageStore,
-                    StateError, concurrency_of)
+                    StateError)
 
 __all__ = [
     "ChainLink", "Classification", "ClassificationRule", "Classifier",
@@ -23,5 +23,5 @@ __all__ = [
     "MatchActionTable", "MatchRule", "MessageStore", "PLACEMENT_NIC",
     "PLACEMENT_OS", "PathWeight", "ProcessResult", "Stage",
     "StageError", "StageInfo", "StateError", "WILDCARD",
-    "concurrency_of", "http_stage", "memcached_stage", "storage_stage",
+    "http_stage", "memcached_stage", "storage_stage",
 ]

@@ -20,8 +20,8 @@ from dataclasses import dataclass, field
 from typing import (Callable, Dict, Iterable, List, Optional,
                     Sequence, Tuple, Union)
 
-from ..lang import ast_nodes as T
 from ..lang import backends as lang_backends
+from ..lang.analysis import ConcurrencyLevel, facts
 from ..lang.annotations import (DEFAULT_PACKET_SCHEMA,
                                 Field, Schema)
 from ..lang.bytecode import Program
@@ -33,8 +33,7 @@ from ..lang.verifier import verify
 from ..telemetry import NULL_TELEMETRY, Telemetry
 from .accounting import CpuAccounting
 from .stage import Classification, Stage
-from .state import (ConcurrencyLevel, GlobalStore, MessageStore,
-                    StateError, concurrency_of)
+from .state import GlobalStore, MessageStore, StateError
 
 
 class EnclaveError(Exception):
@@ -162,7 +161,7 @@ class InstalledFunction:
             name=name, optimize_tail_calls=optimize_tail_calls)
         verify(self.program,
                max_operand_stack=interpreter.max_operand_stack)
-        self.concurrency = concurrency_of(self.prog_ast)
+        self.concurrency = facts(self.program).concurrency
         self.guard = ConcurrencyGuard(self.concurrency)
         self.interpreter = interpreter
         # Only the native backend ever runs the AST-level compilation.
@@ -235,15 +234,16 @@ class InstalledFunction:
         self._array_readers = array_readers
 
         # The static write set as (slot, name) lists per scope: the
-        # writable slots some PUTF targets, and writable arrays only
-        # when the program has an HSTORE at all.  Both tiers write
-        # back exactly these (the plan is generated from them).
-        written, stores_to_heap = self.program.write_set()
+        # slots some PUTF targets (the verifier has made sure they are
+        # writable), and writable arrays only when the program has an
+        # HSTORE at all.  Both tiers write back exactly these (the
+        # plan is generated from them).
+        found = facts(self.program)
         packet_writes: List[Tuple[int, str]] = []
         message_writes: List[Tuple[int, str]] = []
         global_writes: List[Tuple[int, str]] = []
         for i, ref in enumerate(self.program.field_table):
-            if not ref.writable or i not in written:
+            if i not in found.written:
                 continue
             if ref.scope == "packet":
                 packet_writes.append((i, ref.name))
@@ -258,7 +258,7 @@ class InstalledFunction:
             (i, aref.name)
             for i, aref in enumerate(self.program.array_table)
             if aref.writable and aref.scope == "global"
-        ] if stores_to_heap else []
+        ] if found.stores_to_heap else []
         self._run: Optional[Callable] = None
         self._plan: Optional[Callable] = None
 

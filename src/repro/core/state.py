@@ -10,57 +10,19 @@ functions."  This module holds that authoritative state —
 * :class:`MessageStore` — per-message state created lazily on the first
   packet of a message and garbage-collected when the message ends;
 
-— and derives the admissible concurrency level of a program from which
-state scopes it writes.
+— whose write scopes bound a program's admissible concurrency level
+(:class:`ConcurrencyLevel`, derived from the bytecode by
+:mod:`repro.lang.analysis`).
 """
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
-from ..lang import ast_nodes as T
+from ..lang.analysis import ConcurrencyLevel  # noqa: F401  (re-export)
 from ..lang.annotations import AccessLevel, FieldKind, Schema
 from ..lang.bytecode import wrap64
-
-
-class ConcurrencyLevel(enum.Enum):
-    """How many invocations of a program the enclave may run at once.
-
-    Derived from the declared write sets (Section 3.4.4):
-
-    * ``PARALLEL`` — the program writes only packet state: any number of
-      packets may be processed concurrently.
-    * ``PER_MESSAGE`` — the program writes message state: at most one
-      packet *per message* concurrently.
-    * ``SERIAL`` — the program writes global state: one invocation at a
-      time.
-    """
-
-    PARALLEL = "parallel"
-    PER_MESSAGE = "per-message"
-    SERIAL = "serial"
-
-
-def concurrency_of(prog: T.ProgramAST) -> ConcurrencyLevel:
-    """Derive the concurrency level from a program's write statements."""
-    writes_message = False
-    writes_global = False
-    for fn in prog.functions:
-        for stmt in T.walk_stmts(fn.body):
-            scope: Optional[str] = None
-            if isinstance(stmt, (T.AssignState, T.AssignArray)):
-                scope = stmt.scope
-            if scope == "message":
-                writes_message = True
-            elif scope == "global":
-                writes_global = True
-    if writes_global:
-        return ConcurrencyLevel.SERIAL
-    if writes_message:
-        return ConcurrencyLevel.PER_MESSAGE
-    return ConcurrencyLevel.PARALLEL
 
 
 class StateError(Exception):

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import FrozenSet, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 INT_BITS = 64
 INT_MASK = (1 << INT_BITS) - 1
@@ -210,24 +210,6 @@ class Program:
             if f.name == name:
                 return i
         raise KeyError(name)
-
-    def write_set(self) -> Tuple[FrozenSet[int], bool]:
-        """What a run can change, read off the bytecode: the
-        field-table slots some ``PUTF`` targets, and whether any
-        ``HSTORE`` exists at all.  A slot outside the set leaves every
-        run with the value it came in with, and without an ``HSTORE``
-        so does every array, so the enclave writes neither back."""
-        putf, hstore = Op.PUTF, Op.HSTORE
-        written = set()
-        stores_to_heap = False
-        for fn in self.functions:
-            for instr in fn.code:
-                op = instr.op
-                if op is putf:
-                    written.add(instr.arg)
-                elif op is hstore:
-                    stores_to_heap = True
-        return frozenset(written), stores_to_heap
 
     def disassemble(self) -> str:
         """Human-readable listing of all functions in the program."""

@@ -268,8 +268,8 @@ def compile_action(fn: Union[Callable, str],
                    ) -> Tuple[T.ProgramAST, Program]:
     """Frontend + backend in one step.
 
-    Returns both the typed AST (consumed by the native backend and by
-    concurrency analysis) and the compiled bytecode program.
+    Returns both the typed AST (consumed by the native backend) and
+    the compiled bytecode program.
     """
     prog_ast = lower(fn, packet_schema=packet_schema,
                      message_schema=message_schema,

@@ -28,19 +28,21 @@ Once hot, each bytecode function is emitted in one of two shapes:
   flow the structurizer does not recognize (e.g. exotic
   optimizer-threaded jumps); still straight-line inside blocks.
 
-Programs whose operand-stack depth is not statically consistent
-(hand-assembled bytecode the verifier would reject) never compile;
-they stay on the tree walk (``stats()["programs_delegated"]``).
+This backend compiles exactly what :func:`~repro.lang.verifier.verify`
+accepts: both read :func:`repro.lang.analysis.facts`, and a program
+with a violation never compiles — it stays on the tree walk
+(``stats()["programs_delegated"]``) — so the emitters only ever see
+verified code and take its depth map, jump edges and ops from the
+facts.
 
 Semantics are kept bit-for-bit identical to the tree walk on results,
 :class:`ExecStats` and fault *reasons* (the differential harness in
 ``tests/lang/test_differential.py`` enforces this, including across
-the cold-to-hot boundary).  Two knowing divergences once hot: jumps to
-negative targets fault as "fell off end of code" instead of wrapping
-Python-style, and op-budget accounting is hoisted to segment
-granularity — a budget fault can fire at a segment boundary a few ops
-before the tree walk would raise it mid-segment (observable only with
-budgets tighter than one straight-line segment).
+the cold-to-hot boundary).  One knowing divergence once hot: op-budget
+accounting is hoisted to segment granularity — a budget fault can fire
+at a segment boundary a few ops before the tree walk would raise it
+mid-segment (observable only with budgets tighter than one
+straight-line segment).
 
 The cold-call counter and, later, the compiled code live in one slot
 on the ``Program`` instance; compiled programs are also tracked by a
@@ -55,8 +57,8 @@ import keyword
 from collections import OrderedDict
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from .bytecode import (INT_MASK, INT_MAX, Instr, Op, Program,
-                       STACK_EFFECT, wrap64)
+from .analysis import ProgramFacts, facts
+from .bytecode import INT_MASK, INT_MAX, Instr, Op, Program, wrap64
 from .interpreter import (WORD_BYTES, ExecResult, ExecStats,
                           InterpreterFault, _copy_in, _finish,
                           _make_locals)
@@ -93,9 +95,6 @@ _CMP_SYM = {
     Op.CEQ: "==", Op.CNE: "!=", Op.CLT: "<",
     Op.CLE: "<=", Op.CGT: ">", Op.CGE: ">=",
 }
-
-#: Ops the emitters understand; anything else delegates the program.
-_KNOWN_OPS = frozenset(Op)
 
 
 class _Bail(Exception):
@@ -138,64 +137,6 @@ class CompiledProgram:
         self.source = source
 
 
-# -- static operand-stack depth analysis --------------------------------
-
-def _depth_map(program: Program, code: Sequence[Instr]
-               ) -> Optional[Dict[int, int]]:
-    """Depth *before* each reachable pc, or None if inconsistent.
-
-    Mirrors the verifier's abstract interpretation but is tolerant:
-    RET/HALT at any depth are fine (the tree walk returns 0 on an
-    empty stack) and out-of-range jump targets simply have no
-    successor (they fault as "fell off end" at run time).  A depth
-    mismatch at a merge point or a static underflow returns None —
-    such programs stay on the tree walk.
-    """
-    n = len(code)
-    depth_at: Dict[int, int] = {0: 0}
-    work = [0]
-    while work:
-        pc = work.pop()
-        depth = depth_at[pc]
-        instr = code[pc]
-        op = instr.op
-        if op.__class__ is not Op:
-            return None           # raw-int opcodes: delegate
-        if op is Op.CALL:
-            try:
-                callee = program.functions[instr.arg]
-            except (IndexError, TypeError):
-                continue          # compiles to a raiser; no successor
-            if callee.n_args > callee.n_locals:
-                # Frame wider than its local file; the tree walk
-                # tolerates it but our generated signatures cannot.
-                return None
-            pops, pushes = callee.n_args, 1
-        elif op in (Op.RET, Op.HALT):
-            continue
-        else:
-            pops, pushes = STACK_EFFECT[op]
-        if depth < pops:
-            return None
-        new_depth = depth - pops + pushes
-        if op is Op.JMP:
-            succs = [instr.arg]
-        elif op in (Op.JZ, Op.JNZ):
-            succs = [instr.arg, pc + 1]
-        else:
-            succs = [pc + 1]
-        for succ in succs:
-            if not 0 <= succ < n:
-                continue          # fell-off-end raiser at run time
-            if succ in depth_at:
-                if depth_at[succ] != new_depth:
-                    return None
-            else:
-                depth_at[succ] = new_depth
-                work.append(succ)
-    return depth_at
-
-
 # -- shared per-op statement emission -----------------------------------
 
 def _wrap_lines(target: str, expr: str) -> List[str]:
@@ -213,15 +154,18 @@ class _FuncEmitter:
     ``l{k}``.  Budget accounting is hoisted: ops are counted per
     straight-line segment and the check is spliced in *ahead* of the
     segment's statements (same policy as fused superinstructions).
+    The program is verified: every index, slot and jump target is in
+    range and every reachable pc has one operand-stack depth.
     """
 
     def __init__(self, program: Program, fi: int,
-                 depth_at: Dict[int, int]) -> None:
+                 found: ProgramFacts) -> None:
         self.program = program
         self.fi = fi
         self.fn = program.functions[fi]
         self.code = self.fn.code
-        self.depth_at = depth_at
+        self.depth_at = found.depths[fi]
+        self.jumps = found.jumps[fi]
         self.lines: List[str] = []
         self.indent = 2
         # Segment state (budget hoisting + stack-check filtering).
@@ -289,9 +233,8 @@ class _FuncEmitter:
 
     # -- one straight-line op -------------------------------------------
 
-    def emit_op(self, pc: int, instr: Instr) -> bool:
-        """Emit a non-control op; returns False when the op is an
-        unconditional raiser (terminates the path)."""
+    def emit_op(self, pc: int, instr: Instr) -> None:
+        """Emit a non-control op."""
         op = instr.op
         d = self.depth_at[pc]
         self._pending += 1
@@ -301,16 +244,10 @@ class _FuncEmitter:
             self.w(f"{nxt} = {wrap64(instr.arg)}")
             self._depth_check(d + 1, pc + 1)
         elif op is Op.LOAD:
-            slot = self._local_slot(instr.arg)
-            if slot is None:
-                return self._underflow_raiser(pc)
-            self.w(f"{nxt} = l{slot}")
+            self.w(f"{nxt} = l{instr.arg}")
             self._depth_check(d + 1, pc + 1)
         elif op is Op.STORE:
-            slot = self._local_slot(instr.arg)
-            if slot is None:
-                return self._underflow_raiser(pc)
-            self.w(f"l{slot} = {top}")
+            self.w(f"l{instr.arg} = {top}")
         elif op is Op.POP:
             pass
         elif op is Op.DUP:
@@ -356,29 +293,14 @@ class _FuncEmitter:
         elif op is Op.NOTL:
             self.w(f"{top} = 1 if {top} == 0 else 0")
         elif op is Op.GETF:
-            if not self._index_ok(instr.arg, self.program.field_table):
-                return self._underflow_raiser(pc)
             self.w(f"{nxt} = F[{instr.arg}]")
             self._depth_check(d + 1, pc + 1)
         elif op is Op.PUTF:
-            try:
-                ref = self.program.field_table[instr.arg]
-            except (IndexError, TypeError):
-                return self._underflow_raiser(pc)
-            if not ref.writable:
-                self._raise(
-                    f"'write to read-only field "
-                    f"{ref.scope}.{ref.name}'", pc)
-                return False
             self.w(f"F[{instr.arg}] = {top}")
         elif op is Op.ABASE:
-            if not self._index_ok(instr.arg, self.program.array_table):
-                return self._underflow_raiser(pc)
             self.w(f"{nxt} = B[{instr.arg}]")
             self._depth_check(d + 1, pc + 1)
         elif op is Op.ALEN:
-            if not self._index_ok(instr.arg, self.program.array_table):
-                return self._underflow_raiser(pc)
             self.w(f"{nxt} = L[{instr.arg}]")
             self._depth_check(d + 1, pc + 1)
         elif op is Op.HLOAD:
@@ -416,22 +338,13 @@ class _FuncEmitter:
             self.w(f"{nxt} = _c")
             self._depth_check(d + 1, pc + 1)
         elif op is Op.CALL:
-            return self._emit_call(pc, instr, d)
+            self._emit_call(pc, instr, d)
         else:                      # pragma: no cover - control ops
             raise AssertionError(f"emit_op got control op {op!r}")
-        return True
 
-    def _emit_call(self, pc: int, instr: Instr, d: int) -> bool:
-        try:
-            callee = self.program.functions[instr.arg]
-        except (IndexError, TypeError):
-            return self._underflow_raiser(pc)
-        fidx = instr.arg
-        if fidx < 0:               # Python-style negative index
-            fidx += len(self.program.functions)
+    def _emit_call(self, pc: int, instr: Instr, d: int) -> None:
+        callee = self.program.functions[instr.arg]
         n_args = callee.n_args
-        if d < n_args:             # static underflow -> delegated
-            return self._underflow_raiser(pc)
         # The CALL op itself is charged before the callee runs, like
         # the tree walk (budget check included via the flush).
         self.flush()
@@ -449,7 +362,7 @@ class _FuncEmitter:
         self.w("ctx.depth += 1")
         self.w("if ctx.depth > ctx.max_depth:")
         self.w("    ctx.max_depth = ctx.depth")
-        self.w(f"_r = _f{fidx}({call_args})")
+        self.w(f"_r = _f{instr.arg}({call_args})")
         self.w("ctx.depth -= 1")
         self.w("if ctx.halted:")
         self.w("    return _r")
@@ -458,8 +371,7 @@ class _FuncEmitter:
         # No depth check on the pushed result: the tree walk's RET
         # path jumps straight to the next instruction.
         self.w(f"s{remain} = _r")
-        self.new_segment(pc + 1, self.depth_at.get(pc + 1, remain + 1))
-        return True
+        self.new_segment(pc + 1, remain + 1)
 
     def emit_return(self, pc: int, instr: Instr) -> None:
         """RET or HALT (both return the frame's value)."""
@@ -475,29 +387,11 @@ class _FuncEmitter:
         self.flush()
         self._raise("'fell off end of code'", pc)
 
-    # -- small helpers ----------------------------------------------------
-
-    def _local_slot(self, arg) -> Optional[int]:
-        n = self.fn.n_locals
-        if isinstance(arg, int):
-            if 0 <= arg < n:
-                return arg
-            if -n <= arg < 0:      # Python-style negative indexing,
-                return n + arg     # matching the tree walk's list read
-        return None
-
-    def _index_ok(self, arg, table) -> bool:
-        try:
-            table[arg]
-        except (IndexError, TypeError):
-            return False
-        return True
-
-    def _underflow_raiser(self, pc: int) -> bool:
-        # The tree walk hits IndexError on out-of-range table/slot
-        # operands and reports an operand-stack underflow; so do we.
-        self._raise("'operand stack underflow'", pc)
-        return False
+    def depth(self, pc: int, default: int) -> int:
+        """Depth before ``pc``; ``default`` where ``pc`` is
+        unreachable or one past the end."""
+        d = self.depth_at[pc] if pc < len(self.depth_at) else None
+        return default if d is None else d
 
 
 # -- tier 1: structured control-flow recovery ---------------------------
@@ -512,19 +406,15 @@ class _Structurizer(_FuncEmitter):
     """
 
     def __init__(self, program: Program, fi: int,
-                 depth_at: Dict[int, int]) -> None:
-        super().__init__(program, fi, depth_at)
+                 found: ProgramFacts) -> None:
+        super().__init__(program, fi, found)
         code = self.code
         n = len(code)
-        self._targets: Set[int] = set()
+        self._targets: Set[int] = {t for _, t in self.jumps}
         back: Dict[int, int] = {}
-        for pc, instr in enumerate(code):
-            if instr.op in (Op.JMP, Op.JZ, Op.JNZ):
-                t = instr.arg
-                if isinstance(t, int) and 0 <= t < n:
-                    self._targets.add(t)
-                    if t <= pc:
-                        back[t] = max(back.get(t, 0), pc)
+        for pc, t in self.jumps:
+            if t <= pc:
+                back[t] = max(back.get(t, 0), pc)
         #: header -> region end (one past the last back-edge source).
         self._loops = {h: src + 1 for h, src in back.items()}
         # Absorb a trailing exit jump: the compiler's for-loops end
@@ -540,10 +430,7 @@ class _Structurizer(_FuncEmitter):
                 if h2 < e1 and e2 > e1:
                     raise _Bail("loops not properly nested")
         # No jumps into a loop interior from outside it.
-        for pc, instr in enumerate(code):
-            if instr.op not in (Op.JMP, Op.JZ, Op.JNZ):
-                continue
-            t = instr.arg
+        for pc, t in self.jumps:
             for h, e in self._loops.items():
                 if h < t < e and not h <= pc < e:
                     raise _Bail("jump into loop interior")
@@ -574,7 +461,7 @@ class _Structurizer(_FuncEmitter):
                 self.w("while True:")
                 self.indent += 1
                 self._open.append((pc, le))
-                self.new_segment(pc, self.depth_at.get(pc, 0))
+                self.new_segment(pc, self.depth(pc, 0))
                 falls = self._emit_seq(pc, le)
                 if falls:
                     # The body's tail can fall past the region end
@@ -584,12 +471,12 @@ class _Structurizer(_FuncEmitter):
                     self.w("break")
                 self._open.pop()
                 self.indent -= 1
-                self.new_segment(le, self.depth_at.get(le, 0))
+                self.new_segment(le, self.depth(le, 0))
                 pc = le
                 continue
             if pc in self._emitted and not self._dup:
                 raise _Bail("pc emitted twice")
-            if pc not in self.depth_at:
+            if self.depth_at[pc] is None:
                 # Dead code: skippable unless something jumps here
                 # (which would mean our reachability disagrees).
                 if pc in self._targets:
@@ -616,17 +503,9 @@ class _Structurizer(_FuncEmitter):
                 if nxt is None:
                     return False
                 pc = nxt
-                self.new_segment(pc, self.depth_at.get(pc, 0))
+                self.new_segment(pc, self.depth(pc, 0))
                 continue
-            if not self.emit_op(pc, instr):
-                # Unconditional raiser (readonly PUTF etc.).
-                self.flush()
-                nxt = self._skip_dead(pc + 1, end)
-                if nxt is None:
-                    return False
-                pc = nxt
-                self.new_segment(pc, self.depth_at.get(pc, 0))
-                continue
+            self.emit_op(pc, instr)
             pc += 1
         return True
 
@@ -635,7 +514,8 @@ class _Structurizer(_FuncEmitter):
         a live join follows (the structurizer should have consumed it
         through an if/else)."""
         while pc < end:
-            if pc in self.depth_at and pc not in self._emitted:
+            if self.depth_at[pc] is not None and \
+                    pc not in self._emitted:
                 if pc in self._targets:
                     raise _Bail("live join after terminator")
                 raise _Bail("reachable fall-in after terminator")
@@ -656,19 +536,13 @@ class _Structurizer(_FuncEmitter):
             self.flush()
             self.w("break")
             return self._after_terminator(pc, end)
-        if not isinstance(t, int) or not 0 <= t <= len(self.code):
-            self.emit_fell_off(pc)  # negative/huge target (clamped)
-            return self._after_terminator(pc, end)
-        if t == len(self.code):
-            self.emit_fell_off(len(self.code))
-            return self._after_terminator(pc, end)
         if t > pc and t <= end:
             # Forward skip over dead code only.
             for q in range(pc + 1, t):
-                if q in self.depth_at or q in self._targets:
+                if self.depth_at[q] is not None or q in self._targets:
                     raise _Bail("forward JMP over live code")
             self.flush()
-            self.new_segment(t, self.depth_at.get(t, 0))
+            self.new_segment(t, self.depth(t, 0))
             return t
         raise _Bail("unstructured JMP")
 
@@ -676,7 +550,7 @@ class _Structurizer(_FuncEmitter):
         nxt = self._skip_dead(pc + 1, end)
         if nxt is None:
             return None
-        self.new_segment(nxt, self.depth_at.get(nxt, 0))
+        self.new_segment(nxt, self.depth(nxt, 0))
         return nxt
 
     def _emit_branch(self, pc: int, instr: Instr, end: int,
@@ -701,12 +575,17 @@ class _Structurizer(_FuncEmitter):
             self.flush()
             self.w(f"if {cond} {take_sym} 0:")
             self.indent += 1
-            self.new_segment(es, self.depth_at.get(es, d - 1))
+            self.new_segment(es, self.depth(es, d - 1))
+            mark = len(self.lines)
             self._dup += 1
             falls = self._emit_seq(es, join)
             self._dup -= 1
             if falls:
                 self.flush()
+            if len(self.lines) == mark:
+                # An empty else-block (``es == join``): the taken arm
+                # jumps straight to the join.
+                self.w("pass")
             self.indent -= 1
             self.w("else:")
             self.indent += 1
@@ -717,17 +596,6 @@ class _Structurizer(_FuncEmitter):
                 self.flush()
             self.indent -= 1
             return None
-        if not isinstance(t, int) or not 0 <= t <= len(code):
-            t = len(code)
-        if t == len(code):
-            self.flush()
-            self.w(f"if {cond} {take_sym} 0:")
-            self.indent += 1
-            self.new_segment(pc, d - 1)
-            self.emit_fell_off(len(code))
-            self.indent -= 1
-            self.new_segment(pc + 1, d - 1)
-            return pc + 1
         if self._open and t == self._open[-1][0]:
             self.flush()
             self.w(f"if {cond} {take_sym} 0:")
@@ -747,11 +615,9 @@ class _Structurizer(_FuncEmitter):
             return pc + 1
         # if/else: the then-part ends with a forward JMP to the join.
         last = code[t - 1]
-        if last.op is Op.JMP and isinstance(last.arg, int) \
-                and t <= last.arg <= end \
+        if last.op is Op.JMP and t <= last.arg <= end \
                 and not (self._open and
-                         last.arg in (self._open[-1][0],)) \
-                and last.arg != len(code):
+                         last.arg in (self._open[-1][0],)):
             join = last.arg
             self.flush()
             self.w(f"if {cond} {fall_sym} 0:")
@@ -771,12 +637,12 @@ class _Structurizer(_FuncEmitter):
             if join > t:
                 self.w("else:")
                 self.indent += 1
-                self.new_segment(t, self.depth_at.get(t, d - 1))
+                self.new_segment(t, self.depth(t, d - 1))
                 falls = self._emit_seq(t, join)
                 if falls:
                     self.flush()
                 self.indent -= 1
-            self.new_segment(join, self.depth_at.get(join, 0))
+            self.new_segment(join, self.depth(join, 0))
             return join
         # Plain if: [pc+1, t) guarded, join at t.
         self.flush()
@@ -787,7 +653,7 @@ class _Structurizer(_FuncEmitter):
         if falls:
             self.flush()
         self.indent -= 1
-        self.new_segment(t, self.depth_at.get(t, d - 1))
+        self.new_segment(t, self.depth(t, d - 1))
         return t
 
 
@@ -806,13 +672,11 @@ class _BlockEmitter(_FuncEmitter):
         code = self.code
         n = len(code)
         leaders = {0}
-        for pc, instr in enumerate(code):
-            if instr.op in (Op.JMP, Op.JZ, Op.JNZ):
-                if isinstance(instr.arg, int) and 0 <= instr.arg < n:
-                    leaders.add(instr.arg)
-                if pc + 1 < n:
-                    leaders.add(pc + 1)
-        order = sorted(p for p in leaders if p in self.depth_at)
+        for pc, t in self.jumps:
+            leaders.add(t)
+            if pc + 1 < n:
+                leaders.add(pc + 1)
+        order = sorted(p for p in leaders if self.depth_at[p] is not None)
         self.w("_b = 0")
         self.w("while True:")
         self.indent += 1
@@ -822,7 +686,7 @@ class _BlockEmitter(_FuncEmitter):
             first = False
             self.indent += 1
             self.new_segment(b, self.depth_at[b])
-            self._emit_block(b, leaders, n)
+            self._emit_block(b, leaders)
             self.indent -= 1
         self.w("else:" if not first else "if True:")
         self.indent += 1
@@ -831,79 +695,64 @@ class _BlockEmitter(_FuncEmitter):
         self.indent -= 1
         self.indent -= 1
 
-    def _goto(self, target: int, n: int) -> None:
-        if not isinstance(target, int) or not 0 <= target < n:
-            target = -1            # fell-off sentinel (else branch)
+    def _goto(self, target: int) -> None:
         self.w(f"_b = {target}")
         self.w("continue")
 
-    def _emit_block(self, start: int, leaders: Set[int],
-                    n: int) -> None:
+    def _emit_block(self, start: int, leaders: Set[int]) -> None:
         code = self.code
         pc = start
         while True:
-            if pc >= n:
-                self.emit_fell_off(n)
-                return
             instr = code[pc]
             op = instr.op
             if op is Op.JMP:
                 self._pending += 1
                 self.flush()
-                self._goto(instr.arg, n)
+                self._goto(instr.arg)
                 return
             if op in (Op.JZ, Op.JNZ):
                 d = self.depth_at[pc]
                 cond = f"s{d - 1}"
                 sym = "==" if op is Op.JZ else "!="
-                t = instr.arg
-                if not isinstance(t, int) or not 0 <= t < n:
-                    t = -1
                 self._pending += 1
                 self.flush()
-                self.w(f"_b = {t} if {cond} {sym} 0 else {pc + 1}")
+                self.w(f"_b = {instr.arg} if {cond} {sym} 0 "
+                       f"else {pc + 1}")
                 self.w("continue")
                 return
             if op in (Op.RET, Op.HALT):
                 self.emit_return(pc, instr)
                 return
-            if not self.emit_op(pc, instr):
-                self.flush()
-                return
+            self.emit_op(pc, instr)
             pc += 1
             if pc in leaders:
                 self.flush()
-                self._goto(pc, n)
+                self._goto(pc)
                 return
 
 
 # -- program compilation ------------------------------------------------
 
-def _function_source(program: Program, fi: int
-                     ) -> Optional[Tuple[str, List[str]]]:
-    """(mode, lines) of one generated function, or None to delegate."""
+def _function_source(program: Program, fi: int, found: ProgramFacts
+                     ) -> Tuple[str, List[str]]:
+    """(mode, lines) of one generated function."""
     fn = program.functions[fi]
-    if not fn.code:
-        return None
-    depth_at = _depth_map(program, fn.code)
-    if depth_at is None:
-        return None
     try:
-        emitter = _Structurizer(program, fi, depth_at)
+        emitter = _Structurizer(program, fi, found)
         emitter.generate()
         mode = MODE_STRUCTURED
     except _Bail:
-        emitter = _BlockEmitter(program, fi, depth_at)
+        emitter = _BlockEmitter(program, fi, found)
         emitter.generate()
         mode = MODE_BLOCKS
 
     params = ["ctx"] + [f"l{k}" for k in range(fn.n_locals)]
     header = [f"def _f{fi}({', '.join(params)}):"]
     prologue = ["    _o = ctx.outer"]
-    ops_used = {i.op for i in fn.code}
-    if ops_used & {Op.GETF, Op.PUTF}:
+    ops_used = found.ops_used[fi]
+    if Op.GETF in ops_used or Op.PUTF in ops_used:
         prologue.append("    F = ctx.fields")
-    if ops_used & {Op.HLOAD, Op.HSTORE}:
+    if Op.HLOAD in ops_used or Op.HSTORE in ops_used:
         prologue.append("    H = ctx.heap")
     if Op.ABASE in ops_used:
         prologue.append("    B = ctx.bases")
@@ -942,16 +791,17 @@ def compile_pycode(program: Program) -> Optional[CompiledProgram]:
     """Generate + compile() this program now; None -> not compilable.
 
     The result is NOT cached here and the cold-call counter is not
-    consulted; use :func:`code_for` on the execution path.
+    consulted; use :func:`code_for` on the execution path.  A program
+    the verifier rejects is never compiled.
     """
+    found = facts(program)
+    if found.violation is not None:
+        _STATS["programs_delegated"] += 1
+        return None
     parts: List[str] = []
     modes: List[str] = []
     for fi in range(len(program.functions)):
-        res = _function_source(program, fi)
-        if res is None:
-            _STATS["programs_delegated"] += 1
-            return None
-        mode, lines = res
+        mode, lines = _function_source(program, fi, found)
         modes.append(mode)
         parts.extend(lines)
         parts.append("")
@@ -983,7 +833,7 @@ def code_for(program: Program) -> Optional[CompiledProgram]:
     also counted: the ``_pycodegen`` slot on the Program holds the
     number of cold calls so far, then the :class:`CompiledProgram`
     (also tracked by the bounded LRU registry), or the delegate marker
-    for programs the emitters cannot express.
+    for programs the verifier rejects.
     """
     slot = getattr(program, "_pycodegen", None)
     if slot.__class__ is CompiledProgram:
@@ -1141,7 +991,7 @@ def plan_for(interp, fn):
         "_touch": _CACHE.move_to_end, "_pid": id(program),
         "_fn": fn, "_interp": interp, "_f0": compiled.entry,
     }
-    ops_used = {i.op for f in program.functions for i in f.code}
+    found = facts(program)
     scopes = ({ref.scope for ref in program.field_table} |
               {ref.scope for ref in program.array_table})
     head = ["def _plan(packet, msg, acct):",
@@ -1214,13 +1064,13 @@ def plan_for(interp, fn):
              "_b = _interp.op_budget",
              f"ctx.budget = {_NO_BUDGET} if _b is None else _b",
              "ctx.stack_limit = _interp.max_operand_stack"]
-    if Op.CALL in ops_used:
+    if found.uses(Op.CALL):
         body += ["ctx.depth = ctx.max_depth = 1",
                  "ctx.call_limit = _interp.max_call_depth",
                  "ctx.halted = False"]
-    if Op.RAND in ops_used:
+    if found.uses(Op.RAND):
         body.append("ctx.rng = _interp.rng")
-    if Op.CLOCK in ops_used:
+    if found.uses(Op.CLOCK):
         body += ["ctx.clock = _interp.clock", "ctx.clock_value = None"]
     body.append("_f0(%s)" % ", ".join(
         ["ctx"] + ["0"] * compiled.n_locals))

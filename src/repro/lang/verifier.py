@@ -8,19 +8,25 @@ action function", Section 3.4.3).  We keep that runtime enforcement and
 obviously malformed bytecode is rejected before it ever reaches the
 data path:
 
+* every opcode is an :class:`~repro.lang.bytecode.Op` and every
+  immediate argument an ``int``;
 * every jump lands inside the function;
-* every field/array/function index is within its table;
+* every field/array/function index is within its table, and every
+  frame can hold its arguments;
 * writes (PUTF) only target writable fields;
 * the operand stack is consistent: the same depth at every program
   point regardless of path, no underflow, and a finite maximum.
+
+The checks are the violation field of :func:`repro.lang.analysis.facts`;
+the generated-code backend compiles a program exactly when it has none.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Optional
 
-from .bytecode import (Op, OPS_WITH_ARG, Program, STACK_EFFECT,
-                       FunctionCode)
+from .analysis import facts
+from .bytecode import Program
 
 
 class VerificationError(Exception):
@@ -35,9 +41,6 @@ class VerificationError(Exception):
         super().__init__(f"{program}/{function}@{pc}: {reason}")
 
 
-_TERMINAL = (Op.RET, Op.HALT, Op.JMP)
-
-
 def verify(program: Program,
            max_operand_stack: Optional[int] = None) -> int:
     """Verify all functions of ``program``.
@@ -46,129 +49,13 @@ def verify(program: Program,
     program's functions.  Raises :class:`VerificationError` on any
     violation.
     """
-    max_depth = 0
-    for fn in program.functions:
-        max_depth = max(max_depth, _verify_function(program, fn))
-    if max_operand_stack is not None and max_depth > max_operand_stack:
+    found = facts(program)
+    if found.violation is not None:
+        raise VerificationError(program.name, *found.violation)
+    if max_operand_stack is not None and \
+            found.max_depth > max_operand_stack:
         raise VerificationError(
             program.name, program.entry.name, 0,
-            f"worst-case frame stack depth {max_depth} exceeds limit "
-            f"{max_operand_stack}")
-    return max_depth
-
-
-def _verify_function(program: Program, fn: FunctionCode) -> int:
-    code = fn.code
-    if not code:
-        raise VerificationError(program.name, fn.name, 0,
-                                "empty function body")
-    _check_structure(program, fn)
-    return _check_stack_discipline(program, fn)
-
-
-def _check_structure(program: Program, fn: FunctionCode) -> None:
-    n = len(fn.code)
-    for pc, instr in enumerate(fn.code):
-        op = instr.op
-        if op in OPS_WITH_ARG and instr.arg is None:
-            raise VerificationError(program.name, fn.name, pc,
-                                    f"{op.name} missing argument")
-        if op in (Op.JMP, Op.JZ, Op.JNZ):
-            if not 0 <= instr.arg < n:
-                raise VerificationError(
-                    program.name, fn.name, pc,
-                    f"jump target {instr.arg} outside [0, {n})")
-        elif op in (Op.GETF, Op.PUTF):
-            if not 0 <= instr.arg < len(program.field_table):
-                raise VerificationError(
-                    program.name, fn.name, pc,
-                    f"field index {instr.arg} outside field table")
-            if op is Op.PUTF and \
-                    not program.field_table[instr.arg].writable:
-                ref = program.field_table[instr.arg]
-                raise VerificationError(
-                    program.name, fn.name, pc,
-                    f"write to read-only field {ref.scope}.{ref.name}")
-        elif op in (Op.ABASE, Op.ALEN):
-            if not 0 <= instr.arg < len(program.array_table):
-                raise VerificationError(
-                    program.name, fn.name, pc,
-                    f"array index {instr.arg} outside array table")
-        elif op is Op.CALL:
-            if not 0 <= instr.arg < len(program.functions):
-                raise VerificationError(
-                    program.name, fn.name, pc,
-                    f"call target {instr.arg} outside function table")
-        elif op in (Op.LOAD, Op.STORE):
-            if not 0 <= instr.arg < fn.n_locals:
-                raise VerificationError(
-                    program.name, fn.name, pc,
-                    f"local slot {instr.arg} outside frame of "
-                    f"{fn.n_locals}")
-
-
-def _check_stack_discipline(program: Program,
-                            fn: FunctionCode) -> int:
-    """Abstract interpretation of operand-stack depth.
-
-    Every reachable pc must see a single, consistent stack depth; the
-    depth may never go negative, and reachable fall-through past the
-    last instruction is an error.
-    """
-    code = fn.code
-    n = len(code)
-    depth_at: Dict[int, int] = {0: 0}
-    worklist: List[int] = [0]
-    max_depth = 0
-
-    while worklist:
-        pc = worklist.pop()
-        depth = depth_at[pc]
-        instr = code[pc]
-        op = instr.op
-
-        if op is Op.CALL:
-            callee = program.functions[instr.arg]
-            pops, pushes = callee.n_args, 1
-        elif op is Op.RET:
-            if depth < 1:
-                raise VerificationError(
-                    program.name, fn.name, pc,
-                    "RET with empty operand stack")
-            continue
-        elif op is Op.HALT:
-            continue
-        else:
-            pops, pushes = STACK_EFFECT[op]
-
-        if depth < pops:
-            raise VerificationError(
-                program.name, fn.name, pc,
-                f"operand stack underflow: depth {depth}, "
-                f"{op.name} pops {pops}")
-        new_depth = depth - pops + pushes
-        max_depth = max(max_depth, new_depth)
-
-        successors: List[int] = []
-        if op is Op.JMP:
-            successors = [instr.arg]
-        elif op in (Op.JZ, Op.JNZ):
-            successors = [instr.arg, pc + 1]
-        else:
-            successors = [pc + 1]
-
-        for succ in successors:
-            if succ >= n:
-                raise VerificationError(
-                    program.name, fn.name, pc,
-                    "control flow can fall off the end of the code")
-            if succ in depth_at:
-                if depth_at[succ] != new_depth:
-                    raise VerificationError(
-                        program.name, fn.name, succ,
-                        f"inconsistent stack depth at merge point: "
-                        f"{depth_at[succ]} vs {new_depth}")
-            else:
-                depth_at[succ] = new_depth
-                worklist.append(succ)
-    return max_depth
+            f"worst-case frame stack depth {found.max_depth} exceeds "
+            f"limit {max_operand_stack}")
+    return found.max_depth

@@ -3,9 +3,10 @@
 import pytest
 
 from repro.core import (ConcurrencyLevel, GlobalStore, MessageStore,
-                        StateError, concurrency_of)
+                        StateError)
 from repro.lang import (AccessLevel, DEFAULT_PACKET_SCHEMA, Field,
-                        FieldKind, Lifetime, lower, schema)
+                        FieldKind, Lifetime, compile_ast, lower, schema)
+from repro.lang.analysis import facts
 
 GLB = schema("G", Lifetime.GLOBAL, [
     Field("knob", AccessLevel.READ_WRITE, default=7),
@@ -142,13 +143,14 @@ class TestMessageStore:
 # -- concurrency derivation ------------------------------------------------
 
 def _conc(src):
+    """The level the enclave enforces: read off the bytecode."""
     prog = lower(src, packet_schema=DEFAULT_PACKET_SCHEMA,
                  message_schema=MSG, global_schema=schema(
                      "G2", Lifetime.GLOBAL, [
                          Field("knob", AccessLevel.READ_WRITE),
                          Field("buckets", AccessLevel.READ_WRITE,
                                FieldKind.ARRAY)]))
-    return concurrency_of(prog)
+    return facts(compile_ast(prog)).concurrency
 
 
 class TestConcurrencyModel:

@@ -17,13 +17,19 @@ global array reads/writes.  Array indices are always ``expr % 8`` and
 the input generator always materialises 8-element arrays, so programs
 exercise the heap without depending on out-of-bounds semantics (which
 the differential harness pins separately via the corpus).
+
+:func:`mutate` goes below the DSL: one seeded point mutation of a
+compiled program's bytecode, for fuzzing the verifier as the trust
+boundary for hand-assembled programs.
 """
 
 import ast
 import random
 
-from repro.lang import (DEFAULT_PACKET_SCHEMA, Interpreter,
-                        InterpreterFault, NativeFunction, pycodegen)
+from repro.lang import (DEFAULT_PACKET_SCHEMA, FunctionCode, Instr,
+                        Interpreter, InterpreterFault, NativeFunction,
+                        Op, Program, pycodegen)
+from repro.lang.bytecode import OPS_WITH_ARG
 from repro.lang.dsl import lower
 
 from conftest import GLB_SCHEMA, MSG_SCHEMA
@@ -250,7 +256,7 @@ def run_interp(program, fvec, avec, dispatch, seed=3,
              r.stats.max_call_depth, r.stats.heap_words))
 
 
-def _summary(res):
+def summary(res):
     """The comparable tuple for one ExecResult-or-fault batch entry."""
     if isinstance(res, InterpreterFault):
         return ("fault", type(res).__name__, res.reason)
@@ -272,7 +278,7 @@ def run_interp_batch(program, snapshots, dispatch, seed=3,
     results = interp.execute_batch(
         program, [(list(f), [list(a) for a in avec])
                   for f, avec in snapshots])
-    return [_summary(r) for r in results]
+    return [summary(r) for r in results]
 
 
 def run_interp_seq(program, snapshots, dispatch, seed=3,
@@ -288,10 +294,10 @@ def run_interp_seq(program, snapshots, dispatch, seed=3,
     out = []
     for fvec, avec in snapshots:
         try:
-            out.append(_summary(interp.execute(
+            out.append(summary(interp.execute(
                 program, list(fvec), [list(a) for a in avec])))
         except InterpreterFault as fault:
-            out.append(_summary(fault))
+            out.append(summary(fault))
     return out
 
 
@@ -308,6 +314,43 @@ def run_native(prog_ast, program, fvec, avec, seed=3):
     except InterpreterFault:
         return ("fault",)
     return ("ok", r.value, r.fields, r.arrays)
+
+
+_JUMP_OPS = (Op.JMP, Op.JZ, Op.JNZ)
+
+
+def mutate(program, seed):
+    """One seeded point mutation of ``program``'s bytecode: the op, the
+    argument or the jump target of one instruction changes.  The
+    mutant is often one the verifier rejects; that is the point."""
+    rng = random.Random(seed)
+    fi = rng.randrange(len(program.functions))
+    fn = program.functions[fi]
+    code = list(fn.code)
+    kind = rng.choice(("op", "arg", "target"))
+    jumps = [pc for pc, instr in enumerate(code)
+             if instr.op in _JUMP_OPS]
+    if kind == "target" and jumps:
+        pc = rng.choice(jumps)
+        code[pc] = Instr(code[pc].op, rng.randint(-1, len(code)))
+    else:
+        pc = rng.randrange(len(code))
+        old = code[pc]
+        if kind == "arg" and old.arg is not None:
+            code[pc] = Instr(old.op,
+                             old.arg + rng.choice((-2, -1, 1, 2)))
+        else:
+            op = rng.choice(list(Op))
+            arg = None
+            if op in OPS_WITH_ARG:
+                arg = old.arg if old.arg is not None else \
+                    rng.randint(0, 3)
+            code[pc] = Instr(op, arg)
+    functions = list(program.functions)
+    functions[fi] = FunctionCode(fn.name, fn.n_args, fn.n_locals,
+                                 tuple(code))
+    return Program(program.name, tuple(functions), program.field_table,
+                   program.array_table)
 
 
 def warm(program):

@@ -1,6 +1,6 @@
 """Edge-case pins for the codegen fault contract.
 
-Three scenarios where the pycodegen backend hoists or batches work
+Two scenarios where the pycodegen backend hoists or batches work
 that the tree walk does one op at a time — exactly where a sloppy
 implementation would drift from the reference semantics:
 
@@ -8,13 +8,15 @@ implementation would drift from the reference semantics:
   segment (codegen charges a segment's ops up-front);
 * an operand-stack-depth fault at the exact limit (generated code
   only checks depth at new running maxima);
-* a ``PUTF`` to a read-only field slot (the generated code must raise
-  the scope fault itself).
+
+and one it must never see: a ``PUTF`` to a read-only field slot,
+which the verifier rejects, so the program stays on the tree walk and
+every dispatch raises the tree walk's scope fault.
 
 Every scenario is pinned to identical ``ExecStats`` and identical
-fault class + *message* for the tree walk and the generated code
-(every program is warmed first), using the same summary tuples as the
-differential harness.
+fault class + *message* for the tree walk and the default dispatch
+(every verified program is warmed first), using the same summary
+tuples as the differential harness.
 """
 
 import pytest
@@ -122,7 +124,9 @@ def _readonly_putf_program():
 
     The DSL frontend and the verifier both reject this statically, so
     the runtime check is reachable only from raw bytecode — exactly
-    the defense-in-depth path generated code must not bypass.
+    the defense-in-depth path generated code must not bypass.  The
+    generated-code backend compiles only what the verifier accepts,
+    so this program never warms.
     """
     asm = Assembler("f", n_args=0)
     asm.emit(Op.CONST, 7)
@@ -134,7 +138,7 @@ def _readonly_putf_program():
         functions=(asm.finish(n_locals=0),),
         field_table=(FieldRef("message", "limit", False),),
         array_table=())
-    assert pg.warm(program)
+    assert not pg.warm(program)
     return program
 
 

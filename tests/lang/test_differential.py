@@ -24,7 +24,10 @@ optimization, never a semantic.
 ``TestTierBoundary`` pins the one behaviour the default backend adds:
 a program runs on the tree walk for its first
 ``pycodegen.TIER_UP_CALLS`` invocations and on generated code after,
-and nothing observable changes at the switch.
+and nothing observable changes at the switch — and a program the
+verifier rejects never compiles.  ``TestMutatedBytecode`` goes below
+the DSL: point mutations of compiled bytecode are rejected by the
+verifier or run alike on the tree walk and generated code.
 
 ``TestEnclaveBatchDifferential`` lifts the same property to the whole
 enclave data path: ``Enclave.process_batch`` over the fuzz corpus must
@@ -54,13 +57,14 @@ import pytest
 from repro.core.enclave import Enclave
 from repro.core.stage import Classification
 from repro.lang import (DEFAULT_PACKET_SCHEMA, Interpreter,
-                        VerificationError, pycodegen, verify)
+                        InterpreterFault, VerificationError, pycodegen,
+                        verify)
 from repro.lang.bytecode import Assembler, FieldRef, Op, Program
 from repro.lang.compiler import compile_action, compile_ast
 from repro.functions.library import DemoPacket, table1
 
 import program_gen as pg
-from conftest import GLB_SCHEMA, MSG_SCHEMA
+from conftest import GLB_SCHEMA, MSG_SCHEMA, REJECTED_PROGRAMS
 
 pytestmark = pytest.mark.differential
 
@@ -302,33 +306,130 @@ class TestTierBoundary:
         assert pycodegen.invalidate(program)
         assert not pycodegen.invalidate(program)
 
-    def test_unverifiable_program_stays_on_the_tree_walk(self):
-        """Hand-assembled bytecode with inconsistent stack depth at a
-        join (the verifier rejects it) never compiles, and keeps
-        matching the tree walk however often it runs."""
-        asm = Assembler("f", n_args=0)
-        asm.emit(Op.GETF, 0)
-        asm.emit(Op.JZ, 4)
-        asm.emit(Op.CONST, 1)
-        asm.emit(Op.CONST, 2)
-        asm.emit(Op.CONST, 3)      # join: depth 0 or 2
-        asm.emit(Op.RET)
-        program = Program(
-            name="uneven_join", functions=(asm.finish(n_locals=0),),
-            field_table=(FieldRef("message", "counter", True),),
-            array_table=())
-        with pytest.raises(VerificationError):
+    @pytest.mark.parametrize("build,reason", REJECTED_PROGRAMS)
+    def test_unverifiable_program_stays_on_the_tree_walk(self, build,
+                                                         reason):
+        """Rejected => never compiled: pycodegen compiles exactly what
+        the verifier accepts.  A program of every violation class
+        ``verify`` reports (the stack-depth *limit* is a property of
+        the enclave, not of the bytecode, so it is not one) is
+        delegated once, stays cold however often it runs, and the
+        default interpreter matches the tree walk on every call —
+        ExecStats, fault reason, and even the Python error some of
+        these programs raise out of the tree walk."""
+        program = build()
+        with pytest.raises(VerificationError, match=reason):
             verify(program)
         delegated = pycodegen.stats()["programs_delegated"]
-        calls = pycodegen.TIER_UP_CALLS + HOT_CALLS
-        for flag in (0, 1):
-            want, _ = _run_calls(program, [flag], [], calls,
-                                 dispatch="tree")
-            got, _ = _run_calls(program, [flag], [], calls)
-            assert got == want
-            assert got[0][0] == "ok"
-        assert not _is_hot(program)
+        calls = pycodegen.TIER_UP_CALLS + 8
+        for size in (0, 1):
+            vectors = ([0, size], [[3]])
+            assert _run_any(program, *vectors, calls, "pycodegen") == \
+                _run_any(program, *vectors, calls, "tree")
+        assert pycodegen.code_for(program) is None
         assert pycodegen.stats()["programs_delegated"] == delegated + 1
+
+
+def _run_any(program, fvec, avec, calls, dispatch):
+    """``calls`` executions on one interpreter, summarised like
+    ``program_gen.run_interp_seq`` — but rejected bytecode may also
+    raise a plain Python error out of the tree walk, so that is
+    summarised too rather than allowed to end the run."""
+    interp = Interpreter(dispatch=dispatch, rng=random.Random(3),
+                         op_budget=pg.OP_BUDGET)
+    out = []
+    for _ in range(calls):
+        try:
+            out.append(pg.summary(interp.execute(program, list(fvec),
+                                                 list(avec))))
+        except InterpreterFault as fault:
+            out.append(pg.summary(fault))
+        except TypeError as error:
+            out.append(("error", type(error).__name__, str(error)))
+    return out
+
+
+#: Seeds per generator profile of the mutated-bytecode fuzz, and point
+#: mutations tried per program.
+MUTANT_SEEDS = range(40)
+MUTATIONS_PER_PROGRAM = 5
+
+
+class TestMutatedBytecode:
+    """The verifier is the trust boundary for hand-assembled bytecode.
+
+    One seeded point mutation (op, argument or jump target) of a
+    ``program_gen`` program: ``verify`` accepts it or raises
+    ``VerificationError`` and nothing else; an accepted mutant
+    compiles, and the tree walk and hot generated code agree on it
+    exactly as ``check_parity`` compares them, raising nothing but
+    ``InterpreterFault``."""
+
+    @pytest.mark.parametrize("profile", pg.PROFILES)
+    @pytest.mark.parametrize("seed", MUTANT_SEEDS)
+    def test_mutant_is_rejected_or_runs_alike(self, profile, seed):
+        program = compile_ast(pg.lower_source(
+            pg.generate_program(seed, profile=profile)))
+        fields, arrays = pg.generate_inputs(program, seed * 31)
+        for k in range(MUTATIONS_PER_PROGRAM):
+            mutant = pg.mutate(program, seed * 1009 + k)
+            try:
+                verify(mutant)
+            except VerificationError:
+                continue
+            label = f"{profile}{seed} mutation {k}"
+            assert pg.warm(mutant), label
+            err = pg.check_parity(None, mutant, fields, arrays,
+                                  native=False)
+            assert err is None, f"{label}: {err}"
+
+    def test_mutants_exercise_both_verdicts_and_outcomes(self):
+        """The sweep above is not vacuous: mutants are accepted and
+        rejected, and accepted ones both run and fault."""
+        verdicts, outcomes = set(), set()
+        for seed in range(10):
+            program = compile_ast(pg.lower_source(
+                pg.generate_program(seed)))
+            fields, arrays = pg.generate_inputs(program, seed * 31)
+            for k in range(MUTATIONS_PER_PROGRAM):
+                mutant = pg.mutate(program, seed * 1009 + k)
+                try:
+                    verify(mutant)
+                except VerificationError:
+                    verdicts.add("rejected")
+                    continue
+                verdicts.add("accepted")
+                fvec, avec = pg.vectors(mutant, fields, arrays)
+                outcomes.add(pg.run_interp(mutant, fvec, avec,
+                                           "tree")[0])
+        assert verdicts == {"accepted", "rejected"}
+        assert outcomes == {"ok", "fault"}
+
+    def test_empty_short_circuit_arm_compiles(self):
+        """Found by the sweep above: a verified program whose generated
+        source did not compile.  A conditional jump inside an if-part
+        that escapes to the join of an if without an else — ``JZ 5``
+        at pc 3, the if-part ending in ``JMP 5`` — has an empty block
+        to copy onto its taken arm, and the tier-up raised
+        ``IndentationError`` out of ``execute``.  (The DSL compiler
+        never emits a jump to the next instruction, so this reproducer
+        is bytecode, not a corpus program.)"""
+        asm = Assembler("f", n_args=0)
+        asm.emit(Op.GETF, 0)
+        asm.emit(Op.JZ, 5)
+        asm.emit(Op.GETF, 0)
+        asm.emit(Op.JZ, 5)
+        asm.emit(Op.JMP, 5)
+        asm.emit(Op.CONST, 0)
+        asm.emit(Op.RET)
+        program = Program(
+            name="empty_escape", functions=(asm.finish(n_locals=0),),
+            field_table=(FieldRef("packet", "size", False),),
+            array_table=())
+        verify(program)
+        for size in (0, 1):
+            _assert_boundary_invisible(program, [size], [],
+                                       f"empty_escape size={size}")
 
 
 class _DiffPacket:

@@ -118,6 +118,44 @@ class TestStackDiscipline:
             verify(make_program(code, functions_extra=(helper,)))
 
 
+class TestOnlyVerificationErrorEscapes:
+    """Malformed instructions are violations: never a Python error out
+    of the checker, never accepted."""
+
+    def test_raw_int_call_opcode_rejected(self):
+        with pytest.raises(VerificationError, match="unknown opcode 70"):
+            verify(make_program([Instr(Op.CONST, 1), Instr(70, 1),
+                                 Instr(Op.RET)]))
+
+    def test_raw_int_halt_opcode_rejected(self):
+        # 90 equals Op.HALT as an int but is not an Op: the tree walk
+        # faults on it as an unknown opcode.
+        with pytest.raises(VerificationError, match="unknown opcode 90"):
+            verify(make_program([Instr(90), Instr(Op.CONST, 0),
+                                 Instr(Op.RET)]))
+
+    def test_string_jump_target_rejected(self):
+        with pytest.raises(VerificationError,
+                           match="JMP argument must be an int, not str"):
+            verify(make_program([Instr(Op.JMP, "x"),
+                                 Instr(Op.CONST, 0), Instr(Op.RET)]))
+
+    def test_float_local_slot_rejected(self):
+        with pytest.raises(VerificationError,
+                           match="LOAD argument must be an int, not float"):
+            verify(make_program([Instr(Op.LOAD, 0.0), Instr(Op.RET)]))
+
+    def test_frame_narrower_than_its_arguments_rejected(self):
+        helper = FunctionCode("g", 2, 1,
+                              (Instr(Op.CONST, 0), Instr(Op.RET)))
+        code = [Instr(Op.CONST, 1), Instr(Op.CONST, 2),
+                Instr(Op.CALL, 1), Instr(Op.RET)]
+        with pytest.raises(VerificationError,
+                           match="frame of 1 locals cannot hold 2 "
+                                 "arguments"):
+            verify(make_program(code, functions_extra=(helper,)))
+
+
 class TestCompilerOutputAlwaysVerifies:
     SOURCES = [
         "def f(packet):\n    packet.priority = 1\n",
