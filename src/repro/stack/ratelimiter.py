@@ -172,15 +172,19 @@ class RateLimitedQueue:
             self.forward(packet)
 
     def _reschedule(self) -> None:
-        if self._drain_event is not None:
-            self._drain_event.cancel()
-            self._drain_event = None
+        # One drain timer per queue, kept across cancel and fire and
+        # moved with Simulator.reschedule.
         if not self._queue:
+            if self._drain_event is not None:
+                self._drain_event.cancel()
             return
         _, charge = self._queue[0]
         deficit = charge - self._tokens
         wait_ns = max(1, int(deficit * 8 * SEC / self.rate_bps))
-        self._drain_event = self.sim.schedule(wait_ns, self._drain)
+        if self._drain_event is None:
+            self._drain_event = self.sim.schedule(wait_ns, self._drain)
+        else:
+            self.sim.reschedule(self._drain_event, wait_ns)
 
 
 class RateLimiterBank:

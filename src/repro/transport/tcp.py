@@ -119,13 +119,21 @@ class TcpConnection:
         self._first_incomplete = 0
         self._fin_queued = False
         self._fin_seq: Optional[int] = None
+        #: First-transmission time per segment seq.  Keys ascend (new
+        #: data extends the right edge; _record_send_time re-sorts in
+        #: the one case that does not), so acknowledged ones are a
+        #: prefix.
         self._send_times: Dict[int, int] = {}
         self._retransmitted: set = set()
         # SACK scoreboard: merged (start, end) ranges the receiver
         # reported holding above the cumulative ACK, plus the segments
         # already retransmitted in the current recovery episode.
         self._sacked: List[Tuple[int, int]] = []
+        self._sack_starts: List[int] = []     # block starts, for bisect
         self._rtx_this_recovery: set = set()
+        #: (snd_una, seq) where this recovery's last hole walk stopped:
+        #: every segment between the two is SACKed or retransmitted.
+        self._sack_walked: Optional[Tuple[int, int]] = None
         self.srtt: Optional[int] = None
         self.rttvar = 0
         #: Per-connection RTO floor; raise it for connections shaped
@@ -379,17 +387,28 @@ class TcpConnection:
                 self.cwnd += min(newly_acked, MSS)
             else:
                 self.cwnd += max(1, MSS * MSS // self.cwnd)
-        for seq in [s for s in self._send_times if s < ack]:
-            del self._send_times[seq]
-        self._retransmitted = {s for s in self._retransmitted
-                               if s >= ack}
-        self._sacked = [(s, e) for s, e in self._sacked if e > ack]
+        self._forget_acked(ack)
         self._complete_messages(ack)
         if self._outstanding() > 0:
             self._arm_rto()
         else:
             self._cancel_rto()
         self._try_send()
+
+    def _forget_acked(self, ack: int) -> None:
+        """Drop the retransmit marks and SACK blocks ``ack`` covers
+        (``_sample_rtt`` already dropped the send times)."""
+        self._retransmitted = {s for s in self._retransmitted
+                               if s >= ack}
+        # Blocks are sorted and disjoint, so the covered ones are a
+        # prefix.
+        sacked = self._sacked
+        covered = 0
+        while covered < len(sacked) and sacked[covered][1] <= ack:
+            covered += 1
+        if covered:
+            del sacked[:covered]
+            del self._sack_starts[:covered]
 
     def _enter_fast_recovery(self) -> None:
         self.stats.fast_retransmits += 1
@@ -399,6 +418,7 @@ class TcpConnection:
         self.in_fast_recovery = True
         self.cwnd = self.ssthresh + self.dup_thresh * MSS
         self._rtx_this_recovery.clear()
+        self._sack_walked = None
         self._retransmit_one(self.snd_una)
         self._rtx_this_recovery.add(self.snd_una)
         self._sack_retransmit()
@@ -434,10 +454,11 @@ class TcpConnection:
             in_flight = self.snd_nxt - self.snd_una
             if in_flight >= self.cwnd:
                 break
-            segment = self._next_segment()
+            seq = self.snd_nxt
+            segment = self._segment_at(seq)
             if segment is None:
                 break
-            seq, length, is_fin = segment
+            length, is_fin, record = segment
             span = length + (1 if is_fin else 0)
             if self._sacked and \
                     self._is_sacked(seq, seq + span):
@@ -447,15 +468,15 @@ class TcpConnection:
                 continue
             first_time = seq not in self._send_times
             if first_time:
-                self._send_times[seq] = self.sim.now
+                self._record_send_time(seq)
             else:
                 self._retransmitted.add(seq)
             if mark_retransmit or not first_time:
                 self.stats.retransmits += 1
             flags = FLAG_ACK | (FLAG_FIN if is_fin else 0)
             self._emit(seq=seq, payload=length, flags=flags,
-                       ack=self.rcv_nxt)
-            self.snd_nxt = seq + length + (1 if is_fin else 0)
+                       ack=self.rcv_nxt, record=record)
+            self.snd_nxt = seq + span
             if length > 0:
                 self._last_data_seq = seq
             self.stats.segments_sent += 1
@@ -467,21 +488,6 @@ class TcpConnection:
                 if self.state is self.ESTABLISHED:
                     self.state = self.FIN_WAIT
                 break
-
-    def _next_segment(self) -> Optional[Tuple[int, int, bool]]:
-        """(seq, payload_len, is_fin) of the next segment, or None.
-
-        Segments never span message boundaries, so each packet belongs
-        to exactly one message and inherits its classifications.
-        """
-        seq = self.snd_nxt
-        if self._fin_seq is not None and seq == self._fin_seq:
-            return (seq, 0, True)
-        record = self._message_for(seq)
-        if record is None:
-            return None
-        length = min(MSS, record.end_seq - seq)
-        return (seq, length, False)
 
     def _message_for(self, seq: int) -> Optional[MessageRecord]:
         if not self._messages:
@@ -513,14 +519,36 @@ class TcpConnection:
             del self._message_starts[:self._first_incomplete]
             self._first_incomplete = 0
 
+    def _record_send_time(self, seq: int) -> None:
+        send_times = self._send_times
+        if send_times and seq < next(reversed(send_times)):
+            # Only after an RTO rewind overtaken by a cumulative ACK:
+            # snd_nxt < snd_una resends acknowledged data whose send
+            # time was already forgotten.  Keep the keys ascending.
+            send_times[seq] = self.sim.now
+            self._send_times = dict(sorted(send_times.items()))
+        else:
+            send_times[seq] = self.sim.now
+
     def _sample_rtt(self, ack: int) -> None:
-        candidates = [s for s in self._send_times if s < ack]
-        if not candidates:
+        """Sample the RTT from the highest segment ``ack`` covers and
+        forget the send times of every segment it covers — the front
+        of ``_send_times``, so this costs O(newly acknowledged)."""
+        send_times = self._send_times
+        acked = []
+        for seq in send_times:
+            if seq >= ack:
+                break
+            acked.append(seq)
+        if not acked:
             return
-        seq = max(candidates)
+        seq = acked[-1]
+        sent_at = send_times[seq]
+        for covered in acked:
+            del send_times[covered]
         if seq in self._retransmitted:
             return  # Karn's algorithm
-        sample = self.sim.now - self._send_times[seq]
+        sample = self.sim.now - sent_at
         if self.srtt is None:
             self.srtt = sample
             self.rttvar = sample // 2
@@ -533,26 +561,41 @@ class TcpConnection:
     # .. SACK scoreboard ...................................................
 
     def _merge_sack(self, blocks) -> None:
-        merged = list(self._sacked)
+        """Add the reported blocks above ``snd_una`` to the scoreboard,
+        keeping it sorted with overlapping or touching blocks merged.
+
+        The receiver reports its whole out-of-order set on every ACK,
+        so most blocks are already held: a bisect says so and the
+        block is skipped.
+        """
+        sacked = self._sacked
+        starts = self._sack_starts
+        una = self.snd_una
         for s, e in blocks:
-            if e > self.snd_una:
-                merged.append((max(s, self.snd_una), e))
-        merged.sort()
-        out: List[Tuple[int, int]] = []
-        for s, e in merged:
-            if out and s <= out[-1][1]:
-                out[-1] = (out[-1][0], max(out[-1][1], e))
+            if e <= una:
+                continue
+            if s < una:
+                s = una
+            i = bisect.bisect_right(starts, s) - 1
+            if i >= 0 and e <= sacked[i][1]:
+                continue
+            if i >= 0 and s <= sacked[i][1]:
+                s = sacked[i][0]        # extends its predecessor
             else:
-                out.append((s, e))
-        self._sacked = out
+                i += 1
+            j = i
+            while j < len(sacked) and sacked[j][0] <= e:
+                if sacked[j][1] > e:
+                    e = sacked[j][1]
+                j += 1
+            sacked[i:j] = [(s, e)]
+            starts[i:j] = [s]
 
     def _is_sacked(self, start: int, end: int) -> bool:
-        for s, e in self._sacked:
-            if s <= start and end <= e:
-                return True
-            if s > start:
-                break
-        return False
+        # Blocks are sorted, disjoint and not adjacent: only the last
+        # one starting at or before ``start`` can hold the range.
+        i = bisect.bisect_right(self._sack_starts, start) - 1
+        return i >= 0 and end <= self._sacked[i][1]
 
     def _sacked_bytes(self) -> int:
         total = 0
@@ -567,68 +610,99 @@ class TcpConnection:
         """In-flight estimate: outstanding minus SACKed bytes."""
         return self._outstanding() - self._sacked_bytes()
 
-    def _segment_at(self, seq: int):
-        """(payload_len, is_fin) of the segment starting at ``seq``."""
+    def _segment_at(self, seq: int
+                    ) -> Optional[Tuple[int, bool,
+                                        Optional[MessageRecord]]]:
+        """(payload_len, is_fin, message) of the segment starting at
+        ``seq``, or None past the end of the send buffer.
+
+        Segments never span message boundaries, so each packet belongs
+        to exactly one message and inherits its classifications.
+        """
         record = self._message_for(seq)
         if record is not None:
-            return (min(MSS, record.end_seq - seq), False)
+            return (min(MSS, record.end_seq - seq), False, record)
         if self._fin_seq is not None and seq == self._fin_seq:
-            return (0, True)
+            return (0, True, None)
         return None
 
     def _sack_retransmit(self) -> None:
         """SACK-based loss recovery: retransmit the holes below
         ``recover`` that the scoreboard exposes, as the window
-        allows, then send new data with any remaining budget."""
+        allows, then send new data with any remaining budget.
+
+        The walk visits segments in seq order from ``snd_una`` but
+        jumps over each run of segments a SACK block holds whole, so
+        it costs O(hole segments + blocks), not O(window).  Within one
+        recovery a segment once SACKed or retransmitted stays skipped,
+        so while ``snd_una`` stands still the walk resumes where the
+        previous one stopped.
+        """
         if not self.in_fast_recovery:
             return
         budget = self.cwnd - self._pipe()
         # RFC 6675-style IsLost: a hole counts as lost only once
         # enough data above it has been SACKed; otherwise it may just
         # be reordered and still in flight.
-        high_sacked = max((e for _, e in self._sacked), default=0)
+        sacked = self._sacked
+        high_sacked = sacked[-1][1] if sacked else 0
         lost_below = high_sacked - (self.dup_thresh - 1) * MSS
         seq = self.snd_una
+        walked = self._sack_walked
+        if walked is not None and walked[0] == seq:
+            seq = walked[1]
         limit = min(self.recover, self.snd_nxt, lost_below)
+        starts = self._sack_starts
+        # sacked[after - 1] is the last block starting at or before seq.
+        after = bisect.bisect_right(starts, seq)
+        rtx = self._rtx_this_recovery
+        record = None
+        end_seq = seq       # end of ``record``'s data; look up first
         while budget > 0 and seq < limit:
-            segment = self._segment_at(seq)
-            if segment is None:
-                break
-            length, is_fin = segment
-            span = length + (1 if is_fin else 0)
-            if span <= 0:
-                break
-            if seq not in self._rtx_this_recovery and \
-                    not self._is_sacked(seq, seq + span):
-                self._rtx_this_recovery.add(seq)
-                self._retransmit_segment(seq, length, is_fin)
+            if seq < end_seq:
+                length = min(MSS, end_seq - seq)
+                is_fin = False
+            else:
+                segment = self._segment_at(seq)
+                if segment is None:
+                    break
+                length, is_fin, record = segment
+                end_seq = seq if record is None else record.end_seq
+            span = length + 1 if is_fin else length
+            while after < len(starts) and starts[after] <= seq:
+                after += 1
+            if after and seq + span <= sacked[after - 1][1]:
+                # Held whole by a block: so is every segment of this
+                # message up to the one holding the block's end.
+                block_end = sacked[after - 1][1]
+                if is_fin:
+                    seq += span
+                elif block_end >= end_seq:
+                    seq = end_seq
+                else:
+                    seq += (block_end - seq) // MSS * MSS
+                continue
+            if seq not in rtx:
+                rtx.add(seq)
+                self._retransmit_segment(seq, length, is_fin, record)
                 budget -= max(length, 1)
             seq += span
+        self._sack_walked = (self.snd_una, seq)
         if budget > 0:
             self._try_send()
 
-    def _retransmit_segment(self, seq: int, length: int,
-                            is_fin: bool) -> None:
+    def _retransmit_segment(self, seq: int, length: int, is_fin: bool,
+                            record: Optional[MessageRecord]) -> None:
         self._retransmitted.add(seq)
         self.stats.retransmits += 1
         flags = FLAG_ACK | (FLAG_FIN if is_fin else 0)
         self._emit(seq=seq, payload=length, flags=flags,
-                   ack=self.rcv_nxt)
+                   ack=self.rcv_nxt, record=record)
 
     def _retransmit_one(self, seq: int) -> None:
-        record = self._message_for(seq)
-        if record is not None:
-            length = min(MSS, record.end_seq - seq)
-            is_fin = False
-        elif self._fin_seq is not None and seq == self._fin_seq:
-            length, is_fin = 0, True
-        else:
-            return
-        self._retransmitted.add(seq)
-        self.stats.retransmits += 1
-        flags = FLAG_ACK | (FLAG_FIN if is_fin else 0)
-        self._emit(seq=seq, payload=length, flags=flags,
-                   ack=self.rcv_nxt)
+        segment = self._segment_at(seq)
+        if segment is not None:
+            self._retransmit_segment(seq, *segment)
 
     # .. receiver side ..........................................................
 
@@ -680,17 +754,20 @@ class TcpConnection:
         self._ooo = merged
 
     def _drain_ooo(self) -> None:
-        changed = True
-        while changed:
-            changed = False
-            for s, e in list(self._ooo):
-                if s <= self.rcv_nxt < e:
-                    self.rcv_nxt = e
-                    self._ooo.remove((s, e))
-                    changed = True
-                elif e <= self.rcv_nxt:
-                    self._ooo.remove((s, e))
-                    changed = True
+        # _ooo is sorted and disjoint: the ranges the advanced rcv_nxt
+        # reaches are a prefix, and each can only extend it further.
+        ooo = self._ooo
+        rcv_nxt = self.rcv_nxt
+        reached = 0
+        for s, e in ooo:
+            if s > rcv_nxt:
+                break
+            if e > rcv_nxt:
+                rcv_nxt = e
+            reached += 1
+        if reached:
+            del ooo[:reached]
+            self.rcv_nxt = rcv_nxt
 
     def _maybe_finish(self) -> None:
         if self.state is self.DONE:
@@ -736,7 +813,10 @@ class TcpConnection:
     def _emit(self, seq: int, payload: int, flags: int, ack: int = 0,
               priority: Optional[int] = None,
               sack: Tuple[Tuple[int, int], ...] = (),
-              ecn_echo: bool = False) -> None:
+              ecn_echo: bool = False,
+              record: Optional[MessageRecord] = None) -> None:
+        """Send one segment; ``record`` is the message a data segment
+        belongs to (its caller already looked it up)."""
         packet = Packet(src_ip=self.local_ip, dst_ip=self.remote_ip,
                         src_port=self.local_port,
                         dst_port=self.remote_port,
@@ -749,20 +829,27 @@ class TcpConnection:
             packet.ecn = 1
         if priority is not None:
             packet.priority = priority
-        if payload > 0:
-            record = self._message_for(seq)
-            if record is not None:
-                packet.classifications = list(record.classifications)
-                packet.metadata = dict(record.metadata)
+        if record is not None:
+            packet.classifications = list(record.classifications)
+            packet.metadata = dict(record.metadata)
         self.stack.send_packet(packet,
                                pure_ack=(payload == 0 and
                                          flags == FLAG_ACK))
 
     # -- timers -------------------------------------------------------------
 
+    # Re-arming moves the existing timer with Simulator.reschedule
+    # (same fire order as cancel + schedule, no heap push unless the
+    # deadline moves earlier).  The RTO handle doubles as the "armed"
+    # flag; the PTO handle is kept across cancel and fire so the next
+    # arm can move it.
+
     def _arm_rto(self) -> None:
-        self._cancel_rto()
-        self._rto_event = self.sim.schedule(self.rto, self._on_rto)
+        self._cancel_pto()
+        if self._rto_event is None:
+            self._rto_event = self.sim.schedule(self.rto, self._on_rto)
+        else:
+            self.sim.reschedule(self._rto_event, self.rto)
 
     def _cancel_rto(self) -> None:
         if self._rto_event is not None:
@@ -778,29 +865,26 @@ class TcpConnection:
         return min(base * self._pto_backoff, self.rto)
 
     def _arm_pto(self) -> None:
-        self._cancel_pto()
         if self._outstanding() <= 0:
-            return
-        self._pto_event = self.sim.schedule(self._pto_delay(),
-                                            self._on_pto)
+            self._cancel_pto()
+        elif self._pto_event is None:
+            self._pto_event = self.sim.schedule(self._pto_delay(),
+                                                self._on_pto)
+        else:
+            self.sim.reschedule(self._pto_event, self._pto_delay())
 
     def _cancel_pto(self) -> None:
         if self._pto_event is not None:
             self._pto_event.cancel()
-            self._pto_event = None
 
     def _on_pto(self) -> None:
         """Tail loss probe: ACK silence while data is outstanding —
         retransmit the highest data segment to elicit a SACK."""
-        self._pto_event = None
         if self.state is self.DONE or self._outstanding() == 0:
             return
         probe_seq = self._last_data_seq
         if probe_seq is None or probe_seq < self.snd_una:
             probe_seq = self.snd_una
-        segment = self._segment_at(probe_seq)
-        if segment is not None:
-            length, is_fin = segment
-            self._retransmit_segment(probe_seq, length, is_fin)
+        self._retransmit_one(probe_seq)
         self._pto_backoff = min(self._pto_backoff * 2, 8)
         self._arm_pto()

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.netsim import SimulationError, Simulator
+from repro.netsim.simulator import Event
 
 
 class TestScheduling:
@@ -42,6 +43,18 @@ class TestScheduling:
             sim.now)))
         sim.run()
         assert seen == [50]
+
+    def test_heap_never_compares_events(self):
+        """Entries are ``(time, seq, event)`` with unique ``seq``: a
+        heap full of same-instant events orders without reaching the
+        event, which has no ordering at all."""
+        assert "__lt__" not in vars(Event)
+        sim = Simulator()
+        log = []
+        for i in range(50):
+            sim.schedule(5, log.append, i)
+        sim.run()
+        assert log == list(range(50))
 
     def test_events_scheduled_during_run(self):
         sim = Simulator()
@@ -126,6 +139,132 @@ class TestRunEdgeCases:
         sim.schedule(10, bad)
         with pytest.raises(SimulationError):
             sim.run()
+
+    def test_deferred_entry_inside_until_window_is_not_an_event(self):
+        """A moved timer's old entry surfaces inside ``until_ns``; the
+        loop re-files it without firing, counting or moving the clock
+        past ``until_ns``."""
+        sim = Simulator()
+        log = []
+        timer = sim.schedule(10, log.append, "timer")
+        sim.reschedule(timer, 100)
+        assert sim.run(until_ns=50) == 0
+        assert log == [] and sim.now == 50
+        assert sim.pending == 1 and sim.events_processed == 0
+        assert sim.next_event_time() == 100
+        assert sim.run(until_ns=100) == 1
+        assert log == ["timer"] and sim.now == 100
+
+    def test_until_between_old_and_moved_deadline_both_ways(self):
+        sim = Simulator()
+        log = []
+        later = sim.schedule(30, log.append, "later")
+        earlier = sim.schedule(80, log.append, "earlier")
+        sim.reschedule(later, 90)
+        sim.reschedule(earlier, 20)
+        sim.run(until_ns=50)
+        assert log == ["earlier"] and sim.pending == 1
+        sim.run()
+        # The moved-earlier event's old entry at 80 is dead: it fired
+        # once, at 20.
+        assert log == ["earlier", "later"]
+        assert sim.events_processed == 2 and sim.now == 90
+
+    def test_max_events_skips_deferred_head(self):
+        """A deferred entry at the head does not use up ``max_events``."""
+        sim = Simulator()
+        log = []
+        timer = sim.schedule(1, log.append, "timer")
+        for tag in ("a", "b"):
+            sim.schedule(5, log.append, tag)
+        sim.reschedule(timer, 10)
+        assert sim.run(max_events=1) == 1
+        assert log == ["a"] and sim.now == 5 and sim.pending == 2
+        assert sim.run(max_events=2) == 2
+        assert log == ["a", "b", "timer"]
+
+    def test_max_events_zero_and_negative_fire_nothing(self):
+        sim = Simulator()
+        sim.schedule(1, lambda: None)
+        assert sim.run(max_events=0) == 0
+        assert sim.run(max_events=-1) == 0
+        assert sim.pending == 1
+
+
+class TestReschedule:
+    """``reschedule(event, d)`` is ``event.cancel(); schedule(d,
+    event.callback, *event.args)`` with the handle re-used."""
+
+    def test_returns_the_same_handle_with_the_new_time(self):
+        sim = Simulator()
+        event = sim.schedule(10, lambda: None)
+        assert sim.reschedule(event, 40) is event
+        assert event.time == 40 and sim.pending == 1
+
+    def test_revives_a_cancelled_handle(self):
+        sim = Simulator()
+        log = []
+        event = sim.schedule(10, log.append, "x")
+        event.cancel()
+        assert sim.pending == 0
+        sim.reschedule(event, 30)
+        assert sim.pending == 1
+        sim.run()
+        assert log == ["x"] and sim.now == 30
+
+    def test_revives_a_cancelled_handle_earlier(self):
+        sim = Simulator()
+        log = []
+        event = sim.schedule(50, log.append, "x")
+        event.cancel()
+        sim.reschedule(event, 20)
+        sim.run()
+        assert log == ["x"] and sim.now == 20
+        assert sim.events_processed == 1
+
+    def test_rearms_a_fired_handle_from_its_own_callback(self):
+        sim = Simulator()
+        log = []
+
+        def tick():
+            log.append(sim.now)
+            if len(log) < 3:
+                sim.reschedule(timer, 7)
+
+        timer = sim.schedule(7, tick)
+        sim.run()
+        assert log == [7, 14, 21] and sim.pending == 0
+
+    def test_negative_delay_raises_and_leaves_the_event_cancelled(self):
+        sim = Simulator()
+        log = []
+        event = sim.schedule(10, log.append, "x")
+        with pytest.raises(SimulationError):
+            sim.reschedule(event, -1)
+        assert event.cancelled and sim.pending == 0
+        sim.run()
+        assert log == []
+
+    def test_cancel_after_a_deferring_move_still_cancels(self):
+        sim = Simulator()
+        log = []
+        event = sim.schedule(10, log.append, "x")
+        sim.reschedule(event, 20)
+        event.cancel()
+        assert sim.pending == 0
+        sim.run()
+        assert log == [] and sim.next_event_time() is None
+
+    def test_repeated_moves_leave_one_live_entry(self):
+        """Re-arming on every step, as TCP timers do, fires once."""
+        sim = Simulator()
+        log = []
+        event = sim.schedule(5, log.append, "rto")
+        for delay in (9, 12, 7, 15, 15):
+            sim.reschedule(event, delay)
+        assert sim.pending == 1 and sim.next_event_time() == 15
+        sim.run()
+        assert log == ["rto"] and sim.events_processed == 1
 
 
 class TestPendingCounter:
