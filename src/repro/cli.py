@@ -12,7 +12,6 @@ Runs any of the paper-reproduction experiments without writing code:
     python -m repro control-demo --enclaves 8 --loss 0.1
     python -m repro telemetry-report --duration-ms 100
     python -m repro fleet-demo --attackers 8
-    python -m repro fleet-bench --smoke
 """
 
 from __future__ import annotations
@@ -380,48 +379,6 @@ def _cmd_fleet_demo(args) -> int:
     return 0 if ok else 1
 
 
-def _cmd_fleet_bench(args) -> int:
-    """Fleet-convergence benchmark on the sharded control fabric.
-
-    Rolls the DDoS-mitigation program across fleets of 64-1024
-    enclaves under control-message loss, duplication and a concurrent
-    enclave restart, reporting time-to-last-Ack and time-to-converged
-    per fleet size plus events/second of the sharded backend.  With
-    ``--smoke`` the (sim-time, hence deterministic) convergence times
-    are gated against the checked-in baseline; ``--update-baseline``
-    rewrites it.
-    """
-    from .fleet import bench
-
-    sizes = tuple(int(v) for v in args.sizes.split(","))
-    result = bench.run_convergence_sweep(
-        sizes=sizes, n_shards=args.shards, loss=args.loss,
-        dup_prob=args.dup, seed=args.seed, restarts=args.restarts)
-    print(bench.format_convergence(result))
-
-    if args.update_baseline:
-        bench.save_baseline(result, args.baseline)
-        print(f"wrote baseline {args.baseline}")
-        return 0
-
-    if not args.smoke:
-        return 0 if all(p.converged for p in result.points) else 1
-
-    baseline = bench.load_baseline(args.baseline)
-    if baseline is None:
-        print(f"no baseline at {args.baseline}; run with "
-              f"--update-baseline to create one")
-        return 1
-    failures = bench.check_against_baseline(
-        result, baseline, threshold=args.threshold)
-    for failure in failures:
-        print(f"FAIL {failure}")
-    if not failures:
-        print(f"fleet-bench smoke OK (within {args.threshold}x of "
-              f"{args.baseline}; stale-epoch fencing exercised)")
-    return 1 if failures else 0
-
-
 def _cmd_report(args) -> int:
     """Regenerate the full evaluation into one markdown report."""
     from .experiments import fig9, fig10, fig11, fig12, micro
@@ -479,8 +436,6 @@ _COMMANDS = {
                       "live latency decomposition service over HTTP"),
     "fleet-demo": (_cmd_fleet_demo,
                    "staged DDoS-mitigation rollout across a fleet"),
-    "fleet-bench": (_cmd_fleet_bench,
-                    "fleet-convergence benchmark vs fleet size"),
     "report": (_cmd_report, "run everything, write a markdown report"),
 }
 
@@ -609,32 +564,6 @@ def build_parser() -> argparse.ArgumentParser:
                            default=None,
                            help="per-attacker UDP offered load "
                                 "(default: 150)")
-        if name == "fleet-bench":
-            p.add_argument("--sizes", default="64,256,1024",
-                           help="comma-separated fleet sizes")
-            p.add_argument("--shards", type=int, default=8,
-                           help="host shards of the control fabric "
-                                "(the controller shard is extra)")
-            p.add_argument("--loss", type=float, default=0.20,
-                           help="control-message drop probability")
-            p.add_argument("--dup", type=float, default=0.05,
-                           help="control-message duplication "
-                                "probability")
-            p.add_argument("--restarts", type=int, default=1,
-                           help="concurrent enclave restarts during "
-                                "the second wave")
-            p.add_argument("--baseline",
-                           default="benchmarks/fleet_baseline.json",
-                           help="baseline JSON path")
-            p.add_argument("--threshold", type=float, default=2.0,
-                           help="fail when sim-time convergence "
-                                "exceeds this multiple of baseline")
-            p.add_argument("--smoke", action="store_true",
-                           help="gate against the baseline (nonzero "
-                                "exit on regression)")
-            p.add_argument("--update-baseline", action="store_true",
-                           help="rewrite the baseline instead of "
-                                "checking against it")
         if name == "report":
             p.add_argument("--out", default="report.md",
                            help="output markdown path")

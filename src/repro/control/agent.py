@@ -8,6 +8,12 @@ and leave the data plane untouched), pushes periodic
 :class:`~repro.control.messages.StatsReport` telemetry, and — after a
 restart that lost all soft state — announces itself with ``Hello`` so
 the controller replays its desired state.
+
+The enclave API it calls is the trust boundary: an install carries a
+compiled artifact, which the enclave verifies against its own limits
+and packet schema before binding it.  One the enclave refuses
+(``VerificationError``, ``EnclaveError``) is Nacked with that error
+and leaves the enclave, and the agent's applied epoch, as they were.
 """
 
 from __future__ import annotations
@@ -96,9 +102,9 @@ class EnclaveAgent:
             # in-session, extended across session resets).
             if msg.name in enclave.functions():
                 return enclave.replace_function(
-                    msg.name, msg.source_fn,
+                    msg.name, msg.program,
                     backend=msg.kwargs.get("backend"))
-            return enclave.install_function(msg.source_fn,
+            return enclave.install_function(msg.program,
                                             name=msg.name,
                                             **dict(msg.kwargs))
         if isinstance(msg, ReplaceFunction):
@@ -106,7 +112,7 @@ class EnclaveAgent:
             # replace; only the execution knobs pass through.
             kwargs = {k: v for k, v in msg.kwargs.items()
                       if k in ("backend", "optimize_tail_calls")}
-            return enclave.replace_function(msg.name, msg.source_fn,
+            return enclave.replace_function(msg.name, msg.program,
                                             **kwargs)
         if isinstance(msg, RemoveFunction):
             # Idempotent: a retransmitted remove (or a remove replayed

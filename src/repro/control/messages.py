@@ -21,7 +21,7 @@ every payload is a frozen dataclass to keep the protocol explicit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from typing import Dict, Mapping, Optional, Sequence, Tuple
 
 
@@ -47,7 +47,30 @@ class ConfigMessage(ControlMessage):
 
 
 @dataclass(frozen=True)
-class InstallFunction(ConfigMessage):
+class FunctionMessage(ConfigMessage):
+    """Base for the messages that carry a program to an enclave.
+
+    ``program`` is the :class:`~repro.lang.compiler.CompiledAction`
+    the controller compiled — bytecode plus schemas, which the enclave
+    verifies and binds, never compiles.  A hand-built message may
+    carry action source instead (also accepted as ``source_fn=``); the
+    enclave then compiles it itself.  ``kwargs`` are binding options
+    (``backend``, ``commit_packet_writes``), plus the compile options
+    when the message carries source.
+    """
+
+    name: str = ""
+    program: object = None
+    kwargs: Mapping[str, object] = field(default_factory=dict)
+    source_fn: InitVar[object] = None
+
+    def __post_init__(self, source_fn: object) -> None:
+        if source_fn is not None:
+            object.__setattr__(self, "program", source_fn)
+
+
+@dataclass(frozen=True)
+class InstallFunction(FunctionMessage):
     """Install an action function at the enclave.
 
     Re-delivery after a partition or replay after an enclave restart
@@ -55,18 +78,10 @@ class InstallFunction(ConfigMessage):
     function as a state-preserving replace — the message is idempotent.
     """
 
-    name: str = ""
-    source_fn: object = None
-    kwargs: Mapping[str, object] = field(default_factory=dict)
-
 
 @dataclass(frozen=True)
-class ReplaceFunction(ConfigMessage):
+class ReplaceFunction(FunctionMessage):
     """Hot-swap an installed function's program (Section 3.4.3)."""
-
-    name: str = ""
-    source_fn: object = None
-    kwargs: Mapping[str, object] = field(default_factory=dict)
 
 
 @dataclass(frozen=True)

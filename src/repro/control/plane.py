@@ -23,6 +23,8 @@ import random
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
+from ..lang.annotations import DEFAULT_PACKET_SCHEMA
+from ..lang.compiler import CompiledAction, compile_action
 from ..telemetry import NULL_TELEMETRY, Telemetry
 from .agent import agent_address
 from .channel import (ChannelConfig, ControlEndpoint, Outcome,
@@ -34,6 +36,22 @@ from .messages import (ControlError, ControlMessage, GLOBAL_ARRAY,
                        STALE_EPOCH, StatsReport, UpdateGlobals,
                        UpdateRules)
 from .transport import Transport
+
+
+#: Install arguments that shape the compiled artifact; the rest
+#: (``backend``, ``commit_packet_writes``) are binding options and
+#: travel beside the artifact in the message.
+COMPILE_OPTIONS = ("message_schema", "global_schema",
+                   "optimize_tail_calls")
+
+#: Artifacts a plane keeps for re-sends and replays, oldest dropped
+#: first: far more than the functions a fleet runs, a bound for a
+#: control loop that keeps replacing one with fresh source.
+_ARTIFACT_LIMIT = 256
+
+
+def _binding_options(kwargs) -> Dict[str, object]:
+    return {k: v for k, v in kwargs.items() if k not in COMPILE_OPTIONS}
 
 
 @dataclass
@@ -102,6 +120,7 @@ class ControlPlane:
         self.stale_nacks_seen = 0
         self.nack_log: List[Tuple[str, str]] = []
         self._loops: List[ControlLoop] = []
+        self._artifacts: Dict[tuple, CompiledAction] = {}
         registry = self.telemetry.registry
         self._m_reports = registry.counter("plane_reports_total")
         self._m_hellos = registry.counter("plane_hellos_total")
@@ -142,30 +161,62 @@ class ControlPlane:
     def _send(self, host: str, msg: ControlMessage) -> PendingSend:
         return self.endpoint.send(self.agent_addr(host), msg)
 
+    def _artifact(self, name: str, source_fn,
+                  kwargs) -> CompiledAction:
+        """The artifact an install of ``source_fn`` as ``name`` ships.
+
+        Compiled on the first send of each distinct (name, source,
+        schemas, options) against the canonical packet schema, then
+        shared by every later send — other hosts, replays, rollbacks —
+        so a fleet rollout compiles each function once, not once per
+        host.  An artifact handed in is shipped as it is.
+        """
+        if isinstance(source_fn, CompiledAction):
+            return source_fn
+        key = (name, source_fn, id(kwargs.get("message_schema")),
+               id(kwargs.get("global_schema")),
+               kwargs.get("optimize_tail_calls", True))
+        action = self._artifacts.get(key)
+        if action is None:
+            # The cached artifact holds both schemas, so their ids in
+            # the key stay theirs for as long as the entry lives.
+            action = compile_action(
+                source_fn, packet_schema=DEFAULT_PACKET_SCHEMA,
+                name=name, **{k: kwargs[k] for k in COMPILE_OPTIONS
+                              if k in kwargs})
+            if len(self._artifacts) >= _ARTIFACT_LIMIT:
+                del self._artifacts[next(iter(self._artifacts))]
+            self._artifacts[key] = action
+        return action
+
     def install_function(self, host: str, name: str, source_fn,
                          **kwargs) -> PendingSend:
         ds = self.desired(host)
+        action = self._artifact(name, source_fn, kwargs)
         ds.epoch += 1
         ds.functions[name] = FunctionSpec(source_fn, dict(kwargs))
         return self._send(host, InstallFunction(
-            host=host, epoch=ds.epoch, name=name,
-            source_fn=source_fn, kwargs=dict(kwargs)))
+            host=host, epoch=ds.epoch, name=name, program=action,
+            kwargs=_binding_options(kwargs)))
 
     def replace_function(self, host: str, name: str, source_fn,
                          **kwargs) -> PendingSend:
         ds = self.desired(host)
-        ds.epoch += 1
         spec = ds.functions.get(name)
+        merged = dict(spec.kwargs) if spec is not None else {}
+        merged.update(kwargs)
+        action = self._artifact(name, source_fn, merged)
+        ds.epoch += 1
         if spec is None:
             # Adopt a function that was installed out-of-band so the
             # replacement survives a restart replay.
-            ds.functions[name] = FunctionSpec(source_fn, dict(kwargs))
+            ds.functions[name] = FunctionSpec(source_fn, merged)
         else:
             spec.source_fn = source_fn
-            spec.kwargs.update(kwargs)
+            spec.kwargs = merged
         return self._send(host, ReplaceFunction(
-            host=host, epoch=ds.epoch, name=name,
-            source_fn=source_fn, kwargs=dict(kwargs)))
+            host=host, epoch=ds.epoch, name=name, program=action,
+            kwargs=_binding_options(kwargs)))
 
     def remove_function(self, host: str, name: str) -> PendingSend:
         """Retire ``name`` from ``host``'s desired state.
@@ -297,7 +348,9 @@ class ControlPlane:
         for name, spec in ds.functions.items():
             sends.append(self._send(host, InstallFunction(
                 host=host, epoch=ds.epoch, name=name,
-                source_fn=spec.source_fn, kwargs=dict(spec.kwargs))))
+                program=self._artifact(name, spec.source_fn,
+                                       spec.kwargs),
+                kwargs=_binding_options(spec.kwargs))))
         for (function, gname, kind, key), values in \
                 ds.globals.items():
             sends.append(self._send(host, UpdateGlobals(

@@ -274,8 +274,20 @@ class Controller:
                 raise ControllerError(
                     f"cannot replace function {name!r} at host "
                     f"{host!r}: it was never installed")
-        pendings = [self._finish(self.plane.replace_function(
-            host, name, source_fn, **kwargs)) for host in targets]
+        pendings = []
+        for host in targets:
+            host_kwargs = kwargs
+            if name not in self.plane.desired(host).functions:
+                # Installed out of band (``FunctionChain.deploy``):
+                # the plane compiles the replacement against the
+                # schemas the installed function has.
+                installed = self.enclave(host).function(name)
+                host_kwargs = {
+                    "message_schema": installed.message_schema,
+                    "global_schema": installed.global_schema,
+                    **kwargs}
+            pendings.append(self._finish(self.plane.replace_function(
+                host, name, source_fn, **host_kwargs)))
         return None if self.synchronous else pendings
 
     def _host_list(self, hosts: Union[str, Iterable[str]]) -> List[str]:

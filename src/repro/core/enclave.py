@@ -22,14 +22,12 @@ from typing import (Callable, Dict, Iterable, List, Optional,
 
 from ..lang import backends as lang_backends
 from ..lang.analysis import ConcurrencyLevel, facts
-from ..lang.annotations import (DEFAULT_PACKET_SCHEMA,
-                                Field, Schema)
-from ..lang.bytecode import Program
-from ..lang.compiler import compile_action
+from ..lang.annotations import DEFAULT_PACKET_SCHEMA, Schema
+from ..lang.compiler import CompiledAction, compile_action
 from ..lang.interpreter import (WORD_BYTES, ExecResult, Interpreter,
                                 InterpreterFault)
 from ..lang.native import NativeFunction
-from ..lang.verifier import verify
+from ..lang.verifier import verify_action
 from ..telemetry import NULL_TELEMETRY, Telemetry
 from .accounting import CpuAccounting
 from .stage import Classification, Stage
@@ -110,26 +108,29 @@ class FunctionStats:
 
 
 class InstalledFunction:
-    """An action function installed in an enclave.
+    """An action function installed in an enclave: one binding of a
+    :class:`~repro.lang.compiler.CompiledAction`.
+
+    The artifact's ``Program`` may be bound by many enclaves at once —
+    the control plane compiles once and ships the same artifact to a
+    whole fleet — so the program, and with it pycodegen's tier counter,
+    generated body and plan code, is shared.  Everything else is this
+    binding's own: the bound executor, the plan instance, the
+    authoritative message/global state and the stats.
 
     ``backend`` selects how invocations execute: ``"interpreter"``
     runs on the enclave's shared :class:`Interpreter` with whatever
     dispatch it was configured with, while any name from the
     :mod:`repro.lang.backends` registry (``tree``, ``pycodegen``,
     ``native``) pins this function to that execution backend
-    regardless of the interpreter default.  The authoritative
-    message/global state lives here.
+    regardless of the interpreter default.
     """
 
-    def __init__(self, name: str, source_fn: Union[Callable, str],
-                 packet_schema: Schema,
-                 message_schema: Optional[Schema],
-                 global_schema: Optional[Schema],
+    def __init__(self, name: str, action: CompiledAction,
                  backend: str,
                  interpreter: Interpreter,
                  rng: random.Random,
                  clock: Callable[[], int],
-                 optimize_tail_calls: bool = True,
                  commit_packet_writes: bool = True) -> None:
         if backend == "interpreter" or backend == "native":
             self._exec_backend = None
@@ -141,10 +142,19 @@ class InstalledFunction:
                     f"unknown backend {backend!r}; use 'interpreter' "
                     f"or one of the registered execution backends: "
                     f"{', '.join(lang_backends.names())}") from None
+        message_schema = action.message_schema
         if message_schema is not None and \
                 any(f.is_array for f in message_schema.fields):
             raise EnclaveError(
                 "message schemas must contain only scalar fields")
+        # The trust boundary: the bytecode, and its tables against the
+        # artifact's schemas, checked against this interpreter's limits.
+        verify_action(action,
+                      max_operand_stack=interpreter.max_operand_stack)
+        if backend == "native" and action.prog_ast is None:
+            raise EnclaveError(
+                f"backend 'native' compiles the typed AST, which the "
+                f"artifact for {name!r} does not carry")
         self.name = name
         self.backend = backend
         # False implements the paper's "baseline EDEN" configuration
@@ -152,28 +162,26 @@ class InstalledFunction:
         # run, but the interpreter's packet outputs are ignored before
         # transmission.
         self.commit_packet_writes = commit_packet_writes
-        self.packet_schema = packet_schema
+        self.action = action
+        self.program = action.program
+        self.packet_schema = action.packet_schema
         self.message_schema = message_schema
-        self.global_schema = global_schema
-        self.prog_ast, self.program = compile_action(
-            source_fn, packet_schema=packet_schema,
-            message_schema=message_schema, global_schema=global_schema,
-            name=name, optimize_tail_calls=optimize_tail_calls)
-        verify(self.program,
-               max_operand_stack=interpreter.max_operand_stack)
+        self.global_schema = action.global_schema
         self.concurrency = facts(self.program).concurrency
         self.guard = ConcurrencyGuard(self.concurrency)
         self.interpreter = interpreter
         # Only the native backend ever runs the AST-level compilation.
-        self.native = (NativeFunction(self.prog_ast, self.program,
+        self.native = (NativeFunction(action.prog_ast, self.program,
                                       rng=rng, clock=clock)
                        if backend == "native" else None)
-        self.global_store = (GlobalStore(global_schema)
-                             if global_schema is not None else None)
+        self.global_store = (GlobalStore(self.global_schema)
+                             if self.global_schema is not None else None)
         self.message_store = (MessageStore(message_schema)
                               if message_schema is not None else None)
         self.stats = FunctionStats()
         self._build_hot_path()
+        lang_backends.retain(self.program)
+        self._bound = True
 
     def _build_hot_path(self) -> None:
         """Precompute the per-packet state prep and commit plans.
@@ -346,16 +354,22 @@ class InstalledFunction:
         return stats.ops_executed
 
     def retire(self) -> None:
-        """Drop the bound executor, the plan and every backend's
-        compiled artifact for this program.
+        """Unbind: drop this binding's executor and plan.
 
         The enclave calls it when the function leaves the data path
-        (replace, remove, restart): a controller or test still holding
-        this object or its ``Program`` can then only ever run the cold
-        tree walk, never a stale compiled handler.
+        (replace, remove, restart).  The program may be bound by other
+        enclaves too — one artifact serves a whole fleet — so its
+        compiled code (pycodegen's tier counter and body, every
+        backend's artifact) goes with its last binding
+        (``backends.release``): one host's restart leaves the rest of
+        the fleet hot, and once no enclave runs the program whoever
+        still holds this object or its ``Program`` can only run the
+        cold tree walk, never a stale compiled handler.
         """
         self._run = self._plan = None
-        lang_backends.invalidate(self.program)
+        if self._bound:
+            self._bound = False
+            lang_backends.release(self.program)
 
 
 @dataclass(frozen=True)
@@ -549,7 +563,8 @@ class Enclave:
 
     # -- enclave API: functions ---------------------------------------------
 
-    def install_function(self, source_fn: Union[Callable, str],
+    def install_function(self,
+                         action: Union[CompiledAction, Callable, str],
                          name: Optional[str] = None,
                          message_schema: Optional[Schema] = None,
                          global_schema: Optional[Schema] = None,
@@ -557,24 +572,48 @@ class Enclave:
                          optimize_tail_calls: bool = True,
                          commit_packet_writes: bool = True
                          ) -> InstalledFunction:
-        """Compile, verify, and install an action function."""
-        installed = InstalledFunction(
-            name=name or getattr(source_fn, "__name__", "action"),
-            source_fn=source_fn,
-            packet_schema=self.packet_schema,
-            message_schema=message_schema,
-            global_schema=global_schema,
-            backend=backend,
-            interpreter=self.interpreter,
-            rng=self.rng,
-            clock=self.clock,
-            optimize_tail_calls=optimize_tail_calls,
-            commit_packet_writes=commit_packet_writes)
-        if installed.name in self._functions:
-            raise EnclaveError(
-                f"function {installed.name!r} already installed")
-        self._functions[installed.name] = installed
+        """Verify and install an action function.
+
+        ``action`` is the :class:`~repro.lang.compiler.CompiledAction`
+        the control plane ships, which carries its own schemas and
+        compile options; or action source, which is first compiled
+        here against this enclave's packet schema with the schemas
+        and option given.  Either way the same verify-and-bind
+        follows (:meth:`_bind`).
+        """
+        if isinstance(action, CompiledAction):
+            if message_schema is not None or global_schema is not None:
+                raise EnclaveError(
+                    "a compiled action carries its own schemas")
+        else:
+            action = compile_action(
+                action, packet_schema=self.packet_schema,
+                message_schema=message_schema,
+                global_schema=global_schema,
+                name=name or getattr(action, "__name__", "action"),
+                optimize_tail_calls=optimize_tail_calls)
+        name = name or action.name
+        if name in self._functions:
+            raise EnclaveError(f"function {name!r} already installed")
+        installed = self._bind(name, action, backend,
+                               commit_packet_writes)
+        self._functions[name] = installed
         return installed
+
+    def _bind(self, name: str, action: CompiledAction, backend: str,
+              commit_packet_writes: bool) -> InstalledFunction:
+        """Verify ``action`` for this enclave and bind it: the one path
+        every install and replace takes.  Nothing of the enclave
+        changes until it returns."""
+        if not _same(action.packet_schema, self.packet_schema):
+            raise EnclaveError(
+                f"function {name!r} was compiled against another "
+                f"packet schema than this enclave's")
+        return InstalledFunction(
+            name=name, action=action, backend=backend,
+            interpreter=self.interpreter, rng=self.rng,
+            clock=self.clock,
+            commit_packet_writes=commit_packet_writes)
 
     def clear(self) -> None:
         """Factory-reset the data plane (models an enclave restart).
@@ -900,7 +939,8 @@ class Enclave:
             True if getattr(packet, "to_controller", 0) else False,
             faults, ops)
 
-    def replace_function(self, name: str, source_fn,
+    def replace_function(self, name: str,
+                         action: Union[CompiledAction, Callable, str],
                          backend: Optional[str] = None,
                          optimize_tail_calls: bool = True) -> \
             InstalledFunction:
@@ -909,22 +949,30 @@ class Enclave:
         This is the dynamic update the interpreter design buys
         (Section 3.4.3: functions "can be updated dynamically by the
         controller without affecting forwarding performance"): the new
-        source is compiled and verified off the data path, then
-        swapped in atomically; the authoritative message and global
-        stores — and the match-action rules referencing the function —
-        survive the swap.  The new program must use the same schemas.
+        program is verified and bound off the data path, then swapped
+        in atomically; the authoritative message and global stores —
+        and the match-action rules referencing the function — survive
+        the swap.  The new program must use the same schemas: source
+        is compiled against the installed function's, a compiled
+        action must carry equal ones.
         """
         old = self.function(name)
-        replacement = InstalledFunction(
-            name=name, source_fn=source_fn,
-            packet_schema=old.packet_schema,
-            message_schema=old.message_schema,
-            global_schema=old.global_schema,
-            backend=backend if backend is not None else old.backend,
-            interpreter=self.interpreter,
-            rng=self.rng, clock=self.clock,
-            optimize_tail_calls=optimize_tail_calls,
-            commit_packet_writes=old.commit_packet_writes)
+        if isinstance(action, CompiledAction):
+            if not (_same(action.message_schema, old.message_schema) and
+                    _same(action.global_schema, old.global_schema)):
+                raise EnclaveError(
+                    f"a replacement for {name!r} must keep its message "
+                    f"and global schemas")
+        else:
+            action = compile_action(
+                action, packet_schema=self.packet_schema,
+                message_schema=old.message_schema,
+                global_schema=old.global_schema, name=name,
+                optimize_tail_calls=optimize_tail_calls)
+        replacement = self._bind(
+            name, action,
+            backend if backend is not None else old.backend,
+            old.commit_packet_writes)
         # Carry the authoritative state over.
         replacement.global_store = old.global_store
         replacement.message_store = old.message_store
@@ -995,6 +1043,10 @@ class Enclave:
         enclave's own stage (Table 2, last row)."""
         return self.flow_stage.create_stage_rule(
             rule_set, classifier, class_name, ["msg_id"])
+
+
+def _same(a: Optional[Schema], b: Optional[Schema]) -> bool:
+    return a is b or a == b
 
 
 def _message_id(packet,

@@ -8,10 +8,9 @@ install -> Ack -> health-gate -> advance / pause / roll back — all
 through the existing reliable channel, so epoch fencing, loss
 recovery and restart replay behave identically at 3 hosts and at
 1024.  Fleet-scale runs use the sharded control fabric
-(:mod:`repro.fleet.shardfleet`); the convergence benchmark and the
-DDoS-mitigation scenario live in :mod:`repro.fleet.bench` and
-:mod:`repro.fleet.ddos` (imported on demand — they pull in the
-function library).  See ``docs/FLEET.md``.
+(:mod:`repro.fleet.shardfleet`); the DDoS-mitigation scenario lives in
+:mod:`repro.fleet.ddos` (imported on demand — it pulls in the function
+library).  See ``docs/FLEET.md``.
 """
 
 from .health import (CallbackGate, EpochHealthGate, FAIL, HEALTHY,

@@ -174,9 +174,11 @@ class ShardedFleet:
     """A controller plus ``n_hosts`` enclave agents on a fabric.
 
     Hosts are named ``h0001..hNNNN`` and round-robined over the agent
-    shards.  ``make_enclave(host)`` supplies the data plane — a real
-    :class:`~repro.core.enclave.Enclave` for scenario fidelity, or
-    :class:`~repro.fleet.bench.LiteEnclave` for benchmark scale.
+    shards.  ``make_enclave(host)`` supplies each host's
+    :class:`~repro.core.enclave.Enclave`.  The plane compiles each
+    function once and every agent binds that artifact, so installing
+    on a thousand real enclaves costs a thousand binds, not a thousand
+    compiles, and the hosts' first packets heat one shared program.
     """
 
     def __init__(self, n_hosts: int, n_shards: int, make_enclave,

@@ -97,6 +97,8 @@ def _analyse(program: Program) -> ProgramFacts:
     ops_per_fn: List[Tuple[Op, ...]] = []
     written = set()
     max_depth = 0
+    if not n_functions:
+        return ProgramFacts(Violation("", 0, "program has no functions"))
     for fn in functions:
         code = fn.code
         n = len(code)

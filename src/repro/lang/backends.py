@@ -29,8 +29,11 @@ The contract, enforced by the differential harness in
 
 Backends may cache compiled artifacts on ``Program`` instances;
 :func:`invalidate` (or ``Backend.invalidate``) must drop every such
-artifact — the enclave calls it whenever a function is replaced or
-removed, or the enclave restarts, so stale handlers can never run.
+artifact.  Many enclaves may bind one program, so the enclave counts
+its bindings (:func:`retain` / :func:`release`) and the last one to
+leave the data path — replaced, removed, or lost in a restart —
+invalidates it: stale handlers can never run, and one host's restart
+leaves the rest of a fleet hot.
 """
 
 from __future__ import annotations
@@ -210,13 +213,35 @@ def names() -> List[str]:
 def invalidate(program: Program) -> Dict[str, bool]:
     """Drop every backend's cached artifact for ``program``.
 
-    The enclave calls this on ``replace_function``/``remove_function``
-    /``clear`` (``InstalledFunction.retire``) so no backend can ever
-    reuse a stale compiled handler.  Returns
-    ``{backend name: dropped?}`` for observability.
+    :func:`release` calls this when the last enclave function bound to
+    ``program`` leaves the data path, so no backend can ever reuse a
+    stale compiled handler.  Returns ``{backend name: dropped?}`` for
+    observability.
     """
     return {name: backend.invalidate(program)
             for name, backend in _REGISTRY.items()}
+
+
+def retain(program: Program) -> None:
+    """Count one more live binding of ``program``.
+
+    An enclave's installed function is a binding; one compiled
+    artifact is bound by every enclave of a fleet, so a program's
+    compiled code is shared and outlives any single binding.
+    """
+    object.__setattr__(program, "_bindings",
+                       getattr(program, "_bindings", 0) + 1)
+
+
+def release(program: Program) -> bool:
+    """Drop one binding of ``program``; with the last, :func:`invalidate`
+    it.  Returns True when that happened."""
+    left = program._bindings - 1
+    object.__setattr__(program, "_bindings", left)
+    if left:
+        return False
+    invalidate(program)
+    return True
 
 
 register(TreeBackend())

@@ -11,8 +11,10 @@ loop".
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, List, Optional, Tuple, Union
+import functools
+import hashlib
+from dataclasses import dataclass, field
+from typing import Callable, Iterator, List, Optional, Tuple, Union
 
 from . import ast_nodes as T
 from .annotations import Schema
@@ -258,19 +260,86 @@ def compile_ast(prog: T.ProgramAST,
     return program
 
 
+@dataclass(frozen=True, eq=False)
+class CompiledAction:
+    """What the controller ships to an enclave: one compiled action.
+
+    The bytecode :class:`Program` with the schemas it was compiled
+    against and the compile options — everything an enclave needs to
+    verify and bind it (Section 3.4.3: the controller compiles, the
+    enclave verifies and interprets).  The artifact is
+    content-addressed: :attr:`digest` covers the name, the bytecode,
+    the field and array tables, the three schemas and the options,
+    and equality and hashing go by it.  A schema field's ``binder``
+    counts by its qualified name.
+
+    ``prog_ast`` is the typed AST, kept for the one consumer that
+    needs more than bytecode (``backend="native"``); it is not part of
+    the content.  The artifact unpacks as ``(prog_ast, program)``.
+    """
+
+    program: Program
+    packet_schema: Optional[Schema]
+    message_schema: Optional[Schema] = None
+    global_schema: Optional[Schema] = None
+    optimize_tail_calls: bool = True
+    peephole: bool = True
+    prog_ast: Optional[T.ProgramAST] = field(default=None, repr=False)
+
+    @property
+    def name(self) -> str:
+        return self.program.name
+
+    @functools.cached_property
+    def digest(self) -> str:
+        """sha256 of the artifact's content, in hex."""
+        program = self.program
+        parts = [repr((program.name, self.optimize_tail_calls,
+                       self.peephole))]
+        for fn in program.functions:
+            parts.append(repr((fn.name, fn.n_args, fn.n_locals,
+                               [(i.op, i.arg) for i in fn.code])))
+        parts.append(repr(program.field_table))
+        parts.append(repr(program.array_table))
+        for scope_schema in (self.packet_schema, self.message_schema,
+                             self.global_schema):
+            parts.append(_schema_text(scope_schema))
+        return hashlib.sha256("\n".join(parts).encode()).hexdigest()
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, CompiledAction):
+            return NotImplemented
+        return self.digest == other.digest
+
+    def __hash__(self) -> int:
+        return hash(self.digest)
+
+    def __iter__(self) -> Iterator[object]:
+        return iter((self.prog_ast, self.program))
+
+
+def _schema_text(schema: Optional[Schema]) -> str:
+    if schema is None:
+        return "None"
+    rows = [repr((schema.name, schema.lifetime.value))]
+    for f in schema.fields:
+        binder = f.binder
+        rows.append(repr((
+            f.name, f.access.value, f.kind.value,
+            sorted(f.header_map.items()), f.record_fields, f.default,
+            None if binder is None
+            else f"{binder.__module__}.{binder.__qualname__}")))
+    return "; ".join(rows)
+
+
 def compile_action(fn: Union[Callable, str],
                    packet_schema: Optional[Schema] = None,
                    message_schema: Optional[Schema] = None,
                    global_schema: Optional[Schema] = None,
                    name: Optional[str] = None,
                    optimize_tail_calls: bool = True,
-                   peephole: bool = True
-                   ) -> Tuple[T.ProgramAST, Program]:
-    """Frontend + backend in one step.
-
-    Returns both the typed AST (consumed by the native backend) and
-    the compiled bytecode program.
-    """
+                   peephole: bool = True) -> CompiledAction:
+    """Frontend + backend in one step: the shippable artifact."""
     prog_ast = lower(fn, packet_schema=packet_schema,
                      message_schema=message_schema,
                      global_schema=global_schema, name=name)
@@ -281,4 +350,6 @@ def compile_action(fn: Union[Callable, str],
     # can compile this program without replumbing every call site
     # (Program is frozen; this is a cache slot, not program identity).
     object.__setattr__(program, "_prog_ast", prog_ast)
-    return prog_ast, program
+    return CompiledAction(program, packet_schema, message_schema,
+                          global_schema, optimize_tail_calls, peephole,
+                          prog_ast)

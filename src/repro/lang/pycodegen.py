@@ -45,10 +45,13 @@ mid-segment (observable only with budgets tighter than one
 straight-line segment).
 
 The cold-call counter and, later, the compiled code live in one slot
-on the ``Program`` instance; compiled programs are also tracked by a
-bounded LRU registry.  :func:`invalidate` (the enclave calls it from
-``replace_function``/``remove_function``/``clear``) and LRU eviction
-both clear the slot, returning the program to cold.
+on the ``Program`` instance, so every enclave function bound to one
+program (one compiled artifact serves a whole fleet) counts toward the
+same tier-up and runs the same generated code; compiled programs are
+also tracked by a bounded LRU registry.  :func:`invalidate` (the
+enclave calls it when a program's last binding leaves the data path,
+``backends.release``) and LRU eviction both clear the slot, returning
+the program to cold.
 """
 
 from __future__ import annotations
@@ -82,8 +85,10 @@ MODE_BLOCKS = "blocks"
 #: in ~0.8-1.1 ms and save ~40-50 us a call: ~20 calls.  16 sits
 #: between the two — the regret either way is a few milliseconds per
 #: program, once — keeps a function that only ever sees a handful of
-#: packets (a fleet probe: eight) off the compiler entirely, and is
-#: noise to one that sees thousands.
+#: packets off the compiler entirely, and is noise to one that sees
+#: thousands.  The count is per program, not per enclave: a fleet
+#: whose hosts each see eight probe packets shares one program, which
+#: the first sixteen of them, fleet-wide, turn hot for all.
 TIER_UP_CALLS = 16
 
 #: Bounded code cache: at most this many compiled programs are kept
@@ -124,9 +129,15 @@ def _stack_fault(ctx: _Ctx, depth: int, pc: int) -> None:
 
 
 class CompiledProgram:
-    """One program's generated entry point plus bookkeeping."""
+    """One program's generated entry point plus bookkeeping.
 
-    __slots__ = ("program", "entry", "n_locals", "modes", "source")
+    ``plan`` is the compiled per-packet plan :func:`plan_for` built for
+    it — ``(packet schema, global schema, code, namespace, source)`` —
+    which every installed function binding the program instantiates.
+    """
+
+    __slots__ = ("program", "entry", "n_locals", "modes", "source",
+                 "plan")
 
     def __init__(self, program: Program, entry, n_locals: int,
                  modes: Tuple[str, ...], source: str) -> None:
@@ -135,6 +146,7 @@ class CompiledProgram:
         self.n_locals = n_locals
         self.modes = modes          # per-function tier
         self.source = source
+        self.plan = None
 
 
 # -- shared per-op statement emission -----------------------------------
@@ -499,20 +511,16 @@ class _Structurizer(_FuncEmitter):
                 continue
             if op in (Op.RET, Op.HALT):
                 self.emit_return(pc, instr)
-                nxt = self._skip_dead(pc + 1, end)
-                if nxt is None:
-                    return False
-                pc = nxt
-                self.new_segment(pc, self.depth(pc, 0))
-                continue
+                self._check_dead(pc + 1, end)
+                return False
             self.emit_op(pc, instr)
             pc += 1
         return True
 
-    def _skip_dead(self, pc: int, end: int) -> Optional[int]:
-        """After an unconditional terminator: skip dead code; bail if
-        a live join follows (the structurizer should have consumed it
-        through an if/else)."""
+    def _check_dead(self, pc: int, end: int) -> None:
+        """After an unconditional terminator, [pc, end) must be dead
+        code; bail if a live join follows (the structurizer should
+        have consumed it through an if/else)."""
         while pc < end:
             if self.depth_at[pc] is not None and \
                     pc not in self._emitted:
@@ -522,20 +530,16 @@ class _Structurizer(_FuncEmitter):
             if pc in self._targets and pc not in self._emitted:
                 raise _Bail("dead jump target after terminator")
             pc += 1
-        return None
 
     def _emit_jmp(self, pc: int, instr: Instr,
                   end: int) -> Optional[int]:
         t = instr.arg
         self._pending += 1
-        if self._open and t == self._open[-1][0]:
+        if self._open and t in self._open[-1]:
             self.flush()
-            self.w("continue")
-            return self._after_terminator(pc, end)
-        if self._open and t == self._open[-1][1]:
-            self.flush()
-            self.w("break")
-            return self._after_terminator(pc, end)
+            self.w("continue" if t == self._open[-1][0] else "break")
+            self._check_dead(pc + 1, end)
+            return None
         if t > pc and t <= end:
             # Forward skip over dead code only.
             for q in range(pc + 1, t):
@@ -545,13 +549,6 @@ class _Structurizer(_FuncEmitter):
             self.new_segment(t, self.depth(t, 0))
             return t
         raise _Bail("unstructured JMP")
-
-    def _after_terminator(self, pc: int, end: int) -> Optional[int]:
-        nxt = self._skip_dead(pc + 1, end)
-        if nxt is None:
-            return None
-        self.new_segment(nxt, self.depth(nxt, 0))
-        return nxt
 
     def _emit_branch(self, pc: int, instr: Instr, end: int,
                      escape: Optional[Tuple[int, int, int]] = None
@@ -769,6 +766,7 @@ def _function_source(program: Program, fi: int, found: ProgramFacts
 
 _STATS = {
     "programs_compiled": 0,
+    "plans_compiled": 0,
     "functions_structured": 0,
     "functions_blocks": 0,
     "programs_delegated": 0,
@@ -978,6 +976,11 @@ def plan_for(interp, fn):
     A cold program is only peeked at, never counted: the generic tier
     runs it through :meth:`CodegenRunner.run`, which asks
     :func:`code_for` once.
+
+    The plan's source depends only on the program and its schemas, so
+    it is compiled once per compiled program and kept on it
+    (``stats()["plans_compiled"]``); each installed function binding
+    the program runs that code in a namespace and context of its own.
     """
     program = fn.program
     compiled = getattr(program, "_pycodegen", None)
@@ -985,11 +988,34 @@ def plan_for(interp, fn):
             id(program) not in _CACHE or \
             any(ref.scope != "global" for ref in program.array_table):
         return None
+    plan = compiled.plan
+    if plan is None or plan[0] is not fn.packet_schema or \
+            plan[1] is not fn.global_schema:
+        plan = compiled.plan = _compile_plan(compiled, fn)
+    _, _, code, base, source = plan
+    ns = dict(base, _fn=fn, _interp=interp)
+    ctx = ns["ctx"] = _Ctx()
+    ctx.name = program.name
+    # A program without arrays may still carry heap ops (they fault
+    # on the empty heap); the body must find the slots set.
+    ctx.heap = []
+    ctx.bases = ctx.lengths = ctx.wranges = ()
+    exec(code, ns)
+    run = ns["_plan"]
+    run.source = source
+    return run
+
+
+def _compile_plan(compiled: CompiledProgram, fn) -> tuple:
+    """The plan :func:`plan_for` instantiates, compiled for ``fn``'s
+    program and schemas: ``(packet schema, global schema, code,
+    namespace without the per-function names, source)``."""
+    program = compiled.program
     ns = {
         "InterpreterFault": InterpreterFault, "_NAME": program.name,
         "_program": program, "_compiled": compiled,
         "_touch": _CACHE.move_to_end, "_pid": id(program),
-        "_fn": fn, "_interp": interp, "_f0": compiled.entry,
+        "_f0": compiled.entry,
     }
     found = facts(program)
     scopes = ({ref.scope for ref in program.field_table} |
@@ -1111,17 +1137,9 @@ def plan_for(interp, fn):
          "        if acct is not None:",
          "            acct.lap('interpreter')"] +
         ["    " + ln for ln in tail]) + "\n"
-    ctx = ns["ctx"] = _Ctx()
-    ctx.name = program.name
-    # A program without arrays may still carry heap ops (they fault
-    # on the empty heap); the body must find the slots set.
-    ctx.heap = []
-    ctx.bases = ctx.lengths = ctx.wranges = ()
-    exec(compile(source, f"<pycodegen-plan:{program.name}>", "exec"),
-         ns)
-    plan = ns["_plan"]
-    plan.source = source
-    return plan
+    code = compile(source, f"<pycodegen-plan:{program.name}>", "exec")
+    _STATS["plans_compiled"] += 1
+    return (fn.packet_schema, fn.global_schema, code, ns, source)
 
 
 def execute_codegen(interp, program: Program, fields: Sequence[int],

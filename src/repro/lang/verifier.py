@@ -26,6 +26,7 @@ from __future__ import annotations
 from typing import Optional
 
 from .analysis import facts
+from .annotations import AccessLevel
 from .bytecode import Program
 
 
@@ -59,3 +60,54 @@ def verify(program: Program,
             f"worst-case frame stack depth {found.max_depth} exceeds "
             f"limit {max_operand_stack}")
     return found.max_depth
+
+
+_UNCHECKED = object()
+
+
+def verify_action(action, max_operand_stack: Optional[int] = None
+                  ) -> int:
+    """:func:`verify` for a shipped artifact
+    (:class:`~repro.lang.compiler.CompiledAction`): what an enclave
+    checks before it binds one.
+
+    The bytecode as above, then its field and array tables against the
+    artifact's own schemas: every entry names a field of its scope's
+    schema, of that field's shape (scalar, or array of the same
+    stride), and a writable entry a field declared read-write.  The
+    enclave reads and writes state through those tables, so they may
+    not claim what the schemas do not grant.  The table check depends
+    on the artifact alone and is made once per artifact.
+    """
+    program = action.program
+    depth = verify(program, max_operand_stack)
+    reason = getattr(action, "_table_violation", _UNCHECKED)
+    if reason is _UNCHECKED:
+        reason = _table_violation(action)
+        object.__setattr__(action, "_table_violation", reason)
+    if reason is not None:
+        raise VerificationError(program.name, program.entry.name, 0,
+                                reason)
+    return depth
+
+
+def _table_violation(action) -> Optional[str]:
+    schemas = {"packet": action.packet_schema,
+               "message": action.message_schema,
+               "global": action.global_schema}
+    program = action.program
+    for refs, is_array in ((program.field_table, False),
+                           (program.array_table, True)):
+        for ref in refs:
+            where = f"{ref.scope}.{ref.name}"
+            scope = schemas.get(ref.scope)
+            if scope is None or not scope.has_field(ref.name):
+                return f"{where} is not in the artifact's schemas"
+            declared = scope.field_named(ref.name)
+            if declared.is_array is not is_array or \
+                    (is_array and ref.stride != declared.stride):
+                return f"{where} has another shape in its schema"
+            if ref.writable and \
+                    declared.access is not AccessLevel.READ_WRITE:
+                return f"{where} is read-only in its schema"
+    return None

@@ -227,6 +227,67 @@ class TestTelemetry:
         assert loop.updates_pushed == 2
 
 
+class TestCompileOnce:
+    """The plane compiles each distinct (name, source, schemas,
+    options) once, on its first send, and ships that artifact to every
+    host and on every re-send."""
+
+    HOSTS = [f"h{i:02d}" for i in range(64)]
+
+    @pytest.fixture
+    def compiles(self, monkeypatch):
+        from repro.control import plane as plane_module
+        calls = []
+        real = plane_module.compile_action
+
+        def counted(source, **kwargs):
+            calls.append(kwargs["name"])
+            return real(source, **kwargs)
+
+        monkeypatch.setattr(plane_module, "compile_action", counted)
+        return calls
+
+    def test_once_per_spec_across_a_fleet(self, compiles):
+        controller = Controller()
+        for host in self.HOSTS:
+            controller.register_enclave(host, Enclave(f"{host}.e"))
+        plane = controller.plane
+        controller.install_function("*", tag_priority,
+                                    global_schema=TAG_SCHEMA)
+        controller.install_rule("*", "*", "tag_priority")
+        assert compiles == ["tag_priority"]
+        snapshots = {h: plane.snapshot_desired(h) for h in self.HOSTS}
+        # Restart replay and an idempotent re-install reuse it.
+        for host in self.HOSTS[:8]:
+            controller.agent(host).restart()
+        plane.install_function(self.HOSTS[0], "tag_priority",
+                               tag_priority, global_schema=TAG_SCHEMA)
+        assert compiles == ["tag_priority"]
+        # A new version compiles once for the whole fleet; rolling
+        # every host back to the snapshot compiles nothing.
+        controller.replace_function("*", "tag_priority",
+                                    tag_priority_v2)
+        for host in self.HOSTS:
+            plane.restore_desired(host, snapshots[host])
+        assert compiles == ["tag_priority", "tag_priority"]
+        programs = {controller.enclave(h).function("tag_priority").program
+                    for h in self.HOSTS}
+        assert len(programs) == 1
+        assert plane.desired(self.HOSTS[0]).functions[
+            "tag_priority"].source_fn is tag_priority
+
+    def test_nothing_compiles_before_the_first_send(self, compiles):
+        from repro.fleet import ProgramBuilder
+        program = (ProgramBuilder("p")
+                   .install_function("tag_priority", tag_priority,
+                                     global_schema=TAG_SCHEMA).done())
+        controller = Controller()
+        controller.register_enclave("h1", Enclave("h1.e"))
+        assert compiles == []
+        program.apply(controller.plane, "h1")
+        assert compiles == ["tag_priority"]
+
+
 class TestFacadeErrors:
     def test_unknown_transport_rejected(self):
         with pytest.raises(ControllerError):

@@ -97,11 +97,11 @@ class TestConcurrencyFromBytecode:
                 global_schema=spec.global_schema,
                 name=spec.function_name, peephole=peephole)
                 for peephole in (False, True)]
-            prog_ast = compiled[0][0]
-            _assert_levels_agree(prog_ast, compiled[0][1],
-                                 compiled[1][1], entry.name)
+            prog_ast = compiled[0].prog_ast
+            _assert_levels_agree(prog_ast, compiled[0].program,
+                                 compiled[1].program, entry.name)
             # The demos agree exactly: no write of theirs is dead.
-            assert facts(compiled[1][1]).concurrency is \
+            assert facts(compiled[1].program).concurrency is \
                 concurrency_of(prog_ast), entry.name
 
 
