@@ -8,7 +8,6 @@ Runs any of the paper-reproduction experiments without writing code:
     python -m repro fig11 --duration-ms 200
     python -m repro fig12 --duration-ms 20
     python -m repro micro --packets 300
-    python -m repro bench-smoke --scale
     python -m repro control-demo --enclaves 8 --loss 0.1
     python -m repro telemetry-report --duration-ms 100
     python -m repro fleet-demo --attackers 8
@@ -37,8 +36,7 @@ def _cmd_table1(args) -> int:
 def _cmd_fig9(args) -> int:
     from .experiments import fig9
     results = fig9.run_all(seed=args.seed,
-                           duration_ms=args.duration_ms,
-                           shards=args.shards)
+                           duration_ms=args.duration_ms)
     print(fig9.format_results(results))
     return 0
 
@@ -72,95 +70,6 @@ def _cmd_micro(args) -> int:
     results = micro.run_micro(packets=args.packets)
     print(micro.format_results(results))
     return 0
-
-
-def _cmd_bench_smoke(args) -> int:
-    """Sharded-simulator scale gate (the fat-tree benchmark).
-
-    Three checks: the per-host receive digests must agree between the
-    single-heap and sharded backends (hard equivalence, any scale);
-    sharded-sequential events/second must stay within ``--threshold``x
-    of the checked-in baseline; and — when this machine has enough
-    cores to make parallelism meaningful — the multiprocessing backend
-    must reach ``--min-speedup``x the single-heap event rate.
-    """
-    import json
-    import os
-
-    from .experiments import scale
-
-    cores = os.cpu_count() or 1
-    run_mp = args.force_mp or cores >= 4
-    result = scale.run_scale(k=args.scale_k,
-                             n_shards=args.scale_shards,
-                             packets_per_host=args.scale_packets,
-                             seed=args.seed, run_mp=run_mp)
-    print(scale.format_scale(result))
-
-    status = 0
-    if not result.digests_match:
-        print("FAIL scale: sharded receive digests diverge from the "
-              "single heap")
-        status = 1
-    if result.mp_digests_match is False:
-        print("FAIL scale: multiprocessing receive digests diverge "
-              "from the sequential sharded run")
-        status = 1
-
-    if args.update_baseline:
-        if status:
-            return status
-        baseline = {"fat_tree": {
-            "k": result.k, "n_shards": result.n_shards,
-            "packets_per_host": args.scale_packets,
-            "events_sharded": result.events_sharded,
-            "events_per_sec_sharded": round(result.eps_sharded, 1)}}
-        with open(args.baseline, "w") as handle:
-            json.dump(baseline, handle, indent=2)
-            handle.write("\n")
-        print(f"wrote baseline {args.baseline}")
-        return 0
-
-    if not os.path.exists(args.baseline):
-        print(f"no baseline at {args.baseline}; run with "
-              f"--update-baseline to create one")
-        return 1
-    with open(args.baseline) as handle:
-        ref = json.load(handle)["fat_tree"]
-    if (result.k, result.n_shards) != (ref["k"], ref["n_shards"]) or \
-            args.scale_packets != ref["packets_per_host"]:
-        print(f"FAIL scale: config (k={result.k}, "
-              f"shards={result.n_shards}, "
-              f"packets={args.scale_packets}) does not match baseline "
-              f"(re-baseline if intended)")
-        status = 1
-    elif result.events_sharded != ref["events_sharded"]:
-        print(f"FAIL scale: event count drifted "
-              f"{ref['events_sharded']} -> {result.events_sharded} "
-              f"(simulation behavior changed; re-baseline if intended)")
-        status = 1
-    else:
-        floor = ref["events_per_sec_sharded"] / args.threshold
-        if result.eps_sharded < floor:
-            print(f"FAIL scale: sharded {result.eps_sharded:.0f} ev/s "
-                  f"is <1/{args.threshold}x the baseline "
-                  f"{ref['events_per_sec_sharded']:.0f} ev/s")
-            status = 1
-
-    if run_mp:
-        speedup = result.eps_mp / max(result.eps_single, 1e-9)
-        if speedup < args.min_speedup:
-            print(f"FAIL scale: mp speedup {speedup:.2f}x < required "
-                  f"{args.min_speedup}x over the single heap")
-            status = 1
-    else:
-        print(f"note: {cores} core(s) < 4 — multiprocessing speedup "
-              f"check skipped (use --force-mp to run it anyway)")
-
-    if status == 0:
-        print(f"bench-smoke --scale OK (digests match; within "
-              f"{args.threshold}x of {args.baseline})")
-    return status
 
 
 def _cmd_control_demo(args) -> int:
@@ -251,11 +160,9 @@ def _cmd_latency_breakdown(args) -> int:
     loads = tuple(float(v) for v in args.loads.split(","))
     points = latency_breakdown.run_breakdown(
         loads=loads, policy=args.policy, variant=args.variant,
-        seed=args.seed, duration_ms=args.duration_ms,
-        shards=args.shards)
+        seed=args.seed, duration_ms=args.duration_ms)
     print(latency_breakdown.format_breakdown(
-        points, policy=args.policy, variant=args.variant,
-        shards=args.shards))
+        points, policy=args.policy, variant=args.variant))
     return 0
 
 
@@ -277,7 +184,7 @@ def _cmd_latency_serve(args) -> int:
     config = ServeConfig(
         policy=args.policy, variant=args.variant, seed=args.seed,
         duration_ms=args.duration_ms, step_ms=args.step_ms,
-        load=args.load, shards=args.shards,
+        load=args.load,
         background_rate_bps=(args.background_rate_mbps * 1_000_000
                              if args.background_rate_mbps else None),
         window_ms=args.window_ms, host=args.host, port=args.port,
@@ -285,8 +192,7 @@ def _cmd_latency_serve(args) -> int:
     scenario = LatencyScenario(config)
     server = scenario.make_server().start()
     print(f"latency-serve: {config.policy}/{config.variant} "
-          f"{'sharded x' + str(config.shards) if config.shards else ''}"
-          f" {config.duration_ms} ms simulated, "
+          f"{config.duration_ms} ms simulated, "
           f"window {config.window_ms} ms")
     print(f"serving on {server.url}  "
           f"(endpoints: /snapshot /prometheus /packets/<flow> "
@@ -424,8 +330,6 @@ _COMMANDS = {
     "fig11": (_cmd_fig11, "Pulsar storage QoS"),
     "fig12": (_cmd_fig12, "Eden CPU overheads"),
     "micro": (_cmd_micro, "interpreter microbenchmarks"),
-    "bench-smoke": (_cmd_bench_smoke,
-                    "sharded-simulator scale gate vs baseline JSON"),
     "control-demo": (_cmd_control_demo,
                      "lossy control-channel PIAS/WCMP convergence"),
     "telemetry-report": (_cmd_telemetry_report,
@@ -455,11 +359,6 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--duration-ms", type=int,
                            default=default,
                            help="simulated milliseconds per run")
-        if name == "fig9":
-            p.add_argument("--shards", type=int, default=0,
-                           help="run on the sharded simulator with "
-                                "this many host shards (0: single "
-                                "event heap)")
         if name == "micro":
             p.add_argument("--packets", type=int, default=300)
         if name == "table1":
@@ -467,33 +366,6 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--backend", default="interpreter",
                            choices=("interpreter",)
                            + tuple(lang_backends.names()))
-        if name == "bench-smoke":
-            p.add_argument("--scale", action="store_true",
-                           required=True,
-                           help="gate the sharded simulator on the "
-                                "fat-tree scale benchmark")
-            p.add_argument("--baseline",
-                           default="benchmarks/sim_scale_baseline.json",
-                           help="baseline JSON path")
-            p.add_argument("--threshold", type=float, default=2.0,
-                           help="fail when the measured cost exceeds "
-                                "this multiple of the baseline")
-            p.add_argument("--update-baseline", action="store_true",
-                           help="rewrite the baseline instead of "
-                                "checking against it")
-            p.add_argument("--min-speedup", type=float, default=2.0,
-                           help="required mp-over-single-heap speedup")
-            p.add_argument("--scale-k", type=int, default=8,
-                           help="fat-tree arity (--scale; k=8 gives "
-                                "128 hosts)")
-            p.add_argument("--scale-shards", type=int, default=4,
-                           help="host-group shards (--scale; the "
-                                "coordinator shard is extra)")
-            p.add_argument("--scale-packets", type=int, default=40,
-                           help="packets per host (--scale)")
-            p.add_argument("--force-mp", action="store_true",
-                           help="run the multiprocessing speedup "
-                                "check even on <4 cores (--scale)")
         if name in ("control-demo", "telemetry-report"):
             default_ms = 400 if name == "control-demo" else 100
             p.add_argument("--loss", type=float, default=0.10,
@@ -521,10 +393,6 @@ def build_parser() -> argparse.ArgumentParser:
                            choices=("native", "eden"))
             p.add_argument("--duration-ms", type=int, default=120,
                            help="simulated milliseconds per run")
-            p.add_argument("--shards", type=int, default=0,
-                           help="run on the sharded simulator with "
-                                "this many host shards (0: single "
-                                "event heap)")
         if name == "latency-breakdown":
             p.add_argument("--loads", default="0.3,0.5,0.7,0.9",
                            help="comma-separated offered loads")

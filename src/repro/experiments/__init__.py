@@ -10,15 +10,12 @@ One module per evaluation artifact:
 * :mod:`.fig12` — CPU overhead of the Eden components;
 * :mod:`.micro` — Section 5.4 interpreter footprint and
   interpreted-vs-native cost;
-* :mod:`.scale` — single-heap vs sharded simulator scale benchmark
-  (fat-tree events/sec + cross-backend equivalence digests);
 * Table 1 lives in :mod:`repro.functions.library`.
 
 The pytest-benchmark harnesses in ``benchmarks/`` are thin wrappers
 around these runners.
 """
 
-from . import fig9, fig10, fig11, fig12, micro, scale, sweep
+from . import fig9, fig10, fig11, fig12, micro, sweep
 
-__all__ = ["fig9", "fig10", "fig11", "fig12", "micro", "scale",
-           "sweep"]
+__all__ = ["fig9", "fig10", "fig11", "fig12", "micro", "sweep"]

@@ -42,7 +42,7 @@ from ..core.enclave import Enclave
 from ..functions.pias import FlowSchedulingDeployment
 from ..functions.pulsar import PulsarDeployment
 from ..netsim.simulator import GBPS, MS, Simulator
-from ..netsim.topology import star
+from ..netsim.topology import Network, star
 from ..netsim.tracing import FlowTracker
 from ..stack.netstack import HostStack
 
@@ -92,8 +92,7 @@ class Fig9Scenario:
 
     policy: str
     variant: str
-    net: object
-    shards: int
+    net: Network
     hosts: Dict[str, object]
     stacks: Dict[str, HostStack]
     controller: Controller
@@ -108,8 +107,6 @@ class Fig9Scenario:
 
     @property
     def now_ns(self) -> int:
-        if self.shards > 0:
-            return self.net.now
         return self.net.sim.now
 
     def start(self) -> None:
@@ -120,10 +117,7 @@ class Fig9Scenario:
     def advance(self, until_ns: int) -> int:
         """Simulate up to ``until_ns``; returns events processed."""
         self.start()
-        if self.shards > 0:
-            done = self.net.run(until_ns=until_ns)
-        else:
-            done = self.net.sim.run(until_ns=until_ns)
+        done = self.net.sim.run(until_ns=until_ns)
         self.events += done
         return done
 
@@ -164,18 +158,10 @@ def build_flow_scheduling(policy: str = "baseline",
                           link_bps: int = 10 * GBPS,
                           n_background: int = 2,
                           warmup_ms: int = 10,
-                          shards: int = 0,
                           telemetry=None,
                           background_rate_bps: Optional[int] = None
                           ) -> Fig9Scenario:
     """Construct one Figure 9 configuration without running it.
-
-    ``shards > 0`` builds on the sharded simulator
-    (:mod:`repro.netsim.sharded`): hosts spread round-robin over that
-    many shards, the ToR on the coordinator.  Per-host components then
-    schedule on their own shard's heap (``host.sim``).  Results are
-    statistically comparable but not bit-identical to the single-heap
-    run — each shard draws from its own seeded RNG stream.
 
     ``telemetry`` (a :class:`repro.telemetry.Telemetry`) is bound to
     the network *and* the host stacks/enclaves, so metrics, spans and
@@ -196,19 +182,11 @@ def build_flow_scheduling(policy: str = "baseline",
 
     # h1 = requesting client (and bulk sink), h2 = worker,
     # h3.. = background bulk senders.
-    if shards > 0:
-        from ..netsim.sharded import star_sharded
-        net = star_sharded(2 + n_background, shards,
-                           host_rate_bps=link_bps, seed=seed)
-    else:
-        net = star(Simulator(seed=seed), 2 + n_background,
-                   host_rate_bps=link_bps)
+    net = star(Simulator(seed=seed), 2 + n_background,
+               host_rate_bps=link_bps)
     hosts = net.hosts
     if telemetry is not None:
-        if shards > 0:
-            net.bind_telemetry(telemetry)
-        else:
-            net.sim.bind_telemetry(telemetry)
+        net.sim.bind_telemetry(telemetry)
         for host in hosts.values():
             host.bind_telemetry(telemetry)
     controller = Controller()
@@ -293,9 +271,9 @@ def build_flow_scheduling(policy: str = "baseline",
             tenant=bg_tenant))
 
     return Fig9Scenario(
-        policy=policy, variant=variant, net=net, shards=shards,
-        hosts=hosts, stacks=stacks, controller=controller,
-        tracker=tracker, client=client, bulk_senders=bulk_senders,
+        policy=policy, variant=variant, net=net, hosts=hosts,
+        stacks=stacks, controller=controller, tracker=tracker,
+        client=client, bulk_senders=bulk_senders,
         duration_ms=duration_ms, warmup_ms=warmup_ms,
         link_bps=link_bps)
 
@@ -308,7 +286,6 @@ def run_flow_scheduling(policy: str = "baseline",
                         link_bps: int = 10 * GBPS,
                         n_background: int = 2,
                         warmup_ms: int = 10,
-                        shards: int = 0,
                         telemetry=None,
                         background_rate_bps: Optional[int] = None
                         ) -> Fig9Result:
@@ -317,7 +294,7 @@ def run_flow_scheduling(policy: str = "baseline",
         policy=policy, variant=variant, seed=seed,
         duration_ms=duration_ms, load=load, link_bps=link_bps,
         n_background=n_background, warmup_ms=warmup_ms,
-        shards=shards, telemetry=telemetry,
+        telemetry=telemetry,
         background_rate_bps=background_rate_bps)
     scenario.run()
     return scenario.finish()
@@ -325,14 +302,14 @@ def run_flow_scheduling(policy: str = "baseline",
 
 def run_all(seed: int = 1, duration_ms: int = 150,
             policies: Tuple[str, ...] = ("baseline", "pias", "sff"),
-            variants: Tuple[str, ...] = ("native", "eden"),
-            shards: int = 0) -> List[Fig9Result]:
+            variants: Tuple[str, ...] = ("native", "eden")
+            ) -> List[Fig9Result]:
     results = []
     for policy in policies:
         for variant in variants:
             results.append(run_flow_scheduling(
                 policy=policy, variant=variant, seed=seed,
-                duration_ms=duration_ms, shards=shards))
+                duration_ms=duration_ms))
     return results
 
 

@@ -11,8 +11,7 @@ bucket — take over, exactly the Section 5 story.
 
 Every row also reports the ``unattributed`` residual, which the
 decomposer computes as the closing term of the accounting identity:
-it is exactly 0 for every packet on both simulator backends
-(``--shards N`` runs the same sweep sharded), and
+it is exactly 0 for every packet, and
 ``tests/latency/test_breakdown.py`` holds it under 5% of the mean
 end-to-end delay.
 
@@ -67,7 +66,6 @@ class BreakdownPoint:
 def run_breakdown(loads: Sequence[float] = DEFAULT_LOADS,
                   policy: str = "pias", variant: str = "eden",
                   seed: int = 1, duration_ms: int = 120,
-                  shards: int = 0,
                   background_rate_bps: Optional[int] = 2 * GBPS
                   ) -> List[BreakdownPoint]:
     """Sweep offered load, one full scenario per point."""
@@ -75,7 +73,7 @@ def run_breakdown(loads: Sequence[float] = DEFAULT_LOADS,
     for load in loads:
         scenario = LatencyScenario(ServeConfig(
             policy=policy, variant=variant, seed=seed,
-            duration_ms=duration_ms, load=load, shards=shards,
+            duration_ms=duration_ms, load=load,
             background_rate_bps=background_rate_bps))
         scenario.run()
         scenario.finish()
@@ -97,14 +95,12 @@ def run_breakdown(loads: Sequence[float] = DEFAULT_LOADS,
 
 def format_breakdown(points: List[BreakdownPoint],
                      policy: str = "pias",
-                     variant: str = "eden",
-                     shards: int = 0) -> str:
+                     variant: str = "eden") -> str:
     """The text figure: one row per load, one column per segment."""
-    backend = (f"sharded x{shards}" if shards else "single heap")
     header_cols = " ".join(f"{_SHORT[cls]:>8}" for cls in ALL_CLASSES)
     lines = [
-        f"Latency decomposition vs offered load — {policy}/{variant} "
-        f"({backend}); mean microseconds per packet",
+        f"Latency decomposition vs offered load — {policy}/{variant}; "
+        f"mean microseconds per packet",
         f"load  packets  mean e2e    p99 e2e  {header_cols}",
     ]
     lines += [p.row() for p in points]

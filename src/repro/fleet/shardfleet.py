@@ -1,17 +1,15 @@
 """Sharded control fabric: 1024+ enclaves in one process.
 
-A fleet-scale rollout is control traffic, not packet traffic — so
-instead of forcing envelopes through the packet-path
-:class:`~repro.netsim.sharded.ShardedSimulator`, this module shards
-the *control* world directly: the controller (plane + orchestrator)
-lives on shard 0, agents are spread over shards ``1..n``, and every
-shard runs its own :class:`~repro.netsim.sharded.ShardSim` heap.  The
-shards synchronize with the same conservative-lookahead protocol as
-the packet path (:class:`~repro.netsim.sharded.
-ConservativeWindowLoop`): the window equals the base one-way control
-latency, and since jitter and injected extra delay only ever *add*,
-no cross-shard envelope can arrive earlier than one window after it
-was sent.
+A fleet-scale rollout is control traffic, not packet traffic, so this
+module shards the *control* world: the controller (plane +
+orchestrator) lives on shard 0, agents are spread over shards
+``1..n``, and every shard runs its own
+:class:`~repro.netsim.simulator.Simulator` heap.  The shards advance
+in conservative windows whose width is the base one-way control
+latency: jitter and injected extra delay only ever *add*, so no
+cross-shard envelope can arrive earlier than one window after it was
+sent, and envelopes wait in a mailbox until the barrier that ends
+their window (docs/FLEET.md, "The fabric's windows").
 
 :class:`ShardedControlFabric` is a drop-in
 :class:`~repro.control.transport.Transport`, so the plane, agents,
@@ -23,7 +21,6 @@ heaps are partitioned.
 
 from __future__ import annotations
 
-import heapq
 import itertools
 import random
 from typing import Dict, List, Optional, Tuple
@@ -34,16 +31,14 @@ from ..control.faults import FaultInjector
 from ..control.messages import Envelope
 from ..control.plane import ControlPlane
 from ..control.transport import Transport
-from ..netsim.sharded import ConservativeWindowLoop, ShardSim
-from ..netsim.simulator import MS
+from ..netsim.simulator import MS, Simulator
 from ..telemetry import NULL_TELEMETRY, Telemetry
 
 #: Shard that hosts the controller endpoint.
 CONTROLLER_SHARD = 0
 
 #: Queued cross-shard envelope: (arrival_ns, src_shard, seq, env).
-#: The tuple prefix is the deterministic delivery order at a barrier,
-#: mirroring the packet path's handoff ordering.
+#: The tuple prefix is the deterministic delivery order at a barrier.
 _Handoff = Tuple[int, int, int, Envelope]
 
 
@@ -66,17 +61,15 @@ class ShardedControlFabric(Transport):
         self.jitter_ns = jitter_ns
         self.faults = faults
         # Shard 0 is the controller's; agents live on 1..n_shards.
-        self.sims: List[ShardSim] = [
-            ShardSim(sid, seed=seed * 7919 + sid)
+        self.sims: List[Simulator] = [
+            Simulator(seed=seed * 7919 + sid)
             for sid in range(n_shards + 1)]
         if faults is not None and faults.scheduler is None:
             # Partition windows arm on the controller shard's clock.
             faults.bind_scheduler(self.sims[CONTROLLER_SHARD])
-        # Conservative window: the *base* delay bounds how soon any
-        # envelope can cross a shard boundary (jitter/extra only add).
-        self._loop = ConservativeWindowLoop(
-            self.sims, window_ns=delay_ns, drain=self._drain,
-            pending_time=self._pending_time)
+        self.now = 0
+        self.windows = 0
+        self.handoffs = 0
         self._owner: Dict[str, int] = {}
         self._mailbox: List[_Handoff] = []
         self._seq = itertools.count()
@@ -101,7 +94,7 @@ class ShardedControlFabric(Transport):
     def shard_of(self, address: str) -> int:
         return self._owner[address]
 
-    def scheduler_for(self, address: str) -> ShardSim:
+    def scheduler_for(self, address: str) -> Simulator:
         """The heap an endpoint at ``address`` must schedule on."""
         return self.sims[self._owner[address]]
 
@@ -128,46 +121,71 @@ class ShardedControlFabric(Transport):
                 sim.schedule(delay, self._deliver, env)
             else:
                 self.cross_shard_sends += 1
-                heapq.heappush(
-                    self._mailbox,
-                    (sim.now + delay, src_shard, next(self._seq),
-                     env))
-
-    def _pending_time(self) -> Optional[int]:
-        return self._mailbox[0][0] if self._mailbox else None
+                self._mailbox.append(
+                    (sim.now + delay, src_shard, next(self._seq), env))
 
     def _drain(self) -> int:
-        if not self._mailbox:
-            return 0
-        moved = 0
+        """Schedule every queued envelope on its destination heap in
+        ``_Handoff`` order; returns how many moved."""
         batch = sorted(self._mailbox)
         self._mailbox.clear()
         for arrival, _src_shard, _seq, env in batch:
             dst_shard = self._owner.get(env.dst, CONTROLLER_SHARD)
             self.sims[dst_shard].at(arrival, self._deliver, env)
-            moved += 1
-        return moved
+        return len(batch)
 
     # -- running -----------------------------------------------------------
-
-    @property
-    def now(self) -> int:
-        return self._loop.now
-
-    @property
-    def windows(self) -> int:
-        return self._loop.windows
-
-    @property
-    def handoffs(self) -> int:
-        return self._loop.handoffs
 
     @property
     def events_processed(self) -> int:
         return sum(s.events_processed for s in self.sims)
 
     def run(self, until_ns: Optional[int] = None) -> int:
-        return self._loop.run(until_ns=until_ns)
+        """Drive every shard to quiescence (or ``until_ns``) in
+        conservative windows of ``delay_ns``; returns events fired.
+
+        A window starts at the earliest pending event and spans the
+        base control delay, which no envelope can beat, so nothing a
+        shard sends inside a window is due elsewhere before the
+        barrier that ends it.  The barrier moves the mailbox into the
+        destination heaps.
+        """
+        processed = 0
+        while True:
+            # Envelopes queued between run() calls (setup code,
+            # orchestrator kicks) must land in their heaps before any
+            # shard runs past their arrival.  The drain empties the
+            # mailbox, so the heaps alone say when the next thing
+            # happens.
+            self.handoffs += self._drain()
+            times = [t for t in (sim.next_event_time()
+                                 for sim in self.sims)
+                     if t is not None]
+            if not times:
+                break
+            t_min = min(times)
+            if until_ns is not None and t_min > until_ns:
+                break
+            w_end = max(self.now, t_min) + self.delay_ns
+            if until_ns is not None and w_end > until_ns:
+                w_end = until_ns
+            for sim in self.sims:
+                processed += sim.run(until_ns=w_end)
+            self.now = w_end
+            self.handoffs += self._drain()
+            self.windows += 1
+            if until_ns is not None and w_end >= until_ns:
+                break
+        if until_ns is None:
+            self.now = max(sim.now for sim in self.sims)
+        else:
+            # Shards that stopped short move their clocks up; none
+            # has an event due before ``until_ns``.
+            for sim in self.sims:
+                if sim.now < until_ns:
+                    sim.run(until_ns=until_ns)
+            self.now = max(self.now, until_ns)
+        return processed
 
 
 class ShardedFleet:
@@ -226,7 +244,7 @@ class ShardedFleet:
                 agent.start_reporting(report_interval_ns)
 
     @property
-    def controller_sim(self) -> ShardSim:
+    def controller_sim(self) -> Simulator:
         return self.fabric.sims[CONTROLLER_SHARD]
 
     def run(self, until_ns: Optional[int] = None) -> int:

@@ -46,7 +46,6 @@ class ServeConfig:
     duration_ms: int = 200
     step_ms: int = 10
     load: float = 0.7
-    shards: int = 0
     n_background: int = 2
     #: Aggregate Pulsar rate for the background tenant; None disables
     #: rate limiting (and empties the ratelimiter_queue segment).
@@ -72,7 +71,7 @@ class LatencyScenario:
         self.workload = build_flow_scheduling(
             policy=cfg.policy, variant=cfg.variant, seed=cfg.seed,
             duration_ms=cfg.duration_ms, load=cfg.load,
-            n_background=cfg.n_background, shards=cfg.shards,
+            n_background=cfg.n_background,
             telemetry=self.telemetry,
             background_rate_bps=cfg.background_rate_bps)
         self._next_ns = 0
@@ -125,7 +124,7 @@ class LatencyScenario:
             extra_info={"scenario": {
                 "policy": cfg.policy, "variant": cfg.variant,
                 "seed": cfg.seed, "duration_ms": cfg.duration_ms,
-                "shards": cfg.shards, "load": cfg.load,
+                "load": cfg.load,
                 "background_rate_bps": cfg.background_rate_bps,
             }})
 

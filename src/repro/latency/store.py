@@ -167,9 +167,10 @@ class LatencyStore:
         self._window_closed = threading.Condition(self._lock)
         self._records: Deque[PacketRecord] = deque(maxlen=max_records)
         self._windows: Deque[WindowSummary] = deque(maxlen=max_windows)
-        # A small dict of still-open windows absorbs the bounded
-        # timestamp reordering of the sharded backend (lookahead <
-        # window); a window closes once a strictly newer one opens.
+        # A small dict of still-open windows absorbs records that come
+        # in out of ``received_ns`` order (one event heap delivers them
+        # in order; other feeders need not); a window closes once a
+        # strictly newer one opens.
         self._open: Dict[int, _WindowAccum] = {}
         self._max_index = -1
         self._flows: Dict[str, _Rollup] = {}
@@ -203,9 +204,9 @@ class LatencyStore:
             accum = self._open.get(index)
             if accum is None:
                 if index < self._max_index:
-                    # Arrived after its window already closed (deep
-                    # cross-shard reordering): keep the run-level
-                    # aggregates honest, skip the window series.
+                    # Arrived after its window already closed: keep
+                    # the run-level aggregates honest, skip the window
+                    # series.
                     self.late_records += 1
                     return
                 accum = self._open[index] = _WindowAccum(index)

@@ -152,16 +152,9 @@ class Port:
         if lat is not None:
             lat.port_tx_start(packet.packet_id, self.sim.now, tx_ns,
                               self.prop_delay_ns)
-        self._schedule_delivery(packet, tx_ns)
-        self.sim.schedule(tx_ns, self._tx_done)
-
-    def _schedule_delivery(self, packet: Packet, tx_ns: int) -> None:
-        """Hook: hand ``packet`` to the peer after serialization plus
-        propagation.  :class:`repro.netsim.sharded.BoundaryPort`
-        overrides this to route cross-shard packets through a mailbox
-        at transmission end instead of touching the remote device."""
         self.sim.schedule(tx_ns + self.prop_delay_ns,
                           self._deliver, packet)
+        self.sim.schedule(tx_ns, self._tx_done)
 
     def _tx_done(self) -> None:
         self._transmit_next()

@@ -103,16 +103,14 @@ class Simulator:
         #: :mod:`repro.netsim.host` on a one-comparison no-op path.
         self.latency = None
 
-    def bind_telemetry(self, telemetry, **labels) -> None:
+    def bind_telemetry(self, telemetry) -> None:
         """Mirror the event counter and clock into a
         :class:`repro.telemetry.MetricRegistry` (batched per run() so
-        the event loop itself stays uninstrumented).  ``labels`` lets
-        a sharded run keep one ``sim_events_total`` series per shard."""
+        the event loop itself stays uninstrumented)."""
         if telemetry is None or not telemetry.enabled:
             return
-        self._m_events = telemetry.registry.counter("sim_events_total",
-                                                    **labels)
-        self._g_now = telemetry.registry.gauge("sim_now_ns", **labels)
+        self._m_events = telemetry.registry.counter("sim_events_total")
+        self._g_now = telemetry.registry.gauge("sim_now_ns")
         latency = getattr(telemetry, "latency", None)
         if latency is not None:
             self.latency = latency
@@ -204,7 +202,7 @@ class Simulator:
         """Number of live (not yet fired, not cancelled) events.
 
         O(1): a counter maintained by schedule/cancel/run instead of a
-        heap scan — the sharded barrier loop polls this per window.
+        heap scan.
         """
         return self._live
 

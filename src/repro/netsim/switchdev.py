@@ -50,24 +50,6 @@ class Device:
         return f"{type(self).__name__}({self.name})"
 
 
-def stable_salt(name: str, seed: int = 0) -> int:
-    """A deterministic 32-bit ECMP salt derived from a device name.
-
-    Spec-built topologies (:class:`repro.netsim.topology.TopologySpec`)
-    use this instead of drawing from ``sim.rng`` so the salt does not
-    depend on device construction order — a prerequisite for the
-    sharded simulator, where each shard constructs only its own
-    partition yet every replica of a switch must hash flows the same
-    way.
-    """
-    h = (0x811C9DC5 ^ (seed & 0xFFFFFFFF)) & 0xFFFFFFFF
-    for byte in name.encode():
-        h ^= byte
-        h = (h * 0x01000193) & 0xFFFFFFFF
-        h ^= h >> 13
-    return h
-
-
 def flow_hash(five_tuple: Tuple[int, int, int, int, int],
               salt: int) -> int:
     """Deterministic 32-bit mix of a five-tuple (ECMP hashing)."""
@@ -95,13 +77,11 @@ class Switch(Device):
     Packets with no matching entry are counted and dropped.
     """
 
-    def __init__(self, sim: Simulator, name: str,
-                 ecmp_salt: Optional[int] = None) -> None:
+    def __init__(self, sim: Simulator, name: str) -> None:
         super().__init__(sim, name)
         self.label_table: Dict[int, str] = {}
         self.route_table: Dict[int, List[str]] = {}
-        self.ecmp_salt = (ecmp_salt if ecmp_salt is not None
-                          else sim.rng.getrandbits(32))
+        self.ecmp_salt = sim.rng.getrandbits(32)
         self.rx_packets = 0
         self.no_route_drops = 0
 

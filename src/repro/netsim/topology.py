@@ -15,14 +15,13 @@ evaluation are built here:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from .host import Host
 from .link import DEFAULT_PROP_DELAY_NS, Port, duplex_connect
 from .packet import ip_of
 from .simulator import GBPS, Simulator
-from .switchdev import Device, Switch, stable_salt
+from .switchdev import Device, Switch
 
 
 class TopologyError(Exception):
@@ -52,11 +51,10 @@ class Network:
         self.hosts[name] = host
         return host
 
-    def add_switch(self, name: str,
-                   ecmp_salt: Optional[int] = None) -> Switch:
+    def add_switch(self, name: str) -> Switch:
         if name in self.hosts or name in self.switches:
             raise TopologyError(f"duplicate device name {name!r}")
-        switch = Switch(self.sim, name, ecmp_salt=ecmp_salt)
+        switch = Switch(self.sim, name)
         self.switches[name] = switch
         return switch
 
@@ -168,227 +166,3 @@ def asymmetric_two_path(sim: Simulator,
         switch.install_route(h1.ip, ["h1"])
         switch.install_route(h2.ip, ["h2"])
     return net
-
-
-# ---------------------------------------------------------------------------
-# Declarative topology specs
-# ---------------------------------------------------------------------------
-#
-# A :class:`TopologySpec` is a plain-data (picklable) description of a
-# fabric: every device, link, ECMP salt and route, with no simulator
-# references.  The single-heap path materializes it with
-# :meth:`TopologySpec.build`; the sharded simulator
-# (:mod:`repro.netsim.sharded`) builds one *partition* of it per shard
-# — which is why everything a device needs (in particular the ECMP
-# salt, normally drawn from ``sim.rng`` in construction order) must be
-# pinned in the spec itself.
-
-
-@dataclass(frozen=True)
-class HostSpec:
-    name: str
-    ip: int
-
-
-@dataclass(frozen=True)
-class SwitchSpec:
-    name: str
-    ecmp_salt: int
-
-
-@dataclass(frozen=True)
-class LinkSpec:
-    a: str
-    b: str
-    rate_bps: int
-    prop_delay_ns: int = DEFAULT_PROP_DELAY_NS
-    queue_capacity_bytes: int = 300_000
-    ecn_threshold_bytes: Optional[int] = None
-
-
-@dataclass
-class TopologySpec:
-    """A serializable fabric description (devices, links, routes).
-
-    ``routes`` maps a switch name to ``{dst_ip: (next_hop, ...)}``;
-    multiple next hops mean per-flow ECMP, hashed with the switch's
-    pinned salt.
-    """
-
-    hosts: Tuple[HostSpec, ...] = ()
-    switches: Tuple[SwitchSpec, ...] = ()
-    links: Tuple[LinkSpec, ...] = ()
-    routes: Dict[str, Dict[int, Tuple[str, ...]]] = \
-        field(default_factory=dict)
-
-    def host_ip(self, name: str) -> int:
-        for h in self.hosts:
-            if h.name == name:
-                return h.ip
-        raise TopologyError(f"no host {name!r} in spec")
-
-    def device_names(self) -> List[str]:
-        return ([h.name for h in self.hosts] +
-                [s.name for s in self.switches])
-
-    def neighbors(self, name: str) -> List[str]:
-        out = []
-        for link in self.links:
-            if link.a == name:
-                out.append(link.b)
-            elif link.b == name:
-                out.append(link.a)
-        return out
-
-    def build(self, sim: Simulator) -> Network:
-        """Materialize the whole spec onto one simulator heap."""
-        net = Network(sim)
-        for h in self.hosts:
-            net.add_host(h.name, ip=h.ip)
-        for s in self.switches:
-            net.add_switch(s.name, ecmp_salt=s.ecmp_salt)
-        for link in self.links:
-            net.connect(link.a, link.b, link.rate_bps,
-                        prop_delay_ns=link.prop_delay_ns,
-                        queue_capacity_bytes=link.queue_capacity_bytes,
-                        ecn_threshold_bytes=link.ecn_threshold_bytes)
-        for switch_name, table in self.routes.items():
-            switch = net.switches[switch_name]
-            for dst_ip, next_hops in table.items():
-                switch.install_route(dst_ip, list(next_hops))
-        return net
-
-
-def star_spec(n_hosts: int,
-              host_rate_bps: int = 10 * GBPS,
-              switch_name: str = "tor",
-              queue_capacity_bytes: int = 300_000,
-              prop_delay_ns: int = DEFAULT_PROP_DELAY_NS,
-              host_rates: Optional[Dict[str, int]] = None,
-              salt_seed: int = 0) -> TopologySpec:
-    """The spec equivalent of :func:`star` (hosts h1..hn behind one
-    ToR), with the ECMP salt pinned by name instead of drawn from the
-    simulator RNG."""
-    if n_hosts < 2:
-        raise TopologyError("a star needs at least two hosts")
-    hosts = tuple(HostSpec(f"h{i}", ip_of(i))
-                  for i in range(1, n_hosts + 1))
-    links = tuple(
-        LinkSpec(h.name, switch_name,
-                 (host_rates or {}).get(h.name, host_rate_bps),
-                 prop_delay_ns=prop_delay_ns,
-                 queue_capacity_bytes=queue_capacity_bytes)
-        for h in hosts)
-    routes = {switch_name: {h.ip: (h.name,) for h in hosts}}
-    return TopologySpec(
-        hosts=hosts,
-        switches=(SwitchSpec(switch_name,
-                             stable_salt(switch_name, salt_seed)),),
-        links=links, routes=routes)
-
-
-def fat_tree_spec(k: int = 4,
-                  host_rate_bps: int = 10 * GBPS,
-                  fabric_rate_bps: int = 40 * GBPS,
-                  host_prop_ns: int = DEFAULT_PROP_DELAY_NS,
-                  fabric_prop_ns: int = 2_000,
-                  core_prop_ns: int = 10_000,
-                  queue_capacity_bytes: int = 300_000,
-                  salt_seed: int = 0
-                  ) -> Tuple[TopologySpec, Dict[str, int]]:
-    """A k-ary fat-tree (k pods, k^3/4 hosts) with up/down routing.
-
-    Returns ``(spec, group_of)`` where ``group_of`` maps each device
-    name to its pod index — the natural host-group partitioning for
-    the sharded simulator — with the core switches mapped to ``-1``
-    (they sit on the cut and belong to the coordinator shard).
-    ``core_prop_ns`` is the aggregation<->core propagation delay: with
-    pod-granularity sharding those are the only cross-shard links, so
-    it doubles as the conservative lookahead window.
-    """
-    if k < 2 or k % 2:
-        raise TopologyError("fat-tree arity k must be even and >= 2")
-    half = k // 2
-    hosts: List[HostSpec] = []
-    switches: List[SwitchSpec] = []
-    links: List[LinkSpec] = []
-    routes: Dict[str, Dict[int, Tuple[str, ...]]] = {}
-    group_of: Dict[str, int] = {}
-
-    def _sw(name: str, group: int) -> str:
-        switches.append(SwitchSpec(name, stable_salt(name, salt_seed)))
-        routes[name] = {}
-        group_of[name] = group
-        return name
-
-    host_index = 1
-    host_pod: List[List[HostSpec]] = []
-    host_edge: Dict[str, str] = {}
-    for p in range(k):
-        pod_hosts: List[HostSpec] = []
-        for e in range(half):
-            edge = _sw(f"e{p}_{e}", p)
-            for i in range(half):
-                h = HostSpec(f"h{p}_{e}_{i}", ip_of(host_index))
-                host_index += 1
-                hosts.append(h)
-                pod_hosts.append(h)
-                group_of[h.name] = p
-                host_edge[h.name] = edge
-                links.append(LinkSpec(h.name, edge, host_rate_bps,
-                                      prop_delay_ns=host_prop_ns,
-                                      queue_capacity_bytes=
-                                      queue_capacity_bytes))
-        for a in range(half):
-            agg = _sw(f"a{p}_{a}", p)
-            for e in range(half):
-                links.append(LinkSpec(f"e{p}_{e}", agg,
-                                      fabric_rate_bps,
-                                      prop_delay_ns=fabric_prop_ns,
-                                      queue_capacity_bytes=
-                                      queue_capacity_bytes))
-        host_pod.append(pod_hosts)
-    for a in range(half):
-        for c in range(half):
-            core = _sw(f"c{a}_{c}", -1)
-            for p in range(k):
-                links.append(LinkSpec(f"a{p}_{a}", core,
-                                      fabric_rate_bps,
-                                      prop_delay_ns=core_prop_ns,
-                                      queue_capacity_bytes=
-                                      queue_capacity_bytes))
-
-    all_hosts = list(hosts)
-    for p in range(k):
-        pod_host_names = {h.name for h in host_pod[p]}
-        aggs = tuple(f"a{p}_{a}" for a in range(half))
-        for e in range(half):
-            edge = f"e{p}_{e}"
-            table = routes[edge]
-            for h in all_hosts:
-                if host_edge[h.name] == edge:
-                    table[h.ip] = (h.name,)
-                else:
-                    # Same-pod (via agg) and inter-pod traffic both go
-                    # up; aggs bounce same-pod flows straight back down.
-                    table[h.ip] = aggs
-        for a in range(half):
-            agg = f"a{p}_{a}"
-            ups = tuple(f"c{a}_{c}" for c in range(half))
-            table = routes[agg]
-            for h in all_hosts:
-                if h.name in pod_host_names:
-                    table[h.ip] = (host_edge[h.name],)
-                else:
-                    table[h.ip] = ups
-    for a in range(half):
-        for c in range(half):
-            core = f"c{a}_{c}"
-            table = routes[core]
-            for p in range(k):
-                for h in host_pod[p]:
-                    table[h.ip] = (f"a{p}_{a}",)
-
-    return TopologySpec(hosts=tuple(hosts), switches=tuple(switches),
-                        links=tuple(links),
-                        routes=routes), group_of

@@ -1,6 +1,6 @@
 """End-to-end scenario tests: the fig9-style workload decomposes
-with the unattributed residual within budget (in fact exactly zero)
-on both simulator backends, and the breakdown figure reproduces."""
+with the unattributed residual within budget (in fact exactly zero),
+and the breakdown figure reproduces."""
 
 import pytest
 
@@ -12,9 +12,9 @@ from repro.latency.scenario import LatencyScenario, ServeConfig
 pytestmark = [pytest.mark.latency, pytest.mark.slow]
 
 
-def run_scenario(shards=0, duration_ms=50):
+def run_scenario(duration_ms=50):
     scenario = LatencyScenario(ServeConfig(
-        duration_ms=duration_ms, seed=2, shards=shards))
+        duration_ms=duration_ms, seed=2))
     scenario.run()
     scenario.finish()
     return scenario
@@ -39,7 +39,7 @@ def assert_contract(scenario):
 
 
 def test_fig9_scenario_residual_within_budget_single_heap():
-    scenario = run_scenario(shards=0)
+    scenario = run_scenario()
     store = scenario.store
     assert_contract(scenario)
     # The scenario exercises every attributable segment for real.
@@ -56,13 +56,6 @@ def test_fig9_scenario_residual_within_budget_single_heap():
     assert stats["orphan_events"] == 0
 
 
-@pytest.mark.shard
-def test_fig9_scenario_residual_within_budget_sharded():
-    scenario = run_scenario(shards=2)
-    assert_contract(scenario)
-    assert scenario.store.late_records == 0
-
-
 def test_breakdown_figure_reproduces():
     points = run_breakdown(loads=(0.5,), duration_ms=40, seed=3)
     [point] = points
@@ -72,7 +65,7 @@ def test_breakdown_figure_reproduces():
     # Queueing dominates the wire terms in this congested setup.
     assert point.segment_mean_us["switch_queue"] > \
         point.segment_mean_us["link_propagation"]
-    text = format_breakdown(points, shards=0)
+    text = format_breakdown(points)
     assert "Latency decomposition vs offered load" in text
     assert "unattr" in text and "0.50" in text
     assert "worst unattributed residual: 0.000%" in text

@@ -4,8 +4,8 @@ Two layers of evidence:
 
 * a small fig9 configuration run twice with the same seed must return
   identical results (including the processed-event count) and
-  identical telemetry snapshots, on both the single-heap and the
-  sharded paths — and a different seed must actually change them;
+  identical telemetry snapshots — and a different seed must actually
+  change them;
 * a star workload captured through a :class:`PortTap` must produce
   byte-identical pcap captures for the same seed (packet ids are
   reset per run — the one process-global, non-seeded piece of packet
@@ -19,15 +19,14 @@ from repro.experiments.fig9 import run_flow_scheduling
 from repro.netsim.packet import Packet, reset_packet_ids
 from repro.netsim.pcap import PortTap
 from repro.netsim.simulator import Simulator
-from repro.netsim.topology import star_spec
+from repro.netsim.topology import star
 from repro.telemetry import Telemetry
 
 
-def _fig9(seed, shards=0):
+def _fig9(seed):
     telemetry = Telemetry(enabled=True)
     result = run_flow_scheduling("pias", "eden", seed=seed,
-                                 duration_ms=15, shards=shards,
-                                 telemetry=telemetry)
+                                 duration_ms=15, telemetry=telemetry)
     return result, telemetry.registry.snapshot()
 
 
@@ -46,23 +45,12 @@ class TestFig9Determinism:
         _, snap_b = _fig9(seed=4)
         assert snap_a != snap_b
 
-    def test_sharded_run_is_deterministic_too(self):
-        result_a, snap_a = _fig9(seed=3, shards=2)
-        result_b, snap_b = _fig9(seed=3, shards=2)
-        assert result_a == result_b
-        # The barrier-wait histogram measures host wall-clock time, so
-        # it is legitimately run-dependent; everything event-derived
-        # (counters, gauges) must be identical.
-        assert snap_a["counters"] == snap_b["counters"]
-        assert snap_a["gauges"] == snap_b["gauges"]
-        assert snap_a["counters"]["sim_events_total{shard=1}"] > 0
-
 
 def _captured_star_run(seed):
     """A seeded random star workload with the ToR->h1 port tapped."""
     reset_packet_ids()
     sim = Simulator(seed=seed)
-    net = star_spec(4, salt_seed=seed).build(sim)
+    net = star(sim, 4)
     capture = io.BytesIO()
     PortTap(sim, net.switches["tor"].port_to("h1"), capture)
 

@@ -58,10 +58,12 @@ class TestReportCommand:
 class TestLatencyCommands:
     def test_latency_serve_options_parsed(self):
         args = build_parser().parse_args(
-            ["latency-serve", "--once", "--smoke", "--shards", "2",
+            ["latency-serve", "--once", "--smoke",
              "--duration-ms", "40", "--port", "8123"])
         assert args.once and args.smoke
-        assert args.shards == 2 and args.port == 8123
+        assert args.duration_ms == 40 and args.port == 8123
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["latency-serve", "--shards", "2"])
 
     def test_latency_breakdown_loads_parsed(self):
         args = build_parser().parse_args(
