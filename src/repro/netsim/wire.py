@@ -23,8 +23,6 @@ Layout (all integers big-endian):
 
 from __future__ import annotations
 
-import copy
-import hashlib
 import struct
 from typing import List, Tuple
 
@@ -172,21 +170,6 @@ def decode(frame: bytes) -> Packet:
     packet.ecn = dscp_ecn & 0x3
     packet.sack = tuple(sack)
     return packet
-
-
-def packet_digest(packet: Packet) -> str:
-    """A content digest of a packet's on-the-wire bytes.
-
-    The process-global ``packet_id`` (the IPv4 identification field)
-    is zeroed before encoding, so the digest depends only on seed-
-    derived state — two packets with the same headers hash the same
-    regardless of how many packets any earlier run allocated.  Used by
-    the shard-vs-single-heap equivalence harness, where the two runs
-    construct packets in different orders.
-    """
-    clone = copy.copy(packet)
-    clone.packet_id = 0
-    return hashlib.sha256(encode(clone)).hexdigest()[:16]
 
 
 def header_roundtrip_fields() -> Tuple[str, ...]:
