@@ -62,10 +62,6 @@ class FaultInjector:
 
     # -- partitions --------------------------------------------------------
 
-    def bind_scheduler(self, scheduler) -> None:
-        """Late-bind the scheduler used for partition windows."""
-        self.scheduler = scheduler
-
     def partition(self, address: str,
                   heal_at_ns: Optional[int] = None) -> None:
         """Cut the endpoint ``address`` off from everyone.
@@ -80,7 +76,7 @@ class FaultInjector:
             if self.scheduler is None:
                 raise ValueError(
                     "heal_at_ns needs a scheduler; pass one to the "
-                    "constructor or call bind_scheduler()")
+                    "constructor")
             self.scheduler.at(heal_at_ns, self._scheduled_heal,
                               address, gen)
 
@@ -93,7 +89,7 @@ class FaultInjector:
         if self.scheduler is None:
             raise ValueError(
                 "partition_window needs a scheduler; pass one to the "
-                "constructor or call bind_scheduler()")
+                "constructor")
         self.scheduler.at(start_ns, self.partition, address,
                           heal_at_ns)
 

@@ -7,10 +7,10 @@ of control-plane ops, and a :class:`FleetOrchestrator` that drives
 install -> Ack -> health-gate -> advance / pause / roll back — all
 through the existing reliable channel, so epoch fencing, loss
 recovery and restart replay behave identically at 3 hosts and at
-1024.  Fleet-scale runs use the sharded control fabric
-(:mod:`repro.fleet.shardfleet`); the DDoS-mitigation scenario lives in
-:mod:`repro.fleet.ddos` (imported on demand — it pulls in the function
-library).  See ``docs/FLEET.md``.
+1024.  Fleet-scale runs put the plane and every agent on one event
+heap (:mod:`repro.fleet.shardfleet`); the DDoS-mitigation scenario
+lives in :mod:`repro.fleet.ddos` (imported on demand — it pulls in
+the function library).  See ``docs/FLEET.md``.
 """
 
 from .health import (CallbackGate, EpochHealthGate, FAIL, HEALTHY,
@@ -24,15 +24,14 @@ from .program import (FleetOp, FleetProgram, InstallFunctionOp,
                       InstallRuleOp, PerHost, ProgramBuilder,
                       ProgramError, RemoveFunctionOp,
                       ReplaceFunctionOp, SetGlobalOp)
-from .shardfleet import (CONTROLLER_SHARD, FabricError,
-                         ShardedControlFabric, ShardedFleet)
+from .shardfleet import FabricError, ShardedFleet
 from .status import (ACKED, CONFIRMED, FAILED, HostStatus, INSTALLING,
                      PENDING, ROLLED_BACK, ROLLING_BACK, RolloutStatus,
                      WAVE_ABANDONED, WAVE_CONFIRMED, WAVE_FAILED,
                      WAVE_RUNNING, WaveRecord)
 
 __all__ = [
-    "ABORTED", "ACKED", "CONFIRMED", "CONTROLLER_SHARD",
+    "ABORTED", "ACKED", "CONFIRMED",
     "CallbackGate", "DEFAULT_PERCENTS", "DONE", "EpochHealthGate",
     "FAIL", "FAILED", "FabricError", "FleetOp", "FleetOrchestrator",
     "FleetProgram", "HEALTHY", "HealthGate", "HostHealth",
@@ -43,7 +42,7 @@ __all__ = [
     "ROLLING_BACK", "ROLLING_BACK_FLEET", "RUNNING",
     "RemoveFunctionOp", "ReplaceFunctionOp", "RolloutConfig",
     "RolloutPlan", "RolloutStatus", "SETTLING", "SetGlobalOp",
-    "ShardedControlFabric", "ShardedFleet", "TERMINAL", "WAIT",
+    "ShardedFleet", "TERMINAL", "WAIT",
     "WAVE_ABANDONED", "WAVE_CONFIRMED", "WAVE_FAILED",
     "WAVE_RUNNING", "Wave", "WaveRecord",
 ]

@@ -36,7 +36,6 @@ from .health import EpochHealthGate
 from .orchestrator import (DONE, FleetOrchestrator, RolloutConfig,
                            TERMINAL)
 from .plan import RolloutPlan
-from .shardfleet import ShardedFleet  # noqa: F401  (re-export hook)
 
 VICTIM_PORT = 5001
 

@@ -24,8 +24,8 @@ a time, entirely through the existing control plane:
 
 The orchestrator is a pure control-plane client: it owns no sockets
 and no threads, just a poll timer on the supplied scheduler, so it
-runs identically on the single-heap simulator, the sharded control
-fabric, or (with a real scheduler) a wall-clock deployment.
+runs identically on the simulator or (with a real scheduler) a
+wall-clock deployment.
 """
 
 from __future__ import annotations

@@ -26,7 +26,7 @@ FAST = ChannelConfig(rto_ns=1 * MS, backoff_cap_ns=8 * MS,
 
 def make_cluster(seed=1, num_hosts=1, **fault_kwargs):
     sim = Simulator(seed=seed)
-    faults = FaultInjector(rng=sim.rng, **fault_kwargs)
+    faults = FaultInjector(rng=sim.rng, scheduler=sim, **fault_kwargs)
     controller = Controller(transport="sim", sim=sim, faults=faults,
                             channel_config=FAST)
     for i in range(num_hosts):
@@ -173,7 +173,6 @@ class TestScheduledHeals:
     def test_partition_heals_itself_at_heal_at_ns(self):
         sim, faults, controller = make_cluster(seed=7)
         agent = controller.agent("h1")
-        faults.bind_scheduler(sim)
         faults.partition(agent.address, heal_at_ns=30 * MS)
         (pending,) = controller.install_function(
             "h1", tag_priority, global_schema=TAG_SCHEMA)
@@ -189,7 +188,6 @@ class TestScheduledHeals:
     def test_partition_window_bounds_the_outage(self):
         sim, faults, controller = make_cluster(seed=8)
         agent = controller.agent("h1")
-        faults.bind_scheduler(sim)
         faults.partition_window(agent.address, 10 * MS, 40 * MS)
         (pending,) = controller.install_function(
             "h1", tag_priority, global_schema=TAG_SCHEMA)
@@ -212,7 +210,6 @@ class TestScheduledHeals:
     def test_stale_scheduled_heal_cannot_heal_newer_partition(self):
         sim, faults, controller = make_cluster(seed=9)
         agent = controller.agent("h1")
-        faults.bind_scheduler(sim)
         faults.partition(agent.address, heal_at_ns=50 * MS)
         # An operator heals early and installs a NEW partition; the
         # old timer must not heal it (generation fencing).
@@ -226,7 +223,6 @@ class TestScheduledHeals:
     def test_manual_heal_wins_and_timer_is_orphaned(self):
         sim, faults, controller = make_cluster(seed=10)
         agent = controller.agent("h1")
-        faults.bind_scheduler(sim)
         faults.partition(agent.address, heal_at_ns=100 * MS)
         sim.run(until_ns=20 * MS)
         faults.heal(agent.address)
@@ -238,7 +234,6 @@ class TestScheduledHeals:
 
     def test_window_validation(self):
         sim, faults, _ = make_cluster(seed=11)
-        faults.bind_scheduler(sim)
         with pytest.raises(ValueError):
             faults.partition_window("agent:h1", 20 * MS, 20 * MS)
         unscheduled = FaultInjector()
@@ -249,7 +244,6 @@ class TestScheduledHeals:
 
     def test_summary_counts_scheduled_heals(self):
         sim, faults, controller = make_cluster(seed=12)
-        faults.bind_scheduler(sim)
         faults.partition("agent:h1", heal_at_ns=5 * MS)
         faults.partition_window("agent:h1", 10 * MS, 15 * MS)
         sim.run(until_ns=50 * MS)

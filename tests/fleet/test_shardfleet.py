@@ -1,5 +1,6 @@
-"""Sharded control fabric: placement, handoffs, determinism, and the
-DDoS-mitigation rollout converging on real enclaves under faults."""
+"""The fleet on one heap: installs, determinism, chunk invariance,
+and the DDoS-mitigation rollout converging on real enclaves under
+faults."""
 
 import hashlib
 
@@ -11,7 +12,7 @@ from repro.core.enclave import Enclave
 from repro.fleet import (DONE, EpochHealthGate, FabricError,
                          FleetOrchestrator, ProgramBuilder,
                          RolloutConfig, RolloutPlan, TERMINAL)
-from repro.fleet.shardfleet import ShardedControlFabric, ShardedFleet
+from repro.fleet.shardfleet import ShardedFleet
 from repro.functions.ddos import mitigation_program
 from repro.netsim.simulator import MS, Simulator
 
@@ -29,21 +30,9 @@ def real_enclave(host):
 class TestFabric:
     def test_validation(self):
         with pytest.raises(FabricError):
-            ShardedControlFabric(0)
-        with pytest.raises(FabricError):
-            ShardedControlFabric(2, delay_ns=0)
-        with pytest.raises(FabricError):
             ShardedFleet(0, 2, real_enclave)
 
-    def test_hosts_round_robin_over_shards(self):
-        fleet = ShardedFleet(8, 4, real_enclave)
-        shards = {fleet.fabric.shard_of(f"agent:{h}")
-                  for h in fleet.hosts}
-        assert shards == {1, 2, 3, 4}
-        # The controller lives alone on shard 0.
-        assert fleet.fabric.shard_of("controller") == 0
-
-    def test_cross_shard_messages_arrive_via_handoffs(self):
+    def test_installs_reach_every_host_as_one_artifact(self):
         fleet = ShardedFleet(8, 4, real_enclave,
                              report_interval_ns=5 * MS)
         pendings = []
@@ -52,8 +41,6 @@ class TestFabric:
                 host, "simple_fn", simple_fn))
         fleet.run(until_ns=400 * MS)
         assert all(p.done and p.acked for p in pendings)
-        assert fleet.fabric.handoffs > 0
-        assert fleet.fabric.windows > 0
         for host in fleet.hosts:
             assert fleet.enclaves[host].functions() == ["simple_fn"]
             assert fleet.plane.in_sync(host)
@@ -78,23 +65,22 @@ class TestDeterminism:
                 and fleet.fabric.now < 4_000 * MS:
             fleet.run(until_ns=fleet.fabric.now + 50 * MS)
         return (orch.state, orch.time_to_converged_ns,
-                fleet.fabric.events_processed, fleet.fabric.handoffs)
+                fleet.fabric.events_processed)
 
     def test_same_seed_same_trajectory(self):
         assert self._converge(7) == self._converge(7)
 
     def test_lossy_rollout_converges(self):
-        state, t_conv, events, handoffs = self._converge(3)
+        state, t_conv, events = self._converge(3)
         assert state == "done"
         assert t_conv is not None and t_conv > 0
-        assert events > 0 and handoffs > 0
+        assert events > 0
 
 
-def mitigation_rollout(n_hosts, n_shards=4, loss=0.2, dup_prob=0.05,
-                       seed=1):
+def mitigation_rollout(n_hosts, loss=0.2, dup_prob=0.05, seed=1):
     """A fleet of ``n_hosts`` real enclaves and an orchestrator armed
     to roll the DDoS mitigation out to it, not yet started."""
-    fleet = ShardedFleet(n_hosts, n_shards, real_enclave, seed=seed,
+    fleet = ShardedFleet(n_hosts, 4, real_enclave, seed=seed,
                          loss=loss, dup_prob=dup_prob,
                          report_interval_ns=20 * MS)
     plan = RolloutPlan.by_percent(fleet.hosts)
@@ -110,15 +96,9 @@ def mitigation_rollout(n_hosts, n_shards=4, loss=0.2, dup_prob=0.05,
     return fleet, plan, orch
 
 
-def converge_mitigation(n_hosts, n_shards=4, loss=0.2, dup_prob=0.05,
-                        seed=1):
-    """Roll the DDoS mitigation out to ``n_hosts`` real enclaves under
-    loss and duplication, restarting one enclave of the second wave
-    while its sends are in flight, then fence a stale-epoch install;
-    returns what the run did."""
-    fleet, plan, orch = mitigation_rollout(n_hosts, n_shards, loss,
-                                           dup_prob, seed)
-    plane = fleet.plane
+def arm_second_wave_restart(fleet, plan, orch):
+    """Restart the first host of the second wave 10 ms after the wave
+    starts, while its sends are in flight; returns that host."""
     wave = plan.waves[min(1, len(plan.waves) - 1)]
     restarted = wave.hosts[0]
 
@@ -129,6 +109,17 @@ def converge_mitigation(n_hosts, n_shards=4, loss=0.2, dup_prob=0.05,
             schedule_restart(agent_sim, agent_sim.now + 10 * MS, agent)
 
     orch.on_wave_start = arm_restart
+    return restarted
+
+
+def converge_mitigation(n_hosts, loss=0.2, dup_prob=0.05, seed=1):
+    """Roll the DDoS mitigation out to ``n_hosts`` real enclaves under
+    loss and duplication, restarting one enclave of the second wave
+    while its sends are in flight, then fence a stale-epoch install;
+    returns what the run did."""
+    fleet, plan, orch = mitigation_rollout(n_hosts, loss, dup_prob, seed)
+    plane = fleet.plane
+    restarted = arm_second_wave_restart(fleet, plan, orch)
     orch.start()
     while orch.state not in TERMINAL and fleet.fabric.now < 10_000 * MS:
         fleet.run(until_ns=fleet.fabric.now + 100 * MS)
@@ -148,7 +139,6 @@ def converge_mitigation(n_hosts, n_shards=4, loss=0.2, dup_prob=0.05,
         "replays": plane.replays,
         "stale_nacks": plane.stale_nacks_seen - stale_before,
         "retransmits": plane.endpoint.stats.retransmits,
-        "windows": fleet.fabric.windows,
         "events": fleet.fabric.events_processed,
         "in_sync": all(plane.in_sync(h) for h in fleet.hosts),
     }
@@ -167,7 +157,6 @@ class TestConvergence:
         assert run["replays"] >= 1
         assert run["stale_nacks"] >= 1
         assert run["retransmits"] > 0
-        assert run["windows"] > 0
         assert run["events"] > 0
 
     def test_deterministic_sim_times(self):
@@ -177,37 +166,38 @@ class TestConvergence:
         assert a["events"] == b["events"]
 
 
-@pytest.mark.xfail(strict=True, reason=(
-    "window-end tie order: run() is inclusive of w_end and a window "
-    "starts at the send that opened it, so most cross-shard envelopes "
-    "arrive exactly at w_end, after their destination heap fired that "
-    "instant; how callers chunk run(until) moves results "
-    "(docs/FLEET.md)"))
 def test_chunked_run_equals_one_call():
-    """One ``run(700 ms)`` and the same horizon in 12,345 ns chunks
-    should be the same rollout.  Today the one call converges at
-    485 ms after 171 retransmits and 1,529 handoffs, the chunked run
-    at 505 ms after 187 and 1,540 (100, 50 and 7 ms chunks happen to
-    match the one call)."""
-    horizon = 700 * MS
+    """One ``run(1.2 s)`` and the same horizon in 100 ms, 7 ms and
+    12,345 ns chunks are the same rollout, with and without the
+    second-wave restart: ``run(until)`` fires every event due at
+    ``until``, those scheduled at that instant included, so on one
+    heap a chunk boundary is invisible."""
+    horizon = 1_200 * MS
 
-    def rollout(chunk_ns):
-        fleet, _plan, orch = mitigation_rollout(32)
+    def rollout(chunk_ns, restart):
+        fleet, plan, orch = mitigation_rollout(32)
+        if restart:
+            arm_second_wave_restart(fleet, plan, orch)
         orch.start()
         while fleet.fabric.now < horizon:
             fleet.run(until_ns=min(horizon, fleet.fabric.now + chunk_ns))
         return (orch.time_to_converged_ns,
                 fleet.plane.endpoint.stats.retransmits,
-                fleet.fabric.handoffs)
+                fleet.fabric.events_processed)
 
-    assert rollout(12_345) == rollout(horizon)
+    for restart in (False, True):
+        one_call = rollout(horizon, restart)
+        assert one_call[0] is not None
+        for chunk_ns in (100 * MS, 7 * MS, 12_345):
+            assert rollout(chunk_ns, restart) == one_call, \
+                (chunk_ns, restart)
 
 
 def test_mitigation_rollout_golden(monkeypatch):
-    """``converge_mitigation(32)`` pinned to literals recorded before
-    the fabric's window loop was folded into it: what the run returns
-    and the sha256 of its fire log — ``(now, callback name)`` of every
-    event that fires on any fabric heap, in firing order.  A change
+    """``converge_mitigation(32)`` pinned to literals recorded when the
+    plane and agents moved onto one heap: what the run returns and the
+    sha256 of its fire log — ``(now, callback name)`` of every event
+    that fires, in firing order.  A change
     that moves either is a behaviour change and must re-record the pin
     on purpose, saying why."""
     fire_log = hashlib.sha256()
@@ -229,15 +219,14 @@ def test_mitigation_rollout_golden(monkeypatch):
 
 
 MITIGATION_32 = {'converged': True,
-                 'last_ack_ns': 545000000,
-                 'converged_ns': 545000000,
+                 'last_ack_ns': 405000000,
+                 'converged_ns': 405000000,
                  'restarts': 1,
                  'replays': 1,
                  'stale_nacks': 1,
-                 'retransmits': 231,
-                 'windows': 405,
-                 'events': 3037,
+                 'retransmits': 204,
+                 'events': 2652,
                  'in_sync': True}
 
 MITIGATION_32_FIRE_LOG = \
-    '1069ad48b54e3f02dddec791d6eba93168933086b906fd855ff4abeba841ab76'
+    '99147386a67dafe340c9dbb222f5e53f0bfb75829ad20f1c21a475afe6abcd0a'
