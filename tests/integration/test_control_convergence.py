@@ -63,3 +63,33 @@ def test_higher_loss_and_other_seed_still_converge():
     result = control_demo.run_scenario(seed=7, loss=0.20,
                                        duration_ms=300)
     assert result.converged
+
+
+@pytest.mark.control_faults
+def test_seed_one_golden():
+    """``run_scenario()`` at seed 1 pinned to literals: what the
+    control loops heard (reports in, PIAS and WCMP updates), where
+    they converged, and every channel and fault count.  Any change to
+    how agents report must leave the loops' sample stream, and so
+    these numbers, as they are."""
+    result = control_demo.run_scenario()
+    assert result.reports_received == 338
+    assert result.pias_updates == 125
+    assert result.wcmp_updates == 2
+    assert result.replays == 1
+    assert result.final_thresholds == [
+        (90000, 7), (207000, 6), (4611686018427387904, 5)]
+    assert result.final_weights == [(1, 900), (2, 100)]
+    assert result.channel == {
+        'sent': 392, 'sent_unreliable': 1, 'retransmits': 119,
+        'acked': 391, 'nacked': 1, 'expired': 0, 'delivered': 339,
+        'duplicates_dropped': 0, 'stale_session_drops': 0,
+        'reacked': 0}
+    assert (result.faults["dropped"], result.faults["duplicated"]) == \
+        (115, 20)
+    assert {host: (h.applied_epoch, h.desired_epoch, h.restarts,
+                   h.stale_rejections)
+            for host, h in result.hosts.items()} == {
+        'h1': (132, 132, 0, 1), 'h2': (128, 128, 1, 0),
+        'h3': (128, 128, 0, 0)}
+    assert result.converged
