@@ -4,10 +4,19 @@ Each end host runs one :class:`EnclaveAgent` next to its enclave.  The
 agent terminates the control channel: it applies configuration
 messages to the local enclave in delivery order, enforces per-enclave
 epoch monotonicity (stale installs are Nacked with ``stale-epoch``
-and leave the data plane untouched), pushes periodic
-:class:`~repro.control.messages.StatsReport` telemetry, and — after a
-restart that lost all soft state — announces itself with ``Hello`` so
-the controller replays its desired state.
+and leave the data plane untouched), reports its state as a
+:class:`~repro.control.messages.StatsReport`, and — after a restart
+that lost all soft state — announces itself with ``Hello`` so the
+controller replays its desired state.
+
+Reports go out when something changed, not on every tick.  Once
+reporting is on, every config ``Ack`` carries a report built as it is
+sent, so the controller hears a new epoch together with its Ack.  The
+periodic tick sends a report when the agent has a feed to sample
+(telemetry sources, a health source, registry telemetry) or when its
+epoch, packet count or enclave generation moved since its last pushed
+report; an idle agent otherwise sends one every
+:data:`HEARTBEAT_TICKS` ticks.
 
 The enclave API it calls is the trust boundary: an install carries a
 compiled artifact, which the enclave verifies against its own limits
@@ -31,6 +40,11 @@ from .messages import (ConfigMessage, ControlError, ControlMessage,
                        STALE_EPOCH, StatsReport, UpdateGlobals,
                        UpdateRules)
 from .transport import Transport
+
+
+#: An agent with nothing to sample and nothing changed still sends
+#: a report on every this-many-th tick, as a heartbeat.
+HEARTBEAT_TICKS = 10
 
 
 def agent_address(host: str) -> str:
@@ -75,6 +89,10 @@ class EnclaveAgent:
             = None
         self._report_interval_ns: Optional[int] = None
         self._report_gen = 0
+        # The agent's state at its last pushed report, as
+        # _state_key(), and the ticks since then.
+        self._reported_key: Optional[tuple] = None
+        self._quiet_ticks = 0
 
     # -- message handling --------------------------------------------------
 
@@ -220,20 +238,38 @@ class EnclaveAgent:
         self._health_source = source
 
     def build_report(self) -> StatsReport:
+        return self._report({name: source() for name, source
+                             in self._telemetry_sources.items()})
+
+    def _ack_report(self) -> StatsReport:
+        """The report an Ack carries: the feeds stay unsampled, and
+        the next tick still pushes the change."""
+        return self._report({})
+
+    def _report(self, telemetry: Dict[str, object]) -> StatsReport:
         now = self.scheduler.now if self.scheduler is not None else 0
         return StatsReport(
             host=self.host, at_ns=now,
             applied_epoch=self.applied_epoch,
             stats=self.enclave.stats_summary(),
-            telemetry={name: source() for name, source
-                       in self._telemetry_sources.items()},
+            telemetry=telemetry,
             registry=(self.telemetry.registry.snapshot()
                       if self.telemetry.enabled else {}),
             health=(dict(self._health_source())
                     if self._health_source is not None else {}))
 
+    def _state_key(self) -> tuple:
+        """Moves whenever a report's content may have: epoch, packet
+        count, enclave generation.  O(1); no report is built to
+        learn it."""
+        enclave = self.enclave
+        return (self.applied_epoch, enclave.packets_processed,
+                enclave.generation)
+
     def send_report(self) -> None:
         """Push one telemetry report (best-effort, unacked)."""
+        self._reported_key = self._state_key()
+        self._quiet_ticks = 0
         if not self.telemetry.enabled:
             self.endpoint.send(self.controller_address,
                                self.build_report(), reliable=False)
@@ -253,7 +289,13 @@ class EnclaveAgent:
         self._m_reports.inc()
 
     def start_reporting(self, interval_ns: int) -> None:
-        """Push a ``StatsReport`` every ``interval_ns`` forever."""
+        """Tick every ``interval_ns`` forever, and carry a report on
+        every config Ack from now on.
+
+        A tick pushes a ``StatsReport`` if the agent has a feed to
+        sample, if its state changed since its last pushed report, or
+        on every :data:`HEARTBEAT_TICKS`-th quiet tick.
+        """
         if self.scheduler is None:
             raise ControlError(
                 "periodic reporting needs a scheduler (Simulator)")
@@ -261,12 +303,18 @@ class EnclaveAgent:
             raise ControlError("report interval must be positive")
         self._report_interval_ns = interval_ns
         self._report_gen += 1
+        self.endpoint.ack_report = self._ack_report
         self.scheduler.schedule(interval_ns, self._periodic_report,
                                 interval_ns, self._report_gen)
 
     def _periodic_report(self, interval_ns: int, gen: int) -> None:
         if gen != self._report_gen:
             return  # orphaned timer from before a restart/reconfigure
-        self.send_report()
+        self._quiet_ticks += 1
+        if self._telemetry_sources or self._health_source is not None \
+                or self.telemetry.enabled \
+                or self._quiet_ticks >= HEARTBEAT_TICKS \
+                or self._state_key() != self._reported_key:
+            self.send_report()
         self.scheduler.schedule(interval_ns, self._periodic_report,
                                 interval_ns, gen)

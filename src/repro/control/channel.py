@@ -174,6 +174,13 @@ class ControlEndpoint:
         self.stats = ChannelStats()
         #: Called with ``(peer, pending)`` when a send is nacked.
         self.on_nack: Optional[Callable[[str, PendingSend], None]] = None
+        #: Called with every envelope this endpoint receives, before
+        #: it is processed.
+        self.on_receive: Optional[Callable[[Envelope], None]] = None
+        #: Called each time an Ack is sent; what it returns rides on
+        #: the Ack as ``report``.  It is never cached with the
+        #: outcome, so a re-ack carries a freshly built one.
+        self.ack_report: Optional[Callable[[], ControlMessage]] = None
         self._peers: Dict[str, _PeerStream] = {}
         # Every ChannelStats field is mirrored into a registry counter
         # labeled by endpoint, so channel health shows up in telemetry
@@ -276,6 +283,8 @@ class ControlEndpoint:
     # -- receiving ---------------------------------------------------------
 
     def _on_receive(self, env: Envelope) -> None:
+        if self.on_receive is not None:
+            self.on_receive(env)
         payload = env.payload
         if isinstance(payload, (Ack, Nack)):
             self._on_ack(env.src, payload)
@@ -336,8 +345,10 @@ class ControlEndpoint:
     def _send_outcome(self, dst: str, session: int, seq: int,
                       outcome: Outcome) -> None:
         if outcome.ok:
-            reply: ControlMessage = Ack(session=session, seq=seq,
-                                        result=outcome.result)
+            reply: ControlMessage = Ack(
+                session=session, seq=seq, result=outcome.result,
+                report=(self.ack_report() if self.ack_report is not None
+                        else None))
         else:
             reply = Nack(session=session, seq=seq,
                          reason=outcome.reason, error=outcome.error)

@@ -167,7 +167,13 @@ class Hello(ControlMessage):
 
 @dataclass(frozen=True)
 class StatsReport(ControlMessage):
-    """Agent → controller telemetry push (periodic, best-effort).
+    """Agent → controller: the agent's state at ``at_ns``.
+
+    Pushed best-effort on the agent's report timer when it has
+    something to sample or something changed (an idle agent still
+    sends one every heartbeat), and carried on every :class:`Ack` of
+    a config message once reporting is on — built when that Ack is
+    sent, with ``telemetry`` empty.
 
     ``stats`` is the enclave's per-function counter summary;
     ``telemetry`` carries named observation feeds (e.g.
@@ -196,11 +202,15 @@ class Ack(ControlMessage):
 
     ``result`` carries the operation's return value (e.g. the rule id
     of an :class:`InstallRule`, the installed function object).
+    ``report`` is the sending agent's :class:`StatsReport`, built when
+    this Ack was sent, once the agent reports; ``None`` otherwise.  A
+    re-ack of a duplicate builds a fresh one.
     """
 
     session: int = 0
     seq: int = 0
     result: object = None
+    report: Optional[StatsReport] = None
 
 
 @dataclass(frozen=True)

@@ -532,6 +532,12 @@ class Enclave:
         self._next_rule_id = itertools.count(1)
         self.packets_processed = 0
         self.packets_dropped = 0
+        #: Bumped by every cold-path change :meth:`stats_summary` can
+        #: show: a function installed, replaced or removed, a message
+        #: ended or expired, a factory reset.  With
+        #: ``packets_processed`` it tells in O(1) whether the summary
+        #: may have changed.
+        self.generation = 0
         # Instruments are bound once here; the data path touches them
         # (and opens spans) only behind the one _tracing test.
         registry = self.telemetry.registry
@@ -598,6 +604,7 @@ class Enclave:
         installed = self._bind(name, action, backend,
                                commit_packet_writes)
         self._functions[name] = installed
+        self.generation += 1
         return installed
 
     def _bind(self, name: str, action: CompiledAction, backend: str,
@@ -629,6 +636,7 @@ class Enclave:
         self._tables = {0: MatchActionTable(0)}
         self.packets_processed = 0
         self.packets_dropped = 0
+        self.generation += 1
 
     def remove_function(self, name: str) -> None:
         if name not in self._functions:
@@ -642,6 +650,7 @@ class Enclave:
         # No cache (generated code, native closures) may outlive the
         # function that owned it.
         self._functions.pop(name).retire()
+        self.generation += 1
 
     def function(self, name: str) -> InstalledFunction:
         try:
@@ -977,6 +986,7 @@ class Enclave:
         replacement.global_store = old.global_store
         replacement.message_store = old.message_store
         self._functions[name] = replacement
+        self.generation += 1
         # The swap already unlinks the old program from the data path;
         # retiring it makes sure nobody still holding it can run a
         # stale compiled handler.
@@ -1012,12 +1022,15 @@ class Enclave:
         store = self.function(function).message_store
         if store is not None:
             store.end_message(msg_key)
+            self.generation += 1
 
     def expire_idle_messages(self, now_ns: int) -> int:
         total = 0
         for fn in self._functions.values():
             if fn.message_store is not None:
                 total += fn.message_store.expire_idle(now_ns)
+        if total:
+            self.generation += 1
         return total
 
     # -- the enclave's own stage -------------------------------------------

@@ -3,10 +3,11 @@
 An Ack only proves the config message was applied; the health gate
 decides whether the *enclave survived the change* before the rollout
 widens its blast radius.  Gates read a :class:`HostHealth` view —
-channel convergence plus the freshest ``StatsReport`` (whose
-``health`` mapping the agent fills from its
-:meth:`~repro.control.agent.EnclaveAgent.set_health_source`) — and
-return one of three verdicts:
+channel convergence, the freshest ``StatsReport`` (pushed, or carried
+on a config Ack; its ``health`` mapping the agent fills from its
+:meth:`~repro.control.agent.EnclaveAgent.set_health_source`) and when
+the plane last heard from the host — and return one of three
+verdicts:
 
 ``HEALTHY``
     confirm the host; the wave may advance once all hosts confirm.
@@ -32,22 +33,33 @@ FAIL = "fail"
 
 @dataclass
 class HostHealth:
-    """Everything a gate may consult about one host."""
+    """Everything a gate may consult about one host.
+
+    An agent whose state did not change reports only on its heartbeat,
+    so a report's age alone would call a quiet, live host stale:
+    :attr:`report_age_ns` counts from the later of the report and the
+    last message of any kind heard from the host.
+    """
 
     host: str
     now_ns: int
     #: Channel-level convergence: no pending sends and the agent's
-    #: last report carries at least the target epoch.
+    #: newest report carries at least the target epoch.
     in_sync: bool
     target_epoch: int
     #: Freshest StatsReport, or None if the host never reported.
     report: Optional[StatsReport] = None
+    #: When the plane last received any message from the host.
+    heard_ns: Optional[int] = None
 
     @property
     def report_age_ns(self) -> Optional[int]:
         if self.report is None:
             return None
-        return self.now_ns - self.report.at_ns
+        heard = self.report.at_ns
+        if self.heard_ns is not None:
+            heard = max(heard, self.heard_ns)
+        return self.now_ns - heard
 
 
 class HealthGate:
@@ -61,7 +73,8 @@ class EpochHealthGate(HealthGate):
     """Production-shaped gate: fresh post-update telemetry, no
     interpreter faults, required functions present.
 
-    - the agent must have *reported at the target epoch* within
+    - the agent must have *reported at the target epoch* — a config
+      Ack's report counts — and been heard from within
       ``max_report_age_ns`` (an enclave that applied the config and
       then wedged stops confirming);
     - any per-function ``faults`` increment observed at the target

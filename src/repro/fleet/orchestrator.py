@@ -317,7 +317,8 @@ class FleetOrchestrator:
             host=host, now_ns=self.now,
             in_sync=self.plane.in_sync(host),
             target_epoch=status.target_epoch,
-            report=self.plane.latest_report.get(host))
+            report=self.plane.latest_report.get(host),
+            heard_ns=self.plane.last_heard_ns.get(host))
 
     def _advance(self) -> None:
         if self.current_wave + 1 < len(self.plan.waves):

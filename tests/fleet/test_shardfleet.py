@@ -194,8 +194,9 @@ def test_chunked_run_equals_one_call():
 
 
 def test_mitigation_rollout_golden(monkeypatch):
-    """``converge_mitigation(32)`` pinned to literals recorded when the
-    plane and agents moved onto one heap: what the run returns and the
+    """``converge_mitigation(32)`` pinned to literals recorded when
+    agents began reporting on change (config Acks carry the agent's
+    state, idle ticks send nothing): what the run returns and the
     sha256 of its fire log — ``(now, callback name)`` of every event
     that fires, in firing order.  A change
     that moves either is a behaviour change and must re-record the pin
@@ -219,14 +220,14 @@ def test_mitigation_rollout_golden(monkeypatch):
 
 
 MITIGATION_32 = {'converged': True,
-                 'last_ack_ns': 405000000,
-                 'converged_ns': 405000000,
+                 'last_ack_ns': 300000000,
+                 'converged_ns': 300000000,
                  'restarts': 1,
                  'replays': 1,
                  'stale_nacks': 1,
-                 'retransmits': 204,
-                 'events': 2652,
+                 'retransmits': 262,
+                 'events': 1708,
                  'in_sync': True}
 
 MITIGATION_32_FIRE_LOG = \
-    '99147386a67dafe340c9dbb222f5e53f0bfb75829ad20f1c21a475afe6abcd0a'
+    'd5cf780ba1e0324a5164439cf1c9bd2c0bc677d6406016aa066010f85550e3c9'
