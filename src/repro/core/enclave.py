@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 from typing import (Callable, Dict, Iterable, List, Optional,
                     Sequence, Tuple, Union)
 
@@ -169,6 +169,8 @@ class InstalledFunction:
         self.global_schema = action.global_schema
         self.concurrency = facts(self.program).concurrency
         self.guard = ConcurrencyGuard(self.concurrency)
+        # A PARALLEL guard never refuses, so the data path skips it.
+        self.guarded = self.concurrency is not ConcurrencyLevel.PARALLEL
         self.interpreter = interpreter
         # Only the native backend ever runs the AST-level compilation.
         self.native = (NativeFunction(action.prog_ast, self.program,
@@ -458,6 +460,20 @@ class MatchActionTable:
         return list(self._rules)
 
 
+def _slotted(cls):
+    """``cls`` rebuilt with ``__slots__`` for its dataclass fields —
+    what ``dataclass(slots=True)`` does on Python 3.10+.  The generated
+    ``__init__`` keeps the defaults, ``__eq__`` and ``__repr__`` read
+    the fields, ``dataclasses.fields`` still answers; an instance just
+    has no ``__dict__`` to allocate."""
+    names = tuple(f.name for f in fields(cls))
+    ns = {k: v for k, v in vars(cls).items()
+          if k not in names and k not in ("__dict__", "__weakref__")}
+    ns["__slots__"] = names
+    return type(cls)(cls.__name__, cls.__bases__, ns)
+
+
+@_slotted
 @dataclass
 class ProcessResult:
     """Outcome of enclave processing for one packet.
@@ -466,7 +482,8 @@ class ProcessResult:
     the scalar path raises :class:`ConcurrencyViolation` out of
     :meth:`Enclave.process_packet`, the batch path isolates the
     violation to the offending packet (the rest of the batch still
-    processes) and parks the exception here.
+    processes) and parks the exception here.  One is built per packet,
+    so the class carries ``__slots__`` (:func:`_slotted`).
     """
 
     executed: List[str]                 # action functions run, in order
@@ -476,6 +493,9 @@ class ProcessResult:
     faults: int = 0
     interpreter_ops: int = 0            # bytecode ops across actions
     error: Optional[BaseException] = None
+
+
+_new_result = ProcessResult.__new__
 
 
 #: Placements supported by the prototype (Section 4.3): a Windows
@@ -488,6 +508,7 @@ _PLACEMENT_BASE_COST_NS = {PLACEMENT_OS: 500, PLACEMENT_NIC: 120}
 #: Class name of the enclave's own flow-granularity classification
 #: (appended to every packet; paper Table 2, last row).
 _FLOW_CLASS = "enclave.flows.default"
+_FLOW_KEY = (_FLOW_CLASS,)
 
 
 class Enclave:
@@ -855,9 +876,20 @@ class Enclave:
                    ) -> Tuple[str, ...]:
         """The class names the tables match on: the stages' classes,
         those of the enclave's own stage rules, then the flow class
-        every packet carries (paper Table 2, last row)."""
+        every packet carries (paper Table 2, last row).
+
+        Built once per packet, so the common shapes — no enclave stage
+        rules and one stage class, or none — take no list and no call;
+        ``flow_stage._rules`` is :meth:`Stage.has_rules` inlined.
+        """
+        stage_rules = self.flow_stage._rules
+        if not stage_rules:
+            if len(classifications) == 1:
+                return (classifications[0].class_name, _FLOW_CLASS)
+            if not classifications:
+                return _FLOW_KEY
         names = [c.class_name for c in classifications]
-        if self.flow_stage.has_rules():
+        if stage_rules:
             names += self._enclave_stage_classes(packet)
         names.append(_FLOW_CLASS)
         return tuple(names)
@@ -875,9 +907,11 @@ class Enclave:
         stays committed.
         """
         tracing = self._tracing
-        acct = self.accounting if self.accounting.enabled else None
-        if acct is not None:
+        acct = self.accounting
+        if acct.enabled:
             acct.mark()
+        else:
+            acct = None
         executed: List[str] = []
         matched_classes: List[str] = []
         faults = ops = 0
@@ -885,10 +919,10 @@ class Enclave:
         msg_id: Optional[object] = None
         int_metadata: Optional[Dict[str, int]] = None
 
-        table_id: Optional[int] = 0
-        hops = 0
-        while table_id is not None and hops < self.MAX_TABLE_HOPS:
-            hops += 1
+        table_id = 0
+        hops = self.MAX_TABLE_HOPS
+        while hops > 0:
+            hops -= 1
             if tracing:
                 with self.telemetry.tracer.span(
                         "enclave.lookup", enclave=self.name,
@@ -906,47 +940,57 @@ class Enclave:
                 break
             rule, matched = hit
             matched_classes.append(matched)
-            table_id = rule.next_table
             fn = self._functions[rule.function]
             store = fn.message_store
-            # A PARALLEL guard never refuses, so it is not taken.
-            guarded = fn.concurrency is not ConcurrencyLevel.PARALLEL
-            if msg_id is None and (guarded or store is not None):
-                msg_id = _message_id(packet, classifications)
-            if guarded:
-                fn.guard.acquire(msg_id)
+            guarded = fn.guarded
+            msg_entry = None
+            # A hop without guard or message state needs no message.
+            if guarded or store is not None:
+                if msg_id is None:
+                    msg_id = _message_id(packet, classifications)
+                if guarded:
+                    fn.guard.acquire(msg_id)
             try:
-                msg_entry = None
                 if store is not None:
                     if int_metadata is None:
                         int_metadata = _int_metadata(classifications)
                     msg_entry, _ = store.lookup(msg_id, now,
                                                 int_metadata)
-                try:
-                    ops += fn.run_packet(packet, msg_entry, acct)
-                except InterpreterFault:
-                    # Section 3.4.3: a faulty function terminates its
-                    # own execution without affecting the rest of the
-                    # system — the packet is forwarded unmodified and
-                    # the chain continues.
-                    fn.stats.faults += 1
-                    faults += 1
-                    if tracing:
-                        self._m_faults.inc()
-                else:
-                    executed.append(fn.name)
-                    if tracing:
-                        self._m_invocations.inc()
+                ops += fn.run_packet(packet, msg_entry, acct)
+            except InterpreterFault:
+                # Section 3.4.3: a faulty function terminates its own
+                # execution without affecting the rest of the system —
+                # the packet is forwarded unmodified and the chain
+                # continues.
+                fn.stats.faults += 1
+                faults += 1
+                if tracing:
+                    self._m_faults.inc()
+            else:
+                executed.append(fn.name)
+                if tracing:
+                    self._m_invocations.inc()
             finally:
                 if guarded:
                     fn.guard.release(msg_id)
+            table_id = rule.next_table
+            if table_id is None:
+                break
         if acct is not None:
             acct.lap("enclave")
-        return ProcessResult(
-            executed, matched_classes,
-            True if getattr(packet, "drop", 0) else False,
-            True if getattr(packet, "to_controller", 0) else False,
-            faults, ops)
+        # ``ProcessResult(...)`` without the class call, which Python
+        # 3.11 routes through a C trampoline into ``__init__``; every
+        # field is set here.
+        result = _new_result(ProcessResult)
+        result.executed = executed
+        result.matched_classes = matched_classes
+        result.drop = True if getattr(packet, "drop", 0) else False
+        result.to_controller = \
+            True if getattr(packet, "to_controller", 0) else False
+        result.faults = faults
+        result.interpreter_ops = ops
+        result.error = None
+        return result
 
     def replace_function(self, name: str,
                          action: Union[CompiledAction, Callable, str],

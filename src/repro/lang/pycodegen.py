@@ -58,7 +58,8 @@ from __future__ import annotations
 
 import keyword
 from collections import OrderedDict
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import (Dict, List, NamedTuple, Optional, Sequence,
+                    Set, Tuple)
 
 from .analysis import ProgramFacts, facts
 from .bytecode import INT_MASK, INT_MAX, Instr, Op, Program, wrap64
@@ -117,6 +118,29 @@ class _Ctx:
     )
 
 
+class _Where(NamedTuple):
+    """Where emitted code keeps five things of one invocation.
+
+    ``field`` formats a field-table slot; the other four name the op
+    count, the operand-stack high-water mark, the op budget and the
+    stack limit.  A generated function ``_fN(ctx, ...)`` keeps them on
+    the shared :class:`_Ctx` (:data:`_ON_CTX`); the per-packet plan
+    inlines the entry body into its own frame, where they are Python
+    locals (:data:`_IN_FRAME`).
+    """
+
+    field: str
+    ops: str
+    max_seen: str
+    budget: str
+    stack_limit: str
+
+
+_ON_CTX = _Where("F[{}]", "ctx.ops", "ctx.max_seen", "ctx.budget",
+                 "ctx.stack_limit")
+_IN_FRAME = _Where("f{}", "_ops", "_ms", "_bud", "_sl")
+
+
 def _budget_fault(ctx: _Ctx, pc: int) -> None:
     raise InterpreterFault(f"op budget of {ctx.budget} exceeded",
                            ctx.name, pc)
@@ -129,21 +153,24 @@ def _stack_fault(ctx: _Ctx, depth: int, pc: int) -> None:
 
 
 class CompiledProgram:
-    """One program's generated entry point plus bookkeeping.
+    """One program's generated functions plus bookkeeping.
 
-    ``plan`` is the compiled per-packet plan :func:`plan_for` built for
-    it — ``(packet schema, global schema, code, namespace, source)`` —
-    which every installed function binding the program instantiates.
+    ``functions[k]`` is ``_fk(ctx, ...)``; ``entry`` is ``_f0``, which
+    the generic tier runs.  ``plan`` is the compiled per-packet plan
+    :func:`plan_for` built for it — ``(packet schema, global schema,
+    code, namespace, source)`` — which every installed function binding
+    the program instantiates.
     """
 
-    __slots__ = ("program", "entry", "n_locals", "modes", "source",
-                 "plan")
+    __slots__ = ("program", "functions", "entry", "n_locals", "modes",
+                 "source", "plan")
 
-    def __init__(self, program: Program, entry, n_locals: int,
+    def __init__(self, program: Program, functions: tuple,
                  modes: Tuple[str, ...], source: str) -> None:
         self.program = program
-        self.entry = entry
-        self.n_locals = n_locals
+        self.functions = functions
+        self.entry = functions[0]
+        self.n_locals = program.entry.n_locals
         self.modes = modes          # per-function tier
         self.source = source
         self.plan = None
@@ -168,12 +195,30 @@ class _FuncEmitter:
     segment's statements (same policy as fused superinstructions).
     The program is verified: every index, slot and jump target is in
     range and every reachable pc has one operand-stack depth.
+
+    ``exit`` is None for a function of its own, ``_fN(ctx, ...)``,
+    which keeps the invocation's state on ``ctx`` and returns its
+    value.  Otherwise the body is the entry inlined into the per-packet
+    plan: the state lives in the plan's locals (:data:`_IN_FRAME`),
+    every way out of the body runs the ``exit`` lines (the plan's
+    write-back tail) instead of returning a value, and a CALL hands
+    the op count, the high-water mark and, when a callee touches them,
+    the field slots to the callee's ``ctx`` and takes them back.
     """
 
     def __init__(self, program: Program, fi: int,
-                 found: ProgramFacts) -> None:
+                 found: ProgramFacts,
+                 exit: Optional[List[str]] = None) -> None:
         self.program = program
         self.fi = fi
+        self.exit = exit
+        self.where = _ON_CTX if exit is None else _IN_FRAME
+        if exit is not None:
+            called = {instr.arg for fn in program.functions
+                      for instr in fn.code if instr.op is Op.CALL}
+            used = set().union(*(found.ops_used[k] for k in called))
+            self._spill_fields = Op.GETF in used or Op.PUTF in used
+            self._reload_fields = Op.PUTF in used
         self.fn = program.functions[fi]
         self.code = self.fn.code
         self.depth_at = found.depths[fi]
@@ -210,10 +255,17 @@ class _FuncEmitter:
         """Splice the segment's op count + budget check at its start."""
         if self._pending:
             pad = "    " * self._anchor_indent
+            where = self.where
+            if self.exit is None:
+                fault = f"_budget_fault(ctx, {self._seg_pc})"
+            else:
+                fault = (f"raise InterpreterFault('op budget of %s "
+                         f"exceeded' % ({where.budget},), _NAME, "
+                         f"{self._seg_pc})")
             self.lines[self._anchor:self._anchor] = [
-                f"{pad}ctx.ops += {self._pending}",
-                f"{pad}if ctx.ops > ctx.budget:",
-                f"{pad}    _budget_fault(ctx, {self._seg_pc})",
+                f"{pad}{where.ops} += {self._pending}",
+                f"{pad}if {where.ops} > {where.budget}:",
+                f"{pad}    {fault}",
             ]
         self._pending = 0
         self._anchor = len(self.lines)
@@ -224,17 +276,27 @@ class _FuncEmitter:
 
         Emitted only when ``new_depth`` exceeds every depth seen so
         far in this segment — earlier checks already cover lower
-        depths, and ``ctx.max_seen`` keeps the filter exact across
-        segments.
+        depths, and the high-water mark keeps the filter exact across
+        segments.  The inlined entry's frame starts at depth 0, so
+        its depths are constants.
         """
         if new_depth <= self._seg_high:
             return
         self._seg_high = new_depth
-        self.w(f"_d = _o + {new_depth}")
-        self.w("if _d > ctx.max_seen:")
-        self.w("    ctx.max_seen = _d")
-        self.w("    if _d > ctx.stack_limit:")
-        self.w(f"        _stack_fault(ctx, _d, {fault_pc})")
+        where = self.where
+        if self.exit is None:
+            self.w(f"_d = _o + {new_depth}")
+            depth = "_d"
+            fault = f"_stack_fault(ctx, _d, {fault_pc})"
+        else:
+            depth = str(new_depth)
+            fault = (f"raise InterpreterFault('operand stack of "
+                     f"{new_depth} words exceeds limit %s' % "
+                     f"({where.stack_limit},), _NAME, {fault_pc})")
+        self.w(f"if {depth} > {where.max_seen}:")
+        self.w(f"    {where.max_seen} = {depth}")
+        self.w(f"    if {depth} > {where.stack_limit}:")
+        self.w(f"        {fault}")
 
     def _wrap_into(self, slot: str, expr: str) -> None:
         for line in _wrap_lines(slot, expr):
@@ -305,10 +367,10 @@ class _FuncEmitter:
         elif op is Op.NOTL:
             self.w(f"{top} = 1 if {top} == 0 else 0")
         elif op is Op.GETF:
-            self.w(f"{nxt} = F[{instr.arg}]")
+            self.w(f"{nxt} = {self.where.field.format(instr.arg)}")
             self._depth_check(d + 1, pc + 1)
         elif op is Op.PUTF:
-            self.w(f"F[{instr.arg}] = {top}")
+            self.w(f"{self.where.field.format(instr.arg)} = {top}")
         elif op is Op.ABASE:
             self.w(f"{nxt} = B[{instr.arg}]")
             self._depth_check(d + 1, pc + 1)
@@ -374,10 +436,26 @@ class _FuncEmitter:
         self.w("ctx.depth += 1")
         self.w("if ctx.depth > ctx.max_depth:")
         self.w("    ctx.max_depth = ctx.depth")
-        self.w(f"_r = _f{instr.arg}({call_args})")
+        if self.exit is None:
+            self.w(f"_r = _f{instr.arg}({call_args})")
+        else:
+            fields = ", ".join(
+                self.where.field.format(i)
+                for i in range(len(self.program.field_table)))
+            self.w("ctx.ops = _ops")
+            self.w("ctx.max_seen = _ms")
+            if self._spill_fields and fields:
+                self.w(f"ctx.fields = [{fields}]")
+            self.w(f"_r = _f{instr.arg}({call_args})")
+            self.w("_ops = ctx.ops")
+            self.w("_ms = ctx.max_seen")
+            if self._reload_fields and fields:
+                self.w(f"{fields}, = ctx.fields")
         self.w("ctx.depth -= 1")
         self.w("if ctx.halted:")
-        self.w("    return _r")
+        self.indent += 1
+        self._leave("_r")
+        self.indent -= 1
         if remain:
             self.w(f"ctx.outer -= {remain}")
         # No depth check on the pushed result: the tree walk's RET
@@ -390,10 +468,17 @@ class _FuncEmitter:
         d = self.depth_at[pc]
         self._pending += 1
         self.flush()
-        value = f"s{d - 1}" if d > 0 else "0"
-        if instr.op is Op.HALT:
+        if instr.op is Op.HALT and self.exit is None:
             self.w("ctx.halted = True")
-        self.w(f"return {value}")
+        self._leave(f"s{d - 1}" if d > 0 else "0")
+
+    def _leave(self, value: str) -> None:
+        """End the invocation: return ``value``, or run ``exit``."""
+        if self.exit is None:
+            self.w(f"return {value}")
+        else:
+            for line in self.exit:
+                self.w(line)
 
     def emit_fell_off(self, pc: int) -> None:
         self.flush()
@@ -418,8 +503,9 @@ class _Structurizer(_FuncEmitter):
     """
 
     def __init__(self, program: Program, fi: int,
-                 found: ProgramFacts) -> None:
-        super().__init__(program, fi, found)
+                 found: ProgramFacts,
+                 exit: Optional[List[str]] = None) -> None:
+        super().__init__(program, fi, found, exit)
         code = self.code
         n = len(code)
         self._targets: Set[int] = {t for _, t in self.jumps}
@@ -730,18 +816,26 @@ class _BlockEmitter(_FuncEmitter):
 
 # -- program compilation ------------------------------------------------
 
+def _emit_body(program: Program, fi: int, found: ProgramFacts,
+               exit: Optional[List[str]] = None
+               ) -> Tuple[str, List[str]]:
+    """(mode, lines) of one function's body, at indent 2: structured
+    where the structurizer can express it, else the block machine."""
+    try:
+        emitter: _FuncEmitter = _Structurizer(program, fi, found, exit)
+        emitter.generate()
+        return MODE_STRUCTURED, emitter.lines
+    except _Bail:
+        emitter = _BlockEmitter(program, fi, found, exit)
+        emitter.generate()
+        return MODE_BLOCKS, emitter.lines
+
+
 def _function_source(program: Program, fi: int, found: ProgramFacts
                      ) -> Tuple[str, List[str]]:
     """(mode, lines) of one generated function."""
     fn = program.functions[fi]
-    try:
-        emitter = _Structurizer(program, fi, found)
-        emitter.generate()
-        mode = MODE_STRUCTURED
-    except _Bail:
-        emitter = _BlockEmitter(program, fi, found)
-        emitter.generate()
-        mode = MODE_BLOCKS
+    mode, body = _emit_body(program, fi, found)
 
     params = ["ctx"] + [f"l{k}" for k in range(fn.n_locals)]
     header = [f"def _f{fi}({', '.join(params)}):"]
@@ -757,7 +851,6 @@ def _function_source(program: Program, fi: int, found: ProgramFacts
         prologue.append("    L = ctx.lengths")
     if Op.HSTORE in ops_used:
         prologue.append("    W = ctx.wranges")
-    body = emitter.lines
     # _FuncEmitter writes at indent 2 (inside "while" for blocks uses
     # deeper); function bodies start at indent 1 -> dedent once.
     body = [ln[4:] if ln.startswith("    ") else ln for ln in body]
@@ -816,9 +909,9 @@ def compile_pycode(program: Program) -> Optional[CompiledProgram]:
         key = ("functions_structured" if mode == MODE_STRUCTURED
                else "functions_blocks")
         _STATS[key] += 1
-    return CompiledProgram(program, ns["_f0"],
-                           program.entry.n_locals, tuple(modes),
-                           source)
+    return CompiledProgram(
+        program, tuple(ns[f"_f{fi}"] for fi in range(len(modes))),
+        tuple(modes), source)
 
 
 _DELEGATED = object()   # slot value: "this program never compiles"
@@ -960,18 +1053,23 @@ def plan_for(interp, fn):
     callable, once its program is hot; None while it is cold.
 
     ``plan(packet, msg_entry, acct)`` is ``fn.run_packet``'s generic
-    tier with nothing in between: each field-table slot read straight
+    tier as one generated frame: each field-table slot read straight
     from the packet / ``msg_entry.values`` / ``fn.global_store``
-    (``int()`` and the 64-bit wrap inline), arrays laid out on the
-    heap with the stride and heap-limit checks, only the context slots
-    this program's ops read reset — limits, RNG and clock from
-    ``interp`` on every call — the generated body, the function's
-    write lists (``fn.packet_writes`` and its siblings: the static
-    write set) written back, ``fn.stats`` updated; it returns the op count
-    and lets an :class:`InterpreterFault` out before anything is
-    written.  Its first statement is the tier decision: once
-    :func:`invalidate` or an eviction has taken the compiled program
-    away it runs nothing and answers None.
+    (``int()`` and the 64-bit wrap inline) into a Python local, arrays
+    laid out on the heap with the stride and heap-limit checks, limits,
+    RNG and clock read from ``interp`` on every call, then the entry
+    function's body inlined — emitted by the same :class:`_FuncEmitter`
+    as ``_f0``, with field slots, op count, stack high-water mark,
+    budget and stack limit as locals of the plan — and at each of its
+    exits the function's write lists (``fn.packet_writes`` and its
+    siblings: the static write set) written back and ``fn.stats``
+    updated; it returns the op count and lets an
+    :class:`InterpreterFault` out before anything is written.  Callees
+    stay ``_fN(ctx, ...)``: around a CALL the plan hands them the op
+    count and high-water mark on its context and takes them back.  Its
+    first statement is the tier decision: once :func:`invalidate` or an
+    eviction has taken the compiled program away it runs nothing and
+    answers None.
 
     A cold program is only peeked at, never counted: the generic tier
     runs it through :meth:`CodegenRunner.run`, which asks
@@ -997,7 +1095,7 @@ def plan_for(interp, fn):
     ctx = ns["ctx"] = _Ctx()
     ctx.name = program.name
     # A program without arrays may still carry heap ops (they fault
-    # on the empty heap); the body must find the slots set.
+    # on the empty heap); a callee must find the slots set.
     ctx.heap = []
     ctx.bases = ctx.lengths = ctx.wranges = ()
     exec(code, ns)
@@ -1011,23 +1109,24 @@ def _compile_plan(compiled: CompiledProgram, fn) -> tuple:
     program and schemas: ``(packet schema, global schema, code,
     namespace without the per-function names, source)``."""
     program = compiled.program
+    found = facts(program)
+    calls = found.uses(Op.CALL)
     ns = {
         "InterpreterFault": InterpreterFault, "_NAME": program.name,
         "_program": program, "_compiled": compiled,
         "_touch": _CACHE.move_to_end, "_pid": id(program),
-        "_f0": compiled.entry,
     }
-    found = facts(program)
+    if calls:
+        ns.update((f"_f{k}", f) for k, f in enumerate(compiled.functions))
     scopes = ({ref.scope for ref in program.field_table} |
               {ref.scope for ref in program.array_table})
-    head = ["def _plan(packet, msg, acct):",
-            "    if _program._pycodegen is not _compiled:",
-            "        return None",
-            "    _touch(_pid)"]
+    head = ["if _program._pycodegen is not _compiled:",
+            "    return None",
+            "_touch(_pid)"]
     if "global" in scopes:
-        head.append("    _g = _fn.global_store")
+        head.append("_g = _fn.global_store")
     if "message" in scopes:
-        head.append("    _m = msg.values")
+        head.append("_m = msg.values")
     for i, ref in enumerate(program.field_table):
         if ref.scope == "message":
             expr = f"_m[{ref.name!r}]"
@@ -1043,18 +1142,20 @@ def _compile_plan(compiled: CompiledProgram, fn) -> tuple:
                 expr = f"int(getattr(packet, {ref.name!r}, _d{i}))"
             else:
                 expr = f"_g.scalar({ref.name!r})"
-        head += ["    " + ln for ln in _wrap_lines(f"f{i}", expr)]
+        head += _wrap_lines(f"f{i}", expr)
     for i, ref in enumerate(program.array_table):
         binder = fn.global_schema.field_named(ref.name).binder
         if binder is not None:
             ns[f"_ab{i}"] = binder
-            head.append(f"    a{i} = list(_ab{i}(packet, _g))")
+            head.append(f"a{i} = list(_ab{i}(packet, _g))")
         else:
-            head.append(f"    a{i} = _g.array({ref.name!r})")
+            head.append(f"a{i} = _g.array({ref.name!r})")
 
     # What the generic tier does inside ``execute``: heap layout,
-    # frame set-up, the body.
+    # limits, frame set-up, the body.
     body: List[str] = []
+    heap = [(Op.ABASE, "B", "bases"), (Op.ALEN, "L", "lengths"),
+            (Op.HSTORE, "W", "wranges")]
     if program.array_table:
         body.append("H = []")
         for i, ref in enumerate(program.array_table):
@@ -1074,69 +1175,88 @@ def _compile_plan(compiled: CompiledProgram, fn) -> tuple:
         body += [
             "if len(H) > _interp.max_heap_words:",
             "    raise InterpreterFault('heap of %d words exceeds "
-            "limit %d' % (len(H), _interp.max_heap_words), _NAME)",
-            "ctx.heap = H",
-            "ctx.bases = (%s,)" % ", ".join(f"b{i}" for i in range(n)),
-            "ctx.lengths = (%s,)" % ", ".join(
+            "limit %d' % (len(H), _interp.max_heap_words), _NAME)"]
+        tables = {
+            "B": "(%s,)" % ", ".join(f"b{i}" for i in range(n)),
+            "L": "(%s,)" % ", ".join(
                 f"n{i} // {ref.stride}"
                 for i, ref in enumerate(program.array_table)),
-            "ctx.wranges = (%s)" % "".join(
+            "W": "(%s)" % "".join(
                 f"(b{i}, b{i} + n{i}), "
                 for i, ref in enumerate(program.array_table)
-                if ref.writable)]
-    fields = ", ".join(f"f{i}" for i in range(len(program.field_table)))
-    body += [f"ctx.fields = F = [{fields}]",
-             "ctx.ops = ctx.outer = ctx.max_seen = 0",
-             "_b = _interp.op_budget",
-             f"ctx.budget = {_NO_BUDGET} if _b is None else _b",
-             "ctx.stack_limit = _interp.max_operand_stack"]
-    if found.uses(Op.CALL):
-        body += ["ctx.depth = ctx.max_depth = 1",
+                if ref.writable)}
+        for op, name, slot in heap:
+            if found.uses(op):
+                body.append(f"{name} = {tables[name]}")
+                if calls:
+                    body.append(f"ctx.{slot} = {name}")
+        if calls:
+            body.append("ctx.heap = H")
+    elif Op.HLOAD in found.ops_used[0] or Op.HSTORE in found.ops_used[0]:
+        # No arrays: heap ops fault on the empty heap.
+        body.append("H = W = ()")
+    body += ["_bud = _interp.op_budget",
+             "if _bud is None:",
+             f"    _bud = {_NO_BUDGET}",
+             "_sl = _interp.max_operand_stack",
+             "_ops = _ms = 0"]
+    if calls:
+        body += ["ctx.budget = _bud",
+                 "ctx.stack_limit = _sl",
+                 "ctx.outer = 0",
+                 "ctx.depth = ctx.max_depth = 1",
                  "ctx.call_limit = _interp.max_call_depth",
                  "ctx.halted = False"]
     if found.uses(Op.RAND):
         body.append("ctx.rng = _interp.rng")
     if found.uses(Op.CLOCK):
         body += ["ctx.clock = _interp.clock", "ctx.clock_value = None"]
-    body.append("_f0(%s)" % ", ".join(
-        ["ctx"] + ["0"] * compiled.n_locals))
+    if compiled.n_locals:
+        body.append(" = ".join(
+            [f"l{k}" for k in range(compiled.n_locals)] + ["0"]))
 
-    # The same write lists the generic tier walks, in its order.
-    tail: List[str] = []
+    # Every exit of the body: close the interpreter lap — and drop
+    # ``acct``, so a write-back that raises is not lapped twice by the
+    # handler below — then the write lists the generic tier walks, in
+    # its order, and the function stats.
+    tail = ["if acct is not None:",
+            "    acct.lap('interpreter')",
+            "    acct = None"]
     if fn.packet_writes:
         tail.append("if _fn.commit_packet_writes:")
         for i, name in fn.packet_writes:
             plain = name.isidentifier() and not keyword.iskeyword(name)
-            tail.append(f"    packet.{name} = F[{i}]" if plain else
-                        f"    setattr(packet, {name!r}, F[{i}])")
-    tail += [f"_m[{name!r}] = F[{i}]" for i, name in fn.message_writes]
-    tail += [f"_g.commit_scalar({name!r}, F[{i}])"
+            tail.append(f"    packet.{name} = f{i}" if plain else
+                        f"    setattr(packet, {name!r}, f{i})")
+    tail += [f"_m[{name!r}] = f{i}" for i, name in fn.message_writes]
+    tail += [f"_g.commit_scalar({name!r}, f{i})"
              for i, name in fn.global_writes]
     tail += [f"_g.commit_array({name!r}, H[b{i}:b{i} + n{i}])"
              for i, name in fn.array_writes]
     tail += ["_s = _fn.stats",
              "_s.invocations += 1",
-             "ops = ctx.ops",
-             "_s.ops_executed += ops",
-             f"_v = ctx.max_seen * {WORD_BYTES}",
+             "_s.ops_executed += _ops",
+             f"_v = _ms * {WORD_BYTES}",
              "if _v > _s.max_stack_bytes:",
              "    _s.max_stack_bytes = _v"]
     if program.array_table:
         tail += [f"_v = len(H) * {WORD_BYTES}",
                  "if _v > _s.max_heap_bytes:",
                  "    _s.max_heap_bytes = _v"]
-    tail.append("return ops")
+    tail.append("return _ops")
+    _, inlined = _emit_body(program, 0, found, exit=tail)
 
     source = "\n".join(
-        head +
+        ["def _plan(packet, msg, acct):"] +
+        ["    " + ln for ln in head] +
         ["    if acct is not None:",
          "        acct.lap('enclave')",
          "    try:"] +
-        ["        " + ln for ln in body] +
-        ["    finally:",
+        ["        " + ln for ln in body] + inlined +
+        ["    except BaseException:",
          "        if acct is not None:",
-         "            acct.lap('interpreter')"] +
-        ["    " + ln for ln in tail]) + "\n"
+         "            acct.lap('interpreter')",
+         "        raise"]) + "\n"
     code = compile(source, f"<pycodegen-plan:{program.name}>", "exec")
     _STATS["plans_compiled"] += 1
     return (fn.packet_schema, fn.global_schema, code, ns, source)
