@@ -1,11 +1,13 @@
 """Tests for the enclave: tables, runtime, state commit, safety."""
 
+import dataclasses
+
 import pytest
 
 from repro.core import (Classification, ConcurrencyGuard,
                         ConcurrencyLevel, ConcurrencyViolation,
                         Enclave, EnclaveError, MatchRule,
-                        PLACEMENT_NIC, PLACEMENT_OS)
+                        PLACEMENT_NIC, PLACEMENT_OS, ProcessResult)
 from repro.core.accounting import CpuAccounting
 from repro.lang import (AccessLevel, Field, FieldKind, Interpreter,
                         Lifetime, pycodegen, schema)
@@ -704,3 +706,51 @@ class TestBackendRegistry:
             assert not _is_hot(fn.program)
             send(1)
             assert _is_hot(fn.program)
+
+
+def test_process_result_keeps_its_dataclass_api():
+    """Built once per packet, so slotted — and still a dataclass."""
+    result = ProcessResult(["f"], ["app.r1.x"])
+    assert (result.drop, result.to_controller, result.faults,
+            result.interpreter_ops, result.error) == \
+        (False, False, 0, 0, None)
+    same = ProcessResult(executed=["f"], matched_classes=["app.r1.x"],
+                         drop=False, interpreter_ops=0)
+    assert result == same and not result != same
+    assert result != ProcessResult(["f"], ["app.r1.x"], True)
+    assert result != ("f", "app.r1.x")
+    assert repr(result) == (
+        "ProcessResult(executed=['f'], matched_classes=['app.r1.x'], "
+        "drop=False, to_controller=False, faults=0, "
+        "interpreter_ops=0, error=None)")
+    assert dataclasses.is_dataclass(ProcessResult)
+    assert [f.name for f in dataclasses.fields(result)] == [
+        "executed", "matched_classes", "drop", "to_controller",
+        "faults", "interpreter_ops", "error"]
+    assert dataclasses.replace(result, faults=2).faults == 2
+    assert dataclasses.asdict(result)["matched_classes"] == ["app.r1.x"]
+    result.drop = True
+    assert result.drop
+    assert not hasattr(result, "__dict__")
+    with pytest.raises(TypeError):
+        hash(result)
+    with pytest.raises(TypeError):
+        ProcessResult(["f"])
+
+
+def test_the_data_path_builds_the_result_the_constructor_would():
+    """``_process_one`` fills a ``ProcessResult`` without calling the
+    class; every field must come out as the constructor sets it."""
+    enclave = Enclave("result.test")
+    enclave.install_function(set_priority_five)
+    enclave.install_rule("*", "set_priority_five")
+    for _ in range(pycodegen.TIER_UP_CALLS + 3):   # cold, then hot
+        packet = FakePacket()
+        packet.drop = 1
+        got = enclave.process_packet(packet)
+        want = ProcessResult(
+            executed=["set_priority_five"],
+            matched_classes=["enclave.flows.default"], drop=True,
+            interpreter_ops=got.interpreter_ops)
+        assert got == want and repr(got) == repr(want)
+        assert got.interpreter_ops > 0

@@ -1,0 +1,696 @@
+"""The generated per-packet plan against the generic tier.
+
+A hot function runs one generated frame per packet: the plan reads the
+state, runs the entry function's body inlined with fields and counters
+as Python locals, writes back and updates the function stats
+(``pycodegen.plan_for``).  These tests pin it against what only the
+enclave can do to it — limits, RNG and clock changed under a built
+plan, ``replace_function``, LRU eviction and ``invalidate``, the
+dry-run flag, a held guard — and against a ``backend="tree"`` enclave
+and the generic tier under every op budget and stack limit below what
+the Table-1 demos need; and they pin what its source may contain.
+"""
+
+import random
+import re
+
+import pytest
+
+from repro.core import Classification, ConcurrencyViolation, Enclave
+from repro.functions.library import DemoPacket, table1
+from repro.lang import (DEFAULT_PACKET_SCHEMA, AccessLevel, Field,
+                        FieldKind, InterpreterFault, Lifetime, Op,
+                        pycodegen, schema)
+from repro.lang.compiler import compile_action
+
+pytestmark = pytest.mark.differential
+
+
+# Module-level actions so their source survives quotation.
+
+def set_priority_five(packet):
+    packet.priority = 5
+
+
+def tag_low(packet):
+    packet.priority = 1
+
+
+def count_message_bytes(packet, msg):
+    msg.total = msg.total + packet.size
+
+
+def bump_counter(packet, _global):
+    _global.counter = _global.counter + 1
+
+
+MSG_SCHEMA = schema("Msg", Lifetime.MESSAGE, [
+    Field("total", AccessLevel.READ_WRITE),
+])
+COUNTER_SCHEMA = schema("Cnt", Lifetime.GLOBAL, [
+    Field("counter", AccessLevel.READ_WRITE),
+])
+
+
+class FakePacket:
+    def __init__(self, **kw):
+        self.src_ip = kw.get("src_ip", 1)
+        self.dst_ip = kw.get("dst_ip", 2)
+        self.src_port = kw.get("src_port", 1000)
+        self.dst_port = kw.get("dst_port", 80)
+        self.proto = 6
+        self.size = kw.get("size", 1500)
+        self.priority = 0
+        self.path_id = 0
+        self.drop = 0
+        self.to_controller = 0
+        self.queue_id = 0
+        self.charge = 0
+        self.ecn = 0
+        self.tenant = 0
+
+
+def _msg_cls(key):
+    return [Classification("app.r1.x", {"msg_id": ("m", key)})]
+
+
+def _send(enclave, pairs, use_batch, now_ns=None):
+    """The same packets through either entry point."""
+    if use_batch:
+        return enclave.process_batch(pairs, now_ns=now_ns)
+    return [enclave.process_packet(p, cls, now_ns=now_ns)
+            for p, cls in pairs]
+
+
+def _count_executes(fn):
+    """Wrap ``fn.execute`` as ``bench/tracing.py`` does.  Only the
+    generic tier of ``run_packet`` calls it, so the count tells
+    whether the generated plan or the generic tier ran a packet."""
+    calls = [0]
+    inner = fn.execute
+
+    def counted(fields, arrays):
+        calls[0] += 1
+        return inner(fields, arrays)
+
+    fn.execute = counted
+    return calls
+
+
+def _heat(enclave, fn, cls=()):
+    """Packets until ``fn``'s plan runs them; returns the execute
+    counter, which stays put for as long as the plan does."""
+    for _ in range(pycodegen.TIER_UP_CALLS + 1):
+        enclave.process_packet(FakePacket(), cls, now_ns=1)
+    executes = _count_executes(fn)
+    enclave.process_packet(FakePacket(), cls, now_ns=1)
+    assert executes[0] == 0, "the plan should be running by now"
+    return executes
+
+
+def test_lowered_op_budget_faults_on_both_entry_points():
+    """Interpreter limits are read on every invocation: lowering the
+    op budget after a function turned hot faults the next packet,
+    identically through either entry point — on the call that
+    compiles and runs the body through the bound executor, on the
+    first call of the plan, and under a plan built earlier."""
+
+    def run(use_batch, warm_up):
+        enclave = Enclave("batch.test")
+        fn = enclave.install_function(set_priority_five)
+        enclave.install_rule("*", "set_priority_five")
+
+        def send(n):
+            pairs = [(FakePacket(), ()) for _ in range(n)]
+            results = _send(enclave, pairs, use_batch)
+            return results, [p.priority for p, _ in pairs]
+
+        send(warm_up)
+        executes = _count_executes(fn)
+        enclave.interpreter.op_budget = 1
+        sent = send(2)
+        assert isinstance(fn.program._pycodegen,
+                          pycodegen.CompiledProgram)
+        return sent, fn.stats, executes[0]
+
+    for extra, generic_calls in ((0, 1), (2, 0)):
+        warm_up = pycodegen.TIER_UP_CALLS + extra
+        (results, priorities), stats, executes = run(True, warm_up)
+        assert ((results, priorities), stats, executes) == \
+            run(False, warm_up)
+        assert executes == generic_calls
+        assert [r.faults for r in results] == [1, 1]
+        assert [r.executed for r in results] == [[], []]
+        assert priorities == [0, 0]       # forwarded unmodified
+        assert stats.faults == 2
+        assert stats.invocations == warm_up
+
+
+# -- the generated per-packet plan ------------------------------------
+
+def rand_total(packet, msg):
+    msg.total = msg.total + rand(1000)
+    packet.priority = clock() % 8
+
+
+def nested_call(packet):
+    def twice(x):
+        return x + x
+    packet.priority = 1 + twice(packet.size)
+
+
+def sum_scratch(packet, _global):
+    _global.scratch[0] = _global.scratch[0] + packet.size
+    packet.priority = len(_global.records)
+
+
+ARRAY_SCHEMA = schema("Arr", Lifetime.GLOBAL, [
+    Field("scratch", AccessLevel.READ_WRITE, FieldKind.ARRAY),
+    Field("records", AccessLevel.READ_ONLY, FieldKind.RECORD_ARRAY,
+          record_fields=("lo", "hi")),
+])
+
+
+def _limits_enclave(action, backend, **schemas):
+    enclave = Enclave("batch.test", rng=random.Random(5),
+                      clock=lambda: 1000)
+    fn = enclave.install_function(action, name="f", backend=backend,
+                                  **schemas)
+    enclave.install_rule("*", "f")
+    return enclave, fn
+
+
+@pytest.mark.parametrize("action,schemas,change", [
+    (set_priority_five, {},
+     lambda e, fn: setattr(e.interpreter, "max_operand_stack", 0)),
+    (nested_call, {},
+     lambda e, fn: setattr(e.interpreter, "max_call_depth", 1)),
+    (sum_scratch, {"global_schema": ARRAY_SCHEMA},
+     lambda e, fn: setattr(e.interpreter, "max_heap_words", 3)),
+    # Copy-in fault: a record array that is not whole records.
+    (sum_scratch, {"global_schema": ARRAY_SCHEMA},
+     lambda e, fn: fn.global_store._arrays.update(records=[1, 2, 3])),
+], ids=["stack", "call_depth", "heap", "stride"])
+def test_plan_reads_limits_live_and_faults_like_the_generic_tier(
+        action, schemas, change):
+    """Each limit lowered under a built plan faults the next packets,
+    commits nothing of them and leaves exactly what a ``tree``-pinned
+    function (generic tier throughout) leaves; restoring the limit
+    lets packets through again."""
+
+    def run(backend):
+        enclave, fn = _limits_enclave(action, backend, **schemas)
+        if schemas:
+            enclave.set_global_array("f", "scratch", [0] * 4)
+        if backend == "interpreter":
+            _heat(enclave, fn)
+        else:
+            for _ in range(pycodegen.TIER_UP_CALLS + 2):
+                enclave.process_packet(FakePacket(), (), now_ns=1)
+        saved = (vars(enclave.interpreter).copy(),
+                 fn.global_store and dict(fn.global_store._arrays))
+        change(enclave, fn)
+        faulted = [FakePacket(size=100 + i) for i in range(3)]
+        results = enclave.process_batch([(p, ()) for p in faulted])
+        vars(enclave.interpreter).update(saved[0])
+        if fn.global_store:
+            fn.global_store._arrays.update(saved[1])
+        after = [FakePacket(size=7), FakePacket(size=8)]
+        results.append(enclave.process_packet(after[0]))
+        if schemas:     # a larger heap moves the high-water mark
+            enclave.set_global_array("f", "scratch", [0] * 9)
+        results.append(enclave.process_packet(after[1]))
+        return (results, [vars(p) for p in faulted + after], fn.stats,
+                fn.global_store and fn.global_store.snapshot())
+
+    hot = run("interpreter")
+    assert hot == run("tree")
+    results, packets, stats, _ = hot
+    assert [r.faults for r in results] == [1, 1, 1, 0, 0]
+    assert [p["priority"] for p in packets[:3]] == [0, 0, 0]
+    assert stats.faults == 3
+    assert stats.max_heap_bytes == (9 * 8 if schemas else 0)
+
+
+def test_plan_follows_a_swapped_rng_and_clock():
+    """RNG and clock are the interpreter's, per call, under a plan."""
+
+    def run(backend):
+        enclave, fn = _limits_enclave(rand_total, backend,
+                                      message_schema=MSG_SCHEMA)
+        cls = _msg_cls(0)
+        if backend == "interpreter":
+            _heat(enclave, fn, cls)
+        else:
+            for _ in range(pycodegen.TIER_UP_CALLS + 2):
+                enclave.process_packet(FakePacket(), cls, now_ns=1)
+        enclave.interpreter.rng = random.Random(99)
+        enclave.interpreter.clock = lambda: 123456
+        packet = FakePacket()
+        enclave.process_packet(packet, cls, now_ns=2)
+        return (packet.priority,
+                fn.message_store._entries[("m", 0)].values,
+                enclave.interpreter.rng.getstate())
+
+    hot = run("interpreter")
+    assert hot == run("tree")
+    assert hot[0] == 123456 % 8
+    assert hot[2] != random.Random(99).getstate()
+
+
+def bump_counter_by_two(packet, _global):
+    _global.counter = _global.counter + 2
+
+
+def test_replace_function_on_a_hot_function():
+    """The replacement starts cold, and once hot its plan reads and
+    writes the carried-over global store; the old object, invalidated,
+    can only run the cold tree walk."""
+    enclave = Enclave("batch.test")
+    old = enclave.install_function(bump_counter, name="bump",
+                                   global_schema=COUNTER_SCHEMA)
+    enclave.install_rule("*", "bump")
+    _heat(enclave, old)
+    counter = pycodegen.TIER_UP_CALLS + 2
+    assert enclave.query_global("bump")["counter"] == counter
+
+    new = enclave.replace_function("bump", bump_counter_by_two)
+    assert new.global_store is old.global_store
+    assert old.program._pycodegen is None
+    executes = _heat(enclave, new)
+    counter += 2 * (pycodegen.TIER_UP_CALLS + 2)
+    enclave.process_batch([(FakePacket(), ()) for _ in range(3)])
+    assert executes[0] == 0
+    assert enclave.query_global("bump")["counter"] == counter + 6
+    assert new.stats.invocations == pycodegen.TIER_UP_CALLS + 5
+
+    # Whoever still holds the old object gets the generic tier and
+    # the tree walk, never the plan or the compiled body it had.
+    old_executes = _count_executes(old)
+    compiled = pycodegen.stats()["programs_compiled"]
+    assert old.run_packet(FakePacket(), None) > 0
+    assert old_executes[0] == 1
+    assert old.program._pycodegen == 1      # one cold call counted
+    assert pycodegen.stats()["programs_compiled"] == compiled
+    assert enclave.query_global("bump")["counter"] == counter + 7
+
+
+def test_lru_eviction_sends_the_next_packet_to_the_generic_tier(
+        monkeypatch):
+    """An evicted program is cold: its plan answers by running
+    nothing, the packet takes the generic tier (counted once toward
+    the next tier-up) and results do not change."""
+    monkeypatch.setattr(pycodegen, "CACHE_LIMIT", 1)
+    enclave = Enclave("batch.test")
+    first = enclave.install_function(set_priority_five)
+    second = enclave.install_function(tag_low, name="tag_low")
+    enclave.install_rule("app.r1.a", "set_priority_five")
+    enclave.install_rule("app.r1.b", "tag_low")
+    cls_a = [Classification("app.r1.a", {})]
+    cls_b = [Classification("app.r1.b", {})]
+    executes = _heat(enclave, first, cls_a)
+    stale_plan = pycodegen.plan_for(enclave.interpreter, first)
+    _heat(enclave, second, cls_b)         # evicts the first program
+    assert first.program._pycodegen is None
+
+    packet = FakePacket()
+    result = enclave.process_packet(packet, cls_a)
+    assert result.executed == ["set_priority_five"]
+    assert packet.priority == 5
+    assert executes[0] == 1
+    assert first.program._pycodegen == 1
+    # The dropped plan itself refuses to run generated code.
+    untouched = FakePacket()
+    assert stale_plan(untouched, None, None) is None
+    assert untouched.priority == 0
+    assert first.stats.invocations == pycodegen.TIER_UP_CALLS + 3
+
+
+def test_invalidate_under_a_built_plan_returns_to_the_generic_tier():
+    enclave = Enclave("batch.test")
+    fn = enclave.install_function(set_priority_five)
+    enclave.install_rule("*", "set_priority_five")
+    executes = _heat(enclave, fn)
+    assert pycodegen.invalidate(fn.program)
+    results = enclave.process_batch([(FakePacket(), ())
+                                     for _ in range(2)])
+    assert [r.executed for r in results] == [["set_priority_five"]] * 2
+    assert executes[0] == 2
+    assert fn.program._pycodegen == 2
+
+
+def count_and_tag(packet, msg):
+    msg.total = msg.total + packet.size
+    packet.priority = 3
+
+
+def test_dry_run_under_a_plan_commits_message_state_only():
+    """``commit_packet_writes=False`` (the paper's baseline-Eden
+    configuration) is honoured by the plan, and is read per packet:
+    fig9 flips it after install."""
+    enclave = Enclave("batch.test")
+    fn = enclave.install_function(count_and_tag, name="f",
+                                  message_schema=MSG_SCHEMA,
+                                  commit_packet_writes=False)
+    enclave.install_rule("*", "f")
+    _heat(enclave, fn, _msg_cls(0))
+    total = 1500 * (pycodegen.TIER_UP_CALLS + 2)
+    packet = FakePacket(size=10)
+    enclave.process_packet(packet, _msg_cls(0), now_ns=1)
+    assert packet.priority == 0
+    entry = fn.message_store._entries[("m", 0)]
+    assert entry.values["total"] == total + 10
+    fn.commit_packet_writes = True
+    enclave.process_packet(packet, _msg_cls(0), now_ns=1)
+    assert packet.priority == 3
+    assert entry.values["total"] == total + 20
+
+
+def test_held_per_message_guard_raises_before_the_plan_runs():
+    enclave = Enclave("batch.test")
+    fn = enclave.install_function(count_message_bytes,
+                                  message_schema=MSG_SCHEMA)
+    enclave.install_rule("*", "count_message_bytes")
+    executes = _heat(enclave, fn, _msg_cls(0))
+    entry = fn.message_store._entries[("m", 0)]
+    before = (dict(entry.values), entry.packets, fn.stats.invocations,
+              enclave.packets_processed)
+    fn.guard.acquire(("m", 0))
+    try:
+        with pytest.raises(ConcurrencyViolation):
+            enclave.process_packet(FakePacket(), _msg_cls(0), now_ns=1)
+        parked = enclave.process_batch([(FakePacket(), _msg_cls(0))],
+                                       now_ns=1)
+    finally:
+        fn.guard.release(("m", 0))
+    assert isinstance(parked[0].error, ConcurrencyViolation)
+    assert (dict(entry.values), entry.packets, fn.stats.invocations,
+            enclave.packets_processed) == before
+    assert executes[0] == 0
+    # The guard is free again: the plan runs the next packet.
+    enclave.process_packet(FakePacket(size=1), _msg_cls(0), now_ns=1)
+    assert entry.values["total"] == before[0]["total"] + 1
+    assert executes[0] == 0
+
+
+def test_generated_plan_allocates_no_snapshot_objects():
+    """The hot tier is one pass: no ``ExecStats``/``ExecResult``, no
+    field buffer, no commit dict — and no call back into the
+    ``execute`` boundary or the message store."""
+    enclave = Enclave("batch.test")
+    fn = enclave.install_function(count_and_tag, name="f",
+                                  message_schema=MSG_SCHEMA)
+    enclave.install_rule("*", "f")
+    _heat(enclave, fn, _msg_cls(0))
+    source = pycodegen.plan_for(enclave.interpreter, fn).source
+    for banned in ("ExecStats", "ExecResult", "_field_buf", "execute(",
+                   "commit(", "dict(", "{"):
+        assert banned not in source, banned
+    # Only the written slots go back: ``size`` is read, never stored.
+    assert "packet.priority = " in source
+    assert "packet.size = " not in source
+    assert "setattr" not in source
+    # One frame: the entry body is inlined with its field slots, op
+    # count, high-water mark, budget and stack limit as locals — no
+    # ``_f0`` call, no field list, no context traffic.
+    for banned in ("_f0(", "ctx.fields", "ctx.ops", "ctx.max_seen",
+                   "ctx.budget", "ctx.stack_limit"):
+        assert banned not in source, banned
+    assert "_ops += " in source and "    _ms = 1\n" in source
+
+
+def test_field_names_reach_generated_source_only_as_constants():
+    """A field name that is not a plain identifier (the DSL cannot
+    produce one, a hand-built program can) is written back through
+    ``setattr`` with the name as a string constant, never spliced in
+    as code."""
+    from repro.lang.bytecode import Assembler, FieldRef, Op, Program
+
+    hostile = "x = 1\nimport os\n#"
+    enclave = Enclave("batch.test", packet_schema=schema(
+        "Pkt", Lifetime.PACKET,
+        [Field(hostile, AccessLevel.READ_WRITE),
+         Field("class", AccessLevel.READ_WRITE)]))
+    fn = enclave.install_function("def f(packet):\n    pass\n",
+                                  name="f")
+    asm = Assembler("f", n_args=0)
+    for slot in (0, 1):
+        asm.emit(Op.GETF, slot)
+        asm.emit(Op.CONST, 1)
+        asm.emit(Op.ADD)
+        asm.emit(Op.PUTF, slot)
+    asm.emit(Op.CONST, 0)
+    asm.emit(Op.RET)
+    fn.program = Program(
+        name="f", functions=(asm.finish(n_locals=0),),
+        field_table=(FieldRef("packet", hostile, True),
+                     FieldRef("packet", "class", True)),
+        array_table=())
+    fn._build_hot_path()
+    enclave.install_rule("*", "f")
+
+    class Packet:
+        pass
+
+    packet = Packet()
+    setattr(packet, hostile, 0)
+    setattr(packet, "class", 10)
+    executes = _count_executes(fn)
+    for _ in range(pycodegen.TIER_UP_CALLS + 4):
+        assert enclave.process_packet(packet).executed == ["f"]
+    assert executes[0] == pycodegen.TIER_UP_CALLS + 1
+    assert getattr(packet, hostile) == pycodegen.TIER_UP_CALLS + 4
+    assert getattr(packet, "class") == pycodegen.TIER_UP_CALLS + 14
+    source = pycodegen.plan_for(enclave.interpreter, fn).source
+    assert repr(hostile) in source
+    assert "import os" not in source.replace(repr(hostile), "")
+    assert "packet.class" not in source
+
+
+def test_a_call_program_spills_its_counters_only_around_calls():
+    """Callees stay ``_fN(ctx, ...)``: the inlined entry hands them the
+    op count and high-water mark on the context right before each call
+    and takes them back right after — ``ctx.ops`` appears nowhere
+    else."""
+    enclave, fn = _limits_enclave(nested_call, "interpreter")
+    _heat(enclave, fn)
+    lines = pycodegen.plan_for(enclave.interpreter, fn).source.split("\n")
+    calls = [i for i, line in enumerate(lines)
+             if re.search(r"= _f\d+\(ctx", line)]
+    spills = [i for i, line in enumerate(lines) if "ctx.ops" in line]
+    assert calls and "_f0(" not in "\n".join(lines)
+    assert len(spills) == 2 * len(calls)
+    for i in spills:
+        assert min(abs(i - c) for c in calls) <= 2, lines[i]
+    assert "ctx.fields" not in "\n".join(lines)   # the callee has none
+
+
+def _callee_touches_fields():
+    """``f(packet)``: ``packet.priority = g(packet.size)`` where the
+    callee ``g(x)`` sets ``packet.path_id = packet.priority + x`` and
+    returns ``3 * packet.path_id`` — field slots crossing a CALL in
+    both directions, which the DSL never emits."""
+    from repro.lang.bytecode import Assembler, FieldRef, Program
+
+    entry = Assembler("f", n_args=0)
+    entry.emit(Op.GETF, 0)
+    entry.emit(Op.CALL, 1)
+    entry.emit(Op.PUTF, 1)
+    entry.emit(Op.CONST, 0)
+    entry.emit(Op.RET)
+    callee = Assembler("g", n_args=1)
+    callee.emit(Op.GETF, 1)
+    callee.emit(Op.LOAD, 0)
+    callee.emit(Op.ADD)
+    callee.emit(Op.PUTF, 2)
+    callee.emit(Op.GETF, 2)
+    callee.emit(Op.CONST, 3)
+    callee.emit(Op.MUL)
+    callee.emit(Op.RET)
+    return Program(
+        name="f",
+        functions=(entry.finish(n_locals=0), callee.finish(n_locals=1)),
+        field_table=(FieldRef("packet", "size", False),
+                     FieldRef("packet", "priority", True),
+                     FieldRef("packet", "path_id", True)),
+        array_table=())
+
+
+def test_field_slots_cross_a_call_into_the_inlined_entry():
+    """A callee that reads and writes field slots sees the entry's
+    locals and hands its writes back, like the generic tier."""
+
+    def run(backend):
+        enclave = Enclave("plan.test")
+        fn = enclave.install_function(set_priority_five, name="f",
+                                      backend=backend)
+        fn.program = _callee_touches_fields()
+        fn._build_hot_path()
+        enclave.install_rule("*", "f")
+        executes = _count_executes(fn)
+        packets = [FakePacket(size=10 + i)
+                   for i in range(pycodegen.TIER_UP_CALLS + 4)]
+        for i, packet in enumerate(packets):
+            packet.priority = i
+        results = _send(enclave, [(p, ()) for p in packets], False)
+        return (results, [vars(p) for p in packets], fn.stats), \
+            executes[0], fn
+
+    hot, generic_calls, fn = run("interpreter")
+    assert hot == run("tree")[0]
+    assert generic_calls == pycodegen.TIER_UP_CALLS + 1
+    packet = hot[1][-1]
+    assert packet["path_id"] == packet["size"] + \
+        pycodegen.TIER_UP_CALLS + 3
+    assert packet["priority"] == 3 * packet["path_id"]
+    source = pycodegen.plan_for(fn.interpreter, fn).source
+    assert "ctx.fields = [f0, f1, f2]" in source
+    assert "f0, f1, f2, = ctx.fields" in source
+
+
+# -- every limit below what the Table-1 demos need ---------------------
+
+class _StatelessRng:
+    """``rand(n)`` as a function of ``n`` alone.  A budget fault fires
+    at the start of the segment that exhausts it (pycodegen's one
+    knowing divergence), so a faulting invocation may draw from a
+    shared RNG on the tree walk and not once hot; nothing of it is
+    committed, and this RNG keeps the draw from leaking into the next
+    packet."""
+
+    def randrange(self, n):
+        return n // 2
+
+
+def _demo_entries():
+    return [e for e in table1() if e.demo is not None]
+
+
+def _demo_enclave(spec, action, backend):
+    """A fresh enclave binding ``action`` with the demo's state."""
+    name = spec.function_name
+    enclave = Enclave("plan.sweep", rng=_StatelessRng())
+    fn = enclave.install_function(action, name=name, backend=backend)
+    for field_name, value in spec.global_scalars.items():
+        enclave.set_global(name, field_name, value)
+    for field_name, values in spec.global_arrays.items():
+        enclave.set_global_array(name, field_name, list(values))
+    for field_name, keyed in spec.global_keyed.items():
+        for key, values in keyed.items():
+            enclave.set_global_keyed(name, field_name, key, list(values))
+    enclave.install_rule("*", name)
+    return enclave, fn
+
+
+def _compile_demo(spec):
+    return compile_action(spec.action, packet_schema=DEFAULT_PACKET_SCHEMA,
+                          message_schema=spec.message_schema,
+                          global_schema=spec.global_schema,
+                          name=spec.function_name)
+
+
+def _record_faults(fn):
+    """Wrap ``fn.run_packet``: the enclave swallows a fault, this keeps
+    its reason and pc."""
+    seen = []
+    inner = fn.run_packet
+
+    def run_packet(packet, msg_entry, acct=None):
+        try:
+            return inner(packet, msg_entry, acct)
+        except InterpreterFault as fault:
+            seen.append((fault.reason, fault.pc))
+            raise
+
+    fn.run_packet = run_packet
+    return seen
+
+
+def test_the_sweep_covers_calls_and_both_body_modes():
+    """What the sweep below runs through the inlined body: entries
+    with a CALL (PIAS, SFF) and entries in blocks mode."""
+    modes, callers = {}, set()
+    for entry in _demo_entries():
+        program = _compile_demo(entry.demo).program
+        modes[program.name] = pycodegen.compile_pycode(program).modes[0]
+        if any(i.op is Op.CALL for i in program.entry.code):
+            callers.add(program.name)
+    assert {"pias", "sff"} <= callers
+    assert {modes[n] for n in ("port_knock", "wcmp",
+                               "stateful_firewall")} == {"blocks"}
+    assert "structured" in modes.values()
+
+
+@pytest.mark.parametrize("use_batch", (False, True),
+                         ids=("scalar", "batch"))
+@pytest.mark.parametrize("entry", _demo_entries(), ids=lambda e: e.name)
+def test_every_lower_limit_faults_the_plan_like_the_generic_tier(
+        entry, use_batch):
+    """Each Table-1 demo's program, hot, under every op budget from 1
+    to one below its longest packet and every stack limit below its
+    deepest, each from the demo's initial state: the plan, the generic
+    tier of the same compiled program and a ``backend="tree"`` enclave
+    fault the same packets with the same reason, and leave the same
+    results, packet fields, message entries, globals and FunctionStats.
+    Stack faults carry the tree walk's pc.  Budget faults carry the
+    generic tier's pc: the start of the segment that exhausts the
+    budget, at or before the tree walk's."""
+    spec = entry.demo
+    metadata = dict(spec.metadata)
+    metadata.setdefault("msg_id", ("demo", 1))
+    cls = [Classification("demo.r1.msg", metadata)]
+    overrides = list(spec.packets) or [{}]
+    action = _compile_demo(spec)
+    warm, _ = _demo_enclave(spec, action, "interpreter")
+    for _ in range(pycodegen.TIER_UP_CALLS + 1):
+        warm.process_packet(DemoPacket(**overrides[0]), cls, now_ns=1)
+    assert isinstance(action.program._pycodegen,
+                      pycodegen.CompiledProgram)
+
+    def send(limit, value):
+        out = {}
+        for kind, backend in (("plan", "interpreter"),
+                              ("generic", "interpreter"),
+                              ("tree", "tree")):
+            enclave, fn = _demo_enclave(spec, action, backend)
+            faults = _record_faults(fn)
+            executes = _count_executes(fn)
+            if kind == "generic":
+                fn._ask_for_plan = lambda: None
+            setattr(enclave.interpreter, limit, value)
+            packets = [DemoPacket(**o) for o in overrides]
+            results = _send(enclave, [(p, cls) for p in packets],
+                            use_batch, now_ns=2)
+            store = fn.message_store
+            out[kind] = faults, (
+                results, [vars(p) for p in packets], fn.stats,
+                fn.global_store and fn.global_store.snapshot(),
+                store and {k: (dict(e.values), e.packets)
+                           for k, e in store._entries.items()})
+            # Only the generic tier goes through ``execute``.
+            assert executes[0] == (0 if kind == "plan" else
+                                   len(packets)), kind
+        return out
+
+    first = send("op_budget", None)
+    assert first["plan"] == first["generic"] == first["tree"]
+    faults, (results, _, stats, _, _) = first["plan"]
+    assert not faults
+    longest = max(r.interpreter_ops for r in results)
+    deepest = stats.max_stack_bytes // 8
+    for limit, values in (("op_budget", range(1, longest)),
+                          ("max_operand_stack", range(deepest))):
+        for value in values:
+            out = send(limit, value)
+            (plan, left), (tree, tree_left) = out["plan"], out["tree"]
+            assert out["generic"] == out["plan"], (limit, value)
+            assert left == tree_left, (limit, value)
+            assert [r for r, _ in plan] == [r for r, _ in tree]
+            # The first packet over the limit meets the state it met
+            # without one, so every value faults at least one.
+            assert plan, (limit, value)
+            for (_, pc), (_, tree_pc) in zip(plan, tree):
+                if limit == "op_budget":
+                    assert pc <= tree_pc, (value, plan, tree)
+                else:
+                    assert pc == tree_pc, (value, plan, tree)
