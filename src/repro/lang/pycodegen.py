@@ -442,13 +442,14 @@ class _FuncEmitter:
             fields = ", ".join(
                 self.where.field.format(i)
                 for i in range(len(self.program.field_table)))
-            self.w("ctx.ops = _ops")
-            self.w("ctx.max_seen = _ms")
+            where = self.where
+            self.w(f"ctx.ops = {where.ops}")
+            self.w(f"ctx.max_seen = {where.max_seen}")
             if self._spill_fields and fields:
                 self.w(f"ctx.fields = [{fields}]")
             self.w(f"_r = _f{instr.arg}({call_args})")
-            self.w("_ops = ctx.ops")
-            self.w("_ms = ctx.max_seen")
+            self.w(f"{where.ops} = ctx.ops")
+            self.w(f"{where.max_seen} = ctx.max_seen")
             if self._reload_fields and fields:
                 self.w(f"{fields}, = ctx.fields")
         self.w("ctx.depth -= 1")
@@ -1154,8 +1155,6 @@ def _compile_plan(compiled: CompiledProgram, fn) -> tuple:
     # What the generic tier does inside ``execute``: heap layout,
     # limits, frame set-up, the body.
     body: List[str] = []
-    heap = [(Op.ABASE, "B", "bases"), (Op.ALEN, "L", "lengths"),
-            (Op.HSTORE, "W", "wranges")]
     if program.array_table:
         body.append("H = []")
         for i, ref in enumerate(program.array_table):
@@ -1175,23 +1174,18 @@ def _compile_plan(compiled: CompiledProgram, fn) -> tuple:
         body += [
             "if len(H) > _interp.max_heap_words:",
             "    raise InterpreterFault('heap of %d words exceeds "
-            "limit %d' % (len(H), _interp.max_heap_words), _NAME)"]
-        tables = {
-            "B": "(%s,)" % ", ".join(f"b{i}" for i in range(n)),
-            "L": "(%s,)" % ", ".join(
+            "limit %d' % (len(H), _interp.max_heap_words), _NAME)",
+            "B = (%s,)" % ", ".join(f"b{i}" for i in range(n)),
+            "L = (%s,)" % ", ".join(
                 f"n{i} // {ref.stride}"
                 for i, ref in enumerate(program.array_table)),
-            "W": "(%s)" % "".join(
+            "W = (%s)" % "".join(
                 f"(b{i}, b{i} + n{i}), "
                 for i, ref in enumerate(program.array_table)
-                if ref.writable)}
-        for op, name, slot in heap:
-            if found.uses(op):
-                body.append(f"{name} = {tables[name]}")
-                if calls:
-                    body.append(f"ctx.{slot} = {name}")
+                if ref.writable)]
         if calls:
-            body.append("ctx.heap = H")
+            body.append("ctx.heap, ctx.bases, ctx.lengths, ctx.wranges "
+                        "= H, B, L, W")
     elif Op.HLOAD in found.ops_used[0] or Op.HSTORE in found.ops_used[0]:
         # No arrays: heap ops fault on the empty heap.
         body.append("H = W = ()")
