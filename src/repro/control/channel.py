@@ -236,9 +236,13 @@ class ControlEndpoint:
                    pending: PendingSend) -> None:
         delay = self.config.backoff_ns(pending.attempts, self.rng)
         self._h_backoff.observe(delay)
-        pending._timer = self.scheduler.schedule(
-            delay, self._on_timeout, dst, stream.tx_session,
-            pending.env.seq)
+        if pending._timer is None:
+            pending._timer = self.scheduler.schedule(
+                delay, self._on_timeout, dst, stream.tx_session,
+                pending.env.seq)
+        else:
+            # A retransmit re-arms the timer that just fired.
+            self.scheduler.reschedule(pending._timer, delay)
 
     def _on_timeout(self, dst: str, session: int, seq: int) -> None:
         stream = self._peers.get(dst)
