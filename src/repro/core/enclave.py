@@ -559,6 +559,11 @@ class Enclave:
         #: ``packets_processed`` it tells in O(1) whether the summary
         #: may have changed.
         self.generation = 0
+        #: One-shot: called with no arguments, then cleared, at the
+        #: next generation bump or the next packet processed.  A
+        #: control agent arms it to sleep until its enclave changes;
+        #: the data path pays one ``is not None`` test for it.
+        self.on_change: Optional[Callable[[], None]] = None
         # Instruments are bound once here; the data path touches them
         # (and opens spans) only behind the one _tracing test.
         registry = self.telemetry.registry
@@ -625,7 +630,7 @@ class Enclave:
         installed = self._bind(name, action, backend,
                                commit_packet_writes)
         self._functions[name] = installed
-        self.generation += 1
+        self._changed()
         return installed
 
     def _bind(self, name: str, action: CompiledAction, backend: str,
@@ -643,6 +648,16 @@ class Enclave:
             clock=self.clock,
             commit_packet_writes=commit_packet_writes)
 
+    def _changed(self) -> None:
+        """Bump :attr:`generation` and fire :attr:`on_change`."""
+        self.generation += 1
+        if self.on_change is not None:
+            self._fire_on_change()
+
+    def _fire_on_change(self) -> None:
+        callback, self.on_change = self.on_change, None
+        callback()
+
     def clear(self) -> None:
         """Factory-reset the data plane (models an enclave restart).
 
@@ -657,7 +672,7 @@ class Enclave:
         self._tables = {0: MatchActionTable(0)}
         self.packets_processed = 0
         self.packets_dropped = 0
-        self.generation += 1
+        self._changed()
 
     def remove_function(self, name: str) -> None:
         if name not in self._functions:
@@ -671,7 +686,7 @@ class Enclave:
         # No cache (generated code, native closures) may outlive the
         # function that owned it.
         self._functions.pop(name).retire()
-        self.generation += 1
+        self._changed()
 
     def function(self, name: str) -> InstalledFunction:
         try:
@@ -777,6 +792,8 @@ class Enclave:
         functions that need no application support still apply
         (e.g. PIAS over unmodified applications).
         """
+        if self.on_change is not None:
+            self._fire_on_change()
         now = now_ns if now_ns is not None else self.clock()
         key = self._class_key(packet, classifications)
         if not self._tracing:
@@ -829,6 +846,8 @@ class Enclave:
         entries = list(packets_with_cls)
         if not entries:
             return []
+        if self.on_change is not None:
+            self._fire_on_change()
         now = now_ns if now_ns is not None else self.clock()
         # Without enclave-stage rules the key depends only on the
         # classification list, so a batch reusing one list object (the
@@ -1030,7 +1049,7 @@ class Enclave:
         replacement.global_store = old.global_store
         replacement.message_store = old.message_store
         self._functions[name] = replacement
-        self.generation += 1
+        self._changed()
         # The swap already unlinks the old program from the data path;
         # retiring it makes sure nobody still holding it can run a
         # stale compiled handler.
@@ -1066,7 +1085,7 @@ class Enclave:
         store = self.function(function).message_store
         if store is not None:
             store.end_message(msg_key)
-            self.generation += 1
+            self._changed()
 
     def expire_idle_messages(self, now_ns: int) -> int:
         total = 0
@@ -1074,7 +1093,7 @@ class Enclave:
             if fn.message_store is not None:
                 total += fn.message_store.expire_idle(now_ns)
         if total:
-            self.generation += 1
+            self._changed()
         return total
 
     # -- the enclave's own stage -------------------------------------------

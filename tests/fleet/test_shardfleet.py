@@ -194,11 +194,12 @@ def test_chunked_run_equals_one_call():
 
 
 def test_mitigation_rollout_golden(monkeypatch):
-    """``converge_mitigation(32)`` pinned to literals recorded when
-    agents began reporting on change (config Acks carry the agent's
-    state, idle ticks send nothing): what the run returns and the
-    sha256 of its fire log — ``(now, callback name)`` of every event
-    that fires, in firing order.  A change
+    """``converge_mitigation(32)`` pinned to literals: what the run
+    returns and the sha256 of its fire log — ``(now, callback name)``
+    of every event that fires, in firing order.  Last re-recorded when
+    idle agents stopped firing quiet report ticks (one grid timer
+    stands for every agent's tick): the event count and the fire log
+    moved, nothing else.  A change
     that moves either is a behaviour change and must re-record the pin
     on purpose, saying why."""
     fire_log = hashlib.sha256()
@@ -226,8 +227,8 @@ MITIGATION_32 = {'converged': True,
                  'replays': 1,
                  'stale_nacks': 1,
                  'retransmits': 262,
-                 'events': 1708,
+                 'events': 1106,
                  'in_sync': True}
 
 MITIGATION_32_FIRE_LOG = \
-    'd5cf780ba1e0324a5164439cf1c9bd2c0bc677d6406016aa066010f85550e3c9'
+    'fe2c724c5e3a2d5acb767cc051c0afef078da096073704584575473bafff7ab3'
