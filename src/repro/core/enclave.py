@@ -26,7 +26,6 @@ from ..lang.annotations import DEFAULT_PACKET_SCHEMA, Schema
 from ..lang.compiler import CompiledAction, compile_action
 from ..lang.interpreter import (WORD_BYTES, ExecResult, Interpreter,
                                 InterpreterFault)
-from ..lang.native import NativeFunction
 from ..lang.verifier import verify_action
 from ..telemetry import NULL_TELEMETRY, Telemetry
 from .accounting import CpuAccounting
@@ -119,29 +118,28 @@ class InstalledFunction:
     authoritative message/global state and the stats.
 
     ``backend`` selects how invocations execute: ``"interpreter"``
-    runs on the enclave's shared :class:`Interpreter` with whatever
-    dispatch it was configured with, while any name from the
-    :mod:`repro.lang.backends` registry (``tree``, ``pycodegen``,
-    ``native``) pins this function to that execution backend
-    regardless of the interpreter default.
+    is the enclave's shared :class:`Interpreter`'s dispatch, and any
+    name from the :mod:`repro.lang.backends` registry (``tree``,
+    ``pycodegen``, ``native``) pins this function to that execution
+    backend.  Either way the binding resolves exactly one
+    :class:`~repro.lang.backends.Backend`, named by :attr:`dispatch`,
+    and runs through its ``bind`` (the generic tier, bound here, at
+    install) and its ``plan`` (asked for on the data path).
     """
 
     def __init__(self, name: str, action: CompiledAction,
                  backend: str,
                  interpreter: Interpreter,
-                 rng: random.Random,
-                 clock: Callable[[], int],
                  commit_packet_writes: bool = True) -> None:
-        if backend == "interpreter" or backend == "native":
-            self._exec_backend = None
-        else:
-            try:
-                self._exec_backend = lang_backends.get(backend)
-            except KeyError:
-                raise EnclaveError(
-                    f"unknown backend {backend!r}; use 'interpreter' "
-                    f"or one of the registered execution backends: "
-                    f"{', '.join(lang_backends.names())}") from None
+        try:
+            executor = lang_backends.get(
+                interpreter.dispatch if backend == "interpreter"
+                else backend)
+        except KeyError:
+            raise EnclaveError(
+                f"unknown backend {backend!r}; use 'interpreter' "
+                f"or one of the registered execution backends: "
+                f"{', '.join(lang_backends.names())}") from None
         message_schema = action.message_schema
         if message_schema is not None and \
                 any(f.is_array for f in message_schema.fields):
@@ -151,12 +149,11 @@ class InstalledFunction:
         # artifact's schemas, checked against this interpreter's limits.
         verify_action(action,
                       max_operand_stack=interpreter.max_operand_stack)
-        if backend == "native" and action.prog_ast is None:
-            raise EnclaveError(
-                f"backend 'native' compiles the typed AST, which the "
-                f"artifact for {name!r} does not carry")
         self.name = name
         self.backend = backend
+        #: The resolved backend's registry name.
+        self.dispatch = executor.name
+        self._executor = executor
         # False implements the paper's "baseline EDEN" configuration
         # (Section 5.1): classification and the data-plane function
         # run, but the interpreter's packet outputs are ignored before
@@ -172,10 +169,8 @@ class InstalledFunction:
         # A PARALLEL guard never refuses, so the data path skips it.
         self.guarded = self.concurrency is not ConcurrencyLevel.PARALLEL
         self.interpreter = interpreter
-        # Only the native backend ever runs the AST-level compilation.
-        self.native = (NativeFunction(action.prog_ast, self.program,
-                                      rng=rng, clock=clock)
-                       if backend == "native" else None)
+        #: The enclave's per-hop instruments while it traces, else None.
+        self.meters: Optional[Tuple] = None
         self.global_store = (GlobalStore(self.global_schema)
                              if self.global_schema is not None else None)
         self.message_store = (MessageStore(message_schema)
@@ -186,7 +181,8 @@ class InstalledFunction:
         self._bound = True
 
     def _build_hot_path(self) -> None:
-        """Precompute the per-packet state prep and commit plans.
+        """Precompute the per-packet state prep and commit plans, and
+        bind the backend's executor.
 
         The enclave data path used to re-decide, per packet and per
         field-table slot, which scope a value comes from and whether it
@@ -269,43 +265,28 @@ class InstalledFunction:
             for i, aref in enumerate(self.program.array_table)
             if aref.writable and aref.scope == "global"
         ] if found.stores_to_heap else []
-        self._run: Optional[Callable] = None
+        # The generic tier's executor, bound here, at install, so
+        # whatever the backend compiles per binding (native: the
+        # AST-level function) fails the install, not a packet.
+        self._run = self._executor.bind(self.interpreter, self.program)
         self._plan: Optional[Callable] = None
 
     def execute(self, fields: Sequence[int],
                 arrays: Sequence[Sequence[int]]) -> ExecResult:
-        """Run the program over one state snapshot.
-
-        The first call binds the backend's executor for this program
-        (``Backend.bind`` / ``Interpreter.bind``); later calls go
-        straight to it until :meth:`retire` drops it.
-        """
-        run = self._run
-        if run is None:
-            if self.native is not None:
-                run = self.native.execute
-            elif self._exec_backend is not None:
-                run = self._exec_backend.bind(self.interpreter,
-                                              self.program)
-            else:
-                run = self.interpreter.bind(self.program)
-            self._run = run
-        return run(fields, arrays)
+        """Run the program over one state snapshot, through the
+        callable the backend bound at install (``Backend.bind``)."""
+        return self._run(fields, arrays)
 
     def _ask_for_plan(self) -> Optional[Callable]:
-        if self.native is not None:
-            return None
-        if self._exec_backend is not None:
-            return self._exec_backend.plan(self.interpreter, self)
-        return self.interpreter.plan(self)
+        return self._executor.plan(self.interpreter, self)
 
     def run_packet(self, packet, msg_entry, acct=None) -> int:
         """One invocation against live state; returns the op count.
 
         State read -> :meth:`execute` -> write-back of the static
         write set -> function stats.  That is the generic tier: cold
-        programs, ``tree``/``native`` pins and an instrumented
-        interpreter run it, and it is the oracle for the backend's
+        programs and the ``tree``/``native`` pins run it, and it is
+        the oracle for the backend's
         plan (``Backend.plan``), the same sequence as one generated
         callable, which takes over for as long as the program is hot.
         An :class:`InterpreterFault` propagates with nothing of the
@@ -329,7 +310,7 @@ class InstalledFunction:
             result = self.execute(fields, arrays)
         finally:
             if acct is not None:
-                acct.lap("native" if self.native is not None
+                acct.lap("native" if self.dispatch == "native"
                          else "interpreter")
         out = result.fields
         if self.commit_packet_writes:
@@ -356,7 +337,7 @@ class InstalledFunction:
         return stats.ops_executed
 
     def retire(self) -> None:
-        """Unbind: drop this binding's executor and plan.
+        """Unbind: drop this binding's plan and its hold on the program.
 
         The enclave calls it when the function leaves the data path
         (replace, remove, restart).  The program may be bound by other
@@ -368,7 +349,7 @@ class InstalledFunction:
         still holds this object or its ``Program`` can only run the
         cold tree walk, never a stale compiled handler.
         """
-        self._run = self._plan = None
+        self._plan = None
         if self._bound:
             self._bound = False
             lang_backends.release(self.program)
@@ -529,7 +510,6 @@ class Enclave:
                  rng: Optional[random.Random] = None,
                  clock: Optional[Callable[[], int]] = None,
                  accounting: Optional[CpuAccounting] = None,
-                 interpreter: Optional[Interpreter] = None,
                  telemetry: Optional[Telemetry] = None) -> None:
         if placement not in _PLACEMENT_BASE_COST_NS:
             raise EnclaveError(f"unknown placement {placement!r}")
@@ -542,11 +522,7 @@ class Enclave:
         self.accounting = accounting or CpuAccounting(enabled=False)
         self.telemetry = (telemetry if telemetry is not None
                           else NULL_TELEMETRY)
-        self.interpreter = interpreter or Interpreter(
-            rng=self.rng, clock=self.clock, telemetry=telemetry)
-        if telemetry is not None and \
-                getattr(self.interpreter, "telemetry", None) is None:
-            self.interpreter.bind_telemetry(telemetry)
+        self.interpreter = Interpreter(rng=self.rng, clock=self.clock)
         self._functions: Dict[str, InstalledFunction] = {}
         self._tables: Dict[int, MatchActionTable] = {
             0: MatchActionTable(0)}
@@ -642,11 +618,20 @@ class Enclave:
             raise EnclaveError(
                 f"function {name!r} was compiled against another "
                 f"packet schema than this enclave's")
-        return InstalledFunction(
+        fn = InstalledFunction(
             name=name, action=action, backend=backend,
-            interpreter=self.interpreter, rng=self.rng,
-            clock=self.clock,
+            interpreter=self.interpreter,
             commit_packet_writes=commit_packet_writes)
+        if self._tracing:
+            registry = self.telemetry.registry
+            fn.meters = (
+                registry.counter("interp_invocations_total",
+                                 dispatch=fn.dispatch),
+                registry.counter("interp_faults_total",
+                                 dispatch=fn.dispatch),
+                registry.histogram("interp_ops_per_invocation",
+                                   dispatch=fn.dispatch))
+        return fn
 
     def _changed(self) -> None:
         """Bump :attr:`generation` and fire :attr:`on_change`."""
@@ -975,7 +960,10 @@ class Enclave:
                         int_metadata = _int_metadata(classifications)
                     msg_entry, _ = store.lookup(msg_id, now,
                                                 int_metadata)
-                ops += fn.run_packet(packet, msg_entry, acct)
+                if tracing:
+                    ops += self._traced_run(fn, packet, msg_entry, acct)
+                else:
+                    ops += fn.run_packet(packet, msg_entry, acct)
             except InterpreterFault:
                 # Section 3.4.3: a faulty function terminates its own
                 # execution without affecting the rest of the system —
@@ -1010,6 +998,26 @@ class Enclave:
         result.interpreter_ops = ops
         result.error = None
         return result
+
+    def _traced_run(self, fn: InstalledFunction, packet, msg_entry,
+                    acct) -> int:
+        """``fn.run_packet`` inside an ``interpreter.execute`` span, with
+        the function's per-hop instruments (:meth:`_bind`): the same
+        run, plan or generic tier, as with telemetry off."""
+        invocations, faults, ops_per_invocation = fn.meters
+        with self.telemetry.tracer.span(
+                "interpreter.execute", program=fn.program.name,
+                dispatch=fn.dispatch) as span:
+            invocations.inc()
+            try:
+                ops = fn.run_packet(packet, msg_entry, acct)
+            except InterpreterFault as fault:
+                faults.inc()
+                span.set(fault=fault.reason)
+                raise
+            ops_per_invocation.observe(ops)
+            span.set(ops=ops)
+        return ops
 
     def replace_function(self, name: str,
                          action: Union[CompiledAction, Callable, str],

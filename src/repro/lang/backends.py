@@ -13,7 +13,9 @@ live behind one :class:`Backend` protocol:
 
 Consumers (the :class:`Interpreter`, the enclave's installed functions,
 the CLI ``--backend`` flags) resolve backends by name through
-:func:`get`.
+:func:`get`.  An installed function resolves exactly one — its pinned
+backend, or its interpreter's dispatch — and runs only through that
+backend's :meth:`Backend.bind` and :meth:`Backend.plan`.
 
 The contract, enforced by the differential harness in
 ``tests/lang/test_differential.py``:
@@ -86,11 +88,13 @@ class Backend:
         """A callable ``run(fields, arrays)`` equal to
         ``execute(interp, program, fields, arrays)``.
 
-        The enclave binds one per installed function and calls it per
-        packet; a backend overrides this to hoist per-call setup.  The
-        callable must read limits, RNG and clock from ``interp`` on
-        every call, and must hold no compiled artifact that
-        :meth:`invalidate` could not take away from it.
+        An installed function binds one when it is installed and calls
+        it per invocation of its generic tier; a backend overrides this
+        to hoist per-call setup.  The callable must read limits from
+        ``interp`` on every call and draw from ``interp``'s RNG and
+        clock.  What it compiles here is this binding's own; an
+        artifact cached on ``program`` it must ask for on every call,
+        so that :meth:`invalidate` takes it away.
         """
         return functools.partial(self.execute, interp, program)
 
@@ -100,11 +104,12 @@ class Backend:
         state read, body, write-back, function stats — or None.
 
         ``InstalledFunction.run_packet`` asks while it holds no plan
-        and otherwise runs its generic tier, which the plan must equal
-        bit for bit.  The rules of :meth:`bind` apply: limits, RNG and
-        clock are read from ``interp`` on every call, and a plan whose
-        compiled artifact :meth:`invalidate` took away runs nothing
-        and answers None.  The default is no plan.
+        and otherwise runs its generic tier (:meth:`bind`'s callable),
+        which the plan must equal bit for bit.  The rules of
+        :meth:`bind` apply: limits, RNG and clock are read from
+        ``interp`` on every call, and a plan whose compiled artifact
+        :meth:`invalidate` took away runs nothing and answers None.
+        The default is no plan.
         """
         return None
 
@@ -153,20 +158,33 @@ class NativeBackend(Backend):
     attaches to the program as ``_prog_ast``; hand-assembled programs
     without it cannot run natively.  Stats are empty and entry
     arguments are rejected — both documented native limitations.
+
+    :meth:`bind` compiles a :class:`NativeFunction` of the binding's
+    own, at install, drawing from the binding interpreter's RNG and
+    clock; :meth:`execute` keeps one per program for one-off calls and
+    points it at the calling interpreter's sources each time.
     """
 
     name = "native"
 
-    def _function(self, interp, program):
+    @staticmethod
+    def _ast(program):
         prog_ast = getattr(program, "_prog_ast", None)
         if prog_ast is None:
             raise InterpreterFault(
                 "native backend needs a compiler-produced program "
                 "(no typed AST attached)", program.name)
+        return prog_ast
+
+    def bind(self, interp, program):
+        return NativeFunction(self._ast(program), program,
+                              rng=interp.rng, clock=interp.clock).execute
+
+    def _function(self, interp, program):
         nf = getattr(program, "_native_fn", None)
         if nf is None:
-            nf = NativeFunction(prog_ast, program, rng=interp.rng,
-                                clock=interp.clock)
+            nf = NativeFunction(self._ast(program), program,
+                                rng=interp.rng, clock=interp.clock)
             object.__setattr__(program, "_native_fn", nf)
         else:
             # The compiled entry is rng/clock-agnostic; rebind the

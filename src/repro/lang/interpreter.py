@@ -15,7 +15,6 @@ paranoid deployments can set one.
 
 from __future__ import annotations
 
-import functools
 import random
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence, Tuple
@@ -175,8 +174,7 @@ class Interpreter:
                  op_budget: Optional[int] = None,
                  rng: Optional[random.Random] = None,
                  clock: Optional[Callable[[], int]] = None,
-                 dispatch: str = "pycodegen",
-                 telemetry=None) -> None:
+                 dispatch: str = "pycodegen") -> None:
         self.max_operand_stack = max_operand_stack
         self.max_call_depth = max_call_depth
         self.max_heap_words = max_heap_words
@@ -196,32 +194,6 @@ class Interpreter:
         # The one execute callable, bound once so the hot path pays no
         # registry lookup: ``self._execute(self, program, ...)``.
         self._execute = self._backend.execute
-        # ``telemetry`` stays None when disabled so the hot path pays
-        # one ``is None`` check and nothing else.
-        self.telemetry = None
-        if telemetry is not None:
-            self.bind_telemetry(telemetry)
-
-    def bind_telemetry(self, telemetry) -> None:
-        """Attach a :class:`repro.telemetry.Telemetry` bundle.
-
-        Metrics/spans are recorded only at the :meth:`execute`
-        boundary — never per op — so instrumented cost is O(1) per
-        invocation.  A disabled bundle unbinds (telemetry stays None).
-        """
-        if telemetry is None or not telemetry.enabled:
-            self.telemetry = None
-            return
-        self.telemetry = telemetry
-        registry = telemetry.registry
-        self._m_invocations = registry.counter(
-            "interp_invocations_total", dispatch=self.dispatch)
-        self._m_faults = registry.counter(
-            "interp_faults_total", dispatch=self.dispatch)
-        self._h_ops = registry.histogram(
-            "interp_ops_per_invocation", dispatch=self.dispatch)
-        self._h_stack = registry.histogram(
-            "interp_max_operand_stack", dispatch=self.dispatch)
 
     def execute(self, program: Program,
                 fields: Sequence[int],
@@ -235,34 +207,7 @@ class Interpreter:
         stride.  Returns an :class:`ExecResult`; raises
         :class:`InterpreterFault` on any safety violation.
         """
-        if self.telemetry is not None:
-            return self._execute_instrumented(program, fields, arrays,
-                                              args)
         return self._execute(self, program, fields, arrays, args)
-
-    def bind(self, program: Program
-             ) -> Callable[[Sequence[int], Sequence[Sequence[int]]],
-                           ExecResult]:
-        """A callable ``run(fields, arrays)`` equal to
-        ``execute(program, fields, arrays)``, for a caller that runs
-        one program many times (the enclave, per installed function).
-
-        The backend may hoist per-call setup into it; an instrumented
-        interpreter hands back :meth:`execute` itself so every
-        invocation keeps its span and boundary metrics.
-        """
-        if self.telemetry is not None:
-            return functools.partial(self.execute, program)
-        return self._backend.bind(self, program)
-
-    def plan(self, fn):
-        """The backend's whole-invocation plan for the enclave's
-        installed function ``fn`` (``Backend.plan``), or None; an
-        instrumented interpreter never hands one out, for the reason
-        :meth:`bind` gives."""
-        if self.telemetry is not None:
-            return None
-        return self._backend.plan(self, fn)
 
     def execute_batch(self, program: Program,
                       snapshots: Sequence[Tuple[Sequence[int],
@@ -281,53 +226,8 @@ class Interpreter:
         order (shared RNG state included); the per-call dispatch
         overhead is paid once per batch, not once per snapshot.
         """
-        if self.telemetry is not None:
-            return self._execute_batch_instrumented(program, snapshots,
-                                                    args)
         return self._backend.execute_batch(self, program, snapshots,
                                            args)
-
-    def _execute_batch_instrumented(self, program: Program, snapshots,
-                                    args: Sequence[int]) -> List[object]:
-        """One span per batch; boundary counters per invocation."""
-        with self.telemetry.tracer.span(
-                "interpreter.execute_batch", program=program.name,
-                dispatch=self.dispatch) as span:
-            results = self._backend.execute_batch(self, program,
-                                                  snapshots, args)
-            faults = 0
-            for res in results:
-                self._m_invocations.inc()
-                if isinstance(res, InterpreterFault):
-                    faults += 1
-                    self._m_faults.inc()
-                else:
-                    self._h_ops.observe(res.stats.ops_executed)
-                    self._h_stack.observe(res.stats.max_operand_stack)
-            span.set(size=len(results), faults=faults)
-        return results
-
-    def _execute_instrumented(self, program: Program,
-                              fields: Sequence[int],
-                              arrays: Sequence[Sequence[int]],
-                              args: Sequence[int]) -> ExecResult:
-        """:meth:`execute` wrapped in a span plus boundary metrics."""
-        with self.telemetry.tracer.span(
-                "interpreter.execute", program=program.name,
-                dispatch=self.dispatch) as span:
-            self._m_invocations.inc()
-            try:
-                result = self._execute(self, program, fields, arrays,
-                                       args)
-            except InterpreterFault as fault:
-                self._m_faults.inc()
-                span.set(fault=fault.reason)
-                raise
-            stats = result.stats
-            self._h_ops.observe(stats.ops_executed)
-            self._h_stack.observe(stats.max_operand_stack)
-            span.set(ops=stats.ops_executed)
-        return result
 
     def execute_tree(self, program: Program,
                      fields: Sequence[int],

@@ -15,6 +15,7 @@ rule without changing anything else.
 
 from __future__ import annotations
 
+import keyword
 import random
 from typing import Callable, List, Optional, Sequence
 
@@ -73,6 +74,31 @@ def _rand(rng: random.Random, bound: int) -> int:
     return rng.randrange(bound)
 
 
+# The typed AST travels with the artifact but is not covered by its
+# digest, and the verifier reads only the bytecode, so every AST field
+# the generator splices into source is checked against what the
+# frontend (``dsl.lower``) can produce before it is spliced.
+
+_CMP_OPS = frozenset(("==", "!=", "<", "<=", ">", ">="))
+
+
+def _int(value) -> int:
+    """A slot, index, stride or constant: a plain ``int``."""
+    if type(value) is not int:
+        raise NativeFault(f"typed AST carries {value!r} where an "
+                          f"integer belongs")
+    return value
+
+
+def _ident(name) -> str:
+    """A function or array name: a plain identifier, not a keyword."""
+    if type(name) is not str or not name.isidentifier() or \
+            keyword.iskeyword(name):
+        raise NativeFault(f"typed AST carries {name!r} where a name "
+                          f"belongs")
+    return name
+
+
 class _CodeGen:
     """Generates the Python source of one compiled program."""
 
@@ -111,7 +137,7 @@ class _CodeGen:
 
     def _gen_function(self, fn: T.FunctionDef) -> None:
         params = ", ".join(f"_l{i}" for i in range(len(fn.params)))
-        self.emit(f"def _fn_{fn.name}({params}):")
+        self.emit(f"def _fn_{_ident(fn.name)}({params}):")
         self._indent += 1
         body = list(fn.body)
         if not body:
@@ -125,15 +151,16 @@ class _CodeGen:
 
     def _gen_stmt(self, stmt: T.Stmt) -> None:
         if isinstance(stmt, T.AssignLocal):
-            self.emit(f"_l{stmt.slot} = {self._gen_expr(stmt.value)}")
+            self.emit(f"_l{_int(stmt.slot)} = "
+                      f"{self._gen_expr(stmt.value)}")
         elif isinstance(stmt, T.AssignState):
-            self.emit(f"F[{stmt.index}] = "
+            self.emit(f"F[{_int(stmt.index)}] = "
                       f"_w({self._gen_expr(stmt.value)})")
         elif isinstance(stmt, T.AssignArray):
             addr = self._element_addr(stmt)
-            self.emit(f"_aset(A[{stmt.array_index}], {addr}, "
+            self.emit(f"_aset(A[{_int(stmt.array_index)}], {addr}, "
                       f"_w({self._gen_expr(stmt.value)}), "
-                      f"{stmt.name!r})")
+                      f"{_ident(stmt.name)!r})")
         elif isinstance(stmt, T.If):
             self.emit(f"if {self._gen_expr(stmt.cond)} != 0:")
             self._indent += 1
@@ -163,7 +190,7 @@ class _CodeGen:
         elif isinstance(stmt, T.Pass):
             self.emit("pass")
         else:
-            raise TypeError(f"unknown statement {stmt!r}")
+            raise NativeFault(f"unknown statement {stmt!r}")
 
     def _gen_block(self, stmts) -> None:
         if not stmts:
@@ -176,22 +203,27 @@ class _CodeGen:
 
     def _gen_expr(self, expr: T.Expr) -> str:
         if isinstance(expr, T.Const):
-            return repr(wrap64(expr.value))
+            return repr(wrap64(_int(expr.value)))
         if isinstance(expr, T.LocalRef):
-            return f"_l{expr.slot}"
+            return f"_l{_int(expr.slot)}"
         if isinstance(expr, T.StateRef):
-            return f"F[{expr.index}]"
+            return f"F[{_int(expr.index)}]"
         if isinstance(expr, T.ArrayLen):
-            stride = self.prog.array_table[expr.array_index].stride
+            index = _int(expr.array_index)
+            stride = _int(self.prog.array_table[index].stride)
             if stride == 1:
-                return f"len(A[{expr.array_index}])"
-            return f"(len(A[{expr.array_index}]) // {stride})"
+                return f"len(A[{index}])"
+            return f"(len(A[{index}]) // {stride})"
         if isinstance(expr, T.ArrayIndex):
             addr = self._element_addr(expr)
-            return (f"_aget(A[{expr.array_index}], {addr}, "
-                    f"{expr.name!r})")
+            return (f"_aget(A[{_int(expr.array_index)}], {addr}, "
+                    f"{_ident(expr.name)!r})")
         if isinstance(expr, T.BinOp):
-            return self._BINOP_FMT[expr.op].format(
+            fmt = self._BINOP_FMT.get(expr.op) \
+                if type(expr.op) is str else None
+            if fmt is None:
+                raise NativeFault(f"unknown binary op {expr.op!r}")
+            return fmt.format(
                 lhs=self._gen_expr(expr.lhs),
                 rhs=self._gen_expr(expr.rhs))
         if isinstance(expr, T.UnaryOp):
@@ -202,8 +234,10 @@ class _CodeGen:
                 return f"_w(~({operand}))"
             if expr.op == "not":
                 return f"(1 if ({operand}) == 0 else 0)"
-            raise TypeError(f"unknown unary op {expr.op!r}")
+            raise NativeFault(f"unknown unary op {expr.op!r}")
         if isinstance(expr, T.Compare):
+            if type(expr.op) is not str or expr.op not in _CMP_OPS:
+                raise NativeFault(f"unknown comparison {expr.op!r}")
             return (f"(1 if ({self._gen_expr(expr.lhs)}) {expr.op} "
                     f"({self._gen_expr(expr.rhs)}) else 0)")
         if isinstance(expr, T.BoolOp):
@@ -216,9 +250,9 @@ class _CodeGen:
                     f"({self._gen_expr(expr.cond)}) != 0 else "
                     f"({self._gen_expr(expr.orelse)}))")
         if isinstance(expr, T.Call):
-            callee = self.prog.functions[expr.func_index]
+            callee = self.prog.functions[_int(expr.func_index)]
             args = ", ".join(self._gen_expr(a) for a in expr.args)
-            return f"_fn_{callee.name}({args})"
+            return f"_fn_{_ident(callee.name)}({args})"
         if isinstance(expr, T.Builtin):
             if expr.name == "rand":
                 return f"_rand(_rng, {self._gen_expr(expr.args[0])})"
@@ -227,16 +261,17 @@ class _CodeGen:
                 # invocation.
                 return ("(_clk[0] if _clk[0] is not None else "
                         "_clk.__setitem__(0, _w(_clock())) or _clk[0])")
-            raise TypeError(f"unknown builtin {expr.name!r}")
-        raise TypeError(f"unknown expression {expr!r}")
+            raise NativeFault(f"unknown builtin {expr.name!r}")
+        raise NativeFault(f"unknown expression {expr!r}")
 
     def _element_addr(self, node) -> str:
         index = self._gen_expr(node.index)
-        if node.stride == 1 and node.offset == 0:
+        stride, offset = _int(node.stride), _int(node.offset)
+        if stride == 1 and offset == 0:
             return f"({index})"
-        if node.offset == 0:
-            return f"(({index}) * {node.stride})"
-        return f"(({index}) * {node.stride} + {node.offset})"
+        if offset == 0:
+            return f"(({index}) * {stride})"
+        return f"(({index}) * {stride} + {offset})"
 
 
 class NativeFunction:

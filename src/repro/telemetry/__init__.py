@@ -13,8 +13,13 @@ instrumented component needs:
 Components take ``telemetry=None`` and fall back to
 :data:`NULL_TELEMETRY`, whose registry hands out no-op instruments
 and whose tracer hands out a no-op span — instrumentation then costs
-one empty method call, nothing more (see
-``tests/lang/test_telemetry_overhead.py`` for the enforced bound).
+one empty method call, nothing more.  The enclave data path guards
+even that behind one cached ``tracing`` test, so an enclave without
+telemetry binds no per-hop instruments
+(``tests/telemetry/test_instrumentation.py``), and one with telemetry
+runs each function on the same tier as one without
+(``tests/telemetry/test_same_tier.py``); the wall-clock cost of "on"
+is ``bench/``'s ``telemetry.on_overhead_pct``.
 
 Usage::
 

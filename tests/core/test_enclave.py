@@ -1,6 +1,7 @@
 """Tests for the enclave: tables, runtime, state commit, safety."""
 
 import dataclasses
+import random
 
 import pytest
 
@@ -9,8 +10,10 @@ from repro.core import (Classification, ConcurrencyGuard,
                         Enclave, EnclaveError, MatchRule,
                         PLACEMENT_NIC, PLACEMENT_OS, ProcessResult)
 from repro.core.accounting import CpuAccounting
-from repro.lang import (AccessLevel, Field, FieldKind, Interpreter,
-                        Lifetime, pycodegen, schema)
+from repro.lang import (DEFAULT_PACKET_SCHEMA, AccessLevel, Field,
+                        FieldKind, Interpreter, Lifetime, NativeFunction,
+                        pycodegen, schema)
+from repro.lang.compiler import compile_action
 
 
 # Action functions must live at module level so their source is
@@ -42,6 +45,10 @@ def faulty_divide(packet):
 
 def bump_counter(packet, _global):
     _global.counter = _global.counter + 1
+
+
+def rand_path(packet):
+    packet.path_id = rand(1000)
 
 
 def to_controller_fn(packet):
@@ -621,7 +628,50 @@ class TestBackendRegistry:
         for backend in ALL_BACKENDS:
             fn = enclave.install_function(
                 set_priority_five, name=f"f.{backend}", backend=backend)
-            assert (fn.native is not None) == (backend == "native")
+            # One resolved backend per function; only native's bind
+            # compiles an AST-level function, of this binding's own.
+            assert fn.dispatch == ("pycodegen" if backend == "interpreter"
+                                   else backend)
+            bound = getattr(fn._run, "__self__", None)
+            assert isinstance(bound, NativeFunction) == \
+                (backend == "native")
+
+    def test_native_bindings_of_one_artifact_draw_from_their_own_rng(self):
+        """Two enclaves with different seeds bind one artifact on
+        ``native``: each draws exactly what a lone enclave with its
+        seed draws, interleaved or not, and a native interpreter with
+        that seed agrees."""
+        def artifact():
+            return compile_action(rand_path,
+                                  packet_schema=DEFAULT_PACKET_SCHEMA)
+
+        def native_enclave(seed, action):
+            enclave = Enclave(f"e.{seed}", rng=random.Random(seed))
+            enclave.install_function(action, backend="native")
+            enclave.install_rule("*", "rand_path")
+            return enclave
+
+        def draw(enclave):
+            packet = FakePacket()
+            assert enclave.process_packet(packet).executed == \
+                ["rand_path"]
+            return packet.path_id
+
+        lone = {}
+        for seed in (1, 2):
+            enclave = native_enclave(seed, artifact())
+            lone[seed] = [draw(enclave) for _ in range(20)]
+        shared = artifact()
+        pair = {seed: native_enclave(seed, shared) for seed in (1, 2)}
+        drawn = {1: [], 2: []}
+        for _ in range(20):
+            for seed, enclave in pair.items():
+                drawn[seed].append(draw(enclave))
+        assert drawn == lone
+        assert lone[1] != lone[2]
+        interp = Interpreter(dispatch="native", rng=random.Random(1))
+        assert [interp.execute(shared.program, [0], []).fields[0]
+                for _ in range(20)] == lone[1]
 
     @pytest.mark.parametrize("backend", ALL_BACKENDS)
     def test_replace_runs_new_program_not_stale_handler(

@@ -10,13 +10,16 @@ and the agent's applied epoch stay as they were, even over a lossy
 channel.
 """
 
+import dataclasses
+
 import pytest
 
 from repro.control import ChannelConfig, FaultInjector
 from repro.core import Controller, Enclave
 from repro.lang import (AccessLevel, DEFAULT_PACKET_SCHEMA, Field,
-                        FieldRef, FunctionCode, Instr, Lifetime, Op,
-                        Program, VerificationError, schema)
+                        FieldRef, FunctionCode, Instr, Lifetime,
+                        NativeFault, Op, Program, VerificationError,
+                        ast_nodes as T, schema)
 from repro.lang.analysis import facts
 from repro.lang.compiler import CompiledAction, compile_action
 from repro.netsim.simulator import MS, Simulator
@@ -207,3 +210,113 @@ def test_program_without_functions_is_rejected():
     action = CompiledAction(Program("empty", (), (), ()),
                             DEFAULT_PACKET_SCHEMA)
     _assert_refused(Rig(seed=8), action, VerificationError)
+
+
+# -- the typed AST the native backend compiles ---------------------------
+
+GATE = ("def gate(packet):\n"
+        "    if packet.size > 100:\n"
+        "        packet.priority = 2\n")
+
+#: A comparison operator that closes the generated comparison, calls
+#: ``print`` and opens another: valid Python once spliced.
+INJECTED_OP = "> 0 else 0) + (print('INJECTED') or 0) + (1 if 0 >"
+
+
+def _swap_compare(node, op):
+    """``node`` rebuilt with every ``>`` comparison's operator ``op``."""
+    if isinstance(node, T.Compare) and node.op == ">":
+        return dataclasses.replace(node, op=op)
+    if isinstance(node, T.Node):
+        return dataclasses.replace(node, **{
+            f.name: _swap_compare(getattr(node, f.name), op)
+            for f in dataclasses.fields(node)})
+    if isinstance(node, tuple):
+        return tuple(_swap_compare(item, op) for item in node)
+    return node
+
+
+def _tampered_gate():
+    """The gate artifact with the injected operator in its typed AST,
+    wherever a native binding might read it: the bytecode, and with it
+    the digest, is untouched."""
+    action = compile_action(GATE, packet_schema=DEFAULT_PACKET_SCHEMA,
+                            name="gate")
+    bad = _swap_compare(action.prog_ast, INJECTED_OP)
+    object.__setattr__(action.program, "_prog_ast", bad)
+    tampered = dataclasses.replace(action, prog_ast=bad)
+    assert tampered.digest == compile_action(
+        GATE, packet_schema=DEFAULT_PACKET_SCHEMA, name="gate").digest
+    return tampered
+
+
+def test_an_injected_ast_operator_is_refused_at_install(capsys):
+    rig = Rig(seed=9)
+    before = rig.state()
+    (pending,) = rig.await_all([rig.controller.plane.install_function(
+        "h1", "gate", _tampered_gate(), backend="native")])
+    assert pending.nacked, pending.reason
+    assert isinstance(pending.error, NativeFault)
+    assert "unknown comparison" in str(pending.error)
+    assert rig.state() == before
+    packet = Packet()
+    assert rig.enclave.process_packet(packet).executed == ["good_fn"]
+    assert packet.priority == 4
+    # The enclave compiles nothing of it: not on the Nack, not later.
+    enclave = Enclave("h2.enclave")
+    with pytest.raises(NativeFault):
+        enclave.install_function(_tampered_gate(), backend="native")
+    assert enclave.functions() == []
+    assert "INJECTED" not in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("field, value", [
+    ("name", "gate():\n        print('INJECTED')\n    def x"),
+    ("name", "lambda"),
+    ("slot", "0] = print('INJECTED') or F[0"),
+    ("index", True),
+])
+def test_spliced_names_and_indices_are_checked(field, value, capsys):
+    """Function names must be identifiers, not keywords; slots and
+    indices plain ints — a bool is an int to Python, not to lower()."""
+    action = compile_action(
+        "def f(packet):\n"
+        "    def g(x):\n"
+        "        return x + packet.size\n"
+        "    y = g(1)\n"
+        "    packet.priority = y\n",
+        packet_schema=DEFAULT_PACKET_SCHEMA, name="f")
+
+    def tamper(node):
+        if isinstance(node, (T.FunctionDef, T.LocalRef, T.StateRef)) \
+                and field in {f.name for f in dataclasses.fields(node)}:
+            return dataclasses.replace(node, **{field: value})
+        if isinstance(node, T.Node):
+            return dataclasses.replace(node, **{
+                f.name: tamper(getattr(node, f.name))
+                for f in dataclasses.fields(node)})
+        if isinstance(node, tuple):
+            return tuple(tamper(item) for item in node)
+        return node
+
+    object.__setattr__(action.program, "_prog_ast",
+                       tamper(action.prog_ast))
+    with pytest.raises(NativeFault, match="typed AST carries"):
+        Enclave("e").install_function(action, backend="native")
+    assert "INJECTED" not in capsys.readouterr().out
+
+
+def test_the_untampered_artifacts_still_run_on_native():
+    action = compile_action(GATE, packet_schema=DEFAULT_PACKET_SCHEMA,
+                            name="gate")
+    enclave = Enclave("e")
+    enclave.install_function(action, backend="native")
+    enclave.install_rule("*", "gate")
+    packet = Packet()
+    packet.size = 1500
+    assert enclave.process_packet(packet).executed == ["gate"]
+    assert packet.priority == 2
+    from repro.functions.library import table1
+    for entry in table1():
+        if entry.demo is not None:
+            entry.demo.run(backend="native")

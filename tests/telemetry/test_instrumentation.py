@@ -83,9 +83,10 @@ class TestDataPathInstrumentation:
     def test_default_enclave_has_no_live_telemetry(self):
         enclave = Enclave("plain")
         assert not enclave.telemetry.enabled
-        # The interpreter's guard stays None, so the hot path takes
-        # the uninstrumented branch (see test_telemetry_overhead).
-        assert enclave.interpreter.telemetry is None
+        # No per-hop instruments are bound, so every hop takes the
+        # untraced branch of the data path.
+        fn = enclave.install_function(set_priority_five)
+        assert fn.meters is None
 
 
 class TestStatsReportRegistry:
