@@ -8,67 +8,138 @@ Runs any of the paper-reproduction experiments without writing code:
     python -m repro fig11 --duration-ms 200
     python -m repro fig12 --duration-ms 20
     python -m repro micro --packets 300
-    python -m repro control-demo --enclaves 8 --loss 0.1
+    python -m repro report --out report.md
+    python -m repro control-demo --hosts 8 --loss 0.1
     python -m repro telemetry-report --duration-ms 100
     python -m repro fleet-demo --attackers 8
+
+Each paper artifact is one row of :data:`PAPER`, which builds both its
+command and its section of ``repro report``.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from typing import List, Optional
+from dataclasses import dataclass
+from typing import Any, Callable, Dict, List, Optional, Tuple
+
+from .experiments import fig9, fig10, fig11, fig12, micro
+from .functions import library
+from .lang import backends as lang_backends
+
+#: One ``add_argument`` call as data: ``(flags, keyword arguments)``.
+Arg = Tuple[Tuple[str, ...], Dict[str, Any]]
 
 
-def _cmd_table1(args) -> int:
-    from .functions.library import format_table, run_demos, table1
-    print(format_table())
-    results = run_demos(backend=args.backend)
+def _arg(*flags: str, **kwargs: Any) -> Arg:
+    return flags, kwargs
+
+
+def _duration(default: int,
+              help: str = "simulated milliseconds per run") -> Arg:
+    return _arg("--duration-ms", type=int, default=default, help=help)
+
+
+@dataclass(frozen=True)
+class Artifact:
+    """One table or figure of the paper's evaluation (Section 5).
+
+    ``repro <name>`` prints ``format(run(args))`` and exits 1 unless
+    ``ok`` holds; ``repro report`` writes the same text under
+    ``title``.  ``run`` and ``format`` look the experiment's functions
+    up on its module when called, so a test can stub them there.
+    """
+
+    name: str
+    help: str
+    title: str
+    run: Callable[[argparse.Namespace], Any]
+    format: Callable[[Any], str]
+    duration_ms: Optional[int] = None
+    args: Tuple[Arg, ...] = ()
+    ok: Callable[[Any], bool] = lambda result: True
+
+    def arguments(self) -> Tuple[Arg, ...]:
+        if self.duration_ms is None:
+            return self.args
+        return (_duration(self.duration_ms),) + self.args
+
+    def __call__(self, args: argparse.Namespace) -> int:
+        result = self.run(args)
+        print(self.format(result))
+        return 0 if self.ok(result) else 1
+
+
+def _demos(args) -> Tuple[str, Dict[str, bool]]:
+    return args.backend, library.run_demos(backend=args.backend)
+
+
+def _format_demos(demos) -> str:
+    backend, results = demos
     failed = [name for name, ok in results.items() if not ok]
-    print(f"\n{len(results) - len(failed)}/{len(results)} demos "
-          f"passed ({args.backend}).")
+    text = (f"{library.format_table()}\n\n"
+            f"{len(results) - len(failed)}/{len(results)} demos "
+            f"passed ({backend}).")
+    return text + (f"\nFAILED: {', '.join(failed)}" if failed else "")
+
+
+#: The paper's evaluation, in ``repro report``'s section order.
+PAPER: Tuple[Artifact, ...] = (
+    Artifact("table1", "Table 1 coverage matrix + demos",
+             "Table 1 — coverage", _demos, _format_demos,
+             args=(_arg("--backend", default="interpreter",
+                        choices=("interpreter",)
+                        + tuple(lang_backends.names())),),
+             ok=lambda demos: all(demos[1].values())),
+    Artifact("micro", "interpreter microbenchmarks",
+             "Section 5.4 — interpreter micro",
+             lambda a: micro.run_micro(packets=a.packets),
+             lambda r: micro.format_results(r),
+             args=(_arg("--packets", type=int, default=300),)),
+    Artifact("fig12", "Eden CPU overheads", "Figure 12 — CPU overheads",
+             lambda a: fig12.run_overheads(seed=a.seed,
+                                           duration_ms=a.duration_ms),
+             lambda r: fig12.format_result(r), duration_ms=20),
+    Artifact("fig11", "Pulsar storage QoS", "Figure 11 — Pulsar storage QoS",
+             lambda a: fig11.run_all(seed=a.seed, duration_ms=a.duration_ms),
+             lambda r: fig11.format_results(r), duration_ms=200),
+    Artifact("fig10", "ECMP vs WCMP throughput", "Figure 10 — ECMP vs WCMP",
+             lambda a: fig10.run_all(seed=a.seed, duration_ms=a.duration_ms),
+             lambda r: fig10.format_results(r), duration_ms=100),
+    Artifact("fig9", "flow scheduling FCTs", "Figure 9 — flow scheduling",
+             lambda a: fig9.run_all(seed=a.seed, duration_ms=a.duration_ms),
+             lambda r: fig9.format_results(r), duration_ms=120),
+)
+
+
+def _cmd_report(args) -> int:
+    """Regenerate every artifact of :data:`PAPER`, each with its own
+    defaults, into one markdown report; exit 1 if any failed its
+    check."""
+    parser = build_parser()
+    sections, failed = [], []
+    print("regenerating the full evaluation "
+          f"(seed {args.seed}; this takes several minutes)...")
+    for artifact in PAPER:
+        result = artifact.run(parser.parse_args(
+            [artifact.name, "--seed", str(args.seed)]))
+        sections.append(f"## {artifact.title}\n\n```\n"
+                        f"{artifact.format(result)}\n```\n")
+        print(f"[done] {artifact.title}")
+        if not artifact.ok(result):
+            failed.append(artifact.title)
+
+    body = ("# Eden reproduction report\n\n"
+            f"Seed {args.seed}. Regenerate with "
+            f"`python -m repro report --seed {args.seed}`.\n\n" +
+            "\n".join(sections))
+    with open(args.out, "w") as handle:
+        handle.write(body)
+    print(f"\nwrote {args.out}")
     if failed:
         print("FAILED:", ", ".join(failed))
         return 1
-    return 0
-
-
-def _cmd_fig9(args) -> int:
-    from .experiments import fig9
-    results = fig9.run_all(seed=args.seed,
-                           duration_ms=args.duration_ms)
-    print(fig9.format_results(results))
-    return 0
-
-
-def _cmd_fig10(args) -> int:
-    from .experiments import fig10
-    results = fig10.run_all(seed=args.seed,
-                            duration_ms=args.duration_ms)
-    print(fig10.format_results(results))
-    return 0
-
-
-def _cmd_fig11(args) -> int:
-    from .experiments import fig11
-    results = fig11.run_all(seed=args.seed,
-                            duration_ms=args.duration_ms)
-    print(fig11.format_results(results))
-    return 0
-
-
-def _cmd_fig12(args) -> int:
-    from .experiments import fig12
-    result = fig12.run_overheads(seed=args.seed,
-                                 duration_ms=args.duration_ms)
-    print(fig12.format_result(result))
-    return 0
-
-
-def _cmd_micro(args) -> int:
-    from .experiments import micro
-    results = micro.run_micro(packets=args.packets)
-    print(micro.format_results(results))
     return 0
 
 
@@ -81,11 +152,9 @@ def _cmd_control_demo(args) -> int:
     rejected.
     """
     from .experiments import control_demo
-    num_hosts = args.enclaves if args.enclaves is not None \
-        else args.hosts
     result = control_demo.run_scenario(
         seed=args.seed, loss=args.loss,
-        duration_ms=args.duration_ms, num_hosts=num_hosts)
+        duration_ms=args.duration_ms, num_hosts=args.hosts)
     print(control_demo.format_result(result))
     return 0 if result.converged else 1
 
@@ -285,63 +354,71 @@ def _cmd_fleet_demo(args) -> int:
     return 0 if ok else 1
 
 
-def _cmd_report(args) -> int:
-    """Regenerate the full evaluation into one markdown report."""
-    from .experiments import fig9, fig10, fig11, fig12, micro
-    from .functions.library import format_table, run_demos
+_LOSS = _arg("--loss", type=float, default=0.10,
+             help="control-message drop probability")
+_HOSTS = _arg("--hosts", type=int, default=3,
+              help="number of managed enclaves")
+_LATENCY = (_arg("--policy", default="pias",
+                 choices=("baseline", "pias", "sff")),
+            _arg("--variant", default="eden",
+                 choices=("native", "eden")),
+            _duration(120))
 
-    sections = []
-
-    def add(title, body):
-        sections.append(f"## {title}\n\n```\n{body}\n```\n")
-        print(f"[done] {title}")
-
-    print("regenerating the full evaluation "
-          f"(seed {args.seed}; this takes several minutes)...")
-    demos = run_demos()
-    add("Table 1 — coverage",
-        format_table() + f"\n\n{sum(demos.values())}/{len(demos)} "
-        f"demos passed")
-    add("Section 5.4 — interpreter micro",
-        micro.format_results(micro.run_micro()))
-    add("Figure 12 — CPU overheads",
-        fig12.format_result(fig12.run_overheads(seed=args.seed)))
-    add("Figure 11 — Pulsar storage QoS",
-        fig11.format_results(fig11.run_all(seed=args.seed)))
-    add("Figure 10 — ECMP vs WCMP",
-        fig10.format_results(fig10.run_all(seed=args.seed)))
-    add("Figure 9 — flow scheduling",
-        fig9.format_results(fig9.run_all(seed=args.seed)))
-
-    body = ("# Eden reproduction report\n\n"
-            f"Seed {args.seed}. Regenerate with "
-            f"`python -m repro report --seed {args.seed}`.\n\n" +
-            "\n".join(sections))
-    with open(args.out, "w") as handle:
-        handle.write(body)
-    print(f"\nwrote {args.out}")
-    return 0
-
-
-_COMMANDS = {
-    "table1": (_cmd_table1, "Table 1 coverage matrix + demos"),
-    "fig9": (_cmd_fig9, "flow scheduling FCTs"),
-    "fig10": (_cmd_fig10, "ECMP vs WCMP throughput"),
-    "fig11": (_cmd_fig11, "Pulsar storage QoS"),
-    "fig12": (_cmd_fig12, "Eden CPU overheads"),
-    "micro": (_cmd_micro, "interpreter microbenchmarks"),
-    "control-demo": (_cmd_control_demo,
-                     "lossy control-channel PIAS/WCMP convergence"),
-    "telemetry-report": (_cmd_telemetry_report,
-                         "control-demo with metrics + span tracing"),
-    "latency-breakdown": (_cmd_latency_breakdown,
-                          "per-packet latency decomposition vs load"),
-    "latency-serve": (_cmd_latency_serve,
-                      "live latency decomposition service over HTTP"),
-    "fleet-demo": (_cmd_fleet_demo,
-                   "staged DDoS-mitigation rollout across a fleet"),
-    "report": (_cmd_report, "run everything, write a markdown report"),
-}
+#: Every other command: ``(name, help, handler, argument specs)``.
+TOOLS = (
+    ("control-demo", "lossy control-channel PIAS/WCMP convergence",
+     _cmd_control_demo,
+     (_LOSS, _duration(400, "simulated milliseconds (lossy window)"),
+      _HOSTS)),
+    ("telemetry-report", "control-demo with metrics + span tracing",
+     _cmd_telemetry_report,
+     (_LOSS, _duration(100, "simulated milliseconds (lossy window)"),
+      _HOSTS,
+      _arg("--max-spans", type=int, default=65536,
+           help="flight-recorder capacity"),
+      _arg("--jsonl-spans", action="store_true",
+           help="dump every recorded span as JSONL "
+                "(default: one complete chain)"))),
+    ("latency-breakdown", "per-packet latency decomposition vs load",
+     _cmd_latency_breakdown,
+     _LATENCY + (_arg("--loads", default="0.3,0.5,0.7,0.9",
+                      help="comma-separated offered loads"),)),
+    ("latency-serve", "live latency decomposition service over HTTP",
+     _cmd_latency_serve,
+     _LATENCY + (
+         _arg("--load", type=float, default=0.7,
+              help="offered load on the worker link"),
+         _arg("--step-ms", type=int, default=10,
+              help="simulated milliseconds per slice between HTTP "
+                   "serving opportunities"),
+         _arg("--window-ms", type=int, default=10,
+              help="tumbling-window width for /stream summaries"),
+         _arg("--background-rate-mbps", type=int, default=2000,
+              help="aggregate Pulsar rate for the background tenant "
+                   "(0: no rate limiting)"),
+         _arg("--host", default="127.0.0.1"),
+         _arg("--port", type=int, default=0,
+              help="listen port (0: OS-assigned)"),
+         _arg("--pace-ms", type=float, default=50.0,
+              help="wall-clock milliseconds to sleep between slices "
+                   "when serving live"),
+         _arg("--once", action="store_true",
+              help="run one scenario pass and exit instead of "
+                   "serving until Ctrl-C"),
+         _arg("--smoke", action="store_true",
+              help="verify the serve contract (segment classes, "
+                   "residual budget, live endpoints); nonzero exit "
+                   "on failure"))),
+    ("fleet-demo", "staged DDoS-mitigation rollout across a fleet",
+     _cmd_fleet_demo,
+     (_arg("--attackers", type=int, default=8,
+           help="compromised hosts in the fleet"),
+      _LOSS,
+      _arg("--attack-rate-mbps", type=int, default=None,
+           help="per-attacker UDP offered load (default: 150)"))),
+    ("report", "run everything, write a markdown report", _cmd_report,
+     (_arg("--out", default="report.md", help="output markdown path"),)),
+)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -350,98 +427,19 @@ def build_parser() -> argparse.ArgumentParser:
         description="Reproduce the evaluation of 'Enabling End-host "
                     "Network Functions' (SIGCOMM 2015).")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (_, help_text) in _COMMANDS.items():
+    commands = [(a.name, a.help, a, a.arguments()) for a in PAPER]
+    for name, help_text, handler, specs in commands + list(TOOLS):
         p = sub.add_parser(name, help=help_text)
+        p.set_defaults(handler=handler)
         p.add_argument("--seed", type=int, default=1)
-        if name in ("fig9", "fig10", "fig11", "fig12"):
-            default = {"fig9": 120, "fig10": 100, "fig11": 200,
-                       "fig12": 20}[name]
-            p.add_argument("--duration-ms", type=int,
-                           default=default,
-                           help="simulated milliseconds per run")
-        if name == "micro":
-            p.add_argument("--packets", type=int, default=300)
-        if name == "table1":
-            from .lang import backends as lang_backends
-            p.add_argument("--backend", default="interpreter",
-                           choices=("interpreter",)
-                           + tuple(lang_backends.names()))
-        if name in ("control-demo", "telemetry-report"):
-            default_ms = 400 if name == "control-demo" else 100
-            p.add_argument("--loss", type=float, default=0.10,
-                           help="control-message drop probability")
-            p.add_argument("--duration-ms", type=int,
-                           default=default_ms,
-                           help="simulated milliseconds (lossy window)")
-            p.add_argument("--hosts", type=int, default=3,
-                           help="number of managed enclaves")
-        if name == "control-demo":
-            p.add_argument("--enclaves", type=int, default=None,
-                           help="number of managed enclaves "
-                                "(fleet-style alias for --hosts; "
-                                "wins when both are given)")
-        if name == "telemetry-report":
-            p.add_argument("--max-spans", type=int, default=65536,
-                           help="flight-recorder capacity")
-            p.add_argument("--jsonl-spans", action="store_true",
-                           help="dump every recorded span as JSONL "
-                                "(default: one complete chain)")
-        if name in ("latency-breakdown", "latency-serve"):
-            p.add_argument("--policy", default="pias",
-                           choices=("baseline", "pias", "sff"))
-            p.add_argument("--variant", default="eden",
-                           choices=("native", "eden"))
-            p.add_argument("--duration-ms", type=int, default=120,
-                           help="simulated milliseconds per run")
-        if name == "latency-breakdown":
-            p.add_argument("--loads", default="0.3,0.5,0.7,0.9",
-                           help="comma-separated offered loads")
-        if name == "latency-serve":
-            p.add_argument("--load", type=float, default=0.7,
-                           help="offered load on the worker link")
-            p.add_argument("--step-ms", type=int, default=10,
-                           help="simulated milliseconds per slice "
-                                "between HTTP serving opportunities")
-            p.add_argument("--window-ms", type=int, default=10,
-                           help="tumbling-window width for /stream "
-                                "summaries")
-            p.add_argument("--background-rate-mbps", type=int,
-                           default=2000,
-                           help="aggregate Pulsar rate for the "
-                                "background tenant (0: no rate "
-                                "limiting)")
-            p.add_argument("--host", default="127.0.0.1")
-            p.add_argument("--port", type=int, default=0,
-                           help="listen port (0: OS-assigned)")
-            p.add_argument("--pace-ms", type=float, default=50.0,
-                           help="wall-clock milliseconds to sleep "
-                                "between slices when serving live")
-            p.add_argument("--once", action="store_true",
-                           help="run one scenario pass and exit "
-                                "instead of serving until Ctrl-C")
-            p.add_argument("--smoke", action="store_true",
-                           help="verify the serve contract (segment "
-                                "classes, residual budget, live "
-                                "endpoints); nonzero exit on failure")
-        if name == "fleet-demo":
-            p.add_argument("--attackers", type=int, default=8,
-                           help="compromised hosts in the fleet")
-            p.add_argument("--loss", type=float, default=0.10,
-                           help="control-message drop probability")
-            p.add_argument("--attack-rate-mbps", type=int,
-                           default=None,
-                           help="per-attacker UDP offered load "
-                                "(default: 150)")
-        if name == "report":
-            p.add_argument("--out", default="report.md",
-                           help="output markdown path")
+        for flags, kwargs in specs:
+            p.add_argument(*flags, **kwargs)
     return parser
 
 
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    handler, _ = _COMMANDS[args.command]
-    return handler(args)
+    return args.handler(args)
 
 
 if __name__ == "__main__":

@@ -12,8 +12,9 @@ One module per evaluation artifact:
   interpreted-vs-native cost;
 * Table 1 lives in :mod:`repro.functions.library`.
 
-The pytest-benchmark harnesses in ``benchmarks/`` are thin wrappers
-around these runners.
+``python -m repro <artifact>`` runs one of them and ``python -m repro
+report`` all of them, from the one table in :mod:`repro.cli`; the
+shapes they must show are pinned by ``tests/integration``.
 """
 
 from . import fig9, fig10, fig11, fig12, micro, sweep

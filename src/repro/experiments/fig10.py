@@ -54,6 +54,9 @@ def run_wcmp(mode: str = "wcmp", variant: str = "eden",
         raise ValueError(f"unknown mode {mode!r}")
     if variant not in ("native", "eden"):
         raise ValueError(f"unknown variant {variant!r}")
+    if duration_ms <= warmup_ms:
+        raise ValueError(f"duration_ms={duration_ms} leaves nothing "
+                         f"to measure after warmup_ms={warmup_ms}")
 
     sim = Simulator(seed=seed)
     net = asymmetric_two_path(sim, fast_bps=fast_bps,
@@ -117,7 +120,7 @@ def run_wcmp(mode: str = "wcmp", variant: str = "eden",
         timeouts=sum(c.stats.timeouts for c in conns))
 
 
-def run_all(seed: int = 1, duration_ms: int = 120,
+def run_all(seed: int = 1, *, duration_ms: int,
             granularity: str = "packet") -> List[Fig10Result]:
     results = []
     for mode in ("ecmp", "wcmp"):

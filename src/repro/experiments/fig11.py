@@ -125,7 +125,7 @@ def run_storage(scenario: str = "simultaneous", seed: int = 1,
                        write_mbytes_per_s=write_tput)
 
 
-def run_all(seed: int = 1, duration_ms: int = 250
+def run_all(seed: int = 1, *, duration_ms: int
             ) -> List[Fig11Result]:
     return [run_storage(s, seed=seed, duration_ms=duration_ms)
             for s in ("isolated", "simultaneous", "rate_controlled")]

@@ -102,7 +102,7 @@ def measure_vanilla_ns(seed: int = 1,
     return sum(samples) / len(samples), len(samples)
 
 
-def run_overheads(seed: int = 1, duration_ms: int = 30,
+def run_overheads(seed: int = 1, *, duration_ms: int,
                   policy: str = "sff") -> Fig12Result:
     """Measure per-bucket CPU cost relative to the vanilla stack."""
     vanilla_ns, _ = measure_vanilla_ns(seed=seed,

@@ -300,7 +300,7 @@ def run_flow_scheduling(policy: str = "baseline",
     return scenario.finish()
 
 
-def run_all(seed: int = 1, duration_ms: int = 150,
+def run_all(seed: int = 1, *, duration_ms: int,
             policies: Tuple[str, ...] = ("baseline", "pias", "sff"),
             variants: Tuple[str, ...] = ("native", "eden")
             ) -> List[Fig9Result]:

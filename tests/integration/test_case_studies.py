@@ -1,54 +1,96 @@
 """Integration tests: miniature versions of the paper's case studies.
 
 Short-duration runs of the experiment harnesses asserting the
-*direction* of each paper result — the benchmarks regenerate the full
-numbers.
+*direction* of each paper result and of the design ablations;
+``python -m repro <artifact>`` regenerates the full numbers.
 """
+
+import functools
 
 import pytest
 
+from repro.apps.workloads import DATA_MINING_CDF, FlowSizeDistribution
 from repro.experiments import fig9, fig10, fig11, fig12, micro
+
+
+@pytest.fixture(scope="module")
+def fig9_run():
+    """One 60 ms, seed-1 Figure 9 run per ``(policy, variant)``,
+    shared by the tests of this module."""
+    @functools.cache
+    def run(policy, variant):
+        return fig9.run_flow_scheduling(policy, variant, duration_ms=60,
+                                        warmup_ms=10)
+    return run
+
+
+@pytest.fixture(scope="module")
+def fig10_run():
+    """One 50 ms, seed-1, two-flow Figure 10 run per ``(mode,
+    variant, granularity)``, shared by the tests of this module."""
+    @functools.cache
+    def run(mode, variant, granularity="packet"):
+        return fig10.run_wcmp(mode, variant, granularity=granularity,
+                              duration_ms=50, warmup_ms=15, n_flows=2)
+    return run
 
 
 @pytest.mark.slow
 class TestFlowScheduling:
-    def test_pias_beats_baseline_for_small_flows(self):
-        base = fig9.run_flow_scheduling("baseline", "native",
-                                        duration_ms=60, warmup_ms=10)
-        pias = fig9.run_flow_scheduling("pias", "eden",
-                                        duration_ms=60, warmup_ms=10)
-        assert pias.small_avg_us < base.small_avg_us
-        assert pias.n_small > 50
+    def _beats_baseline(self, fig9_run, policy):
+        base = fig9_run("baseline", "native")
+        assert base.n_small > 100
+        for variant in ("native", "eden"):
+            res = fig9_run(policy, variant)
+            assert res.n_small > 100, variant
+            assert res.small_avg_us < base.small_avg_us, variant
 
-    def test_native_and_eden_comparable(self):
-        native = fig9.run_flow_scheduling("pias", "native",
-                                          duration_ms=60,
-                                          warmup_ms=10)
-        eden = fig9.run_flow_scheduling("pias", "eden",
-                                        duration_ms=60, warmup_ms=10)
+    def test_pias_beats_baseline_for_small_flows(self, fig9_run):
+        self._beats_baseline(fig9_run, "pias")
+
+    def test_sff_beats_baseline_for_small_flows(self, fig9_run):
+        self._beats_baseline(fig9_run, "sff")
+
+    def test_native_and_eden_comparable(self, fig9_run):
+        native = fig9_run("pias", "native")
+        eden = fig9_run("pias", "eden")
         # "the performance of the native implementation of the policy
         # and the interpreted one are similar" — same order of
         # magnitude here (single seed, short run).
         assert eden.small_avg_us < 3 * native.small_avg_us
 
+    def test_pias_beats_baseline_under_data_mining_mix(self,
+                                                       monkeypatch):
+        """Section 2.1.3: thresholds help small flows under the
+        data-mining mix too (tiny flows, heavier elephants)."""
+        monkeypatch.setattr(fig9, "FlowSizeDistribution",
+                            functools.partial(FlowSizeDistribution,
+                                              DATA_MINING_CDF))
+        runs = {policy: fig9.run_flow_scheduling(
+                    policy, "native", seed=2, duration_ms=60,
+                    warmup_ms=10)
+                for policy in ("baseline", "pias")}
+        assert runs["pias"].small_avg_us < runs["baseline"].small_avg_us
+
 
 @pytest.mark.slow
 class TestWcmpCaseStudy:
-    def test_wcmp_beats_ecmp_but_below_min_cut(self):
-        ecmp = fig10.run_wcmp("ecmp", "eden", duration_ms=50,
-                              warmup_ms=15, n_flows=2)
-        wcmp = fig10.run_wcmp("wcmp", "eden", duration_ms=50,
-                              warmup_ms=15, n_flows=2)
-        assert wcmp.throughput_mbps > 2.5 * ecmp.throughput_mbps
-        assert wcmp.throughput_mbps < 11_000
-        # ECMP splits evenly; WCMP sends ~10/11 on the fast path.
-        assert 0.4 < ecmp.fast_path_share < 0.65
-        assert wcmp.fast_path_share > 0.85
+    def test_wcmp_beats_ecmp_but_below_min_cut(self, fig10_run):
+        for variant in ("native", "eden"):
+            ecmp = fig10_run("ecmp", variant)
+            wcmp = fig10_run("wcmp", variant)
+            assert wcmp.throughput_mbps > 2.5 * ecmp.throughput_mbps
+            assert wcmp.throughput_mbps < 11_000
+            # ECMP splits evenly; WCMP sends ~10/11 on the fast path.
+            assert 0.4 < ecmp.fast_path_share < 0.65
+            assert wcmp.fast_path_share > 0.85
 
-    def test_message_granularity_also_works(self):
-        res = fig10.run_wcmp("wcmp", "eden", granularity="message",
-                             duration_ms=50, warmup_ms=15, n_flows=2)
+    def test_message_granularity_also_works(self, fig10_run):
+        res = fig10_run("wcmp", "eden", "message")
         assert res.throughput_mbps > 2000
+        # Section 2.1.1: per-packet spraying reorders within a
+        # message, so it retransmits more than per-message stickiness.
+        assert fig10_run("wcmp", "eden").retransmits > res.retransmits
 
 
 @pytest.mark.slow

@@ -1,6 +1,5 @@
 """Unit tests for the experiment runners: validation and formatting
-(the heavy end-to-end shapes are covered by the benchmarks and
-test_case_studies)."""
+(the heavy end-to-end shapes are pinned by test_case_studies)."""
 
 import pytest
 
@@ -27,6 +26,11 @@ class TestValidation:
     def test_fig10_rejects_unknown_variant(self):
         with pytest.raises(ValueError):
             fig10.run_wcmp(variant="hw")
+
+    def test_fig10_rejects_duration_within_warmup(self):
+        # Throughput is measured after the warmup; none would be left.
+        with pytest.raises(ValueError, match="warmup"):
+            fig10.run_wcmp(duration_ms=20, warmup_ms=20)
 
     def test_fig11_rejects_unknown_scenario(self):
         with pytest.raises(ValueError):

@@ -45,12 +45,16 @@ class TestSweep:
 
     @pytest.mark.slow
     def test_fig10_sweep_with_ci(self):
-        stats = sweep(fig10.run_wcmp, seeds=[1, 2, 3],
-                      mode="wcmp", variant="eden", duration_ms=25,
-                      warmup_ms=8, n_flows=2)
+        sweeps = {mode: sweep(fig10.run_wcmp, seeds=[1, 2, 3],
+                              mode=mode, variant="eden",
+                              duration_ms=25, warmup_ms=8, n_flows=2)
+                  for mode in ("wcmp", "ecmp")}
+        stats = sweeps["wcmp"]
         tput = stats["throughput_mbps"]
         assert len(tput.values) == 3
         assert tput.mean > 2000
+        # Figure 10's shape on the mean over seeds, not on one draw.
+        assert tput.mean > 2.5 * sweeps["ecmp"]["throughput_mbps"].mean
         text = format_sweep("fig10 wcmp", stats,
                             ["throughput_mbps", "retransmits"])
         assert "±" in text and "throughput_mbps" in text

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.lang import Op, compile_action, verify
+from repro.lang import (DEFAULT_PACKET_SCHEMA, Interpreter, Op,
+                        compile_action, verify)
 from repro.lang.bytecode import Assembler, Instr
 
 from conftest import Harness
@@ -98,6 +99,33 @@ class TestTailCallOptimization:
         h = Harness(self.SRC, optimize_tail_calls=True)
         result, _, _ = h.run()
         assert result.stats.max_call_depth == 2  # entry + one frame
+
+    def test_pias_threshold_search_needs_tco_to_stay_flat(self):
+        """Section 3.4.4: PIAS's recursive threshold search over 30
+        bands takes one frame per band without TCO, one loop with
+        it."""
+        from repro.functions.pias import (PIAS_GLOBAL_SCHEMA,
+                                          PIAS_MESSAGE_SCHEMA,
+                                          pias_action)
+        table = []
+        for band in range(30):
+            table += [(band + 1) * 1_000_000, 7 - (band % 8)]
+        stats = {}
+        for tco in (True, False):
+            _, program = compile_action(
+                pias_action, packet_schema=DEFAULT_PACKET_SCHEMA,
+                message_schema=PIAS_MESSAGE_SCHEMA,
+                global_schema=PIAS_GLOBAL_SCHEMA,
+                optimize_tail_calls=tco)
+            verify(program)
+            fields = {("message", "size"): 25_000_000,
+                      ("message", "priority"): 7}
+            fvec = [fields.get((r.scope, r.name), 0)
+                    for r in program.field_table]
+            stats[tco] = Interpreter().execute(program, fvec,
+                                               [table]).stats
+        assert stats[True].max_call_depth < stats[False].max_call_depth
+        assert stats[True].stack_bytes <= stats[False].stack_bytes
 
     def test_non_tail_recursion_not_optimized(self):
         src = ("def f(packet):\n"

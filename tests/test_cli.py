@@ -26,6 +26,12 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["table1", "--backend", "jit"])
 
+    def test_control_demo_takes_hosts_only(self):
+        args = build_parser().parse_args(["control-demo", "--hosts", "8"])
+        assert args.hosts == 8
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["control-demo", "--enclaves", "8"])
+
 
 class TestExecution:
     def test_table1_runs(self, capsys):
@@ -49,10 +55,75 @@ class TestExecution:
 
 
 class TestReportCommand:
+    #: Section titles in report order, and each figure's default
+    #: simulated milliseconds (the ones EXPERIMENTS.md was measured
+    #: with).
+    SECTIONS = ("Table 1 — coverage", "Section 5.4 — interpreter micro",
+                "Figure 12 — CPU overheads",
+                "Figure 11 — Pulsar storage QoS",
+                "Figure 10 — ECMP vs WCMP", "Figure 9 — flow scheduling")
+    DURATIONS = {"fig9": 120, "fig10": 100, "fig11": 200, "fig12": 20}
+
+    @pytest.fixture
+    def stubbed(self, monkeypatch):
+        """Replace every artifact's runner and formatter with a stub
+        that records the duration it was given; returns that record."""
+        from repro.experiments import fig9, fig10, fig11, fig12, micro
+        from repro.functions import library
+
+        durations = {}
+
+        def runner(name):
+            def run(seed=1, duration_ms=None):
+                durations[name] = duration_ms
+                return name
+            return run
+
+        for name, module in (("fig9", fig9), ("fig10", fig10),
+                             ("fig11", fig11)):
+            monkeypatch.setattr(module, "run_all", runner(name))
+            monkeypatch.setattr(module, "format_results",
+                                lambda result: f"rows of {result}")
+        monkeypatch.setattr(fig12, "run_overheads", runner("fig12"))
+        monkeypatch.setattr(fig12, "format_result",
+                            lambda result: f"rows of {result}")
+        monkeypatch.setattr(micro, "run_micro",
+                            lambda packets=300, repeat=3: "micro")
+        monkeypatch.setattr(micro, "format_results",
+                            lambda result: f"rows of {result}")
+        monkeypatch.setattr(library, "run_demos",
+                            lambda backend="interpreter": {"WCMP": True})
+        monkeypatch.setattr(library, "format_table", lambda: "table")
+        return durations
+
     def test_report_option_parsed(self):
         args = build_parser().parse_args(
             ["report", "--out", "/tmp/x.md", "--seed", "5"])
         assert args.out == "/tmp/x.md" and args.seed == 5
+
+    def test_one_section_per_artifact_with_its_duration(self, stubbed,
+                                                        tmp_path):
+        out = tmp_path / "report.md"
+        assert main(["report", "--out", str(out)]) == 0
+        text = out.read_text()
+        titles = [line[3:] for line in text.splitlines()
+                  if line.startswith("## ")]
+        assert titles == list(self.SECTIONS)
+        assert stubbed == self.DURATIONS
+        for name, duration in self.DURATIONS.items():
+            assert build_parser().parse_args([name]).duration_ms == \
+                duration
+
+    def test_failed_demo_fails_the_report(self, stubbed, monkeypatch,
+                                          tmp_path, capsys):
+        from repro.functions import library
+        monkeypatch.setattr(library, "run_demos",
+                            lambda backend="interpreter":
+                            {"WCMP": True, "PIAS": False})
+        out = tmp_path / "report.md"
+        assert main(["report", "--out", str(out)]) == 1
+        assert "Table 1 — coverage" in out.read_text()
+        assert "FAILED" in capsys.readouterr().out
 
 
 class TestLatencyCommands:
