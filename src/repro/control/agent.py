@@ -45,7 +45,8 @@ from __future__ import annotations
 import random
 import weakref
 from operator import attrgetter
-from typing import Callable, Dict, List, Optional
+from types import MappingProxyType
+from typing import Callable, Dict, List, Mapping, Optional
 
 from ..telemetry import NULL_TELEMETRY, Telemetry
 from .channel import (ChannelConfig, ControlEndpoint, Outcome,
@@ -62,6 +63,10 @@ from .transport import Transport
 #: An agent with nothing to sample and nothing changed still sends
 #: a report on every this-many-th tick, as a heartbeat.
 HEARTBEAT_TICKS = 10
+
+#: A report's empty feeds, registry and health: one read-only mapping
+#: shared by every report, not three new dicts each.
+_NONE: Mapping[str, object] = MappingProxyType({})
 
 
 def agent_address(host: str) -> str:
@@ -263,15 +268,16 @@ class EnclaveAgent:
         self._wake()
 
     def build_report(self) -> StatsReport:
+        sources = self._telemetry_sources
         return self._report({name: source() for name, source
-                             in self._telemetry_sources.items()})
+                             in sources.items()} if sources else _NONE)
 
     def _ack_report(self) -> StatsReport:
         """The report an Ack carries: the feeds stay unsampled, and
         the next tick still pushes the change."""
-        return self._report({})
+        return self._report(_NONE)
 
-    def _report(self, telemetry: Dict[str, object]) -> StatsReport:
+    def _report(self, telemetry: Mapping[str, object]) -> StatsReport:
         now = self.scheduler.now if self.scheduler is not None else 0
         return StatsReport(
             host=self.host, at_ns=now,
@@ -279,9 +285,9 @@ class EnclaveAgent:
             stats=self.enclave.stats_summary(),
             telemetry=telemetry,
             registry=(self.telemetry.registry.snapshot()
-                      if self.telemetry.enabled else {}),
+                      if self.telemetry.enabled else _NONE),
             health=(dict(self._health_source())
-                    if self._health_source is not None else {}))
+                    if self._health_source is not None else _NONE))
 
     def _state_key(self) -> tuple:
         """Moves whenever a report's content may have: epoch, packet

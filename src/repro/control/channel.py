@@ -71,6 +71,11 @@ class Outcome:
     error: Optional[BaseException] = None
 
 
+#: The outcome of a message whose handler returned nothing; shared, so
+#: no one may mutate an outcome.
+_OK = Outcome(True)
+
+
 class PendingSend:
     """Sender-side handle for one reliable message."""
 
@@ -177,6 +182,10 @@ class ControlEndpoint:
         #: Called with every envelope this endpoint receives, before
         #: it is processed.
         self.on_receive: Optional[Callable[[Envelope], None]] = None
+        #: Called with ``(peer, pending)`` when a send runs out of
+        #: retries (``max_retries``): a resolution no envelope brings.
+        self.on_expire: Optional[Callable[[str, PendingSend], None]] = \
+            None
         #: Called each time an Ack is sent; what it returns rides on
         #: the Ack as ``report``.  It is never cached with the
         #: outcome, so a re-ack carries a freshly built one.
@@ -258,6 +267,8 @@ class ControlEndpoint:
             del stream.pending[seq]
             self.stats.expired += 1
             self._m["expired"].inc()
+            if self.on_expire is not None:
+                self.on_expire(dst, pending)
             return
         pending.attempts += 1
         self.stats.retransmits += 1
@@ -290,8 +301,9 @@ class ControlEndpoint:
         if self.on_receive is not None:
             self.on_receive(env)
         payload = env.payload
-        if isinstance(payload, (Ack, Nack)):
-            self._on_ack(env.src, payload)
+        kind = type(payload)
+        if kind is Ack or kind is Nack:
+            self._on_ack(env.src, payload, kind is Nack)
             return
         if not env.reliable:
             self.stats.delivered += 1
@@ -310,7 +322,7 @@ class ControlEndpoint:
             # remembered outcome so the sender can complete.
             self.stats.duplicates_dropped += 1
             self._m["duplicates_dropped"].inc()
-            outcome = stream.rx_results.get(env.seq, Outcome(True))
+            outcome = stream.rx_results.get(env.seq, _OK)
             self._send_outcome(env.src, stream.rx_session, env.seq,
                                outcome)
             self.stats.reacked += 1
@@ -338,13 +350,13 @@ class ControlEndpoint:
 
     def _process(self, src: str, payload: ControlMessage) -> Outcome:
         if self.handler is None:
-            return Outcome(True)
+            return _OK
         try:
             outcome = self.handler(src, payload)
         except Exception as exc:
             return Outcome(False, reason=type(exc).__name__,
                            error=exc)
-        return outcome if outcome is not None else Outcome(True)
+        return outcome if outcome is not None else _OK
 
     def _send_outcome(self, dst: str, session: int, seq: int,
                       outcome: Outcome) -> None:
@@ -358,7 +370,7 @@ class ControlEndpoint:
                          reason=outcome.reason, error=outcome.error)
         self.send(dst, reply, reliable=False)
 
-    def _on_ack(self, src: str, payload) -> None:
+    def _on_ack(self, src: str, payload, nack: bool) -> None:
         stream = self._peers.get(src)
         if stream is None or payload.session != stream.tx_session:
             return
@@ -366,8 +378,7 @@ class ControlEndpoint:
         if pending is None:
             return
         pending._cancel_timer()
-        pending.result = getattr(payload, "result", None)
-        if isinstance(payload, Nack):
+        if nack:
             pending.nacked = True
             pending.reason = payload.reason
             pending.error = payload.error
@@ -376,6 +387,7 @@ class ControlEndpoint:
             if self.on_nack is not None:
                 self.on_nack(src, pending)
         else:
+            pending.result = payload.result
             pending.acked = True
             self.stats.acked += 1
             self._m["acked"].inc()

@@ -124,7 +124,9 @@ class FaultInjector:
         Duplication models a retransmit racing its own ack; both
         copies then exercise the receiver's dedup path.
         """
-        if env.src in self._partitioned or env.dst in self._partitioned:
+        partitioned = self._partitioned
+        if partitioned and (env.src in partitioned or
+                            env.dst in partitioned):
             self.partition_drops += 1
             return 0
         if self.drop_prob and self.rng.random() < self.drop_prob:

@@ -181,18 +181,55 @@ class InstalledFunction:
         self._bound = True
 
     def _build_hot_path(self) -> None:
-        """Precompute the per-packet state prep and commit plans, and
-        bind the backend's executor.
+        """Precompute the per-packet commit plan and bind the backend's
+        executor.
 
-        The enclave data path used to re-decide, per packet and per
-        field-table slot, which scope a value comes from and whether it
-        is writable.  All of that is known at install time, so we bind
-        one reader closure per slot and split the writable slots by
-        scope for the commit loop.  Readers dereference
-        ``self.global_store`` at call time (not at build time) so
-        :meth:`Enclave.replace_function` can carry stores over after
-        construction.
+        Which slots an invocation writes back, split by scope, is known
+        at install time; both tiers write back exactly these.  The
+        generic tier's per-slot readers are built on its first use
+        instead (:meth:`_build_readers`): a program the control plane
+        shipped to a fleet runs its generic tier for its first few
+        calls fleet-wide, so most bindings never need them.
         """
+        # The static write set as (slot, name) lists per scope: the
+        # slots some PUTF targets (the verifier has made sure they are
+        # writable), and writable arrays only when the program has an
+        # HSTORE at all.  Both tiers write back exactly these (the
+        # plan is generated from them).
+        found = facts(self.program)
+        packet_writes: List[Tuple[int, str]] = []
+        message_writes: List[Tuple[int, str]] = []
+        global_writes: List[Tuple[int, str]] = []
+        for i, ref in enumerate(self.program.field_table):
+            if i not in found.written:
+                continue
+            if ref.scope == "packet":
+                packet_writes.append((i, ref.name))
+            elif ref.scope == "message":
+                message_writes.append((i, ref.name))
+            else:
+                global_writes.append((i, ref.name))
+        self.packet_writes = packet_writes
+        self.message_writes = message_writes
+        self.global_writes = global_writes
+        self.array_writes = [
+            (i, aref.name)
+            for i, aref in enumerate(self.program.array_table)
+            if aref.writable and aref.scope == "global"
+        ] if found.stores_to_heap else []
+        # The generic tier's executor, bound here, at install, so
+        # whatever the backend compiles per binding (native: the
+        # AST-level function) fails the install, not a packet.
+        self._run = self._executor.bind(self.interpreter, self.program)
+        self._plan: Optional[Callable] = None
+        self._field_readers: Optional[List[Callable]] = None
+        self._array_readers: Optional[List[Callable]] = None
+
+    def _build_readers(self) -> None:
+        """One reader closure per field-table and array-table slot, its
+        scope decided once.  Readers dereference ``self.global_store``
+        at call time so :meth:`Enclave.replace_function` can carry
+        stores over after construction."""
         readers: List[Callable] = []
         for ref in self.program.field_table:
             if ref.scope == "packet":
@@ -239,38 +276,6 @@ class InstalledFunction:
                     _fn.global_store.array(_n))
         self._array_readers = array_readers
 
-        # The static write set as (slot, name) lists per scope: the
-        # slots some PUTF targets (the verifier has made sure they are
-        # writable), and writable arrays only when the program has an
-        # HSTORE at all.  Both tiers write back exactly these (the
-        # plan is generated from them).
-        found = facts(self.program)
-        packet_writes: List[Tuple[int, str]] = []
-        message_writes: List[Tuple[int, str]] = []
-        global_writes: List[Tuple[int, str]] = []
-        for i, ref in enumerate(self.program.field_table):
-            if i not in found.written:
-                continue
-            if ref.scope == "packet":
-                packet_writes.append((i, ref.name))
-            elif ref.scope == "message":
-                message_writes.append((i, ref.name))
-            else:
-                global_writes.append((i, ref.name))
-        self.packet_writes = packet_writes
-        self.message_writes = message_writes
-        self.global_writes = global_writes
-        self.array_writes = [
-            (i, aref.name)
-            for i, aref in enumerate(self.program.array_table)
-            if aref.writable and aref.scope == "global"
-        ] if found.stores_to_heap else []
-        # The generic tier's executor, bound here, at install, so
-        # whatever the backend compiles per binding (native: the
-        # AST-level function) fails the install, not a packet.
-        self._run = self._executor.bind(self.interpreter, self.program)
-        self._plan: Optional[Callable] = None
-
     def execute(self, fields: Sequence[int],
                 arrays: Sequence[Sequence[int]]) -> ExecResult:
         """Run the program over one state snapshot, through the
@@ -301,6 +306,8 @@ class InstalledFunction:
             if ops is not None:
                 return ops
             self._plan = None       # the program went back to cold
+        if self._field_readers is None:
+            self._build_readers()
         fields = [read(packet, msg_entry)
                   for read in self._field_readers]
         arrays = [read(packet) for read in self._array_readers]
@@ -540,6 +547,9 @@ class Enclave:
         #: control agent arms it to sleep until its enclave changes;
         #: the data path pays one ``is not None`` test for it.
         self.on_change: Optional[Callable[[], None]] = None
+        # stats_summary's memo and the key it was built at.
+        self._summary_key: Optional[Tuple[int, int]] = None
+        self._summary: Dict[str, Dict[str, int]] = {}
         # Instruments are bound once here; the data path touches them
         # (and opens spans) only behind the one _tracing test.
         registry = self.telemetry.registry
@@ -953,7 +963,13 @@ class Enclave:
                 if msg_id is None:
                     msg_id = _message_id(packet, classifications)
                 if guarded:
-                    fn.guard.acquire(msg_id)
+                    try:
+                        fn.guard.acquire(msg_id)
+                    except ConcurrencyViolation:
+                        # Earlier hops ran and counted, but the packet
+                        # is not counted: the summary's key misses it.
+                        self._summary_key = None
+                        raise
             try:
                 if store is not None:
                     if int_metadata is None:
@@ -1073,7 +1089,17 @@ class Enclave:
         return sorted(self._tables)
 
     def stats_summary(self) -> Dict[str, Dict[str, int]]:
-        """Per-function counters for controller monitoring."""
+        """Per-function counters for controller monitoring.
+
+        Built once per ``(generation, packets_processed)``, the key
+        that moves whenever the summary may have, and shared until it
+        moves: every caller gets the same mapping, and none may mutate
+        it.  The agent puts it in its reports, the controller's
+        ``collect_stats`` hands it out, gates and tests read it.
+        """
+        key = (self.generation, self.packets_processed)
+        if key == self._summary_key:
+            return self._summary
         out: Dict[str, Dict[str, int]] = {}
         for name, fn in self._functions.items():
             out[name] = {
@@ -1086,6 +1112,8 @@ class Enclave:
                                      if fn.message_store is not None
                                      else 0),
             }
+        self._summary_key = key
+        self._summary = out
         return out
 
     def end_message(self, function: str, msg_key: object) -> None:

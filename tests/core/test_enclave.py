@@ -203,6 +203,15 @@ class TestProcessing:
         assert packet.priority == 5
         assert result.executed == ["set_priority_five"]
 
+    def test_generic_tier_readers_built_on_first_use(self, enclave):
+        # A fleet's shared program runs its generic tier for its first
+        # few calls fleet-wide: most bindings never read a slot there.
+        fn = enclave.install_function(set_priority_five)
+        enclave.install_rule("*", "set_priority_five")
+        assert fn._field_readers is None
+        enclave.process_packet(FakePacket())
+        assert len(fn._field_readers) == len(fn.program.field_table)
+
     def test_dry_run_skips_packet_writes(self, enclave):
         # The paper's "baseline EDEN" configuration (Section 5.1).
         fn = enclave.install_function(set_priority_five,

@@ -3,8 +3,9 @@ function composition, and controller monitoring."""
 
 import pytest
 
-from repro.core import (ChainLink, CompositionError, Controller,
-                        Enclave, FunctionChain)
+from repro.core import (ChainLink, CompositionError,
+                        ConcurrencyViolation, Controller, Enclave,
+                        FunctionChain)
 from repro.core.stage import Classification
 from repro.lang import AccessLevel, Field, FieldKind, Lifetime, schema
 
@@ -15,6 +16,10 @@ MSG_SCHEMA = schema("Msg", Lifetime.MESSAGE, [
 
 def count_bytes(packet, msg):
     msg.total = msg.total + packet.size
+
+
+def count_bytes_twice(packet, msg):
+    msg.total = msg.total + 2 * packet.size
 
 
 def set_priority_one(packet):
@@ -219,6 +224,69 @@ class TestMonitoring:
         assert stats["invocations"] == 3
         assert stats["messages_tracked"] == 3
         assert stats["ops_executed"] > 0
+
+    def test_stats_summary_memo_moves_with_every_change(self):
+        """One mapping per (generation, packets_processed), shared
+        until either moves; an old one is never updated in place."""
+        enclave = Enclave("e")
+        flow = ("enclave", (1, 7, 2, 80, 6))
+        seen = [enclave.stats_summary()]
+
+        def moved():
+            summary = enclave.stats_summary()
+            assert enclave.stats_summary() is summary
+            assert all(summary is not old for old in seen)
+            seen.append(summary)
+            return summary.get("count_bytes")
+
+        assert seen[0] == {}
+        assert enclave.stats_summary() is seen[0]
+        enclave.install_function(count_bytes,
+                                 message_schema=MSG_SCHEMA)
+        assert moved()["invocations"] == 0
+        enclave.install_rule("*", "count_bytes")
+        assert enclave.stats_summary() is seen[-1]  # rules show nothing
+        enclave.process_packet(FakePacket(src_port=7))
+        assert moved()["invocations"] == 1
+        assert seen[-2]["count_bytes"]["invocations"] == 0
+        assert seen[-1]["count_bytes"]["messages_tracked"] == 1
+        enclave.end_message("count_bytes", flow)
+        assert moved()["messages_tracked"] == 0
+        enclave.process_packet(FakePacket(src_port=7))
+        assert moved()["messages_tracked"] == 1
+        assert enclave.expire_idle_messages(now_ns=10 ** 12) == 1
+        assert moved()["messages_tracked"] == 0
+        enclave.replace_function("count_bytes", count_bytes_twice)
+        assert moved()["invocations"] == 0
+        enclave.install_function(set_priority_one, name="p")
+        assert set(enclave.stats_summary()) == {"count_bytes", "p"}
+        moved()
+        enclave.remove_function("p")
+        moved()
+        assert set(seen[-1]) == {"count_bytes"}
+        enclave.process_packet(FakePacket(src_port=7))
+        assert moved()["invocations"] == 1
+        enclave.clear()
+        assert moved() is None and seen[-1] == {}
+
+    def test_stats_summary_sees_hops_of_a_refused_packet(self):
+        """A guard refusing the second hop leaves the packet uncounted
+        but the first hop's run counted: the memo must not hide it."""
+        enclave = Enclave("e")
+        enclave.install_function(set_priority_one, name="p")
+        enclave.install_function(count_bytes,
+                                 message_schema=MSG_SCHEMA)
+        enclave.create_table(1)
+        enclave.install_rule("*", "p", next_table=1)
+        enclave.install_rule("*", "count_bytes", table_id=1)
+        before = enclave.stats_summary()
+        enclave.function("count_bytes").guard.acquire(
+            ("enclave", (1, 7, 2, 80, 6)))
+        with pytest.raises(ConcurrencyViolation):
+            enclave.process_packet(FakePacket(src_port=7))
+        assert enclave.packets_processed == 0
+        assert before["p"]["invocations"] == 0
+        assert enclave.stats_summary()["p"]["invocations"] == 1
 
     def test_controller_collects_from_all_hosts(self):
         controller = Controller()
