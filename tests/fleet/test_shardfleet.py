@@ -159,6 +159,24 @@ class TestConvergence:
         assert run["retransmits"] > 0
         assert run["events"] > 0
 
+    def test_no_reader_mutates_the_shared_stats_summary(self):
+        """An enclave's ``stats_summary`` is one mapping shared by its
+        agent's reports, the plane's ``latest_report`` and the gate
+        until the enclave changes; after a rollout it still equals
+        one built afresh."""
+        fleet, _plan, orch = mitigation_rollout(32)
+        orch.start()
+        while orch.state not in TERMINAL and \
+                fleet.fabric.now < 10_000 * MS:
+            fleet.run(until_ns=fleet.fabric.now + 100 * MS)
+        assert orch.state == DONE
+        for host in fleet.hosts:
+            enclave = fleet.agents[host].enclave
+            shared = enclave.stats_summary()
+            assert fleet.plane.latest_report[host].stats is shared
+            enclave._summary_key = None     # force a rebuild
+            assert enclave.stats_summary() == shared
+
     def test_deterministic_sim_times(self):
         a = converge_mitigation(32)
         b = converge_mitigation(32)
