@@ -929,9 +929,8 @@ class Enclave:
         executed: List[str] = []
         matched_classes: List[str] = []
         faults = ops = 0
-        # Derived on the first hop that needs them, once per packet.
+        # Derived on the first hop that needs it, once per packet.
         msg_id: Optional[object] = None
-        int_metadata: Optional[Dict[str, int]] = None
 
         table_id = 0
         hops = self.MAX_TABLE_HOPS
@@ -972,10 +971,10 @@ class Enclave:
                         raise
             try:
                 if store is not None:
-                    if int_metadata is None:
-                        int_metadata = _int_metadata(classifications)
-                    msg_entry, _ = store.lookup(msg_id, now,
-                                                int_metadata)
+                    msg_entry, created = store.lookup(msg_id, now)
+                    if created and classifications:
+                        store.seed(msg_entry,
+                                   _int_metadata(classifications))
                 if tracing:
                     ops += self._traced_run(fn, packet, msg_entry, acct)
                 else:

@@ -18,7 +18,8 @@ functions."  This module holds that authoritative state —
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import (Dict, Iterable, List, Mapping, Optional, Sequence,
+                    Tuple, Union)
 
 from ..lang.analysis import ConcurrencyLevel  # noqa: F401  (re-export)
 from ..lang.annotations import AccessLevel, FieldKind, Schema
@@ -175,16 +176,26 @@ class MessageStore:
             return entry, False
         values = {f.name: f.default for f in self.schema.fields
                   if not f.is_array}
-        if metadata:
-            for name, value in metadata.items():
-                if self.schema.has_field(name) and \
-                        not self.schema.field_named(name).is_array:
-                    values[name] = wrap64(int(value))
         entry = MessageEntry(values=values, created_at=now_ns,
                              last_used_at=now_ns, packets=1)
+        if metadata:
+            self.seed(entry, metadata)
         self._entries[key] = entry
         self.created_total += 1
         return entry, True
+
+    def seed(self, entry: MessageEntry,
+             metadata: Mapping[str, object]) -> None:
+        """Overlay ``metadata`` whose names are scalar message fields
+        on a new ``entry``: what :meth:`lookup` does with its
+        ``metadata`` when it creates an entry.  A caller that derives
+        the metadata only on a miss passes none to ``lookup`` and
+        seeds the entry it reports new."""
+        values = entry.values
+        for name, value in metadata.items():
+            if self.schema.has_field(name) and \
+                    not self.schema.field_named(name).is_array:
+                values[name] = wrap64(int(value))
 
     def commit(self, key: object, values: Dict[str, int]) -> None:
         """Overlay ``values`` on the entry of message ``key``.

@@ -60,6 +60,8 @@ class Port:
         self.peer: Optional["Device"] = None
         self._queues: List[Deque[Packet]] = [
             deque() for _ in range(NUM_PRIORITIES)]
+        #: The same queues in service order, highest priority first.
+        self._by_service = self._queues[::-1]
         self._queued_bytes = 0
         self._busy = False
         self.failed = False
@@ -113,51 +115,55 @@ class Port:
             if lat is not None:
                 lat.packet_dropped(packet.packet_id)
             return False
-        if self._queued_bytes + packet.size > \
-                self.queue_capacity_bytes:
+        size = packet.size
+        queued = self._queued_bytes
+        if queued + size > self.queue_capacity_bytes:
             self.stats.drops += 1
-            self.stats.drop_bytes += packet.size
+            self.stats.drop_bytes += size
             if lat is not None:
                 lat.packet_dropped(packet.packet_id)
             return False
         if self.ecn_threshold_bytes is not None and \
-                self._queued_bytes >= self.ecn_threshold_bytes:
+                queued >= self.ecn_threshold_bytes:
             packet.ecn = 1
             self.stats.ecn_marks += 1
-        prio = min(max(packet.priority, 0), NUM_PRIORITIES - 1)
+        prio = packet.priority
+        if not 0 <= prio < NUM_PRIORITIES:
+            prio = 0 if prio < 0 else NUM_PRIORITIES - 1
         self._queues[prio].append(packet)
-        self._queued_bytes += packet.size
+        self._queued_bytes = queued + size
         if lat is not None:
             lat.port_enqueued(packet.packet_id, self.sim.now)
         if not self._busy:
-            self._transmit_next()
+            self._tx_done()
         return True
 
-    def _transmit_next(self) -> None:
-        packet = None
-        for prio in range(NUM_PRIORITIES - 1, -1, -1):
-            if self._queues[prio]:
-                packet = self._queues[prio].popleft()
+    def _tx_done(self) -> None:
+        """Put the next queued packet on the wire, or go idle.  Fires
+        when a transmission ends; ``enqueue`` calls it on an idle
+        port."""
+        for queue in self._by_service:
+            if queue:
+                packet = queue.popleft()
                 break
-        if packet is None:
+        else:
             self._busy = False
             return
         self._busy = True
-        self._queued_bytes -= packet.size
-        tx_ns = packet.size * 8 * SEC // self.rate_bps
-        self.stats.tx_packets += 1
-        self.stats.tx_bytes += packet.size
-        self.stats.busy_ns += tx_ns
-        lat = self.sim.latency
+        size = packet.size
+        self._queued_bytes -= size
+        tx_ns = size * 8 * SEC // self.rate_bps
+        stats = self.stats
+        stats.tx_packets += 1
+        stats.tx_bytes += size
+        stats.busy_ns += tx_ns
+        sim = self.sim
+        lat = sim.latency
         if lat is not None:
-            lat.port_tx_start(packet.packet_id, self.sim.now, tx_ns,
+            lat.port_tx_start(packet.packet_id, sim.now, tx_ns,
                               self.prop_delay_ns)
-        self.sim.schedule(tx_ns + self.prop_delay_ns,
-                          self._deliver, packet)
-        self.sim.schedule(tx_ns, self._tx_done)
-
-    def _tx_done(self) -> None:
-        self._transmit_next()
+        sim.schedule(tx_ns + self.prop_delay_ns, self._deliver, packet)
+        sim.schedule(tx_ns, self._tx_done)
 
     def _deliver(self, packet: Packet) -> None:
         packet.hop_count += 1

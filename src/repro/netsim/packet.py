@@ -12,7 +12,8 @@ enclave reads and writes packets with plain ``getattr``/``setattr``.
 from __future__ import annotations
 
 import itertools
-from typing import Dict, List, Optional, Tuple
+from types import MappingProxyType
+from typing import Mapping, Optional, Sequence, Tuple
 
 PROTO_TCP = 6
 PROTO_UDP = 17
@@ -30,6 +31,9 @@ FLAG_FIN = 0x4
 FLAG_RST = 0x8
 
 _packet_ids = itertools.count(1)
+
+#: The metadata of a packet no message tagged: empty and read-only.
+NO_METADATA: Mapping[str, object] = MappingProxyType({})
 
 
 def reset_packet_ids() -> None:
@@ -86,13 +90,17 @@ class Packet:
         self.charge = 0
         self.ecn = 0
         self.tenant = tenant
-        self.classifications: List = []
-        self.metadata: Dict[str, object] = {}
+        #: The Eden classifications of the packet's message.  A TCP
+        #: segment carries its message record's tuple and read-only
+        #: metadata mapping themselves, shared by all its segments.
+        self.classifications: Sequence = ()
+        self.metadata: Mapping[str, object] = NO_METADATA
         self.created_at = created_at
         self.flow_id: Optional[Tuple] = None
         self.hop_count = 0
-        #: SACK blocks: up to three (start, end) received-out-of-order
-        #: ranges piggybacked on ACKs.
+        #: SACK blocks piggybacked on ACKs: the receiver's whole
+        #: out-of-order set as sorted (start, end) ranges, led by a
+        #: DSACK block when it reports a duplicate.
         self.sack: Tuple[Tuple[int, int], ...] = ()
 
     @property

@@ -38,6 +38,9 @@ KBPS = 1_000
 MBPS = 1_000_000
 GBPS = 1_000_000_000
 
+_heappush = heapq.heappush
+_heappop = heapq.heappop
+
 
 class SimulationError(Exception):
     """The simulation reached an inconsistent state."""
@@ -125,7 +128,7 @@ class Simulator:
         seq = next(self._seq)
         event = Event(time, seq, callback, args, self)
         event._entry = entry = (time, seq, event)
-        heapq.heappush(self._heap, entry)
+        _heappush(self._heap, entry)
         self._live += 1
         return event
 
@@ -158,27 +161,31 @@ class Simulator:
             # No entry, or one too late to carry the new key: file a
             # fresh entry; the old one (if any) is dead from now on.
             event._entry = entry = (time, seq, event)
-            heapq.heappush(self._heap, entry)
+            _heappush(self._heap, entry)
         return event
 
     def run(self, until_ns: Optional[int] = None,
             max_events: Optional[int] = None) -> int:
         """Run until the heap drains, ``until_ns`` passes, or
-        ``max_events`` fire.  Returns the number of events processed."""
+        ``max_events`` fire.  Returns the number of events processed.
+
+        The clock ends at ``until_ns`` only if no live event is left
+        at or before it; a run cut short by ``max_events`` leaves the
+        clock at the last event fired, so the next run resumes there.
+        """
         heap = self._heap
-        heappop = heapq.heappop
+        heappop = _heappop
         stop_at = -1 if max_events is None else max(max_events, 0)
         processed = 0
         while heap:
             if processed == stop_at:
                 break
             entry = heap[0]
-            time = entry[0]
+            time, seq, event = entry
             if until_ns is not None and time > until_ns:
                 break
             heappop(heap)
-            event = entry[2]
-            if event.seq != entry[1] or event.cancelled:
+            if event.seq != seq or event.cancelled:
                 self._settle(entry)
                 continue
             if time < self.now:
@@ -190,7 +197,12 @@ class Simulator:
             event.callback(*event.args)
             processed += 1
         if until_ns is not None and self.now < until_ns:
-            self.now = until_ns
+            if processed != stop_at:
+                self.now = until_ns
+            else:
+                upcoming = self.next_event_time()
+                if upcoming is None or upcoming > until_ns:
+                    self.now = until_ns
         self.events_processed += processed
         if self._m_events is not None:
             self._m_events.inc(processed)
@@ -218,7 +230,7 @@ class Simulator:
             event = entry[2]
             if event.seq == entry[1] and not event.cancelled:
                 return entry[0]
-            heapq.heappop(heap)
+            _heappop(heap)
             self._settle(entry)
         return None
 
@@ -234,7 +246,7 @@ class Simulator:
             event._entry = None
         else:
             event._entry = entry = (event.time, event.seq, event)
-            heapq.heappush(self._heap, entry)
+            _heappush(self._heap, entry)
 
     def clock(self) -> int:
         """Clock callable handed to enclaves (CLOCK opcode source)."""

@@ -138,11 +138,15 @@ class HostStack:
                 self._tx_flush_scheduled = True
                 self.sim.schedule(0, self._flush_tx)
             return
-        t0 = self.accounting.now()
         # The "API" step: metadata already attached by the transport's
         # message bookkeeping travels with the packet into the enclave.
-        classifications = packet.classifications
-        self.accounting.record("api", self.accounting.now() - t0)
+        accounting = self.accounting
+        if accounting.enabled:
+            t0 = accounting.now()
+            classifications = packet.classifications
+            accounting.record("api", accounting.now() - t0)
+        else:
+            classifications = packet.classifications
 
         result = None
         match_ns = exec_ns = 0
@@ -194,9 +198,13 @@ class HostStack:
     def _schedule_emit(self, packet: Packet, delay: int) -> int:
         # Per-packet processing delay; clamped monotonic so the stack
         # never reorders its own transmissions.
-        emit_at = max(self.sim.now + delay, self._last_emit_at)
+        now = self.sim.now
+        emit_at = now + delay
+        if emit_at < self._last_emit_at:
+            emit_at = self._last_emit_at
         self._last_emit_at = emit_at
-        self.sim.at(emit_at, self.rate_limiters.submit, packet)
+        self.sim.schedule(emit_at - now, self.rate_limiters.submit,
+                          packet)
         return emit_at
 
     def _flush_tx(self) -> None:
@@ -239,8 +247,9 @@ class HostStack:
                         self._lat.packet_dropped(packet.packet_id)
                     continue
                 match_ns, exec_ns = self._enclave_delay_parts(result)
-            delay = self.stack_latency_ns + match_ns + exec_ns
-            emit_at = max(now + delay, self._last_emit_at)
+            emit_at = now + self.stack_latency_ns + match_ns + exec_ns
+            if emit_at < self._last_emit_at:
+                emit_at = self._last_emit_at
             self._last_emit_at = emit_at
             if self._lat is not None:
                 self._lat.stack_sent(
@@ -278,7 +287,7 @@ class HostStack:
     # -- receive path ------------------------------------------------------------
 
     def handle_rx(self, packet: Packet, from_port) -> None:
-        if packet.dst_ip != self.ip:
+        if packet.dst_ip != self.host.ip:
             return  # not ours; hosts do not forward
         if self.enclave is not None and self.process_rx:
             if self.batch_data_path:

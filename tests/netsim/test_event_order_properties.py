@@ -43,8 +43,8 @@ class HeapExecutor:
     def reschedule(self, handle, delay):
         return self.sim.reschedule(handle, delay)
 
-    def run(self, max_events=None):
-        return self.sim.run(max_events=max_events)
+    def run(self, until_ns=None, max_events=None):
+        return self.sim.run(until_ns=until_ns, max_events=max_events)
 
     def next_event_time(self):
         return self.sim.next_event_time()
@@ -94,17 +94,24 @@ class ReferenceExecutor:
         live.sort(key=lambda r: (r[0], r[1]))
         return live
 
-    def run(self, max_events=None):
+    def run(self, until_ns=None, max_events=None):
         processed = 0
         while max_events is None or processed < max_events:
             live = self._live()
-            if not live:
+            if not live or (until_ns is not None and
+                            live[0][0] > until_ns):
                 break
             record = live[0]
             self._events.remove(record)
             self.now = record[0]
             record[2](*record[3])
             processed += 1
+        # The clock moves on to ``until_ns`` only when nothing live is
+        # left at or before it.
+        if until_ns is not None and self.now < until_ns:
+            live = self._live()
+            if not live or live[0][0] > until_ns:
+                self.now = until_ns
         self.processed += processed
         return processed
 
@@ -217,7 +224,7 @@ class Driver:
 
 def observation(executor, driver):
     return (list(driver.log), executor.processed, executor.pending,
-            executor.next_event_time())
+            executor.next_event_time(), executor.now)
 
 
 @pytest.mark.parametrize("seed", range(15))
@@ -260,6 +267,46 @@ def test_heap_matches_reference_after_every_fire(seed):
         if not fired:
             break
     assert heap_driver.moves == ref_driver.moves
+
+
+def bounded_lockstep(seed):
+    """Play one program through both executors in runs bounded by
+    ``until_ns``, ``max_events`` or both, in random mixes, comparing
+    after each run; returns how many runs ``max_events`` cut while a
+    live event was left at or before ``until_ns``."""
+    rng = random.Random(seed)
+    roots, rules = build_program(rng)
+    heap, reference = HeapExecutor(), ReferenceExecutor()
+    heap_driver = Driver(heap, roots, rules)
+    ref_driver = Driver(reference, roots, rules)
+    cut_inside_until = 0
+    while reference.pending:
+        until_ns = rng.choice((None, reference.now,
+                               reference.now + rng.randrange(1, 40)))
+        max_events = rng.choice((None, 0, 1, 2, 5))
+        fired = heap.run(until_ns=until_ns, max_events=max_events)
+        assert fired == reference.run(until_ns=until_ns,
+                                      max_events=max_events)
+        assert observation(heap, heap_driver) == \
+            observation(reference, ref_driver)
+        upcoming = reference.next_event_time()
+        if until_ns is not None and fired == max_events and \
+                upcoming is not None and upcoming <= until_ns:
+            cut_inside_until += 1
+    assert heap_driver.log == ref_driver.log
+    return cut_inside_until
+
+
+@pytest.mark.parametrize("seed", range(15))
+def test_heap_matches_reference_in_bounded_runs(seed):
+    """The same events fire, and the clock ends at the same place:
+    at ``until_ns`` only once nothing live is left at or before it,
+    so a run cut by ``max_events`` resumes cleanly."""
+    bounded_lockstep(seed)
+
+
+def test_bounded_runs_cut_inside_until():
+    assert sum(bounded_lockstep(seed) for seed in range(15)) > 0
 
 
 def test_programs_cover_every_kind_of_move():

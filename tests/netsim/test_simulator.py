@@ -183,6 +183,33 @@ class TestRunEdgeCases:
         assert sim.run(max_events=2) == 2
         assert log == ["a", "b", "timer"]
 
+    def test_max_events_inside_until_keeps_clock(self):
+        """A run cut by ``max_events`` while live events remain before
+        ``until_ns`` leaves the clock at the last event fired, so the
+        next run goes on from there instead of going backwards."""
+        sim = Simulator()
+        log = []
+        sim.schedule(10, log.append, 10)
+        sim.schedule(20, log.append, 20)
+        assert sim.run(until_ns=100, max_events=1) == 1
+        assert log == [10] and sim.now == 10
+        assert sim.run() == 1
+        assert log == [10, 20] and sim.now == 20
+
+    def test_max_events_with_nothing_left_before_until(self):
+        """Cut by ``max_events`` with no live event left at or before
+        ``until_ns`` (the next is later, or only a cancelled one
+        remains): the clock moves on to ``until_ns`` as usual."""
+        sim = Simulator()
+        sim.schedule(10, lambda: None)
+        sim.schedule(200, lambda: None)
+        sim.schedule(50, lambda: None).cancel()
+        assert sim.run(until_ns=100, max_events=1) == 1
+        assert sim.now == 100 and sim.pending == 1
+        assert sim.run(until_ns=300, max_events=0) == 0
+        assert sim.now == 100
+        assert sim.run() == 1 and sim.now == 200
+
     def test_max_events_zero_and_negative_fire_nothing(self):
         sim = Simulator()
         sim.schedule(1, lambda: None)

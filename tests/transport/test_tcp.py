@@ -124,6 +124,51 @@ class TestMessageSemantics:
         assert len(seen) == 3
         assert all(s == ("app.r1.msg",) for s in seen)
 
+    def test_segments_share_read_only_message_data(self, rig):
+        """Every segment of a message carries the message record's
+        classifications and metadata themselves: the caller's dict is
+        copied once at send time, so mutating it afterwards changes no
+        packet, and no packet can write the shared data."""
+        sim, net, s1, s2, _ = rig
+        sent = []
+        original = s1.send_packet
+
+        def spy(packet, pure_ack=False):
+            if packet.payload_len > 0:
+                sent.append((packet, dict(packet.metadata)))
+            original(packet, pure_ack=pure_ack)
+
+        s1.send_packet = spy
+        conn = s1.connect(net.host_ip("h2"), 5000)
+        cls = [Classification("app.r1.msg", {"msg_id": ("app", 1)})]
+        metadata = {"msg_size": 3 * MSS, "tenant": 4}
+        record = conn.message_send(3 * MSS, classifications=cls,
+                                   metadata=metadata)
+        metadata["msg_size"] = 1
+        metadata["extra"] = 2
+        cls.append(Classification("app.r1.other", {}))
+        sim.run(until_ns=20 * MS)
+        assert len(sent) == 3
+        for packet, seen_at_send in sent:
+            assert packet.classifications is record.classifications
+            assert packet.metadata is record.metadata
+            assert seen_at_send == {"msg_size": 3 * MSS, "tenant": 4}
+            assert dict(packet.metadata) == seen_at_send
+            assert [c.class_name for c in packet.classifications] == \
+                ["app.r1.msg"]
+            with pytest.raises(TypeError):
+                packet.metadata["msg_size"] = 0
+            with pytest.raises(TypeError):
+                del packet.metadata["tenant"]
+            with pytest.raises(AttributeError):
+                packet.metadata.update(extra=1)
+            with pytest.raises(TypeError):
+                packet.classifications[0] = None
+            with pytest.raises(AttributeError):
+                packet.classifications.append(None)
+        assert dict(record.metadata) == {"msg_size": 3 * MSS,
+                                         "tenant": 4}
+
     def test_segments_do_not_span_messages(self, rig):
         sim, net, s1, s2, _ = rig
         sizes = []

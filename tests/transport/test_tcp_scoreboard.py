@@ -2,12 +2,15 @@
 
 ``ReferenceTcp`` keeps the per-segment scans the indexed path
 replaced: a linear ``_is_sacked``, a ``_sack_retransmit`` that visits
-every segment from ``snd_una``, an RTT sample and purge that scan all
-of ``_send_times``, list-rebuilding purges of the retransmit marks and
-the scoreboard, and the fixed-point receiver drain.  The production
-connection must pick the identical retransmissions in the identical
-order with the identical budget — on random scoreboards, and packet
-for packet in the loss/reordering harness of ``test_tcp_properties``.
+every segment from ``snd_una``, a ``_sacked_bytes`` that rescans every
+block, an RTT sample and purge that scan all of ``_send_times``,
+list-rebuilding purges of the retransmit marks and the scoreboard,
+and the receiver's linear duplicate test, sort-and-merge stash and
+fixed-point drain.  The production connection must
+pick the identical retransmissions in the identical order with the
+identical budget — on random scoreboards, and packet for packet in
+the loss/reordering harness of ``test_tcp_properties`` — and its
+running SACKed-bytes count must equal the rescan whenever it is read.
 """
 
 import pytest
@@ -65,6 +68,17 @@ class ReferenceTcp(TcpConnection):
                 out.append((s, e))
         self._sacked = out
 
+    def _sacked_bytes(self):
+        # The reference's own scoreboard updates bypass the production
+        # running total, so it must not inherit the count.
+        total = 0
+        for s, e in self._sacked:
+            lo = max(s, self.snd_una)
+            hi = min(e, self.snd_nxt)
+            if hi > lo:
+                total += hi - lo
+        return total
+
     def _is_sacked(self, start, end):
         for s, e in self._sacked:
             if s <= start and end <= e:
@@ -97,6 +111,20 @@ class ReferenceTcp(TcpConnection):
             seq += span
         if budget > 0:
             self._try_send()
+
+    def _ooo_holds(self, start, end):
+        return any(s <= start and end <= e for s, e in self._ooo)
+
+    def _stash_ooo(self, start, end):
+        self._ooo.append((start, end))
+        self._ooo.sort()
+        merged = []
+        for s, e in self._ooo:
+            if merged and s <= merged[-1][1]:
+                merged[-1] = (merged[-1][0], max(merged[-1][1], e))
+            else:
+                merged.append((s, e))
+        self._ooo = merged
 
     def _drain_ooo(self):
         changed = True
@@ -341,6 +369,26 @@ def test_drain_matches_fixed_point(state):
     assert conns[0] == conns[1]
 
 
+@settings(max_examples=300, deadline=None)
+@given(ranges=st.lists(st.tuples(st.integers(2, 200), st.integers(1, 30)),
+                       max_size=10),
+       probes=st.lists(st.tuples(st.integers(0, 240), st.integers(1, 40)),
+                       max_size=10))
+def test_stash_and_duplicate_test_match_sort_and_scan(ranges, probes):
+    """The bisecting receiver set against sort-and-merge and a linear
+    scan, after every out-of-order segment (overlapping, touching,
+    nested and disjoint ones)."""
+    conns = [cls(Simulator(), RecordingStack(), 1, 1, 2, 2)
+             for cls in (TcpConnection, ReferenceTcp)]
+    for s, n in ranges:
+        for conn in conns:
+            conn._stash_ooo(s, s + n)
+        assert conns[0]._ooo == conns[1]._ooo
+        for start, n in probes:
+            assert conns[0]._ooo_holds(start, start + n) == \
+                conns[1]._ooo_holds(start, start + n)
+
+
 def traced_transfer(monkeypatch, cls, **kwargs):
     """run_transfer with every connection built as ``cls``; returns
     what the harness returns plus every packet any stack sent."""
@@ -420,3 +468,122 @@ class TestAdversityHarness:
 #: A drop pattern for ``run_transfer(seed=2, sizes=[40 * MSS])`` whose
 #: timeout rewind is overtaken by a cumulative ACK.
 REWIND_DROPS = {7, 14, 21, 23, 28, 31, 36, 40, 41, 58, 59}
+
+
+def sack_accounting(monkeypatch, cls, **kwargs):
+    """run_transfer with every connection built as a ``cls`` whose
+    every ``_sacked_bytes`` read is checked against the rescan.
+
+    Returns, per ACK any connection handled, the port, SACKed-bytes
+    count and ``_pipe()`` after it; and the kinds of window the
+    reads saw: ``"below"`` when a block started below ``snd_una``,
+    ``"above"`` when one ended above ``snd_nxt``, ``"rewound"`` when
+    ``snd_nxt`` was at or below ``snd_una`` with blocks held.
+    """
+    acks = []
+    seen = set()
+
+    class Checked(cls):
+        def _sacked_bytes(self):
+            count = super()._sacked_bytes()
+            assert count == ReferenceTcp._sacked_bytes(self), \
+                (self._sacked, self.snd_una, self.snd_nxt)
+            if self._sacked:
+                if self.snd_nxt <= self.snd_una:
+                    seen.add("rewound")
+                if self._sacked[0][0] < self.snd_una:
+                    seen.add("below")
+                if self._sacked[-1][1] > self.snd_nxt:
+                    seen.add("above")
+            return count
+
+        def _handle_ack(self, packet):
+            super()._handle_ack(packet)
+            acks.append((self.local_port, self._sacked_bytes(),
+                         self._pipe()))
+
+    with monkeypatch.context() as patch:
+        patch.setattr(netstack, "TcpConnection", Checked)
+        run_transfer(**kwargs)
+    return acks, seen
+
+
+def check_sack_accounting(max_examples):
+    """The running SACKed-bytes count equals the rescan on every read,
+    and every ACK leaves ``_pipe()`` where the reference has it, under
+    loss, reordering and the RTO rewinds heavy loss brings."""
+
+    @settings(max_examples=max_examples, deadline=None)
+    @given(sizes=st.lists(st.integers(1, 12 * MSS), min_size=1,
+                          max_size=4),
+           drops=st.sets(st.integers(1, 60), max_size=20),
+           reorder_every=st.sampled_from([0, 2, 3, 5, 9]))
+    def prop(sizes, drops, reorder_every):
+        kwargs = dict(seed=1, sizes=sizes, drop_mask=drops,
+                      reorder_every=reorder_every)
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            new, _ = sack_accounting(monkeypatch, TcpConnection,
+                                     **kwargs)
+            old, _ = sack_accounting(monkeypatch, ReferenceTcp,
+                                     **kwargs)
+        assert new == old
+
+    prop()
+
+
+class TestSackAccounting:
+    def test_count_matches_rescan(self):
+        check_sack_accounting(max_examples=50)
+
+    @pytest.mark.differential
+    def test_count_matches_rescan_at_depth(self, request):
+        if "differential" not in request.config.getoption("markexpr"):
+            pytest.skip("ten times the examples: run with "
+                        "-m differential")
+        check_sack_accounting(max_examples=500)
+
+    def test_transfer_reads_blocks_outside_the_window(
+            self, monkeypatch):
+        """This transfer reads the count with blocks below
+        ``snd_una`` (a partial ACK in recovery, before the purge) and
+        above ``snd_nxt`` (after an RTO rewind), so the clipping is
+        exercised, not assumed."""
+        kwargs = dict(seed=2, sizes=[16741, 48614, 23497],
+                      drop_mask=CLIPPING_DROPS, reorder_every=5)
+        new, seen = sack_accounting(monkeypatch, TcpConnection,
+                                    **kwargs)
+        assert {"below", "above"} <= seen
+        old, _ = sack_accounting(monkeypatch, ReferenceTcp, **kwargs)
+        assert new == old
+
+
+#: A drop pattern for ``run_transfer(seed=2, sizes=[16741, 48614,
+#: 23497], reorder_every=5)`` that reads the SACKed-bytes count with
+#: blocks on both sides of the window.
+CLIPPING_DROPS = {1, 2, 4, 7, 8, 11, 14, 16, 24, 25, 30, 31, 34, 35, 37,
+                  42, 47, 50, 54, 57}
+
+
+@settings(max_examples=300, deadline=None)
+@given(reports=st.lists(
+    st.tuples(st.integers(0, 20),
+              st.lists(st.tuples(st.integers(0, 300), st.integers(1, 40)),
+                       max_size=5)),
+    min_size=1, max_size=8),
+    data=st.data())
+def test_sacked_bytes_matches_rescan_on_any_window(reports, data):
+    """The count on scoreboards built by ACKs, read against windows
+    anywhere: around the blocks, inside one, and with ``snd_nxt`` at
+    or below ``snd_una`` (an RTO rewind, one overtaken by an ACK)."""
+    conn = TcpConnection(Simulator(), RecordingStack(), 1, 1, 2, 2)
+    for advance, blocks in reports:
+        conn.snd_una += advance
+        conn._forget_acked(conn.snd_una)
+        conn._merge_sack([(s, s + n) for s, n in blocks])
+        assert conn._sacked_total == sum(e - s for s, e in conn._sacked)
+        una = conn.snd_una
+        conn.snd_una = data.draw(st.integers(0, 360))
+        conn.snd_nxt = data.draw(st.integers(0, 360))
+        assert conn._sacked_bytes() == \
+            ReferenceTcp._sacked_bytes(conn)
+        conn.snd_una = una
