@@ -177,8 +177,6 @@ class InstalledFunction:
                               if message_schema is not None else None)
         self.stats = FunctionStats()
         self._build_hot_path()
-        lang_backends.retain(self.program)
-        self._bound = True
 
     def _build_hot_path(self) -> None:
         """Precompute the per-packet commit plan and bind the backend's
@@ -293,7 +291,7 @@ class InstalledFunction:
         programs and the ``tree``/``native`` pins run it, and it is
         the oracle for the backend's
         plan (``Backend.plan``), the same sequence as one generated
-        callable, which takes over for as long as the program is hot.
+        callable, which takes over once the program is hot.
         An :class:`InterpreterFault` propagates with nothing of the
         invocation committed.  ``acct`` is the enclave's
         :class:`CpuAccounting` when it is enabled, else None.
@@ -302,10 +300,7 @@ class InstalledFunction:
         if plan is None:
             plan = self._plan = self._ask_for_plan()
         if plan is not None:
-            ops = plan(packet, msg_entry, acct)
-            if ops is not None:
-                return ops
-            self._plan = None       # the program went back to cold
+            return plan(packet, msg_entry, acct)
         if self._field_readers is None:
             self._build_readers()
         fields = [read(packet, msg_entry)
@@ -342,24 +337,6 @@ class InstalledFunction:
         if heap_bytes > fn_stats.max_heap_bytes:
             fn_stats.max_heap_bytes = heap_bytes
         return stats.ops_executed
-
-    def retire(self) -> None:
-        """Unbind: drop this binding's plan and its hold on the program.
-
-        The enclave calls it when the function leaves the data path
-        (replace, remove, restart).  The program may be bound by other
-        enclaves too — one artifact serves a whole fleet — so its
-        compiled code (pycodegen's tier counter and body, every
-        backend's artifact) goes with its last binding
-        (``backends.release``): one host's restart leaves the rest of
-        the fleet hot, and once no enclave runs the program whoever
-        still holds this object or its ``Program`` can only run the
-        cold tree walk, never a stale compiled handler.
-        """
-        self._plan = None
-        if self._bound:
-            self._bound = False
-            lang_backends.release(self.program)
 
 
 @dataclass(frozen=True)
@@ -661,8 +638,6 @@ class Enclave:
         desired state afterwards (:mod:`repro.control`).  Rule ids
         keep counting up so ids are never reused across restarts.
         """
-        for fn in self._functions.values():
-            fn.retire()
         self._functions = {}
         self._tables = {0: MatchActionTable(0)}
         self.packets_processed = 0
@@ -678,9 +653,7 @@ class Enclave:
                     raise EnclaveError(
                         f"function {name!r} still referenced by rule "
                         f"{rule.rule_id} in table {table.table_id}")
-        # No cache (generated code, native closures) may outlive the
-        # function that owned it.
-        self._functions.pop(name).retire()
+        del self._functions[name]
         self._changed()
 
     def function(self, name: str) -> InstalledFunction:
@@ -1073,10 +1046,6 @@ class Enclave:
         replacement.message_store = old.message_store
         self._functions[name] = replacement
         self._changed()
-        # The swap already unlinks the old program from the data path;
-        # retiring it makes sure nobody still holding it can run a
-        # stale compiled handler.
-        old.retire()
         return replacement
 
     def query_rules(self, table_id: int = 0) -> List[MatchRule]:

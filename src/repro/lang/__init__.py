@@ -19,7 +19,6 @@ from .annotations import (AccessLevel, DEFAULT_PACKET_SCHEMA, Field,
                           schema)
 from .ast_nodes import ProgramAST
 from .backends import (Backend, get as get_backend,
-                       invalidate as invalidate_backends,
                        names as backend_names, register
                        as register_backend)
 from .bytecode import (ArrayRef, FieldRef, FunctionCode, Instr, Op,
@@ -43,7 +42,7 @@ __all__ = [
     "Op", "Program", "ProgramAST", "Schema", "SchemaError",
     "VerificationError", "backend_names", "compile_action",
     "compile_ast", "execute_codegen", "execute_codegen_batch",
-    "get_backend", "invalidate_backends", "lower",
+    "get_backend", "lower",
     "optimize_function", "optimize_program", "quote",
     "register_backend", "schema", "verify", "wrap64",
 ]

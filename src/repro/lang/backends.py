@@ -29,13 +29,11 @@ The contract, enforced by the differential harness in
   ``execute`` calls on a shared interpreter (RNG state threads
   through); faults are isolated per snapshot.
 
-Backends may cache compiled artifacts on ``Program`` instances;
-:func:`invalidate` (or ``Backend.invalidate``) must drop every such
-artifact.  Many enclaves may bind one program, so the enclave counts
-its bindings (:func:`retain` / :func:`release`) and the last one to
-leave the data path — replaced, removed, or lost in a restart —
-invalidates it: stale handlers can never run, and one host's restart
-leaves the rest of a fleet hot.
+A compiled artifact a backend keeps for a program lives in a slot on
+that ``Program`` (pycodegen's tier counter and generated code,
+native's one-off function) and dies with it.  A ``Program`` is frozen,
+so the artifact can never go stale, and nothing takes it away earlier:
+one host's restart leaves the rest of a fleet hot.
 """
 
 from __future__ import annotations
@@ -92,9 +90,7 @@ class Backend:
         it per invocation of its generic tier; a backend overrides this
         to hoist per-call setup.  The callable must read limits from
         ``interp`` on every call and draw from ``interp``'s RNG and
-        clock.  What it compiles here is this binding's own; an
-        artifact cached on ``program`` it must ask for on every call,
-        so that :meth:`invalidate` takes it away.
+        clock.  What it compiles here is this binding's own.
         """
         return functools.partial(self.execute, interp, program)
 
@@ -107,23 +103,9 @@ class Backend:
         and otherwise runs its generic tier (:meth:`bind`'s callable),
         which the plan must equal bit for bit.  The rules of
         :meth:`bind` apply: limits, RNG and clock are read from
-        ``interp`` on every call, and a plan whose compiled artifact
-        :meth:`invalidate` took away runs nothing and answers None.
-        The default is no plan.
+        ``interp`` on every call.  The default is no plan.
         """
         return None
-
-    def invalidate(self, program: Program) -> bool:
-        """Drop any compiled artifact cached on ``program``.
-
-        Returns True when something was dropped.  Must be safe to call
-        on programs this backend has never seen.
-        """
-        return False
-
-    def stats(self) -> Dict[str, int]:
-        """Backend-level counters (compiles, cache churn, ...)."""
-        return {}
 
 
 class TreeBackend(Backend):
@@ -147,8 +129,6 @@ class PycodegenBackend(Backend):
         return pycodegen.CodegenRunner(interp, program).run
 
     plan = staticmethod(pycodegen.plan_for)
-    invalidate = staticmethod(pycodegen.invalidate)
-    stats = staticmethod(pycodegen.stats)
 
 
 class NativeBackend(Backend):
@@ -161,8 +141,9 @@ class NativeBackend(Backend):
 
     :meth:`bind` compiles a :class:`NativeFunction` of the binding's
     own, at install, drawing from the binding interpreter's RNG and
-    clock; :meth:`execute` keeps one per program for one-off calls and
-    points it at the calling interpreter's sources each time.
+    clock; :meth:`execute` keeps one in a slot on the program for
+    one-off calls and points it at the calling interpreter's sources
+    each time.
     """
 
     name = "native"
@@ -197,12 +178,6 @@ class NativeBackend(Backend):
         return self._function(interp, program).execute(fields, arrays,
                                                        args)
 
-    def invalidate(self, program):
-        if getattr(program, "_native_fn", None) is not None:
-            object.__setattr__(program, "_native_fn", None)
-            return True
-        return False
-
 
 _REGISTRY: Dict[str, Backend] = {}
 
@@ -226,40 +201,6 @@ def get(name: str) -> Backend:
 
 def names() -> List[str]:
     return sorted(_REGISTRY)
-
-
-def invalidate(program: Program) -> Dict[str, bool]:
-    """Drop every backend's cached artifact for ``program``.
-
-    :func:`release` calls this when the last enclave function bound to
-    ``program`` leaves the data path, so no backend can ever reuse a
-    stale compiled handler.  Returns ``{backend name: dropped?}`` for
-    observability.
-    """
-    return {name: backend.invalidate(program)
-            for name, backend in _REGISTRY.items()}
-
-
-def retain(program: Program) -> None:
-    """Count one more live binding of ``program``.
-
-    An enclave's installed function is a binding; one compiled
-    artifact is bound by every enclave of a fleet, so a program's
-    compiled code is shared and outlives any single binding.
-    """
-    object.__setattr__(program, "_bindings",
-                       getattr(program, "_bindings", 0) + 1)
-
-
-def release(program: Program) -> bool:
-    """Drop one binding of ``program``; with the last, :func:`invalidate`
-    it.  Returns True when that happened."""
-    left = program._bindings - 1
-    object.__setattr__(program, "_bindings", left)
-    if left:
-        return False
-    invalidate(program)
-    return True
 
 
 register(TreeBackend())

@@ -47,17 +47,15 @@ straight-line segment).
 The cold-call counter and, later, the compiled code live in one slot
 on the ``Program`` instance, so every enclave function bound to one
 program (one compiled artifact serves a whole fleet) counts toward the
-same tier-up and runs the same generated code; compiled programs are
-also tracked by a bounded LRU registry.  :func:`invalidate` (the
-enclave calls it when a program's last binding leaves the data path,
-``backends.release``) and LRU eviction both clear the slot, returning
-the program to cold.
+same tier-up and runs the same generated code.  A ``Program`` is
+frozen, so its generated code depends on nothing else: like
+:func:`repro.lang.analysis.facts`, a compiled artifact lives in a slot
+on its ``Program`` and dies with it.  Nothing takes it away earlier.
 """
 
 from __future__ import annotations
 
 import keyword
-from collections import OrderedDict
 from typing import (Dict, List, NamedTuple, Optional, Sequence,
                     Set, Tuple)
 
@@ -91,11 +89,6 @@ MODE_BLOCKS = "blocks"
 #: whose hosts each see eight probe packets shares one program, which
 #: the first sixteen of them, fleet-wide, turn hot for all.
 TIER_UP_CALLS = 16
-
-#: Bounded code cache: at most this many compiled programs are kept
-#: alive by the registry (the per-Program slot is cleared on eviction,
-#: returning the program to cold).
-CACHE_LIMIT = 256
 
 _CMP_SYM = {
     Op.CEQ: "==", Op.CNE: "!=", Op.CLT: "<",
@@ -864,19 +857,12 @@ _STATS = {
     "functions_structured": 0,
     "functions_blocks": 0,
     "programs_delegated": 0,
-    "cache_evictions": 0,
-    "cache_invalidations": 0,
 }
-
-#: Bounded registry of live compiled programs (LRU by compile/use).
-_CACHE: "OrderedDict[int, Program]" = OrderedDict()
 
 
 def stats() -> Dict[str, int]:
-    """Counters describing codegen activity (tiers, cache churn)."""
-    out = dict(_STATS)
-    out["cache_size"] = len(_CACHE)
-    return out
+    """Counters describing codegen activity (compiles, tiers)."""
+    return dict(_STATS)
 
 
 def compile_pycode(program: Program) -> Optional[CompiledProgram]:
@@ -924,13 +910,11 @@ def code_for(program: Program) -> Optional[CompiledProgram]:
     Every execution asks exactly once, so a call that answers None is
     also counted: the ``_pycodegen`` slot on the Program holds the
     number of cold calls so far, then the :class:`CompiledProgram`
-    (also tracked by the bounded LRU registry), or the delegate marker
-    for programs the verifier rejects.
+    for as long as the program lives, or the delegate marker for
+    programs the verifier rejects.
     """
     slot = getattr(program, "_pycodegen", None)
     if slot.__class__ is CompiledProgram:
-        if id(program) in _CACHE:
-            _CACHE.move_to_end(id(program), last=True)
         return slot
     if slot is _DELEGATED:
         return None
@@ -943,26 +927,7 @@ def code_for(program: Program) -> Optional[CompiledProgram]:
         object.__setattr__(program, "_pycodegen", _DELEGATED)
         return None
     object.__setattr__(program, "_pycodegen", compiled)
-    _CACHE[id(program)] = program
-    while len(_CACHE) > CACHE_LIMIT:
-        _, evicted = _CACHE.popitem(last=False)
-        object.__setattr__(evicted, "_pycodegen", None)
-        _STATS["cache_evictions"] += 1
     return compiled
-
-
-def invalidate(program: Program) -> bool:
-    """Return a program to cold (enclave function replace/remove).
-
-    Drops the compiled code *and* the cold-call count.  Returns True
-    when there was anything to drop.
-    """
-    dropped = getattr(program, "_pycodegen", None) is not None
-    if dropped:
-        object.__setattr__(program, "_pycodegen", None)
-        _STATS["cache_invalidations"] += 1
-    _CACHE.pop(id(program), None)
-    return dropped
 
 
 # -- execution ----------------------------------------------------------
@@ -973,9 +938,9 @@ class CodegenRunner:
     The one place a program goes copy-in -> generated entry ->
     copy-out.  It keeps the execution context across invocations, but
     nothing the interpreter can change: limits, RNG and clock are read
-    from it on every :meth:`run`, and :func:`code_for` is asked on
-    every :meth:`run`, so a lowered budget or an invalidated program
-    takes effect on the next call.
+    from it on every :meth:`run`, so a lowered budget takes effect on
+    the next call, and :func:`code_for` is asked on every :meth:`run`,
+    so the call that turns the program hot is counted here.
     """
 
     __slots__ = ("program", "ctx", "n_locals", "n_fields",
@@ -1067,10 +1032,7 @@ def plan_for(interp, fn):
     updated; it returns the op count and lets an
     :class:`InterpreterFault` out before anything is written.  Callees
     stay ``_fN(ctx, ...)``: around a CALL the plan hands them the op
-    count and high-water mark on its context and takes them back.  Its
-    first statement is the tier decision: once :func:`invalidate` or an
-    eviction has taken the compiled program away it runs nothing and
-    answers None.
+    count and high-water mark on its context and takes them back.
 
     A cold program is only peeked at, never counted: the generic tier
     runs it through :meth:`CodegenRunner.run`, which asks
@@ -1084,7 +1046,6 @@ def plan_for(interp, fn):
     program = fn.program
     compiled = getattr(program, "_pycodegen", None)
     if compiled.__class__ is not CompiledProgram or \
-            id(program) not in _CACHE or \
             any(ref.scope != "global" for ref in program.array_table):
         return None
     plan = compiled.plan
@@ -1112,18 +1073,12 @@ def _compile_plan(compiled: CompiledProgram, fn) -> tuple:
     program = compiled.program
     found = facts(program)
     calls = found.uses(Op.CALL)
-    ns = {
-        "InterpreterFault": InterpreterFault, "_NAME": program.name,
-        "_program": program, "_compiled": compiled,
-        "_touch": _CACHE.move_to_end, "_pid": id(program),
-    }
+    ns = {"InterpreterFault": InterpreterFault, "_NAME": program.name}
     if calls:
         ns.update((f"_f{k}", f) for k, f in enumerate(compiled.functions))
     scopes = ({ref.scope for ref in program.field_table} |
               {ref.scope for ref in program.array_table})
-    head = ["if _program._pycodegen is not _compiled:",
-            "    return None",
-            "_touch(_pid)"]
+    head: List[str] = []
     if "global" in scopes:
         head.append("_g = _fn.global_store")
     if "message" in scopes:

@@ -1,7 +1,9 @@
 """Tests for the enclave: tables, runtime, state commit, safety."""
 
 import dataclasses
+import gc
 import random
+import weakref
 
 import pytest
 
@@ -574,38 +576,6 @@ def _heat(enclave):
     enclave.process_batch([(FakePacket(), []) for _ in range(2)])
 
 
-def _assert_cold_again(program):
-    """Cold means the whole count again, not an instant recompile."""
-    assert getattr(program, "_pycodegen", None) is None
-    interp = Interpreter()
-    fields = [0] * len(program.field_table)
-    for _ in range(pycodegen.TIER_UP_CALLS):
-        interp.execute(program, fields, [])
-    assert not _is_hot(program)
-    interp.execute(program, fields, [])
-    assert _is_hot(program)
-    pycodegen.invalidate(program)
-
-
-def _assert_retired_handle_runs_cold(monkeypatch, enclave, fn):
-    """``fn`` left the data path: calling the old handle still runs
-    its program, but on the cold tree walk — never on a stale compiled
-    handler."""
-    tree_calls = []
-    real = enclave.interpreter.execute_tree
-    monkeypatch.setattr(
-        enclave.interpreter, "execute_tree",
-        lambda *args: tree_calls.append(1) or real(*args))
-    compiled = pycodegen.stats()["programs_compiled"]
-    result = fn.execute([0] * len(fn.program.field_table), [])
-    assert result.fields == [1]     # old_behavior's priority
-    assert not _is_hot(fn.program)
-    assert pycodegen.stats()["programs_compiled"] == compiled
-    if fn.backend in TIERED_BACKENDS:
-        assert tree_calls == [1]
-    pycodegen.invalidate(fn.program)
-
-
 class TestBackendRegistry:
     """Enclave plumbing of the repro.lang.backends registry."""
 
@@ -683,22 +653,20 @@ class TestBackendRegistry:
                 for _ in range(20)] == lone[1]
 
     @pytest.mark.parametrize("backend", ALL_BACKENDS)
-    def test_replace_runs_new_program_not_stale_handler(
-            self, backend, monkeypatch):
-        """Satellite regression: warm every per-program cache (scalar
-        + batch paths, past the tier-up), hot-swap the function, and
-        require the new behavior — a stale compiled handler must
-        never run again, and both programs are cold afterwards."""
+    def test_replace_runs_new_program_not_stale_handler(self, backend):
+        """Warm every per-program cache (scalar + batch paths, past
+        the tier-up), hot-swap the function, and require the new
+        behavior on both paths: the old program's compiled code is
+        its own and never runs for the replacement."""
         enclave = Enclave(f"e.swap.{backend}")
         fn = enclave.install_function(old_behavior, name="policy",
                                       backend=backend)
         enclave.install_rule("*", "policy")
-        old_program = fn.program
         packet = FakePacket()
         enclave.process_packet(packet)
         assert packet.priority == 1
         _heat(enclave)
-        assert _is_hot(old_program) == (backend in TIERED_BACKENDS)
+        assert _is_hot(fn.program) == (backend in TIERED_BACKENDS)
 
         replacement = enclave.replace_function("policy", new_behavior)
         assert not _is_hot(replacement.program)
@@ -708,39 +676,39 @@ class TestBackendRegistry:
         batch = [FakePacket() for _ in range(2)]
         enclave.process_batch([(p, []) for p in batch])
         assert [p.priority for p in batch] == [7, 7]
-        # The old program's compiled artifacts were dropped.
-        assert getattr(old_program, "_native_fn", None) is None
-        _assert_cold_again(old_program)
-        _assert_retired_handle_runs_cold(monkeypatch, enclave, fn)
+        # Whoever still holds the old function runs the old program.
+        fields = [0] * len(fn.program.field_table)
+        assert fn.execute(fields, []).fields == [1]
 
-    def test_remove_function_invalidates_backend_caches(
-            self, enclave, monkeypatch):
+    def test_remove_function_invalidates_backend_caches(self, enclave):
+        """No compiled code outlives the function that owned it: it
+        lives in a slot on the program, which dies with the removed
+        function's last reference."""
         fn = enclave.install_function(old_behavior, name="policy",
                                       backend="pycodegen")
         enclave.install_rule("*", "policy")
-        old_program = fn.program
-        _heat(enclave)
-        assert _is_hot(old_program)
-        enclave.remove_rule(1)
-        enclave.remove_function("policy")
-        _assert_cold_again(old_program)
-        _assert_retired_handle_runs_cold(monkeypatch, enclave, fn)
-
-    def test_clear_invalidates_backend_caches(self, enclave,
-                                              monkeypatch):
-        """A restarted enclave leaves nothing in pycodegen's
-        process-wide cache."""
-        fn = enclave.install_function(old_behavior, name="policy")
-        enclave.install_rule("*", "policy")
-        cached = pycodegen.stats()["cache_size"]
         _heat(enclave)
         assert _is_hot(fn.program)
-        assert pycodegen.stats()["cache_size"] == cached + 1
+        enclave.remove_rule(1)
+        enclave.remove_function("policy")
+        program = weakref.ref(fn.program)
+        del fn
+        gc.collect()
+        assert program() is None
+
+    def test_clear_invalidates_backend_caches(self, enclave):
+        """A restarted enclave keeps no compiled code alive: each
+        program dies with its function."""
+        fn = enclave.install_function(old_behavior, name="policy")
+        enclave.install_rule("*", "policy")
+        _heat(enclave)
+        assert _is_hot(fn.program)
         enclave.clear()
         assert enclave.functions() == []
-        assert pycodegen.stats()["cache_size"] == cached
-        _assert_cold_again(fn.program)
-        _assert_retired_handle_runs_cold(monkeypatch, enclave, fn)
+        program = weakref.ref(fn.program)
+        del fn
+        gc.collect()
+        assert program() is None
 
     def test_default_interpreter_reaches_enclave(self):
         """The default enclave runs the tiered backend: its program

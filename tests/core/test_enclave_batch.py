@@ -28,9 +28,7 @@ from test_plan import (  # noqa: F401
     test_field_names_reach_generated_source_only_as_constants,
     test_generated_plan_allocates_no_snapshot_objects,
     test_held_per_message_guard_raises_before_the_plan_runs,
-    test_invalidate_under_a_built_plan_returns_to_the_generic_tier,
     test_lowered_op_budget_faults_on_both_entry_points,
-    test_lru_eviction_sends_the_next_packet_to_the_generic_tier,
     test_plan_follows_a_swapped_rng_and_clock,
     test_plan_reads_limits_live_and_faults_like_the_generic_tier,
     test_replace_function_on_a_hot_function)

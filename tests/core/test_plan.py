@@ -5,14 +5,15 @@ state, runs the entry function's body inlined with fields and counters
 as Python locals, writes back and updates the function stats
 (``pycodegen.plan_for``).  These tests pin it against what only the
 enclave can do to it — limits, RNG and clock changed under a built
-plan, ``replace_function``, LRU eviction and ``invalidate``, the
-dry-run flag, a held guard — and against a ``backend="tree"`` enclave
+plan, ``replace_function``, the dry-run flag, a held guard — and against a ``backend="tree"`` enclave
 and the generic tier under every op budget and stack limit below what
 the Table-1 demos need; and they pin what its source may contain.
 """
 
+import gc
 import random
 import re
+import weakref
 
 import pytest
 
@@ -264,8 +265,8 @@ def bump_counter_by_two(packet, _global):
 
 def test_replace_function_on_a_hot_function():
     """The replacement starts cold, and once hot its plan reads and
-    writes the carried-over global store; the old object, invalidated,
-    can only run the cold tree walk."""
+    writes the carried-over global store; the old object still runs
+    the old program, on its own plan."""
     enclave = Enclave("batch.test")
     old = enclave.install_function(bump_counter, name="bump",
                                    global_schema=COUNTER_SCHEMA)
@@ -276,7 +277,6 @@ def test_replace_function_on_a_hot_function():
 
     new = enclave.replace_function("bump", bump_counter_by_two)
     assert new.global_store is old.global_store
-    assert old.program._pycodegen is None
     executes = _heat(enclave, new)
     counter += 2 * (pycodegen.TIER_UP_CALLS + 2)
     enclave.process_batch([(FakePacket(), ()) for _ in range(3)])
@@ -284,59 +284,28 @@ def test_replace_function_on_a_hot_function():
     assert enclave.query_global("bump")["counter"] == counter + 6
     assert new.stats.invocations == pycodegen.TIER_UP_CALLS + 5
 
-    # Whoever still holds the old object gets the generic tier and
-    # the tree walk, never the plan or the compiled body it had.
+    # Whoever still holds the old object runs the old program: its
+    # compiled code is the program's own and cannot go stale.
     old_executes = _count_executes(old)
     compiled = pycodegen.stats()["programs_compiled"]
     assert old.run_packet(FakePacket(), None) > 0
-    assert old_executes[0] == 1
-    assert old.program._pycodegen == 1      # one cold call counted
+    assert old_executes[0] == 0
     assert pycodegen.stats()["programs_compiled"] == compiled
     assert enclave.query_global("bump")["counter"] == counter + 7
 
 
-def test_lru_eviction_sends_the_next_packet_to_the_generic_tier(
-        monkeypatch):
-    """An evicted program is cold: its plan answers by running
-    nothing, the packet takes the generic tier (counted once toward
-    the next tier-up) and results do not change."""
-    monkeypatch.setattr(pycodegen, "CACHE_LIMIT", 1)
-    enclave = Enclave("batch.test")
-    first = enclave.install_function(set_priority_five)
-    second = enclave.install_function(tag_low, name="tag_low")
-    enclave.install_rule("app.r1.a", "set_priority_five")
-    enclave.install_rule("app.r1.b", "tag_low")
-    cls_a = [Classification("app.r1.a", {})]
-    cls_b = [Classification("app.r1.b", {})]
-    executes = _heat(enclave, first, cls_a)
-    stale_plan = pycodegen.plan_for(enclave.interpreter, first)
-    _heat(enclave, second, cls_b)         # evicts the first program
-    assert first.program._pycodegen is None
-
-    packet = FakePacket()
-    result = enclave.process_packet(packet, cls_a)
-    assert result.executed == ["set_priority_five"]
-    assert packet.priority == 5
-    assert executes[0] == 1
-    assert first.program._pycodegen == 1
-    # The dropped plan itself refuses to run generated code.
-    untouched = FakePacket()
-    assert stale_plan(untouched, None, None) is None
-    assert untouched.priority == 0
-    assert first.stats.invocations == pycodegen.TIER_UP_CALLS + 3
-
-
-def test_invalidate_under_a_built_plan_returns_to_the_generic_tier():
+def test_a_hot_program_dies_with_its_function():
+    """Compiled code lives in a slot on its ``Program`` and dies with
+    it: once the enclave and the function are gone, nothing keeps the
+    hot program, its generated body or its plan alive."""
     enclave = Enclave("batch.test")
     fn = enclave.install_function(set_priority_five)
     enclave.install_rule("*", "set_priority_five")
-    executes = _heat(enclave, fn)
-    assert pycodegen.invalidate(fn.program)
-    results = enclave.process_batch([(FakePacket(), ())
-                                     for _ in range(2)])
-    assert [r.executed for r in results] == [["set_priority_five"]] * 2
-    assert executes[0] == 2
-    assert fn.program._pycodegen == 2
+    _heat(enclave, fn)
+    program = weakref.ref(fn.program)
+    del enclave, fn
+    gc.collect()
+    assert program() is None
 
 
 def count_and_tag(packet, msg):

@@ -7,9 +7,9 @@ from the typed AST; it lives here, as the oracle: over every program
 the repo can compile the two agree, except where the peephole
 optimizer deleted a write, and then the bytecode level is the lower.
 
-The facts are computed once per ``Program`` and cached on it: they
-survive ``pycodegen.invalidate`` and the whole install -> tier-up ->
-plan-build sequence analyses a program exactly once.
+The facts are computed once per ``Program`` and cached on it: the
+whole install -> tier-up -> plan-build sequence analyses a program
+exactly once.
 """
 
 import glob
@@ -147,12 +147,11 @@ def test_a_write_the_optimizer_removed_does_not_serialize():
         assert entry.values == {"counter": 0, "limit": 5}
 
 
-def test_facts_are_cached_on_the_program_and_survive_invalidate():
+def test_facts_are_cached_on_the_program_and_survive_tier_up():
     program = compile_ast(pg.lower_source(pg.generate_program(3)))
     found = facts(program)
     assert facts(program) is found
     assert pg.warm(program)
-    assert pycodegen.invalidate(program)
     assert facts(program) is found
 
 

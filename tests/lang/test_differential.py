@@ -47,6 +47,7 @@ Run just this harness with ``pytest -m differential``; the
 enclave-level batch slice alone with ``pytest -m batch``.
 """
 
+import dataclasses
 import glob
 import os
 import random
@@ -59,6 +60,7 @@ from repro.core.stage import Classification
 from repro.lang import (DEFAULT_PACKET_SCHEMA, Interpreter,
                         InterpreterFault, VerificationError, pycodegen,
                         verify)
+from repro.lang.analysis import facts
 from repro.lang.bytecode import Assembler, FieldRef, Op, Program
 from repro.lang.compiler import compile_action, compile_ast
 from repro.functions.library import DemoPacket, table1
@@ -190,11 +192,17 @@ def _run_calls(program, fvec, avec, calls, dispatch="pycodegen"):
     return out, rng.getstate()
 
 
+def _cold_copy(program):
+    """An equal program that has never run: the tier counter and the
+    compiled code live in a slot on the ``Program`` instance."""
+    return dataclasses.replace(program)
+
+
 def _assert_boundary_invisible(program, fvec, avec, label):
     """Default interpreter == tree on every call before, at and after
     the tier-up — and the tier-up really happens where it should."""
     calls = pycodegen.TIER_UP_CALLS + HOT_CALLS
-    pycodegen.invalidate(program)
+    program = _cold_copy(program)
     want, want_rng = _run_calls(program, fvec, avec, calls,
                                 dispatch="tree")
     assert not _is_hot(program), "tree runs must not count"
@@ -203,7 +211,7 @@ def _assert_boundary_invisible(program, fvec, avec, label):
     assert not _is_hot(program), f"{label}: compiled while cold"
     assert pycodegen.stats()["programs_compiled"] == compiled_before
     assert cold == want[:pycodegen.TIER_UP_CALLS], label
-    pycodegen.invalidate(program)
+    program = _cold_copy(program)
     got, got_rng = _run_calls(program, fvec, avec, calls)
     assert _is_hot(program), f"{label}: still cold after {calls} calls"
     for i, (g, w) in enumerate(zip(got, want)):
@@ -271,40 +279,37 @@ class TestTierBoundary:
                                                 seed * 31 + i)
             snapshots.append(pg.vectors(program, fields, arrays))
         want = pg.run_interp_seq(program, snapshots, "tree")
-        pycodegen.invalidate(program)
-        batch = pg.run_interp_batch(program, snapshots, "pycodegen")
-        assert _is_hot(program)
-        pycodegen.invalidate(program)
-        scalar = pg.run_interp_seq(program, snapshots, "pycodegen")
+        batched = _cold_copy(program)
+        batch = pg.run_interp_batch(batched, snapshots, "pycodegen")
+        assert _is_hot(batched)
+        scalar = pg.run_interp_seq(_cold_copy(program), snapshots,
+                                   "pycodegen")
         assert batch == scalar == want
 
-    def test_lru_eviction_returns_a_program_to_cold(self, monkeypatch):
-        monkeypatch.setattr(pycodegen, "CACHE_LIMIT", 2)
-        programs = [compile_ast(pg.lower_source(pg.generate_program(s)))
-                    for s in range(3)]
-        evictions = pycodegen.stats()["cache_evictions"]
-        for program in programs:
-            assert pg.warm(program)
-        oldest = programs[0]
-        assert not _is_hot(oldest)
-        assert _is_hot(programs[1]) and _is_hot(programs[2])
-        assert pycodegen.stats()["cache_evictions"] > evictions
-        assert pycodegen.stats()["cache_size"] == 2
-        # Cold means the full count again, not an immediate recompile.
-        for _ in range(pycodegen.TIER_UP_CALLS):
-            assert pycodegen.code_for(oldest) is None
-        assert pycodegen.code_for(oldest) is not None
-
-    def test_invalidate_resets_the_call_count(self):
-        program = compile_ast(pg.lower_source(pg.generate_program(1)))
-        for _ in range(pycodegen.TIER_UP_CALLS):
-            assert pycodegen.code_for(program) is None
-        assert pycodegen.invalidate(program)
-        for _ in range(pycodegen.TIER_UP_CALLS):
-            assert pycodegen.code_for(program) is None
-        assert pycodegen.code_for(program) is not None
-        assert pycodegen.invalidate(program)
-        assert not pycodegen.invalidate(program)
+    def test_many_programs_round_robin_each_compile_once(self):
+        """Compiled code is never taken away from a live program: 260
+        programs run round robin on one interpreter, each compiles
+        exactly once and every one ends hot."""
+        programs, inputs = [], []
+        seed = 0
+        while len(programs) < 260:
+            program = compile_ast(pg.lower_source(
+                pg.generate_program(seed)))
+            if facts(program).violation is None:
+                fields, arrays = pg.generate_inputs(program, seed)
+                programs.append(program)
+                inputs.append(pg.vectors(program, fields, arrays))
+            seed += 1
+        interp = Interpreter()
+        compiled = pycodegen.stats()["programs_compiled"]
+        for _ in range(2 * (pycodegen.TIER_UP_CALLS + 1)):
+            for program, (fvec, avec) in zip(programs, inputs):
+                try:
+                    interp.execute(program, fvec, avec)
+                except InterpreterFault:
+                    pass
+        assert pycodegen.stats()["programs_compiled"] == compiled + 260
+        assert all(_is_hot(program) for program in programs)
 
     @pytest.mark.parametrize("build,reason", REJECTED_PROGRAMS)
     def test_unverifiable_program_stays_on_the_tree_walk(self, build,
