@@ -3,11 +3,17 @@
 Everything that needs to know something about a program's instructions
 before running them reads it from :func:`facts`: the verifier (is it
 safe to install?), the generated-code backend (operand-stack depth per
-pc, jump edges, which ops each function uses) and the enclave (which
-field slots a run can change, and the concurrency level those writes
-imply, Section 3.4.4).  The record is computed by one pass over every
-function and cached on the :class:`~repro.lang.bytecode.Program`; it
-depends only on the immutable bytecode, so nothing ever invalidates it.
+pc, each function's control structure, which ops each function uses)
+and the enclave (which field slots a run can change, and the
+concurrency level those writes imply, Section 3.4.4).  The record is
+computed by one pass over every function and cached on the
+:class:`~repro.lang.bytecode.Program`; it depends only on the immutable
+bytecode, so nothing ever invalidates it.
+
+Each function's reachable code must nest into the loop and if/else
+shapes the compiler and its peephole pass emit (:class:`Block` and the
+classes after it); anything else is a violation, so the generated-code
+backend can write every verified function as ``while``/``if``.
 
 A program with a violation is one :func:`repro.lang.verifier.verify`
 rejects; the other fields of its record keep their defaults, and no
@@ -17,9 +23,9 @@ consumer reads them.
 from __future__ import annotations
 
 import enum
-from typing import List, NamedTuple, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
-from .bytecode import OPS_WITH_ARG, STACK_EFFECT, Op, Program
+from .bytecode import OPS_WITH_ARG, STACK_EFFECT, Instr, Op, Program
 
 
 class ConcurrencyLevel(enum.Enum):
@@ -48,19 +54,74 @@ class Violation(NamedTuple):
     reason: str
 
 
+class Block(NamedTuple):
+    """A run of code in pc order: bare pcs (an ordinary op, a RET or
+    HALT, a JZ/JNZ to the next pc, a JMP forward over dead code) and
+    the shapes nested in it; dead code appears nowhere.  ``falls`` is
+    whether control can leave through its end."""
+
+    items: tuple
+    falls: bool
+
+
+class Loop(NamedTuple):
+    """``while True:`` over ``[header, end)``; ``end`` is its follow."""
+
+    header: int
+    end: int
+    body: Block
+
+
+class Exit(NamedTuple):
+    """The JMP, JZ or JNZ at ``pc`` to the innermost loop's header
+    (``"continue"``) or end (``"break"``)."""
+
+    pc: int
+    kind: str
+
+
+class If(NamedTuple):
+    """The JZ/JNZ at ``pc`` guards ``then``, its fall-through side.  A
+    plain ``if`` (``join`` None) rejoins at the branch target; an
+    if/else's then-part ends in a ``JMP join`` just before the target,
+    where ``orelse`` starts (None when it is empty)."""
+
+    pc: int
+    then: Block
+    orelse: Optional[Block]
+    join: Optional[int]
+
+
+class Split(NamedTuple):
+    """The JZ/JNZ at ``pc`` in an if/else's then-part divides the rest
+    of that then-part into two arms, ``taken`` and ``fallen``, that
+    each end at the join.  ``fallen`` still runs the then-part's
+    trailing JMP, and ``taken`` does when ``charge`` is 1.  The branch
+    goes to the else-block (short-circuit ``and``/``or``: ``taken``
+    is that block, copied), straight to the join (threading's work:
+    ``taken`` is empty), or past a nested then-part that ends in a JMP
+    straight to the join (``fallen`` is that part, ``taken`` the rest,
+    ``charge`` 1)."""
+
+    pc: int
+    taken: Block
+    fallen: Block
+    charge: int
+
+
 class ProgramFacts(NamedTuple):
     """What the bytecode of one program says before it runs."""
 
-    #: The first violation (structure checks first, then stack
-    #: discipline, function by function), or None.
+    #: The first violation (table entries first, then function by
+    #: function: instructions, stack discipline, structure), or None.
     violation: Optional[Violation]
     #: Per function, the operand-stack depth before each pc; None
     #: where the pc is unreachable.
     depths: Tuple[Tuple[Optional[int], ...], ...] = ()
     #: Worst-case single-frame operand-stack depth over all functions.
     max_depth: int = 0
-    #: Per function, ``(pc, target)`` of every JMP/JZ/JNZ, by pc.
-    jumps: Tuple[Tuple[Tuple[int, int], ...], ...] = ()
+    #: Per function, its control structure: the root :class:`Block`.
+    structure: Tuple[Block, ...] = ()
     #: Per function, the distinct opcodes it contains, sorted.
     ops_used: Tuple[Tuple[Op, ...], ...] = ()
     #: Field-table slots some PUTF targets, sorted.  A slot outside
@@ -93,12 +154,15 @@ def _analyse(program: Program) -> ProgramFacts:
     n_arrays = len(program.array_table)
     n_functions = len(functions)
     depths: List[Tuple[Optional[int], ...]] = []
-    jumps_per_fn: List[Tuple[Tuple[int, int], ...]] = []
+    structure_per_fn: List[Block] = []
     ops_per_fn: List[Tuple[Op, ...]] = []
     written = set()
     max_depth = 0
     if not n_functions:
         return ProgramFacts(Violation("", 0, "program has no functions"))
+    reason = _table_violation(program)
+    if reason is not None:
+        return ProgramFacts(Violation(program.entry.name, 0, reason))
     for fn in functions:
         code = fn.code
         n = len(code)
@@ -110,9 +174,8 @@ def _analyse(program: Program) -> ProgramFacts:
                 name, 0, f"frame of {fn.n_locals} locals cannot hold "
                 f"{fn.n_args} arguments"))
 
-        # Structure: every instruction, reachable or not.
+        # Every instruction, reachable or not.
         ops = set()
-        jumps = []
         for pc, instr in enumerate(code):
             op = instr.op
             if op.__class__ is not Op:
@@ -133,7 +196,6 @@ def _analyse(program: Program) -> ProgramFacts:
                 if not 0 <= arg < n:
                     return ProgramFacts(Violation(
                         name, pc, f"jump target {arg} outside [0, {n})"))
-                jumps.append((pc, arg))
             elif op is Op.GETF or op is Op.PUTF:
                 if not 0 <= arg < len(fields):
                     return ProgramFacts(Violation(
@@ -209,8 +271,14 @@ def _analyse(program: Program) -> ProgramFacts:
                     return ProgramFacts(Violation(
                         name, succ, f"inconsistent stack depth at merge "
                         f"point: {seen} vs {new_depth}"))
+
+        # Control structure, over reachable code.
+        try:
+            structure = _Walk(code, depth_at).block(0, n)
+        except _Unstructured as bad:
+            return ProgramFacts(Violation(name, *bad.args))
         depths.append(tuple(depth_at))
-        jumps_per_fn.append(tuple(jumps))
+        structure_per_fn.append(structure)
         ops_per_fn.append(tuple(sorted(ops)))
 
     stores_to_heap = any(Op.HSTORE in ops for ops in ops_per_fn)
@@ -223,6 +291,177 @@ def _analyse(program: Program) -> ProgramFacts:
         level = ConcurrencyLevel.PARALLEL
     return ProgramFacts(
         violation=None, depths=tuple(depths), max_depth=max_depth,
-        jumps=tuple(jumps_per_fn), ops_used=tuple(ops_per_fn),
+        structure=tuple(structure_per_fn), ops_used=tuple(ops_per_fn),
         written=tuple(sorted(written)),
         stores_to_heap=stores_to_heap, concurrency=level)
+
+
+_FIELD_REF = (("scope", str), ("name", str), ("writable", bool))
+_ARRAY_REF = _FIELD_REF + (("stride", int),)
+
+
+def _table_violation(program: Program) -> Optional[str]:
+    """Table entries are made of exact builtins: generated code splices
+    names and strides into Python source, where a ``str`` or ``int``
+    subclass's own ``__repr__`` or ``__format__`` would write code of
+    its choosing."""
+    for kind, refs, attrs in (("field", program.field_table, _FIELD_REF),
+                              ("array", program.array_table, _ARRAY_REF)):
+        for i, ref in enumerate(refs):
+            for attr, want in attrs:
+                value = getattr(ref, attr, None)
+                if value.__class__ is not want:
+                    return (f"{kind} table entry {i}: {attr} must be of "
+                            f"type {want.__name__}, not "
+                            f"{type(value).__name__}")
+    return None
+
+
+def _loops(code: Tuple[Instr, ...],
+           depth_at: List[Optional[int]]) -> Dict[int, int]:
+    """Each loop's region ``[header, end)``, by header: the one rule.
+
+    A header is the target of a reachable backward jump.  Its region
+    runs past the last such jump, takes in a ``JMP end + 1`` just after
+    it (the compiler's for-loop exit), then runs on to the furthest pc
+    a reachable jump inside it targets: a tail after the last back edge
+    (a search loop's ``return`` on a hit) belongs to the loop, and
+    every jump out of it goes to its one follow, ``end``."""
+    last: Dict[int, int] = {}
+    for pc, instr in enumerate(code):
+        if instr.op in _JUMPS and instr.arg <= pc and \
+                depth_at[pc] is not None:
+            last[instr.arg] = pc
+    n = len(code)
+    loops: Dict[int, int] = {}
+    for header, source in last.items():
+        end = source + 1
+        if end < n and code[end].op is Op.JMP and code[end].arg == end + 1:
+            end += 1
+        pc = header
+        while pc < end:
+            instr = code[pc]
+            if instr.op in _JUMPS and instr.arg > end and \
+                    depth_at[pc] is not None:
+                end = instr.arg
+            pc += 1
+        loops[header] = end
+    return loops
+
+
+class _Unstructured(Exception):
+    """``(pc, reason)``: reachable code the shapes do not cover."""
+
+
+class _Walk:
+    """Recovers one function's structure, or raises
+    :class:`_Unstructured`.  Every reachable pc is placed once (an
+    else-block that branches copy is walked once and shared), so the
+    walk is linear in the code."""
+
+    def __init__(self, code: Tuple[Instr, ...],
+                 depth_at: List[Optional[int]]) -> None:
+        self.code = code
+        self.depth_at = depth_at
+        self.loops = _loops(code, depth_at)
+        self.open: List[Tuple[int, int]] = []    # (header, end) stack
+        self.shared: Dict[Tuple[int, int], Block] = {}
+
+    def _else(self, start: int, join: int) -> Block:
+        """The else-block ``[start, join)``, walked once."""
+        block = self.shared.get((start, join))
+        if block is None:
+            block = self.shared[start, join] = self.block(start, join)
+        return block
+
+    def block(self, start: int, end: int,
+              escape: Optional[Tuple[int, int]] = None) -> Block:
+        """The block over ``[start, end)``.  ``escape`` is ``(else
+        start, join)`` while walking the rest of an if/else's
+        then-part, which ``end`` closes with its JMP to the join."""
+        code = self.code
+        depth_at = self.depth_at
+        loops = self.loops
+        open_ = self.open
+        items: list = []
+        pc = start
+        while pc < end:
+            if pc in loops and (not open_ or open_[-1][0] != pc):
+                loop_end = loops[pc]
+                if loop_end > end:
+                    raise _Unstructured(
+                        pc, f"loop {pc}-{loop_end} crosses the end "
+                        f"{end} of the block around it")
+                open_.append((pc, loop_end))
+                items.append(Loop(pc, loop_end, self.block(pc, loop_end)))
+                open_.pop()
+                pc = loop_end
+                continue
+            if depth_at[pc] is None:
+                pc += 1
+                continue
+            instr = code[pc]
+            op = instr.op
+            if op is Op.RET or op is Op.HALT:
+                items.append(pc)
+                break
+            if op not in _JUMPS:
+                items.append(pc)
+                pc += 1
+                continue
+            target = instr.arg
+            branch = op is not Op.JMP
+            if branch and escape is not None and target in escape:
+                items.append(Split(pc, self._else(target, escape[1]),
+                                   self.block(pc + 1, end, escape), 0))
+                return Block(tuple(items), False)
+            if open_ and target in open_[-1]:
+                items.append(Exit(pc, "continue"
+                                  if target == open_[-1][0] else "break"))
+                if not branch:
+                    break
+                pc += 1
+                continue
+            if not pc < target <= end:
+                raise _Unstructured(
+                    pc, f"{op.name} {target} is neither a loop exit nor "
+                    f"a jump forward in its block")
+            if not branch:
+                for skipped in range(pc + 1, target):
+                    if depth_at[skipped] is not None:
+                        raise _Unstructured(
+                            pc, f"JMP {target} skips reachable code "
+                            f"at {skipped}")
+                items.append(pc)
+                pc = target
+                continue
+            if target == pc + 1:
+                items.append(pc)
+                pc += 1
+                continue
+            last = code[target - 1]
+            if last.op is Op.JMP:
+                join = last.arg
+                if target <= join <= end and \
+                        not (open_ and join == open_[-1][0]):
+                    then = self.block(pc + 1, target - 1, (target, join))
+                    items.append(If(pc, then, self._else(target, join)
+                                    if join > target else None, join))
+                    pc = join
+                    continue
+                if escape is not None and join == escape[1] and \
+                        not (open_ and join in open_[-1]):
+                    then = self.block(pc + 1, target - 1, (join, join))
+                    items.append(Split(
+                        pc, self.block(target, end, escape), then, 1))
+                    return Block(tuple(items), False)
+            items.append(If(pc, self.block(pc + 1, target), None, None))
+            pc = target
+        else:
+            return Block(tuple(items), True)
+        # A RET, HALT or loop exit ended the block: the rest is dead.
+        for after in range(pc + 1, end):
+            if depth_at[after] is not None:
+                raise _Unstructured(
+                    after, "reachable code after the end of its block")
+        return Block(tuple(items), False)

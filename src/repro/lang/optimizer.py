@@ -11,7 +11,6 @@ rest of a classic peephole pipeline, run to a fixpoint:
   at run time);
 * **jump threading** — a jump whose target is another unconditional
   jump goes straight to the final destination;
-* **jump-to-next elimination** — ``JMP pc+1`` disappears;
 * **constant-condition branches** — ``CONST c; JZ/JNZ`` becomes
   either a plain ``JMP`` or nothing;
 * **dead-code elimination** — instructions unreachable from the entry
@@ -19,13 +18,20 @@ rest of a classic peephole pipeline, run to a fixpoint:
 
 Every pass preserves the program's observable semantics; the test
 suite checks optimized and unoptimized programs against each other on
-random inputs.
+random inputs.  Threading can also turn a loop's exit into a jump
+past the end of the ``if`` around it, a two-level jump that no
+``while``/``if`` nesting expresses and :mod:`repro.lang.analysis`
+rejects.  :func:`optimize_program` therefore keeps a function's
+optimized code only if it still verifies; otherwise the function keeps
+the compiler's code, which always does.
 """
 
 from __future__ import annotations
 
+import dataclasses
 from typing import Callable, Dict, List, Optional, Set, Tuple
 
+from .analysis import facts
 from .bytecode import (FunctionCode, Instr, Op, Program, wrap64)
 
 _FOLDABLE_BINOPS: Dict[Op, Callable[[int, int], Optional[int]]] = {
@@ -59,13 +65,22 @@ _JUMPS = (Op.JMP, Op.JZ, Op.JNZ)
 def optimize_program(program: Program,
                      max_rounds: int = 8) -> Program:
     """Return an equivalent program with peephole optimizations
-    applied to every function."""
-    functions = tuple(optimize_function(fn, max_rounds=max_rounds)
-                      for fn in program.functions)
-    return Program(name=program.name, functions=functions,
-                   field_table=program.field_table,
-                   array_table=program.array_table,
-                   source=program.source)
+    applied to every function whose optimized code still verifies.
+
+    The returned program's :func:`~repro.lang.analysis.facts` are
+    already computed, so verifying it costs nothing more.
+    """
+    originals = program.functions
+    functions = [optimize_function(fn, max_rounds=max_rounds)
+                 for fn in originals]
+    while True:
+        optimized = dataclasses.replace(program, functions=tuple(functions))
+        bad = facts(optimized).violation
+        undo = [i for i, fn in enumerate(functions) if bad is not None
+                and fn.name == bad.function and fn is not originals[i]]
+        if not undo:
+            return optimized
+        functions[undo[0]] = originals[undo[0]]
 
 
 def optimize_function(fn: FunctionCode,

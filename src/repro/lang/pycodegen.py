@@ -5,9 +5,8 @@ instruction through a long ``Op`` comparison chain.  This module
 removes dispatch entirely: each :class:`~repro.lang.bytecode.Program`
 is translated to Python source — one ``def`` per bytecode function,
 operand-stack slots lowered to Python locals — and ``compile()``d
-once.  Branches are recovered into real ``while``/``if`` structures
-(the compiler emits reducible, linearly laid out control flow), guards
-and budget checks are inlined, and the 64-bit wraparound is folded
+once.  Branches become real ``while``/``if`` structures, guards and
+budget checks are inlined, and the 64-bit wraparound is folded
 away wherever the operand ranges make it the identity (``&``, ``|``,
 ``^``, ``~``, ``>>``, ``%`` of in-range values stay in range).
 
@@ -20,20 +19,12 @@ backend is proven against — and the next one compiles it.
 :func:`execute_codegen` and :func:`execute_codegen_batch` wrap — asks
 it on every call.
 
-Once hot, each bytecode function is emitted in one of two shapes:
-
-* ``structured`` — loops become ``while True:`` regions, forward
-  branches become ``if``/``else``; zero dispatch overhead.
-* ``blocks`` — a ``while``/``elif`` basic-block machine for control
-  flow the structurizer does not recognize (e.g. exotic
-  optimizer-threaded jumps); still straight-line inside blocks.
-
-This backend compiles exactly what :func:`~repro.lang.verifier.verify`
-accepts: both read :func:`repro.lang.analysis.facts`, and a program
-with a violation never compiles — it stays on the tree walk
-(``stats()["programs_delegated"]``) — so the emitters only ever see
-verified code and take its depth map, jump edges and ops from the
-facts.
+Once hot, each bytecode function is written as ``while True:`` loops
+and ``if``/``else`` from the nesting :func:`repro.lang.analysis.facts`
+records: the verifier accepts only a function whose reachable code
+nests that way, and this backend compiles exactly what
+:func:`~repro.lang.verifier.verify` accepts.  A program with a
+violation stays on the tree walk (``stats()["programs_delegated"]``).
 
 Semantics are kept bit-for-bit identical to the tree walk on results,
 :class:`ExecStats` and fault *reasons* (the differential harness in
@@ -56,10 +47,9 @@ on its ``Program`` and dies with it.  Nothing takes it away earlier.
 from __future__ import annotations
 
 import keyword
-from typing import (Dict, List, NamedTuple, Optional, Sequence,
-                    Set, Tuple)
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
-from .analysis import ProgramFacts, facts
+from .analysis import Block, Exit, If, Loop, ProgramFacts, Split, facts
 from .bytecode import INT_MASK, INT_MAX, Instr, Op, Program, wrap64
 from .interpreter import (WORD_BYTES, ExecResult, ExecStats,
                           InterpreterFault, _copy_in, _finish,
@@ -68,10 +58,6 @@ from .interpreter import (WORD_BYTES, ExecResult, ExecStats,
 _CARRY = 1 << 64
 #: Sentinel budget for "no budget": never exceeded by a real program.
 _NO_BUDGET = 1 << 62
-
-#: Modes a program can compile to (``stats()`` reports the tally).
-MODE_STRUCTURED = "structured"
-MODE_BLOCKS = "blocks"
 
 #: Invocations a program runs on the tree walk before it is compiled.
 #: Compiling pays off after ``compile cost / (tree cost - generated
@@ -94,10 +80,6 @@ _CMP_SYM = {
     Op.CEQ: "==", Op.CNE: "!=", Op.CLT: "<",
     Op.CLE: "<=", Op.CGT: ">", Op.CGE: ">=",
 }
-
-
-class _Bail(Exception):
-    """Structurizer cannot express this function; fall to blocks."""
 
 
 class _Ctx:
@@ -155,16 +137,15 @@ class CompiledProgram:
     the program instantiates.
     """
 
-    __slots__ = ("program", "functions", "entry", "n_locals", "modes",
-                 "source", "plan")
+    __slots__ = ("program", "functions", "entry", "n_locals", "source",
+                 "plan")
 
     def __init__(self, program: Program, functions: tuple,
-                 modes: Tuple[str, ...], source: str) -> None:
+                 source: str) -> None:
         self.program = program
         self.functions = functions
         self.entry = functions[0]
         self.n_locals = program.entry.n_locals
-        self.modes = modes          # per-function tier
         self.source = source
         self.plan = None
 
@@ -177,17 +158,19 @@ def _wrap_lines(target: str, expr: str) -> List[str]:
             f"{target} = _v - {_CARRY} if _v > {INT_MAX} else _v"]
 
 
-class _FuncEmitter:
+class _Emitter:
     """Emits the Python body of one bytecode function.
 
-    Both tiers share the per-op lowering; they differ only in how
-    control transfers are rendered.  Operand-stack slot ``k`` is the
-    Python local ``s{k}``; bytecode locals are the parameters
-    ``l{k}``.  Budget accounting is hoisted: ops are counted per
-    straight-line segment and the check is spliced in *ahead* of the
-    segment's statements (same policy as fused superinstructions).
+    It walks the function's structure from
+    :func:`~repro.lang.analysis.facts` — loops, if/else shapes and the
+    straight-line pcs between them — and lowers each op.  Operand-stack
+    slot ``k`` is the Python local ``s{k}``; bytecode locals are the
+    parameters ``l{k}``.  Budget accounting is hoisted: ops are counted
+    per straight-line segment and the check is spliced in *ahead* of
+    the segment's statements (same policy as fused superinstructions).
     The program is verified: every index, slot and jump target is in
-    range and every reachable pc has one operand-stack depth.
+    range, every reachable pc has one operand-stack depth, and every
+    reachable pc sits in the recorded structure.
 
     ``exit`` is None for a function of its own, ``_fN(ctx, ...)``,
     which keeps the invocation's state on ``ctx`` and returns its
@@ -212,15 +195,15 @@ class _FuncEmitter:
             used = set().union(*(found.ops_used[k] for k in called))
             self._spill_fields = Op.GETF in used or Op.PUTF in used
             self._reload_fields = Op.PUTF in used
-        self.fn = program.functions[fi]
-        self.code = self.fn.code
+        self.code = program.functions[fi].code
         self.depth_at = found.depths[fi]
-        self.jumps = found.jumps[fi]
+        self.structure = found.structure[fi]
         self.lines: List[str] = []
-        self.indent = 2
+        # A function's body sits in its ``def``; the plan's in a ``try``.
+        self.indent = 1 if exit is None else 2
         # Segment state (budget hoisting + stack-check filtering).
         self._anchor = 0
-        self._anchor_indent = 2
+        self._anchor_indent = self.indent
         self._pending = 0
         self._seg_pc = 0
         self._seg_high = 0
@@ -315,8 +298,8 @@ class _FuncEmitter:
             self._depth_check(d + 1, pc + 1)
         elif op is Op.STORE:
             self.w(f"l{instr.arg} = {top}")
-        elif op is Op.POP:
-            pass
+        elif op is Op.POP or op is Op.JZ or op is Op.JNZ:
+            pass                   # a branch to the next pc only pops
         elif op is Op.DUP:
             self.w(f"{nxt} = {top}")
             self._depth_check(d + 1, pc + 1)
@@ -406,7 +389,7 @@ class _FuncEmitter:
             self._depth_check(d + 1, pc + 1)
         elif op is Op.CALL:
             self._emit_call(pc, instr, d)
-        else:                      # pragma: no cover - control ops
+        else:                      # pragma: no cover - JMP, RET, HALT
             raise AssertionError(f"emit_op got control op {op!r}")
 
     def _emit_call(self, pc: int, instr: Instr, d: int) -> None:
@@ -474,363 +457,129 @@ class _FuncEmitter:
             for line in self.exit:
                 self.w(line)
 
-    def emit_fell_off(self, pc: int) -> None:
-        self.flush()
-        self._raise("'fell off end of code'", pc)
-
     def depth(self, pc: int, default: int) -> int:
         """Depth before ``pc``; ``default`` where ``pc`` is
         unreachable or one past the end."""
         d = self.depth_at[pc] if pc < len(self.depth_at) else None
         return default if d is None else d
 
+    # -- control structure ----------------------------------------------
 
-# -- tier 1: structured control-flow recovery ---------------------------
-
-class _Structurizer(_FuncEmitter):
-    """Recovers ``while``/``if`` structure from the linear layout.
-
-    Assumes the compiler's reducible shapes: back edges only to loop
-    headers, loops properly nested, forward branches forming
-    if/else diamonds or if-joins.  Raises :class:`_Bail` on anything
-    else; the caller falls back to the block machine.
-    """
-
-    def __init__(self, program: Program, fi: int,
-                 found: ProgramFacts,
-                 exit: Optional[List[str]] = None) -> None:
-        super().__init__(program, fi, found, exit)
-        code = self.code
-        n = len(code)
-        self._targets: Set[int] = {t for _, t in self.jumps}
-        back: Dict[int, int] = {}
-        for pc, t in self.jumps:
-            if t <= pc:
-                back[t] = max(back.get(t, 0), pc)
-        #: header -> region end (one past the last back-edge source).
-        self._loops = {h: src + 1 for h, src in back.items()}
-        # Absorb a trailing exit jump: the compiler's for-loops end
-        # with ``JZ header; JMP header+k`` where the JMP targets the
-        # pc right after itself.  Folding that JMP into the region
-        # makes every in-loop jump to it a plain ``break``.
-        for h, e in list(self._loops.items()):
-            if e < n and code[e].op is Op.JMP and code[e].arg == e + 1:
-                self._loops[h] = e + 1
-        regions = sorted((h, e) for h, e in self._loops.items())
-        for i, (h1, e1) in enumerate(regions):
-            for h2, e2 in regions[i + 1:]:
-                if h2 < e1 and e2 > e1:
-                    raise _Bail("loops not properly nested")
-        # No jumps into a loop interior from outside it.
-        for pc, t in self.jumps:
-            for h, e in self._loops.items():
-                if h < t < e and not h <= pc < e:
-                    raise _Bail("jump into loop interior")
-        self._open: List[Tuple[int, int]] = []   # (header, end) stack
-        self._emitted: Set[int] = set()
-        self._dup = 0              # >0 while re-emitting a shared block
-
-    def generate(self) -> None:
+    def generate(self) -> List[str]:
+        """The lines of the function's body."""
         self.new_segment(0, 0)
-        falls = self._emit_seq(0, len(self.code))
-        if falls:
-            self.emit_fell_off(len(self.code))
+        if self._block(self.structure):
+            self.flush()
+            self._raise("'fell off end of code'", len(self.code))
+        return self.lines
 
-    # Returns True when control can fall through past ``end``; False
-    # when every path out of [start, end) transfers elsewhere.
-    def _emit_seq(self, start: int, end: int,
-                  escape: Optional[Tuple[int, int, int]] = None
-                  ) -> bool:
+    def _block(self, block: Block) -> bool:
+        """Render ``block``; returns whether control falls out of it."""
         code = self.code
-        pc = start
-        while pc < end:
-            if pc in self._loops and \
-                    (not self._open or self._open[-1][0] != pc):
-                le = self._loops[pc]
-                if le > end:
-                    raise _Bail("loop region crosses sequence end")
-                self.flush()
-                self.w("while True:")
-                self.indent += 1
-                self._open.append((pc, le))
-                self.new_segment(pc, self.depth(pc, 0))
-                falls = self._emit_seq(pc, le)
-                if falls:
-                    # The body's tail can fall past the region end
-                    # (e.g. a conditional back edge as last op):
-                    # charge its pending ops, then leave the loop.
+        for item in block.items:
+            if item.__class__ is int:
+                instr = code[item]
+                op = instr.op
+                if op is Op.JMP:       # forward, over dead code
+                    self._pending += 1
                     self.flush()
-                    self.w("break")
-                self._open.pop()
-                self.indent -= 1
-                self.new_segment(le, self.depth(le, 0))
-                pc = le
-                continue
-            if pc in self._emitted and not self._dup:
-                raise _Bail("pc emitted twice")
-            if self.depth_at[pc] is None:
-                # Dead code: skippable unless something jumps here
-                # (which would mean our reachability disagrees).
-                if pc in self._targets:
-                    raise _Bail("jump target unreachable in analysis")
-                pc += 1
-                continue
-            if not self._dup:
-                self._emitted.add(pc)
-            instr = code[pc]
-            op = instr.op
-            if op is Op.JMP:
-                pc = self._emit_jmp(pc, instr, end)
-                if pc is None:
-                    return False
-                continue
-            if op in (Op.JZ, Op.JNZ):
-                pc = self._emit_branch(pc, instr, end, escape)
-                if pc is None:
-                    return False
-                continue
-            if op in (Op.RET, Op.HALT):
-                self.emit_return(pc, instr)
-                self._check_dead(pc + 1, end)
-                return False
-            self.emit_op(pc, instr)
-            pc += 1
-        return True
+                    self.new_segment(instr.arg, self.depth(instr.arg, 0))
+                elif op is Op.RET or op is Op.HALT:
+                    self.emit_return(item, instr)
+                else:
+                    self.emit_op(item, instr)
+            elif item.__class__ is Loop:
+                self._loop(item)
+            elif item.__class__ is If:
+                self._if(item)
+            elif item.__class__ is Split:
+                self._split(item)
+            else:
+                self._exit(item)
+        return block.falls
 
-    def _check_dead(self, pc: int, end: int) -> None:
-        """After an unconditional terminator, [pc, end) must be dead
-        code; bail if a live join follows (the structurizer should
-        have consumed it through an if/else)."""
-        while pc < end:
-            if self.depth_at[pc] is not None and \
-                    pc not in self._emitted:
-                if pc in self._targets:
-                    raise _Bail("live join after terminator")
-                raise _Bail("reachable fall-in after terminator")
-            if pc in self._targets and pc not in self._emitted:
-                raise _Bail("dead jump target after terminator")
-            pc += 1
+    def _cond(self, pc: int, taken: bool) -> str:
+        """The test for a JZ/JNZ at ``pc`` being taken (or not)."""
+        jz = self.code[pc].op is Op.JZ
+        return f"s{self.depth_at[pc] - 1} {'==' if jz == taken else '!='} 0"
 
-    def _emit_jmp(self, pc: int, instr: Instr,
-                  end: int) -> Optional[int]:
-        t = instr.arg
-        self._pending += 1
-        if self._open and t in self._open[-1]:
-            self.flush()
-            self.w("continue" if t == self._open[-1][0] else "break")
-            self._check_dead(pc + 1, end)
-            return None
-        if t > pc and t <= end:
-            # Forward skip over dead code only.
-            for q in range(pc + 1, t):
-                if self.depth_at[q] is not None or q in self._targets:
-                    raise _Bail("forward JMP over live code")
-            self.flush()
-            self.new_segment(t, self.depth(t, 0))
-            return t
-        raise _Bail("unstructured JMP")
-
-    def _emit_branch(self, pc: int, instr: Instr, end: int,
-                     escape: Optional[Tuple[int, int, int]] = None
-                     ) -> Optional[int]:
-        code = self.code
-        t = instr.arg
-        d = self.depth_at[pc]
-        cond = f"s{d - 1}"
-        # Fall-through executes when the jump is NOT taken.
-        fall_sym = "!=" if instr.op is Op.JZ else "=="
-        take_sym = "==" if instr.op is Op.JZ else "!="
-        self._pending += 1
-        if escape is not None and t == escape[0]:
-            # Short-circuit boolean chains: several conditional jumps
-            # escape to the same small else-block of an enclosing
-            # if/else (e.g. ``a and b`` pushing 0/1).  Emit a private
-            # copy of that block on the taken arm — op accounting
-            # stays per-path exact — and nest the rest of this branch
-            # under ``else`` so the copy falls straight to the join.
-            es, join, jmp_pc = escape
-            self.flush()
-            self.w(f"if {cond} {take_sym} 0:")
-            self.indent += 1
-            self.new_segment(es, self.depth(es, d - 1))
-            mark = len(self.lines)
-            self._dup += 1
-            falls = self._emit_seq(es, join)
-            self._dup -= 1
-            if falls:
-                self.flush()
-            if len(self.lines) == mark:
-                # An empty else-block (``es == join``): the taken arm
-                # jumps straight to the join.
-                self.w("pass")
-            self.indent -= 1
-            self.w("else:")
-            self.indent += 1
-            self.new_segment(pc + 1, d - 1)
-            falls = self._emit_seq(pc + 1, end, escape)
-            if falls:
-                self._pending += 1     # the enclosing join JMP
-                self.flush()
-            self.indent -= 1
-            return None
-        if self._open and t == self._open[-1][0]:
-            self.flush()
-            self.w(f"if {cond} {take_sym} 0:")
-            self.w("    continue")
-            self.new_segment(pc + 1, d - 1)
-            return pc + 1
-        if self._open and t == self._open[-1][1]:
-            self.flush()
-            self.w(f"if {cond} {take_sym} 0:")
-            self.w("    break")
-            self.new_segment(pc + 1, d - 1)
-            return pc + 1
-        if t <= pc or t > end:
-            raise _Bail("unstructured conditional branch")
-        if t == pc + 1:
-            # Branch to the next instruction: pure pop.
-            return pc + 1
-        # if/else: the then-part ends with a forward JMP to the join.
-        last = code[t - 1]
-        if last.op is Op.JMP and t <= last.arg <= end \
-                and not (self._open and
-                         last.arg in (self._open[-1][0],)):
-            join = last.arg
-            self.flush()
-            self.w(f"if {cond} {fall_sym} 0:")
-            self.indent += 1
-            self.new_segment(pc + 1, d - 1)
-            if not self._dup:
-                self._emitted.add(t - 1)
-            falls = self._emit_seq(pc + 1, t - 1,
-                                   escape=(t, join, t - 1))
-            if falls:
-                # Charge the join JMP where it actually executes —
-                # at the then-branch tail, not hoisted over any
-                # nested loops the branch may contain.
-                self._pending += 1
-                self.flush()
-            self.indent -= 1
-            if join > t:
-                self.w("else:")
-                self.indent += 1
-                self.new_segment(t, self.depth(t, d - 1))
-                falls = self._emit_seq(t, join)
-                if falls:
-                    self.flush()
-                self.indent -= 1
-            self.new_segment(join, self.depth(join, 0))
-            return join
-        # Plain if: [pc+1, t) guarded, join at t.
+    def _loop(self, loop: Loop) -> None:
         self.flush()
-        self.w(f"if {cond} {fall_sym} 0:")
-        self.indent += 1
-        self.new_segment(pc + 1, d - 1)
-        falls = self._emit_seq(pc + 1, t)
-        if falls:
-            self.flush()
-        self.indent -= 1
-        self.new_segment(t, self.depth(t, d - 1))
-        return t
-
-
-# -- tier 2: basic-block machine ----------------------------------------
-
-class _BlockEmitter(_FuncEmitter):
-    """``while``/``elif`` dispatch over basic blocks.
-
-    Fully general (any jump graph with consistent depths); the elif
-    scan costs a few integer compares per transfer, so this tier is
-    slower than structured recovery but still dispatch-free inside
-    blocks.
-    """
-
-    def generate(self) -> None:
-        code = self.code
-        n = len(code)
-        leaders = {0}
-        for pc, t in self.jumps:
-            leaders.add(t)
-            if pc + 1 < n:
-                leaders.add(pc + 1)
-        order = sorted(p for p in leaders if self.depth_at[p] is not None)
-        self.w("_b = 0")
         self.w("while True:")
         self.indent += 1
-        first = True
-        for b in order:
-            self.w(("if" if first else "elif") + f" _b == {b}:")
-            first = False
-            self.indent += 1
-            self.new_segment(b, self.depth_at[b])
-            self._emit_block(b, leaders)
-            self.indent -= 1
-        self.w("else:" if not first else "if True:")
+        self.new_segment(loop.header, self.depth(loop.header, 0))
+        if self._block(loop.body):
+            # The body's tail can fall past the region end (e.g. a
+            # conditional back edge as last op): charge its pending
+            # ops, then leave the loop.
+            self.flush()
+            self.w("break")
+        self.indent -= 1
+        self.new_segment(loop.end, self.depth(loop.end, 0))
+
+    def _exit(self, node: Exit) -> None:
+        self._pending += 1
+        self.flush()
+        if self.code[node.pc].op is Op.JMP:
+            self.w(node.kind)
+            return
+        self.w(f"if {self._cond(node.pc, True)}:")
+        self.w(f"    {node.kind}")
+        self.new_segment(node.pc + 1, self.depth_at[node.pc] - 1)
+
+    def _arm(self, block: Block, pc: int, depth: int,
+             charge: int) -> None:
+        """One indented arm of an ``if``, entered at ``pc``, and the
+        ``charge`` of the jump that ends it when it falls out — charged
+        where it executes, not hoisted over loops the arm contains."""
         self.indent += 1
-        self.new_segment(n, 0)
-        self.emit_fell_off(n)
-        self.indent -= 1
+        self.new_segment(pc, depth)
+        mark = len(self.lines)
+        if self._block(block):
+            self._pending += charge
+            self.flush()
+        if len(self.lines) == mark:
+            self.w("pass")         # an empty arm: a branch to the join
         self.indent -= 1
 
-    def _goto(self, target: int) -> None:
-        self.w(f"_b = {target}")
-        self.w("continue")
+    def _if(self, node: If) -> None:
+        pc = node.pc
+        d = self.depth_at[pc]
+        target = self.code[pc].arg
+        self._pending += 1
+        self.flush()
+        self.w(f"if {self._cond(pc, False)}:")
+        self._arm(node.then, pc + 1, d - 1, int(node.join is not None))
+        if node.orelse is not None:
+            self.w("else:")
+            self._arm(node.orelse, target, self.depth(target, d - 1), 0)
+        if node.join is None:
+            self.new_segment(target, self.depth(target, d - 1))
+        else:
+            self.new_segment(node.join, self.depth(node.join, 0))
 
-    def _emit_block(self, start: int, leaders: Set[int]) -> None:
-        code = self.code
-        pc = start
-        while True:
-            instr = code[pc]
-            op = instr.op
-            if op is Op.JMP:
-                self._pending += 1
-                self.flush()
-                self._goto(instr.arg)
-                return
-            if op in (Op.JZ, Op.JNZ):
-                d = self.depth_at[pc]
-                cond = f"s{d - 1}"
-                sym = "==" if op is Op.JZ else "!="
-                self._pending += 1
-                self.flush()
-                self.w(f"_b = {instr.arg} if {cond} {sym} 0 "
-                       f"else {pc + 1}")
-                self.w("continue")
-                return
-            if op in (Op.RET, Op.HALT):
-                self.emit_return(pc, instr)
-                return
-            self.emit_op(pc, instr)
-            pc += 1
-            if pc in leaders:
-                self.flush()
-                self._goto(pc)
-                return
+    def _split(self, node: Split) -> None:
+        """A copied else-block is rendered again on the taken arm, so
+        op accounting stays exact per path; the fallen arm ends in the
+        then-part's trailing JMP."""
+        pc = node.pc
+        d = self.depth_at[pc]
+        target = self.code[pc].arg
+        self._pending += 1
+        self.flush()
+        self.w(f"if {self._cond(pc, True)}:")
+        self._arm(node.taken, target, self.depth(target, d - 1),
+                  node.charge)
+        self.w("else:")
+        self._arm(node.fallen, pc + 1, d - 1, 1)
 
 
 # -- program compilation ------------------------------------------------
 
-def _emit_body(program: Program, fi: int, found: ProgramFacts,
-               exit: Optional[List[str]] = None
-               ) -> Tuple[str, List[str]]:
-    """(mode, lines) of one function's body, at indent 2: structured
-    where the structurizer can express it, else the block machine."""
-    try:
-        emitter: _FuncEmitter = _Structurizer(program, fi, found, exit)
-        emitter.generate()
-        return MODE_STRUCTURED, emitter.lines
-    except _Bail:
-        emitter = _BlockEmitter(program, fi, found, exit)
-        emitter.generate()
-        return MODE_BLOCKS, emitter.lines
-
-
 def _function_source(program: Program, fi: int, found: ProgramFacts
-                     ) -> Tuple[str, List[str]]:
-    """(mode, lines) of one generated function."""
+                     ) -> List[str]:
+    """The lines of one generated function."""
     fn = program.functions[fi]
-    mode, body = _emit_body(program, fi, found)
-
     params = ["ctx"] + [f"l{k}" for k in range(fn.n_locals)]
     header = [f"def _f{fi}({', '.join(params)}):"]
     prologue = ["    _o = ctx.outer"]
@@ -845,23 +594,18 @@ def _function_source(program: Program, fi: int, found: ProgramFacts
         prologue.append("    L = ctx.lengths")
     if Op.HSTORE in ops_used:
         prologue.append("    W = ctx.wranges")
-    # _FuncEmitter writes at indent 2 (inside "while" for blocks uses
-    # deeper); function bodies start at indent 1 -> dedent once.
-    body = [ln[4:] if ln.startswith("    ") else ln for ln in body]
-    return mode, header + prologue + body
+    return header + prologue + _Emitter(program, fi, found).generate()
 
 
 _STATS = {
     "programs_compiled": 0,
     "plans_compiled": 0,
-    "functions_structured": 0,
-    "functions_blocks": 0,
     "programs_delegated": 0,
 }
 
 
 def stats() -> Dict[str, int]:
-    """Counters describing codegen activity (compiles, tiers)."""
+    """Counters describing codegen activity (compiles, delegations)."""
     return dict(_STATS)
 
 
@@ -877,11 +621,8 @@ def compile_pycode(program: Program) -> Optional[CompiledProgram]:
         _STATS["programs_delegated"] += 1
         return None
     parts: List[str] = []
-    modes: List[str] = []
     for fi in range(len(program.functions)):
-        mode, lines = _function_source(program, fi, found)
-        modes.append(mode)
-        parts.extend(lines)
+        parts.extend(_function_source(program, fi, found))
         parts.append("")
     source = "\n".join(parts)
     ns = {
@@ -892,13 +633,10 @@ def compile_pycode(program: Program) -> Optional[CompiledProgram]:
     }
     exec(compile(source, f"<pycodegen:{program.name}>", "exec"), ns)
     _STATS["programs_compiled"] += 1
-    for mode in modes:
-        key = ("functions_structured" if mode == MODE_STRUCTURED
-               else "functions_blocks")
-        _STATS[key] += 1
     return CompiledProgram(
-        program, tuple(ns[f"_f{fi}"] for fi in range(len(modes))),
-        tuple(modes), source)
+        program,
+        tuple(ns[f"_f{fi}"] for fi in range(len(program.functions))),
+        source)
 
 
 _DELEGATED = object()   # slot value: "this program never compiles"
@@ -1024,8 +762,8 @@ def plan_for(interp, fn):
     (``int()`` and the 64-bit wrap inline) into a Python local, arrays
     laid out on the heap with the stride and heap-limit checks, limits,
     RNG and clock read from ``interp`` on every call, then the entry
-    function's body inlined — emitted by the same :class:`_FuncEmitter`
-    as ``_f0``, with field slots, op count, stack high-water mark,
+    function's body inlined — emitted by the same :class:`_Emitter` as
+    ``_f0``, with field slots, op count, stack high-water mark,
     budget and stack limit as locals of the plan — and at each of its
     exits the function's write lists (``fn.packet_writes`` and its
     siblings: the static write set) written back and ``fn.stats``
@@ -1193,7 +931,7 @@ def _compile_plan(compiled: CompiledProgram, fn) -> tuple:
                  "if _v > _s.max_heap_bytes:",
                  "    _s.max_heap_bytes = _v"]
     tail.append("return _ops")
-    _, inlined = _emit_body(program, 0, found, exit=tail)
+    inlined = _Emitter(program, 0, found, exit=tail).generate()
 
     source = "\n".join(
         ["def _plan(packet, msg, acct):"] +

@@ -8,14 +8,17 @@ action function", Section 3.4.3).  We keep that runtime enforcement and
 obviously malformed bytecode is rejected before it ever reaches the
 data path:
 
-* every opcode is an :class:`~repro.lang.bytecode.Op` and every
-  immediate argument an ``int``;
+* every opcode is an :class:`~repro.lang.bytecode.Op`, every
+  immediate argument an ``int`` and every table entry made of exact
+  ``str``, ``int`` and ``bool`` values;
 * every jump lands inside the function;
 * every field/array/function index is within its table, and every
   frame can hold its arguments;
 * writes (PUTF) only target writable fields;
 * the operand stack is consistent: the same depth at every program
-  point regardless of path, no underflow, and a finite maximum.
+  point regardless of path, no underflow, and a finite maximum;
+* reachable code nests into loops and if/else shapes, so a verified
+  program is a structured one.
 
 The checks are the violation field of :func:`repro.lang.analysis.facts`;
 the generated-code backend compiles a program exactly when it has none.

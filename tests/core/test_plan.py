@@ -21,7 +21,7 @@ from repro.core import Classification, ConcurrencyViolation, Enclave
 from repro.functions.library import DemoPacket, table1
 from repro.lang import (DEFAULT_PACKET_SCHEMA, AccessLevel, Field,
                         FieldKind, InterpreterFault, Lifetime, Op,
-                        pycodegen, schema)
+                        analysis, pycodegen, schema)
 from repro.lang.compiler import compile_action
 
 pytestmark = pytest.mark.differential
@@ -575,19 +575,57 @@ def _record_faults(fn):
     return seen
 
 
-def test_the_sweep_covers_calls_and_both_body_modes():
-    """What the sweep below runs through the inlined body: entries
-    with a CALL (PIAS, SFF) and entries in blocks mode."""
-    modes, callers = {}, set()
+def _shapes(program):
+    """The control shapes the entry function's structure contains:
+    ``"loop tail"`` for a loop that runs past its last back edge into
+    a tail ending in RET, ``"join jump"`` for a branch straight to the
+    join of the if/else around it."""
+    code = program.entry.code
+    facts = analysis.facts(program)
+    depths = facts.depths[0]
+    found = set()
+
+    def walk(block):
+        for item in block.items:
+            if isinstance(item, analysis.Loop):
+                back = max(pc for pc in range(item.header, item.end)
+                           if code[pc].op in (Op.JMP, Op.JZ, Op.JNZ)
+                           and code[pc].arg == item.header)
+                if any(code[pc].op is Op.RET and depths[pc] is not None
+                       for pc in range(back + 1, item.end)):
+                    found.add("loop tail")
+                walk(item.body)
+            elif isinstance(item, analysis.If):
+                walk(item.then)
+                if item.orelse is not None:
+                    walk(item.orelse)
+            elif isinstance(item, analysis.Split):
+                if not item.taken.items:    # the branch skips to the join
+                    found.add("join jump")
+                walk(item.taken)
+                walk(item.fallen)
+
+    walk(facts.structure[0])
+    return found
+
+
+def test_the_sweep_covers_calls_and_both_new_shapes():
+    """What the sweep below runs through the inlined body, all on the
+    one structured emitter: entries with a CALL (PIAS, SFF), a loop
+    whose tail returns after its last back edge (WCMP) and branches
+    straight to an enclosing if/else's join (port knocking, the
+    stateful firewall)."""
+    callers, shapes = set(), {}
     for entry in _demo_entries():
         program = _compile_demo(entry.demo).program
-        modes[program.name] = pycodegen.compile_pycode(program).modes[0]
+        assert pycodegen.compile_pycode(program) is not None, program.name
+        shapes[program.name] = _shapes(program)
         if any(i.op is Op.CALL for i in program.entry.code):
             callers.add(program.name)
     assert {"pias", "sff"} <= callers
-    assert {modes[n] for n in ("port_knock", "wcmp",
-                               "stateful_firewall")} == {"blocks"}
-    assert "structured" in modes.values()
+    assert "loop tail" in shapes["wcmp"]
+    assert "join jump" in shapes["port_knock"]
+    assert "join jump" in shapes["stateful_firewall"]
 
 
 @pytest.mark.parametrize("use_batch", (False, True),

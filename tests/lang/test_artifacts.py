@@ -154,6 +154,32 @@ def test_rejected_bytecode_is_nacked_and_changes_nothing(build, reason):
         VerificationError, name="good_fn")
 
 
+class _Sly(str):
+    """Equal to, and hashing like, the name it wraps."""
+
+    def __repr__(self):
+        return "print('INJECTED') or 'level'"
+
+
+def test_a_table_name_that_writes_its_own_source_is_refused(capsys):
+    """A schema-valid artifact whose global field is named by a ``str``
+    subclass with its own ``__repr__``: a hot function's plan would
+    splice that repr into its source.  The enclave refuses it."""
+    program = _compile().program
+    table = tuple(dataclasses.replace(ref, name=_Sly(ref.name))
+                  if ref.scope == "global" else ref
+                  for ref in program.field_table)
+    rogue = CompiledAction(
+        dataclasses.replace(program, field_table=table),
+        DEFAULT_PACKET_SCHEMA, None, LEVEL_SCHEMA)
+    enclave = Enclave("e")
+    with pytest.raises(VerificationError,
+                       match="name must be of type str, not _Sly"):
+        enclave.install_function(rogue, name="f")
+    assert enclave.functions() == []
+    assert "INJECTED" not in capsys.readouterr().out
+
+
 def _rejected_mutants(count):
     found = []
     for seed in range(40):

@@ -21,8 +21,8 @@ tuples as the differential harness.
 
 import pytest
 
-from repro.lang.bytecode import (Assembler, FieldRef, Op,
-                                 Program)
+from repro.lang.bytecode import (Assembler, FieldRef, FunctionCode,
+                                 Instr, Op, Program)
 from repro.lang.compiler import compile_ast
 
 import program_gen as pg
@@ -117,6 +117,68 @@ class TestStackDepthFaultAtExactLimit:
             "fault", "InterpreterFault",
             f"operand stack of {depth} words exceeds limit "
             f"{depth - 1}")
+
+
+def _shape_program(*listing):
+    """A hand-assembled entry over ``message.counter`` (writable) and
+    ``packet.size``; ``listing`` holds ``(op, arg)`` pairs and ops."""
+    code = tuple(Instr(*item) if isinstance(item, tuple) else Instr(item)
+                 for item in listing)
+    program = Program(
+        name="shape", functions=(FunctionCode("f", 0, 1, code),),
+        field_table=(FieldRef("message", "counter", True),
+                     FieldRef("packet", "size", False)),
+        array_table=())
+    assert pg.warm(program)
+    return program
+
+
+#: A loop whose exit jumps past a tail that returns after its last
+#: back edge: WCMP's weighted search after jump threading.
+RETURNING_LOOP_TAIL = _shape_program(
+    (Op.GETF, 1), (Op.STORE, 0),
+    (Op.LOAD, 0), (Op.CONST, 1), Op.SUB, (Op.STORE, 0),   # 2: header
+    (Op.LOAD, 0), (Op.JZ, 22),                  # the loop's exit
+    (Op.GETF, 0), (Op.LOAD, 0), Op.ADD, (Op.PUTF, 0),
+    (Op.LOAD, 0), (Op.CONST, 2), Op.CGT,
+    (Op.JNZ, 2),                                # last back edge
+    (Op.GETF, 0), (Op.CONST, 100), Op.ADD, (Op.PUTF, 0),  # the tail
+    (Op.CONST, 1), Op.RET,
+    (Op.CONST, 0), Op.RET)                      # 22: the follow
+
+#: Branches straight to the join of the if/else around them: port
+#: knocking's and the stateful firewall's shapes after threading.
+JOIN_JUMPS = _shape_program(
+    (Op.GETF, 1), (Op.JZ, 16),                  # if size:
+    (Op.GETF, 1), (Op.CONST, 3), Op.CLT,
+    (Op.JZ, 22),                                #   straight to the join
+    (Op.GETF, 1), (Op.CONST, 2), Op.CEQ,
+    (Op.JZ, 13),                                #   an if/else whose
+    (Op.CONST, 7), (Op.PUTF, 0),                #   then-part jumps
+    (Op.JMP, 22),                               #   straight to the join
+    (Op.CONST, 8), (Op.PUTF, 0),                # 13
+    (Op.JMP, 22),                               # the then-part's end
+    (Op.CONST, 9), (Op.PUTF, 0),                # 16: else
+    (Op.GETF, 0), (Op.CONST, 1), Op.ADD, (Op.PUTF, 0),
+    (Op.CONST, 0), Op.RET)                      # 22: the join
+
+
+class TestThreadedShapes:
+    """The two shapes jump threading leaves in Table-1 programs run on
+    the structured emitter exactly like the tree walk: every input
+    path, under every op budget up to the run's need."""
+
+    @pytest.mark.parametrize("program", (RETURNING_LOOP_TAIL, JOIN_JUMPS),
+                             ids=("returning loop tail", "join jumps"))
+    def test_every_path_and_budget_agrees(self, program):
+        for size in range(-1, 7):
+            fvec = [10, size]
+            total = pg.run_interp(program, fvec, [], "tree")[4][0]
+            for budget in range(1, total + 2):
+                runs = {d: pg.run_interp(program, fvec, [], d,
+                                         op_budget=budget)
+                        for d in DISPATCHES}
+                assert runs["pycodegen"] == runs["tree"], (size, budget)
 
 
 def _readonly_putf_program():

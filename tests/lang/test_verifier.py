@@ -156,6 +156,125 @@ class TestOnlyVerificationErrorEscapes:
             verify(make_program(code, functions_extra=(helper,)))
 
 
+def _ops(*listing):
+    """``Instr``s from ``(op, arg)`` pairs and bare ops."""
+    return [Instr(*item) if isinstance(item, tuple) else Instr(item)
+            for item in listing]
+
+
+class TestControlStructure:
+    """Reachable code nests into loops and if/else shapes or it is a
+    violation, so a verified function is one generated code can write
+    as ``while``/``if``.  Each function below once ran on a
+    basic-block dispatch loop instead."""
+
+    def test_improperly_nested_loops_rejected(self):
+        code = _ops((Op.CONST, 3), (Op.STORE, 0),
+                    (Op.LOAD, 0),                  # 2: loop A
+                    (Op.CONST, 1), Op.SUB, (Op.STORE, 0),
+                    (Op.LOAD, 0),                  # 6: loop B
+                    (Op.CONST, 2), Op.CGT,
+                    (Op.JNZ, 2),                   # A's back edge
+                    (Op.LOAD, 0),
+                    (Op.JNZ, 6),                   # B's, after A ends
+                    (Op.CONST, 0), Op.RET)
+        with pytest.raises(VerificationError,
+                           match="loop 6-12 crosses the end 10 of the "
+                                 "block around it") as err:
+            verify(make_program(code))
+        assert err.value.pc == 6
+
+    def test_branch_into_a_loop_interior_rejected(self):
+        code = _ops((Op.CONST, 3), (Op.STORE, 0),
+                    (Op.LOAD, 1), (Op.JNZ, 6),     # past the header
+                    (Op.LOAD, 0), (Op.STORE, 1),   # 4: header
+                    (Op.LOAD, 0), (Op.CONST, 1), Op.SUB, Op.DUP,
+                    (Op.STORE, 0), (Op.JNZ, 4),
+                    (Op.CONST, 0), Op.RET)
+        with pytest.raises(VerificationError,
+                           match="loop 4-12 crosses the end 6"):
+            verify(make_program(code))
+
+    def test_forward_jump_over_live_code_rejected(self):
+        code = _ops((Op.CONST, 3), (Op.STORE, 0),
+                    (Op.JMP, 5),                   # into the body
+                    (Op.LOAD, 0), (Op.STORE, 1),   # 3: header
+                    (Op.LOAD, 0), (Op.CONST, 1), Op.SUB, Op.DUP,
+                    (Op.STORE, 0), (Op.JNZ, 3),
+                    (Op.CONST, 0), Op.RET)
+        with pytest.raises(VerificationError,
+                           match="JMP 5 skips reachable code at 3"):
+            verify(make_program(code))
+
+    @pytest.mark.parametrize("branch", (Op.JMP, Op.JZ),
+                             ids=("JMP", "JZ"))
+    def test_continue_of_an_outer_loop_from_an_inner_one_rejected(
+            self, branch):
+        """A two-level ``continue``: what jump threading makes of an
+        inner loop's exit straight into the outer loop's back edge."""
+        inner = [(Op.LOAD, 1), (Op.JZ, 11), (Op.JMP, 2)] \
+            if branch is Op.JMP else [(Op.LOAD, 1), (Op.JZ, 2)]
+        done = 8 + len(inner) + 3
+        code = _ops((Op.CONST, 3), (Op.STORE, 0),
+                    (Op.LOAD, 0), (Op.JZ, done),   # 2: outer loop
+                    (Op.LOAD, 0), (Op.CONST, 1), Op.SUB, (Op.STORE, 0),
+                    *inner,                        # 8: inner loop
+                    (Op.LOAD, 1), (Op.JNZ, 8),
+                    (Op.JMP, 2),
+                    (Op.CONST, 0), Op.RET)
+        with pytest.raises(VerificationError,
+                           match=f"{branch.name} 2 is neither a loop "
+                                 f"exit nor a jump forward"):
+            verify(make_program(code))
+
+    def test_code_entered_only_after_a_return_rejected(self):
+        code = _ops((Op.CONST, 1), (Op.JZ, 6),
+                    (Op.CONST, 0), Op.RET,
+                    (Op.LOAD, 0), (Op.STORE, 0),   # 4: header, from 8
+                    (Op.LOAD, 0), (Op.JZ, 9),
+                    (Op.JMP, 4),
+                    (Op.CONST, 0), Op.RET)
+        with pytest.raises(VerificationError,
+                           match="reachable code after the end of its "
+                                 "block") as err:
+            verify(make_program(code))
+        assert err.value.pc == 4
+
+
+class _Sly(str):
+    def __repr__(self):
+        return "print('INJECTED') or 'priority'"
+
+
+class _Wide(int):
+    def __format__(self, spec):
+        return "1) or print('INJECTED') or (1"
+
+
+class TestTableEntriesAreExactBuiltins:
+    """Generated code splices names and strides into Python source, so
+    a table entry made of a ``str`` or ``int`` subclass is refused."""
+
+    @pytest.mark.parametrize("fields, arrays, reason", [
+        ((FieldRef("packet", _Sly("priority"), True),), ARRAYS,
+         "field table entry 0: name must be of type str, not _Sly"),
+        ((FieldRef(_Sly("packet"), "priority", True),), ARRAYS,
+         "field table entry 0: scope must be of type str, not _Sly"),
+        ((FieldRef("packet", "priority", 1),), ARRAYS,
+         "field table entry 0: writable must be of type bool, not int"),
+        (FIELDS, (ArrayRef("global", "weights", _Wide(1), False),),
+         "array table entry 0: stride must be of type int, not _Wide"),
+        (FIELDS, (ArrayRef("global", "weights", True, False),),
+         "array table entry 0: stride must be of type int, not bool"),
+    ], ids=("name", "scope", "writable", "stride", "bool stride"))
+    def test_subclass_refused(self, fields, arrays, reason):
+        program = Program(name="p", functions=make_program(
+            [Instr(Op.CONST, 1), Instr(Op.RET)]).functions,
+            field_table=fields, array_table=arrays)
+        with pytest.raises(VerificationError, match=reason):
+            verify(program)
+
+
 class TestCompilerOutputAlwaysVerifies:
     SOURCES = [
         "def f(packet):\n    packet.priority = 1\n",
