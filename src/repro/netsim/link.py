@@ -10,6 +10,10 @@ the attached link's rate and propagation delay.
 Transmission is serialized: while a packet is on the wire the port is
 busy; when it goes idle the highest-priority head-of-line packet is
 transmitted next.
+
+A transmission posts its arrival at the peer and draws the key of its
+end (:meth:`Simulator.draw`): the port is busy until the loop passes
+that key, and files ``_tx_done`` there only if a packet waits.
 """
 
 from __future__ import annotations
@@ -63,7 +67,10 @@ class Port:
         #: The same queues in service order, highest priority first.
         self._by_service = self._queues[::-1]
         self._queued_bytes = 0
-        self._busy = False
+        self._waiting = 0                   # packets in the queues
+        self._tx_end = (-1, -1)             # key of the last one's end
+        self._filed = False                 # whether _tx_done is there
+        sim.holders.append(lambda: self._tx_end)
         self.failed = False
         self.stats = PortStats()
 
@@ -87,6 +94,7 @@ class Port:
                 if lat is not None:
                     lat.packet_dropped(packet.packet_id)
                 dropped += 1
+        self._waiting = 0
         return dropped
 
     def repair(self) -> None:
@@ -109,7 +117,8 @@ class Port:
         # Dwell-time instrumentation (repro.latency): sim.latency is
         # None unless a run bound a LatencyCollector, so the disabled
         # path costs one attribute load + comparison per packet.
-        lat = self.sim.latency
+        sim = self.sim
+        lat = sim.latency
         if self.failed:
             self.stats.failed_drops += 1
             if lat is not None:
@@ -127,31 +136,38 @@ class Port:
                 queued >= self.ecn_threshold_bytes:
             packet.ecn = 1
             self.stats.ecn_marks += 1
+        if lat is not None:
+            lat.port_enqueued(packet.packet_id, sim.now)
+        if self._tx_end <= sim._passed:   # idle: straight onto the wire
+            self._transmit(packet)
+            return True
         prio = packet.priority
         if not 0 <= prio < NUM_PRIORITIES:
             prio = 0 if prio < 0 else NUM_PRIORITIES - 1
         self._queues[prio].append(packet)
         self._queued_bytes = queued + size
-        if lat is not None:
-            lat.port_enqueued(packet.packet_id, self.sim.now)
-        if not self._busy:
-            self._tx_done()
+        self._waiting += 1
+        if not self._filed:
+            self._filed = True
+            sim.file(self._tx_end, self._tx_done)
         return True
 
     def _tx_done(self) -> None:
-        """Put the next queued packet on the wire, or go idle.  Fires
-        when a transmission ends; ``enqueue`` calls it on an idle
-        port."""
+        """The filed end of a transmission: put the next queued packet
+        on the wire (the queue is empty only if :meth:`fail` ran)."""
+        self._filed = False
         for queue in self._by_service:
             if queue:
                 packet = queue.popleft()
                 break
         else:
-            self._busy = False
             return
-        self._busy = True
+        self._queued_bytes -= packet.size
+        self._waiting -= 1
+        self._transmit(packet)
+
+    def _transmit(self, packet: Packet) -> None:
         size = packet.size
-        self._queued_bytes -= size
         tx_ns = size * 8 * SEC // self.rate_bps
         stats = self.stats
         stats.tx_packets += 1
@@ -162,8 +178,11 @@ class Port:
         if lat is not None:
             lat.port_tx_start(packet.packet_id, sim.now, tx_ns,
                               self.prop_delay_ns)
-        sim.schedule(tx_ns + self.prop_delay_ns, self._deliver, packet)
-        sim.schedule(tx_ns, self._tx_done)
+        sim.post(tx_ns + self.prop_delay_ns, self._deliver, packet)
+        self._tx_end = sim.draw(tx_ns)
+        if self._waiting:
+            self._filed = True
+            sim.file(self._tx_end, self._tx_done)
 
     def _deliver(self, packet: Packet) -> None:
         packet.hop_count += 1

@@ -5,8 +5,10 @@ same instant fire in scheduling order (a monotonically increasing
 sequence number breaks ties), which makes every run bit-for-bit
 reproducible for a given seed.
 
-The heap holds ``(time, seq, event)`` tuples.  ``seq`` is unique, so
-heap operations compare ints in C and never reach the event.
+The heap holds ``(time, seq, event)`` tuples, and ``(time, seq,
+callback, args)`` for :meth:`post` and :meth:`file`, whose events
+nobody cancels and which carry no :class:`Event`.  ``seq`` is unique,
+so heap operations compare ints in C and never reach the third item.
 Cancelling marks the event and leaves its entry in the heap as a
 tombstone that the loop drops when it surfaces.
 
@@ -20,12 +22,16 @@ counting as an event.  A timer re-armed on every ACK therefore costs
 a heap push only when its old deadline actually passes.  Fire order,
 ``events_processed``, ``pending`` and ``next_event_time()`` are the
 same as with cancel + schedule.
+
+:meth:`draw` takes the key ``schedule`` would and pushes nothing; the
+slot fires only if filed before the loop passes it (``key <=
+_passed``), and an empty one moves no clock and is never pending — but
+a cut run stops the clock short of one that :attr:`holders` report.
 """
 
 from __future__ import annotations
 
 import heapq
-import itertools
 import random
 from typing import Callable, List, Optional, Tuple
 
@@ -92,9 +98,15 @@ class Simulator:
     def __init__(self, seed: int = 0) -> None:
         self.now: int = 0
         self.rng = random.Random(seed)
-        self._heap: List[Tuple[int, int, Event]] = []
-        self._seq = itertools.count()
+        self._heap: List[tuple] = []
+        self._seq = 0                  # the next sequence number
         self._live = 0
+        #: Keys up to this have passed: the entry firing (or last fired)
+        #: or, after a run, ``(now, last seq drawn)``.
+        self._passed: tuple = (0, -1)
+        #: Callables that return a key their owner drew and may still
+        #: file: a cut run stops the clock short of it.
+        self.holders: List[Callable[[], Tuple[int, int]]] = []
         self.events_processed = 0
         # Bound lazily (bind_telemetry) to avoid importing telemetry
         # nulls here; run() checks for None instead.
@@ -121,16 +133,40 @@ class Simulator:
     def schedule(self, delay_ns: int, callback: Callable,
                  *args) -> Event:
         """Schedule ``callback(*args)`` to run ``delay_ns`` from now."""
-        if delay_ns < 0:
-            raise SimulationError(
-                f"cannot schedule {delay_ns} ns in the past")
-        time = self.now + delay_ns
-        seq = next(self._seq)
+        time, seq = self.draw(delay_ns)
         event = Event(time, seq, callback, args, self)
         event._entry = entry = (time, seq, event)
         _heappush(self._heap, entry)
         self._live += 1
         return event
+
+    def post(self, delay_ns: int, callback: Callable, *args) -> None:
+        """:meth:`schedule` an event that nobody will cancel or move."""
+        if delay_ns < 0:
+            raise SimulationError(
+                f"cannot schedule {delay_ns} ns in the past")
+        seq = self._seq
+        self._seq = seq + 1
+        _heappush(self._heap, (self.now + delay_ns, seq, callback, args))
+        self._live += 1
+
+    def draw(self, delay_ns: int) -> Tuple[int, int]:
+        """The key an event scheduled ``delay_ns`` from now would get;
+        nothing fires there unless a callback is filed there."""
+        if delay_ns < 0:
+            raise SimulationError(
+                f"cannot schedule {delay_ns} ns in the past")
+        seq = self._seq
+        self._seq = seq + 1
+        return (self.now + delay_ns, seq)
+
+    def file(self, key: Tuple[int, int], callback: Callable,
+             *args) -> None:
+        """:meth:`post` at a drawn key, once and before it passes."""
+        if key <= self._passed:
+            raise SimulationError(f"cannot file passed key {key}")
+        _heappush(self._heap, (key[0], key[1], callback, args))
+        self._live += 1
 
     def at(self, time_ns: int, callback: Callable, *args) -> Event:
         """Schedule ``callback`` at an absolute simulation time."""
@@ -149,7 +185,8 @@ class Simulator:
             raise SimulationError(
                 f"cannot schedule {delay_ns} ns in the past")
         time = self.now + delay_ns
-        seq = next(self._seq)
+        seq = self._seq
+        self._seq = seq + 1
         if event._owner is None:
             event.cancelled = False
             event._owner = self
@@ -169,40 +206,54 @@ class Simulator:
         """Run until the heap drains, ``until_ns`` passes, or
         ``max_events`` fire.  Returns the number of events processed.
 
-        The clock ends at ``until_ns`` only if no live event is left
-        at or before it; a run cut short by ``max_events`` leaves the
-        clock at the last event fired, so the next run resumes there.
+        The clock ends at ``until_ns`` only if no live event (or held
+        key) is left at or before it; a run cut short by ``max_events``
+        leaves the clock at the last event fired, so the next run
+        resumes there.
         """
         heap = self._heap
         heappop = _heappop
+        until = 1 << 63 if until_ns is None else until_ns
         stop_at = -1 if max_events is None else max(max_events, 0)
         processed = 0
         while heap:
             if processed == stop_at:
                 break
-            entry = heap[0]
-            time, seq, event = entry
-            if until_ns is not None and time > until_ns:
+            entry = heappop(heap)
+            time = entry[0]
+            if time > until:
+                _heappush(heap, entry)
                 break
-            heappop(heap)
-            if event.seq != seq or event.cancelled:
-                self._settle(entry)
-                continue
+            callback = entry[2]
+            if callback.__class__ is Event:
+                event = callback
+                if event.seq != entry[1] or event.cancelled:
+                    self._settle(entry)
+                    continue
+                event._owner = None
+                event._entry = None
+                callback, args = event.callback, event.args
+            else:
+                args = entry[3]
             if time < self.now:
                 raise SimulationError("event time went backwards")
             self.now = time
+            self._passed = entry
             self._live -= 1
-            event._owner = None
-            event._entry = None
-            event.callback(*event.args)
+            callback(*args)
             processed += 1
-        if until_ns is not None and self.now < until_ns:
-            if processed != stop_at:
+        if processed != stop_at:
+            if until_ns is not None and self.now < until_ns:
                 self.now = until_ns
-            else:
-                upcoming = self.next_event_time()
-                if upcoming is None or upcoming > until_ns:
-                    self.now = until_ns
+            if until_ns is None or self.now == until_ns:
+                self._passed = (self.now, self._seq - 1)
+        elif until_ns is not None and self.now < until_ns:
+            upcoming = self.next_event_time()
+            if (upcoming is None or upcoming > until_ns) and not any(
+                    self._passed < key and key[0] <= until_ns
+                    for key in [drawn() for drawn in self.holders]):
+                self.now = until_ns
+                self._passed = (until_ns, self._seq - 1)
         self.events_processed += processed
         if self._m_events is not None:
             self._m_events.inc(processed)
@@ -228,7 +279,8 @@ class Simulator:
         while heap:
             entry = heap[0]
             event = entry[2]
-            if event.seq == entry[1] and not event.cancelled:
+            if event.__class__ is not Event or \
+                    event.seq == entry[1] and not event.cancelled:
                 return entry[0]
             _heappop(heap)
             self._settle(entry)

@@ -203,8 +203,7 @@ class HostStack:
         if emit_at < self._last_emit_at:
             emit_at = self._last_emit_at
         self._last_emit_at = emit_at
-        self.sim.schedule(emit_at - now, self.rate_limiters.submit,
-                          packet)
+        self.sim.post(emit_at - now, self.rate_limiters.submit, packet)
         return emit_at
 
     def _flush_tx(self) -> None:
