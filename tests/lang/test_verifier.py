@@ -298,3 +298,68 @@ class TestCompilerOutputAlwaysVerifies:
     def test_verifies(self, source):
         h = Harness(source)  # Harness calls verify()
         assert h.program is not None
+
+
+def _chain_source(terms):
+    test = " or ".join(f"packet.src_port == {i}" for i in range(terms))
+    return f"def chain(packet):\n    if {test}:\n        packet.priority = 1\n"
+
+
+def _loops_source(depth):
+    lines = ["def nest(packet):", "    x = 0"]
+    for level in range(depth):
+        lines.append("    " * (level + 1) + f"for i{level} in range(1):")
+    lines.append("    " * (depth + 1) + "x = x + 1")
+    lines.append("    packet.priority = x")
+    return "\n".join(lines) + "\n"
+
+
+class _Packet:
+    def __init__(self, src_port):
+        self.src_ip, self.dst_ip = 1, 2
+        self.src_port, self.dst_port, self.proto = src_port, 80, 6
+        self.size = 1500
+        self.priority = self.path_id = self.drop = 0
+        self.to_controller = self.queue_id = self.charge = 0
+        self.ecn = self.tenant = 0
+
+
+class TestNestingBounds:
+    """CPython compiles at most 100 levels of indentation and 20
+    nested blocks, and generated code nests one level per loop body
+    and per arm of an if (each short-circuit ``or`` opens one more).
+    A deeper function is refused at install; it used to install and
+    then raise ``IndentationError`` or ``SyntaxError`` out of
+    ``process_packet`` once it turned hot."""
+
+    @pytest.mark.parametrize("source, reason", [
+        (_chain_source(120),
+         "control structure nests 91 levels deep; at most 90 compile"),
+        (_loops_source(19), "loops nest 19 deep; at most 18 compile"),
+    ], ids=("120-term or chain", "19 nested loops"))
+    def test_refused_at_install(self, source, reason):
+        from repro.core import Enclave
+        with pytest.raises(VerificationError, match=reason):
+            Enclave().install_function(source)
+
+    @pytest.mark.parametrize("source", [_chain_source(90),
+                                        _loops_source(18)],
+                             ids=("90-term or chain", "18 nested loops"))
+    def test_just_under_the_bound_runs_hot_like_the_tree_walk(
+            self, source):
+        from repro.core import Enclave
+        from repro.lang import pycodegen
+        enclaves = {}
+        for backend in ("interpreter", "tree"):
+            enclave = enclaves[backend] = Enclave()
+            enclave.install_function(source, name="f", backend=backend)
+            enclave.install_rule("*", "f")
+        plans = pycodegen.stats()["plans_compiled"]
+        for port in range(0, 120, 3):
+            got = []
+            for enclave in enclaves.values():
+                packet = _Packet(port)
+                enclave.process_packet(packet)
+                got.append(packet.priority)
+            assert got[0] == got[1], port
+        assert pycodegen.stats()["plans_compiled"] == plans + 1
