@@ -30,8 +30,27 @@ class StateError(Exception):
     """A state operation violated the schema or store invariants."""
 
 
-ArrayValue = List[int]
-ScalarOrArray = Union[int, ArrayValue]
+class ArrayValue(list):
+    """A global array as :class:`GlobalStore` holds and hands it out: a
+    list that refuses in-place change.  What a reader holds (the
+    generic tier, a binder, the controller) is what the store holds
+    until a store write replaces it, so the heap image a hot plan
+    binds (:meth:`GlobalStore.heap_image`) cannot go stale behind the
+    store's back."""
+
+    __slots__ = ()
+
+    def _refuse(self, *args, **kwargs):
+        raise TypeError("a global array is read-only; write it through "
+                        "its GlobalStore")
+
+    __setitem__ = __delitem__ = __iadd__ = __imul__ = _refuse
+    append = extend = insert = pop = remove = clear = _refuse
+    sort = reverse = _refuse
+
+
+_NO_ARRAY = ArrayValue()
+ScalarOrArray = Union[int, List[int]]
 
 
 class GlobalStore:
@@ -43,6 +62,11 @@ class GlobalStore:
     also be *keyed*: a dict of key -> array, resolved per packet by the
     field's ``binder`` — this is how WCMP's ``pathMatrix[src, dst]`` is
     expressed.
+
+    Every array is an :class:`ArrayValue`: a write replaces it whole,
+    and none changes in place.  A hot function that only reads
+    arrays binds a heap image of them (:meth:`heap_image`) that every
+    array write drops.
     """
 
     def __init__(self, schema: Schema) -> None:
@@ -50,9 +74,10 @@ class GlobalStore:
         self._scalars: Dict[str, int] = {}
         self._arrays: Dict[str, ArrayValue] = {}
         self._keyed: Dict[str, Dict[tuple, ArrayValue]] = {}
+        self._images: Dict[Tuple[str, ...], tuple] = {}
         for f in schema.fields:
             if f.is_array:
-                self._arrays[f.name] = []
+                self._arrays[f.name] = _NO_ARRAY
             else:
                 self._scalars[f.name] = f.default
 
@@ -69,12 +94,13 @@ class GlobalStore:
         f = self.schema.field_named(name)
         if not f.is_array:
             raise StateError(f"{name} is a scalar; use set_scalar")
-        flat = [wrap64(v) for v in values]
+        flat = ArrayValue(wrap64(v) for v in values)
         if len(flat) % f.stride:
             raise StateError(
                 f"{name}: {len(flat)} values is not a multiple of "
                 f"stride {f.stride}")
         self._arrays[name] = flat
+        self._images.clear()
 
     def set_records(self, name: str,
                     records: Iterable[Sequence[int]]) -> None:
@@ -89,7 +115,8 @@ class GlobalStore:
                     f"{name}: record {rec!r} has {len(rec)} members, "
                     f"expected {f.stride}")
             flat.extend(wrap64(v) for v in rec)
-        self._arrays[name] = flat
+        self._arrays[name] = ArrayValue(flat)
+        self._images.clear()
 
     def set_keyed_array(self, name: str, key: tuple,
                         values: Sequence[int]) -> None:
@@ -97,12 +124,13 @@ class GlobalStore:
         f = self.schema.field_named(name)
         if not f.is_array:
             raise StateError(f"{name} is a scalar")
-        flat = [wrap64(v) for v in values]
+        flat = ArrayValue(wrap64(v) for v in values)
         if len(flat) % f.stride:
             raise StateError(
                 f"{name}: {len(flat)} values is not a multiple of "
                 f"stride {f.stride}")
         self._keyed.setdefault(name, {})[key] = flat
+        self._images.clear()
 
     # -- runtime reads/writes ----------------------------------------------
 
@@ -115,14 +143,39 @@ class GlobalStore:
     def keyed_array(self, name: str, key: tuple) -> ArrayValue:
         keyed = self._keyed.get(name)
         if keyed is None or key not in keyed:
-            return []
+            return _NO_ARRAY
         return keyed[key]
+
+    def heap_image(self, names: Tuple[str, ...]
+                   ) -> Tuple[List[int], Tuple[int, ...],
+                              Tuple[int, ...]]:
+        """``(heap, bases, words)``: the arrays ``names`` wrapped and
+        laid end to end, the base and the word count of each.
+
+        A hot plan reads this heap instead of copying the arrays per
+        packet when its function neither writes nor binds any of them
+        (``pycodegen.plan_for``).  Built on the first read after an
+        array write and kept until the next one: every array writer
+        here drops it.  A reader must not write into the heap.
+        """
+        image = self._images.get(names)
+        if image is None:
+            heap: List[int] = []
+            bases = []
+            for name in names:
+                bases.append(len(heap))
+                heap.extend(wrap64(v) for v in self._arrays[name])
+            image = self._images[names] = (
+                heap, tuple(bases),
+                tuple(len(self._arrays[name]) for name in names))
+        return image
 
     def commit_scalar(self, name: str, value: int) -> None:
         self._scalars[name] = wrap64(value)
 
     def commit_array(self, name: str, values: List[int]) -> None:
-        self._arrays[name] = list(values)
+        self._arrays[name] = ArrayValue(values)
+        self._images.clear()
 
     def snapshot(self) -> Dict[str, ScalarOrArray]:
         """A read-only copy of all state (for the controller's queries)."""

@@ -759,9 +759,9 @@ def plan_for(interp, fn):
     ``plan(packet, msg_entry, acct)`` is ``fn.run_packet``'s generic
     tier as one generated frame: each field-table slot read straight
     from the packet / ``msg_entry.values`` / ``fn.global_store``
-    (``int()`` and the 64-bit wrap inline) into a Python local, arrays
-    laid out on the heap with the stride and heap-limit checks, limits,
-    RNG and clock read from ``interp`` on every call, then the entry
+    (``int()`` and the 64-bit wrap inline) into a Python local, the
+    heap with the stride and heap-limit checks, limits, RNG and clock
+    read from ``interp`` on every call, then the entry
     function's body inlined — emitted by the same :class:`_Emitter` as
     ``_f0``, with field slots, op count, stack high-water mark,
     budget and stack limit as locals of the plan — and at each of its
@@ -771,6 +771,14 @@ def plan_for(interp, fn):
     :class:`InterpreterFault` out before anything is written.  Callees
     stay ``_fN(ctx, ...)``: around a CALL the plan hands them the op
     count and high-water mark on its context and takes them back.
+
+    The heap is the image ``fn.global_store.heap_image`` keeps when
+    no array of the program is writable or has a binder: only a store
+    write changes those arrays, and the plan cannot write the image
+    (its writable regions are empty).  Otherwise the plan copies the
+    arrays onto a fresh heap per packet, as the generic tier does:
+    the function writes that heap back, or a binder picks the array
+    per packet.
 
     A cold program is only peeked at, never counted: the generic tier
     runs it through :meth:`CodegenRunner.run`, which asks
@@ -837,21 +845,35 @@ def _compile_plan(compiled: CompiledProgram, fn) -> tuple:
             else:
                 expr = f"_g.scalar({ref.name!r})"
         head += _wrap_lines(f"f{i}", expr)
+    # Arrays the function neither writes nor binds per packet are read
+    # from the store's heap image, which only a store write changes;
+    # any other array is read and copied onto a fresh heap per packet.
+    bound = bool(program.array_table) and not any(
+        ref.writable or
+        fn.global_schema.field_named(ref.name).binder is not None
+        for ref in program.array_table)
     for i, ref in enumerate(program.array_table):
         binder = fn.global_schema.field_named(ref.name).binder
         if binder is not None:
             ns[f"_ab{i}"] = binder
             head.append(f"a{i} = list(_ab{i}(packet, _g))")
-        else:
+        elif not bound:
             head.append(f"a{i} = _g.array({ref.name!r})")
 
     # What the generic tier does inside ``execute``: heap layout,
     # limits, frame set-up, the body.
     body: List[str] = []
     if program.array_table:
-        body.append("H = []")
+        n = len(program.array_table)
+        if bound:
+            ns["_K"] = tuple(ref.name for ref in program.array_table)
+            body.append("H, B, (%s,) = _g.heap_image(_K)" % ", ".join(
+                f"n{i}" for i in range(n)))
+        else:
+            body.append("H = []")
         for i, ref in enumerate(program.array_table):
-            body.append(f"n{i} = len(a{i})")
+            if not bound:
+                body.append(f"n{i} = len(a{i})")
             if ref.stride != 1:
                 what = f"array {ref.scope}.{ref.name}: length "
                 body += [
@@ -859,16 +881,19 @@ def _compile_plan(compiled: CompiledProgram, fn) -> tuple:
                     f"    raise InterpreterFault({what!r} + str(n{i}) "
                     f"+ ' not a multiple of stride {ref.stride}', "
                     f"_NAME)"]
-            body += [
-                f"b{i} = len(H)",
-                f"H += [_w - {_CARRY} if (_w := _x & {INT_MASK}) > "
-                f"{INT_MAX} else _w for _x in a{i}]"]
-        n = len(program.array_table)
+            if not bound:
+                body += [
+                    f"b{i} = len(H)",
+                    f"H += [_w - {_CARRY} if (_w := _x & {INT_MASK}) > "
+                    f"{INT_MAX} else _w for _x in a{i}]"]
         body += [
             "if len(H) > _interp.max_heap_words:",
             "    raise InterpreterFault('heap of %d words exceeds "
-            "limit %d' % (len(H), _interp.max_heap_words), _NAME)",
-            "B = (%s,)" % ", ".join(f"b{i}" for i in range(n)),
+            "limit %d' % (len(H), _interp.max_heap_words), _NAME)"]
+        if not bound:
+            body.append(
+                "B = (%s,)" % ", ".join(f"b{i}" for i in range(n)))
+        body += [
             "L = (%s,)" % ", ".join(
                 f"n{i} // {ref.stride}"
                 for i, ref in enumerate(program.array_table)),

@@ -143,9 +143,9 @@ class TcpConnection:
         #: Bytes the blocks hold, unclipped (see _sacked_bytes).
         self._sacked_total = 0
         self._rtx_this_recovery: set = set()
-        #: (snd_una, seq) where this recovery's last hole walk stopped:
-        #: every segment between the two is SACKed or retransmitted.
-        self._sack_walked: Optional[Tuple[int, int]] = None
+        #: Seq where this recovery's last hole walk stopped: every
+        #: segment below it is SACKed or retransmitted.
+        self._sack_walked = 0
         self.srtt: Optional[int] = None
         self.rttvar = 0
         #: Per-connection RTO floor; raise it for connections shaped
@@ -435,7 +435,7 @@ class TcpConnection:
         self.in_fast_recovery = True
         self.cwnd = self.ssthresh + self.dup_thresh * MSS
         self._rtx_this_recovery.clear()
-        self._sack_walked = None
+        self._sack_walked = 0
         self._retransmit_one(self.snd_una)
         self._rtx_this_recovery.add(self.snd_una)
         self._sack_retransmit()
@@ -672,9 +672,11 @@ class TcpConnection:
         The walk visits segments in seq order from ``snd_una`` but
         jumps over each run of segments a SACK block holds whole, so
         it costs O(hole segments + blocks), not O(window).  Within one
-        recovery a segment once SACKed or retransmitted stays skipped,
-        so while ``snd_una`` stands still the walk resumes where the
-        previous one stopped.
+        recovery a segment once SACKed or retransmitted stays skipped
+        (the receiver never reneges, and only a new recovery clears
+        the retransmit marks), so the walk resumes where the previous
+        one stopped, or at ``snd_una`` once a partial ACK passed that:
+        each segment is visited at most once per recovery.
         """
         if not self.in_fast_recovery:
             return
@@ -686,9 +688,8 @@ class TcpConnection:
         high_sacked = sacked[-1][1] if sacked else 0
         lost_below = high_sacked - (self.dup_thresh - 1) * MSS
         seq = self.snd_una
-        walked = self._sack_walked
-        if walked is not None and walked[0] == seq:
-            seq = walked[1]
+        if self._sack_walked > seq:
+            seq = self._sack_walked
         limit = min(self.recover, self.snd_nxt, lost_below)
         starts = self._sack_starts
         # sacked[after - 1] is the last block starting at or before seq.
@@ -725,7 +726,7 @@ class TcpConnection:
                 self._retransmit_segment(seq, length, is_fin, record)
                 budget -= max(length, 1)
             seq += span
-        self._sack_walked = (self.snd_una, seq)
+        self._sack_walked = seq
         if budget > 0:
             self._try_send()
 

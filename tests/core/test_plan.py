@@ -18,6 +18,7 @@ import weakref
 import pytest
 
 from repro.core import Classification, ConcurrencyViolation, Enclave
+from repro.functions import ddos, pias, qos
 from repro.functions.library import DemoPacket, table1
 from repro.lang import (DEFAULT_PACKET_SCHEMA, AccessLevel, Field,
                         FieldKind, InterpreterFault, Lifetime, Op,
@@ -257,6 +258,242 @@ def test_plan_follows_a_swapped_rng_and_clock():
     assert hot == run("tree")
     assert hot[0] == 123456 % 8
     assert hot[2] != random.Random(99).getstate()
+
+
+# -- read-only arrays: the heap image the store keeps ------------------
+
+def _plan_source(enclave, fn):
+    return pycodegen.plan_for(enclave.interpreter, fn).source
+
+
+def _takes_bound_image(source):
+    """Whether a plan binds the store's heap image (the arrays are read
+    only) or copies every array onto a fresh heap per packet."""
+    bound = "_g.heap_image(_K)" in source
+    assert bound != ("H = []" in source), source
+    return bound
+
+
+def _pias_packet(i):
+    cls = [Classification("app.r1.search", {
+        "msg_id": ("pias", i % 3), "priority": 7 if i % 5 else 0})]
+    return FakePacket(size=400 + 300 * (i % 4)), cls
+
+
+def _qjump_packet(i):
+    cls = [Classification("app.r1.qjump", {
+        "msg_id": ("qjump", i % 6), "level": i % 6 - 1})]
+    return FakePacket(), cls
+
+
+def _limit_packet(i):
+    return FakePacket(src_ip=i, dst_ip=2 + i % 2), ()
+
+
+def _thresholds(n):
+    return [(3000 * (k + 1) ** 2, 7 - k % 8) for k in range(n)]
+
+
+def _heap_words(words):
+    return lambda e: setattr(e.interpreter, "max_heap_words", words)
+
+
+_DEFAULT_HEAP_WORDS = Enclave("plan.defaults").interpreter.max_heap_words
+
+#: (action, schemas, packets, steps): an int step sends that many
+#: packets, a callable one writes between packets.  Every case writes
+#: while cold, then crosses into the plan, then writes under it.
+IMAGE_CASES = {
+    "pias": (pias.pias_action,
+             dict(message_schema=pias.PIAS_MESSAGE_SCHEMA,
+                  global_schema=pias.PIAS_GLOBAL_SCHEMA),
+             _pias_packet, [
+                 lambda e: e.set_global_records("f", "priorities",
+                                                _thresholds(4)),
+                 6,
+                 lambda e: e.set_global_array("f", "priorities",
+                                              [5000, 2, 10_000, 1]),
+                 pycodegen.TIER_UP_CALLS + 2,
+                 lambda e: e.set_global_records("f", "priorities",
+                                                _thresholds(8)),
+                 5,
+                 # Below the bound image: every packet faults, and so
+                 # does the image a write rebuilds under the limit.
+                 _heap_words(15),
+                 3,
+                 lambda e: e.set_global_records("f", "priorities",
+                                                _thresholds(7)),
+                 2,
+                 lambda e: e.set_global_array("f", "priorities",
+                                              [1 << 63, 3] * 9),
+                 2,
+                 _heap_words(_DEFAULT_HEAP_WORDS),
+                 3,
+                 lambda e: e.set_global_array("f", "priorities", []),
+                 3]),
+    "qjump": (qos.qjump_action,
+              dict(message_schema=qos.QJUMP_MESSAGE_SCHEMA,
+                   global_schema=qos.QJUMP_GLOBAL_SCHEMA),
+              _qjump_packet, [
+                  lambda e: e.set_global_array("f", "level_priority",
+                                               [0, 4, 7]),
+                  lambda e: e.set_global_array("f", "level_queue",
+                                               [0, 9, 0]),
+                  5,
+                  lambda e: e.set_global_array("f", "level_queue",
+                                               [3, 2, 1, -1]),
+                  pycodegen.TIER_UP_CALLS + 2,
+                  # The first array grows: the second one's base moves.
+                  lambda e: e.set_global_array("f", "level_priority",
+                                               [1, 2, 3, 4, 5]),
+                  6,
+                  lambda e: e.set_global_array("f", "level_queue", [8]),
+                  6,
+                  _heap_words(5),
+                  2,
+                  _heap_words(_DEFAULT_HEAP_WORDS),
+                  3]),
+    "source_limit": (ddos.source_limit_action,
+                     dict(global_schema=ddos.SOURCE_LIMIT_GLOBAL_SCHEMA),
+                     _limit_packet, [
+                         lambda e: e.set_global("f", "victim_ip", 2),
+                         lambda e: e.set_global_array(
+                             "f", "queue_of_source", [4, 5]),
+                         4,
+                         lambda e: e.set_global("f", "victim_ip", 3),
+                         pycodegen.TIER_UP_CALLS + 2,
+                         lambda e: e.set_global_array(
+                             "f", "queue_of_source", [7, 8, 9]),
+                         4,
+                         lambda e: e.set_global("f", "victim_ip", 2),
+                         4,
+                         lambda e: e.set_global_array(
+                             "f", "queue_of_source", []),
+                         3]),
+}
+
+
+def _run_image_case(case, backend):
+    """Every packet's result, fields and the function's stats, store
+    and message entries after it, and every fault's class and
+    message, for one backend."""
+    action, schemas, make_packet, steps = case
+    enclave = Enclave("plan.image", rng=_StatelessRng())
+    fn = enclave.install_function(action, name="f", backend=backend,
+                                  **schemas)
+    enclave.install_rule("*", "f")
+    faults = []
+    inner = fn.run_packet
+
+    def run_packet(packet, msg_entry, acct=None):
+        try:
+            return inner(packet, msg_entry, acct)
+        except Exception as fault:
+            faults.append((type(fault), str(fault)))
+            raise
+
+    fn.run_packet = run_packet
+    executes = _count_executes(fn)
+    trace = []
+    sent = 0
+    for step in steps:
+        if callable(step):
+            step(enclave)
+            continue
+        for _ in range(step):
+            packet, cls = make_packet(sent)
+            sent += 1
+            result = enclave.process_packet(packet, cls, now_ns=sent)
+            store = fn.message_store
+            trace.append((
+                result, vars(packet), vars(fn.stats).copy(),
+                fn.global_store.snapshot(),
+                store and {k: dict(e.values)
+                           for k, e in store._entries.items()}))
+    return trace, faults, executes[0], enclave, fn
+
+
+@pytest.mark.parametrize("name", sorted(IMAGE_CASES))
+def test_bound_image_follows_every_store_write(name):
+    """A hot function that only reads its global arrays binds the
+    heap image its store keeps.  Writes between packets — while cold,
+    across the tier-up and under the plan, scalar writes beside array
+    writes, a heap limit lowered below the image and restored — leave
+    exactly what a ``tree``-pinned twin leaves, packet by packet, with
+    the same fault classes and messages."""
+    hot, faults, executes, enclave, fn = _run_image_case(
+        IMAGE_CASES[name], "interpreter")
+    tree, tree_faults, _, _, _ = _run_image_case(IMAGE_CASES[name],
+                                                 "tree")
+    assert hot == tree
+    assert faults == tree_faults
+    assert executes == pycodegen.TIER_UP_CALLS + 1   # then the plan
+    assert _takes_bound_image(_plan_source(enclave, fn))
+    if name != "source_limit":      # the heap limit was lowered
+        assert (InterpreterFault, "f@-1: heap of 6 words exceeds "
+                "limit 5" if name == "qjump" else "f@-1: heap of 16 "
+                "words exceeds limit 15") in faults
+
+
+def test_a_handed_out_array_cannot_change_the_bound_image():
+    """The store hands out arrays that refuse in-place change, so
+    nothing a reader holds can reach the image a plan binds."""
+    enclave, fn = _limits_enclave(
+        pias.pias_action, "interpreter",
+        message_schema=pias.PIAS_MESSAGE_SCHEMA,
+        global_schema=pias.PIAS_GLOBAL_SCHEMA)
+    enclave.set_global_records("f", "priorities", _thresholds(4))
+    cls = _pias_packet(1)[1]
+    _heat(enclave, fn, cls)
+    before = FakePacket(size=1)
+    enclave.process_packet(before, _msg_cls(100), now_ns=2)
+    held = fn.global_store.array("priorities")
+    for mutate in (lambda a: a.__setitem__(1, 0),
+                   lambda a: a.append(0), lambda a: a.extend([0, 0]),
+                   lambda a: a.__delitem__(0), lambda a: a.clear(),
+                   lambda a: a.sort(), lambda a: a.reverse(),
+                   lambda a: a.pop(), lambda a: a.insert(0, 1),
+                   lambda a: a.remove(7)):
+        with pytest.raises(TypeError):
+            mutate(held)
+    with pytest.raises(TypeError):
+        held += [0, 0]
+    assert fn.global_store.array("priorities") == \
+        [v for rec in _thresholds(4) for v in rec]
+    after = FakePacket(size=1)
+    enclave.process_packet(after, _msg_cls(101), now_ns=3)
+    assert before.priority == after.priority == 7
+
+
+def test_only_read_only_unbound_arrays_take_the_bound_image():
+    """Census of the hot plans of every Table-1 demo with global
+    arrays: a function that writes an array (Ananta's ``nat_state``,
+    port knocking, the stateful firewall, ``sum_scratch`` here) or
+    binds one per packet (WCMP's ``pathMatrix``) keeps the
+    per-packet copy; the others bind the store's image."""
+    taken = {}
+    for entry in _demo_entries():
+        spec = entry.demo
+        if not spec.global_arrays and not spec.global_keyed:
+            continue
+        enclave, fn = _demo_enclave(spec, _compile_demo(spec),
+                                    "interpreter")
+        metadata = dict(spec.metadata, msg_id=("demo", 1))
+        cls = [Classification("demo.r1.msg", metadata)]
+        for _ in range(pycodegen.TIER_UP_CALLS + 2):
+            enclave.process_packet(DemoPacket(), cls, now_ns=1)
+        taken[spec.function_name] = _takes_bound_image(
+            _plan_source(enclave, fn))
+    enclave, fn = _limits_enclave(sum_scratch, "interpreter",
+                                  global_schema=ARRAY_SCHEMA)
+    _heat(enclave, fn)
+    taken["sum_scratch"] = _takes_bound_image(_plan_source(enclave, fn))
+    assert taken == {
+        "wcmp": False, "message_wcmp": False, "ananta_nat": False,
+        "port_knock": False, "stateful_firewall": False,
+        "sum_scratch": False,
+        "mcrouter_select": True, "sinbad_select": True, "pulsar": True,
+        "network_qos": True, "pias": True, "sff": True, "qjump": True}
 
 
 def bump_counter_by_two(packet, _global):

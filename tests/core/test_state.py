@@ -79,6 +79,53 @@ class TestGlobalStore:
         store.commit_scalar("knob", 1 << 64)
         assert store.scalar("knob") == 0
 
+    def test_handed_out_arrays_refuse_in_place_change(self):
+        """What a reader holds is what the store holds until the next
+        store write: no reader can change it under the store."""
+        store = GlobalStore(GLB)
+        store.set_array("weights", [1, 2, 3])
+        store.set_keyed_array("weights", (1, 2), [4])
+        held = [store.array("weights"), store.array("recs"),
+                store.keyed_array("weights", (1, 2)),
+                store.keyed_array("weights", (9, 9))]
+        for arr in held:
+            for mutate in (lambda a: a.append(1),
+                           lambda a: a.__setitem__(slice(None), [7]),
+                           lambda a: a.extend([1]), lambda a: a.clear()):
+                with pytest.raises(TypeError):
+                    mutate(arr)
+        assert held == [[1, 2, 3], [], [4], []]
+        assert store.keyed_array("weights", (9, 9)) == []
+        store.commit_array("weights", [5])
+        with pytest.raises(TypeError):
+            store.array("weights").insert(0, 1)
+        assert held[0] == [1, 2, 3] and store.array("weights") == [5]
+
+    def test_heap_image_lasts_until_an_array_write(self):
+        store = GlobalStore(GLB)
+        store.set_array("weights", [1, -2])
+        store.set_records("recs", [(3, 4)])
+        names = ("recs", "weights")
+        image = store.heap_image(names)
+        assert image == ([3, 4, 1, -2], (0, 2), (2, 2))
+        assert store.heap_image(names) is image
+        store.set_scalar("knob", 5)
+        store.commit_scalar("knob", 6)
+        assert store.heap_image(names) is image
+        writes = [
+            lambda: store.set_array("weights", [1 << 63]),
+            lambda: store.set_records("recs", []),
+            lambda: store.set_keyed_array("weights", (1,), [9]),
+            lambda: store.commit_array("weights", [8, 9, 10]),
+        ]
+        for write in writes:
+            write()
+            fresh = store.heap_image(names)
+            assert fresh is not image
+            image = fresh
+        assert image == ([8, 9, 10], (0, 0), (0, 3))
+        assert store.heap_image(("weights",)) == ([8, 9, 10], (0,), (3,))
+
 
 class TestMessageStore:
     def test_lookup_creates_with_defaults(self):

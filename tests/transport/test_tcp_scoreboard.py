@@ -294,7 +294,7 @@ class TestRandomScoreboards:
 def test_ack_sequence_matches(board, data):
     """A run of duplicate and partial ACKs with growing SACK reports
     through ``_handle_ack``: window inflation, repeated hole walks
-    (resumed while ``snd_una`` stands still), partial-ACK recovery,
+    (each resumed where the last one stopped), partial-ACK recovery,
     and timeouts after which duplicate ACKs start a new recovery at
     the same ``snd_una``."""
     new = recovering_connection(TcpConnection, board)
@@ -464,10 +464,73 @@ class TestAdversityHarness:
         old, _ = traced_transfer(monkeypatch, ReferenceTcp, **kwargs)
         assert new == old
 
+    def test_partial_acks_resume_the_hole_walk(self, monkeypatch):
+        """Partial ACKs in recovery, each moving ``snd_una`` into holes
+        the walk already retransmitted: the same packets as the
+        reference, and no segment's retransmit mark is tested twice
+        in one recovery, so no walk steps again over what an earlier
+        one passed."""
+        kwargs = dict(seed=1, sizes=[60 * MSS], drop_mask=PARTIAL_DROPS,
+                      reorder_every=0)
+        new, connections = traced_transfer(monkeypatch, WalkCounting,
+                                           **kwargs)
+        old, _ = traced_transfer(monkeypatch, ReferenceTcp, **kwargs)
+        assert new == old
+        marks = [conn._rtx_this_recovery for conn in connections]
+        assert sum(m.resumed for m in marks) >= 3, \
+            "the scenario no longer resumes a walk past snd_una"
+        assert [m.twice for m in marks] == [[] for _ in marks]
+
+
+class WalkMarks(set):
+    """``_rtx_this_recovery`` that records the hole walk's tests.
+
+    The walk asks it once per segment it steps on that no SACK block
+    holds.  ``twice`` collects the segments asked about again in the
+    same recovery (``clear`` starts one); ``resumed`` counts walks
+    whose first question was above ``snd_una``."""
+
+    def __init__(self):
+        super().__init__()
+        self.tested = set()
+        self.twice = []
+        self.resumed = 0
+        self.walk_from = None       # snd_una of a walk not yet asking
+
+    def __contains__(self, seq):
+        if self.walk_from is not None:
+            self.resumed += seq > self.walk_from
+            self.walk_from = None
+        if seq in self.tested:
+            self.twice.append(seq)
+        self.tested.add(seq)
+        return super().__contains__(seq)
+
+    def clear(self):
+        self.tested.clear()
+        super().clear()
+
+
+class WalkCounting(TcpConnection):
+    """A connection whose hole walks report to a :class:`WalkMarks`."""
+
+    def __init__(self, *args, **kw):
+        super().__init__(*args, **kw)
+        self._rtx_this_recovery = WalkMarks()
+
+    def _sack_retransmit(self):
+        self._rtx_this_recovery.walk_from = self.snd_una
+        super()._sack_retransmit()
+        self._rtx_this_recovery.walk_from = None
+
 
 #: A drop pattern for ``run_transfer(seed=2, sizes=[40 * MSS])`` whose
 #: timeout rewind is overtaken by a cumulative ACK.
 REWIND_DROPS = {7, 14, 21, 23, 28, 31, 36, 40, 41, 58, 59}
+
+#: A drop pattern for ``run_transfer(seed=1, sizes=[60 * MSS])`` whose
+#: recoveries see partial ACKs below retransmitted holes.
+PARTIAL_DROPS = {5, 8, 11, 14, 17, 20}
 
 
 def sack_accounting(monkeypatch, cls, **kwargs):
