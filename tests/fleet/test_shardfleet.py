@@ -219,21 +219,28 @@ def test_mitigation_rollout_golden(monkeypatch):
     stands for every agent's tick): the event count and the fire log
     moved, nothing else.  A change
     that moves either is a behaviour change and must re-record the pin
-    on purpose, saying why."""
+    on purpose, saying why.
+
+    Every way onto the heap is wrapped (``schedule``, ``post`` and
+    ``file``), so every fired event is seen whichever one scheduled
+    it."""
     fire_log = hashlib.sha256()
-    schedule = Simulator.schedule
 
-    def logged_schedule(sim, delay_ns, callback, *args):
-        name = getattr(callback, "__qualname__",
-                       type(callback).__qualname__)
+    def logged(enter):
+        def logged_enter(sim, when, callback, *args):
+            name = getattr(callback, "__qualname__",
+                           type(callback).__qualname__)
 
-        def fire(*fire_args):
-            fire_log.update(f"{sim.now} {name}\n".encode())
-            callback(*fire_args)
+            def fire(*fire_args):
+                fire_log.update(f"{sim.now} {name}\n".encode())
+                callback(*fire_args)
 
-        return schedule(sim, delay_ns, fire, *args)
+            return enter(sim, when, fire, *args)
+        return logged_enter
 
-    monkeypatch.setattr(Simulator, "schedule", logged_schedule)
+    for entry in ("schedule", "post", "file"):
+        monkeypatch.setattr(Simulator, entry,
+                            logged(getattr(Simulator, entry)))
     assert converge_mitigation(32) == MITIGATION_32
     assert fire_log.hexdigest() == MITIGATION_32_FIRE_LOG
 
