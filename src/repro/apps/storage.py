@@ -103,7 +103,7 @@ class StorageServer:
         self._busy = True
         conn, op, size, _ = self._io_queue.popleft()
         service_ns = self.per_op_ns + size * 8 * SEC // self.backend_bps
-        self.sim.schedule(service_ns, self._complete_io, conn, op, size)
+        self.sim.post(service_ns, self._complete_io, conn, op, size)
 
     def _complete_io(self, conn: TcpConnection, op: int,
                      size: int) -> None:
@@ -180,7 +180,7 @@ class StorageClient:
                 self._in_flight < self.max_outstanding:
             self._issue()
         gap_ns = max(1, int(SEC / self.gen_ops_per_sec))
-        self.sim.schedule(gap_ns, self._tick)
+        self.sim.post(gap_ns, self._tick)
 
     def _issue(self) -> None:
         self._in_flight += 1

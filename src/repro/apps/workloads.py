@@ -196,7 +196,7 @@ class RequestResponseClient:
 
     def _schedule_next(self) -> None:
         gap_s = self.sim.rng.expovariate(self.arrivals_per_sec)
-        self.sim.schedule(max(1, int(gap_s * SEC)), self._fire)
+        self.sim.post(max(1, int(gap_s * SEC)), self._fire)
 
     def _fire(self) -> None:
         if not self.running:

@@ -103,5 +103,4 @@ class SimTransport(Transport):
         if self.faults is not None:
             copies = self.faults.deliveries(env)
         for _ in range(copies):
-            self.sim.schedule(self._one_way_delay(),
-                              self._deliver, env)
+            self.sim.post(self._one_way_delay(), self._deliver, env)

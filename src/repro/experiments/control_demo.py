@@ -90,7 +90,7 @@ class _FlowDriver:
         self._remaining = 0
         self._flow_key: Optional[tuple] = None
         self.packets = 0
-        sim.schedule(interval_ns, self._tick)
+        sim.post(interval_ns, self._tick)
 
     def _next_flow(self) -> None:
         size = FLOW_SIZE_POPULATION[
@@ -121,7 +121,7 @@ class _FlowDriver:
         else:
             self._send_one(take)
         self.packets += 1
-        self.sim.schedule(self.interval_ns, self._tick)
+        self.sim.post(self.interval_ns, self._tick)
 
 
 @dataclass

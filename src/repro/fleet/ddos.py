@@ -139,8 +139,7 @@ class AttackDriver:
         packet_bits = (payload_len + 54) * 8
         self.interval_ns = max(1, int(1e9 * packet_bits / rate_bps))
         self._stopped = False
-        sim.schedule(rng.randrange(self.interval_ns + 1),
-                     self._send_one)
+        sim.post(rng.randrange(self.interval_ns + 1), self._send_one)
 
     def stop(self) -> None:
         self._stopped = True
@@ -159,7 +158,7 @@ class AttackDriver:
             created_at=self.sim.now)
         self.packets_sent += 1
         self.stack.send_packet(packet)
-        self.sim.schedule(self.interval_ns, self._send_one)
+        self.sim.post(self.interval_ns, self._send_one)
 
 
 def run_ddos(config: Optional[DdosConfig] = None,
@@ -264,8 +263,7 @@ def run_ddos(config: Optional[DdosConfig] = None,
     def mark_mid_soak(orch_, rec) -> None:
         mitigated = sum(len(w.hosts)
                         for w in orch_.plan.waves[:rec.index + 1])
-        sim.schedule(cfg.settle_ms * MS // 2, mark,
-                     f"wave {rec.index}", mitigated)
+        sim.post(cfg.settle_ms * MS // 2, mark, f"wave {rec.index}", mitigated)
 
     orch.on_wave_confirmed = mark_mid_soak
     orch.on_wave_start = lambda o, rec: mark(
@@ -275,7 +273,7 @@ def run_ddos(config: Optional[DdosConfig] = None,
 
     # Baseline: let the attack saturate the link first; the measured
     # baseline bin starts mid-window (past TCP's slow-start burst).
-    sim.schedule(cfg.baseline_ms * MS // 2, mark, "attack", 0)
+    sim.post(cfg.baseline_ms * MS // 2, mark, "attack", 0)
     sim.run(until_ns=cfg.baseline_ms * MS)
     orch.start()
     horizon = cfg.horizon_ms * MS

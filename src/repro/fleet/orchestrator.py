@@ -241,8 +241,8 @@ class FleetOrchestrator:
 
     def _arm_tick(self) -> None:
         self._tick_gen += 1
-        self.scheduler.schedule(self.config.poll_interval_ns,
-                                self._tick, self._tick_gen)
+        self.scheduler.post(self.config.poll_interval_ns,
+                            self._tick, self._tick_gen)
 
     def _tick(self, gen: int) -> None:
         if gen != self._tick_gen or self.state in TERMINAL or \
@@ -258,8 +258,7 @@ class FleetOrchestrator:
         elif self.state == ROLLING_BACK_FLEET:
             self._evaluate_rollback()
         if self.state not in TERMINAL and self.state != PAUSED:
-            self.scheduler.schedule(self.config.poll_interval_ns,
-                                    self._tick, gen)
+            self.scheduler.post(self.config.poll_interval_ns, self._tick, gen)
 
     # -- event-driven judging ----------------------------------------------
 

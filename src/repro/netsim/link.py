@@ -19,7 +19,7 @@ that key, and files ``_tx_done`` there only if a packet waits.
 from __future__ import annotations
 
 from collections import deque
-from typing import Callable, Deque, List, Optional, TYPE_CHECKING
+from typing import Deque, List, Optional, TYPE_CHECKING
 
 from .packet import Packet
 from .simulator import SEC, Simulator
@@ -70,7 +70,6 @@ class Port:
         self._waiting = 0                   # packets in the queues
         self._tx_end = (-1, -1)             # key of the last one's end
         self._filed = False                 # whether _tx_done is there
-        sim.holders.append(lambda: self._tx_end)
         self.failed = False
         self.stats = PortStats()
 

@@ -5,9 +5,11 @@ same instant fire in scheduling order (a monotonically increasing
 sequence number breaks ties), which makes every run bit-for-bit
 reproducible for a given seed.
 
-The heap holds ``(time, seq, event)`` tuples, and ``(time, seq,
-callback, args)`` for :meth:`post` and :meth:`file`, whose events
-nobody cancels and which carry no :class:`Event`.  ``seq`` is unique,
+:meth:`Simulator.schedule` returns an :class:`Event` its caller may
+cancel or move; :meth:`post` (and :meth:`at`, at an absolute time)
+puts work on the heap that nobody will, and returns nothing.  The heap
+holds ``(time, seq, event)`` tuples, and ``(time, seq, callback,
+args)`` for :meth:`post` and :meth:`file`.  ``seq`` is unique,
 so heap operations compare ints in C and never reach the third item.
 Cancelling marks the event and leaves its entry in the heap as a
 tombstone that the loop drops when it surfaces.
@@ -20,13 +22,12 @@ has in the heap it only rewrites the key: the stale entry is re-filed
 under the stored key when it surfaces, without advancing the clock or
 counting as an event.  A timer re-armed on every ACK therefore costs
 a heap push only when its old deadline actually passes.  Fire order,
-``events_processed``, ``pending`` and ``next_event_time()`` are the
-same as with cancel + schedule.
+``events_processed`` and ``pending`` are the same as with cancel +
+schedule.
 
 :meth:`draw` takes the key ``schedule`` would and pushes nothing; the
 slot fires only if filed before the loop passes it (``key <=
-_passed``), and an empty one moves no clock and is never pending — but
-a cut run stops the clock short of one that :attr:`holders` report.
+_passed``), and an empty one moves no clock and is never pending.
 """
 
 from __future__ import annotations
@@ -104,9 +105,6 @@ class Simulator:
         #: Keys up to this have passed: the entry firing (or last fired)
         #: or, after a run, ``(now, last seq drawn)``.
         self._passed: tuple = (0, -1)
-        #: Callables that return a key their owner drew and may still
-        #: file: a cut run stops the clock short of it.
-        self.holders: List[Callable[[], Tuple[int, int]]] = []
         self.events_processed = 0
         # Bound lazily (bind_telemetry) to avoid importing telemetry
         # nulls here; run() checks for None instead.
@@ -168,9 +166,9 @@ class Simulator:
         _heappush(self._heap, (key[0], key[1], callback, args))
         self._live += 1
 
-    def at(self, time_ns: int, callback: Callable, *args) -> Event:
-        """Schedule ``callback`` at an absolute simulation time."""
-        return self.schedule(time_ns - self.now, callback, *args)
+    def at(self, time_ns: int, callback: Callable, *args) -> None:
+        """:meth:`post` ``callback`` at an absolute simulation time."""
+        self.post(time_ns - self.now, callback, *args)
 
     def reschedule(self, event: Event, delay_ns: int) -> Event:
         """Move ``event`` (live, cancelled or fired) to ``delay_ns``
@@ -201,24 +199,15 @@ class Simulator:
             _heappush(self._heap, entry)
         return event
 
-    def run(self, until_ns: Optional[int] = None,
-            max_events: Optional[int] = None) -> int:
-        """Run until the heap drains, ``until_ns`` passes, or
-        ``max_events`` fire.  Returns the number of events processed.
-
-        The clock ends at ``until_ns`` only if no live event (or held
-        key) is left at or before it; a run cut short by ``max_events``
-        leaves the clock at the last event fired, so the next run
-        resumes there.
-        """
+    def run(self, until_ns: Optional[int] = None) -> int:
+        """Run until the heap drains or ``until_ns`` passes; the clock
+        then ends at ``until_ns`` (if later).  Returns the number of
+        events processed."""
         heap = self._heap
         heappop = _heappop
         until = 1 << 63 if until_ns is None else until_ns
-        stop_at = -1 if max_events is None else max(max_events, 0)
         processed = 0
         while heap:
-            if processed == stop_at:
-                break
             entry = heappop(heap)
             time = entry[0]
             if time > until:
@@ -242,18 +231,10 @@ class Simulator:
             self._live -= 1
             callback(*args)
             processed += 1
-        if processed != stop_at:
-            if until_ns is not None and self.now < until_ns:
-                self.now = until_ns
-            if until_ns is None or self.now == until_ns:
-                self._passed = (self.now, self._seq - 1)
-        elif until_ns is not None and self.now < until_ns:
-            upcoming = self.next_event_time()
-            if (upcoming is None or upcoming > until_ns) and not any(
-                    self._passed < key and key[0] <= until_ns
-                    for key in [drawn() for drawn in self.holders]):
-                self.now = until_ns
-                self._passed = (until_ns, self._seq - 1)
+        if until_ns is not None and self.now < until_ns:
+            self.now = until_ns
+        if until_ns is None or self.now == until_ns:
+            self._passed = (self.now, self._seq - 1)
         self.events_processed += processed
         if self._m_events is not None:
             self._m_events.inc(processed)
@@ -268,23 +249,6 @@ class Simulator:
         heap scan.
         """
         return self._live
-
-    def next_event_time(self) -> Optional[int]:
-        """Earliest live event time, or None when the heap is drained.
-
-        Dead entries at the front are popped and deferred ones re-filed
-        lazily, so the peek is amortized O(1).
-        """
-        heap = self._heap
-        while heap:
-            entry = heap[0]
-            event = entry[2]
-            if event.__class__ is not Event or \
-                    event.seq == entry[1] and not event.cancelled:
-                return entry[0]
-            _heappop(heap)
-            self._settle(entry)
-        return None
 
     def _settle(self, entry: Tuple[int, int, Event]) -> None:
         """Dispose of a popped entry that does not fire: a cancelled

@@ -136,7 +136,7 @@ class HostStack:
             self._tx_pending.append((packet, pure_ack))
             if not self._tx_flush_scheduled:
                 self._tx_flush_scheduled = True
-                self.sim.schedule(0, self._flush_tx)
+                self.sim.post(0, self._flush_tx)
             return
         # The "API" step: metadata already attached by the transport's
         # message bookkeeping travels with the packet into the enclave.
@@ -293,7 +293,7 @@ class HostStack:
                 self._rx_pending.append(packet)
                 if not self._rx_flush_scheduled:
                     self._rx_flush_scheduled = True
-                    self.sim.schedule(0, self._flush_rx)
+                    self.sim.post(0, self._flush_rx)
                 return
             result = self.enclave.process_packet(
                 packet, packet.classifications, now_ns=self.sim.now)

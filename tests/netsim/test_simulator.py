@@ -1,7 +1,11 @@
 """Tests for the discrete-event core."""
 
+import ast
+from pathlib import Path
+
 import pytest
 
+import repro
 from repro.netsim import SimulationError, Simulator
 from repro.netsim.simulator import Event
 
@@ -98,14 +102,6 @@ class TestRunBounds:
         sim.run()
         assert log == ["early", "late"]
 
-    def test_max_events(self):
-        sim = Simulator()
-        log = []
-        for i in range(5):
-            sim.schedule(i + 1, log.append, i)
-        processed = sim.run(max_events=2)
-        assert processed == 2 and log == [0, 1]
-
 
 class TestRunEdgeCases:
     def test_until_before_first_event_only_advances_clock(self):
@@ -117,18 +113,6 @@ class TestRunEdgeCases:
         assert log == []
         assert sim.now == 50
         assert sim.pending == 1
-
-    def test_max_events_cuts_same_instant_batch(self):
-        sim = Simulator()
-        log = []
-        for tag in ("a", "b", "c"):
-            sim.schedule(5, log.append, tag)
-        processed = sim.run(max_events=2)
-        assert processed == 2 and log == ["a", "b"]
-        assert sim.pending == 1
-        # The rest of the batch fires later, still in schedule order.
-        sim.run()
-        assert log == ["a", "b", "c"]
 
     def test_callback_scheduling_into_past_raises(self):
         sim = Simulator()
@@ -151,7 +135,7 @@ class TestRunEdgeCases:
         assert sim.run(until_ns=50) == 0
         assert log == [] and sim.now == 50
         assert sim.pending == 1 and sim.events_processed == 0
-        assert sim.next_event_time() == 100
+        assert sim.run(until_ns=99) == 0 and log == []
         assert sim.run(until_ns=100) == 1
         assert log == ["timer"] and sim.now == 100
 
@@ -170,52 +154,6 @@ class TestRunEdgeCases:
         assert log == ["earlier", "later"]
         assert sim.events_processed == 2 and sim.now == 90
 
-    def test_max_events_skips_deferred_head(self):
-        """A deferred entry at the head does not use up ``max_events``."""
-        sim = Simulator()
-        log = []
-        timer = sim.schedule(1, log.append, "timer")
-        for tag in ("a", "b"):
-            sim.schedule(5, log.append, tag)
-        sim.reschedule(timer, 10)
-        assert sim.run(max_events=1) == 1
-        assert log == ["a"] and sim.now == 5 and sim.pending == 2
-        assert sim.run(max_events=2) == 2
-        assert log == ["a", "b", "timer"]
-
-    def test_max_events_inside_until_keeps_clock(self):
-        """A run cut by ``max_events`` while live events remain before
-        ``until_ns`` leaves the clock at the last event fired, so the
-        next run goes on from there instead of going backwards."""
-        sim = Simulator()
-        log = []
-        sim.schedule(10, log.append, 10)
-        sim.schedule(20, log.append, 20)
-        assert sim.run(until_ns=100, max_events=1) == 1
-        assert log == [10] and sim.now == 10
-        assert sim.run() == 1
-        assert log == [10, 20] and sim.now == 20
-
-    def test_max_events_with_nothing_left_before_until(self):
-        """Cut by ``max_events`` with no live event left at or before
-        ``until_ns`` (the next is later, or only a cancelled one
-        remains): the clock moves on to ``until_ns`` as usual."""
-        sim = Simulator()
-        sim.schedule(10, lambda: None)
-        sim.schedule(200, lambda: None)
-        sim.schedule(50, lambda: None).cancel()
-        assert sim.run(until_ns=100, max_events=1) == 1
-        assert sim.now == 100 and sim.pending == 1
-        assert sim.run(until_ns=300, max_events=0) == 0
-        assert sim.now == 100
-        assert sim.run() == 1 and sim.now == 200
-
-    def test_max_events_zero_and_negative_fire_nothing(self):
-        sim = Simulator()
-        sim.schedule(1, lambda: None)
-        assert sim.run(max_events=0) == 0
-        assert sim.run(max_events=-1) == 0
-        assert sim.pending == 1
 
 
 class TestReschedule:
@@ -280,7 +218,7 @@ class TestReschedule:
         event.cancel()
         assert sim.pending == 0
         sim.run()
-        assert log == [] and sim.next_event_time() is None
+        assert log == [] and sim.now == 0 and sim.events_processed == 0
 
     def test_repeated_moves_leave_one_live_entry(self):
         """Re-arming on every step, as TCP timers do, fires once."""
@@ -289,9 +227,10 @@ class TestReschedule:
         event = sim.schedule(5, log.append, "rto")
         for delay in (9, 12, 7, 15, 15):
             sim.reschedule(event, delay)
-        assert sim.pending == 1 and sim.next_event_time() == 15
+        assert sim.pending == 1
         sim.run()
         assert log == ["rto"] and sim.events_processed == 1
+        assert sim.now == 15
 
 
 class TestPendingCounter:
@@ -327,14 +266,6 @@ class TestPendingCounter:
         sim.run()
         assert sim.pending == 0
 
-    def test_next_event_time_skips_cancelled_head(self):
-        sim = Simulator()
-        head = sim.schedule(10, lambda: None)
-        sim.schedule(20, lambda: None)
-        head.cancel()
-        assert sim.next_event_time() == 20
-        sim.run()
-        assert sim.next_event_time() is None
 
 
 class TestDeterminism:
@@ -349,3 +280,19 @@ class TestDeterminism:
         sim.schedule(33, lambda: None)
         sim.run()
         assert sim.clock() == 33
+
+
+def test_every_scheduled_event_is_kept():
+    """``schedule`` means "I may cancel or move this": every call in
+    ``src/`` keeps the :class:`Event` it returns.  Work nobody cancels
+    goes on the heap through ``post`` (or ``at``), which makes none."""
+    root = Path(repro.__file__).parent
+    dropped = []
+    for path in sorted(root.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Expr) and \
+                    isinstance(node.value, ast.Call) and \
+                    isinstance(node.value.func, ast.Attribute) and \
+                    node.value.func.attr == "schedule":
+                dropped.append(f"{path.relative_to(root)}:{node.lineno}")
+    assert dropped == []
