@@ -50,7 +50,7 @@ class ArrayValue(list):
 
 
 _NO_ARRAY = ArrayValue()
-ScalarOrArray = Union[int, List[int]]
+ScalarOrArray = Union[int, List[int], Dict[tuple, List[int]]]
 
 
 class GlobalStore:
@@ -178,10 +178,13 @@ class GlobalStore:
         self._images.clear()
 
     def snapshot(self) -> Dict[str, ScalarOrArray]:
-        """A read-only copy of all state (for the controller's queries)."""
+        """A read-only copy of all state (for the controller's queries);
+        a keyed array is a mapping of each key to its list."""
         out: Dict[str, ScalarOrArray] = dict(self._scalars)
         for name, arr in self._arrays.items():
             out[name] = list(arr)
+        for name, keyed in self._keyed.items():
+            out[name] = {key: list(arr) for key, arr in keyed.items()}
         return out
 
 

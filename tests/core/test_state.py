@@ -74,6 +74,15 @@ class TestGlobalStore:
         snap["weights"].append(99)
         assert store.array("weights") == [1]
 
+    def test_snapshot_includes_keyed_arrays(self):
+        store = GlobalStore(GLB)
+        store.set_keyed_array("weights", (1, 2), [1, 900, 2, 100])
+        store.set_keyed_array("weights", (3, 4), [7])
+        snap = store.snapshot()
+        assert snap["weights"] == {(1, 2): [1, 900, 2, 100], (3, 4): [7]}
+        snap["weights"][(3, 4)].append(99)
+        assert store.keyed_array("weights", (3, 4)) == [7]
+
     def test_commit_wraps_values(self):
         store = GlobalStore(GLB)
         store.commit_scalar("knob", 1 << 64)

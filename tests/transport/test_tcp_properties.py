@@ -7,15 +7,21 @@ what the sender emitted.
 """
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.netsim import GBPS, MS, Simulator, star
 from repro.netsim.packet import MSS
 from repro.stack import HostStack
+from repro.transport.tcp import MAX_RTO_NS
+
+#: The most drops ``test_heavy_loss_single_big_message`` draws.
+HEAVY_DROPS = 25
 
 
-def run_transfer(seed, sizes, drop_mask, reorder_every):
-    """One transfer under a deterministic loss/reorder pattern.
+def run_transfer(seed, sizes, drop_mask, reorder_every,
+                 until_ns=400 * MS):
+    """One transfer under a deterministic loss/reorder pattern, run
+    to ``until_ns``.
 
     ``drop_mask`` is a set of data-packet indices to drop (first
     transmission attempt counted by traversal order); a packet index
@@ -54,7 +60,7 @@ def run_transfer(seed, sizes, drop_mask, reorder_every):
     for size in sizes:
         conn.message_send(size, on_complete=lambda r, t: (
             completed.append(r.end_seq - r.start_seq)))
-    sim.run(until_ns=400 * MS)
+    sim.run(until_ns=until_ns)
     return sizes, delivered.get("total", 0), completed, conn
 
 
@@ -73,11 +79,16 @@ class TestDeliveryUnderAdversity:
         assert completed == list(sizes)  # completion in send order
 
     @settings(max_examples=15, deadline=None)
-    @given(drops=st.sets(st.integers(1, 60), max_size=25))
+    @given(drops=st.sets(st.integers(1, 60), max_size=HEAVY_DROPS))
+    @example(drops=set(range(1, 12)) | {13, 16, 17, 21, 22, 23, 28, 29})
     def test_heavy_loss_single_big_message(self, drops):
+        """Each drop costs at most one retransmission timeout, which
+        backs off to at most ``MAX_RTO_NS``: the transfer completes
+        within one such timeout per drop, plus one.  (The example
+        needs eight timeouts, the last of them past 400 ms.)"""
         sizes, total, completed, conn = run_transfer(
             seed=2, sizes=[40 * MSS], drop_mask=drops,
-            reorder_every=0)
+            reorder_every=0, until_ns=(HEAVY_DROPS + 1) * MAX_RTO_NS)
         assert total == 40 * MSS
         assert completed == [40 * MSS]
 
