@@ -156,3 +156,49 @@ class TestReservoirAccounting:
         acct.record("enclave", 10)
         assert all(n == 0 for n in acct.counts().values())
         assert all(not vals for vals in acct.samples.values())
+
+    def test_disabled_builds_no_rng_or_reservoir(self, monkeypatch):
+        """Every enclave has a disabled accounting unless given one;
+        building it draws no RNG and fills no reservoir."""
+        from types import SimpleNamespace
+        from repro.core import accounting
+        built = []
+
+        def counting_rng(*args):
+            built.append("rng")
+            return random.Random(*args)
+
+        def counting_reservoir(*args):
+            built.append("reservoir")
+            return Reservoir(*args)
+
+        monkeypatch.setattr(accounting, "random",
+                            SimpleNamespace(Random=counting_rng))
+        monkeypatch.setattr(accounting, "Reservoir", counting_reservoir)
+        Enclave("x")
+        acct = CpuAccounting(enabled=False)
+        assert built == []
+        assert acct.samples == {b: [] for b in accounting.BUCKETS}
+        assert acct.percentile_ns("enclave", 95) == 0.0
+        acct.reset()
+        CpuAccounting(enabled=True)
+        assert built == ["rng"] + ["reservoir"] * len(accounting.BUCKETS)
+
+    @pytest.mark.parametrize("seed", [None, 5])
+    def test_enabled_reservoirs_share_one_rng(self, seed):
+        """Enabled, the four reservoirs draw from one RNG — the one
+        given, else ``Random(0)`` — exactly as four reservoirs built
+        on one shared RNG do, draw for draw."""
+        from repro.core.accounting import BUCKETS
+        rng = random.Random(seed) if seed is not None else None
+        acct = CpuAccounting(enabled=True, reservoir_size=8, rng=rng)
+        reference_rng = random.Random(seed if seed is not None else 0)
+        reference = {b: Reservoir(8, reference_rng) for b in BUCKETS}
+        for i in range(400):
+            bucket = BUCKETS[(i * 7) % len(BUCKETS)]
+            acct.record(bucket, i)
+            reference[bucket].add(i)
+        assert acct.samples == {b: r.values
+                                for b, r in reference.items()}
+        if rng is not None:
+            assert rng.getstate() == reference_rng.getstate()
