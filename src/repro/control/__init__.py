@@ -13,7 +13,7 @@ from .agent import EnclaveAgent, agent_address
 from .channel import (ChannelConfig, ChannelStats, ControlEndpoint,
                       Outcome, PendingSend)
 from .faults import FaultInjector, schedule_restart
-from .messages import (Ack, ConfigMessage, ControlError,
+from .messages import (Ack, ConfigBatch, ConfigMessage, ControlError,
                        ControlMessage, Envelope, GLOBAL_ARRAY,
                        GLOBAL_KEYED, GLOBAL_RECORDS, GLOBAL_SCALAR,
                        Hello, InstallFunction, InstallRule, Nack,
@@ -25,7 +25,8 @@ from .plane import (ControlLoop, ControlPlane, DesiredState,
 from .transport import InprocTransport, SimTransport, Transport
 
 __all__ = [
-    "Ack", "ChannelConfig", "ChannelStats", "ConfigMessage",
+    "Ack", "ChannelConfig", "ChannelStats", "ConfigBatch",
+    "ConfigMessage",
     "ControlEndpoint", "ControlError", "ControlLoop",
     "ControlMessage", "ControlPlane", "DesiredState", "EnclaveAgent",
     "Envelope", "FaultInjector", "FunctionSpec", "GLOBAL_ARRAY",

@@ -35,15 +35,25 @@ when every agent fired every tick.
 
 The enclave API it calls is the trust boundary: an install carries a
 compiled artifact, which the enclave verifies against its own limits
-and packet schema before binding it.  One the enclave refuses
-(``VerificationError``, ``EnclaveError``) is Nacked with that error
-and leaves the enclave, and the agent's applied epoch, as they were.
+and packet schema before binding it.  A config message — a bare one,
+or a :class:`~repro.control.messages.ConfigBatch` of one wave's ops —
+is applied in one event, whole or not at all.  As it applies the ops
+the agent keeps an undo log: remove a function it installed, re-bind
+the program it replaced, put back a function it removed with its
+state, drop a rule it installed and a table it created, restore the
+rule set an ``UpdateRules`` replaced and the old value of a global it
+wrote.  If the enclave refuses an op (``VerificationError``,
+``EnclaveError``, an unknown global), the agent undoes the ops applied
+so far, newest first, and Nacks with the error's class name as the
+reason and the op's index; the enclave, and the agent's applied
+epoch, are as they were.
 """
 
 from __future__ import annotations
 
 import random
 import weakref
+from functools import partial
 from operator import attrgetter
 from types import MappingProxyType
 from typing import Callable, Dict, List, Mapping, Optional
@@ -51,12 +61,12 @@ from typing import Callable, Dict, List, Mapping, Optional
 from ..telemetry import NULL_TELEMETRY, Telemetry
 from .channel import (ChannelConfig, ControlEndpoint, Outcome,
                       PendingSend)
-from .messages import (ConfigMessage, ControlError, ControlMessage,
-                       GLOBAL_ARRAY, GLOBAL_KEYED, GLOBAL_RECORDS,
-                       GLOBAL_SCALAR, Hello, InstallFunction,
-                       InstallRule, RemoveFunction, ReplaceFunction,
-                       STALE_EPOCH, StatsReport, UpdateGlobals,
-                       UpdateRules)
+from .messages import (ConfigBatch, ConfigMessage, ControlError,
+                       ControlMessage, GLOBAL_ARRAY, GLOBAL_KEYED,
+                       GLOBAL_RECORDS, GLOBAL_SCALAR, Hello,
+                       InstallFunction, InstallRule, RemoveFunction,
+                       ReplaceFunction, STALE_EPOCH, StatsReport,
+                       UpdateGlobals, UpdateRules)
 from .transport import Transport
 
 
@@ -131,16 +141,30 @@ class EnclaveAgent:
                 self.stale_rejections += 1
                 self._m_stale.inc()
                 return Outcome(False, reason=STALE_EPOCH)
-            result = self._apply(payload)
+            batch = type(payload) is ConfigBatch
+            ops = payload.ops if batch else (payload,)
+            undo: list = []
+            results = []
+            for index, op in enumerate(ops):
+                try:
+                    results.append(self._apply(op, undo))
+                except Exception as exc:
+                    for step in reversed(undo):
+                        step()
+                    return Outcome(False, reason=type(exc).__name__,
+                                   error=exc, op_index=index)
             self.applied_epoch = payload.epoch
-            self.applied_ops += 1
-            self._m_applied.inc()
+            self.applied_ops += len(ops)
+            self._m_applied.inc(len(ops))
             self._wake()
-            return Outcome(True, result=result)
+            return Outcome(True, result=tuple(results) if batch
+                           else results[0])
         raise ControlError(
             f"agent {self.host}: unexpected {type(payload).__name__}")
 
-    def _apply(self, msg: ConfigMessage) -> object:
+    def _apply(self, msg: ConfigMessage, undo: list) -> object:
+        """Apply one op and append to ``undo`` what undoes it: calls
+        that take no argument."""
         enclave = self.enclave
         if isinstance(msg, InstallFunction):
             # Replayed or re-sent installs must converge: an install
@@ -148,24 +172,36 @@ class EnclaveAgent:
             # replace (same idempotence the channel's dedup gives
             # in-session, extended across session resets).
             if msg.name in enclave.functions():
-                return enclave.replace_function(
+                old = enclave.function(msg.name)
+                result = enclave.replace_function(
                     msg.name, msg.program,
                     backend=msg.kwargs.get("backend"))
-            return enclave.install_function(msg.program,
-                                            name=msg.name,
-                                            **dict(msg.kwargs))
+            else:
+                old = None
+                result = enclave.install_function(
+                    msg.program, name=msg.name, **dict(msg.kwargs))
+            undo.append(partial(enclave.restore_function, msg.name,
+                                old))
+            return result
         if isinstance(msg, ReplaceFunction):
             # The enclave keeps the old schemas and state across a
             # replace; only the execution knobs pass through.
             kwargs = {k: v for k, v in msg.kwargs.items()
                       if k in ("backend", "optimize_tail_calls")}
-            return enclave.replace_function(msg.name, msg.program,
-                                            **kwargs)
+            old = enclave.function(msg.name)
+            result = enclave.replace_function(msg.name, msg.program,
+                                              **kwargs)
+            undo.append(partial(enclave.restore_function, msg.name,
+                                old))
+            return result
         if isinstance(msg, RemoveFunction):
             # Idempotent: a retransmitted remove (or a remove replayed
             # after the function is already gone) is a no-op.
             if msg.name in enclave.functions():
+                old = enclave.function(msg.name)
                 enclave.remove_function(msg.name)
+                undo.append(partial(enclave.restore_function,
+                                    msg.name, old))
                 return True
             return False
         if isinstance(msg, InstallRule):
@@ -176,13 +212,22 @@ class EnclaveAgent:
                 if table_id is not None and \
                         table_id not in enclave.query_tables():
                     enclave.create_table(table_id)
-            return enclave.install_rule(rule.pattern, rule.function,
-                                        table_id=rule.table_id,
-                                        priority=rule.priority,
-                                        next_table=rule.next_table)
+                    undo.append(partial(enclave.delete_table, table_id))
+            rule_id = enclave.install_rule(rule.pattern, rule.function,
+                                           table_id=rule.table_id,
+                                           priority=rule.priority,
+                                           next_table=rule.next_table)
+            undo.append(partial(enclave.remove_rule, rule_id,
+                                rule.table_id))
+            return rule_id
         if isinstance(msg, UpdateRules):
+            undo.append(partial(self._restore_rules,
+                                {table_id: enclave.query_rules(table_id)
+                                 for table_id in enclave.query_tables()}))
             return self._reconcile_rules(msg)
         if isinstance(msg, UpdateGlobals):
+            store = enclave.function(msg.function).global_store
+            saved = store.saved(msg.name) if store is not None else None
             if msg.kind == GLOBAL_SCALAR:
                 enclave.set_global(msg.function, msg.name, msg.values)
             elif msg.kind == GLOBAL_ARRAY:
@@ -197,6 +242,7 @@ class EnclaveAgent:
             else:
                 raise ControlError(
                     f"unknown global kind {msg.kind!r}")
+            undo.append(partial(store.restore, msg.name, saved))
             return None
         raise ControlError(
             f"agent {self.host}: unknown config message "
@@ -220,6 +266,21 @@ class EnclaveAgent:
                 priority=spec.priority, next_table=spec.next_table)
             installed.setdefault(spec.table_id, []).append(rule_id)
         return installed
+
+    def _restore_rules(self, saved: Dict[int, list]) -> None:
+        """Put the tables back as ``saved`` (table id -> its rules)
+        held them: the undo of an ``UpdateRules``."""
+        enclave = self.enclave
+        for table_id in enclave.query_tables():
+            for rule in enclave.query_rules(table_id):
+                enclave.remove_rule(rule.rule_id, table_id)
+        for table_id in enclave.query_tables():
+            if table_id not in saved:
+                enclave.delete_table(table_id)
+        for table_id, rules in saved.items():
+            table = enclave.table(table_id)
+            for rule in rules:
+                table.add(rule)
 
     # -- restart / reconnect ----------------------------------------------
 

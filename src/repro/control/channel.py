@@ -69,6 +69,9 @@ class Outcome:
     result: object = None
     reason: str = ""
     error: Optional[BaseException] = None
+    #: The refused op's index, as :class:`~repro.control.messages.
+    #: Nack` carries it.
+    op_index: Optional[int] = None
 
 
 #: The outcome of a message whose handler returned nothing; shared, so
@@ -80,7 +83,8 @@ class PendingSend:
     """Sender-side handle for one reliable message."""
 
     __slots__ = ("env", "attempts", "acked", "nacked", "failed",
-                 "superseded", "reason", "error", "result", "_timer")
+                 "superseded", "reason", "error", "op_index", "result",
+                 "_timer")
 
     def __init__(self, env: Envelope) -> None:
         self.env = env
@@ -91,6 +95,7 @@ class PendingSend:
         self.superseded = False    # stream reset; op covered by replay
         self.reason = ""
         self.error: Optional[BaseException] = None
+        self.op_index: Optional[int] = None
         self.result: object = None
         self._timer = None
 
@@ -367,7 +372,8 @@ class ControlEndpoint:
                         else None))
         else:
             reply = Nack(session=session, seq=seq,
-                         reason=outcome.reason, error=outcome.error)
+                         reason=outcome.reason, error=outcome.error,
+                         op_index=outcome.op_index)
         self.send(dst, reply, reliable=False)
 
     def _on_ack(self, src: str, payload, nack: bool) -> None:
@@ -382,6 +388,7 @@ class ControlEndpoint:
             pending.nacked = True
             pending.reason = payload.reason
             pending.error = payload.error
+            pending.op_index = payload.op_index
             self.stats.nacked += 1
             self._m["nacked"].inc()
             if self.on_nack is not None:

@@ -10,6 +10,16 @@ uniform: whenever an agent reconnects (``Hello`` after an enclave
 restart or partition), the plane fences the old session and replays
 the full desired state at the current epoch.
 
+A host's epoch counts ops: every op bumps it, whether the op is sent
+alone or in a :class:`~repro.control.messages.ConfigBatch`.  A
+rollout applies a program as one batch per host (:meth:`ControlPlane.
+batch`), and a rollback sends the restored state as one; the agent
+applies a batch whole or not at all, so a packet sees the host's
+configuration before it or after it, never between two of its ops.
+Counting ops, not batches, keeps every epoch a host has seen stale the
+moment anything is sent after it — an op re-sent from before a restart
+is refused as stale however it is packed.
+
 Telemetry flows the other way: agents push ``StatsReport`` messages
 (best-effort) and carry one on every config ``Ack``.  The plane keeps
 the newest per host, notes when it last heard from each host at all,
@@ -25,8 +35,9 @@ changed, so a rollout re-judges only the hosts something happened to.
 from __future__ import annotations
 
 import random
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 from ..lang.annotations import DEFAULT_PACKET_SCHEMA
 from ..lang.compiler import CompiledAction, compile_action
@@ -34,12 +45,13 @@ from ..telemetry import NULL_TELEMETRY, Telemetry
 from .agent import agent_address
 from .channel import (ChannelConfig, ControlEndpoint, Outcome,
                       PendingSend)
-from .messages import (Ack, ControlError, ControlMessage, Envelope,
-                       GLOBAL_ARRAY, GLOBAL_KEYED, GLOBAL_RECORDS,
-                       GLOBAL_SCALAR, Hello, InstallFunction,
-                       InstallRule, RemoveFunction, ReplaceFunction,
-                       RuleSpec, STALE_EPOCH, StatsReport,
-                       UpdateGlobals, UpdateRules)
+from .messages import (Ack, ConfigBatch, ConfigMessage, ControlError,
+                       ControlMessage, Envelope, GLOBAL_ARRAY,
+                       GLOBAL_KEYED, GLOBAL_RECORDS, GLOBAL_SCALAR,
+                       Hello, InstallFunction, InstallRule,
+                       RemoveFunction, ReplaceFunction, RuleSpec,
+                       STALE_EPOCH, StatsReport, UpdateGlobals,
+                       UpdateRules)
 from .transport import Transport
 
 
@@ -90,6 +102,18 @@ class DesiredState:
                        for name, spec in self.functions.items()},
             rules=list(self.rules),
             globals=dict(self.globals))
+
+
+class Batch:
+    """The messages :meth:`ControlPlane.batch` collects for one host,
+    and after the block the one send that carried them."""
+
+    __slots__ = ("host", "messages", "pending")
+
+    def __init__(self, host: str) -> None:
+        self.host = host
+        self.messages: List[ConfigMessage] = []
+        self.pending: Optional[PendingSend] = None
 
 
 class ControlLoop:
@@ -144,6 +168,7 @@ class ControlPlane:
         #: receive and send paths.
         self.on_host_change: Optional[Callable[[str], None]] = None
         self._artifacts: Dict[tuple, CompiledAction] = {}
+        self._batch: Optional[Batch] = None
         registry = self.telemetry.registry
         self._m_reports = registry.counter("plane_reports_total")
         self._m_hellos = registry.counter("plane_hellos_total")
@@ -183,11 +208,51 @@ class ControlPlane:
 
     # -- versioned mutations ----------------------------------------------
 
-    def _send(self, host: str, msg: ControlMessage) -> PendingSend:
+    def _send(self, host: str,
+              msg: ConfigMessage) -> Optional[PendingSend]:
+        """Send ``msg`` to ``host``, or inside :meth:`batch` add it to
+        the batch and return None."""
+        batch = self._batch
+        if batch is not None:
+            if batch.host != host:
+                raise ControlError(
+                    f"a batch for {batch.host!r} is open; cannot send "
+                    f"to {host!r}")
+            batch.messages.append(msg)
+            return None
         pending = self.endpoint.send(self.agent_addr(host), msg)
         if self.on_host_change is not None:
             self.on_host_change(host)
         return pending
+
+    @contextmanager
+    def batch(self, host: str) -> Iterator[Batch]:
+        """Send every message the block sends ``host`` as one.
+
+        The mutations called inside update the desired state and bump
+        the epoch per op as always, but return None; when the block
+        ends, their messages go out as one :class:`ConfigBatch` (or
+        bare, if there is only one), whose send the yielded
+        :class:`Batch` holds as ``pending``.  The agent applies it
+        whole or not at all.  A block that raises still sends what it
+        collected, which the desired state already holds.  Batches do
+        not nest.
+        """
+        if self._batch is not None:
+            raise ControlError(
+                f"a batch for {self._batch.host!r} is already open")
+        self._batch = batch = Batch(host)
+        try:
+            yield batch
+        finally:
+            self._batch = None
+            messages = batch.messages
+            if len(messages) == 1:
+                batch.pending = self._send(host, messages[0])
+            elif messages:
+                batch.pending = self._send(host, ConfigBatch(
+                    host=host, epoch=messages[-1].epoch,
+                    ops=tuple(messages)))
 
     def _artifact(self, name: str, source_fn,
                   kwargs) -> CompiledAction:
@@ -218,7 +283,7 @@ class ControlPlane:
         return action
 
     def install_function(self, host: str, name: str, source_fn,
-                         **kwargs) -> PendingSend:
+                         **kwargs) -> Optional[PendingSend]:
         ds = self.desired(host)
         action = self._artifact(name, source_fn, kwargs)
         ds.epoch += 1
@@ -228,7 +293,7 @@ class ControlPlane:
             kwargs=_binding_options(kwargs)))
 
     def replace_function(self, host: str, name: str, source_fn,
-                         **kwargs) -> PendingSend:
+                         **kwargs) -> Optional[PendingSend]:
         ds = self.desired(host)
         spec = ds.functions.get(name)
         merged = dict(spec.kwargs) if spec is not None else {}
@@ -246,7 +311,7 @@ class ControlPlane:
             host=host, epoch=ds.epoch, name=name, program=action,
             kwargs=_binding_options(kwargs)))
 
-    def remove_function(self, host: str, name: str) -> PendingSend:
+    def remove_function(self, host: str, name: str) -> Optional[PendingSend]:
         """Retire ``name`` from ``host``'s desired state.
 
         Any rules that still reference the function are retired first
@@ -273,7 +338,8 @@ class ControlPlane:
 
     def install_rule(self, host: str, pattern: str, function: str,
                      table_id: int = 0, priority: int = 0,
-                     next_table: Optional[int] = None) -> PendingSend:
+                     next_table: Optional[int] = None
+                     ) -> Optional[PendingSend]:
         ds = self.desired(host)
         ds.epoch += 1
         spec = RuleSpec(pattern=pattern, function=function,
@@ -284,7 +350,7 @@ class ControlPlane:
                                             rule=spec))
 
     def update_rules(self, host: str,
-                     rules: List[RuleSpec]) -> PendingSend:
+                     rules: List[RuleSpec]) -> Optional[PendingSend]:
         ds = self.desired(host)
         ds.epoch += 1
         ds.rules = list(rules)
@@ -292,29 +358,29 @@ class ControlPlane:
                                             rules=tuple(rules)))
 
     def set_global(self, host: str, function: str, name: str,
-                   value: int) -> PendingSend:
+                   value: int) -> Optional[PendingSend]:
         return self._set_global(host, function, name, GLOBAL_SCALAR,
                                 None, value)
 
     def set_global_array(self, host: str, function: str, name: str,
-                         values) -> PendingSend:
+                         values) -> Optional[PendingSend]:
         return self._set_global(host, function, name, GLOBAL_ARRAY,
                                 None, tuple(values))
 
     def set_global_records(self, host: str, function: str, name: str,
-                           records) -> PendingSend:
+                           records) -> Optional[PendingSend]:
         frozen = tuple(tuple(r) for r in records)
         return self._set_global(host, function, name, GLOBAL_RECORDS,
                                 None, frozen)
 
     def set_global_keyed(self, host: str, function: str, name: str,
-                         key: tuple, values) -> PendingSend:
+                         key: tuple, values) -> Optional[PendingSend]:
         return self._set_global(host, function, name, GLOBAL_KEYED,
                                 tuple(key), tuple(values))
 
     def _set_global(self, host: str, function: str, name: str,
                     kind: str, key: Optional[tuple],
-                    values) -> PendingSend:
+                    values) -> Optional[PendingSend]:
         ds = self.desired(host)
         ds.epoch += 1
         ds.globals[(function, name, kind, key)] = values
@@ -329,17 +395,18 @@ class ControlPlane:
         return self.desired(host).snapshot()
 
     def restore_desired(self, host: str,
-                        snapshot: DesiredState) -> List[PendingSend]:
+                        snapshot: DesiredState) -> PendingSend:
         """Roll ``host`` back to a previously snapshotted state.
 
         The epoch keeps moving *forward* (one past whatever the host
         has seen), so in-flight messages from the abandoned rollout
         are fenced: anything still in the old session dies with it,
         and anything re-sent at the old epoch is Nacked stale.  The
-        restored contents are pushed as a full replay; functions the
-        abandoned rollout installed that the snapshot does not want
-        are retired last, after the replayed ``UpdateRules`` has
-        dropped their rules.
+        restored contents are pushed as a full replay, and functions
+        the abandoned rollout installed that the snapshot does not
+        want are retired after the replayed ``UpdateRules`` has
+        dropped their rules — all as one batch, since it rewrites a
+        live enclave.
         """
         ds = self.desired(host)
         extras = [name for name in ds.functions
@@ -352,41 +419,43 @@ class ControlPlane:
         ds.epoch = max(ds.epoch, snapshot.epoch) + 1
         self.restores += 1
         self._m_restores.inc()
-        sends = self.replay(host)
-        for name in extras:
-            sends.append(self._send(host, RemoveFunction(
-                host=host, epoch=ds.epoch, name=name)))
-        return sends
+        with self.batch(host) as batch:
+            self.replay(host)
+            for name in extras:
+                self._send(host, RemoveFunction(
+                    host=host, epoch=ds.epoch, name=name))
+        return batch.pending
 
     # -- recovery ----------------------------------------------------------
 
-    def replay(self, host: str) -> List[PendingSend]:
+    def replay(self, host: str) -> None:
         """Fence the old session and re-send the desired state.
 
         Install order is preserved; globals follow their functions;
         the rule set goes last as one idempotent ``UpdateRules`` —
         so a freshly restarted (empty) enclave converges to exactly
-        the desired state, and a live enclave is unchanged.
+        the desired state, and a live enclave is unchanged.  Sent as
+        bare messages, one per item: the empty enclave a restart
+        leaves runs no function until the rule set lands, so no
+        packet sees a mix.  Inside :meth:`batch` they join the batch.
         """
         ds = self.desired(host)
         self.endpoint.reset_peer(self.agent_addr(host))
         self.replays += 1
         self._m_replays.inc()
-        sends: List[PendingSend] = []
         for name, spec in ds.functions.items():
-            sends.append(self._send(host, InstallFunction(
+            self._send(host, InstallFunction(
                 host=host, epoch=ds.epoch, name=name,
                 program=self._artifact(name, spec.source_fn,
                                        spec.kwargs),
-                kwargs=_binding_options(spec.kwargs))))
+                kwargs=_binding_options(spec.kwargs)))
         for (function, gname, kind, key), values in \
                 ds.globals.items():
-            sends.append(self._send(host, UpdateGlobals(
+            self._send(host, UpdateGlobals(
                 host=host, epoch=ds.epoch, function=function,
-                name=gname, kind=kind, key=key, values=values)))
-        sends.append(self._send(host, UpdateRules(
-            host=host, epoch=ds.epoch, rules=tuple(ds.rules))))
-        return sends
+                name=gname, kind=kind, key=key, values=values))
+        self._send(host, UpdateRules(
+            host=host, epoch=ds.epoch, rules=tuple(ds.rules)))
 
     # -- inbound traffic ---------------------------------------------------
 

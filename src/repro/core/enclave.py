@@ -656,6 +656,19 @@ class Enclave:
         del self._functions[name]
         self._changed()
 
+    def restore_function(self, name: str,
+                         installed: Optional[InstalledFunction]) -> None:
+        """Put ``installed``, a binding :meth:`function` returned
+        earlier, back as ``name`` with the program, state and stats it
+        has; with ``None``, drop ``name``.  Nothing is checked: this is
+        how a control agent undoes the installs, replaces and removes
+        of a batch it refused, after undoing the batch's rules."""
+        if installed is None:
+            self._functions.pop(name, None)
+        else:
+            self._functions[name] = installed
+        self._changed()
+
     def function(self, name: str) -> InstalledFunction:
         try:
             return self._functions[name]

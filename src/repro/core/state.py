@@ -132,6 +132,27 @@ class GlobalStore:
         self._keyed.setdefault(name, {})[key] = flat
         self._images.clear()
 
+    def saved(self, name: str) -> tuple:
+        """Field ``name`` as it is now — scalar, array and keyed
+        slices — for :meth:`restore` to put back."""
+        keyed = self._keyed.get(name)
+        return (self._scalars.get(name), self._arrays.get(name),
+                dict(keyed) if keyed is not None else None)
+
+    def restore(self, name: str, saved: tuple) -> None:
+        """Undo every write of ``name`` since :meth:`saved` returned
+        ``saved``."""
+        scalar, array, keyed = saved
+        if scalar is not None:
+            self._scalars[name] = scalar
+        if array is not None:
+            self._arrays[name] = array
+        if keyed is None:
+            self._keyed.pop(name, None)
+        else:
+            self._keyed[name] = keyed
+        self._images.clear()
+
     # -- runtime reads/writes ----------------------------------------------
 
     def scalar(self, name: str) -> int:

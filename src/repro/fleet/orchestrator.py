@@ -5,13 +5,14 @@ FleetProgram` across a fleet, one :class:`~repro.fleet.plan.Wave` at
 a time, entirely through the existing control plane:
 
 1. **Install** — at wave start, snapshot each host's desired state
-   (the rollback point), then apply the program; every op bumps the
-   host's epoch and flows through the reliable channel.
-2. **Await Acks** — the wave's ``PendingSend`` handles must all
-   resolve.  A send superseded by a session reset (the host restarted
-   mid-wave and the plane replayed its desired state) is *not* a
-   failure: the replay carries the same target epoch, and convergence
-   is judged by :meth:`~repro.control.plane.ControlPlane.in_sync`.
+   (the rollback point), then apply the program: every op bumps the
+   host's epoch, and the host gets them all as one batch through the
+   reliable channel, which its agent applies whole or not at all.
+2. **Await Acks** — each host's one ``PendingSend`` must resolve.  A
+   send superseded by a session reset (the host restarted mid-wave and
+   the plane replayed its desired state) is *not* a failure: the
+   replay carries the same target epoch, and convergence is judged by
+   :meth:`~repro.control.plane.ControlPlane.in_sync`.
 3. **Health-gate** — each host confirms only when the gate
    (:mod:`repro.fleet.health`) returns ``HEALTHY`` from its freshest
    ``StatsReport``.  ``FAIL`` fails the wave immediately.
@@ -137,9 +138,9 @@ class FleetOrchestrator:
         self.host_status: Dict[str, HostStatus] = {
             h: HostStatus(host=h) for h in plan.hosts()}
         self._snapshots: Dict[str, DesiredState] = {}
-        #: Per host, the sends of its wave or restore that
-        #: :meth:`_scan_pendings` has not yet seen resolve.
-        self._unresolved: Dict[str, List[PendingSend]] = {}
+        #: Per host, the send of its wave or restore until
+        #: :meth:`_scan_pendings` has seen it resolve, then None.
+        self._unresolved: Dict[str, Optional[PendingSend]] = {}
         # The hosts the current phase judges (the wave's, or every
         # touched host while rolling back) with their positions, those
         # whose view changed since they were last judged, the phase's
@@ -340,29 +341,29 @@ class FleetOrchestrator:
             self._fail_wave(record, "wave timeout")
 
     def _scan_pendings(self, host: str, status: HostStatus) -> bool:
-        """Classify the sends that resolved since the last scan, each
-        once: stale Nacks are counted (the fence did its job), any
-        other Nack or retry exhaustion is a host failure.  Superseded
-        sends are fine — a session reset (restart -> replay) re-sent
-        the same desired state.  True once every send has resolved."""
-        unresolved: List[PendingSend] = []
-        for p in self._unresolved[host]:
-            if not p.done:
-                unresolved.append(p)
-            elif p.nacked:
-                if p.reason == STALE_EPOCH:
-                    status.stale_nacks += 1
-                else:
-                    status.send_failures += 1
-                    status.state = FAILED
-                    status.failure_reason = (
-                        f"nack:{p.reason or 'error'}")
-            elif p.failed:
+        """Classify the host's send once, when it has resolved: a
+        stale Nack is counted (the fence did its job), any other Nack
+        or retry exhaustion is a host failure.  A superseded send is
+        fine — a session reset (restart -> replay) re-sent the same
+        desired state.  True once the send has resolved."""
+        p = self._unresolved[host]
+        if p is None:
+            return True
+        if not p.done:
+            return False
+        self._unresolved[host] = None
+        if p.nacked:
+            if p.reason == STALE_EPOCH:
+                status.stale_nacks += 1
+            else:
                 status.send_failures += 1
                 status.state = FAILED
-                status.failure_reason = "retries-exhausted"
-        self._unresolved[host] = unresolved
-        return not unresolved
+                status.failure_reason = f"nack:{p.reason or 'error'}"
+        elif p.failed:
+            status.send_failures += 1
+            status.state = FAILED
+            status.failure_reason = "retries-exhausted"
+        return True
 
     def _host_health(self, host: str,
                      status: HostStatus) -> HostHealth:

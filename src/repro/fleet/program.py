@@ -4,9 +4,15 @@ A :class:`FleetProgram` is the fleet-wide analogue of one host's
 desired-state delta — an ordered sequence of operations (install
 function, set globals, install rules, ...) applied identically to
 every host of a wave through the :class:`~repro.control.plane.
-ControlPlane`.  Each ``apply`` bumps the host's epoch per op and
-returns the resulting :class:`~repro.control.channel.PendingSend`
-handles, which the orchestrator tracks to Ack-completion.
+ControlPlane`.  ``apply`` sends a host its ops as one message, a
+:class:`~repro.control.messages.ConfigBatch` (a program of one op
+goes bare), and returns its one :class:`~repro.control.channel.
+PendingSend`, which the orchestrator tracks to Ack-completion.  The
+host's agent applies the batch in one event, whole or not at all, so
+no packet sees a half-applied program.  Each op still bumps the
+host's epoch, and the batch carries the epoch after its last op: a
+host's epoch counts ops, so an op sent at any earlier epoch — say,
+before a restart — stays stale.
 
 Values may be host-dependent (an attacker-side spoof guard needs each
 host's *own* IP): wrap them in :class:`PerHost` and they are resolved
@@ -43,7 +49,8 @@ def _resolve(value, host: str):
 class FleetOp:
     """Base class for one control-plane operation."""
 
-    def apply(self, plane, host: str) -> list:
+    def apply(self, plane, host: str):
+        """Call the plane for this op; returns what the call does."""
         raise NotImplementedError
 
 
@@ -53,10 +60,10 @@ class InstallFunctionOp(FleetOp):
     source_fn: object
     kwargs: Mapping[str, object] = field(default_factory=dict)
 
-    def apply(self, plane, host: str) -> list:
-        return [plane.install_function(host, self.name,
-                                       self.source_fn,
-                                       **dict(self.kwargs))]
+    def apply(self, plane, host: str):
+        return plane.install_function(host, self.name,
+                                      self.source_fn,
+                                      **dict(self.kwargs))
 
 
 @dataclass(frozen=True)
@@ -65,18 +72,18 @@ class ReplaceFunctionOp(FleetOp):
     source_fn: object
     kwargs: Mapping[str, object] = field(default_factory=dict)
 
-    def apply(self, plane, host: str) -> list:
-        return [plane.replace_function(host, self.name,
-                                       self.source_fn,
-                                       **dict(self.kwargs))]
+    def apply(self, plane, host: str):
+        return plane.replace_function(host, self.name,
+                                      self.source_fn,
+                                      **dict(self.kwargs))
 
 
 @dataclass(frozen=True)
 class RemoveFunctionOp(FleetOp):
     name: str
 
-    def apply(self, plane, host: str) -> list:
-        return [plane.remove_function(host, self.name)]
+    def apply(self, plane, host: str):
+        return plane.remove_function(host, self.name)
 
 
 @dataclass(frozen=True)
@@ -87,11 +94,11 @@ class InstallRuleOp(FleetOp):
     priority: int = 0
     next_table: Optional[int] = None
 
-    def apply(self, plane, host: str) -> list:
-        return [plane.install_rule(host, self.pattern, self.function,
-                                   table_id=self.table_id,
-                                   priority=self.priority,
-                                   next_table=self.next_table)]
+    def apply(self, plane, host: str):
+        return plane.install_rule(host, self.pattern, self.function,
+                                  table_id=self.table_id,
+                                  priority=self.priority,
+                                  next_table=self.next_table)
 
 
 @dataclass(frozen=True)
@@ -108,21 +115,21 @@ class SetGlobalOp(FleetOp):
     key: object = None
     value: object = None
 
-    def apply(self, plane, host: str) -> list:
+    def apply(self, plane, host: str):
         value = _resolve(self.value, host)
         key = _resolve(self.key, host)
         if self.kind == "scalar":
-            return [plane.set_global(host, self.function, self.name,
-                                     value)]
+            return plane.set_global(host, self.function, self.name,
+                                    value)
         if self.kind == "array":
-            return [plane.set_global_array(host, self.function,
-                                           self.name, value)]
+            return plane.set_global_array(host, self.function,
+                                          self.name, value)
         if self.kind == "records":
-            return [plane.set_global_records(host, self.function,
-                                             self.name, value)]
+            return plane.set_global_records(host, self.function,
+                                            self.name, value)
         if self.kind == "keyed":
-            return [plane.set_global_keyed(host, self.function,
-                                           self.name, key, value)]
+            return plane.set_global_keyed(host, self.function,
+                                          self.name, key, value)
         raise ProgramError(f"unknown global kind {self.kind!r}")
 
 
@@ -136,12 +143,13 @@ class FleetProgram:
         self.ops: List[FleetOp] = list(ops)
         self.name = name
 
-    def apply(self, plane, host: str) -> list:
-        """Push every op to ``host``; returns all PendingSends."""
-        sends: list = []
-        for op in self.ops:
-            sends.extend(op.apply(plane, host))
-        return sends
+    def apply(self, plane, host: str):
+        """Push every op to ``host`` as one send; returns its
+        :class:`~repro.control.channel.PendingSend`."""
+        with plane.batch(host) as batch:
+            for op in self.ops:
+                op.apply(plane, host)
+        return batch.pending
 
     def __len__(self) -> int:
         return len(self.ops)

@@ -2,7 +2,10 @@
 view changed, and decides exactly what judging every host decided.
 
 The pinned instants and reasons were recorded with the orchestrator
-that re-judged every unconfirmed host at every poll.  Each scenario
+that re-judged every unconfirmed host at every poll; those of the
+replace-and-remove rollout, and the restore's expiry count, were
+re-recorded when a host came to get a wave, and a restore, as one
+batch.  Each scenario
 leans on one way a host's view changes: time alone (a gate that is
 not event-driven), a send running out of retries (no envelope), the
 sends of a replace-and-remove program, and outcomes counted across a
@@ -242,10 +245,10 @@ class TestReplaceAndRemove:
             assert (packet.priority, packet.queue_id) == (4, 0)
             assert plane.in_sync(host)
             assert "extra_fn" not in plane.desired(host).functions
-        assert orch.ticks == 41
+        assert orch.ticks == 20
         assert [(w["acked_ns"] // MS, w["confirmed_ns"] // MS)
                 for w in orch.summary()["wave_records"]] == \
-            [(116, 124), (140, 172), (174, 174), (182, 182)]
+            [(132, 132), (134, 134), (136, 136), (140, 140)]
 
     def test_rollback_restores_the_removed_function(self):
         sim, _, controller = make_fleet(seed=2, loss=0.1)
@@ -298,9 +301,9 @@ class TestOutcomesAcrossRollback:
         h1, h2 = orch.host_status["h1"], orch.host_status["h2"]
         assert orch.waves[0].failure_reason == "nack:EnclaveError"
         assert (h1.state, h1.send_failures) == (ROLLED_BACK, 1)
-        # Replay: two installs, one global, the rule set.
-        assert h2.send_failures == 4
-        assert controller.plane.endpoint.stats.expired == 4
+        # The restore is one batch.
+        assert h2.send_failures == 1
+        assert controller.plane.endpoint.stats.expired == 1
 
 
 def _app_class():

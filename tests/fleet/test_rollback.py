@@ -147,18 +147,19 @@ class TestHealthGateRollback:
         # The moment rollback starts, knock over an already-updated
         # host: it loses the restore in flight, reconnects with
         # Hello, and the controller replays the *restored* desired
-        # state — not the abandoned wave's.  The config Ack carries
-        # the agent's state, so a restore can finish within a few
-        # milliseconds: the restart comes 1 ms in.
+        # state — not the abandoned wave's.  The restore is one
+        # message and the config Ack carries the agent's state, so a
+        # restore can finish one round trip (100 us) in: the restart
+        # comes 20 us in, before the restore arrives.
         orch.on_rollback_start = lambda o: schedule_restart(
-            sim, sim.now + 1 * MS, controller.agent("h1"))
+            sim, sim.now + 20_000, controller.agent("h1"))
         orch.start()
         run_until_terminal(sim, orch, horizon_ms=6_000)
         assert orch.state == ROLLED_BACK_FLEET
         assert controller.agent("h1").restarts == 1
         # The restart did land on the restore in flight: the replay
-        # its Hello triggered superseded a restore send.
-        assert any(p.superseded for p in restores["h1"])
+        # its Hello triggered superseded the restore's one send.
+        assert restores["h1"].superseded
         for host in ("h1", "h2", "h3"):
             assert_baseline_restored(controller, host)
             assert controller.plane.in_sync(host)

@@ -62,8 +62,11 @@ def logged_sends(monkeypatch, run):
 @pytest.mark.parametrize("n_hosts", [32, 128])
 def test_rollout_send_log_golden(monkeypatch, n_hosts):
     """``converge_mitigation`` at 20% loss and 5% duplication, one
-    restart in the second wave and a stale-epoch probe: recorded
-    before agents slept between reports."""
+    restart in the second wave and a stale-epoch probe.  Re-recorded
+    when a host came to get each wave as one batch instead of one
+    message per op: one config send and one Ack per host per wave,
+    fewer retransmits, and reports end sooner because the rollout
+    does."""
     result, sends, digest = logged_sends(
         monkeypatch, lambda: converge_mitigation(n_hosts))
     assert result["converged"] and result["in_sync"]
@@ -71,8 +74,8 @@ def test_rollout_send_log_golden(monkeypatch, n_hosts):
 
 
 SEND_LOG = {
-    32: (906, "8b231e51f94f485a8042db9fc06c40f5"
-              "4b4de94f42f1ada5fd659728c6cc2991"),
-    128: (3633, "08ebb64915857f06478a3aac50a805e2"
-                "838c89da6ccfdcdcf6edfc0960f5e0ba"),
+    32: (181, "5cbb79140716ff12b729d9edefcdfa95"
+              "fa3e5246cfb69a52c78d1c44c6091f65"),
+    128: (780, "11f745e94a635bd9e43cce382922bf4a"
+               "6a1c25a11d2defb34b6ee26c85a2aea8"),
 }

@@ -215,9 +215,10 @@ def test_mitigation_rollout_golden(monkeypatch):
     """``converge_mitigation(32)`` pinned to literals: what the run
     returns and the sha256 of its fire log — ``(now, callback name)``
     of every event that fires, in firing order.  Last re-recorded when
-    idle agents stopped firing quiet report ticks (one grid timer
-    stands for every agent's tick): the event count and the fire log
-    moved, nothing else.  A change
+    a host came to get each wave as one batch instead of one message
+    per op: seven times fewer config sends and Acks, so fewer losses
+    to retry (262 -> 25 retransmits), 1106 -> 213 events, and every
+    wave confirms sooner (converged at 300 -> 85 sim-ms).  A change
     that moves either is a behaviour change and must re-record the pin
     on purpose, saying why.
 
@@ -246,14 +247,14 @@ def test_mitigation_rollout_golden(monkeypatch):
 
 
 MITIGATION_32 = {'converged': True,
-                 'last_ack_ns': 300000000,
-                 'converged_ns': 300000000,
+                 'last_ack_ns': 85000000,
+                 'converged_ns': 85000000,
                  'restarts': 1,
                  'replays': 1,
                  'stale_nacks': 1,
-                 'retransmits': 262,
-                 'events': 1106,
+                 'retransmits': 25,
+                 'events': 213,
                  'in_sync': True}
 
 MITIGATION_32_FIRE_LOG = \
-    'fe2c724c5e3a2d5acb767cc051c0afef078da096073704584575473bafff7ab3'
+    'bc5af9dd8ab79b2c63fd8efc86cb3a1b93b6a65bcd9c479fe145f07a23a80cd3'
