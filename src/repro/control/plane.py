@@ -40,7 +40,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 from ..lang.annotations import DEFAULT_PACKET_SCHEMA
-from ..lang.compiler import CompiledAction, compile_action
+from ..lang.compiler import CompiledAction, compile_shared
 from ..telemetry import NULL_TELEMETRY, Telemetry
 from .agent import agent_address
 from .channel import (ChannelConfig, ControlEndpoint, Outcome,
@@ -60,11 +60,6 @@ from .transport import Transport
 #: travel beside the artifact in the message.
 COMPILE_OPTIONS = ("message_schema", "global_schema",
                    "optimize_tail_calls")
-
-#: Artifacts a plane keeps for re-sends and replays, oldest dropped
-#: first: far more than the functions a fleet runs, a bound for a
-#: control loop that keeps replacing one with fresh source.
-_ARTIFACT_LIMIT = 256
 
 
 def _binding_options(kwargs) -> Dict[str, object]:
@@ -167,7 +162,6 @@ class ControlPlane:
         #: hook must only take note: it runs inside the channel's
         #: receive and send paths.
         self.on_host_change: Optional[Callable[[str], None]] = None
-        self._artifacts: Dict[tuple, CompiledAction] = {}
         self._batch: Optional[Batch] = None
         registry = self.telemetry.registry
         self._m_reports = registry.counter("plane_reports_total")
@@ -258,29 +252,15 @@ class ControlPlane:
                   kwargs) -> CompiledAction:
         """The artifact an install of ``source_fn`` as ``name`` ships.
 
-        Compiled on the first send of each distinct (name, source,
-        schemas, options) against the canonical packet schema, then
-        shared by every later send — other hosts, replays, rollbacks —
-        so a fleet rollout compiles each function once, not once per
-        host.  An artifact handed in is shipped as it is.
+        Compiled against the canonical packet schema once per process
+        (:func:`~repro.lang.compiler.compile_shared`) and shared by
+        every send; an artifact handed in is shipped as it is.
         """
         if isinstance(source_fn, CompiledAction):
             return source_fn
-        key = (name, source_fn, id(kwargs.get("message_schema")),
-               id(kwargs.get("global_schema")),
-               kwargs.get("optimize_tail_calls", True))
-        action = self._artifacts.get(key)
-        if action is None:
-            # The cached artifact holds both schemas, so their ids in
-            # the key stay theirs for as long as the entry lives.
-            action = compile_action(
-                source_fn, packet_schema=DEFAULT_PACKET_SCHEMA,
-                name=name, **{k: kwargs[k] for k in COMPILE_OPTIONS
-                              if k in kwargs})
-            if len(self._artifacts) >= _ARTIFACT_LIMIT:
-                del self._artifacts[next(iter(self._artifacts))]
-            self._artifacts[key] = action
-        return action
+        return compile_shared(
+            source_fn, packet_schema=DEFAULT_PACKET_SCHEMA, name=name,
+            **{k: kwargs[k] for k in COMPILE_OPTIONS if k in kwargs})
 
     def install_function(self, host: str, name: str, source_fn,
                          **kwargs) -> Optional[PendingSend]:

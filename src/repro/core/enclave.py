@@ -23,7 +23,7 @@ from typing import (Callable, Dict, Iterable, List, Optional,
 from ..lang import backends as lang_backends
 from ..lang.analysis import ConcurrencyLevel, facts
 from ..lang.annotations import DEFAULT_PACKET_SCHEMA, Schema
-from ..lang.compiler import CompiledAction, compile_action
+from ..lang.compiler import CompiledAction, compile_shared
 from ..lang.interpreter import (WORD_BYTES, ExecResult, Interpreter,
                                 InterpreterFault)
 from ..lang.verifier import verify_action
@@ -111,11 +111,11 @@ class InstalledFunction:
     :class:`~repro.lang.compiler.CompiledAction`.
 
     The artifact's ``Program`` may be bound by many enclaves at once —
-    the control plane compiles once and ships the same artifact to a
-    whole fleet — so the program, and with it pycodegen's tier counter,
-    generated body and plan code, is shared.  Everything else is this
-    binding's own: the bound executor, the plan instance, the
-    authoritative message/global state and the stats.
+    equal actions compile once per process — so the program, and with
+    it pycodegen's generated body and plan code, is shared.
+    Everything else is this binding's own: the bound executor, the
+    plan instance, the authoritative message/global state and the
+    stats.
 
     ``backend`` selects how invocations execute: ``"interpreter"``
     is the enclave's shared :class:`Interpreter`'s dispatch, and any
@@ -124,7 +124,7 @@ class InstalledFunction:
     backend.  Either way the binding resolves exactly one
     :class:`~repro.lang.backends.Backend`, named by :attr:`dispatch`,
     and runs through its ``bind`` (the generic tier, bound here, at
-    install) and its ``plan`` (asked for on the data path).
+    install) and its ``plan`` (asked for on the first packet).
     """
 
     def __init__(self, name: str, action: CompiledAction,
@@ -185,9 +185,8 @@ class InstalledFunction:
         Which slots an invocation writes back, split by scope, is known
         at install time; both tiers write back exactly these.  The
         generic tier's per-slot readers are built on its first use
-        instead (:meth:`_build_readers`): a program the control plane
-        shipped to a fleet runs its generic tier for its first few
-        calls fleet-wide, so most bindings never need them.
+        instead (:meth:`_build_readers`): only a backend without a plan
+        (the ``tree`` and ``native`` pins) runs it.
         """
         # The static write set as (slot, name) lists per scope: the
         # slots some PUTF targets (the verifier has made sure they are
@@ -215,10 +214,15 @@ class InstalledFunction:
             for i, aref in enumerate(self.program.array_table)
             if aref.writable and aref.scope == "global"
         ] if found.stores_to_heap else []
-        # The generic tier's executor, bound here, at install, so
-        # whatever the backend compiles per binding (native: the
-        # AST-level function) fails the install, not a packet.
-        self._run = self._executor.bind(self.interpreter, self.program)
+        # Bound at install, so whatever the backend compiles here
+        # (pycodegen: the program; native: this binding's function)
+        # fails the install, not a packet.
+        try:
+            self._run = self._executor.bind(self.interpreter,
+                                            self.program)
+        except (SyntaxError, RecursionError) as exc:   # from compile()
+            raise EnclaveError(f"function {self.name!r} does not compile "
+                               f"on {self.dispatch}: {exc!r}") from exc
         self._plan: Optional[Callable] = None
         self._field_readers: Optional[List[Callable]] = None
         self._array_readers: Optional[List[Callable]] = None
@@ -280,27 +284,26 @@ class InstalledFunction:
         callable the backend bound at install (``Backend.bind``)."""
         return self._run(fields, arrays)
 
-    def _ask_for_plan(self) -> Optional[Callable]:
-        return self._executor.plan(self.interpreter, self)
-
     def run_packet(self, packet, msg_entry, acct=None) -> int:
         """One invocation against live state; returns the op count.
 
-        State read -> :meth:`execute` -> write-back of the static
-        write set -> function stats.  That is the generic tier: cold
-        programs and the ``tree``/``native`` pins run it, and it is
-        the oracle for the backend's
-        plan (``Backend.plan``), the same sequence as one generated
-        callable, which takes over once the program is hot.
-        An :class:`InterpreterFault` propagates with nothing of the
+        Runs the backend's plan (``Backend.plan``), asked for once,
+        on the first packet (an install stays a bind), or without one
+        the generic tier (:meth:`_run_generic`).  An
+        :class:`InterpreterFault` propagates with nothing of the
         invocation committed.  ``acct`` is the enclave's
         :class:`CpuAccounting` when it is enabled, else None.
         """
         plan = self._plan
         if plan is None:
-            plan = self._plan = self._ask_for_plan()
-        if plan is not None:
-            return plan(packet, msg_entry, acct)
+            plan = self._plan = (
+                self._executor.plan(self.interpreter, self)
+                or self._run_generic)
+        return plan(packet, msg_entry, acct)
+
+    def _run_generic(self, packet, msg_entry, acct=None) -> int:
+        """State read -> :meth:`execute` -> write-back of the static
+        write set -> function stats: what every plan must equal."""
         if self._field_readers is None:
             self._build_readers()
         fields = [read(packet, msg_entry)
@@ -571,17 +574,17 @@ class Enclave:
 
         ``action`` is the :class:`~repro.lang.compiler.CompiledAction`
         the control plane ships, which carries its own schemas and
-        compile options; or action source, which is first compiled
-        here against this enclave's packet schema with the schemas
-        and option given.  Either way the same verify-and-bind
-        follows (:meth:`_bind`).
+        compile options; or action source, compiled here
+        (:func:`~repro.lang.compiler.compile_shared`) against this
+        enclave's packet schema with the schemas and option given.
+        Either way the same verify-and-bind follows (:meth:`_bind`).
         """
         if isinstance(action, CompiledAction):
             if message_schema is not None or global_schema is not None:
                 raise EnclaveError(
                     "a compiled action carries its own schemas")
         else:
-            action = compile_action(
+            action = compile_shared(
                 action, packet_schema=self.packet_schema,
                 message_schema=message_schema,
                 global_schema=global_schema,
@@ -1045,7 +1048,7 @@ class Enclave:
                     f"a replacement for {name!r} must keep its message "
                     f"and global schemas")
         else:
-            action = compile_action(
+            action = compile_shared(
                 action, packet_schema=self.packet_schema,
                 message_schema=old.message_schema,
                 global_schema=old.global_schema, name=name,

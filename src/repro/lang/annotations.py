@@ -138,6 +138,9 @@ class Schema:
                         f"schema {self.name!r}: packet-scoped field "
                         f"{f.name!r} cannot be an array")
 
+    def __hash__(self) -> int:     # a field's header_map is a dict
+        return hash(self.name)
+
     def field_named(self, name: str) -> Field:
         for f in self.fields:
             if f.name == name:

@@ -5,8 +5,8 @@ live behind one :class:`Backend` protocol:
 
 * ``tree`` — the decode-per-op walk, the executable semantics every
   other path is checked against;
-* ``pycodegen`` — what runs: the tree walk while a program is cold,
-  generated straight-line Python once it is hot
+* ``pycodegen`` — what runs: generated straight-line Python, compiled
+  once per program
   (:mod:`repro.lang.pycodegen`);
 * ``native`` — the AST-level compiler, the paper's Eden-vs-native
   baseline (Fig 12).
@@ -21,7 +21,7 @@ The contract, enforced by the differential harness in
 ``tests/lang/test_differential.py``:
 
 * ``tree`` and ``pycodegen`` are bit-for-bit equivalent — results,
-  :class:`ExecStats`, fault class and fault *reason* — cold or hot.
+  :class:`ExecStats`, fault class and fault *reason*.
 * ``native`` agrees on the ok/fault outcome and, when ok, on
   ``(value, fields, arrays)``; its stats are empty and its fault
   wording is its own (it runs Python semantics, not the bytecode VM).
@@ -30,10 +30,10 @@ The contract, enforced by the differential harness in
   through); faults are isolated per snapshot.
 
 A compiled artifact a backend keeps for a program lives in a slot on
-that ``Program`` (pycodegen's tier counter and generated code,
-native's one-off function) and dies with it.  A ``Program`` is frozen,
-so the artifact can never go stale, and nothing takes it away earlier:
-one host's restart leaves the rest of a fleet hot.
+that ``Program`` (pycodegen's generated code, native's one-off
+function) and dies with it.  A ``Program`` is frozen, so the artifact
+can never go stale, and nothing takes it away earlier: one host's
+restart leaves the rest of a fleet's shared program compiled.
 """
 
 from __future__ import annotations
@@ -88,9 +88,9 @@ class Backend:
 
         An installed function binds one when it is installed and calls
         it per invocation of its generic tier; a backend overrides this
-        to hoist per-call setup.  The callable must read limits from
-        ``interp`` on every call and draw from ``interp``'s RNG and
-        clock.  What it compiles here is this binding's own.
+        to hoist per-call setup and compile.  The callable must read
+        limits from ``interp`` on every call and draw from ``interp``'s
+        RNG and clock.
         """
         return functools.partial(self.execute, interp, program)
 
@@ -99,9 +99,9 @@ class Backend:
         whole invocation of the enclave's installed function ``fn`` —
         state read, body, write-back, function stats — or None.
 
-        ``InstalledFunction.run_packet`` asks while it holds no plan
-        and otherwise runs its generic tier (:meth:`bind`'s callable),
-        which the plan must equal bit for bit.  The rules of
+        ``InstalledFunction.run_packet`` asks once and without a plan
+        runs its generic tier (:meth:`bind`'s callable), which the plan
+        must equal bit for bit.  The rules of
         :meth:`bind` apply: limits, RNG and clock are read from
         ``interp`` on every call.  The default is no plan.
         """
@@ -118,7 +118,8 @@ class TreeBackend(Backend):
 
 
 class PycodegenBackend(Backend):
-    """Tree walk while cold, generated straight-line Python once hot."""
+    """Generated straight-line Python, compiled by :meth:`bind` (at
+    install) or by the first :meth:`execute`, once per ``Program``."""
 
     name = "pycodegen"
     execute = staticmethod(pycodegen.execute_codegen)

@@ -14,12 +14,13 @@ from __future__ import annotations
 import functools
 import hashlib
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, List, Optional, Tuple, Union
+from typing import (Callable, Dict, Iterator, List, Optional, Tuple,
+                    Union)
 
 from . import ast_nodes as T
 from .annotations import Schema
 from .bytecode import Assembler, FunctionCode, Op, Program
-from .dsl import lower
+from .dsl import lower, source_of
 
 
 class CompileError(Exception):
@@ -353,3 +354,51 @@ def compile_action(fn: Union[Callable, str],
     return CompiledAction(program, packet_schema, message_schema,
                           global_schema, optimize_tail_calls, peephole,
                           prog_ast)
+
+
+# -- one compile per action per process -------------------------------
+
+#: Artifacts :func:`compile_shared` keeps, oldest dropped first: far
+#: more than the actions a process installs, a bound for a control
+#: loop that keeps shipping fresh source.
+MEMO_LIMIT = 256
+
+_MEMO: Dict[tuple, CompiledAction] = {}
+_MEMO_STATS = {"misses": 0, "drops": 0}
+
+
+def compile_shared(fn: Union[Callable, str],
+                   packet_schema: Optional[Schema] = None,
+                   message_schema: Optional[Schema] = None,
+                   global_schema: Optional[Schema] = None,
+                   name: Optional[str] = None,
+                   optimize_tail_calls: bool = True,
+                   peephole: bool = True) -> CompiledAction:
+    """:func:`compile_action`, once per process for equal requests.
+
+    Keyed by the source text, the name, the schemas (``Schema``
+    equality: by content, a binder by identity) and the options, and
+    held strongly: a request equal to an earlier one gets the *same*
+    artifact, so its ``Program`` and the code backends compile into it
+    are shared by every enclave, plane and build in the process.
+    """
+    source = source_of(fn)
+    key = (source, name, packet_schema, message_schema, global_schema,
+           optimize_tail_calls, peephole)
+    action = _MEMO.get(key)
+    if action is not None:
+        return action
+    _MEMO_STATS["misses"] += 1
+    action = compile_action(source, packet_schema, message_schema,
+                            global_schema, name, optimize_tail_calls,
+                            peephole)
+    if len(_MEMO) >= MEMO_LIMIT:
+        del _MEMO[next(iter(_MEMO))]
+        _MEMO_STATS["drops"] += 1
+    _MEMO[key] = action
+    return action
+
+
+def memo_stats() -> Dict[str, int]:
+    """:func:`compile_shared`'s misses (compiles), drops and size."""
+    return dict(_MEMO_STATS, size=len(_MEMO))

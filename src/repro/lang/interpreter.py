@@ -159,9 +159,9 @@ class Interpreter:
 
     ``dispatch`` names the execution backend in the
     :mod:`repro.lang.backends` registry.  The default, ``"pycodegen"``,
-    runs a program on the tree walk while it is cold and on the
-    generated straight-line Python of :mod:`repro.lang.pycodegen`
-    once it is hot; ``"tree"`` pins the decode-per-op reference loop.
+    runs a program as the generated straight-line Python of
+    :mod:`repro.lang.pycodegen`, compiled on its first call;
+    ``"tree"`` pins the decode-per-op reference loop.
     Those two are bit-for-bit identical (enforced by
     ``tests/lang/test_differential``); any other registered backend
     (e.g. ``"native"``) resolves the same way.

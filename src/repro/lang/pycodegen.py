@@ -10,38 +10,32 @@ budget checks are inlined, and the 64-bit wraparound is folded
 away wherever the operand ranges make it the identity (``&``, ``|``,
 ``^``, ``~``, ``>>``, ``%`` of in-range values stay in range).
 
-Generating and compiling the source costs a few tree-walk executions,
-so a program starts *cold*: its first :data:`TIER_UP_CALLS`
-invocations run on the tree walk — the executable semantics this
-backend is proven against — and the next one compiles it.
-:func:`code_for` is the one place that decides, and
+A program is compiled once, by :func:`code_for`: at install
+(``PycodegenBackend.bind``), or on a direct caller's first call.
 :meth:`CodegenRunner.run` — the one execution body, which
-:func:`execute_codegen` and :func:`execute_codegen_batch` wrap — asks
-it on every call.
+:func:`execute_codegen` and :func:`execute_codegen_batch` wrap — runs
+it.
 
-Once hot, each bytecode function is written as ``while True:`` loops
-and ``if``/``else`` from the nesting :func:`repro.lang.analysis.facts`
+Each bytecode function is written as ``while True:`` loops and
+``if``/``else`` from the nesting :func:`repro.lang.analysis.facts`
 records: the verifier accepts only a function whose reachable code
 nests that way, and this backend compiles exactly what
-:func:`~repro.lang.verifier.verify` accepts.  A program with a
-violation stays on the tree walk (``stats()["programs_delegated"]``).
+:func:`~repro.lang.verifier.verify` accepts; a program it rejects runs
+on the tree walk (only a direct, unverified caller can run one).
 
 Semantics are kept bit-for-bit identical to the tree walk on results,
 :class:`ExecStats` and fault *reasons* (the differential harness in
-``tests/lang/test_differential.py`` enforces this, including across
-the cold-to-hot boundary).  One knowing divergence once hot: op-budget
-accounting is hoisted to segment granularity — a budget fault can fire
-at a segment boundary a few ops before the tree walk would raise it
-mid-segment (observable only with budgets tighter than one
-straight-line segment).
+``tests/lang/test_differential.py`` enforces this).  One knowing
+divergence: op-budget accounting is hoisted to segment granularity —
+a budget fault can fire at a segment boundary a few ops before the
+tree walk would raise it mid-segment (observable only with budgets
+tighter than one straight-line segment).
 
-The cold-call counter and, later, the compiled code live in one slot
-on the ``Program`` instance, so every enclave function bound to one
-program (one compiled artifact serves a whole fleet) counts toward the
-same tier-up and runs the same generated code.  A ``Program`` is
-frozen, so its generated code depends on nothing else: like
-:func:`repro.lang.analysis.facts`, a compiled artifact lives in a slot
-on its ``Program`` and dies with it.  Nothing takes it away earlier.
+The compiled code lives in a slot on the ``Program`` instance, so
+every enclave function bound to one program runs the same generated
+code.  A ``Program`` is frozen, so its generated code depends on
+nothing else: like :func:`repro.lang.analysis.facts`, it lives in a
+slot on its ``Program`` and dies with it.
 """
 
 from __future__ import annotations
@@ -58,23 +52,6 @@ from .interpreter import (WORD_BYTES, ExecResult, ExecStats,
 _CARRY = 1 << 64
 #: Sentinel budget for "no budget": never exceeded by a real program.
 _NO_BUDGET = 1 << 62
-
-#: Invocations a program runs on the tree walk before it is compiled.
-#: Compiling pays off after ``compile cost / (tree cost - generated
-#: cost)`` invocations.  For the 344-op PIAS search the benchmark's
-#: rows give ``lang.first_exec_us.pycodegen`` = 1831 us when the first
-#: call still compiled (so ~1810 us of compile), 344 ops x
-#: ``lang.exec_ns_per_op.tree`` 1733 ns = 596 us per tree call and
-#: 344 x 60 ns = 21 us per generated call: break-even at ~4 calls.
-#: The 15-to-30-op library functions (mcrouter, Pulsar, QJump) compile
-#: in ~0.8-1.1 ms and save ~40-50 us a call: ~20 calls.  16 sits
-#: between the two — the regret either way is a few milliseconds per
-#: program, once — keeps a function that only ever sees a handful of
-#: packets off the compiler entirely, and is noise to one that sees
-#: thousands.  The count is per program, not per enclave: a fleet
-#: whose hosts each see eight probe packets shares one program, which
-#: the first sixteen of them, fleet-wide, turn hot for all.
-TIER_UP_CALLS = 16
 
 _CMP_SYM = {
     Op.CEQ: "==", Op.CNE: "!=", Op.CLT: "<",
@@ -600,25 +577,19 @@ def _function_source(program: Program, fi: int, found: ProgramFacts
 _STATS = {
     "programs_compiled": 0,
     "plans_compiled": 0,
-    "programs_delegated": 0,
 }
 
 
 def stats() -> Dict[str, int]:
-    """Counters describing codegen activity (compiles, delegations)."""
+    """Counters: compiled programs and compiled plans."""
     return dict(_STATS)
 
 
 def compile_pycode(program: Program) -> Optional[CompiledProgram]:
-    """Generate + compile() this program now; None -> not compilable.
-
-    The result is NOT cached here and the cold-call counter is not
-    consulted; use :func:`code_for` on the execution path.  A program
-    the verifier rejects is never compiled.
-    """
+    """Generate + compile() this program now, uncached (the execution
+    path uses :func:`code_for`); None -> rejected by the verifier."""
     found = facts(program)
     if found.violation is not None:
-        _STATS["programs_delegated"] += 1
         return None
     parts: List[str] = []
     for fi in range(len(program.functions)):
@@ -639,32 +610,14 @@ def compile_pycode(program: Program) -> Optional[CompiledProgram]:
         source)
 
 
-_DELEGATED = object()   # slot value: "this program never compiles"
-
-
 def code_for(program: Program) -> Optional[CompiledProgram]:
-    """The compiled program once hot; None while the tree walk runs it.
-
-    Every execution asks exactly once, so a call that answers None is
-    also counted: the ``_pycodegen`` slot on the Program holds the
-    number of cold calls so far, then the :class:`CompiledProgram`
-    for as long as the program lives, or the delegate marker for
-    programs the verifier rejects.
-    """
-    slot = getattr(program, "_pycodegen", None)
-    if slot.__class__ is CompiledProgram:
-        return slot
-    if slot is _DELEGATED:
-        return None
-    calls = slot or 0
-    if calls < TIER_UP_CALLS:
-        object.__setattr__(program, "_pycodegen", calls + 1)
-        return None
-    compiled = compile_pycode(program)
+    """The program's compiled code, compiled on the first call into
+    the ``_pycodegen`` slot on the Program; None only for a program
+    the verifier rejects."""
+    compiled = getattr(program, "_pycodegen", None)
     if compiled is None:
-        object.__setattr__(program, "_pycodegen", _DELEGATED)
-        return None
-    object.__setattr__(program, "_pycodegen", compiled)
+        compiled = compile_pycode(program)
+        object.__setattr__(program, "_pycodegen", compiled)
     return compiled
 
 
@@ -674,18 +627,19 @@ class CodegenRunner:
     """Executor bound to one ``(interpreter, program)`` pair.
 
     The one place a program goes copy-in -> generated entry ->
-    copy-out.  It keeps the execution context across invocations, but
-    nothing the interpreter can change: limits, RNG and clock are read
-    from it on every :meth:`run`, so a lowered budget takes effect on
-    the next call, and :func:`code_for` is asked on every :meth:`run`,
-    so the call that turns the program hot is counted here.
+    copy-out, compiled (:func:`code_for`) when the runner is made.  It
+    keeps the execution context across invocations, but nothing the
+    interpreter can change: limits, RNG and clock are read from it on
+    every :meth:`run`, so a lowered budget takes effect on the next
+    call.
     """
 
-    __slots__ = ("program", "ctx", "n_locals", "n_fields",
+    __slots__ = ("program", "compiled", "ctx", "n_locals", "n_fields",
                  "no_arrays", "_interp")
 
     def __init__(self, interp, program: Program) -> None:
         self.program = program
+        self.compiled = code_for(program)
         self._interp = interp
         self.n_locals = program.entry.n_locals
         self.n_fields = len(program.field_table)
@@ -696,15 +650,14 @@ class CodegenRunner:
     def run(self, fields: Sequence[int],
             arrays: Sequence[Sequence[int]],
             args: Sequence[int] = ()) -> ExecResult:
-        """Run the program: the tree walk while cold, generated code
-        after."""
+        """Run the program's generated code."""
         program = self.program
         interp = self._interp
-        compiled = code_for(program)
+        compiled = self.compiled
         if compiled is None or len(args) > self.n_locals:
-            # Cold, not compilable, or over-long entry args growing the
-            # frame beyond the generated signature (the tree walk
-            # tolerates that).
+            # A program the verifier rejects, or over-long entry args
+            # growing the frame beyond the generated signature (the
+            # tree walk tolerates that).
             return interp.execute_tree(program, fields, arrays, args)
         plain = (self.no_arrays and not args and not len(arrays)
                  and len(fields) == self.n_fields)
@@ -754,7 +707,8 @@ class CodegenRunner:
 
 def plan_for(interp, fn):
     """The whole invocation of an installed function as one generated
-    callable, once its program is hot; None while it is cold.
+    callable; None for a program with a non-global array, which the
+    generic tier refuses.
 
     ``plan(packet, msg_entry, acct)`` is ``fn.run_packet``'s generic
     tier as one generated frame: each field-table slot read straight
@@ -780,20 +734,15 @@ def plan_for(interp, fn):
     the function writes that heap back, or a binder picks the array
     per packet.
 
-    A cold program is only peeked at, never counted: the generic tier
-    runs it through :meth:`CodegenRunner.run`, which asks
-    :func:`code_for` once.
-
     The plan's source depends only on the program and its schemas, so
     it is compiled once per compiled program and kept on it
     (``stats()["plans_compiled"]``); each installed function binding
     the program runs that code in a namespace and context of its own.
     """
     program = fn.program
-    compiled = getattr(program, "_pycodegen", None)
-    if compiled.__class__ is not CompiledProgram or \
-            any(ref.scope != "global" for ref in program.array_table):
+    if any(ref.scope != "global" for ref in program.array_table):
         return None
+    compiled = code_for(program)
     plan = compiled.plan
     if plan is None or plan[0] is not fn.packet_schema or \
             plan[1] is not fn.global_schema:

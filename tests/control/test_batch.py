@@ -2,12 +2,12 @@
 
 :meth:`ControlPlane.batch` sends one host several ops as one
 :class:`ConfigBatch`; the agent applies them in one event, and if the
-enclave refuses op k — it fails verification, names an unknown
-function, or writes an unknown global — undoes ops 0..k-1 and Nacks
-with the error's class name and k.  Afterwards the enclave's
-functions (the very bindings, with their programs, stats and message
-state), tables, rules and globals, and the agent's applied epoch, are
-what they were before the batch.
+enclave refuses op k — it fails verification or does not compile,
+names an unknown function, or writes an unknown global — undoes ops
+0..k-1 and Nacks with the error's class name and k.  Afterwards the
+enclave's functions (the very bindings, with their programs, stats
+and message state), tables, rules and globals, and the agent's
+applied epoch, are what they were before the batch.
 """
 
 import dataclasses
@@ -18,7 +18,8 @@ from repro.control import (ConfigBatch, ControlError, InstallFunction,
                            STALE_EPOCH)
 from repro.core import Controller, Enclave
 from repro.lang import (AccessLevel, DEFAULT_PACKET_SCHEMA, Field,
-                        FieldKind, Instr, Lifetime, Op, schema)
+                        FieldKind, Instr, Lifetime, Op, pycodegen,
+                        schema)
 from repro.lang.compiler import compile_action
 
 HOST = "h1"
@@ -185,6 +186,36 @@ def test_refused_op_leaves_the_enclave_as_it_was(controller, refused,
     assert controller.enclave(HOST).process_packet(packet).executed == \
         ["level_fn", "extra_fn"]
     assert (packet.priority, packet.queue_id) == (3, 4)
+
+
+@pytest.mark.parametrize("k", range(len(OPS) + 1))
+def test_an_op_that_fails_to_compile_is_refused_whole(controller,
+                                                      monkeypatch, k):
+    """An install whose program does not compile fails at bind, on
+    the agent: the batch Nacks with that op's index and is undone."""
+    real = pycodegen.compile_pycode
+
+    def compile_pycode(program):
+        if program.name == "doomed_fn":
+            raise SyntaxError("too many statically nested blocks")
+        return real(program)
+
+    monkeypatch.setattr(pycodegen, "compile_pycode", compile_pycode)
+    doomed = compile_action(other_fn, packet_schema=DEFAULT_PACKET_SCHEMA,
+                            name="doomed_fn")
+    plane = controller.plane
+    before = state(controller)
+    batch, starts = send_batch(plane, OPS[:k] + [
+        lambda p: p.install_function(HOST, "doomed_fn", doomed)] + OPS[k:])
+    pending = batch.pending
+    assert pending.nacked
+    assert pending.reason == "EnclaveError"
+    assert pending.op_index == starts[k]
+    assert isinstance(pending.error.__cause__, SyntaxError)
+    assert state(controller) == before
+    packet = Packet()
+    assert controller.enclave(HOST).process_packet(packet).executed == \
+        ["level_fn", "extra_fn"]
 
 
 def test_batch_applies_whole_at_its_last_op_epoch(controller):

@@ -20,7 +20,7 @@ from repro.functions.pias import (PIAS_FUNCTION_NAME,
 from repro.functions.wcmp import (FUNCTION_NAME as WCMP_FUNCTION_NAME,
                                   WCMP_GLOBAL_SCHEMA, WcmpWeightLoop,
                                   wcmp_action)
-from repro.lang import AccessLevel, Field, Lifetime, schema
+from repro.lang import AccessLevel, Field, Lifetime, compiler, schema
 from repro.netsim.simulator import MS, Simulator
 
 
@@ -291,16 +291,12 @@ class TestCompileOnce:
 
     @pytest.fixture
     def compiles(self, monkeypatch):
-        from repro.control import plane as plane_module
-        calls = []
-        real = plane_module.compile_action
-
-        def counted(source, **kwargs):
-            calls.append(kwargs["name"])
-            return real(source, **kwargs)
-
-        monkeypatch.setattr(plane_module, "compile_action", counted)
-        return calls
+        """Compiles through the process-wide memo since the test began,
+        counted as its misses on a memo of the test's own, so entries
+        earlier tests left do not hit."""
+        monkeypatch.setattr(compiler, "_MEMO", {})
+        base = compiler.memo_stats()["misses"]
+        return lambda: compiler.memo_stats()["misses"] - base
 
     def test_once_per_spec_across_a_fleet(self, compiles):
         controller = Controller()
@@ -310,21 +306,21 @@ class TestCompileOnce:
         controller.install_function("*", tag_priority,
                                     global_schema=TAG_SCHEMA)
         controller.install_rule("*", "*", "tag_priority")
-        assert compiles == ["tag_priority"]
+        assert compiles() == 1
         snapshots = {h: plane.snapshot_desired(h) for h in self.HOSTS}
         # Restart replay and an idempotent re-install reuse it.
         for host in self.HOSTS[:8]:
             controller.agent(host).restart()
         plane.install_function(self.HOSTS[0], "tag_priority",
                                tag_priority, global_schema=TAG_SCHEMA)
-        assert compiles == ["tag_priority"]
+        assert compiles() == 1
         # A new version compiles once for the whole fleet; rolling
         # every host back to the snapshot compiles nothing.
         controller.replace_function("*", "tag_priority",
                                     tag_priority_v2)
         for host in self.HOSTS:
             plane.restore_desired(host, snapshots[host])
-        assert compiles == ["tag_priority", "tag_priority"]
+        assert compiles() == 2
         programs = {controller.enclave(h).function("tag_priority").program
                     for h in self.HOSTS}
         assert len(programs) == 1
@@ -338,9 +334,9 @@ class TestCompileOnce:
                                      global_schema=TAG_SCHEMA).done())
         controller = Controller()
         controller.register_enclave("h1", Enclave("h1.e"))
-        assert compiles == []
+        assert compiles() == 0
         program.apply(controller.plane, "h1")
-        assert compiles == ["tag_priority"]
+        assert compiles() == 1
 
 
 class TestFacadeErrors:

@@ -2,20 +2,26 @@
 
 Two hosts get a three-op program, one batch each, and are then rolled
 back, all on one ``SimTransport`` heap.  Every combination of fates —
-deliver, drop, duplicate — of the first :data:`K` transmissions after
-the program is sent is run, each with no restart and with a restart
-of the host involved right after each delivery.  Every transmission
-past the first ``K`` is delivered, so every run must end converged.
+deliver, drop, duplicate, deliver late — of the first :data:`K`
+transmissions after the program is sent is run, each with no restart
+and with a restart of the host involved right after each delivery.  A
+late copy lands :data:`LATE_NS` after the others: past a retransmit of
+it, and for some schedules past the session reset of the rollback or
+of a restart's replay, where only session fencing keeps it out of the
+new session.  Every transmission past the first ``K`` is delivered, so
+every run must end converged.
 
 In every run:
 
-* **no stale apply** — once the rollback is sent, a host applies
-  nothing below the rollback's epoch, so nothing from the abandoned
-  wave lands after it; within one incarnation of an agent the epochs
-  it applies never go down; and a config message at an epoch the host
-  has passed, sent after convergence, is Nacked ``stale-epoch``;
+* **no stale apply** — once the rollback has reached a host, the host
+  applies nothing below the rollback's epoch, in that incarnation or
+  a later one, so nothing from the abandoned wave lands after it;
+  within one incarnation of an agent the epochs it applies never go
+  down; and a config message at an epoch the host has passed, sent
+  after convergence, is Nacked ``stale-epoch``;
 * **exactly once** — no batch is applied twice in one incarnation,
-  whatever was duplicated or retransmitted;
+  whatever was duplicated, retransmitted or late; and every answer the
+  plane gets is its host's answer to that very message;
 * **convergence** — every host ends with its desired state (the
   baseline the rollback restored) at its desired epoch, with nothing
   left in flight.
@@ -39,8 +45,8 @@ from repro.netsim.simulator import MS, Simulator
 
 pytestmark = pytest.mark.control_faults
 
-#: Transmissions whose fate is enumerated: 3**K schedules.
-K = 5
+#: Transmissions whose fate is enumerated: 4**K schedules.
+K = 4
 
 HOSTS = ("h1", "h2")
 
@@ -82,26 +88,36 @@ CONFIG = ChannelConfig(rto_ns=1 * MS, backoff_cap_ns=4 * MS,
 ROLLBACK_AFTER_NS = 1_500_000
 HORIZON_NS = 500 * MS
 
-DELIVER, DROP, DUPLICATE = 1, 0, 2
+#: How much later than the others a late copy lands: twice the first
+#: retransmit timeout.
+LATE_NS = 2 * CONFIG.rto_ns
+
+#: Fates as (copies, extra delay of each).
+DELIVER, DROP, DUPLICATE, LATE = (1, 0), (0, 0), (2, 0), (1, LATE_NS)
+FATES = (DELIVER, DROP, DUPLICATE, LATE)
 
 
 class ScriptedFaults:
-    """The fate of the n-th transmission once armed: ``fates[n]``
-    copies for the first ``len(fates)``, one after."""
+    """The fate of the n-th transmission once armed: ``fates[n]`` for
+    the first ``len(fates)``, delivered on time after."""
 
     def __init__(self, fates):
         self.fates = fates
         self.armed = False
         self.sent = 0
+        self._delay = 0
 
     def deliveries(self, env):
-        if not self.armed:
-            return DELIVER
-        n, self.sent = self.sent, self.sent + 1
-        return self.fates[n] if n < len(self.fates) else DELIVER
+        fate = DELIVER
+        if self.armed:
+            n, self.sent = self.sent, self.sent + 1
+            if n < len(self.fates):
+                fate = self.fates[n]
+        copies, self._delay = fate
+        return copies
 
     def extra_delay(self):
-        return 0
+        return self._delay
 
 
 class Run:
@@ -118,6 +134,11 @@ class Run:
         #: (time, host, incarnation, epoch, message) per apply;
         #: holding the message keeps its id unique.
         self.applies = []
+        #: The plane's handle of every config message it sent.
+        self.sent = []
+        #: Per config message handled (by id; ``sent`` keeps it
+        #: alive), each (ok, reason) its host answered.
+        self.answers = {}
         #: Per host, the rollback's epoch, once sent.
         self.rollback_epoch = {}
         self.rollback_ns = None
@@ -128,6 +149,15 @@ class Run:
             agent.endpoint.handler = self._observed(agent)
             self.agents[host] = agent
             self.plane.attach(host)
+        send = self.plane.endpoint.send
+
+        def recorded(dst, payload, reliable=True):
+            pending = send(dst, payload, reliable)
+            if isinstance(payload, ConfigMessage):
+                self.sent.append(pending)
+            return pending
+
+        self.plane.endpoint.send = recorded
         self.deliveries = 0
         self.restart_at = restart_at
         deliver = self.transport._deliver
@@ -149,10 +179,13 @@ class Run:
 
         def observed(src, payload):
             outcome = handle(src, payload)
-            if isinstance(payload, ConfigMessage) and outcome.ok:
-                self.applies.append((self.sim.now, agent.host,
-                                     agent.restarts, payload.epoch,
-                                     payload))
+            if isinstance(payload, ConfigMessage):
+                self.answers.setdefault(id(payload), []).append(
+                    (outcome.ok, outcome.reason))
+                if outcome.ok:
+                    self.applies.append((self.sim.now, agent.host,
+                                         agent.restarts, payload.epoch,
+                                         payload))
             return outcome
         return observed
 
@@ -189,16 +222,25 @@ def check(run):
     plane = run.plane
     last = {}
     seen = set()
+    rolled_back = set()
     for at_ns, host, incarnation, epoch, message in run.applies:
-        if at_ns >= run.rollback_ns:
+        if host in rolled_back:
             assert epoch >= run.rollback_epoch[host], \
                 ("applied past the rollback", run.applies)
+        elif at_ns >= run.rollback_ns and \
+                epoch >= run.rollback_epoch[host]:
+            rolled_back.add(host)
         key = (host, incarnation)
         assert epoch >= last.get(key, 0), ("stale apply", run.applies)
         last[key] = epoch
         assert (key, id(message)) not in seen, \
             ("applied twice", run.applies)
         seen.add((key, id(message)))
+    for pending in run.sent:
+        if pending.acked or pending.nacked:
+            assert (pending.acked, pending.reason) in \
+                run.answers.get(id(pending.env.payload), ()), \
+                ("answered for another message", pending.env)
     assert plane.pending_count() == 0
     assert [p.reason for p in run.probes] == [STALE_EPOCH] * len(HOSTS)
     for host in HOSTS:
@@ -214,8 +256,7 @@ def check(run):
 
 def test_every_fate_of_the_first_transmissions_converges():
     runs = restarts = 0
-    for fates in itertools.product((DELIVER, DROP, DUPLICATE),
-                                   repeat=K):
+    for fates in itertools.product(FATES, repeat=K):
         plain = Run(fates).execute()
         check(plain)
         runs += 1
@@ -225,4 +266,4 @@ def test_every_fate_of_the_first_transmissions_converges():
             restarts += sum(a.restarts for a in run.agents.values())
             runs += 1
     # Every restart point was reached.
-    assert restarts == runs - 3 ** K
+    assert restarts == runs - len(FATES) ** K

@@ -205,14 +205,21 @@ class TestProcessing:
         assert packet.priority == 5
         assert result.executed == ["set_priority_five"]
 
-    def test_generic_tier_readers_built_on_first_use(self, enclave):
-        # A fleet's shared program runs its generic tier for its first
-        # few calls fleet-wide: most bindings never read a slot there.
-        fn = enclave.install_function(set_priority_five)
-        enclave.install_rule("*", "set_priority_five")
-        assert fn._field_readers is None
-        enclave.process_packet(FakePacket())
-        assert len(fn._field_readers) == len(fn.program.field_table)
+    def test_generic_tier_readers_built_on_first_use(self):
+        # Only a backend without a plan (tree, native) runs the
+        # generic tier: a default binding never reads a slot there.
+        for backend in ("interpreter", "tree"):
+            enclave = Enclave(f"e.{backend}")
+            fn = enclave.install_function(set_priority_five,
+                                          backend=backend)
+            enclave.install_rule("*", "set_priority_five")
+            assert fn._field_readers is None
+            enclave.process_packet(FakePacket())
+            if backend == "tree":
+                assert len(fn._field_readers) == \
+                    len(fn.program.field_table)
+            else:
+                assert fn._field_readers is None
 
     def test_dry_run_skips_packet_writes(self, enclave):
         # The paper's "baseline EDEN" configuration (Section 5.1).
@@ -516,8 +523,8 @@ class TestCpuAccounting:
                     enclave.process_packet(packet, cls)
 
         packets = invocations = 0
-        # Cold, across the tier-up, and with every plan built.
-        for rounds in (3, pycodegen.TIER_UP_CALLS, 5):
+        # The rounds that build every plan, then rounds under them.
+        for rounds in (1, 3, 5):
             send(rounds)
             packets += rounds * len(mix)
             invocations += rounds * sum(k for _, k in mix)
@@ -537,7 +544,7 @@ class TestCpuAccounting:
         acct = _CountingAccounting(enabled=False)
         enclave = self._enclave(acct)
         pairs = [(FakePacket(), [Classification("app.r1.two", {})])
-                 for _ in range(pycodegen.TIER_UP_CALLS + 4)]
+                 for _ in range(8)]
         if use_batch:
             enclave.process_batch(pairs)
         else:
@@ -560,8 +567,8 @@ def new_behavior(packet):
 
 
 ALL_BACKENDS = ("interpreter", "tree", "pycodegen", "native")
-#: Backends whose programs tier up to generated code.
-TIERED_BACKENDS = ("interpreter", "pycodegen")
+#: Backends whose programs compile to generated code.
+COMPILED_BACKENDS = ("interpreter", "pycodegen")
 
 
 def _is_hot(program):
@@ -569,9 +576,14 @@ def _is_hot(program):
                       pycodegen.CompiledProgram)
 
 
+def _own_artifact(action):
+    """A compiled artifact nothing but its binding will hold."""
+    return compile_action(action, packet_schema=DEFAULT_PACKET_SCHEMA)
+
+
 def _heat(enclave):
-    """Enough traffic, scalar then batched, to turn a function hot."""
-    for _ in range(pycodegen.TIER_UP_CALLS):
+    """Traffic through both entry points, scalar then batched."""
+    for _ in range(3):
         enclave.process_packet(FakePacket())
     enclave.process_batch([(FakePacket(), []) for _ in range(2)])
 
@@ -654,10 +666,10 @@ class TestBackendRegistry:
 
     @pytest.mark.parametrize("backend", ALL_BACKENDS)
     def test_replace_runs_new_program_not_stale_handler(self, backend):
-        """Warm every per-program cache (scalar + batch paths, past
-        the tier-up), hot-swap the function, and require the new
-        behavior on both paths: the old program's compiled code is
-        its own and never runs for the replacement."""
+        """Warm every per-program cache (scalar + batch paths),
+        hot-swap the function, and require the new behavior on both
+        paths: the old program's compiled code is its own and never
+        runs for the replacement."""
         enclave = Enclave(f"e.swap.{backend}")
         fn = enclave.install_function(old_behavior, name="policy",
                                       backend=backend)
@@ -666,10 +678,11 @@ class TestBackendRegistry:
         enclave.process_packet(packet)
         assert packet.priority == 1
         _heat(enclave)
-        assert _is_hot(fn.program) == (backend in TIERED_BACKENDS)
 
         replacement = enclave.replace_function("policy", new_behavior)
-        assert not _is_hot(replacement.program)
+        assert replacement.program is not fn.program
+        if backend in COMPILED_BACKENDS:
+            assert _is_hot(fn.program) and _is_hot(replacement.program)
         packet = FakePacket()
         enclave.process_packet(packet)
         assert packet.priority == 7
@@ -683,8 +696,10 @@ class TestBackendRegistry:
     def test_remove_function_invalidates_backend_caches(self, enclave):
         """No compiled code outlives the function that owned it: it
         lives in a slot on the program, which dies with the removed
-        function's last reference."""
-        fn = enclave.install_function(old_behavior, name="policy",
+        function's last reference (an artifact of its own: one
+        installed from source also lives in the compile memo)."""
+        fn = enclave.install_function(_own_artifact(old_behavior),
+                                      name="policy",
                                       backend="pycodegen")
         enclave.install_rule("*", "policy")
         _heat(enclave)
@@ -699,7 +714,8 @@ class TestBackendRegistry:
     def test_clear_invalidates_backend_caches(self, enclave):
         """A restarted enclave keeps no compiled code alive: each
         program dies with its function."""
-        fn = enclave.install_function(old_behavior, name="policy")
+        fn = enclave.install_function(_own_artifact(old_behavior),
+                                      name="policy")
         enclave.install_rule("*", "policy")
         _heat(enclave)
         assert _is_hot(fn.program)
@@ -711,9 +727,8 @@ class TestBackendRegistry:
         assert program() is None
 
     def test_default_interpreter_reaches_enclave(self):
-        """The default enclave runs the tiered backend: its program
-        turns hot after TIER_UP_CALLS packets, through either entry
-        point."""
+        """The default enclave runs pycodegen: its program is compiled
+        at install and runs through either entry point."""
         for use_batch in (False, True):
             enclave = Enclave("e.default")
             assert enclave.interpreter.dispatch == "pycodegen"
@@ -729,10 +744,8 @@ class TestBackendRegistry:
                         enclave.process_packet(packet)
                 assert [p.priority for p in packets] == [5] * n
 
-            send(pycodegen.TIER_UP_CALLS)
-            assert not _is_hot(fn.program)
-            send(1)
             assert _is_hot(fn.program)
+            send(3)
 
 
 def test_process_result_keeps_its_dataclass_api():
@@ -771,7 +784,7 @@ def test_the_data_path_builds_the_result_the_constructor_would():
     enclave = Enclave("result.test")
     enclave.install_function(set_priority_five)
     enclave.install_rule("*", "set_priority_five")
-    for _ in range(pycodegen.TIER_UP_CALLS + 3):   # cold, then hot
+    for _ in range(3):
         packet = FakePacket()
         packet.drop = 1
         got = enclave.process_packet(packet)

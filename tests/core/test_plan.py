@@ -1,13 +1,15 @@
 """The generated per-packet plan against the generic tier.
 
-A hot function runs one generated frame per packet: the plan reads the
-state, runs the entry function's body inlined with fields and counters
-as Python locals, writes back and updates the function stats
-(``pycodegen.plan_for``).  These tests pin it against what only the
-enclave can do to it — limits, RNG and clock changed under a built
-plan, ``replace_function``, the dry-run flag, a held guard — and against a ``backend="tree"`` enclave
-and the generic tier under every op budget and stack limit below what
-the Table-1 demos need; and they pin what its source may contain.
+A pycodegen function runs one generated frame per packet, from its
+first packet on: the plan reads the state, runs the entry function's
+body inlined with fields and counters as Python locals, writes back
+and updates the function stats (``pycodegen.plan_for``).  These tests
+pin it against what only the enclave can do to it — limits, RNG and
+clock changed under a built plan, ``replace_function``, the dry-run
+flag, a held guard — and against a ``backend="tree"`` twin, which
+runs the generic tier, under every op budget and stack limit below
+what the Table-1 demos need; and they pin what its source may
+contain.
 """
 
 import gc
@@ -99,23 +101,26 @@ def _count_executes(fn):
     return calls
 
 
+#: Packets :func:`_heat` sends.
+HEAT_PACKETS = 2
+
+
 def _heat(enclave, fn, cls=()):
-    """Packets until ``fn``'s plan runs them; returns the execute
-    counter, which stays put for as long as the plan does."""
-    for _ in range(pycodegen.TIER_UP_CALLS + 1):
-        enclave.process_packet(FakePacket(), cls, now_ns=1)
+    """:data:`HEAT_PACKETS` packets through ``fn``, the first of which
+    builds its plan; returns the execute counter, which stays put for
+    as long as the plan runs the packets."""
     executes = _count_executes(fn)
-    enclave.process_packet(FakePacket(), cls, now_ns=1)
-    assert executes[0] == 0, "the plan should be running by now"
+    for _ in range(HEAT_PACKETS):
+        enclave.process_packet(FakePacket(), cls, now_ns=1)
+    assert executes[0] == 0, "the plan should run from the first packet"
     return executes
 
 
 def test_lowered_op_budget_faults_on_both_entry_points():
     """Interpreter limits are read on every invocation: lowering the
-    op budget after a function turned hot faults the next packet,
-    identically through either entry point — on the call that
-    compiles and runs the body through the bound executor, on the
-    first call of the plan, and under a plan built earlier."""
+    op budget after install faults the next packet, identically
+    through either entry point — on the packet that builds the plan,
+    and under a plan built earlier."""
 
     def run(use_batch, warm_up):
         enclave = Enclave("batch.test")
@@ -135,12 +140,11 @@ def test_lowered_op_budget_faults_on_both_entry_points():
                           pycodegen.CompiledProgram)
         return sent, fn.stats, executes[0]
 
-    for extra, generic_calls in ((0, 1), (2, 0)):
-        warm_up = pycodegen.TIER_UP_CALLS + extra
+    for warm_up in (0, 2):
         (results, priorities), stats, executes = run(True, warm_up)
         assert ((results, priorities), stats, executes) == \
             run(False, warm_up)
-        assert executes == generic_calls
+        assert executes == 0
         assert [r.faults for r in results] == [1, 1]
         assert [r.executed for r in results] == [[], []]
         assert priorities == [0, 0]       # forwarded unmodified
@@ -207,7 +211,7 @@ def test_plan_reads_limits_live_and_faults_like_the_generic_tier(
         if backend == "interpreter":
             _heat(enclave, fn)
         else:
-            for _ in range(pycodegen.TIER_UP_CALLS + 2):
+            for _ in range(HEAT_PACKETS):
                 enclave.process_packet(FakePacket(), (), now_ns=1)
         saved = (vars(enclave.interpreter).copy(),
                  fn.global_store and dict(fn.global_store._arrays))
@@ -244,7 +248,7 @@ def test_plan_follows_a_swapped_rng_and_clock():
         if backend == "interpreter":
             _heat(enclave, fn, cls)
         else:
-            for _ in range(pycodegen.TIER_UP_CALLS + 2):
+            for _ in range(HEAT_PACKETS):
                 enclave.process_packet(FakePacket(), cls, now_ns=1)
         enclave.interpreter.rng = random.Random(99)
         enclave.interpreter.clock = lambda: 123456
@@ -302,7 +306,7 @@ _DEFAULT_HEAP_WORDS = Enclave("plan.defaults").interpreter.max_heap_words
 
 #: (action, schemas, packets, steps): an int step sends that many
 #: packets, a callable one writes between packets.  Every case writes
-#: while cold, then crosses into the plan, then writes under it.
+#: before the first packet, which builds the plan, then under it.
 IMAGE_CASES = {
     "pias": (pias.pias_action,
              dict(message_schema=pias.PIAS_MESSAGE_SCHEMA,
@@ -313,7 +317,7 @@ IMAGE_CASES = {
                  6,
                  lambda e: e.set_global_array("f", "priorities",
                                               [5000, 2, 10_000, 1]),
-                 pycodegen.TIER_UP_CALLS + 2,
+                 18,
                  lambda e: e.set_global_records("f", "priorities",
                                                 _thresholds(8)),
                  5,
@@ -342,7 +346,7 @@ IMAGE_CASES = {
                   5,
                   lambda e: e.set_global_array("f", "level_queue",
                                                [3, 2, 1, -1]),
-                  pycodegen.TIER_UP_CALLS + 2,
+                  18,
                   # The first array grows: the second one's base moves.
                   lambda e: e.set_global_array("f", "level_priority",
                                                [1, 2, 3, 4, 5]),
@@ -361,7 +365,7 @@ IMAGE_CASES = {
                              "f", "queue_of_source", [4, 5]),
                          4,
                          lambda e: e.set_global("f", "victim_ip", 3),
-                         pycodegen.TIER_UP_CALLS + 2,
+                         18,
                          lambda e: e.set_global_array(
                              "f", "queue_of_source", [7, 8, 9]),
                          4,
@@ -415,19 +419,19 @@ def _run_image_case(case, backend):
 
 @pytest.mark.parametrize("name", sorted(IMAGE_CASES))
 def test_bound_image_follows_every_store_write(name):
-    """A hot function that only reads its global arrays binds the
-    heap image its store keeps.  Writes between packets — while cold,
-    across the tier-up and under the plan, scalar writes beside array
-    writes, a heap limit lowered below the image and restored — leave
-    exactly what a ``tree``-pinned twin leaves, packet by packet, with
-    the same fault classes and messages."""
+    """A function that only reads its global arrays binds the heap
+    image its store keeps.  Writes between packets — before the plan
+    is built and under it, scalar writes beside array writes, a heap
+    limit lowered below the image and restored — leave exactly what a
+    ``tree``-pinned twin leaves, packet by packet, with the same fault
+    classes and messages."""
     hot, faults, executes, enclave, fn = _run_image_case(
         IMAGE_CASES[name], "interpreter")
     tree, tree_faults, _, _, _ = _run_image_case(IMAGE_CASES[name],
                                                  "tree")
     assert hot == tree
     assert faults == tree_faults
-    assert executes == pycodegen.TIER_UP_CALLS + 1   # then the plan
+    assert executes == 0                # the plan ran every packet
     assert _takes_bound_image(_plan_source(enclave, fn))
     if name != "source_limit":      # the heap limit was lowered
         assert (InterpreterFault, "f@-1: heap of 6 words exceeds "
@@ -466,7 +470,7 @@ def test_a_handed_out_array_cannot_change_the_bound_image():
 
 
 def test_only_read_only_unbound_arrays_take_the_bound_image():
-    """Census of the hot plans of every Table-1 demo with global
+    """Census of the plans of every Table-1 demo with global
     arrays: a function that writes an array (Ananta's ``nat_state``,
     port knocking, the stateful firewall, ``sum_scratch`` here) or
     binds one per packet (WCMP's ``pathMatrix``) keeps the
@@ -480,8 +484,7 @@ def test_only_read_only_unbound_arrays_take_the_bound_image():
                                     "interpreter")
         metadata = dict(spec.metadata, msg_id=("demo", 1))
         cls = [Classification("demo.r1.msg", metadata)]
-        for _ in range(pycodegen.TIER_UP_CALLS + 2):
-            enclave.process_packet(DemoPacket(), cls, now_ns=1)
+        enclave.process_packet(DemoPacket(), cls, now_ns=1)
         taken[spec.function_name] = _takes_bound_image(
             _plan_source(enclave, fn))
     enclave, fn = _limits_enclave(sum_scratch, "interpreter",
@@ -501,25 +504,25 @@ def bump_counter_by_two(packet, _global):
 
 
 def test_replace_function_on_a_hot_function():
-    """The replacement starts cold, and once hot its plan reads and
-    writes the carried-over global store; the old object still runs
-    the old program, on its own plan."""
+    """The replacement is compiled when it is installed, and its plan
+    reads and writes the carried-over global store; the old object
+    still runs the old program, on its own plan."""
     enclave = Enclave("batch.test")
     old = enclave.install_function(bump_counter, name="bump",
                                    global_schema=COUNTER_SCHEMA)
     enclave.install_rule("*", "bump")
     _heat(enclave, old)
-    counter = pycodegen.TIER_UP_CALLS + 2
+    counter = HEAT_PACKETS
     assert enclave.query_global("bump")["counter"] == counter
 
     new = enclave.replace_function("bump", bump_counter_by_two)
     assert new.global_store is old.global_store
     executes = _heat(enclave, new)
-    counter += 2 * (pycodegen.TIER_UP_CALLS + 2)
+    counter += 2 * HEAT_PACKETS
     enclave.process_batch([(FakePacket(), ()) for _ in range(3)])
     assert executes[0] == 0
     assert enclave.query_global("bump")["counter"] == counter + 6
-    assert new.stats.invocations == pycodegen.TIER_UP_CALLS + 5
+    assert new.stats.invocations == HEAT_PACKETS + 3
 
     # Whoever still holds the old object runs the old program: its
     # compiled code is the program's own and cannot go stale.
@@ -534,9 +537,12 @@ def test_replace_function_on_a_hot_function():
 def test_a_hot_program_dies_with_its_function():
     """Compiled code lives in a slot on its ``Program`` and dies with
     it: once the enclave and the function are gone, nothing keeps the
-    hot program, its generated body or its plan alive."""
+    program, its generated body or its plan alive.  (An artifact of
+    its own: one installed from source also lives in the compile
+    memo.)"""
     enclave = Enclave("batch.test")
-    fn = enclave.install_function(set_priority_five)
+    fn = enclave.install_function(compile_action(
+        set_priority_five, packet_schema=DEFAULT_PACKET_SCHEMA))
     enclave.install_rule("*", "set_priority_five")
     _heat(enclave, fn)
     program = weakref.ref(fn.program)
@@ -560,7 +566,7 @@ def test_dry_run_under_a_plan_commits_message_state_only():
                                   commit_packet_writes=False)
     enclave.install_rule("*", "f")
     _heat(enclave, fn, _msg_cls(0))
-    total = 1500 * (pycodegen.TIER_UP_CALLS + 2)
+    total = 1500 * HEAT_PACKETS
     packet = FakePacket(size=10)
     enclave.process_packet(packet, _msg_cls(0), now_ns=1)
     assert packet.priority == 0
@@ -662,11 +668,11 @@ def test_field_names_reach_generated_source_only_as_constants():
     setattr(packet, hostile, 0)
     setattr(packet, "class", 10)
     executes = _count_executes(fn)
-    for _ in range(pycodegen.TIER_UP_CALLS + 4):
+    for _ in range(4):
         assert enclave.process_packet(packet).executed == ["f"]
-    assert executes[0] == pycodegen.TIER_UP_CALLS + 1
-    assert getattr(packet, hostile) == pycodegen.TIER_UP_CALLS + 4
-    assert getattr(packet, "class") == pycodegen.TIER_UP_CALLS + 14
+    assert executes[0] == 0
+    assert getattr(packet, hostile) == 4
+    assert getattr(packet, "class") == 14
     source = pycodegen.plan_for(enclave.interpreter, fn).source
     assert repr(hostile) in source
     assert "import os" not in source.replace(repr(hostile), "")
@@ -735,7 +741,7 @@ def test_field_slots_cross_a_call_into_the_inlined_entry():
         enclave.install_rule("*", "f")
         executes = _count_executes(fn)
         packets = [FakePacket(size=10 + i)
-                   for i in range(pycodegen.TIER_UP_CALLS + 4)]
+                   for i in range(8)]
         for i, packet in enumerate(packets):
             packet.priority = i
         results = _send(enclave, [(p, ()) for p in packets], False)
@@ -744,10 +750,9 @@ def test_field_slots_cross_a_call_into_the_inlined_entry():
 
     hot, generic_calls, fn = run("interpreter")
     assert hot == run("tree")[0]
-    assert generic_calls == pycodegen.TIER_UP_CALLS + 1
+    assert generic_calls == 0
     packet = hot[1][-1]
-    assert packet["path_id"] == packet["size"] + \
-        pycodegen.TIER_UP_CALLS + 3
+    assert packet["path_id"] == packet["size"] + 7
     assert packet["priority"] == 3 * packet["path_id"]
     source = pycodegen.plan_for(fn.interpreter, fn).source
     assert "ctx.fields = [f0, f1, f2]" in source
@@ -760,9 +765,9 @@ class _StatelessRng:
     """``rand(n)`` as a function of ``n`` alone.  A budget fault fires
     at the start of the segment that exhausts it (pycodegen's one
     knowing divergence), so a faulting invocation may draw from a
-    shared RNG on the tree walk and not once hot; nothing of it is
-    committed, and this RNG keeps the draw from leaking into the next
-    packet."""
+    shared RNG on the tree walk and not in generated code; nothing of
+    it is committed, and this RNG keeps the draw from leaking into the
+    next packet."""
 
     def randrange(self, n):
         return n // 2
@@ -870,37 +875,31 @@ def test_the_sweep_covers_calls_and_both_new_shapes():
 @pytest.mark.parametrize("entry", _demo_entries(), ids=lambda e: e.name)
 def test_every_lower_limit_faults_the_plan_like_the_generic_tier(
         entry, use_batch):
-    """Each Table-1 demo's program, hot, under every op budget from 1
-    to one below its longest packet and every stack limit below its
-    deepest, each from the demo's initial state: the plan, the generic
-    tier of the same compiled program and a ``backend="tree"`` enclave
-    fault the same packets with the same reason, and leave the same
-    results, packet fields, message entries, globals and FunctionStats.
-    Stack faults carry the tree walk's pc.  Budget faults carry the
-    generic tier's pc: the start of the segment that exhausts the
-    budget, at or before the tree walk's."""
+    """Each Table-1 demo's program under every op budget from 1 to one
+    below its longest packet and every stack limit below its deepest,
+    each from the demo's initial state: the plan and a
+    ``backend="tree"`` twin (the generic tier) fault the same packets
+    with the same reason, and leave the same results, packet fields,
+    message entries, globals and FunctionStats.  Stack faults carry
+    the tree walk's pc.  Budget faults carry the start of the segment
+    that exhausts the budget, at or before the tree walk's."""
     spec = entry.demo
     metadata = dict(spec.metadata)
     metadata.setdefault("msg_id", ("demo", 1))
     cls = [Classification("demo.r1.msg", metadata)]
     overrides = list(spec.packets) or [{}]
     action = _compile_demo(spec)
-    warm, _ = _demo_enclave(spec, action, "interpreter")
-    for _ in range(pycodegen.TIER_UP_CALLS + 1):
-        warm.process_packet(DemoPacket(**overrides[0]), cls, now_ns=1)
+    _demo_enclave(spec, action, "interpreter")
     assert isinstance(action.program._pycodegen,
                       pycodegen.CompiledProgram)
 
     def send(limit, value):
         out = {}
         for kind, backend in (("plan", "interpreter"),
-                              ("generic", "interpreter"),
                               ("tree", "tree")):
             enclave, fn = _demo_enclave(spec, action, backend)
             faults = _record_faults(fn)
             executes = _count_executes(fn)
-            if kind == "generic":
-                fn._ask_for_plan = lambda: None
             setattr(enclave.interpreter, limit, value)
             packets = [DemoPacket(**o) for o in overrides]
             results = _send(enclave, [(p, cls) for p in packets],
@@ -917,7 +916,7 @@ def test_every_lower_limit_faults_the_plan_like_the_generic_tier(
         return out
 
     first = send("op_budget", None)
-    assert first["plan"] == first["generic"] == first["tree"]
+    assert first["plan"] == first["tree"]
     faults, (results, _, stats, _, _) = first["plan"]
     assert not faults
     longest = max(r.interpreter_ops for r in results)
@@ -927,7 +926,6 @@ def test_every_lower_limit_faults_the_plan_like_the_generic_tier(
         for value in values:
             out = send(limit, value)
             (plan, left), (tree, tree_left) = out["plan"], out["tree"]
-            assert out["generic"] == out["plan"], (limit, value)
             assert left == tree_left, (limit, value)
             assert [r for r, _ in plan] == [r for r, _ in tree]
             # The first packet over the limit meets the state it met

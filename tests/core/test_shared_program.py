@@ -1,11 +1,11 @@
 """One compiled artifact, many enclaves.
 
 The control plane compiles an action once and every enclave binds that
-artifact, so the ``Program`` — pycodegen's tier counter, its generated
-body and the compiled plan — is shared, while each binding keeps its
-own executor, plan instance, state and stats.  A restart, replace or
-remove on one enclave leaves the others hot: the compiled code lives
-in a slot on the program, as long as the program does.
+artifact, so the ``Program`` — its generated body, compiled by the
+first install, and the compiled plan — is shared, while each binding
+keeps its own executor, plan instance, state and stats.  A restart,
+replace or remove on one enclave leaves the others' code in place: it
+lives in a slot on the program, as long as the program does.
 """
 
 import pytest
@@ -92,47 +92,48 @@ def _count_executes(fn):
     return calls
 
 
-#: Rounds that spend the program's cold calls across the fleet.
-COLD_ROUNDS = pycodegen.TIER_UP_CALLS // N
-
-
 def test_the_fleet_heats_one_program():
     action = _artifact()
-    enclaves = _fleet(action)
     before = pycodegen.stats()
-    _rounds(enclaves, COLD_ROUNDS)
-    assert not _is_hot(action.program)
-    # The next call compiles the body; every binding then builds its
-    # plan from the one compiled plan code.
-    _rounds(enclaves, 2)
+    enclaves = _fleet(action)
+    # The first install compiles the body; the others bind it.
     assert _is_hot(action.program)
-    after = pycodegen.stats()
-    assert after["programs_compiled"] == before["programs_compiled"] + 1
-    assert after["plans_compiled"] == before["plans_compiled"] + 1
+    installed = pycodegen.stats()
+    assert installed["programs_compiled"] == \
+        before["programs_compiled"] + 1
+    assert installed["plans_compiled"] == before["plans_compiled"]
     fns = [enclave.function("account") for enclave in enclaves]
+    assert all(fn._plan is None for fn in fns)
+    # Each binding's first packet builds its plan from the one
+    # compiled plan code.
+    _rounds(enclaves, 2)
+    after = pycodegen.stats()
+    assert after["programs_compiled"] == installed["programs_compiled"]
+    assert after["plans_compiled"] == before["plans_compiled"] + 1
     assert all(fn._plan is not None for fn in fns)
     assert len({id(fn._plan) for fn in fns}) == N
     assert [e.query_global("account")["counter"] for e in enclaves] \
-        == [COLD_ROUNDS + 2] * N
+        == [2] * N
 
 
 @pytest.mark.parametrize("op", ["restart", "replace", "remove"])
 def test_one_binding_leaving_keeps_the_others_hot(op):
     action = _artifact()
     enclaves = _fleet(action)
-    _rounds(enclaves, COLD_ROUNDS + 2)
+    _rounds(enclaves, 2)
     first, others = enclaves[0], enclaves[1:]
     plans = [e.function("account")._plan for e in others]
     assert all(plan is not None for plan in plans)
-    compiled = pycodegen.stats()["programs_compiled"]
     if op == "restart":
         first.clear()
     elif op == "replace":
+        # The replacement's program is compiled at its install.
         first.replace_function("account", tag_seven)
     else:
         first.remove_rule(1)
         first.remove_function("account")
     assert _is_hot(action.program)
+    compiled = pycodegen.stats()["programs_compiled"]
     executes = [_count_executes(e.function("account")) for e in others]
     _rounds(others, 2)
     assert all(e.function("account")._plan is plan
@@ -143,14 +144,14 @@ def test_one_binding_leaving_keeps_the_others_hot(op):
 
 @pytest.mark.parametrize("use_batch", (False, True))
 def test_a_shared_fleet_equals_a_tree_fleet(use_batch):
-    """Bindings sharing one program that turns hot mid-run, against
-    bindings pinned to the tree walk: the same results, packets,
-    stats, message entries and global state, enclave by enclave."""
+    """Bindings sharing one program, against bindings pinned to the
+    tree walk: the same results, packets, stats, message entries and
+    global state, enclave by enclave."""
     shared_action = _artifact()
     shared = _fleet(shared_action)
     tree = _fleet(_artifact(), backend="tree")
     seen = {id(shared): [], id(tree): []}
-    for round_ in range(COLD_ROUNDS + 4):
+    for round_ in range(8):
         for fleet in (shared, tree):
             for i, enclave in enumerate(fleet):
                 pairs = [(FakePacket(size=100 * (round_ + i + j + 1)),

@@ -353,16 +353,6 @@ def mutate(program, seed):
                    program.array_table)
 
 
-def warm(program):
-    """Spend ``program``'s cold calls so its next ``pycodegen`` run is
-    generated code, not the tree walk.  Returns False for programs
-    that never compile (they stay on the tree walk)."""
-    for _ in range(pycodegen.TIER_UP_CALLS + 1):
-        if pycodegen.code_for(program) is not None:
-            return True
-    return False
-
-
 #: Copies of each snapshot run through ``execute_batch`` by
 #: check_parity — >1 so the batch threads RNG/dispatch state across
 #: invocations exactly as back-to-back scalar calls do.
@@ -373,8 +363,8 @@ def check_parity(prog_ast, program, fields, arrays, seed=3,
                  native=True):
     """Run every backend on one input; return an error or None.
 
-    The tree walk and the generated code (the program is warmed first,
-    so the pycodegen legs are hot) must agree on everything — value,
+    The tree walk and the generated code (the first pycodegen run
+    compiles the program) must agree on everything — value,
     fields, arrays, stats, fault class and fault reason.  native must
     agree on the fault/ok outcome and, when ok, on (value, fields,
     arrays).  Batch execution must agree entry-for-entry with
@@ -383,7 +373,6 @@ def check_parity(prog_ast, program, fields, arrays, seed=3,
     """
     fvec, avec = vectors(program, fields, arrays)
     tree = run_interp(program, fvec, avec, "tree", seed=seed)
-    warm(program)
     codegen = run_interp(program, fvec, avec, "pycodegen", seed=seed)
     if tree != codegen:
         return (f"tree/pycodegen divergence on fields={fields!r} "

@@ -7,8 +7,8 @@ plus hundreds of seeded fuzz programs — across the default, loop-heavy
 and array-heavy generator profiles — run through
 
 * the decode-per-op tree walk      (``Interpreter(dispatch="tree")``),
-* generated straight-line Python   (``Interpreter(dispatch="pycodegen")``
-  on a program ``program_gen.warm`` has made hot),
+* generated straight-line Python   (``Interpreter(dispatch="pycodegen")``,
+  which compiles a program on its first call),
 * the native compiled backend      (``repro.lang.native``),
 * batched execution                (``Interpreter.execute_batch``),
 
@@ -22,10 +22,9 @@ interpreter, including stats and fault identity — batching is an
 optimization, never a semantic.
 
 ``TestTierBoundary`` pins the one behaviour the default backend adds:
-a program runs on the tree walk for its first
-``pycodegen.TIER_UP_CALLS`` invocations and on generated code after,
-and nothing observable changes at the switch — and a program the
-verifier rejects never compiles.  ``TestMutatedBytecode`` goes below
+a program's first call compiles it, exactly once, and nothing
+observable differs from the tree walk on that call or any later one —
+and a program the verifier rejects never compiles.  ``TestMutatedBytecode`` goes below
 the DSL: point mutations of compiled bytecode are rejected by the
 verifier or run alike on the tree walk and generated code.
 
@@ -34,8 +33,8 @@ enclave data path: ``Enclave.process_batch`` over the fuzz corpus must
 leave identical per-packet results, packet writes, function stats, and
 message/global state as sequential ``process_packet`` calls.  Its
 plan legs run the fuzz seeds, the library demos and the corpus through
-a default enclave — whose function switches mid-run from the tree walk
-to the generated per-packet plan — and a ``backend="tree"`` enclave,
+a default enclave — whose function runs the generated per-packet plan
+from its first packet — and a ``backend="tree"`` enclave,
 which stays on the generic tier of ``InstalledFunction.run_packet``,
 and require the same of those two, RNG state included.
 
@@ -168,7 +167,7 @@ class TestFuzzedPrograms:
         assert outcomes == {"ok", "fault"}
 
 
-#: Calls past the tier-up call that the boundary tests keep running.
+#: Calls past the compiling one that the boundary tests keep running.
 HOT_CALLS = 4
 
 RAND_SOURCE = (
@@ -193,34 +192,35 @@ def _run_calls(program, fvec, avec, calls, dispatch="pycodegen"):
 
 
 def _cold_copy(program):
-    """An equal program that has never run: the tier counter and the
-    compiled code live in a slot on the ``Program`` instance."""
+    """An equal program that has never run, so never compiled: the
+    compiled code lives in a slot on the ``Program`` instance."""
     return dataclasses.replace(program)
 
 
 def _assert_boundary_invisible(program, fvec, avec, label):
-    """Default interpreter == tree on every call before, at and after
-    the tier-up — and the tier-up really happens where it should."""
-    calls = pycodegen.TIER_UP_CALLS + HOT_CALLS
+    """Default interpreter == tree on the call that compiles the
+    program and on every call after — and it compiles exactly then,
+    once."""
+    calls = 1 + HOT_CALLS
     program = _cold_copy(program)
     want, want_rng = _run_calls(program, fvec, avec, calls,
                                 dispatch="tree")
-    assert not _is_hot(program), "tree runs must not count"
+    assert not _is_hot(program), "tree runs must not compile"
     compiled_before = pycodegen.stats()["programs_compiled"]
-    cold, _ = _run_calls(program, fvec, avec, pycodegen.TIER_UP_CALLS)
-    assert not _is_hot(program), f"{label}: compiled while cold"
-    assert pycodegen.stats()["programs_compiled"] == compiled_before
-    assert cold == want[:pycodegen.TIER_UP_CALLS], label
+    first, _ = _run_calls(program, fvec, avec, 1)
+    assert _is_hot(program), f"{label}: not compiled by its first call"
+    assert pycodegen.stats()["programs_compiled"] == compiled_before + 1
+    assert first == want[:1], label
     program = _cold_copy(program)
     got, got_rng = _run_calls(program, fvec, avec, calls)
-    assert _is_hot(program), f"{label}: still cold after {calls} calls"
+    assert pycodegen.stats()["programs_compiled"] == compiled_before + 2
     for i, (g, w) in enumerate(zip(got, want)):
         assert g == w, f"{label}: call {i + 1} of {calls} diverges"
     assert got_rng == want_rng, f"{label}: RNG streams diverge"
 
 
 class TestTierBoundary:
-    """Cold (tree walk) -> hot (generated code) changes nothing."""
+    """The first call compiles the program, and changes nothing."""
 
     def test_default_interpreter_is_the_tiered_backend(self):
         assert Interpreter().dispatch == "pycodegen"
@@ -262,8 +262,7 @@ class TestTierBoundary:
         fields = {("packet", "size"): 3, ("message", "counter"): 1,
                   ("message", "limit"): 5, ("global", "knob"): 0}
         fvec, avec = pg.vectors(program, fields, {})
-        got, _ = _run_calls(program, fvec, avec,
-                            pycodegen.TIER_UP_CALLS + HOT_CALLS)
+        got, _ = _run_calls(program, fvec, avec, 1 + HOT_CALLS)
         assert _is_hot(program)
         assert set(got) == {("fault", "InterpreterFault",
                              "division by zero")}
@@ -274,7 +273,7 @@ class TestTierBoundary:
         program = compile_ast(pg.lower_source(
             pg.generate_program(seed, profile="arrays")))
         snapshots = []
-        for i in range(pycodegen.TIER_UP_CALLS + HOT_CALLS):
+        for i in range(1 + HOT_CALLS):
             fields, arrays = pg.generate_inputs(program,
                                                 seed * 31 + i)
             snapshots.append(pg.vectors(program, fields, arrays))
@@ -302,7 +301,7 @@ class TestTierBoundary:
             seed += 1
         interp = Interpreter()
         compiled = pycodegen.stats()["programs_compiled"]
-        for _ in range(2 * (pycodegen.TIER_UP_CALLS + 1)):
+        for _ in range(2):
             for program, (fvec, avec) in zip(programs, inputs):
                 try:
                     interp.execute(program, fvec, avec)
@@ -317,22 +316,22 @@ class TestTierBoundary:
         """Rejected => never compiled: pycodegen compiles exactly what
         the verifier accepts.  A program of every violation class
         ``verify`` reports (the stack-depth *limit* is a property of
-        the enclave, not of the bytecode, so it is not one) is
-        delegated once, stays cold however often it runs, and the
-        default interpreter matches the tree walk on every call —
-        ExecStats, fault reason, and even the Python error some of
-        these programs raise out of the tree walk."""
+        the enclave, not of the bytecode, so it is not one) runs on
+        the tree walk however often it runs, and the default
+        interpreter matches the tree walk on every call — ExecStats,
+        fault reason, and even the Python error some of these
+        programs raise out of the tree walk."""
         program = build()
         with pytest.raises(VerificationError, match=reason):
             verify(program)
-        delegated = pycodegen.stats()["programs_delegated"]
-        calls = pycodegen.TIER_UP_CALLS + 8
+        compiled = pycodegen.stats()["programs_compiled"]
+        calls = 8
         for size in (0, 1):
             vectors = ([0, size], [[3]])
             assert _run_any(program, *vectors, calls, "pycodegen") == \
                 _run_any(program, *vectors, calls, "tree")
         assert pycodegen.code_for(program) is None
-        assert pycodegen.stats()["programs_delegated"] == delegated + 1
+        assert pycodegen.stats()["programs_compiled"] == compiled
 
 
 def _run_any(program, fvec, avec, calls, dispatch):
@@ -383,7 +382,7 @@ class TestMutatedBytecode:
             except VerificationError:
                 continue
             label = f"{profile}{seed} mutation {k}"
-            assert pg.warm(mutant), label
+            assert pycodegen.code_for(mutant) is not None, label
             err = pg.check_parity(None, mutant, fields, arrays,
                                   native=False)
             assert err is None, f"{label}: {err}"
@@ -502,12 +501,12 @@ class TestEnclaveBatchDifferential:
     """``process_batch`` == sequential ``process_packet`` over the
     fuzz corpus — per-packet results, packet writes, function stats,
     and the message/global state left behind — and, through either
-    entry point, the default enclave (tree walk, then the generated
-    per-packet plan) == a ``backend="tree"`` enclave (the generic tier
-    of ``run_packet`` throughout)."""
+    entry point, the default enclave (the generated per-packet plan
+    from the first packet) == a ``backend="tree"`` enclave (the
+    generic tier of ``run_packet`` throughout)."""
 
-    #: Enough packets that the function turns hot mid-batch.
-    N_PACKETS = pycodegen.TIER_UP_CALLS + 8
+    #: Packets per run.
+    N_PACKETS = 24
 
     def _packets(self, seed):
         rng = random.Random(seed * 7 + 1)
@@ -583,9 +582,8 @@ class TestEnclaveBatchDifferential:
         pkts_h = self._packets(seed)
         res_h = self._run(hot, pkts_h, use_batch=seed % 2)
 
-        # Cold calls and the compiling one took the generic tier,
-        # every later packet the plan.
-        assert executes[0] == pycodegen.TIER_UP_CALLS + 1, label
+        # The plan ran every packet.
+        assert executes[0] == 0, label
         assert res_h == res_t, label
         assert _left_behind(hot, pkts_h) == _left_behind(tree, pkts_t), \
             label
@@ -602,16 +600,15 @@ class TestEnclaveBatchDifferential:
 
     def test_plan_fuzz_sees_faults_in_both_tiers(self):
         """The sweep above compares faulting invocations too: some of
-        its programs fault before the switch and some after."""
-        cold = hot = 0
+        its programs fault on the first packet, which builds the plan,
+        and some on later ones."""
+        first = later = 0
         for seed in range(40):
             enclave = _batch_enclave_for(pg.generate_program(seed), seed)
             results = self._run(enclave, self._packets(seed), False)
-            cold += sum(r.faults for r in
-                        results[:pycodegen.TIER_UP_CALLS])
-            hot += sum(r.faults for r in
-                       results[pycodegen.TIER_UP_CALLS + 1:])
-        assert cold and hot
+            first += results[0].faults
+            later += sum(r.faults for r in results[1:])
+        assert first and later
 
     def test_plan_equals_generic_tier_on_corpus_reproducers(self):
         paths = sorted(glob.glob(os.path.join(CORPUS_DIR, "*.py")))
@@ -671,7 +668,7 @@ class TestEnclaveBatchDifferential:
             *got, hot_calls = run("interpreter", use_batch)
             assert got == want, entry.name
             assert generic_calls == self.N_PACKETS
-            assert hot_calls == pycodegen.TIER_UP_CALLS + 1
+            assert hot_calls == 0
 
 
 def _persist_failure(source, fields, arrays, seed):
@@ -721,7 +718,7 @@ class TestCorpus:
                   ("message", "limit"): 5, ("global", "knob"): 0}
         fvec, avec = pg.vectors(program, fields, {})
         tree = pg.run_interp(program, fvec, avec, "tree")
-        assert pg.warm(program)
+        assert pycodegen.code_for(program) is not None
         hot = pg.run_interp(program, fvec, avec, "pycodegen")
         assert tree[0] == "fault"
         assert tree == hot

@@ -10,7 +10,7 @@ programs (the pycodegen runs are warmed, so they are generated code).
 
 import pytest
 
-from repro.lang import Instr, Interpreter, Op
+from repro.lang import Instr, Interpreter, Op, pycodegen
 from repro.lang.bytecode import FunctionCode, Program
 
 import program_gen as pg
@@ -31,7 +31,7 @@ class TestPinnedOpCounts:
             Instr(Op.ADD),
             Instr(Op.RET),
         ])
-        assert pg.warm(prog)
+        assert pycodegen.code_for(prog) is not None
         for dispatch in ("tree", "pycodegen"):
             res = Interpreter(dispatch=dispatch).execute(prog, [], [])
             assert res.value == 5
@@ -71,7 +71,7 @@ class TestPinnedOpCounts:
         # 2 setup ops + 5 iterations of 9 ops (2..10) + the exit pass
         # (2..5, then 11..12) = 2 + 45 + 4 + 2 = 53.
         tree = Interpreter(dispatch="tree").execute(prog, [], [])
-        assert pg.warm(prog)
+        assert pycodegen.code_for(prog) is not None
         hot = Interpreter(dispatch="pycodegen").execute(prog, [], [])
         assert tree.value == 0
         assert hot.value == tree.value
@@ -100,7 +100,7 @@ class TestCompiledProgramStats:
         arrays = {("global", "weights"): [3, 1, 4, 1, 5, 9, 2, 6]}
         res_tree, _, _ = h.run(fields=fields, arrays=arrays,
                                dispatch="tree")
-        assert pg.warm(h.program)
+        assert pycodegen.code_for(h.program) is not None
         res_hot, _, _ = h.run(fields=fields, arrays=arrays,
                               dispatch="pycodegen")
         assert res_hot.stats == res_tree.stats

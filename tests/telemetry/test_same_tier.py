@@ -2,11 +2,12 @@
 
 An enclave with ``Telemetry(enabled=True)`` records its per-hop
 metrics and the ``interpreter.execute`` span around the function's
-run, whichever tier runs it: a hot function compiles and runs its
-plan exactly as without telemetry.  Each Table-1 demo is driven past
-the tier-up through a telemetry-on enclave and a telemetry-off twin,
-on the default backend and pinned to ``tree`` and ``native``, and the
-two must agree packet by packet.
+run, whichever tier runs it: a pycodegen function runs its plan from
+the first packet exactly as without telemetry, a ``tree`` or
+``native`` one its generic tier.  Each Table-1 demo is driven through
+a telemetry-on enclave and a telemetry-off twin, on the default
+backend and pinned to ``tree`` and ``native``, and the two must agree
+packet by packet.
 """
 
 import random
@@ -19,7 +20,7 @@ from repro.lang import pycodegen
 from repro.telemetry import Telemetry
 
 DEMOS = [e for e in table1() if e.demo is not None]
-PACKETS = pycodegen.TIER_UP_CALLS + 8
+PACKETS = 8
 
 
 def _enclave(spec, backend, telemetry):
@@ -76,11 +77,11 @@ def test_telemetry_on_runs_the_same_tier_as_off(entry, backend):
         assert seen[0] == seen[1], (i, seen)
     assert executes_on == executes_off
     if backend == "interpreter":
-        # Compiled, and the plan ran every packet after the tier-up.
+        # Compiled, and the plan ran every packet.
         assert fn_on._plan is not None
         assert isinstance(fn_on.program._pycodegen,
                           pycodegen.CompiledProgram)
-        assert len(executes_on) <= pycodegen.TIER_UP_CALLS + 1
+        assert not executes_on
     else:
         assert len(executes_on) == PACKETS
     registry = tel.registry
