@@ -223,7 +223,7 @@ class InstalledFunction:
         except (SyntaxError, RecursionError) as exc:   # from compile()
             raise EnclaveError(f"function {self.name!r} does not compile "
                                f"on {self.dispatch}: {exc!r}") from exc
-        self._plan: Optional[Callable] = None
+        self._plan: Union[Callable, bool, None] = None  # not asked yet
         self._field_readers: Optional[List[Callable]] = None
         self._array_readers: Optional[List[Callable]] = None
 
@@ -287,23 +287,24 @@ class InstalledFunction:
     def run_packet(self, packet, msg_entry, acct=None) -> int:
         """One invocation against live state; returns the op count.
 
-        Runs the backend's plan (``Backend.plan``), asked for once,
-        on the first packet (an install stays a bind), or without one
-        the generic tier (:meth:`_run_generic`).  An
-        :class:`InterpreterFault` propagates with nothing of the
+        State read -> :meth:`execute` -> write-back of the static
+        write set -> function stats.  That is the generic tier: the
+        ``tree``/``native`` pins run it, and it is the oracle for the
+        backend's plan (``Backend.plan``), the same sequence as one
+        generated callable, asked for once, on the first packet (an
+        install stays a bind).
+        An :class:`InterpreterFault` propagates with nothing of the
         invocation committed.  ``acct`` is the enclave's
         :class:`CpuAccounting` when it is enabled, else None.
         """
         plan = self._plan
         if plan is None:
+            # False when there is none: a bound method of this
+            # binding here would make it a reference cycle.
             plan = self._plan = (
-                self._executor.plan(self.interpreter, self)
-                or self._run_generic)
-        return plan(packet, msg_entry, acct)
-
-    def _run_generic(self, packet, msg_entry, acct=None) -> int:
-        """State read -> :meth:`execute` -> write-back of the static
-        write set -> function stats: what every plan must equal."""
+                self._executor.plan(self.interpreter, self) or False)
+        if plan:
+            return plan(packet, msg_entry, acct)
         if self._field_readers is None:
             self._build_readers()
         fields = [read(packet, msg_entry)

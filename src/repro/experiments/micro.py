@@ -4,21 +4,20 @@
 space of the interpreter are in the order of 64 and 256 bytes
 respectively."  This module compiles the three case-study programs,
 measures their operand-stack/heap high-water marks and bytecode ops
-per invocation, and times interpreted vs native execution — the
-ablation behind the paper's "small penalty for the convenience of
-injecting code at runtime" claim.
+per invocation, and times interpreted vs native execution of the
+function body — the ablation behind the paper's "small penalty for
+the convenience of injecting code at runtime" claim.
 """
 
 from __future__ import annotations
 
-import contextlib
-import gc
-import time
+import timeit
 from dataclasses import dataclass
 from typing import Callable, List, Tuple
 
 from ..core.stage import Classification
 from ..functions.library import DemoPacket, DemoSpec, table1
+from ..lang import backends
 
 
 @dataclass
@@ -58,58 +57,76 @@ def _spec_for(name: str) -> DemoSpec:
     raise KeyError(name)
 
 
-def _timed_run(spec: DemoSpec, backend: str, packets: int,
-               repeat: int) -> Tuple[float, object]:
-    """Returns (ns per processed packet, the enclave function)."""
+def _drive(spec: DemoSpec, packets: int):
+    """Runs ``packets`` demo packets through an enclave on the tree
+    walk, the reference whose stats every interpreting backend equals.
+
+    Returns the installed function, whose stats give the footprint,
+    and the ``(fields, arrays)`` snapshot each invocation's body
+    read."""
     from ..core.enclave import Enclave
 
-    best = float("inf")
-    fn = None
-    for _ in range(repeat):
-        enclave = Enclave(f"micro.{spec.function_name}")
-        enclave.install_function(
-            spec.action, name=spec.function_name,
-            message_schema=spec.message_schema,
-            global_schema=spec.global_schema, backend=backend)
-        for name, value in spec.global_scalars.items():
-            enclave.set_global(spec.function_name, name, value)
-        for name, values in spec.global_arrays.items():
-            enclave.set_global_array(spec.function_name, name,
+    enclave = Enclave(f"micro.{spec.function_name}")
+    fn = enclave.install_function(
+        spec.action, name=spec.function_name,
+        message_schema=spec.message_schema,
+        global_schema=spec.global_schema, backend="tree")
+    for name, value in spec.global_scalars.items():
+        enclave.set_global(spec.function_name, name, value)
+    for name, values in spec.global_arrays.items():
+        enclave.set_global_array(spec.function_name, name, list(values))
+    for name, keyed in spec.global_keyed.items():
+        for key, values in keyed.items():
+            enclave.set_global_keyed(spec.function_name, name, key,
                                      list(values))
-        for name, keyed in spec.global_keyed.items():
-            for key, values in keyed.items():
-                enclave.set_global_keyed(spec.function_name, name,
-                                         key, list(values))
-        enclave.install_rule("*", spec.function_name)
-        cls = []
-        if spec.metadata:
-            metadata = dict(spec.metadata)
-            metadata.setdefault("msg_id", ("micro", 1))
-            cls = [Classification(class_name="micro.r1.msg",
-                                  metadata=metadata)]
-        overrides = (spec.packets or [{}])[0]
-        with _gc_paused():
-            t0 = time.perf_counter_ns()
-            for i in range(packets):
-                packet = DemoPacket()
-                for attr, value in overrides.items():
-                    setattr(packet, attr, value)
-                enclave.process_packet(packet, cls, now_ns=i)
-            elapsed = time.perf_counter_ns() - t0
-        best = min(best, elapsed / packets)
-        fn = enclave.function(spec.function_name)
-    return best, fn
+    enclave.install_rule("*", spec.function_name)
+    snapshots = []
+    execute = fn.execute
+    fn.execute = lambda fields, arrays: (
+        snapshots.append((fields, arrays)) or execute(fields, arrays))
+    cls = []
+    if spec.metadata:
+        metadata = dict(spec.metadata)
+        metadata.setdefault("msg_id", ("micro", 1))
+        cls = [Classification(class_name="micro.r1.msg",
+                              metadata=metadata)]
+    overrides = (spec.packets or [{}])[0]
+    for i in range(packets):
+        packet = DemoPacket()
+        for attr, value in overrides.items():
+            setattr(packet, attr, value)
+        enclave.process_packet(packet, cls, now_ns=i)
+    return fn, snapshots
+
+
+def _body_ns(body: Callable, snapshots: List) -> float:
+    """ns per call of ``body`` over the snapshots (``timeit`` keeps
+    the cyclic GC off while it times)."""
+    def calls():
+        for fields, arrays in snapshots:
+            body(fields, arrays)
+    return timeit.timeit(calls, number=1) * 1e9 / len(snapshots)
 
 
 def run_micro(packets: int = 300, repeat: int = 3,
               names: Tuple[str, ...] = CASE_STUDY_FUNCTIONS
               ) -> List[MicroResult]:
+    """Footprint and interpreted-vs-native cost of each program.
+
+    Both are timed on the body alone, through what a binding of each
+    backend binds (``Backend.bind``), over the snapshots the packets
+    read: per packet, the generated plan and native's generic tier
+    wrap the body in unlike envelopes.  Best of ``repeat``
+    alternating rounds."""
     results = []
     for name in names:
-        spec = _spec_for(name)
-        interp_ns, fn = _timed_run(spec, "interpreter", packets,
-                                   repeat)
-        native_ns, _ = _timed_run(spec, "native", packets, repeat)
+        fn, snapshots = _drive(_spec_for(name), packets)
+        interp = fn.interpreter
+        bodies = [backends.get(dispatch).bind(interp, fn.program)
+                  for dispatch in (interp.dispatch, "native")]
+        interp_ns, native_ns = map(min, zip(*(
+            [_body_ns(body, snapshots) for body in bodies]
+            for _ in range(repeat))))
         results.append(MicroResult(
             name=name,
             bytecode_len=sum(len(f.code)
@@ -124,21 +141,8 @@ def run_micro(packets: int = 300, repeat: int = 3,
 
 
 def format_results(results: List[MicroResult]) -> str:
-    lines = ["Section 5.4 micro — interpreter footprint per "
-             "case-study program"]
+    lines = ["Section 5.4 micro — footprint per case-study program; "
+             "interp/native: ns per call of the body"]
     lines += [r.row() for r in results]
     return "\n".join(lines)
 
-
-@contextlib.contextmanager
-def _gc_paused():
-    """Pause the cyclic GC around a timed region (timeit does the
-    same): with a large live heap — e.g. mid-test-suite — gen2
-    collections otherwise land inside the loop and dominate ns/op."""
-    was_enabled = gc.isenabled()
-    gc.disable()
-    try:
-        yield
-    finally:
-        if was_enabled:
-            gc.enable()

@@ -376,20 +376,21 @@ def compile_shared(fn: Union[Callable, str],
                    peephole: bool = True) -> CompiledAction:
     """:func:`compile_action`, once per process for equal requests.
 
-    Keyed by the source text, the name, the schemas (``Schema``
-    equality: by content, a binder by identity) and the options, and
-    held strongly: a request equal to an earlier one gets the *same*
+    Keyed by the action (a live function itself, source text by its
+    dedented text), the name, the schemas (``Schema`` equality: by
+    content, a binder by identity) and the options, and held
+    strongly: a request equal to an earlier one gets the *same*
     artifact, so its ``Program`` and the code backends compile into it
-    are shared by every enclave, plane and build in the process.
+    are shared by every enclave, plane and build in the process.  A
+    function's source is read only on a miss.
     """
-    source = source_of(fn)
-    key = (source, name, packet_schema, message_schema, global_schema,
-           optimize_tail_calls, peephole)
+    key = (fn if callable(fn) else source_of(fn), name, packet_schema,
+           message_schema, global_schema, optimize_tail_calls, peephole)
     action = _MEMO.get(key)
     if action is not None:
         return action
     _MEMO_STATS["misses"] += 1
-    action = compile_action(source, packet_schema, message_schema,
+    action = compile_action(fn, packet_schema, message_schema,
                             global_schema, name, optimize_tail_calls,
                             peephole)
     if len(_MEMO) >= MEMO_LIMIT:

@@ -30,7 +30,6 @@ from __future__ import annotations
 import ast
 import inspect
 import textwrap
-import weakref
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple, Union
 
@@ -52,23 +51,16 @@ class DslError(Exception):
         super().__init__(message)
 
 
-#: Each live function's source text, read once: ``inspect.getsource``
-#: re-tokenizes the function (~0.2 ms), and every install asks.
-_SOURCES: "weakref.WeakKeyDictionary[Callable, str]" = \
-    weakref.WeakKeyDictionary()
-
-
 def source_of(fn: Union[Callable, str]) -> str:
     """The dedented source text of a live function (or of ``fn`` itself
     when it already is source text)."""
-    if not callable(fn):
-        return textwrap.dedent(fn)
-    try:
-        return _SOURCES.get(fn) or _SOURCES.setdefault(
-            fn, textwrap.dedent(inspect.getsource(fn)))
-    except (OSError, TypeError) as exc:
-        raise DslError(
-            f"cannot recover source of {fn!r}: {exc}") from exc
+    if callable(fn):
+        try:
+            fn = inspect.getsource(fn)
+        except (OSError, TypeError) as exc:
+            raise DslError(
+                f"cannot recover source of {fn!r}: {exc}") from exc
+    return textwrap.dedent(fn)
 
 
 def _function_node(source: str) -> ast.FunctionDef:

@@ -121,3 +121,28 @@ def test_a_tree_pin_compiles_nothing(failing_compile):
     packet = Packet()
     enclave.process_packet(packet)
     assert packet.priority == 3
+
+
+@pytest.mark.parametrize("backend", ("tree", "native"))
+def test_a_binding_without_a_plan_is_freed_by_refcount(backend):
+    """A binding whose backend has no plan remembers so without a
+    reference to itself, so dropping its enclave frees it at once,
+    with the cyclic GC off."""
+    import gc
+    import weakref
+
+    enclave = Enclave("e")
+    fn = enclave.install_function(_fresh(tag_three, "f"), backend=backend)
+    enclave.install_rule("*", "f")
+    packet = Packet()
+    enclave.process_packet(packet)
+    assert packet.priority == 3 and fn._plan is False
+    gone = weakref.ref(fn)
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        del enclave, fn
+        assert gone() is None
+    finally:
+        if was_enabled:
+            gc.enable()

@@ -2,8 +2,8 @@
 
 Every place that compiles DSL source — an enclave's install and
 replace, the control plane's send — goes through one memo keyed by the
-source text, the name, each schema's content (binders by identity) and
-the compile options.  Equal requests get the *same* artifact, so its
+action (a function itself, source text by its text), the name, each
+schema's content (binders by identity) and the compile options.  Equal requests get the *same* artifact, so its
 ``Program`` and the code pycodegen compiles into it are shared by
 every enclave, plane and build in the process; ``compile_action``
 stays a pure compile.
@@ -120,14 +120,24 @@ def test_a_different_request_compiles_again(memo):
     ]
     assert all(other is not base for other in others)
     assert memo()["misses"] == 1 + len(others)
-    # Equal content in other objects hits: the source text as a
-    # string, an equal schema built anew.
-    source = base.program.source
-    again = compile_shared(source, DEFAULT_PACKET_SCHEMA,
+    # An equal schema built anew hits: schemas key by content.
+    again = compile_shared(bump, DEFAULT_PACKET_SCHEMA,
                            global_schema=schema("Cnt", Lifetime.GLOBAL, [
                                Field("counter", AccessLevel.READ_WRITE)]),
                            name="bump")
     assert again is base
+    assert memo()["misses"] == 1 + len(others)
+
+
+def test_source_text_keys_by_its_dedented_text(memo):
+    """A function keys by itself (its source is read only on a miss);
+    source text by its dedented text, so indentation does not split
+    an entry."""
+    text = "def f(packet):\n    packet.priority = 3\n"
+    indented = "".join("    " + line for line in text.splitlines(True))
+    a = compile_shared(text, DEFAULT_PACKET_SCHEMA)
+    assert compile_shared(indented, DEFAULT_PACKET_SCHEMA) is a
+    assert memo()["misses"] == 1
 
 
 def test_binders_are_compared_by_identity(memo):
