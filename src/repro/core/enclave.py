@@ -165,6 +165,10 @@ class InstalledFunction:
         self.message_schema = message_schema
         self.global_schema = action.global_schema
         self.concurrency = facts(self.program).concurrency
+        #: What one invocation can use at most (stack words, call
+        #: chain, op count): a controller can refuse a program whose
+        #: bound does not meet an enclave's budget.
+        self.bounds = facts(self.program).bounds
         self.guard = ConcurrencyGuard(self.concurrency)
         # A PARALLEL guard never refuses, so the data path skips it.
         self.guarded = self.concurrency is not ConcurrencyLevel.PARALLEL
@@ -287,12 +291,9 @@ class InstalledFunction:
     def run_packet(self, packet, msg_entry, acct=None) -> int:
         """One invocation against live state; returns the op count.
 
-        State read -> :meth:`execute` -> write-back of the static
-        write set -> function stats.  That is the generic tier: the
-        ``tree``/``native`` pins run it, and it is the oracle for the
-        backend's plan (``Backend.plan``), the same sequence as one
-        generated callable, asked for once, on the first packet (an
-        install stays a bind).
+        The backend's plan (``Backend.plan``), asked for once, on the
+        first packet (an install stays a bind), runs it; without one,
+        :meth:`run_generic` does.
         An :class:`InterpreterFault` propagates with nothing of the
         invocation committed.  ``acct`` is the enclave's
         :class:`CpuAccounting` when it is enabled, else None.
@@ -305,6 +306,15 @@ class InstalledFunction:
                 self._executor.plan(self.interpreter, self) or False)
         if plan:
             return plan(packet, msg_entry, acct)
+        return self.run_generic(packet, msg_entry, acct)
+
+    def run_generic(self, packet, msg_entry, acct=None) -> int:
+        """The generic tier of :meth:`run_packet`: state read ->
+        :meth:`execute` -> write-back of the static write set ->
+        function stats.  The ``tree``/``native`` pins run it; it is the
+        oracle for the plan, which is the same sequence as one
+        generated callable, and the plan hands it a packet whose limits
+        the program's bounds do not fit."""
         if self._field_readers is None:
             self._build_readers()
         fields = [read(packet, msg_entry)

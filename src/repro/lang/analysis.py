@@ -3,9 +3,11 @@
 Everything that needs to know something about a program's instructions
 before running them reads it from :func:`facts`: the verifier (is it
 safe to install?), the generated-code backend (operand-stack depth per
-pc, each function's control structure, which ops each function uses)
-and the enclave (which field slots a run can change, and the
-concurrency level those writes imply, Section 3.4.4).  The record is
+pc, each function's control structure, which ops each function uses,
+and the worst-case stack and op count of one run — :class:`Bounds` —
+that its entry test holds against the limits) and the enclave (which
+field slots a run can change, and the concurrency level those writes
+imply, Section 3.4.4).  The record is
 computed by one pass over every function and cached on the
 :class:`~repro.lang.bytecode.Program`; it depends only on the immutable
 bytecode, so nothing ever invalidates it.
@@ -28,7 +30,8 @@ from __future__ import annotations
 import enum
 from typing import Dict, List, NamedTuple, Optional, Tuple
 
-from .bytecode import OPS_WITH_ARG, STACK_EFFECT, Instr, Op, Program
+from .bytecode import (OPS_WITH_ARG, STACK_EFFECT, Instr, Op, Program,
+                       wrap64)
 
 #: Deepest structure the generated-code backend renders.  CPython's
 #: tokenizer stops at 100 levels of indentation; the plan puts a body
@@ -124,6 +127,46 @@ class Split(NamedTuple):
     charge: int
 
 
+class OpBound(NamedTuple):
+    """A worst-case op count: ``const`` plus ``b * len(array k)`` for
+    each ``(k, b)`` in ``per_len``, where ``len`` is what ``ALEN k``
+    pushes (the array's record count)."""
+
+    const: int
+    per_len: Tuple[Tuple[int, int], ...] = ()
+
+    def at(self, lengths) -> int:
+        """The bound for one invocation's array lengths."""
+        return self.const + sum(b * lengths[k] for k, b in self.per_len)
+
+    def __str__(self) -> str:
+        terms = [f"{b}*len(a{k})" for k, b in self.per_len]
+        if self.const or not terms:
+            terms.append(str(self.const))
+        return " + ".join(terms)
+
+
+class Bounds(NamedTuple):
+    """What one invocation of a verified program can use at most, on
+    every path, faulting ones included; None where no bound is proven.
+
+    ``stack`` is the operand stack across frames, as the tree walk
+    measures it (``ExecStats.max_operand_stack``): exact over an
+    acyclic call graph, None over a cyclic one.  ``calls`` is the
+    longest call chain in frames (``ExecStats.max_call_depth``).
+    ``ops`` bounds ``ExecStats.ops_executed`` on entry with every local
+    zero: exact path by path for loop-free code; a loop counts when an
+    induction variable, started at a constant and stepped by a constant
+    on every back edge, is tested against a constant or an ``ALEN``
+    before each back edge, and then contributes its trip bound times
+    its longest iteration (a product of two array lengths is None).
+    """
+
+    stack: Optional[int] = None
+    calls: Optional[int] = None
+    ops: Optional[OpBound] = None
+
+
 class ProgramFacts(NamedTuple):
     """What the bytecode of one program says before it runs."""
 
@@ -145,6 +188,8 @@ class ProgramFacts(NamedTuple):
     #: Whether any HSTORE exists; without one every array is unchanged.
     stores_to_heap: bool = False
     concurrency: ConcurrencyLevel = ConcurrencyLevel.SERIAL
+    #: Worst-case stack, call chain and op count of one invocation.
+    bounds: Bounds = Bounds()
 
     def uses(self, op: Op) -> bool:
         """Whether any function of the program contains ``op``."""
@@ -308,7 +353,8 @@ def _analyse(program: Program) -> ProgramFacts:
         violation=None, depths=tuple(depths), max_depth=max_depth,
         structure=tuple(structure_per_fn), ops_used=tuple(ops_per_fn),
         written=tuple(sorted(written)),
-        stores_to_heap=stores_to_heap, concurrency=level)
+        stores_to_heap=stores_to_heap, concurrency=level,
+        bounds=_bounds(program, depths))
 
 
 _FIELD_REF = (("scope", str), ("name", str), ("writable", bool))
@@ -504,3 +550,444 @@ class _Walk:
                 raise _Unstructured(
                     after, "reachable code after the end of its block")
         return Block(tuple(items), False, height)
+
+
+# -- resource bounds ----------------------------------------------------
+
+#: Ops that leave the operand stack deeper: the only points where the
+#: tree walk's high-water mark can rise.
+PUSHES = frozenset(op for op, (pops, pushes) in STACK_EFFECT.items()
+                   if pushes > pops)
+#: Largest constant the trip-count argument takes in: an induction
+#: variable held this close to zero never wraps at 64 bits.
+_SMALL = 1 << 40
+#: Longest call chain whose op count is analysed (the analysis
+#: recurses once per frame).
+_MAX_CHAIN = 64
+
+_ZERO = OpBound(0)
+_ONE = OpBound(1)
+
+
+def _bounds(program: Program,
+            depths: List[Tuple[Optional[int], ...]]) -> Bounds:
+    """The program's :class:`Bounds`; every field None over a call
+    graph with a cycle reachable from the entry."""
+    functions = program.functions
+    callees = [sorted({instr.arg for pc, instr in enumerate(fn.code)
+                       if instr.op is Op.CALL and depth[pc] is not None})
+               for fn, depth in zip(functions, depths)]
+    # Callees before callers, from the entry; a callee still open on
+    # the walk is a cycle.
+    order: List[int] = []
+    seen = {0: False}
+    walk = [(0, iter(callees[0]))]
+    while walk:
+        fi, todo = walk[-1]
+        for callee in todo:
+            if callee not in seen:
+                seen[callee] = False
+                walk.append((callee, iter(callees[callee])))
+                break
+            if not seen[callee]:
+                return Bounds()
+        else:
+            walk.pop()
+            seen[fi] = True
+            order.append(fi)
+    stack: Dict[int, int] = {}
+    chain: Dict[int, int] = {}
+    for fi in order:
+        deepest, longest = 0, 1
+        for pc, instr in enumerate(functions[fi].code):
+            depth = depths[fi][pc]
+            if depth is None:
+                continue
+            if instr.op is Op.CALL:
+                callee = instr.arg
+                deepest = max(deepest, depth - functions[callee].n_args +
+                              stack[callee])
+                longest = max(longest, 1 + chain[callee])
+            elif instr.op in PUSHES:
+                deepest = max(deepest, depth + 1)
+        stack[fi] = deepest
+        chain[fi] = longest
+    ops = None
+    if chain[0] <= _MAX_CHAIN:
+        entry_args = (_Sym(None, 0),) * functions[0].n_args
+        try:
+            ops = _OpCount(program, depths).of(0, entry_args)
+        except _Unbounded:
+            pass
+    return Bounds(stack[0], chain[0], ops)
+
+
+def _lin_add(x: Optional[OpBound], y: Optional[OpBound]
+             ) -> Optional[OpBound]:
+    if x is None or y is None:
+        return None
+    if not y.per_len:
+        return OpBound(x.const + y.const, x.per_len)
+    per = dict(x.per_len)
+    for k, b in y.per_len:
+        per[k] = per.get(k, 0) + b
+    return OpBound(x.const + y.const, tuple(sorted(per.items())))
+
+
+def _lin_max(x: Optional[OpBound], y: Optional[OpBound]
+             ) -> Optional[OpBound]:
+    """Bounds both: array lengths are never negative."""
+    if x is None or y is None:
+        return y if x is None else x
+    per = dict(x.per_len)
+    for k, b in y.per_len:
+        per[k] = max(per.get(k, 0), b)
+    return OpBound(max(x.const, y.const), tuple(sorted(per.items())))
+
+
+def _lin_mul(x: OpBound, y: OpBound) -> OpBound:
+    if x.per_len and y.per_len:
+        raise _Unbounded
+    if x.per_len:
+        x, y = y, x
+    return OpBound(x.const * y.const,
+                   tuple((k, x.const * b) for k, b in y.per_len))
+
+
+class _Unbounded(Exception):
+    """No op bound is proven for the program."""
+
+
+class _Sym(NamedTuple):
+    """A value known to be ``base + k``: ``base`` None (a constant),
+    ``("len", a)`` (what ``ALEN a`` pushes) or ``("hdr", header,
+    slot)`` (a local the loop at ``header`` writes, as it was when the
+    current iteration started)."""
+
+    base: Optional[tuple]
+    k: int
+
+
+class _Cmp(NamedTuple):
+    """The 0/1 result of ``left op right``."""
+
+    op: Op
+    left: _Sym
+    right: _Sym
+
+
+_NEGATE = {Op.CLT: Op.CGE, Op.CGE: Op.CLT, Op.CLE: Op.CGT,
+           Op.CGT: Op.CLE, Op.CEQ: Op.CNE, Op.CNE: Op.CEQ}
+_TEST = {Op.CLT: int.__lt__, Op.CGE: int.__ge__, Op.CLE: int.__le__,
+         Op.CGT: int.__gt__, Op.CEQ: int.__eq__, Op.CNE: int.__ne__}
+
+
+def _invariant(base) -> bool:
+    return base is None or base[0] == "len"
+
+
+def _arith(op: Op, a, b):
+    """``a op b`` for ADD, SUB, MUL and NEG (``b`` None), or None."""
+    if a.__class__ is not _Sym:
+        return None
+    if op is Op.NEG:
+        return _Sym(None, wrap64(-a.k)) if a.base is None else None
+    if b.__class__ is not _Sym:
+        return None
+    if a.base is None and b.base is None:
+        value = {Op.ADD: a.k + b.k, Op.SUB: a.k - b.k,
+                 Op.MUL: a.k * b.k}[op]
+        return _Sym(None, wrap64(value))
+    if op is Op.MUL or b.base is not None and (op is Op.SUB or
+                                               a.base is not None):
+        return None
+    base = a.base if b.base is None else b.base
+    k = a.k + b.k if op is Op.ADD else a.k - b.k
+    return _Sym(base, k) if -_SMALL <= k <= _SMALL else None
+
+
+def _compare(op: Op, a, b):
+    if a.__class__ is not _Sym or b.__class__ is not _Sym:
+        return None
+    if a.base is None and b.base is None:
+        return _Sym(None, int(_TEST[op](a.k, b.k)))
+    return _Cmp(op, a, b)
+
+
+def _order_facts(cmp: _Cmp, truth: bool) -> List[tuple]:
+    """What ``cmp`` coming out ``truth`` says about a loop-written
+    local: ``(hdr base, +1, x, m)`` for ``hdr < x + m`` and ``(hdr
+    base, -1, x, m)`` for ``hdr > x + m``, where ``x`` is invariant."""
+    op = cmp.op if truth else _NEGATE[cmp.op]
+    a, b = cmp.left, cmp.right
+    below = {Op.CLT: [(a, b, 0)], Op.CLE: [(a, b, 1)],
+             Op.CGT: [(b, a, 0)], Op.CGE: [(b, a, 1)],
+             Op.CEQ: [(a, b, 1), (b, a, 1)]}.get(op, [])
+    out = []
+    for x, y, m in below:                       # x < y + m
+        if abs(y.k + m - x.k) > _SMALL:
+            continue
+        if x.base is not None and x.base[0] == "hdr" and \
+                _invariant(y.base):
+            out.append((x.base, 1, y.base, y.k + m - x.k))
+        elif y.base is not None and y.base[0] == "hdr" and \
+                _invariant(x.base):
+            out.append((y.base, -1, x.base, x.k - m - y.k))
+    return out
+
+
+def _mentions(value, header: int) -> bool:
+    if value.__class__ is _Cmp:
+        return _mentions(value.left, header) or \
+            _mentions(value.right, header)
+    return value is not None and value.base is not None and \
+        value.base[0] == "hdr" and value.base[1] == header
+
+
+def _join(a, b):
+    if a is None:
+        return b
+    return (tuple(x if x == y else None for x, y in zip(a[0], b[0])),
+            tuple(x if x == y else None for x, y in zip(a[1], b[1])),
+            a[2] & b[2])
+
+
+class _OpCount:
+    """Worst-case op counts per ``(function, argument values)``.
+
+    One forward pass over a function, in pc order, follows constants,
+    array lengths and loop-written locals (as offsets from their value
+    when the iteration started), and the order facts each branch
+    establishes; it yields each loop's trip bound and each CALL's
+    argument values.  One backward pass then takes the longest path
+    to every end — a RET or HALT, and any op, where the invocation may
+    fault — with each loop collapsed to its trip bound times its
+    longest iteration plus its longest last visit."""
+
+    def __init__(self, program: Program,
+                 depths: List[Tuple[Optional[int], ...]]) -> None:
+        self.functions = program.functions
+        self.depths = depths
+        self.memo: Dict[tuple, OpBound] = {}
+
+    def of(self, fi: int, args: tuple) -> OpBound:
+        key = (fi, args)
+        if key not in self.memo:
+            self.memo[key] = self._count(fi, args)
+        return self.memo[key]
+
+    def _count(self, fi: int, args: tuple) -> OpBound:
+        code = self.functions[fi].code
+        depth_at = self.depths[fi]
+        n = len(code)
+        loops = _loops(code, depth_at)
+        inner: List[Optional[int]] = [None] * (n + 1)
+        outer: Dict[int, Optional[int]] = {}
+        for header in sorted(loops):
+            outer[header] = inner[header]
+            for pc in range(header, loops[header]):
+                inner[pc] = header
+        trips: Dict[int, OpBound] = {}
+        call_args: Dict[int, tuple] = {}
+        if loops or any(instr.op is Op.CALL for instr in code):
+            trips, call_args = self._forward(fi, args, loops)
+
+        back: List[Optional[OpBound]] = [None] * (n + 1)
+        out: List[OpBound] = [_ZERO] * (n + 1)
+
+        def after(succ: int, loop: Optional[int]):
+            """(longest to a back edge, longest to an end) from
+            ``succ``, inside ``loop``."""
+            if loop is not None:
+                if succ == loop:
+                    return _ZERO, _ZERO
+                if succ >= loops[loop]:
+                    return None, _ZERO
+            return back[succ], out[succ]
+
+        for pc in range(n - 1, -1, -1):
+            if depth_at[pc] is None:
+                continue
+            loop = inner[pc]
+            instr = code[pc]
+            op = instr.op
+            cost = _ONE
+            if op is Op.RET or op is Op.HALT:
+                here_back, here_out = None, _ZERO
+            elif op is Op.JZ or op is Op.JNZ:
+                b1, o1 = after(instr.arg, loop)
+                b2, o2 = after(pc + 1, loop)
+                here_back, here_out = _lin_max(b1, b2), _lin_max(o1, o2)
+            else:
+                here_back, here_out = after(
+                    instr.arg if op is Op.JMP else pc + 1, loop)
+                if op is Op.CALL:
+                    cost = _lin_add(_ONE, self.of(instr.arg,
+                                                  call_args[pc]))
+            here_back = _lin_add(here_back, cost)
+            here_out = _lin_add(here_out, cost)
+            if pc in loops:
+                total = _lin_add(_lin_mul(trips[pc], here_back or _ZERO),
+                                 here_out)
+                end_back, end_out = after(loops[pc], outer[pc])
+                here_back = _lin_add(total, end_back)
+                here_out = _lin_add(total, end_out)
+            back[pc], out[pc] = here_back, here_out
+        return out[0]
+
+    def _forward(self, fi: int, args: tuple, loops: Dict[int, int]):
+        functions = self.functions
+        fn = functions[fi]
+        code = fn.code
+        depth_at = self.depths[fi]
+        n = len(code)
+        state: List[Optional[tuple]] = [None] * n
+        state[0] = (args + (_Sym(None, 0),) * (fn.n_locals - len(args)),
+                    (), frozenset())
+        entry: Dict[int, tuple] = {}
+        backs: Dict[int, list] = {header: [] for header in loops}
+        call_args: Dict[int, tuple] = {}
+        for pc in range(n):
+            here = state[pc]
+            if here is None or depth_at[pc] is None:
+                continue
+            locs, stack, facts = here
+            locs, stack = list(locs), list(stack)
+            if pc in loops:
+                entry[pc] = tuple(locs)
+                for p in range(pc, loops[pc]):
+                    if code[p].op is Op.STORE and depth_at[p] is not None:
+                        locs[code[p].arg] = _Sym(("hdr", pc, code[p].arg),
+                                                 0)
+                stack = [None] * len(stack)
+            instr = code[pc]
+            op = instr.op
+            arg = instr.arg
+            succs: List[Tuple[int, frozenset]] = [(pc + 1, facts)]
+            if op is Op.CONST:
+                stack.append(_Sym(None, wrap64(arg)))
+            elif op is Op.LOAD:
+                stack.append(locs[arg])
+            elif op is Op.STORE:
+                locs[arg] = stack.pop()
+            elif op is Op.DUP:
+                stack.append(stack[-1])
+            elif op is Op.SWAP:
+                stack[-1], stack[-2] = stack[-2], stack[-1]
+            elif op in (Op.ADD, Op.SUB, Op.MUL):
+                right = stack.pop()
+                stack.append(_arith(op, stack.pop(), right))
+            elif op is Op.NEG:
+                stack.append(_arith(op, stack.pop(), None))
+            elif op in _NEGATE:
+                right = stack.pop()
+                stack.append(_compare(op, stack.pop(), right))
+            elif op is Op.NOTL:
+                value = stack.pop()
+                if value.__class__ is _Cmp:
+                    value = value._replace(op=_NEGATE[value.op])
+                elif value is not None and value.base is None:
+                    value = _Sym(None, int(value.k == 0))
+                else:
+                    value = None
+                stack.append(value)
+            elif op is Op.ALEN:
+                stack.append(_Sym(("len", arg), 0))
+            elif op is Op.JMP:
+                succs = [(arg, facts)]
+            elif op is Op.JZ or op is Op.JNZ:
+                value = stack.pop()
+                succs = [(arg, facts), (pc + 1, facts)]
+                if value.__class__ is _Cmp:
+                    taken = op is Op.JNZ
+                    succs = [(arg, facts.union(_order_facts(value, taken))),
+                             (pc + 1, facts.union(
+                                 _order_facts(value, not taken)))]
+            elif op is Op.CALL:
+                n_args = functions[arg].n_args
+                passed = stack[len(stack) - n_args:]
+                del stack[len(stack) - n_args:]
+                call_args[pc] = tuple(
+                    v if v.__class__ is _Sym and _invariant(v.base)
+                    else None for v in passed)
+                stack.append(None)
+            elif op is Op.RET or op is Op.HALT:
+                succs = []
+            else:
+                pops, pushes = STACK_EFFECT[op]
+                del stack[len(stack) - pops:]
+                stack.extend([None] * pushes)
+            for succ, succ_facts in succs:
+                if succ <= pc:
+                    backs[succ].append((locs, succ_facts))
+                    continue
+                left = [h for h, end in loops.items()
+                        if h <= pc < end <= succ] if loops else None
+                new_locs, new_stack = tuple(locs), tuple(stack)
+                if left:
+                    new_locs = tuple(
+                        None if any(_mentions(v, h) for h in left) else v
+                        for v in new_locs)
+                    new_stack = tuple(
+                        None if any(_mentions(v, h) for h in left) else v
+                        for v in new_stack)
+                    succ_facts = frozenset(
+                        f for f in succ_facts if f[0][1] not in left)
+                state[succ] = _join(state[succ],
+                                    (new_locs, new_stack, succ_facts))
+        return ({header: self._trips(header, entry[header], edges)
+                 for header, edges in backs.items()}, call_args)
+
+    @staticmethod
+    def _trips(header: int, entry: tuple, edges: list) -> OpBound:
+        """How many visits to ``header`` can reach a back edge: the
+        best bound any loop-written local gives, or :class:`_Unbounded`.
+
+        A local that starts at the constant ``lo`` and that every back
+        edge has moved up by at least 1 has, at the ``j``-th visit, a
+        value of at least ``lo + j``; a visit that reaches a back edge
+        carrying ``hdr < x + m`` has a value below ``x + m``.  So at
+        most ``x + m - lo`` visits reach one (mirrored for a local
+        moving down, whose ``x`` then only helps)."""
+        best = None
+        for slot, start in enumerate(entry):
+            base = ("hdr", header, slot)
+            if start is None or start.__class__ is not _Sym or \
+                    start.base is not None or abs(start.k) > _SMALL:
+                continue
+            steps = set()
+            limits: Optional[Dict[tuple, int]] = None
+            for locs, facts in edges:
+                value = locs[slot]
+                if value.__class__ is not _Sym or value.base != base:
+                    break
+                steps.add((value.k > 0) - (value.k < 0))
+                sign = 1 if value.k > 0 else -1
+                here: Dict[tuple, int] = {}
+                for hdr, fact_sign, x, m in facts:
+                    if hdr == base and fact_sign == sign:
+                        here[x] = m if x not in here else (
+                            min(here[x], m) if sign > 0 else
+                            max(here[x], m))
+                if limits is None:
+                    limits = here
+                else:
+                    limits = {x: (max(m, here[x]) if sign > 0 else
+                                  min(m, here[x]))
+                              for x, m in limits.items() if x in here}
+            else:
+                if len(steps) != 1 or 0 in steps or not limits:
+                    continue
+                sign = steps.pop()
+                for x, m in limits.items():
+                    if sign > 0:
+                        trips = OpBound(max(0, m - start.k),
+                                        () if x is None else ((x[1], 1),))
+                    else:
+                        trips = OpBound(max(0, start.k - m))
+                    if best is None or (len(trips.per_len), trips.const) \
+                            < (len(best.per_len), best.const):
+                        best = trips
+        if best is None:
+            raise _Unbounded
+        return best

@@ -5,10 +5,17 @@ instruction through a long ``Op`` comparison chain.  This module
 removes dispatch entirely: each :class:`~repro.lang.bytecode.Program`
 is translated to Python source — one ``def`` per bytecode function,
 operand-stack slots lowered to Python locals — and ``compile()``d
-once.  Branches become real ``while``/``if`` structures, guards and
-budget checks are inlined, and the 64-bit wraparound is folded
-away wherever the operand ranges make it the identity (``&``, ``|``,
-``^``, ``~``, ``>>``, ``%`` of in-range values stay in range).
+once.  Branches become real ``while``/``if`` structures, guards are
+inlined, and the 64-bit wraparound is folded away wherever the operand
+ranges make it the identity (``&``, ``|``, ``^``, ``~``, ``>>``, ``%``
+of in-range values stay in range).
+
+Generated code tests neither the op budget nor the operand-stack
+limit.  The program's :class:`~repro.lang.analysis.Bounds` are proven
+once, by :func:`repro.lang.analysis.facts`, and every run makes one
+entry test against the limits as they are then (:func:`fits`); a run
+they do not fit, and every run of a program with no stack bound, goes
+to the tree walk, which faults where the limit says.
 
 A program is compiled once, by :func:`code_for`: at install
 (``PycodegenBackend.bind``), or on a direct caller's first call.
@@ -24,12 +31,8 @@ nests that way, and this backend compiles exactly what
 on the tree walk (only a direct, unverified caller can run one).
 
 Semantics are kept bit-for-bit identical to the tree walk on results,
-:class:`ExecStats` and fault *reasons* (the differential harness in
-``tests/lang/test_differential.py`` enforces this).  One knowing
-divergence: op-budget accounting is hoisted to segment granularity —
-a budget fault can fire at a segment boundary a few ops before the
-tree walk would raise it mid-segment (observable only with budgets
-tighter than one straight-line segment).
+:class:`ExecStats` and faults, reason and pc (the differential harness
+in ``tests/lang/test_differential.py`` enforces this).
 
 The compiled code lives in a slot on the ``Program`` instance, so
 every enclave function bound to one program runs the same generated
@@ -41,17 +44,20 @@ slot on its ``Program`` and dies with it.
 from __future__ import annotations
 
 import keyword
-from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
-from .analysis import Block, Exit, If, Loop, ProgramFacts, Split, facts
+from .analysis import (PUSHES, Block, Bounds, Exit, If, Loop, ProgramFacts,
+                       Split, facts)
 from .bytecode import INT_MASK, INT_MAX, Instr, Op, Program, wrap64
 from .interpreter import (WORD_BYTES, ExecResult, ExecStats,
                           InterpreterFault, _copy_in, _finish,
                           _make_locals)
 
 _CARRY = 1 << 64
-#: Sentinel budget for "no budget": never exceeded by a real program.
-_NO_BUDGET = 1 << 62
+
+#: Ops that end a straight-line segment (a JZ/JNZ to the next pc
+#: does not: it is rendered as a pop).
+_SEGMENT_ENDS = frozenset({Op.JMP, Op.CALL, Op.RET, Op.HALT})
 
 _CMP_SYM = {
     Op.CEQ: "==", Op.CNE: "!=", Op.CLT: "<",
@@ -64,44 +70,9 @@ class _Ctx:
 
     __slots__ = (
         "fields", "heap", "bases", "lengths", "wranges", "ops",
-        "budget", "outer", "max_seen", "stack_limit", "depth",
-        "call_limit", "max_depth", "rng", "clock", "clock_value",
-        "halted", "name",
+        "outer", "max_seen", "depth", "call_limit", "max_depth", "rng",
+        "clock", "clock_value", "halted", "name",
     )
-
-
-class _Where(NamedTuple):
-    """Where emitted code keeps five things of one invocation.
-
-    ``field`` formats a field-table slot; the other four name the op
-    count, the operand-stack high-water mark, the op budget and the
-    stack limit.  A generated function ``_fN(ctx, ...)`` keeps them on
-    the shared :class:`_Ctx` (:data:`_ON_CTX`); the per-packet plan
-    inlines the entry body into its own frame, where they are Python
-    locals (:data:`_IN_FRAME`).
-    """
-
-    field: str
-    ops: str
-    max_seen: str
-    budget: str
-    stack_limit: str
-
-
-_ON_CTX = _Where("F[{}]", "ctx.ops", "ctx.max_seen", "ctx.budget",
-                 "ctx.stack_limit")
-_IN_FRAME = _Where("f{}", "_ops", "_ms", "_bud", "_sl")
-
-
-def _budget_fault(ctx: _Ctx, pc: int) -> None:
-    raise InterpreterFault(f"op budget of {ctx.budget} exceeded",
-                           ctx.name, pc)
-
-
-def _stack_fault(ctx: _Ctx, depth: int, pc: int) -> None:
-    raise InterpreterFault(
-        f"operand stack of {depth} words exceeds limit "
-        f"{ctx.stack_limit}", ctx.name, pc)
 
 
 class CompiledProgram:
@@ -142,21 +113,31 @@ class _Emitter:
     :func:`~repro.lang.analysis.facts` — loops, if/else shapes and the
     straight-line pcs between them — and lowers each op.  Operand-stack
     slot ``k`` is the Python local ``s{k}``; bytecode locals are the
-    parameters ``l{k}``.  Budget accounting is hoisted: ops are counted
-    per straight-line segment and the check is spliced in *ahead* of
-    the segment's statements (same policy as fused superinstructions).
-    The program is verified: every index, slot and jump target is in
-    range, every reachable pc has one operand-stack depth, and every
-    reachable pc sits in the recorded structure.
+    parameters ``l{k}``.  The program is verified: every index, slot
+    and jump target is in range, every reachable pc has one
+    operand-stack depth, and every reachable pc sits in the recorded
+    structure.
+
+    Code runs only under limits its bounds fit (the entry test of
+    :meth:`CodegenRunner.run` and the plan), so it tests neither the op
+    budget nor the stack limit.  It keeps the counts ``ExecStats``
+    reports in the locals ``_ops`` and ``_ms``, once per straight-line
+    segment, spliced in *ahead* of the segment's statements: ``_ops``
+    grows by the segment's op count, and ``_ms`` rises to the deepest
+    push in it.  A push is the only op that can raise the tree walk's
+    high-water mark, and that mark is never below the current depth,
+    so an update is left out where a lower bound on ``_ms`` known on
+    every path to the segment covers it.  Hoisting either count ahead
+    of a fault is invisible: a faulting invocation reports no stats.
 
     ``exit`` is None for a function of its own, ``_fN(ctx, ...)``,
-    which keeps the invocation's state on ``ctx`` and returns its
-    value.  Otherwise the body is the entry inlined into the per-packet
-    plan: the state lives in the plan's locals (:data:`_IN_FRAME`),
-    every way out of the body runs the ``exit`` lines (the plan's
-    write-back tail) instead of returning a value, and a CALL hands
-    the op count, the high-water mark and, when a callee touches them,
-    the field slots to the callee's ``ctx`` and takes them back.
+    which takes the counts from ``ctx`` once, hands them back around
+    each CALL and at each exit, and returns its value.  Otherwise the
+    body is the entry inlined into the per-packet plan: every way out
+    of the body runs the ``exit`` lines (the plan's write-back tail)
+    instead of returning a value, and a CALL hands the counts and,
+    when a callee touches them, the field slots to the callee's
+    ``ctx`` and takes them back.
     """
 
     def __init__(self, program: Program, fi: int,
@@ -165,7 +146,9 @@ class _Emitter:
         self.program = program
         self.fi = fi
         self.exit = exit
-        self.where = _ON_CTX if exit is None else _IN_FRAME
+        self.field = "F[{}]" if exit is None else "f{}"
+        # A callee's depths count from its caller's stack, ``_o``.
+        self.outer = "_o + " if exit is None else ""
         if exit is not None:
             called = {instr.arg for fn in program.functions
                       for instr in fn.code if instr.op is Op.CALL}
@@ -178,78 +161,48 @@ class _Emitter:
         self.lines: List[str] = []
         # A function's body sits in its ``def``; the plan's in a ``try``.
         self.indent = 1 if exit is None else 2
-        # Segment state (budget hoisting + stack-check filtering).
+        # Segment state: where its counts go, its op count, its deepest
+        # push; and the high-water mark every path here has reached.
         self._anchor = 0
         self._anchor_indent = self.indent
         self._pending = 0
-        self._seg_pc = 0
         self._seg_high = 0
+        self._floor = 0
 
     # -- low-level helpers ----------------------------------------------
 
     def w(self, line: str) -> None:
         self.lines.append("    " * self.indent + line)
 
-    def new_segment(self, pc: int, depth: int) -> None:
+    def new_segment(self, depth: int) -> None:
+        """Start a segment at an operand-stack depth of ``depth``."""
         self._anchor = len(self.lines)
         self._anchor_indent = self.indent
         self._pending = 0
-        self._seg_pc = pc
-        # ``depth - 1``, not ``depth``: every depth *strictly below*
-        # the segment-entry depth has provably been through a check on
-        # any path reaching here, but the entry depth itself may not
-        # have (a CALL's result push is never checked — the tree walk
-        # jumps straight past it).  Starting one lower keeps skipped
-        # checks provably no-ops; extra checks land on pushes, where
-        # the tree walk checks too, so they are exact either way.
-        self._seg_high = depth - 1
+        self._seg_high = 0
+        self._floor = max(self._floor, depth)
 
     def flush(self) -> None:
-        """Splice the segment's op count + budget check at its start."""
+        """Splice the segment's counts in at its start."""
+        pad = "    " * self._anchor_indent
+        counts = []
         if self._pending:
-            pad = "    " * self._anchor_indent
-            where = self.where
-            if self.exit is None:
-                fault = f"_budget_fault(ctx, {self._seg_pc})"
-            else:
-                fault = (f"raise InterpreterFault('op budget of %s "
-                         f"exceeded' % ({where.budget},), _NAME, "
-                         f"{self._seg_pc})")
-            self.lines[self._anchor:self._anchor] = [
-                f"{pad}{where.ops} += {self._pending}",
-                f"{pad}if {where.ops} > {where.budget}:",
-                f"{pad}    {fault}",
-            ]
+            counts.append(f"{pad}_ops += {self._pending}")
+        if self._seg_high > self._floor:
+            high = f"{self.outer}{self._seg_high}"
+            counts += [f"{pad}if {high} > _ms:",
+                       f"{pad}    _ms = {high}"]
+            self._floor = self._seg_high
+        self.lines[self._anchor:self._anchor] = counts
         self._pending = 0
+        self._seg_high = 0
         self._anchor = len(self.lines)
         self._anchor_indent = self.indent
 
-    def _depth_check(self, new_depth: int, fault_pc: int) -> None:
-        """The tree walk's post-push high-water bookkeeping.
-
-        Emitted only when ``new_depth`` exceeds every depth seen so
-        far in this segment — earlier checks already cover lower
-        depths, and the high-water mark keeps the filter exact across
-        segments.  The inlined entry's frame starts at depth 0, so
-        its depths are constants.
-        """
-        if new_depth <= self._seg_high:
-            return
-        self._seg_high = new_depth
-        where = self.where
-        if self.exit is None:
-            self.w(f"_d = _o + {new_depth}")
-            depth = "_d"
-            fault = f"_stack_fault(ctx, _d, {fault_pc})"
-        else:
-            depth = str(new_depth)
-            fault = (f"raise InterpreterFault('operand stack of "
-                     f"{new_depth} words exceeds limit %s' % "
-                     f"({where.stack_limit},), _NAME, {fault_pc})")
-        self.w(f"if {depth} > {where.max_seen}:")
-        self.w(f"    {where.max_seen} = {depth}")
-        self.w(f"    if {depth} > {where.stack_limit}:")
-        self.w(f"        {fault}")
+    def _push(self, new_depth: int) -> None:
+        """A push leaves the operand stack ``new_depth`` deep."""
+        if new_depth > self._seg_high:
+            self._seg_high = new_depth
 
     def _wrap_into(self, slot: str, expr: str) -> None:
         for line in _wrap_lines(slot, expr):
@@ -267,19 +220,18 @@ class _Emitter:
         self._pending += 1
         top = f"s{d - 1}"
         nxt = f"s{d}"
+        if op in PUSHES:
+            self._push(d + 1)
         if op is Op.CONST:
             self.w(f"{nxt} = {wrap64(instr.arg)}")
-            self._depth_check(d + 1, pc + 1)
         elif op is Op.LOAD:
             self.w(f"{nxt} = l{instr.arg}")
-            self._depth_check(d + 1, pc + 1)
         elif op is Op.STORE:
             self.w(f"l{instr.arg} = {top}")
         elif op is Op.POP or op is Op.JZ or op is Op.JNZ:
             pass                   # a branch to the next pc only pops
         elif op is Op.DUP:
             self.w(f"{nxt} = {top}")
-            self._depth_check(d + 1, pc + 1)
         elif op is Op.SWAP:
             self.w(f"s{d - 1}, s{d - 2} = s{d - 2}, s{d - 1}")
         elif op in (Op.ADD, Op.SUB, Op.MUL):
@@ -320,16 +272,13 @@ class _Emitter:
         elif op is Op.NOTL:
             self.w(f"{top} = 1 if {top} == 0 else 0")
         elif op is Op.GETF:
-            self.w(f"{nxt} = {self.where.field.format(instr.arg)}")
-            self._depth_check(d + 1, pc + 1)
+            self.w(f"{nxt} = {self.field.format(instr.arg)}")
         elif op is Op.PUTF:
-            self.w(f"{self.where.field.format(instr.arg)} = {top}")
+            self.w(f"{self.field.format(instr.arg)} = {top}")
         elif op is Op.ABASE:
             self.w(f"{nxt} = B[{instr.arg}]")
-            self._depth_check(d + 1, pc + 1)
         elif op is Op.ALEN:
             self.w(f"{nxt} = L[{instr.arg}]")
-            self._depth_check(d + 1, pc + 1)
         elif op is Op.HLOAD:
             self.w(f"if not 0 <= {top} < len(H):")
             self.indent += 1
@@ -363,7 +312,6 @@ class _Emitter:
             self.w(f"    _c = ctx.clock_value = _v - {_CARRY} "
                    f"if _v > {INT_MAX} else _v")
             self.w(f"{nxt} = _c")
-            self._depth_check(d + 1, pc + 1)
         elif op is Op.CALL:
             self._emit_call(pc, instr, d)
         else:                      # pragma: no cover - JMP, RET, HALT
@@ -372,8 +320,8 @@ class _Emitter:
     def _emit_call(self, pc: int, instr: Instr, d: int) -> None:
         callee = self.program.functions[instr.arg]
         n_args = callee.n_args
-        # The CALL op itself is charged before the callee runs, like
-        # the tree walk (budget check included via the flush).
+        # The CALL op itself is counted before the callee runs, like
+        # the tree walk.
         self.flush()
         self.w("if ctx.depth >= ctx.call_limit:")
         self.indent += 1
@@ -389,22 +337,17 @@ class _Emitter:
         self.w("ctx.depth += 1")
         self.w("if ctx.depth > ctx.max_depth:")
         self.w("    ctx.max_depth = ctx.depth")
-        if self.exit is None:
-            self.w(f"_r = _f{instr.arg}({call_args})")
-        else:
-            fields = ", ".join(
-                self.where.field.format(i)
-                for i in range(len(self.program.field_table)))
-            where = self.where
-            self.w(f"ctx.ops = {where.ops}")
-            self.w(f"ctx.max_seen = {where.max_seen}")
-            if self._spill_fields and fields:
-                self.w(f"ctx.fields = [{fields}]")
-            self.w(f"_r = _f{instr.arg}({call_args})")
-            self.w(f"{where.ops} = ctx.ops")
-            self.w(f"{where.max_seen} = ctx.max_seen")
-            if self._reload_fields and fields:
-                self.w(f"{fields}, = ctx.fields")
+        self.w("ctx.ops = _ops")
+        self.w("ctx.max_seen = _ms")
+        fields = ", ".join(self.field.format(i)
+                           for i in range(len(self.program.field_table)))
+        if self.exit is not None and self._spill_fields and fields:
+            self.w(f"ctx.fields = [{fields}]")
+        self.w(f"_r = _f{instr.arg}({call_args})")
+        self.w("_ops = ctx.ops")
+        self.w("_ms = ctx.max_seen")
+        if self.exit is not None and self._reload_fields and fields:
+            self.w(f"{fields}, = ctx.fields")
         self.w("ctx.depth -= 1")
         self.w("if ctx.halted:")
         self.indent += 1
@@ -412,10 +355,10 @@ class _Emitter:
         self.indent -= 1
         if remain:
             self.w(f"ctx.outer -= {remain}")
-        # No depth check on the pushed result: the tree walk's RET
-        # path jumps straight to the next instruction.
+        # The pushed result raises no mark: the callee pushed at least
+        # as deep before its RET.
         self.w(f"s{remain} = _r")
-        self.new_segment(pc + 1, remain + 1)
+        self.new_segment(remain + 1)
 
     def emit_return(self, pc: int, instr: Instr) -> None:
         """RET or HALT (both return the frame's value)."""
@@ -429,6 +372,8 @@ class _Emitter:
     def _leave(self, value: str) -> None:
         """End the invocation: return ``value``, or run ``exit``."""
         if self.exit is None:
+            self.w("ctx.ops = _ops")
+            self.w("ctx.max_seen = _ms")
             self.w(f"return {value}")
         else:
             for line in self.exit:
@@ -444,7 +389,7 @@ class _Emitter:
 
     def generate(self) -> List[str]:
         """The lines of the function's body."""
-        self.new_segment(0, 0)
+        self.new_segment(0)
         if self._block(self.structure):
             self.flush()
             self._raise("'fell off end of code'", len(self.code))
@@ -460,7 +405,7 @@ class _Emitter:
                 if op is Op.JMP:       # forward, over dead code
                     self._pending += 1
                     self.flush()
-                    self.new_segment(instr.arg, self.depth(instr.arg, 0))
+                    self.new_segment(self.depth(instr.arg, 0))
                 elif op is Op.RET or op is Op.HALT:
                     self.emit_return(item, instr)
                 else:
@@ -481,18 +426,29 @@ class _Emitter:
         return f"s{self.depth_at[pc] - 1} {'==' if jz == taken else '!='} 0"
 
     def _loop(self, loop: Loop) -> None:
+        # The straight-line ops that open the body run on every visit,
+        # the first included: their deepest push is counted once, here.
+        depth_at = self.depth_at
+        for item in loop.body.items:
+            if item.__class__ is not int or \
+                    self.code[item].op in _SEGMENT_ENDS:
+                break
+            if self.code[item].op in PUSHES:
+                self._push(depth_at[item] + 1)
         self.flush()
+        floor = self._floor
         self.w("while True:")
         self.indent += 1
-        self.new_segment(loop.header, self.depth(loop.header, 0))
+        self.new_segment(self.depth(loop.header, 0))
         if self._block(loop.body):
             # The body's tail can fall past the region end (e.g. a
-            # conditional back edge as last op): charge its pending
+            # conditional back edge as last op): count its pending
             # ops, then leave the loop.
             self.flush()
             self.w("break")
         self.indent -= 1
-        self.new_segment(loop.end, self.depth(loop.end, 0))
+        self._floor = floor
+        self.new_segment(self.depth(loop.end, 0))
 
     def _exit(self, node: Exit) -> None:
         self._pending += 1
@@ -502,15 +458,17 @@ class _Emitter:
             return
         self.w(f"if {self._cond(node.pc, True)}:")
         self.w(f"    {node.kind}")
-        self.new_segment(node.pc + 1, self.depth_at[node.pc] - 1)
+        self.new_segment(self.depth_at[node.pc] - 1)
 
-    def _arm(self, block: Block, pc: int, depth: int,
-             charge: int) -> None:
-        """One indented arm of an ``if``, entered at ``pc``, and the
-        ``charge`` of the jump that ends it when it falls out — charged
-        where it executes, not hoisted over loops the arm contains."""
+    def _arm(self, block: Block, depth: int, charge: int,
+             floor: int) -> None:
+        """One indented arm of an ``if``, entered at ``depth`` with the
+        mark at least ``floor``, and the ``charge`` of the jump that
+        ends it when it falls out — counted where it executes, not
+        hoisted over loops the arm contains."""
         self.indent += 1
-        self.new_segment(pc, depth)
+        self._floor = floor
+        self.new_segment(depth)
         mark = len(self.lines)
         if self._block(block):
             self._pending += charge
@@ -518,6 +476,7 @@ class _Emitter:
         if len(self.lines) == mark:
             self.w("pass")         # an empty arm: a branch to the join
         self.indent -= 1
+        self._floor = floor
 
     def _if(self, node: If) -> None:
         pc = node.pc
@@ -525,30 +484,31 @@ class _Emitter:
         target = self.code[pc].arg
         self._pending += 1
         self.flush()
+        floor = self._floor
         self.w(f"if {self._cond(pc, False)}:")
-        self._arm(node.then, pc + 1, d - 1, int(node.join is not None))
+        self._arm(node.then, d - 1, int(node.join is not None), floor)
         if node.orelse is not None:
             self.w("else:")
-            self._arm(node.orelse, target, self.depth(target, d - 1), 0)
-        if node.join is None:
-            self.new_segment(target, self.depth(target, d - 1))
-        else:
-            self.new_segment(node.join, self.depth(node.join, 0))
+            self._arm(node.orelse, self.depth(target, d - 1), 0, floor)
+        self.new_segment(self.depth(
+            target if node.join is None else node.join,
+            d - 1 if node.join is None else 0))
 
     def _split(self, node: Split) -> None:
         """A copied else-block is rendered again on the taken arm, so
-        op accounting stays exact per path; the fallen arm ends in the
+        op counts stay exact per path; the fallen arm ends in the
         then-part's trailing JMP."""
         pc = node.pc
         d = self.depth_at[pc]
         target = self.code[pc].arg
         self._pending += 1
         self.flush()
+        floor = self._floor
         self.w(f"if {self._cond(pc, True)}:")
-        self._arm(node.taken, target, self.depth(target, d - 1),
-                  node.charge)
+        self._arm(node.taken, self.depth(target, d - 1), node.charge,
+                  floor)
         self.w("else:")
-        self._arm(node.fallen, pc + 1, d - 1, 1)
+        self._arm(node.fallen, d - 1, 1, floor)
 
 
 # -- program compilation ------------------------------------------------
@@ -559,7 +519,8 @@ def _function_source(program: Program, fi: int, found: ProgramFacts
     fn = program.functions[fi]
     params = ["ctx"] + [f"l{k}" for k in range(fn.n_locals)]
     header = [f"def _f{fi}({', '.join(params)}):"]
-    prologue = ["    _o = ctx.outer"]
+    prologue = ["    _o = ctx.outer", "    _ops = ctx.ops",
+                "    _ms = ctx.max_seen"]
     ops_used = found.ops_used[fi]
     if Op.GETF in ops_used or Op.PUTF in ops_used:
         prologue.append("    F = ctx.fields")
@@ -596,12 +557,7 @@ def compile_pycode(program: Program) -> Optional[CompiledProgram]:
         parts.extend(_function_source(program, fi, found))
         parts.append("")
     source = "\n".join(parts)
-    ns = {
-        "InterpreterFault": InterpreterFault,
-        "_budget_fault": _budget_fault,
-        "_stack_fault": _stack_fault,
-        "_NAME": program.name,
-    }
+    ns = {"InterpreterFault": InterpreterFault, "_NAME": program.name}
     exec(compile(source, f"<pycodegen:{program.name}>", "exec"), ns)
     _STATS["programs_compiled"] += 1
     return CompiledProgram(
@@ -623,6 +579,20 @@ def code_for(program: Program) -> Optional[CompiledProgram]:
 
 # -- execution ----------------------------------------------------------
 
+def fits(bounds: Bounds, interp, lengths: Sequence[int],
+         args: Sequence[int] = ()) -> bool:
+    """Whether ``bounds`` prove one run within ``interp``'s operand
+    stack limit and op budget as they are now: the entry test of a
+    run of generated code, which tests neither.  ``lengths`` are the
+    run's array record counts; the op bound holds for zero entry
+    arguments only."""
+    if bounds.stack is None or bounds.stack > interp.max_operand_stack:
+        return False
+    budget = interp.op_budget
+    return budget is None or (bounds.ops is not None and not any(args)
+                              and bounds.ops.at(lengths) <= budget)
+
+
 class CodegenRunner:
     """Executor bound to one ``(interpreter, program)`` pair.
 
@@ -630,16 +600,18 @@ class CodegenRunner:
     copy-out, compiled (:func:`code_for`) when the runner is made.  It
     keeps the execution context across invocations, but nothing the
     interpreter can change: limits, RNG and clock are read from it on
-    every :meth:`run`, so a lowered budget takes effect on the next
-    call.
+    every :meth:`run`.  Each run makes one entry test, :func:`fits`: a
+    run the program's bounds do not prove within the limits as they
+    are now goes to the tree walk, which faults where a limit says.
     """
 
-    __slots__ = ("program", "compiled", "ctx", "n_locals", "n_fields",
-                 "no_arrays", "_interp")
+    __slots__ = ("program", "compiled", "bounds", "ctx", "n_locals",
+                 "n_fields", "no_arrays", "_interp")
 
     def __init__(self, interp, program: Program) -> None:
         self.program = program
         self.compiled = code_for(program)
+        self.bounds = facts(program).bounds
         self._interp = interp
         self.n_locals = program.entry.n_locals
         self.n_fields = len(program.field_table)
@@ -672,10 +644,9 @@ class CodegenRunner:
             field_file, heap, bases, lengths, wranges = _copy_in(
                 program, fields, arrays, interp.max_heap_words)
             locals_ = _make_locals(self.n_locals, args)
+        if not fits(self.bounds, interp, lengths, args):
+            return interp.execute_tree(program, fields, arrays, args)
         ctx = self.ctx
-        budget = interp.op_budget
-        ctx.budget = budget if budget is not None else _NO_BUDGET
-        ctx.stack_limit = interp.max_operand_stack
         ctx.call_limit = interp.max_call_depth
         ctx.rng = interp.rng
         ctx.clock = interp.clock
@@ -708,17 +679,21 @@ class CodegenRunner:
 def plan_for(interp, fn):
     """The whole invocation of an installed function as one generated
     callable; None for a program with a non-global array, which the
-    generic tier refuses.
+    generic tier refuses, or with no stack bound (a cyclic call
+    graph), which the generic tier runs on the tree walk.
 
     ``plan(packet, msg_entry, acct)`` is ``fn.run_packet``'s generic
     tier as one generated frame: each field-table slot read straight
     from the packet / ``msg_entry.values`` / ``fn.global_store``
     (``int()`` and the 64-bit wrap inline) into a Python local, the
-    heap with the stride and heap-limit checks, limits, RNG and clock
-    read from ``interp`` on every call, then the entry
+    heap with the stride and heap-limit checks, then the entry test
+    of :func:`fits` against the limits read from ``interp`` on every
+    call — a packet the bounds do not fit goes to
+    ``fn.run_generic``, whose generated code hands it to the tree
+    walk — then RNG and clock read from ``interp``, the entry
     function's body inlined — emitted by the same :class:`_Emitter` as
-    ``_f0``, with field slots, op count, stack high-water mark,
-    budget and stack limit as locals of the plan — and at each of its
+    ``_f0``, with field slots, op count and stack high-water mark as
+    locals of the plan — and at each of its
     exits the function's write lists (``fn.packet_writes`` and its
     siblings: the static write set) written back and ``fn.stats``
     updated; it returns the op count and lets an
@@ -740,7 +715,8 @@ def plan_for(interp, fn):
     the program runs that code in a namespace and context of its own.
     """
     program = fn.program
-    if any(ref.scope != "global" for ref in program.array_table):
+    if any(ref.scope != "global" for ref in program.array_table) or \
+            facts(program).bounds.stack is None:
         return None
     compiled = code_for(program)
     plan = compiled.plan
@@ -856,15 +832,21 @@ def _compile_plan(compiled: CompiledProgram, fn) -> tuple:
     elif Op.HLOAD in found.ops_used[0] or Op.HSTORE in found.ops_used[0]:
         # No arrays: heap ops fault on the empty heap.
         body.append("H = W = ()")
-    body += ["_bud = _interp.op_budget",
-             "if _bud is None:",
-             f"    _bud = {_NO_BUDGET}",
-             "_sl = _interp.max_operand_stack",
+    # The entry test: limits the bounds do not fit send the packet to
+    # the generic tier, as though there were no plan.
+    bounds = found.bounds
+    over = f"_interp.max_operand_stack < {bounds.stack} or " \
+        "_interp.op_budget is not None"
+    if bounds.ops is not None:
+        ops = " + ".join([f"{b} * L[{k}]" for k, b in bounds.ops.per_len]
+                         + [str(bounds.ops.const)])
+        over += f" and _interp.op_budget < {ops}"
+    body += [f"if {over}:",
+             "    _a, acct = acct, None",
+             "    return _fn.run_generic(packet, msg, _a)",
              "_ops = _ms = 0"]
     if calls:
-        body += ["ctx.budget = _bud",
-                 "ctx.stack_limit = _sl",
-                 "ctx.outer = 0",
+        body += ["ctx.outer = 0",
                  "ctx.depth = ctx.max_depth = 1",
                  "ctx.call_limit = _interp.max_call_depth",
                  "ctx.halted = False"]

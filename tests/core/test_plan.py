@@ -8,8 +8,9 @@ pin it against what only the enclave can do to it — limits, RNG and
 clock changed under a built plan, ``replace_function``, the dry-run
 flag, a held guard — and against a ``backend="tree"`` twin, which
 runs the generic tier, under every op budget and stack limit below
-what the Table-1 demos need; and they pin what its source may
-contain.
+what the Table-1 demos need, where the plan's entry test hands each
+packet to the generic tier; and they pin what its source may contain:
+no budget or stack-limit test.
 """
 
 import gc
@@ -118,9 +119,10 @@ def _heat(enclave, fn, cls=()):
 
 def test_lowered_op_budget_faults_on_both_entry_points():
     """Interpreter limits are read on every invocation: lowering the
-    op budget after install faults the next packet, identically
-    through either entry point — on the packet that builds the plan,
-    and under a plan built earlier."""
+    op budget after install below the program's bound hands the next
+    packets to the generic tier, which faults them on the tree walk,
+    identically through either entry point — on the packet that builds
+    the plan, and under a plan built earlier."""
 
     def run(use_batch, warm_up):
         enclave = Enclave("batch.test")
@@ -144,7 +146,7 @@ def test_lowered_op_budget_faults_on_both_entry_points():
         (results, priorities), stats, executes = run(True, warm_up)
         assert ((results, priorities), stats, executes) == \
             run(False, warm_up)
-        assert executes == 0
+        assert executes == 2              # one generic call per packet
         assert [r.faults for r in results] == [1, 1]
         assert [r.executed for r in results] == [[], []]
         assert priorities == [0, 0]       # forwarded unmodified
@@ -623,12 +625,14 @@ def test_generated_plan_allocates_no_snapshot_objects():
     assert "packet.size = " not in source
     assert "setattr" not in source
     # One frame: the entry body is inlined with its field slots, op
-    # count, high-water mark, budget and stack limit as locals — no
-    # ``_f0`` call, no field list, no context traffic.
+    # count and high-water mark as locals — no ``_f0`` call, no field
+    # list, no context traffic — and counted once per segment, with
+    # no limit tested.
     for banned in ("_f0(", "ctx.fields", "ctx.ops", "ctx.max_seen",
-                   "ctx.budget", "ctx.stack_limit"):
+                   "_bud =", "_sl =", "exceed"):
         assert banned not in source, banned
-    assert "_ops += " in source and "    _ms = 1\n" in source
+    assert "        _ops += 8\n        if 2 > _ms:\n" \
+        "            _ms = 2\n" in source
 
 
 def test_field_names_reach_generated_source_only_as_constants():
@@ -683,7 +687,8 @@ def test_a_call_program_spills_its_counters_only_around_calls():
     """Callees stay ``_fN(ctx, ...)``: the inlined entry hands them the
     op count and high-water mark on the context right before each call
     and takes them back right after — ``ctx.ops`` appears nowhere
-    else."""
+    else.  A callee keeps both in locals too: it loads them once,
+    and stores them back right before each call and each return."""
     enclave, fn = _limits_enclave(nested_call, "interpreter")
     _heat(enclave, fn)
     lines = pycodegen.plan_for(enclave.interpreter, fn).source.split("\n")
@@ -695,6 +700,20 @@ def test_a_call_program_spills_its_counters_only_around_calls():
     for i in spills:
         assert min(abs(i - c) for c in calls) <= 2, lines[i]
     assert "ctx.fields" not in "\n".join(lines)   # the callee has none
+    source = pycodegen.code_for(fn.program).source
+    for function in re.split(r"^def ", source, flags=re.M)[1:]:
+        lines = function.split("\n")
+        assert [line.strip() for line in lines[2:4]] == \
+            ["_ops = ctx.ops", "_ms = ctx.max_seen"]
+        stores = [i for i, line in enumerate(lines)
+                  if "ctx.ops = _ops" in line]
+        leaves = [i for i, line in enumerate(lines)
+                  if re.search(r"(= _f\d+\(ctx|return )", line)]
+        assert stores and len(stores) == len(leaves)
+        assert all(lines[i + 1].strip() == "ctx.max_seen = _ms" and
+                   i + 2 in leaves for i in stores)
+        assert sum("ctx.ops" in line for line in lines) == \
+            1 + len(stores) + sum("= _f" in line for line in lines)
 
 
 def _callee_touches_fields():
@@ -762,12 +781,8 @@ def test_field_slots_cross_a_call_into_the_inlined_entry():
 # -- every limit below what the Table-1 demos need ---------------------
 
 class _StatelessRng:
-    """``rand(n)`` as a function of ``n`` alone.  A budget fault fires
-    at the start of the segment that exhausts it (pycodegen's one
-    knowing divergence), so a faulting invocation may draw from a
-    shared RNG on the tree walk and not in generated code; nothing of
-    it is committed, and this RNG keeps the draw from leaking into the
-    next packet."""
+    """``rand(n)`` as a function of ``n`` alone, so a packet's draws
+    do not depend on the packets before it."""
 
     def randrange(self, n):
         return n // 2
@@ -780,7 +795,7 @@ def _demo_entries():
 def _demo_enclave(spec, action, backend):
     """A fresh enclave binding ``action`` with the demo's state."""
     name = spec.function_name
-    enclave = Enclave("plan.sweep", rng=_StatelessRng())
+    enclave = Enclave("plan.sweep", rng=random.Random(5))
     fn = enclave.install_function(action, name=name, backend=backend)
     for field_name, value in spec.global_scalars.items():
         enclave.set_global(name, field_name, value)
@@ -870,6 +885,33 @@ def test_the_sweep_covers_calls_and_both_new_shapes():
     assert "join jump" in shapes["stateful_firewall"]
 
 
+def test_no_table1_plan_tests_a_budget_or_a_stack_limit():
+    """The census: every Table-1 program has a stack and an op bound,
+    and neither its plan nor its generated functions test the op
+    budget or the stack limit — the plan reads each limit once, in its
+    entry test, and the functions not at all."""
+    for entry in _demo_entries():
+        spec = entry.demo
+        action = _compile_demo(spec)
+        bounds = analysis.facts(action.program).bounds
+        assert bounds.stack is not None and bounds.ops is not None, \
+            spec.function_name
+        enclave, fn = _demo_enclave(spec, action, "interpreter")
+        assert fn.bounds == bounds
+        plan = pycodegen.plan_for(enclave.interpreter, fn).source
+        functions = pycodegen.code_for(action.program).source
+        for source in (plan, functions):
+            for banned in ("op budget", "operand stack of", "_bud =",
+                           "_sl =", "ctx.budget", "stack_limit"):
+                assert banned not in source, (spec.function_name, banned)
+        assert "op_budget" not in functions
+        assert "max_operand_stack" not in functions
+        test = [line for line in plan.split("\n")
+                if "op_budget" in line or "max_operand_stack" in line]
+        assert len(test) == 1 and test[0].strip().startswith(
+            f"if _interp.max_operand_stack < {bounds.stack} or "), test
+
+
 @pytest.mark.parametrize("use_batch", (False, True),
                          ids=("scalar", "batch"))
 @pytest.mark.parametrize("entry", _demo_entries(), ids=lambda e: e.name)
@@ -877,12 +919,12 @@ def test_every_lower_limit_faults_the_plan_like_the_generic_tier(
         entry, use_batch):
     """Each Table-1 demo's program under every op budget from 1 to one
     below its longest packet and every stack limit below its deepest,
-    each from the demo's initial state: the plan and a
+    each from the demo's initial state: the plan's entry test hands
+    every packet to the generic tier, and the plan and a
     ``backend="tree"`` twin (the generic tier) fault the same packets
-    with the same reason, and leave the same results, packet fields,
-    message entries, globals and FunctionStats.  Stack faults carry
-    the tree walk's pc.  Budget faults carry the start of the segment
-    that exhausts the budget, at or before the tree walk's."""
+    with the same reason and pc, draw the same random numbers, and
+    leave the same results, packet fields, message entries, globals
+    and FunctionStats."""
     spec = entry.demo
     metadata = dict(spec.metadata)
     metadata.setdefault("msg_id", ("demo", 1))
@@ -910,9 +952,10 @@ def test_every_lower_limit_faults_the_plan_like_the_generic_tier(
                 fn.global_store and fn.global_store.snapshot(),
                 store and {k: (dict(e.values), e.packets)
                            for k, e in store._entries.items()})
-            # Only the generic tier goes through ``execute``.
-            assert executes[0] == (0 if kind == "plan" else
-                                   len(packets)), kind
+            # Only the generic tier goes through ``execute``; under a
+            # lowered limit the plan hands it every packet.
+            assert executes[0] == (0 if kind == "plan" and value is None
+                                   else len(packets)), kind
         return out
 
     first = send("op_budget", None)
@@ -931,8 +974,4 @@ def test_every_lower_limit_faults_the_plan_like_the_generic_tier(
             # The first packet over the limit meets the state it met
             # without one, so every value faults at least one.
             assert plan, (limit, value)
-            for (_, pc), (_, tree_pc) in zip(plan, tree):
-                if limit == "op_budget":
-                    assert pc <= tree_pc, (value, plan, tree)
-                else:
-                    assert pc == tree_pc, (value, plan, tree)
+            assert plan == tree, (limit, value)

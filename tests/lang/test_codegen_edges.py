@@ -1,27 +1,31 @@
 """Edge-case pins for the codegen fault contract.
 
-Two scenarios where the pycodegen backend hoists or batches work
-that the tree walk does one op at a time — exactly where a sloppy
-implementation would drift from the reference semantics:
+Generated code counts a segment's ops and its deepest push once, and
+tests neither the op budget nor the stack limit: a run whose limits
+the program's bounds do not fit goes to the tree walk.  Two scenarios
+sit exactly on that line, where a sloppy entry test would drift from
+the reference semantics:
 
-* an op-budget fault whose boundary lands *inside* a straight-line
-  segment (codegen charges a segment's ops up-front);
-* an operand-stack-depth fault at the exact limit (generated code
-  only checks depth at new running maxima);
+* every op budget across a loop's run, below and above its bound, so
+  budget boundaries land inside straight-line segments;
+* an operand-stack limit at and one below the exact depth;
 
 and one it must never see: a ``PUTF`` to a read-only field slot,
 which the verifier rejects, so the program stays on the tree walk and
 every dispatch raises the tree walk's scope fault.
 
-Every scenario is pinned to identical ``ExecStats`` and identical
-fault class + *message* for the tree walk and the default dispatch
-(whose first run compiles a verified program), using the same summary
-tuples as the differential harness.
+Every scenario is pinned to identical ``ExecStats`` and an identical
+fault — class, message and pc — for the tree walk and the default
+dispatch (whose first run compiles a verified program), using the
+differential harness's summary tuples with the fault's pc added.
 """
+
+import random
 
 import pytest
 
-from repro.lang import pycodegen
+from repro.lang import Interpreter, InterpreterFault, pycodegen
+from repro.lang.analysis import facts
 from repro.lang.bytecode import (Assembler, FieldRef, FunctionCode,
                                  Instr, Op, Program)
 from repro.lang.compiler import compile_ast
@@ -56,26 +60,40 @@ def _zero_vectors(program):
             [[] for _ in program.array_table])
 
 
+def _run(program, fvec, avec, dispatch, op_budget=pg.OP_BUDGET,
+         **limits):
+    """``program_gen.run_interp``, with a fault's pc in its summary."""
+    interp = Interpreter(dispatch=dispatch, rng=random.Random(3),
+                         op_budget=op_budget, **limits)
+    try:
+        return pg.summary(interp.execute(program, list(fvec),
+                                         [list(a) for a in avec]))
+    except InterpreterFault as fault:
+        return pg.summary(fault) + (fault.pc,)
+
+
 class TestBudgetFaultMidSegment:
-    """Budget hoisting inside generated segments never changes
-    outcomes."""
+    """Counting ops per segment never changes outcomes."""
 
     def test_every_budget_boundary_agrees(self):
-        """Sweep the budget across every op of a loop.
+        """Sweep the budget across every op of a loop and past its
+        bound.
 
-        Codegen charges a whole segment at its first op, so many of
-        these budgets land mid-segment; the fault (class, reason) and
-        any ok-run stats must still be bit-identical to the per-op
-        tree walk.
+        Codegen counts a whole segment at its first op, so many of
+        these budgets land mid-segment; below the bound the run goes
+        to the tree walk, at and above it the generated code runs, and
+        the fault (class, reason, pc) and any ok-run stats must be
+        bit-identical to the per-op tree walk either way.
         """
         program = _compile(LOOP_SOURCE)
         fvec, avec = _zero_vectors(program)
         total = pg.run_interp(program, fvec, avec, "tree")[4][0]
         assert total > 50
+        bound = facts(program).bounds.ops.at(())
+        assert bound >= total
         faults = 0
-        for budget in range(1, total + 2):
-            runs = {d: pg.run_interp(program, fvec, avec, d,
-                                     op_budget=budget)
+        for budget in range(1, bound + 2):
+            runs = {d: _run(program, fvec, avec, d, op_budget=budget)
                     for d in DISPATCHES}
             assert runs["pycodegen"] == runs["tree"], budget
             if runs["tree"][0] == "fault":
@@ -88,7 +106,8 @@ class TestBudgetFaultMidSegment:
 
 
 class TestStackDepthFaultAtExactLimit:
-    """The depth check convention is invisible at the boundary."""
+    """The stack bound is exact: at the limit the generated code runs,
+    one below it the tree walk faults."""
 
     def _depth(self, program):
         fvec, avec = _zero_vectors(program)
@@ -99,8 +118,8 @@ class TestStackDepthFaultAtExactLimit:
         depth = self._depth(program)
         assert depth >= 5
         fvec, avec = _zero_vectors(program)
-        runs = [pg.run_interp(program, fvec, avec, d,
-                              max_operand_stack=depth)
+        assert facts(program).bounds.stack == depth
+        runs = [_run(program, fvec, avec, d, max_operand_stack=depth)
                 for d in DISPATCHES]
         assert runs[0][0] == "ok"
         assert runs[0] == runs[1]
@@ -110,11 +129,11 @@ class TestStackDepthFaultAtExactLimit:
         program = _compile(DEEP_EXPR_SOURCE)
         depth = self._depth(program)
         fvec, avec = _zero_vectors(program)
-        runs = [pg.run_interp(program, fvec, avec, d,
-                              max_operand_stack=depth - 1)
+        runs = [_run(program, fvec, avec, d,
+                     max_operand_stack=depth - 1)
                 for d in DISPATCHES]
         assert runs[0] == runs[1]
-        assert runs[0] == (
+        assert runs[0][:3] == (
             "fault", "InterpreterFault",
             f"operand stack of {depth} words exceeds limit "
             f"{depth - 1}")
@@ -167,7 +186,8 @@ JOIN_JUMPS = _shape_program(
 class TestThreadedShapes:
     """The two shapes jump threading leaves in Table-1 programs run on
     the structured emitter exactly like the tree walk: every input
-    path, under every op budget up to the run's need."""
+    path, under every op budget up to the run's need, faults to the
+    pc."""
 
     @pytest.mark.parametrize("program", (RETURNING_LOOP_TAIL, JOIN_JUMPS),
                              ids=("returning loop tail", "join jumps"))
@@ -176,8 +196,7 @@ class TestThreadedShapes:
             fvec = [10, size]
             total = pg.run_interp(program, fvec, [], "tree")[4][0]
             for budget in range(1, total + 2):
-                runs = {d: pg.run_interp(program, fvec, [], d,
-                                         op_budget=budget)
+                runs = {d: _run(program, fvec, [], d, op_budget=budget)
                         for d in DISPATCHES}
                 assert runs["pycodegen"] == runs["tree"], (size, budget)
 

@@ -53,8 +53,11 @@ import random
 import zlib
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.enclave import Enclave
+from repro.core.state import MessageStore
 from repro.core.stage import Classification
 from repro.lang import (DEFAULT_PACKET_SCHEMA, Interpreter,
                         InterpreterFault, VerificationError, pycodegen,
@@ -726,3 +729,217 @@ class TestCorpus:
         assert "division by zero" in tree[2]
         nat = pg.run_native(prog_ast, program, fvec, avec)
         assert nat[0] == "fault"
+
+
+# -- resource bounds ----------------------------------------------------
+
+#: Hypothesis examples per property in tier-1; ``-m differential``
+#: runs ten times as many.
+PROPERTY_EXAMPLES = 30
+
+
+def _at_depth(request):
+    if "differential" not in request.config.getoption("markexpr"):
+        pytest.skip("ten times the examples: run with -m differential")
+
+
+def _lengths(program, avec):
+    return [len(a) // ref.stride
+            for a, ref in zip(avec, program.array_table)]
+
+
+def _within_bounds(program, fvec, avec, label):
+    """Every run of ``program`` on one input, on the tree walk and in
+    generated code, stays within its :class:`Bounds`: an ok run's
+    ``ExecStats``, and — with the op budget and the stack limit at
+    the bounds — no run faults on either limit."""
+    bounds = facts(program).bounds
+    lengths = _lengths(program, avec)
+    for dispatch in ("tree", "pycodegen"):
+        res = pg.run_interp(program, fvec, avec, dispatch,
+                            op_budget=None)
+        if res[0] == "ok":
+            ops, stack = res[4][0], res[4][1]
+            assert stack <= bounds.stack, (label, dispatch, res)
+            if bounds.ops is not None:
+                assert ops <= bounds.ops.at(lengths), \
+                    (label, dispatch, ops, bounds.ops)
+        limits = {"max_operand_stack": bounds.stack, "op_budget": None}
+        if bounds.ops is not None:
+            limits["op_budget"] = bounds.ops.at(lengths)
+        res = pg.run_interp(program, fvec, avec, dispatch, **limits)
+        assert res[0] == "ok" or not (
+            res[2].startswith("op budget") or
+            res[2].startswith("operand stack")), (label, dispatch, res)
+
+
+def check_bounds(max_examples):
+    @settings(max_examples=max_examples, deadline=None)
+    @given(profile=st.sampled_from(pg.PROFILES),
+           seed=st.integers(0, 1 << 20), inputs=st.integers(0, 1 << 20))
+    def prop(profile, seed, inputs):
+        program = compile_ast(pg.lower_source(
+            pg.generate_program(seed, profile=profile)))
+        assert facts(program).bounds.ops is not None, (profile, seed)
+        fields, arrays = pg.generate_inputs(program, inputs)
+        _within_bounds(program, *pg.vectors(program, fields, arrays),
+                       f"{profile}{seed}")
+
+    prop()
+
+
+class TestBounds:
+    """Soundness of ``facts(program).bounds``: no run, ok or faulting,
+    of any ``program_gen`` program, Table-1 demo or corpus reproducer
+    uses more ops or stack words than its bound, in generated code or
+    on the tree walk."""
+
+    def test_fuzz_programs_stay_within_their_bounds(self):
+        check_bounds(PROPERTY_EXAMPLES)
+
+    def test_fuzz_programs_stay_within_their_bounds_at_depth(
+            self, request):
+        _at_depth(request)
+        check_bounds(10 * PROPERTY_EXAMPLES)
+
+    @pytest.mark.parametrize(
+        "entry", _library_entries(), ids=lambda e: e.name)
+    def test_library_demo_stays_within_its_bounds(self, entry):
+        _, program = _compile_demo(entry.demo)
+        assert facts(program).bounds.ops is not None
+        base = _stable_seed(entry.name)
+        for i in range(4):
+            fields, arrays = pg.generate_inputs(program, base + i)
+            _within_bounds(program, *pg.vectors(program, fields, arrays),
+                           entry.name)
+
+    @pytest.mark.parametrize(
+        "path", sorted(glob.glob(os.path.join(CORPUS_DIR, "*.py"))),
+        ids=os.path.basename)
+    def test_corpus_program_stays_within_its_bounds(self, path):
+        with open(path) as fh:
+            program = compile_ast(pg.lower_source(fh.read()))
+        base = _stable_seed(os.path.basename(path))
+        for i in range(6):
+            fields, arrays = pg.generate_inputs(program, base + i)
+            _within_bounds(program, *pg.vectors(program, fields, arrays),
+                           path)
+
+
+# -- fault containment (Section 3.4.3) ----------------------------------
+
+#: Packets per containment example.
+CONTAINMENT_PACKETS = 12
+
+
+def _accepted_mutant(program, seed):
+    """The first of a few point mutations of ``program`` the verifier
+    accepts, or None."""
+    for k in range(MUTATIONS_PER_PROGRAM):
+        mutant = pg.mutate(program, seed * 1009 + k)
+        try:
+            verify(mutant)
+        except VerificationError:
+            continue
+        return mutant
+    return None
+
+
+def _summarize_execute(interp, program, fvec, avec):
+    """``Interpreter.execute`` with a fault's pc in its summary; any
+    exception but :class:`InterpreterFault` escapes."""
+    try:
+        return pg.summary(interp.execute(program, list(fvec),
+                                         [list(a) for a in avec]))
+    except InterpreterFault as fault:
+        return pg.summary(fault) + (fault.pc,)
+
+
+def check_containment(max_examples):
+    @settings(max_examples=max_examples, deadline=None)
+    @given(profile=st.sampled_from(pg.PROFILES),
+           seed=st.integers(0, 1 << 20),
+           mutation=st.one_of(st.none(), st.integers(0, 1 << 20)),
+           limit=st.sampled_from(("default", "op_budget",
+                                  "max_operand_stack")))
+    def prop(profile, seed, mutation, limit):
+        source = pg.generate_program(seed, profile=profile)
+        action = compile_action(source, packet_schema=DEFAULT_PACKET_SCHEMA,
+                                message_schema=MSG_SCHEMA,
+                                global_schema=GLB_SCHEMA, name="f")
+        program = action.program
+        if mutation is not None:
+            program = _accepted_mutant(program, mutation) or program
+            action = dataclasses.replace(action, program=program,
+                                         prog_ast=None)
+        bounds = facts(program).bounds
+        # The differential budget stops a mutant's endless loop; a
+        # bound within it runs the generated code.
+        enclave = Enclave("contain", rng=random.Random(seed))
+        enclave.interpreter.op_budget = pg.OP_BUDGET
+        fn = enclave.install_function(action, name="f")
+        enclave.set_global_array("f", "weights", list(range(1, 9)))
+        enclave.set_global_array("f", "scratch", [0] * 8)
+        enclave.install_rule("*", "f")
+        interps = [Interpreter(dispatch=d, rng=random.Random(seed),
+                               op_budget=pg.OP_BUDGET)
+                   for d in ("tree", "pycodegen")]
+        lengths = [8 // ref.stride if ref.name != "records" else 0
+                   for ref in program.array_table]
+        if limit == "op_budget" and bounds.ops is not None:
+            value = bounds.ops.at(lengths) - 1
+        elif limit == "max_operand_stack" and bounds.stack is not None:
+            value = bounds.stack - 1
+        else:
+            limit, value = "op_budget", pg.OP_BUDGET
+        for interp in [enclave.interpreter] + interps:
+            setattr(interp, limit, value)
+        # Nothing but InterpreterFault leaves ``execute``, and the
+        # generated code equals the tree walk, pc included.
+        for i in range(INPUTS_PER_PROGRAM):
+            fields, arrays = pg.generate_inputs(program, seed * 31 + i)
+            fvec, avec = pg.vectors(program, fields, arrays)
+            tree, hot = (_summarize_execute(interp, program, fvec, avec)
+                         for interp in interps)
+            assert tree == hot, (profile, seed, mutation, limit, i)
+        # ``process_packet`` propagates nothing, and a faulting
+        # invocation commits nothing.
+        defaults = dict(MessageStore(MSG_SCHEMA).lookup("m", 0)[0].values)
+        rng = random.Random(seed)
+        store = fn.message_store
+        for i in range(CONTAINMENT_PACKETS):
+            packet = _DiffPacket(rng, i)
+            before = (dict(vars(packet)),
+                      {k: dict(e.values) for k, e in store._entries.items()},
+                      fn.global_store.snapshot(),
+                      dataclasses.replace(fn.stats))
+            result = enclave.process_packet(packet, (), now_ns=i)
+            if not result.faults:
+                continue
+            packet_before, entries, globals_before, stats = before
+            assert vars(packet) == packet_before
+            assert fn.global_store.snapshot() == globals_before
+            for key, entry in store._entries.items():
+                assert entry.values == entries.get(key, defaults)
+            stats.faults += 1
+            assert fn.stats == stats
+
+    prop()
+
+
+class TestFaultContainment:
+    """A faulty function hurts only itself (Section 3.4.3), for
+    ``program_gen`` programs and point mutations of them that the
+    verifier accepts, at default limits (generated code) and with the
+    op budget or the stack limit one below the program's bound (the
+    tree walk): nothing but :class:`InterpreterFault` leaves
+    ``execute``, ``process_packet`` propagates nothing, and a faulting
+    invocation leaves packet fields, message entries, globals and
+    function stats other than ``faults`` as they were."""
+
+    def test_faults_are_contained(self):
+        check_containment(PROPERTY_EXAMPLES)
+
+    def test_faults_are_contained_at_depth(self, request):
+        _at_depth(request)
+        check_containment(10 * PROPERTY_EXAMPLES)
