@@ -38,6 +38,14 @@ from its first packet — and a ``backend="tree"`` enclave,
 which stays on the generic tier of ``InstalledFunction.run_packet``,
 and require the same of those two, RNG state included.
 
+``TestBounds`` holds every run of the same programs, ok or faulting,
+to the stack and op bounds ``analysis.facts`` proves, which generated
+code relies on instead of testing limits; ``TestFaultContainment``
+drives fuzz programs and verified mutants through
+``Enclave.process_packet`` at default limits and one below each bound,
+where a faulting packet must commit nothing.  Both draw with
+hypothesis, ten times the examples under ``-m differential``.
+
 Any fuzz failure is minimized (``program_gen.minimize``) and persisted
 into ``tests/lang/corpus/``; the corpus is replayed here in CI so past
 failures stay fixed.
