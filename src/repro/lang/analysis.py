@@ -564,6 +564,10 @@ _SMALL = 1 << 40
 #: Longest call chain whose op count is analysed (the analysis
 #: recurses once per frame).
 _MAX_CHAIN = 64
+#: Most (function, argument values) pairs analysed per program: call
+#: sites passing new constants on every level would otherwise multiply
+#: them, and installing a program must stay cheap.
+_MAX_CONTEXTS = 256
 
 _ZERO = OpBound(0)
 _ONE = OpBound(1)
@@ -773,6 +777,8 @@ class _OpCount:
     def of(self, fi: int, args: tuple) -> OpBound:
         key = (fi, args)
         if key not in self.memo:
+            if len(self.memo) >= _MAX_CONTEXTS:
+                raise _Unbounded
             self.memo[key] = self._count(fi, args)
         return self.memo[key]
 

@@ -9,11 +9,16 @@ optimizer deleted a write, and then the bytecode level is the lower.
 
 The facts are computed once per ``Program`` and cached on it: the
 whole verify -> compile -> plan-build sequence of an install and its
-first packet analyses a program exactly once.
+first packet analyses a program exactly once.  Their resource bounds
+are pinned here for a few Table-1 programs and for the call graphs
+that prove less: a cycle, and a chain that multiplies its constant
+arguments (their soundness is ``TestBounds`` in the differential
+harness).
 """
 
 import glob
 import os
+import time
 
 import pytest
 
@@ -24,6 +29,7 @@ from repro.lang import (DEFAULT_PACKET_SCHEMA, ast_nodes as T,
                         compile_action, compile_ast, pycodegen, verify)
 from repro.lang import analysis
 from repro.lang.analysis import ConcurrencyLevel, facts
+from repro.lang.bytecode import FunctionCode, Instr, Op, Program
 
 import program_gen as pg
 from conftest import GLB_SCHEMA, MSG_SCHEMA
@@ -191,3 +197,76 @@ def test_install_tier_up_and_plan_build_analyse_once(monkeypatch):
         enclave.process_packet(Packet())
     assert executes == []
     assert calls == ["f"]
+
+
+# -- resource bounds ----------------------------------------------------
+
+def _demo_bounds(name):
+    entry = next(e for e in table1()
+                 if e.demo is not None and e.demo.function_name == name)
+    spec = entry.demo
+    return facts(compile_action(
+        spec.action, packet_schema=DEFAULT_PACKET_SCHEMA,
+        message_schema=spec.message_schema,
+        global_schema=spec.global_schema, name=name).program).bounds
+
+
+@pytest.mark.parametrize("name,stack,calls,ops", [
+    ("pias", 4, 2, "20*len(a0) + 40"),       # the search loop, called
+    ("wcmp", 4, 1, "45*len(a0) + 83"),       # two loops over one array
+    ("pulsar", 2, 1, "27"),                  # loop-free
+    ("centralized_cc", 1, 1, "4"),
+])
+def test_table1_bounds(name, stack, calls, ops):
+    bounds = _demo_bounds(name)
+    assert (bounds.stack, bounds.calls, str(bounds.ops)) == \
+        (stack, calls, ops)
+
+
+def _chain(depth, n_args):
+    """``f0`` calls ``f1`` ... ``f{depth-1}``; each calls the next once
+    per argument, with that argument one higher: every level passes
+    new constants down."""
+    functions = []
+    for k in range(depth):
+        code = []
+        if k + 1 < depth:
+            for bumped in range(n_args):
+                for a in range(n_args):
+                    code += [Instr(Op.LOAD, a),
+                             Instr(Op.CONST, int(a == bumped)),
+                             Instr(Op.ADD)]
+                code += [Instr(Op.CALL, k + 1), Instr(Op.POP)]
+        code += [Instr(Op.CONST, 0), Instr(Op.RET)]
+        functions.append(FunctionCode(f"f{k}", n_args if k else 0,
+                                      n_args, tuple(code)))
+    return Program("chain", tuple(functions), (), ())
+
+
+def test_constants_passed_down_a_call_chain_stay_cheap():
+    """Op counts are analysed per call site's constant arguments; a
+    chain that multiplies them gives up on the op bound rather than
+    analyse every combination (this one has ~10^5), and still proves
+    the stack and the call chain."""
+    started = time.perf_counter()
+    bounds = facts(_chain(40, 4)).bounds
+    assert time.perf_counter() - started < 10
+    assert bounds.ops is None
+    assert (bounds.stack, bounds.calls) == (5, 40)
+    # A short chain stays within the limit and is counted exactly.
+    assert facts(_chain(3, 2)).bounds.ops is not None
+
+
+def test_a_recursive_program_has_no_bounds_and_runs_on_the_tree_walk():
+    """A cyclic call graph proves nothing; its runs go to the tree
+    walk, which faults where the call-depth limit says."""
+    program = Program("loop", (
+        FunctionCode("f", 0, 0, (Instr(Op.CALL, 1), Instr(Op.RET))),
+        FunctionCode("g", 0, 0, (Instr(Op.CALL, 1), Instr(Op.RET)))),
+        (), ())
+    verify(program)
+    assert facts(program).bounds == analysis.Bounds()
+    runs = [pg.run_interp(program, [], [], dispatch)
+            for dispatch in ("tree", "pycodegen")]
+    assert runs[0] == runs[1] == (
+        "fault", "InterpreterFault", "call depth exceeds 64")
