@@ -153,7 +153,10 @@ class Bounds(NamedTuple):
     ``stack`` is the operand stack across frames, as the tree walk
     measures it (``ExecStats.max_operand_stack``): exact over an
     acyclic call graph, None over a cyclic one.  ``calls`` is the
-    longest call chain in frames (``ExecStats.max_call_depth``).
+    longest call chain in frames (``ExecStats.max_call_depth``), None
+    over a cyclic call graph.  ``frame`` is the deepest operand stack
+    any one frame holds, so ``frame`` times the call-depth limit bounds
+    the stack of a run whose call chain that limit cuts.
     ``ops`` bounds ``ExecStats.ops_executed`` on entry with every local
     zero: exact path by path for loop-free code; a loop counts when an
     induction variable, started at a constant and stepped by a constant
@@ -165,6 +168,7 @@ class Bounds(NamedTuple):
     stack: Optional[int] = None
     calls: Optional[int] = None
     ops: Optional[OpBound] = None
+    frame: int = 0
 
 
 class ProgramFacts(NamedTuple):
@@ -575,12 +579,18 @@ _ONE = OpBound(1)
 
 def _bounds(program: Program,
             depths: List[Tuple[Optional[int], ...]]) -> Bounds:
-    """The program's :class:`Bounds`; every field None over a call
-    graph with a cycle reachable from the entry."""
+    """The program's :class:`Bounds`; only ``frame`` is set over a
+    call graph with a cycle reachable from the entry."""
     functions = program.functions
     callees = [sorted({instr.arg for pc, instr in enumerate(fn.code)
                        if instr.op is Op.CALL and depth[pc] is not None})
                for fn, depth in zip(functions, depths)]
+    # The depths a frame holds when the tree walk measures: before
+    # each op (after a CALL, its result) and after each push.
+    frame = max((d + (instr.op in PUSHES)
+                 for fn, depth in zip(functions, depths)
+                 for instr, d in zip(fn.code, depth) if d is not None),
+                default=0)
     # Callees before callers, from the entry; a callee still open on
     # the walk is a cycle.
     order: List[int] = []
@@ -594,7 +604,7 @@ def _bounds(program: Program,
                 walk.append((callee, iter(callees[callee])))
                 break
             if not seen[callee]:
-                return Bounds()
+                return Bounds(frame=frame)
         else:
             walk.pop()
             seen[fi] = True
@@ -623,7 +633,7 @@ def _bounds(program: Program,
             ops = _OpCount(program, depths).of(0, entry_args)
         except _Unbounded:
             pass
-    return Bounds(stack[0], chain[0], ops)
+    return Bounds(stack[0], chain[0], ops, frame)
 
 
 def _lin_add(x: Optional[OpBound], y: Optional[OpBound]

@@ -11,11 +11,13 @@ ranges make it the identity (``&``, ``|``, ``^``, ``~``, ``>>``, ``%``
 of in-range values stay in range).
 
 Generated code tests neither the op budget nor the operand-stack
-limit.  The program's :class:`~repro.lang.analysis.Bounds` are proven
-once, by :func:`repro.lang.analysis.facts`, and every run makes one
-entry test against the limits as they are then (:func:`fits`); a run
-they do not fit, and every run of a program with no stack bound, goes
-to the tree walk, which faults where the limit says.
+limit, nor, over an acyclic call graph, the call-depth limit.  The
+program's :class:`~repro.lang.analysis.Bounds` are proven once, by
+:func:`repro.lang.analysis.facts`, and every run makes one entry test
+against the limits as they are then (:func:`entry_test`); a run they
+do not fit goes to the tree walk, which faults where the limit says.
+A recursive program's stack is bounded by its deepest frame times the
+call-depth limit, which its CALLs test.
 
 A program is compiled once, by :func:`code_for`: at install
 (``PycodegenBackend.bind``), or on a direct caller's first call.
@@ -79,20 +81,22 @@ class CompiledProgram:
     """One program's generated functions plus bookkeeping.
 
     ``functions[k]`` is ``_fk(ctx, ...)``; ``entry`` is ``_f0``, which
-    the generic tier runs.  ``plan`` is the compiled per-packet plan
+    the generic tier runs, and ``fits(interp, lengths, args)`` its
+    :func:`entry_test`.  ``plan`` is the compiled per-packet plan
     :func:`plan_for` built for it — ``(packet schema, global schema,
     code, namespace, source)`` — which every installed function binding
     the program instantiates.
     """
 
-    __slots__ = ("program", "functions", "entry", "n_locals", "source",
-                 "plan")
+    __slots__ = ("program", "functions", "entry", "fits", "n_locals",
+                 "source", "plan")
 
-    def __init__(self, program: Program, functions: tuple,
+    def __init__(self, program: Program, functions: tuple, fits,
                  source: str) -> None:
         self.program = program
         self.functions = functions
         self.entry = functions[0]
+        self.fits = fits
         self.n_locals = program.entry.n_locals
         self.source = source
         self.plan = None
@@ -118,17 +122,18 @@ class _Emitter:
     operand-stack depth, and every reachable pc sits in the recorded
     structure.
 
-    Code runs only under limits its bounds fit (the entry test of
-    :meth:`CodegenRunner.run` and the plan), so it tests neither the op
-    budget nor the stack limit.  It keeps the counts ``ExecStats``
-    reports in the locals ``_ops`` and ``_ms``, once per straight-line
-    segment, spliced in *ahead* of the segment's statements: ``_ops``
-    grows by the segment's op count, and ``_ms`` rises to the deepest
-    push in it.  A push is the only op that can raise the tree walk's
-    high-water mark, and that mark is never below the current depth,
-    so an update is left out where a lower bound on ``_ms`` known on
-    every path to the segment covers it.  Hoisting either count ahead
-    of a fault is invisible: a faulting invocation reports no stats.
+    Code runs only under limits its bounds fit (:func:`entry_test`), so
+    it tests neither the op budget nor the stack limit, and a CALL
+    tests the call-depth limit only in a recursive program.  It keeps
+    the counts ``ExecStats`` reports in the locals ``_ops`` and
+    ``_ms``, once per straight-line segment, spliced in *ahead* of the
+    segment's statements: ``_ops`` grows by the segment's op count,
+    and ``_ms`` rises to the deepest push in it.  A push is the only
+    op that can raise the tree walk's high-water mark, and that mark
+    is never below the current depth, so an update is left out where a
+    lower bound on ``_ms`` known on every path to the segment covers
+    it.  Hoisting either count ahead of a fault is invisible: a
+    faulting invocation reports no stats.
 
     ``exit`` is None for a function of its own, ``_fN(ctx, ...)``,
     which takes the counts from ``ctx`` once, hands them back around
@@ -155,6 +160,7 @@ class _Emitter:
             used = set().union(*(found.ops_used[k] for k in called))
             self._spill_fields = Op.GETF in used or Op.PUTF in used
             self._reload_fields = Op.PUTF in used
+        self.recursive = found.bounds.calls is None
         self.code = program.functions[fi].code
         self.depth_at = found.depths[fi]
         self.structure = found.structure[fi]
@@ -323,10 +329,11 @@ class _Emitter:
         # The CALL op itself is counted before the callee runs, like
         # the tree walk.
         self.flush()
-        self.w("if ctx.depth >= ctx.call_limit:")
-        self.indent += 1
-        self._raise("f'call depth exceeds {ctx.call_limit}'", pc)
-        self.indent -= 1
+        if self.recursive:
+            self.w("if ctx.depth >= ctx.call_limit:")
+            self.indent += 1
+            self._raise("f'call depth exceeds {ctx.call_limit}'", pc)
+            self.indent -= 1
         remain = d - n_args
         args = ", ".join(f"s{k}" for k in range(remain, d))
         pad = ", ".join("0" for _ in
@@ -552,7 +559,8 @@ def compile_pycode(program: Program) -> Optional[CompiledProgram]:
     found = facts(program)
     if found.violation is not None:
         return None
-    parts: List[str] = []
+    parts = ["def _fits(_interp, L, A):",
+             f"    return {entry_test(found.bounds, args=True)}", ""]
     for fi in range(len(program.functions)):
         parts.extend(_function_source(program, fi, found))
         parts.append("")
@@ -563,7 +571,7 @@ def compile_pycode(program: Program) -> Optional[CompiledProgram]:
     return CompiledProgram(
         program,
         tuple(ns[f"_f{fi}"] for fi in range(len(program.functions))),
-        source)
+        ns["_fits"], source)
 
 
 def code_for(program: Program) -> Optional[CompiledProgram]:
@@ -579,18 +587,33 @@ def code_for(program: Program) -> Optional[CompiledProgram]:
 
 # -- execution ----------------------------------------------------------
 
-def fits(bounds: Bounds, interp, lengths: Sequence[int],
-         args: Sequence[int] = ()) -> bool:
-    """Whether ``bounds`` prove one run within ``interp``'s operand
-    stack limit and op budget as they are now: the entry test of a
-    run of generated code, which tests neither.  ``lengths`` are the
-    run's array record counts; the op bound holds for zero entry
-    arguments only."""
-    if bounds.stack is None or bounds.stack > interp.max_operand_stack:
-        return False
-    budget = interp.op_budget
-    return budget is None or (bounds.ops is not None and not any(args)
-                              and bounds.ops.at(lengths) <= budget)
+def entry_test(bounds: Bounds, args: bool = False) -> str:
+    """The entry test of generated code, as Python source: a condition
+    over the interpreter ``_interp`` and the run's array record counts
+    ``L`` that holds when ``bounds`` prove the run within the limits
+    the code does not test, as they are when it is evaluated.  The op
+    bound holds for zero entry arguments only: with ``args`` the
+    condition also reads the entry arguments ``A``; without, the run
+    has none (the plan).
+
+    The stack of an acyclic program is bounded outright and its call
+    chain tested here; a recursive program's CALLs test the call depth,
+    which bounds its stack by its deepest frame times that limit."""
+    if bounds.calls is None:
+        terms = [f"{bounds.frame} * _interp.max_call_depth <= "
+                 "_interp.max_operand_stack"]
+    else:
+        terms = [f"{bounds.stack} <= _interp.max_operand_stack",
+                 f"{bounds.calls} <= _interp.max_call_depth"]
+    if bounds.ops is None:
+        terms.append("_interp.op_budget is None")
+    else:
+        ops = " + ".join([f"{b} * L[{k}]" for k, b in bounds.ops.per_len]
+                         + [str(bounds.ops.const)])
+        zero = "not any(A) and " if args else ""
+        terms.append(f"(_interp.op_budget is None or "
+                     f"{zero}{ops} <= _interp.op_budget)")
+    return " and ".join(terms)
 
 
 class CodegenRunner:
@@ -600,18 +623,18 @@ class CodegenRunner:
     copy-out, compiled (:func:`code_for`) when the runner is made.  It
     keeps the execution context across invocations, but nothing the
     interpreter can change: limits, RNG and clock are read from it on
-    every :meth:`run`.  Each run makes one entry test, :func:`fits`: a
-    run the program's bounds do not prove within the limits as they
-    are now goes to the tree walk, which faults where a limit says.
+    every :meth:`run`.  Each run makes one entry test,
+    ``compiled.fits`` (:func:`entry_test`): a run the program's bounds
+    do not prove within the limits as they are now goes to the tree
+    walk, which faults where a limit says.
     """
 
-    __slots__ = ("program", "compiled", "bounds", "ctx", "n_locals",
-                 "n_fields", "no_arrays", "_interp")
+    __slots__ = ("program", "compiled", "ctx", "n_locals", "n_fields",
+                 "no_arrays", "_interp")
 
     def __init__(self, interp, program: Program) -> None:
         self.program = program
         self.compiled = code_for(program)
-        self.bounds = facts(program).bounds
         self._interp = interp
         self.n_locals = program.entry.n_locals
         self.n_fields = len(program.field_table)
@@ -644,7 +667,7 @@ class CodegenRunner:
             field_file, heap, bases, lengths, wranges = _copy_in(
                 program, fields, arrays, interp.max_heap_words)
             locals_ = _make_locals(self.n_locals, args)
-        if not fits(self.bounds, interp, lengths, args):
+        if not compiled.fits(interp, lengths, args):
             return interp.execute_tree(program, fields, arrays, args)
         ctx = self.ctx
         ctx.call_limit = interp.max_call_depth
@@ -679,15 +702,14 @@ class CodegenRunner:
 def plan_for(interp, fn):
     """The whole invocation of an installed function as one generated
     callable; None for a program with a non-global array, which the
-    generic tier refuses, or with no stack bound (a cyclic call
-    graph), which the generic tier runs on the tree walk.
+    generic tier refuses.
 
     ``plan(packet, msg_entry, acct)`` is ``fn.run_packet``'s generic
     tier as one generated frame: each field-table slot read straight
     from the packet / ``msg_entry.values`` / ``fn.global_store``
     (``int()`` and the 64-bit wrap inline) into a Python local, the
-    heap with the stride and heap-limit checks, then the entry test
-    of :func:`fits` against the limits read from ``interp`` on every
+    heap with the stride and heap-limit checks, then the
+    :func:`entry_test` against the limits read from ``interp`` on every
     call — a packet the bounds do not fit goes to
     ``fn.run_generic``, whose generated code hands it to the tree
     walk — then RNG and clock read from ``interp``, the entry
@@ -715,8 +737,7 @@ def plan_for(interp, fn):
     the program runs that code in a namespace and context of its own.
     """
     program = fn.program
-    if any(ref.scope != "global" for ref in program.array_table) or \
-            facts(program).bounds.stack is None:
+    if any(ref.scope != "global" for ref in program.array_table):
         return None
     compiled = code_for(program)
     plan = compiled.plan
@@ -834,22 +855,16 @@ def _compile_plan(compiled: CompiledProgram, fn) -> tuple:
         body.append("H = W = ()")
     # The entry test: limits the bounds do not fit send the packet to
     # the generic tier, as though there were no plan.
-    bounds = found.bounds
-    over = f"_interp.max_operand_stack < {bounds.stack} or " \
-        "_interp.op_budget is not None"
-    if bounds.ops is not None:
-        ops = " + ".join([f"{b} * L[{k}]" for k, b in bounds.ops.per_len]
-                         + [str(bounds.ops.const)])
-        over += f" and _interp.op_budget < {ops}"
-    body += [f"if {over}:",
+    body += [f"if not ({entry_test(found.bounds)}):",
              "    _a, acct = acct, None",
              "    return _fn.run_generic(packet, msg, _a)",
              "_ops = _ms = 0"]
     if calls:
         body += ["ctx.outer = 0",
                  "ctx.depth = ctx.max_depth = 1",
-                 "ctx.call_limit = _interp.max_call_depth",
                  "ctx.halted = False"]
+        if found.bounds.calls is None:
+            body.append("ctx.call_limit = _interp.max_call_depth")
     if found.uses(Op.RAND):
         body.append("ctx.rng = _interp.rng")
     if found.uses(Op.CLOCK):

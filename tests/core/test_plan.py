@@ -701,7 +701,8 @@ def test_a_call_program_spills_its_counters_only_around_calls():
         assert min(abs(i - c) for c in calls) <= 2, lines[i]
     assert "ctx.fields" not in "\n".join(lines)   # the callee has none
     source = pycodegen.code_for(fn.program).source
-    for function in re.split(r"^def ", source, flags=re.M)[1:]:
+    # The first ``def`` is ``_fits``, the entry test.
+    for function in re.split(r"^def ", source, flags=re.M)[2:]:
         lines = function.split("\n")
         assert [line.strip() for line in lines[2:4]] == \
             ["_ops = ctx.ops", "_ms = ctx.max_seen"]
@@ -886,30 +887,40 @@ def test_the_sweep_covers_calls_and_both_new_shapes():
 
 
 def test_no_table1_plan_tests_a_budget_or_a_stack_limit():
-    """The census: every Table-1 program has a stack and an op bound,
-    and neither its plan nor its generated functions test the op
-    budget or the stack limit — the plan reads each limit once, in its
-    entry test, and the functions not at all."""
+    """The census: every Table-1 program has a stack, a call-chain and
+    an op bound, and neither its plan nor its generated functions test
+    the op budget, the stack limit or the call depth — the plan reads
+    each limit once, in its entry test, the functions not at all, and
+    ``_fits``, the generic tier's entry test, is the same rule."""
     for entry in _demo_entries():
         spec = entry.demo
         action = _compile_demo(spec)
         bounds = analysis.facts(action.program).bounds
-        assert bounds.stack is not None and bounds.ops is not None, \
+        assert None not in (bounds.stack, bounds.calls, bounds.ops), \
             spec.function_name
         enclave, fn = _demo_enclave(spec, action, "interpreter")
         assert fn.bounds == bounds
         plan = pycodegen.plan_for(enclave.interpreter, fn).source
-        functions = pycodegen.code_for(action.program).source
-        for source in (plan, functions):
+        fits, *functions = re.split(
+            r"^def ", pycodegen.code_for(action.program).source,
+            flags=re.M)[1:]
+        for source in [plan] + functions:
             for banned in ("op budget", "operand stack of", "_bud =",
-                           "_sl =", "ctx.budget", "stack_limit"):
+                           "_sl =", "ctx.budget", "stack_limit",
+                           "call depth", "call_limit"):
                 assert banned not in source, (spec.function_name, banned)
-        assert "op_budget" not in functions
-        assert "max_operand_stack" not in functions
+        for source in functions:
+            for banned in ("op_budget", "max_operand_stack",
+                           "max_call_depth"):
+                assert banned not in source, (spec.function_name, banned)
+        assert fits.split("\n")[1].strip() == \
+            f"return {pycodegen.entry_test(bounds, args=True)}"
         test = [line for line in plan.split("\n")
-                if "op_budget" in line or "max_operand_stack" in line]
-        assert len(test) == 1 and test[0].strip().startswith(
-            f"if _interp.max_operand_stack < {bounds.stack} or "), test
+                if "_interp.op_budget" in line or
+                "_interp.max_operand_stack" in line or
+                "_interp.max_call_depth" in line]
+        assert [line.strip() for line in test] == \
+            [f"if not ({pycodegen.entry_test(bounds)}):"], test
 
 
 @pytest.mark.parametrize("use_batch", (False, True),

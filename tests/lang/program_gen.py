@@ -24,11 +24,13 @@ boundary for hand-assembled programs.
 """
 
 import ast
+import contextlib
 import random
 
 from repro.lang import (DEFAULT_PACKET_SCHEMA, FunctionCode, Instr,
                         Interpreter, InterpreterFault, NativeFunction,
                         Op, Program, pycodegen)
+from repro.lang.analysis import facts
 from repro.lang.bytecode import OPS_WITH_ARG
 from repro.lang.dsl import lower
 
@@ -256,6 +258,40 @@ def run_interp(program, fvec, avec, dispatch, seed=3,
              r.stats.max_call_depth, r.stats.heap_words))
 
 
+@contextlib.contextmanager
+def tree_walks():
+    """Count ``Interpreter.execute_tree`` calls made inside the block.
+
+    Under the ``pycodegen`` dispatch a run walks the tree only when
+    its program's bounds do not fit the limits (or the verifier
+    rejects it), so a zero count shows that generated code ran."""
+    walks = [0]
+    inner = Interpreter.execute_tree
+
+    def counted(self, *args, **kwargs):
+        walks[0] += 1
+        return inner(self, *args, **kwargs)
+
+    Interpreter.execute_tree = counted
+    try:
+        yield walks
+    finally:
+        Interpreter.execute_tree = inner
+
+
+def stack_fits(program, interp=None):
+    """Whether ``program``'s bounds keep its operand stack and call
+    chain within ``interp``'s limits (the defaults when None): the
+    runs that need no op budget to stay on generated code."""
+    interp = interp or Interpreter()
+    bounds = facts(program).bounds
+    if bounds.calls is None:
+        return (bounds.frame * interp.max_call_depth
+                <= interp.max_operand_stack)
+    return (bounds.stack <= interp.max_operand_stack
+            and bounds.calls <= interp.max_call_depth)
+
+
 def summary(res):
     """The comparable tuple for one ExecResult-or-fault batch entry."""
     if isinstance(res, InterpreterFault):
@@ -365,7 +401,11 @@ def check_parity(prog_ast, program, fields, arrays, seed=3,
 
     The tree walk and the generated code (the first pycodegen run
     compiles the program) must agree on everything — value,
-    fields, arrays, stats, fault class and fault reason.  native must
+    fields, arrays, stats, fault class and fault reason.  A run under
+    :data:`OP_BUDGET` goes to the tree walk when the program has no op
+    bound within it, so a run the budget did not stop is repeated with
+    no budget, where the generated code must run it whenever
+    :func:`stack_fits`, and agree.  native must
     agree on the fault/ok outcome and, when ok, on (value, fields,
     arrays).  Batch execution must agree entry-for-entry with
     back-to-back scalar calls on a shared interpreter — including
@@ -378,6 +418,18 @@ def check_parity(prog_ast, program, fields, arrays, seed=3,
         return (f"tree/pycodegen divergence on fields={fields!r} "
                 f"arrays={arrays!r}:\n  tree={tree!r}\n"
                 f"  pycodegen={codegen!r}")
+    stopped = tree[0] == "fault" and tree[2].startswith("op budget")
+    if not stopped and pycodegen.code_for(program) is not None:
+        with tree_walks() as walks:
+            free = run_interp(program, fvec, avec, "pycodegen",
+                              seed=seed, op_budget=None)
+        if free != tree:
+            return (f"tree/pycodegen divergence with no op budget on "
+                    f"fields={fields!r} arrays={arrays!r}:\n"
+                    f"  tree={tree!r}\n  pycodegen={free!r}")
+        if walks[0] and stack_fits(program):
+            return (f"generated code did not run with no op budget on "
+                    f"fields={fields!r} arrays={arrays!r}")
     snapshots = [(fvec, avec)] * BATCH_COPIES
     batch = run_interp_batch(program, snapshots, "pycodegen",
                              seed=seed)

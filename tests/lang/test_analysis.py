@@ -11,9 +11,9 @@ The facts are computed once per ``Program`` and cached on it: the
 whole verify -> compile -> plan-build sequence of an install and its
 first packet analyses a program exactly once.  Their resource bounds
 are pinned here for a few Table-1 programs and for the call graphs
-that prove less: a cycle, and a chain that multiplies its constant
-arguments (their soundness is ``TestBounds`` in the differential
-harness).
+that prove less: a cycle (only its deepest frame), and a chain that
+multiplies its constant arguments (their soundness is ``TestBounds``
+in the differential harness).
 """
 
 import glob
@@ -257,16 +257,21 @@ def test_constants_passed_down_a_call_chain_stay_cheap():
     assert facts(_chain(3, 2)).bounds.ops is not None
 
 
-def test_a_recursive_program_has_no_bounds_and_runs_on_the_tree_walk():
-    """A cyclic call graph proves nothing; its runs go to the tree
-    walk, which faults where the call-depth limit says."""
+def test_a_recursive_program_is_bounded_by_its_frame():
+    """A cyclic call graph proves no stack, call chain or op count,
+    only its deepest frame: with no op budget its runs stay on
+    generated code, whose CALLs fault where the call-depth limit
+    says."""
     program = Program("loop", (
         FunctionCode("f", 0, 0, (Instr(Op.CALL, 1), Instr(Op.RET))),
         FunctionCode("g", 0, 0, (Instr(Op.CALL, 1), Instr(Op.RET)))),
         (), ())
     verify(program)
-    assert facts(program).bounds == analysis.Bounds()
-    runs = [pg.run_interp(program, [], [], dispatch)
-            for dispatch in ("tree", "pycodegen")]
-    assert runs[0] == runs[1] == (
+    assert facts(program).bounds == analysis.Bounds(frame=1)
+    tree = pg.run_interp(program, [], [], "tree", op_budget=None)
+    with pg.tree_walks() as walks:
+        generated = pg.run_interp(program, [], [], "pycodegen",
+                                  op_budget=None)
+    assert walks == [0]
+    assert tree == generated == (
         "fault", "InterpreterFault", "call depth exceeds 64")

@@ -17,7 +17,9 @@ every dispatch raises the tree walk's scope fault.
 Every scenario is pinned to identical ``ExecStats`` and an identical
 fault — class, message and pc — for the tree walk and the default
 dispatch (whose first run compiles a verified program), using the
-differential harness's summary tuples with the fault's pc added.
+differential harness's summary tuples with the fault's pc added, and
+to the tier the default dispatch ran: generated code, or the tree walk
+it hands a run its bounds do not fit.
 """
 
 import random
@@ -72,6 +74,16 @@ def _run(program, fvec, avec, dispatch, op_budget=pg.OP_BUDGET,
         return pg.summary(fault) + (fault.pc,)
 
 
+def _runs(program, fvec, avec, **limits):
+    """The tree walk's and the default dispatch's :func:`_run` under
+    one set of limits, and whether the default dispatch walked the
+    tree."""
+    tree = _run(program, fvec, avec, "tree", **limits)
+    with pg.tree_walks() as walks:
+        generated = _run(program, fvec, avec, "pycodegen", **limits)
+    return tree, generated, bool(walks[0])
+
+
 class TestBudgetFaultMidSegment:
     """Counting ops per segment never changes outcomes."""
 
@@ -93,14 +105,14 @@ class TestBudgetFaultMidSegment:
         assert bound >= total
         faults = 0
         for budget in range(1, bound + 2):
-            runs = {d: _run(program, fvec, avec, d, op_budget=budget)
-                    for d in DISPATCHES}
-            assert runs["pycodegen"] == runs["tree"], budget
-            if runs["tree"][0] == "fault":
+            tree, generated, walked = _runs(program, fvec, avec,
+                                            op_budget=budget)
+            assert generated == tree, budget
+            assert walked == (budget < bound), budget
+            if tree[0] == "fault":
                 faults += 1
-                assert runs["tree"][1] == "InterpreterFault"
-                assert runs["tree"][2] == \
-                    f"op budget of {budget} exceeded"
+                assert tree[1] == "InterpreterFault"
+                assert tree[2] == f"op budget of {budget} exceeded"
         # Every budget below the program's total op count faults.
         assert faults == total - 1
 
@@ -119,21 +131,22 @@ class TestStackDepthFaultAtExactLimit:
         assert depth >= 5
         fvec, avec = _zero_vectors(program)
         assert facts(program).bounds.stack == depth
-        runs = [_run(program, fvec, avec, d, max_operand_stack=depth)
-                for d in DISPATCHES]
-        assert runs[0][0] == "ok"
-        assert runs[0] == runs[1]
-        assert runs[0][4][1] == depth  # stats pin the exact maximum
+        tree, generated, walked = _runs(program, fvec, avec,
+                                        max_operand_stack=depth)
+        assert tree[0] == "ok"
+        assert generated == tree
+        assert not walked
+        assert tree[4][1] == depth  # stats pin the exact maximum
 
     def test_one_below_limit_faults_identically(self):
         program = _compile(DEEP_EXPR_SOURCE)
         depth = self._depth(program)
         fvec, avec = _zero_vectors(program)
-        runs = [_run(program, fvec, avec, d,
-                     max_operand_stack=depth - 1)
-                for d in DISPATCHES]
-        assert runs[0] == runs[1]
-        assert runs[0][:3] == (
+        tree, generated, walked = _runs(program, fvec, avec,
+                                        max_operand_stack=depth - 1)
+        assert generated == tree
+        assert walked
+        assert tree[:3] == (
             "fault", "InterpreterFault",
             f"operand stack of {depth} words exceeds limit "
             f"{depth - 1}")
@@ -154,7 +167,8 @@ def _shape_program(*listing):
 
 
 #: A loop whose exit jumps past a tail that returns after its last
-#: back edge: WCMP's weighted search after jump threading.
+#: back edge: WCMP's weighted search after jump threading.  Its
+#: counter starts from a field, so it has no op bound.
 RETURNING_LOOP_TAIL = _shape_program(
     (Op.GETF, 1), (Op.STORE, 0),
     (Op.LOAD, 0), (Op.CONST, 1), Op.SUB, (Op.STORE, 0),   # 2: header
@@ -185,20 +199,29 @@ JOIN_JUMPS = _shape_program(
 
 class TestThreadedShapes:
     """The two shapes jump threading leaves in Table-1 programs run on
-    the structured emitter exactly like the tree walk: every input
-    path, under every op budget up to the run's need, faults to the
-    pc."""
+    the structured emitter exactly like the tree walk on every input
+    path with no op budget, and under every op budget up to the run's
+    need the default dispatch faults to the pc, on generated code
+    where the op bound is within the budget and on the tree walk
+    otherwise (every budgeted run of the returning loop tail)."""
 
     @pytest.mark.parametrize("program", (RETURNING_LOOP_TAIL, JOIN_JUMPS),
                              ids=("returning loop tail", "join jumps"))
     def test_every_path_and_budget_agrees(self, program):
+        bound = facts(program).bounds.ops
+        assert (bound is None) == (program is RETURNING_LOOP_TAIL)
         for size in range(-1, 7):
             fvec = [10, size]
-            total = pg.run_interp(program, fvec, [], "tree")[4][0]
-            for budget in range(1, total + 2):
-                runs = {d: _run(program, fvec, [], d, op_budget=budget)
-                        for d in DISPATCHES}
-                assert runs["pycodegen"] == runs["tree"], (size, budget)
+            free, generated, walked = _runs(program, fvec, [],
+                                            op_budget=None)
+            assert generated == free, size
+            assert not walked, size
+            for budget in range(1, free[4][0] + 2):
+                tree, generated, walked = _runs(program, fvec, [],
+                                                op_budget=budget)
+                assert generated == tree, (size, budget)
+                assert walked == (bound is None or
+                                  bound.at(()) > budget), (size, budget)
 
 
 def _readonly_putf_program():

@@ -447,6 +447,91 @@ class TestMutatedBytecode:
                                        f"empty_escape size={size}")
 
 
+#: A non-tail recursive action: one frame per level, so ``packet.size``
+#: of 63 or more runs into the default call-depth limit of 64.
+RECURSIVE_SOURCE = (
+    "def f(packet, msg, _global):\n"
+    "    def depth(n):\n"
+    "        if n <= 0:\n"
+    "            return msg.limit\n"
+    "        return 1 + depth(n - 1)\n"
+    "    msg.counter = depth(packet.size % 80)\n"
+)
+
+
+class TestRecursion:
+    """A cyclic call graph proves no stack, call-chain or op bound, but
+    no frame of it holds more than ``bounds.frame`` words: where that
+    times the call-depth limit fits the stack limit and no op budget
+    is set, the generated code runs it, its CALLs testing the call
+    depth, and agrees with the tree walk to the fault's pc."""
+
+    def _program(self):
+        program = compile_ast(pg.lower_source(RECURSIVE_SOURCE))
+        bounds = facts(program).bounds
+        assert (bounds.stack, bounds.calls, bounds.ops) == \
+            (None, None, None)
+        assert bounds.frame == 3
+        return program
+
+    def _runs(self, program, size, **limits):
+        fvec, avec = pg.vectors(program, {("packet", "size"): size,
+                                          ("message", "limit"): 3}, {})
+        runs = []
+        for dispatch in ("tree", "pycodegen"):
+            interp = Interpreter(dispatch=dispatch, **limits)
+            with pg.tree_walks() as walks:
+                try:
+                    runs.append(pg.summary(interp.execute(
+                        program, fvec, avec)))
+                except InterpreterFault as fault:
+                    runs.append(pg.summary(fault) + (fault.pc,))
+        return runs, walks[0]
+
+    @pytest.mark.parametrize("size", (0, 1, 5, 40, 62, 63, 79))
+    def test_generated_code_runs_within_the_call_depth(self, size):
+        program = self._program()
+        (tree, generated), walks = self._runs(program, size)
+        assert generated == tree
+        assert walks == 0
+        if size < 63:
+            assert tree[0] == "ok" and tree[2][1] == 3 + size
+            assert tree[4][2] == size + 2  # frames: the entry, then depth
+        else:
+            assert tree[2] == "call depth exceeds 64"
+
+    def test_a_lowered_call_depth_faults_in_generated_code(self):
+        """A smaller limit only shrinks the frame bound: the CALL that
+        passes the limit faults in generated code, at the tree walk's
+        pc."""
+        program = self._program()
+        (tree, generated), walks = self._runs(program, 10,
+                                              max_call_depth=5)
+        assert generated == tree
+        assert walks == 0
+        assert tree[2] == "call depth exceeds 5"
+
+    def test_limits_the_frame_bound_does_not_fit_hand_off(self):
+        """A stack limit below ``frame`` times the call-depth limit, or
+        any op budget, sends the run to the tree walk."""
+        program = self._program()
+        for limits in ({"max_operand_stack": 3 * 64 - 1},
+                       {"op_budget": pg.OP_BUDGET}):
+            (tree, generated), walks = self._runs(program, 10, **limits)
+            assert generated == tree
+            assert walks == 1, limits
+
+    def test_parity_across_inputs(self):
+        prog_ast = pg.lower_source(RECURSIVE_SOURCE)
+        program = compile_ast(prog_ast)
+        for size in range(0, 80, 3):
+            err = pg.check_parity(prog_ast, program,
+                                  {("packet", "size"): size,
+                                   ("message", "limit"): size}, {},
+                                  native=size < 62)
+            assert err is None, err
+
+
 class _DiffPacket:
     """A deterministic packet exposing the default schema's fields."""
 
@@ -609,6 +694,14 @@ class TestEnclaveBatchDifferential:
             pg.generate_program(seed, profile=profile), seed,
             f"{profile}{seed}")
 
+    @pytest.mark.parametrize("seed", (0, 1))
+    def test_plan_runs_a_recursive_action(self, seed):
+        """A recursive program gets a plan too, which runs every packet
+        at default limits; deep packets fault on the call depth."""
+        faults = self._assert_plan_equals_tree(RECURSIVE_SOURCE, seed,
+                                               f"recursive{seed}")
+        assert faults
+
     def test_plan_fuzz_sees_faults_in_both_tiers(self):
         """The sweep above compares faulting invocations too: some of
         its programs fault on the first packet, which builds the plan,
@@ -763,16 +856,19 @@ def _within_bounds(program, fvec, avec, label):
     the bounds — no run faults on either limit."""
     bounds = facts(program).bounds
     lengths = _lengths(program, avec)
+    stack_bound = bounds.stack
+    if bounds.calls is None:
+        stack_bound = bounds.frame * Interpreter().max_call_depth
     for dispatch in ("tree", "pycodegen"):
         res = pg.run_interp(program, fvec, avec, dispatch,
                             op_budget=None)
         if res[0] == "ok":
             ops, stack = res[4][0], res[4][1]
-            assert stack <= bounds.stack, (label, dispatch, res)
+            assert stack <= stack_bound, (label, dispatch, res)
             if bounds.ops is not None:
                 assert ops <= bounds.ops.at(lengths), \
                     (label, dispatch, ops, bounds.ops)
-        limits = {"max_operand_stack": bounds.stack, "op_budget": None}
+        limits = {"max_operand_stack": stack_bound, "op_budget": None}
         if bounds.ops is not None:
             limits["op_budget"] = bounds.ops.at(lengths)
         res = pg.run_interp(program, fvec, avec, dispatch, **limits)
@@ -809,6 +905,15 @@ class TestBounds:
             self, request):
         _at_depth(request)
         check_bounds(10 * PROPERTY_EXAMPLES)
+
+    def test_recursive_action_stays_within_its_frame_bound(self):
+        """Over a cyclic call graph the stack bound is ``frame`` times
+        the call-depth limit."""
+        program = compile_ast(pg.lower_source(RECURSIVE_SOURCE))
+        for size in (0, 7, 62, 63):
+            _within_bounds(program, *pg.vectors(
+                program, {("packet", "size"): size}, {}),
+                f"recursive size={size}")
 
     @pytest.mark.parametrize(
         "entry", _library_entries(), ids=lambda e: e.name)
