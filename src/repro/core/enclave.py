@@ -165,9 +165,8 @@ class InstalledFunction:
         self.message_schema = message_schema
         self.global_schema = action.global_schema
         self.concurrency = facts(self.program).concurrency
-        #: What one invocation can use at most (stack words, call
-        #: chain, op count): a controller can refuse a program whose
-        #: bound does not meet an enclave's budget.
+        #: What one invocation can use at most: stack words, call
+        #: chain and deepest frame (``analysis.Bounds``).
         self.bounds = facts(self.program).bounds
         self.guard = ConcurrencyGuard(self.concurrency)
         # A PARALLEL guard never refuses, so the data path skips it.
@@ -314,7 +313,8 @@ class InstalledFunction:
         function stats.  The ``tree``/``native`` pins run it; it is the
         oracle for the plan, which is the same sequence as one
         generated callable, and the plan hands it a packet whose limits
-        the program's bounds do not fit."""
+        the program's bounds do not fit, or any packet under an op
+        budget."""
         if self._field_readers is None:
             self._build_readers()
         fields = [read(packet, msg_entry)
@@ -647,13 +647,16 @@ class Enclave:
     def clear(self) -> None:
         """Factory-reset the data plane (models an enclave restart).
 
-        Installed functions, tables, rules and counters — all soft
-        state — are lost; the control plane is expected to replay the
-        desired state afterwards (:mod:`repro.control`).  Rule ids
-        keep counting up so ids are never reused across restarts.
+        Installed functions, tables, rules (the enclave stage's flow
+        rules too) and counters — all soft state — are lost; the
+        control plane is expected to replay the desired state
+        afterwards (:mod:`repro.control`).  Rule ids keep counting up
+        so ids are never reused across restarts.
         """
         self._functions = {}
         self._tables = {0: MatchActionTable(0)}
+        for rule in self.flow_stage.rules():
+            self.flow_stage.remove_stage_rule(rule.rule_set, rule.rule_id)
         self.packets_processed = 0
         self.packets_dropped = 0
         self._changed()

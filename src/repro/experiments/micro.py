@@ -4,7 +4,7 @@
 space of the interpreter are in the order of 64 and 256 bytes
 respectively."  This module compiles the case-study programs,
 measures their operand-stack/heap high-water marks and bytecode ops
-per invocation beside the worst case their bounds prove
+per invocation, the stack beside the worst case its bound proves
 (``InstalledFunction.bounds``), and times interpreted vs native
 execution of the function body — the ablation behind the paper's
 "small penalty for the convenience of injecting code at runtime"
@@ -31,8 +31,7 @@ class MicroResult:
     heap_bytes: int
     interp_ns_per_packet: float
     native_ns_per_packet: float
-    #: The proven worst case per invocation (None: no bound).
-    bound_ops: Optional[int] = None
+    #: The proven worst-case stack per invocation (None: no bound).
     bound_stack_words: Optional[int] = None
 
     @property
@@ -43,7 +42,7 @@ class MicroResult:
 
     def row(self) -> str:
         return (f"{self.name:<16} code={self.bytecode_len:3d} ops "
-                f"{self.ops_per_packet:5.1f} (worst {self.bound_ops})  "
+                f"{self.ops_per_packet:5.1f}  "
                 f"stack {self.stack_bytes:3d} B (worst "
                 f"{self.bound_stack_words} words)  "
                 f"heap {self.heap_bytes:4d} B  interp "
@@ -134,13 +133,6 @@ def run_micro(packets: int = 300, repeat: int = 3,
         interp_ns, native_ns = map(min, zip(*(
             [_body_ns(body, snapshots) for body in bodies]
             for _ in range(repeat))))
-        bounds = fn.bounds
-        bound_ops = None
-        if bounds.ops is not None:
-            bound_ops = max(bounds.ops.at([
-                len(array) // ref.stride
-                for array, ref in zip(arrays, fn.program.array_table)])
-                for _, arrays in snapshots)
         results.append(MicroResult(
             name=name,
             bytecode_len=sum(len(f.code)
@@ -151,15 +143,14 @@ def run_micro(packets: int = 300, repeat: int = 3,
             heap_bytes=fn.stats.max_heap_bytes,
             interp_ns_per_packet=interp_ns,
             native_ns_per_packet=native_ns,
-            bound_ops=bound_ops,
-            bound_stack_words=bounds.stack))
+            bound_stack_words=fn.bounds.stack))
     return results
 
 
 def format_results(results: List[MicroResult]) -> str:
     lines = ["Section 5.4 micro — footprint per case-study program "
-             "(measured, and the worst case its bounds prove, on the "
-             "demo's state); interp/native: ns per call of the body"]
+             "(measured; the stack also as the worst case its bound "
+             "proves); interp/native: ns per call of the body"]
     lines += [r.row() for r in results]
     return "\n".join(lines)
 

@@ -29,8 +29,7 @@ from .interpreter import (ExecResult, ExecStats, Interpreter,
                           InterpreterFault)
 from .native import NativeFault, NativeFunction
 from .optimizer import optimize_function, optimize_program
-from .pycodegen import (CodegenRunner, execute_codegen,
-                        execute_codegen_batch)
+from .pycodegen import CodegenRunner, execute_codegen
 from .verifier import VerificationError, verify
 
 __all__ = [
@@ -41,8 +40,7 @@ __all__ = [
     "InterpreterFault", "Lifetime", "NativeFault", "NativeFunction",
     "Op", "Program", "ProgramAST", "Schema", "SchemaError",
     "VerificationError", "backend_names", "compile_action",
-    "compile_ast", "execute_codegen", "execute_codegen_batch",
-    "get_backend", "lower",
+    "compile_ast", "execute_codegen", "get_backend", "lower",
     "optimize_function", "optimize_program", "quote",
     "register_backend", "schema", "verify", "wrap64",
 ]

@@ -25,9 +25,6 @@ The contract, enforced by the differential harness in
 * ``native`` agrees on the ok/fault outcome and, when ok, on
   ``(value, fields, arrays)``; its stats are empty and its fault
   wording is its own (it runs Python semantics, not the bytecode VM).
-* ``execute_batch`` entries are bit-identical to back-to-back
-  ``execute`` calls on a shared interpreter (RNG state threads
-  through); faults are isolated per snapshot.
 
 A compiled artifact a backend keeps for a program lives in a slot on
 that ``Program`` (pycodegen's generated code, native's one-off
@@ -39,7 +36,7 @@ restart leaves the rest of a fleet's shared program compiled.
 from __future__ import annotations
 
 import functools
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Sequence
 
 from . import pycodegen
 from .bytecode import Program
@@ -51,11 +48,11 @@ class Backend:
     """One way to execute compiled programs.
 
     Subclasses override :meth:`execute` (required) and, when they can
-    do better than the generic scalar loop, :meth:`execute_batch`,
-    :meth:`bind` and :meth:`plan`.  ``interp`` carries the limits
-    (``max_operand_stack``, ``max_call_depth``, ``max_heap_words``,
-    ``op_budget``) plus the ``rng``/``clock`` sources; backends must
-    honor all of them to keep fault parity.
+    do better than the defaults, :meth:`bind` and :meth:`plan`.
+    ``interp`` carries the limits (``max_operand_stack``,
+    ``max_call_depth``, ``max_heap_words``, ``op_budget``) plus the
+    ``rng``/``clock`` sources; backends must honor all of them to keep
+    fault parity.
     """
 
     #: Registry key, e.g. ``"tree"``.
@@ -67,30 +64,16 @@ class Backend:
                 args: Sequence[int] = ()) -> ExecResult:
         raise NotImplementedError
 
-    def execute_batch(self, interp, program: Program,
-                      snapshots: Sequence[Tuple[Sequence[int],
-                                                Sequence[
-                                                    Sequence[int]]]],
-                      args: Sequence[int] = ()) -> List[object]:
-        """Scalar fallback: per-snapshot execute, faults isolated."""
-        out: List[object] = []
-        for fields, arrays in snapshots:
-            try:
-                out.append(self.execute(interp, program, fields,
-                                        arrays, args))
-            except InterpreterFault as fault:
-                out.append(fault)
-        return out
-
     def bind(self, interp, program: Program):
-        """A callable ``run(fields, arrays)`` equal to
-        ``execute(interp, program, fields, arrays)``.
+        """A callable ``run(fields, arrays, args=())`` equal to
+        ``execute(interp, program, fields, arrays, args)``.
 
         An installed function binds one when it is installed and calls
-        it per invocation of its generic tier; a backend overrides this
-        to hoist per-call setup and compile.  The callable must read
-        limits from ``interp`` on every call and draw from ``interp``'s
-        RNG and clock.
+        it per invocation of its generic tier, and
+        ``Interpreter.execute_batch`` binds one per batch; a backend
+        overrides this to hoist per-call setup and compile.  The
+        callable must read limits from ``interp`` on every call and
+        draw from ``interp``'s RNG and clock.
         """
         return functools.partial(self.execute, interp, program)
 
@@ -123,7 +106,6 @@ class PycodegenBackend(Backend):
 
     name = "pycodegen"
     execute = staticmethod(pycodegen.execute_codegen)
-    execute_batch = staticmethod(pycodegen.execute_codegen_batch)
 
     @staticmethod
     def bind(interp, program):

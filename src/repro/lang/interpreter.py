@@ -223,11 +223,18 @@ class Interpreter:
 
         Each entry is bit-for-bit identical to calling :meth:`execute`
         on the same interpreter with the same snapshot in the same
-        order (shared RNG state included); the per-call dispatch
-        overhead is paid once per batch, not once per snapshot.
+        order (shared RNG state included): the backend binds the
+        program once per batch (``Backend.bind``), and the bound
+        callable runs each snapshot.
         """
-        return self._backend.execute_batch(self, program, snapshots,
-                                           args)
+        run = self._backend.bind(self, program)
+        out: List[object] = []
+        for fields, arrays in snapshots:
+            try:
+                out.append(run(fields, arrays, args))
+            except InterpreterFault as fault:
+                out.append(fault)
+        return out
 
     def execute_tree(self, program: Program,
                      fields: Sequence[int],
@@ -239,7 +246,7 @@ class Interpreter:
 
         stats = ExecStats(heap_words=len(heap))
         entry = program.entry
-        frame = _Frame(0, self._make_locals(entry.n_locals, args),
+        frame = _Frame(0, _make_locals(entry.n_locals, args),
                        return_pc=-1)
         frames: List[_Frame] = [frame]
         stats.max_call_depth = 1
@@ -398,7 +405,7 @@ class Interpreter:
                         raise InterpreterFault(
                             "operand stack underflow at call",
                             program.name, pc)
-                    new_locals = self._make_locals(
+                    new_locals = _make_locals(
                         callee.n_locals,
                         stack[len(stack) - callee.n_args:])
                     del stack[len(stack) - callee.n_args:]
@@ -456,16 +463,3 @@ class Interpreter:
                         f"operand stack of {depth} words exceeds "
                         f"limit {self.max_operand_stack}",
                         program.name, pc)
-
-    # -- helpers ----------------------------------------------------------
-
-    def _make_locals(self, n_locals: int,
-                     args: Sequence[int]) -> List[int]:
-        return _make_locals(n_locals, args)
-
-    def _finish(self, program: Program, result: int,
-                field_file: List[int], heap: List[int],
-                bases: List[int], lengths: List[int],
-                stats: ExecStats) -> ExecResult:
-        return _finish(program, result, field_file, heap, bases,
-                       lengths, stats)

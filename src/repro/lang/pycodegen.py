@@ -15,15 +15,15 @@ limit, nor, over an acyclic call graph, the call-depth limit.  The
 program's :class:`~repro.lang.analysis.Bounds` are proven once, by
 :func:`repro.lang.analysis.facts`, and every run makes one entry test
 against the limits as they are then (:func:`entry_test`); a run they
-do not fit goes to the tree walk, which faults where the limit says.
-A recursive program's stack is bounded by its deepest frame times the
-call-depth limit, which its CALLs test.
+do not fit, and any run under an op budget, goes to the tree walk,
+which faults where the limit says.  A recursive program's stack is
+bounded by its deepest frame times the call-depth limit, which its
+CALLs test.
 
 A program is compiled once, by :func:`code_for`: at install
 (``PycodegenBackend.bind``), or on a direct caller's first call.
 :meth:`CodegenRunner.run` — the one execution body, which
-:func:`execute_codegen` and :func:`execute_codegen_batch` wrap — runs
-it.
+:func:`execute_codegen` wraps — runs it.
 
 Each bytecode function is written as ``while True:`` loops and
 ``if``/``else`` from the nesting :func:`repro.lang.analysis.facts`
@@ -46,7 +46,7 @@ slot on its ``Program`` and dies with it.
 from __future__ import annotations
 
 import keyword
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 from .analysis import (PUSHES, Block, Bounds, Exit, If, Loop, ProgramFacts,
                        Split, facts)
@@ -81,11 +81,10 @@ class CompiledProgram:
     """One program's generated functions plus bookkeeping.
 
     ``functions[k]`` is ``_fk(ctx, ...)``; ``entry`` is ``_f0``, which
-    the generic tier runs, and ``fits(interp, lengths, args)`` its
-    :func:`entry_test`.  ``plan`` is the compiled per-packet plan
-    :func:`plan_for` built for it — ``(packet schema, global schema,
-    code, namespace, source)`` — which every installed function binding
-    the program instantiates.
+    the generic tier runs, and ``fits(interp)`` its :func:`entry_test`.
+    ``plan`` is the compiled per-packet plan :func:`plan_for` built for
+    it — ``(packet schema, global schema, code, namespace, source)`` —
+    which every installed function binding the program instantiates.
     """
 
     __slots__ = ("program", "functions", "entry", "fits", "n_locals",
@@ -559,8 +558,8 @@ def compile_pycode(program: Program) -> Optional[CompiledProgram]:
     found = facts(program)
     if found.violation is not None:
         return None
-    parts = ["def _fits(_interp, L, A):",
-             f"    return {entry_test(found.bounds, args=True)}", ""]
+    parts = ["def _fits(_interp):",
+             f"    return {entry_test(found.bounds)}", ""]
     for fi in range(len(program.functions)):
         parts.extend(_function_source(program, fi, found))
         parts.append("")
@@ -587,14 +586,12 @@ def code_for(program: Program) -> Optional[CompiledProgram]:
 
 # -- execution ----------------------------------------------------------
 
-def entry_test(bounds: Bounds, args: bool = False) -> str:
+def entry_test(bounds: Bounds) -> str:
     """The entry test of generated code, as Python source: a condition
-    over the interpreter ``_interp`` and the run's array record counts
-    ``L`` that holds when ``bounds`` prove the run within the limits
-    the code does not test, as they are when it is evaluated.  The op
-    bound holds for zero entry arguments only: with ``args`` the
-    condition also reads the entry arguments ``A``; without, the run
-    has none (the plan).
+    over the interpreter ``_interp`` that holds when ``bounds`` prove
+    the run within the limits the code does not test, as they are when
+    it is evaluated, and no op budget is set (generated code counts no
+    op against one; the tree walk does).
 
     The stack of an acyclic program is bounded outright and its call
     chain tested here; a recursive program's CALLs test the call depth,
@@ -605,14 +602,7 @@ def entry_test(bounds: Bounds, args: bool = False) -> str:
     else:
         terms = [f"{bounds.stack} <= _interp.max_operand_stack",
                  f"{bounds.calls} <= _interp.max_call_depth"]
-    if bounds.ops is None:
-        terms.append("_interp.op_budget is None")
-    else:
-        ops = " + ".join([f"{b} * L[{k}]" for k, b in bounds.ops.per_len]
-                         + [str(bounds.ops.const)])
-        zero = "not any(A) and " if args else ""
-        terms.append(f"(_interp.op_budget is None or "
-                     f"{zero}{ops} <= _interp.op_budget)")
+    terms.append("_interp.op_budget is None")
     return " and ".join(terms)
 
 
@@ -625,8 +615,8 @@ class CodegenRunner:
     interpreter can change: limits, RNG and clock are read from it on
     every :meth:`run`.  Each run makes one entry test,
     ``compiled.fits`` (:func:`entry_test`): a run the program's bounds
-    do not prove within the limits as they are now goes to the tree
-    walk, which faults where a limit says.
+    do not prove within the limits as they are now, or under an op
+    budget, goes to the tree walk, which faults where a limit says.
     """
 
     __slots__ = ("program", "compiled", "ctx", "n_locals", "n_fields",
@@ -649,10 +639,12 @@ class CodegenRunner:
         program = self.program
         interp = self._interp
         compiled = self.compiled
-        if compiled is None or len(args) > self.n_locals:
-            # A program the verifier rejects, or over-long entry args
+        if compiled is None or len(args) > self.n_locals or \
+                not compiled.fits(interp):
+            # A program the verifier rejects, over-long entry args
             # growing the frame beyond the generated signature (the
-            # tree walk tolerates that).
+            # tree walk tolerates that), an op budget, or limits the
+            # bounds do not fit.
             return interp.execute_tree(program, fields, arrays, args)
         plain = (self.no_arrays and not args and not len(arrays)
                  and len(fields) == self.n_fields)
@@ -667,8 +659,6 @@ class CodegenRunner:
             field_file, heap, bases, lengths, wranges = _copy_in(
                 program, fields, arrays, interp.max_heap_words)
             locals_ = _make_locals(self.n_locals, args)
-        if not compiled.fits(interp, lengths, args):
-            return interp.execute_tree(program, fields, arrays, args)
         ctx = self.ctx
         ctx.call_limit = interp.max_call_depth
         ctx.rng = interp.rng
@@ -710,9 +700,9 @@ def plan_for(interp, fn):
     (``int()`` and the 64-bit wrap inline) into a Python local, the
     heap with the stride and heap-limit checks, then the
     :func:`entry_test` against the limits read from ``interp`` on every
-    call — a packet the bounds do not fit goes to
-    ``fn.run_generic``, whose generated code hands it to the tree
-    walk — then RNG and clock read from ``interp``, the entry
+    call — a packet the bounds do not fit, or any packet under an op
+    budget, goes to ``fn.run_generic``, whose generated code hands it
+    to the tree walk — then RNG and clock read from ``interp``, the entry
     function's body inlined — emitted by the same :class:`_Emitter` as
     ``_f0``, with field slots, op count and stack high-water mark as
     locals of the plan — and at each of its
@@ -853,8 +843,8 @@ def _compile_plan(compiled: CompiledProgram, fn) -> tuple:
     elif Op.HLOAD in found.ops_used[0] or Op.HSTORE in found.ops_used[0]:
         # No arrays: heap ops fault on the empty heap.
         body.append("H = W = ()")
-    # The entry test: limits the bounds do not fit send the packet to
-    # the generic tier, as though there were no plan.
+    # The entry test: an op budget, or limits the bounds do not fit,
+    # send the packet to the generic tier, as though there were no plan.
     body += [f"if not ({entry_test(found.bounds)}):",
              "    _a, acct = acct, None",
              "    return _fn.run_generic(packet, msg, _a)",
@@ -925,19 +915,3 @@ def execute_codegen(interp, program: Program, fields: Sequence[int],
                     args: Sequence[int] = ()) -> ExecResult:
     """One-shot :meth:`CodegenRunner.run`."""
     return CodegenRunner(interp, program).run(fields, arrays, args)
-
-
-def execute_codegen_batch(interp, program: Program,
-                          snapshots: Sequence[Tuple[Sequence[int],
-                                                    Sequence[
-                                                        Sequence[int]]]],
-                          args: Sequence[int] = ()) -> List[object]:
-    """Batched twin of :func:`execute_codegen`, faults isolated."""
-    run = CodegenRunner(interp, program).run
-    out: List[object] = []
-    for fields, arrays in snapshots:
-        try:
-            out.append(run(fields, arrays, args))
-        except InterpreterFault as fault:
-            out.append(fault)
-    return out

@@ -447,6 +447,27 @@ class TestEnclaveFlowStage:
             ["set_priority_five"]
 
 
+    def test_clear_drops_flow_rules(self, enclave):
+        """A restart loses the enclave stage's flow rules with the rest
+        of the soft state: a rule on their class matches nothing until
+        the controller installs them again, and rule ids keep counting
+        up."""
+        from repro.core import Classifier
+        ssh = FakePacket()
+        ssh.dst_port = 22
+        rule_id = enclave.install_flow_rule(
+            "r1", Classifier.of(dst_port=22), "ssh")
+        enclave.clear()
+        assert not enclave.flow_stage.has_rules()
+        enclave.install_function(set_priority_five)
+        enclave.install_rule("enclave.r1.ssh", "set_priority_five")
+        assert enclave.process_packet(ssh).executed == []
+        assert enclave.process_batch([(ssh, ())])[0].executed == []
+        assert enclave.install_flow_rule(
+            "r1", Classifier.of(dst_port=22), "ssh") > rule_id
+        assert enclave.process_packet(ssh).executed == \
+            ["set_priority_five"]
+
     def test_removed_flow_rule_stops_costing_per_packet(self, enclave):
         """Once its last rule is gone the enclave's own stage is not
         consulted again, by either entry point."""

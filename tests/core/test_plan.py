@@ -118,9 +118,9 @@ def _heat(enclave, fn, cls=()):
 
 
 def test_lowered_op_budget_faults_on_both_entry_points():
-    """Interpreter limits are read on every invocation: lowering the
-    op budget after install below the program's bound hands the next
-    packets to the generic tier, which faults them on the tree walk,
+    """Interpreter limits are read on every invocation: setting an op
+    budget after install hands the next packets to the generic tier,
+    which faults them on the tree walk,
     identically through either entry point — on the packet that builds
     the plan, and under a plan built earlier."""
 
@@ -887,16 +887,16 @@ def test_the_sweep_covers_calls_and_both_new_shapes():
 
 
 def test_no_table1_plan_tests_a_budget_or_a_stack_limit():
-    """The census: every Table-1 program has a stack, a call-chain and
-    an op bound, and neither its plan nor its generated functions test
-    the op budget, the stack limit or the call depth — the plan reads
-    each limit once, in its entry test, the functions not at all, and
+    """The census: every Table-1 program has a stack and a call-chain
+    bound, and neither its plan nor its generated functions test the op
+    budget, the stack limit or the call depth — the plan reads each
+    limit once, in its entry test, the functions not at all, and
     ``_fits``, the generic tier's entry test, is the same rule."""
     for entry in _demo_entries():
         spec = entry.demo
         action = _compile_demo(spec)
         bounds = analysis.facts(action.program).bounds
-        assert None not in (bounds.stack, bounds.calls, bounds.ops), \
+        assert None not in (bounds.stack, bounds.calls), \
             spec.function_name
         enclave, fn = _demo_enclave(spec, action, "interpreter")
         assert fn.bounds == bounds
@@ -914,7 +914,7 @@ def test_no_table1_plan_tests_a_budget_or_a_stack_limit():
                            "max_call_depth"):
                 assert banned not in source, (spec.function_name, banned)
         assert fits.split("\n")[1].strip() == \
-            f"return {pycodegen.entry_test(bounds, args=True)}"
+            f"return {pycodegen.entry_test(bounds)}"
         test = [line for line in plan.split("\n")
                 if "_interp.op_budget" in line or
                 "_interp.max_operand_stack" in line or

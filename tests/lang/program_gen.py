@@ -5,7 +5,7 @@ yields the same program, which makes failures reproducible from a
 single integer and lets the corpus under ``tests/lang/corpus/`` replay
 byte-identical inputs in CI.  It is shared by:
 
-* ``test_differential.py`` — the tree / pycodegen / native / batch
+* ``test_differential.py`` — the tree / pycodegen / native
   differential harness;
 * ``test_fuzz_programs.py`` — pipeline fuzzing (compile/verify/optimize);
 * ``test_optimizer_properties.py`` — optimizer equivalence properties.
@@ -36,9 +36,11 @@ from repro.lang.dsl import lower
 
 from conftest import GLB_SCHEMA, MSG_SCHEMA
 
-#: Op budget used by every differential run: far above anything the
-#: bounded loops below can execute, so every backend agrees on
-#: termination, but a hard stop for a buggy compiled loop.
+#: Op budget of every differential run's tree walk: far above anything
+#: the bounded loops below can execute, but a hard stop for a mutant
+#: that loops forever.  Generated code runs no budget (a run under one
+#: goes to the tree walk), so it runs an input only after the budgeted
+#: tree walk of that input finished (:func:`run_generated`).
 OP_BUDGET = 200_000
 
 ATOMS = ("packet.size", "msg.counter", "msg.limit", "_global.knob",
@@ -279,6 +281,25 @@ def tree_walks():
         Interpreter.execute_tree = inner
 
 
+def stopped(summary):
+    """Whether the op budget stopped the run ``summary`` describes."""
+    return summary[0] == "fault" and summary[2].startswith("op budget")
+
+
+def run_generated(program, fvec, avec, seed=3, **limits):
+    """The tree walk of one input under :data:`OP_BUDGET`, then, once
+    it finished, the default dispatch with no op budget, where
+    generated code runs it: ``(tree, generated, tree walks)``.
+    ``generated`` is None when the budget stopped the tree walk."""
+    tree = run_interp(program, fvec, avec, "tree", seed=seed, **limits)
+    if stopped(tree):
+        return tree, None, 0
+    with tree_walks() as walks:
+        generated = run_interp(program, fvec, avec, "pycodegen",
+                               seed=seed, op_budget=None, **limits)
+    return tree, generated, walks[0]
+
+
 def stack_fits(program, interp=None):
     """Whether ``program``'s bounds keep its operand stack and call
     chain within ``interp``'s limits (the defaults when None): the
@@ -389,59 +410,29 @@ def mutate(program, seed):
                    program.array_table)
 
 
-#: Copies of each snapshot run through ``execute_batch`` by
-#: check_parity — >1 so the batch threads RNG/dispatch state across
-#: invocations exactly as back-to-back scalar calls do.
-BATCH_COPIES = 3
-
-
 def check_parity(prog_ast, program, fields, arrays, seed=3,
                  native=True):
     """Run every backend on one input; return an error or None.
 
-    The tree walk and the generated code (the first pycodegen run
-    compiles the program) must agree on everything — value,
-    fields, arrays, stats, fault class and fault reason.  A run under
-    :data:`OP_BUDGET` goes to the tree walk when the program has no op
-    bound within it, so a run the budget did not stop is repeated with
-    no budget, where the generated code must run it whenever
-    :func:`stack_fits`, and agree.  native must
-    agree on the fault/ok outcome and, when ok, on (value, fields,
-    arrays).  Batch execution must agree entry-for-entry with
-    back-to-back scalar calls on a shared interpreter — including
-    ``ExecStats`` and fault identity.
+    The tree walk, under :data:`OP_BUDGET`, and the generated code,
+    with no budget once the tree walk finished (:func:`run_generated`;
+    the first pycodegen run compiles the program), must agree on
+    everything — value, fields, arrays, stats, fault class and fault
+    reason — and generated code must have run whenever
+    :func:`stack_fits`.  native must agree on the fault/ok outcome
+    and, when ok, on (value, fields, arrays).
     """
     fvec, avec = vectors(program, fields, arrays)
-    tree = run_interp(program, fvec, avec, "tree", seed=seed)
-    codegen = run_interp(program, fvec, avec, "pycodegen", seed=seed)
-    if tree != codegen:
-        return (f"tree/pycodegen divergence on fields={fields!r} "
-                f"arrays={arrays!r}:\n  tree={tree!r}\n"
-                f"  pycodegen={codegen!r}")
-    stopped = tree[0] == "fault" and tree[2].startswith("op budget")
-    if not stopped and pycodegen.code_for(program) is not None:
-        with tree_walks() as walks:
-            free = run_interp(program, fvec, avec, "pycodegen",
-                              seed=seed, op_budget=None)
-        if free != tree:
-            return (f"tree/pycodegen divergence with no op budget on "
-                    f"fields={fields!r} arrays={arrays!r}:\n"
-                    f"  tree={tree!r}\n  pycodegen={free!r}")
-        if walks[0] and stack_fits(program):
-            return (f"generated code did not run with no op budget on "
-                    f"fields={fields!r} arrays={arrays!r}")
-    snapshots = [(fvec, avec)] * BATCH_COPIES
-    batch = run_interp_batch(program, snapshots, "pycodegen",
-                             seed=seed)
-    scalar = run_interp_seq(program, snapshots, "pycodegen", seed=seed)
-    if batch != scalar:
-        return (f"batch/scalar divergence on fields={fields!r} "
-                f"arrays={arrays!r}:\n  batch={batch!r}\n"
-                f"  scalar={scalar!r}")
-    if batch[0] != codegen:
-        return (f"batch first entry differs from single scalar run "
-                f"on fields={fields!r} arrays={arrays!r}:\n"
-                f"  batch[0]={batch[0]!r}\n  pycodegen={codegen!r}")
+    tree, codegen, walks = run_generated(program, fvec, avec, seed=seed)
+    if codegen is not None:
+        if codegen != tree:
+            return (f"tree/pycodegen divergence on fields={fields!r} "
+                    f"arrays={arrays!r}:\n  tree={tree!r}\n"
+                    f"  pycodegen={codegen!r}")
+        if walks and pycodegen.code_for(program) is not None and \
+                stack_fits(program):
+            return (f"generated code did not run on fields={fields!r} "
+                    f"arrays={arrays!r}")
     if native:
         nat = run_native(prog_ast, program, fvec, avec, seed=seed)
         if nat[0] != tree[0]:

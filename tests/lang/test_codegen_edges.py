@@ -1,13 +1,14 @@
 """Edge-case pins for the codegen fault contract.
 
 Generated code counts a segment's ops and its deepest push once, and
-tests neither the op budget nor the stack limit: a run whose limits
-the program's bounds do not fit goes to the tree walk.  Two scenarios
-sit exactly on that line, where a sloppy entry test would drift from
-the reference semantics:
+tests neither the op budget nor the stack limit: a run under an op
+budget, or whose limits the program's bounds do not fit, goes to the
+tree walk.  Two scenarios sit exactly on that line, where a sloppy
+entry test would drift from the reference semantics:
 
-* every op budget across a loop's run, below and above its bound, so
-  budget boundaries land inside straight-line segments;
+* no op budget, where generated code counts a loop's ops per segment,
+  and every op budget across the loop's run, each handed to the tree
+  walk, which counts every op;
 * an operand-stack limit at and one below the exact depth;
 
 and one it must never see: a ``PUTF`` to a read-only field slot,
@@ -19,7 +20,7 @@ fault — class, message and pc — for the tree walk and the default
 dispatch (whose first run compiles a verified program), using the
 differential harness's summary tuples with the fault's pc added, and
 to the tier the default dispatch ran: generated code, or the tree walk
-it hands a run its bounds do not fit.
+it hands a run under a budget or limits its bounds do not fit.
 """
 
 import random
@@ -62,11 +63,10 @@ def _zero_vectors(program):
             [[] for _ in program.array_table])
 
 
-def _run(program, fvec, avec, dispatch, op_budget=pg.OP_BUDGET,
-         **limits):
+def _run(program, fvec, avec, dispatch, **limits):
     """``program_gen.run_interp``, with a fault's pc in its summary."""
     interp = Interpreter(dispatch=dispatch, rng=random.Random(3),
-                         op_budget=op_budget, **limits)
+                         **limits)
     try:
         return pg.summary(interp.execute(program, list(fvec),
                                          [list(a) for a in avec]))
@@ -74,13 +74,17 @@ def _run(program, fvec, avec, dispatch, op_budget=pg.OP_BUDGET,
         return pg.summary(fault) + (fault.pc,)
 
 
-def _runs(program, fvec, avec, **limits):
+def _runs(program, fvec, avec, op_budget=None, **limits):
     """The tree walk's and the default dispatch's :func:`_run` under
     one set of limits, and whether the default dispatch walked the
-    tree."""
-    tree = _run(program, fvec, avec, "tree", **limits)
+    tree.  With no ``op_budget`` the tree walk runs under the
+    harness's, and the default dispatch, after it, under none."""
+    tree = _run(program, fvec, avec, "tree",
+                op_budget=op_budget or pg.OP_BUDGET, **limits)
+    assert op_budget or not pg.stopped(tree)
     with pg.tree_walks() as walks:
-        generated = _run(program, fvec, avec, "pycodegen", **limits)
+        generated = _run(program, fvec, avec, "pycodegen",
+                         op_budget=op_budget, **limits)
     return tree, generated, bool(walks[0])
 
 
@@ -88,27 +92,25 @@ class TestBudgetFaultMidSegment:
     """Counting ops per segment never changes outcomes."""
 
     def test_every_budget_boundary_agrees(self):
-        """Sweep the budget across every op of a loop and past its
-        bound.
-
-        Codegen counts a whole segment at its first op, so many of
-        these budgets land mid-segment; below the bound the run goes
-        to the tree walk, at and above it the generated code runs, and
-        the fault (class, reason, pc) and any ok-run stats must be
-        bit-identical to the per-op tree walk either way.
+        """Generated code counts a whole segment at its first op, and
+        with no budget reports the tree walk's op count.  Sweep the
+        budget across every op of the loop's run and past it: every
+        budgeted run goes to the tree walk, which faults at the op
+        past the budget (class, reason, pc).
         """
         program = _compile(LOOP_SOURCE)
         fvec, avec = _zero_vectors(program)
-        total = pg.run_interp(program, fvec, avec, "tree")[4][0]
+        free, generated, walked = _runs(program, fvec, avec)
+        assert generated == free
+        assert not walked
+        total = free[4][0]
         assert total > 50
-        bound = facts(program).bounds.ops.at(())
-        assert bound >= total
         faults = 0
-        for budget in range(1, bound + 2):
+        for budget in range(1, total + 2):
             tree, generated, walked = _runs(program, fvec, avec,
                                             op_budget=budget)
             assert generated == tree, budget
-            assert walked == (budget < bound), budget
+            assert walked, budget
             if tree[0] == "fault":
                 faults += 1
                 assert tree[1] == "InterpreterFault"
@@ -167,8 +169,7 @@ def _shape_program(*listing):
 
 
 #: A loop whose exit jumps past a tail that returns after its last
-#: back edge: WCMP's weighted search after jump threading.  Its
-#: counter starts from a field, so it has no op bound.
+#: back edge: WCMP's weighted search after jump threading.
 RETURNING_LOOP_TAIL = _shape_program(
     (Op.GETF, 1), (Op.STORE, 0),
     (Op.LOAD, 0), (Op.CONST, 1), Op.SUB, (Op.STORE, 0),   # 2: header
@@ -201,27 +202,22 @@ class TestThreadedShapes:
     """The two shapes jump threading leaves in Table-1 programs run on
     the structured emitter exactly like the tree walk on every input
     path with no op budget, and under every op budget up to the run's
-    need the default dispatch faults to the pc, on generated code
-    where the op bound is within the budget and on the tree walk
-    otherwise (every budgeted run of the returning loop tail)."""
+    need the default dispatch hands the run to the tree walk, which
+    faults to the pc."""
 
     @pytest.mark.parametrize("program", (RETURNING_LOOP_TAIL, JOIN_JUMPS),
                              ids=("returning loop tail", "join jumps"))
     def test_every_path_and_budget_agrees(self, program):
-        bound = facts(program).bounds.ops
-        assert (bound is None) == (program is RETURNING_LOOP_TAIL)
         for size in range(-1, 7):
             fvec = [10, size]
-            free, generated, walked = _runs(program, fvec, [],
-                                            op_budget=None)
+            free, generated, walked = _runs(program, fvec, [])
             assert generated == free, size
             assert not walked, size
             for budget in range(1, free[4][0] + 2):
                 tree, generated, walked = _runs(program, fvec, [],
                                                 op_budget=budget)
                 assert generated == tree, (size, budget)
-                assert walked == (bound is None or
-                                  bound.at(()) > budget), (size, budget)
+                assert walked, (size, budget)
 
 
 def _readonly_putf_program():

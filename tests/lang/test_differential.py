@@ -1,4 +1,4 @@
-"""Differential harness: tree, pycodegen, native, and batch.
+"""Differential harness: tree, pycodegen and native.
 
 This is the correctness guard for every execution backend in the
 :mod:`repro.lang.backends` registry and the enclave hot path: every
@@ -10,23 +10,24 @@ and array-heavy generator profiles — run through
 * generated straight-line Python   (``Interpreter(dispatch="pycodegen")``,
   which compiles a program on its first call),
 * the native compiled backend      (``repro.lang.native``),
-* batched execution                (``Interpreter.execute_batch``),
 
 on randomized-but-seeded inputs.  tree and pycodegen must agree
 bit-for-bit on ``(value, fields, arrays)``, on ``ExecStats``, and on
 the fault class *and reason*; native must agree on the fault/ok
 outcome and the result triple (its fault wording legitimately differs
-— see ``program_gen.run_native``).  Batch execution must agree
-entry-for-entry with back-to-back scalar calls on a shared
-interpreter, including stats and fault identity — batching is an
-optimization, never a semantic.
+— see ``program_gen.run_native``).  The tree walk runs under the
+harness's op budget, which stops a mutant's endless loop; generated
+code runs no budget (a run under one goes to the tree walk), so it
+runs an input with none, once the budgeted tree walk of that input
+finished, and the harness checks that generated code did run it.
 
 ``TestTierBoundary`` pins the one behaviour the default backend adds:
 a program's first call compiles it, exactly once, and nothing
-observable differs from the tree walk on that call or any later one —
-and a program the verifier rejects never compiles.  ``TestMutatedBytecode`` goes below
-the DSL: point mutations of compiled bytecode are rejected by the
-verifier or run alike on the tree walk and generated code.
+observable differs from the tree walk on that call or any later one,
+one at a time or through ``Interpreter.execute_batch`` — and a
+program the verifier rejects never compiles.  ``TestMutatedBytecode``
+goes below the DSL: point mutations of compiled bytecode are rejected
+by the verifier or run alike on the tree walk and generated code.
 
 ``TestEnclaveBatchDifferential`` lifts the same property to the whole
 enclave data path: ``Enclave.process_batch`` over the fuzz corpus must
@@ -39,12 +40,14 @@ which stays on the generic tier of ``InstalledFunction.run_packet``,
 and require the same of those two, RNG state included.
 
 ``TestBounds`` holds every run of the same programs, ok or faulting,
-to the stack and op bounds ``analysis.facts`` proves, which generated
-code relies on instead of testing limits; ``TestFaultContainment``
-drives fuzz programs and verified mutants through
-``Enclave.process_packet`` at default limits and one below each bound,
-where a faulting packet must commit nothing.  Both draw with
-hypothesis, ten times the examples under ``-m differential``.
+to the stack bounds ``analysis.facts`` proves, which generated code
+relies on instead of testing limits; ``TestFaultContainment`` drives
+fuzz programs and verified mutants through ``Enclave.process_packet``
+at default limits, under an op budget below each run's need and with
+the stack limit one below the bound, where a faulting packet must
+commit nothing, and ``TestChainedFaults`` does so for the middle hop
+of a three-hop ``next_table`` chain.  They draw with hypothesis, ten
+times the examples under ``-m differential``.
 
 Any fuzz failure is minimized (``program_gen.minimize``) and persisted
 into ``tests/lang/corpus/``; the corpus is replayed here in CI so past
@@ -69,7 +72,7 @@ from repro.core.state import MessageStore
 from repro.core.stage import Classification
 from repro.lang import (DEFAULT_PACKET_SCHEMA, Interpreter,
                         InterpreterFault, VerificationError, pycodegen,
-                        verify)
+                        verify, wrap64)
 from repro.lang.analysis import facts
 from repro.lang.bytecode import Assembler, FieldRef, Op, Program
 from repro.lang.compiler import compile_action, compile_ast
@@ -195,10 +198,17 @@ def _is_hot(program):
 
 def _run_calls(program, fvec, avec, calls, dispatch="pycodegen"):
     """``calls`` back-to-back executions on ONE interpreter: the
-    per-call summaries plus the RNG state left behind."""
+    per-call summaries plus the RNG state left behind.  The tree walk
+    runs under the harness's op budget; the default dispatch runs
+    none, so it runs generated code (callers run the tree walk of the
+    same input first)."""
     rng = random.Random(3)
-    out = pg.run_interp_seq(program, [(fvec, avec)] * calls, dispatch,
-                            rng=rng)
+    budget = pg.OP_BUDGET if dispatch == "tree" else None
+    with pg.tree_walks() as walks:
+        out = pg.run_interp_seq(program, [(fvec, avec)] * calls,
+                                dispatch, rng=rng, op_budget=budget)
+    if dispatch != "tree" and pg.stack_fits(program):
+        assert walks == [0], "generated code should run every call"
     return out, rng.getstate()
 
 
@@ -216,6 +226,7 @@ def _assert_boundary_invisible(program, fvec, avec, label):
     program = _cold_copy(program)
     want, want_rng = _run_calls(program, fvec, avec, calls,
                                 dispatch="tree")
+    assert not any(map(pg.stopped, want)), label
     assert not _is_hot(program), "tree runs must not compile"
     compiled_before = pycodegen.stats()["programs_compiled"]
     first, _ = _run_calls(program, fvec, avec, 1)
@@ -273,8 +284,11 @@ class TestTierBoundary:
         fields = {("packet", "size"): 3, ("message", "counter"): 1,
                   ("message", "limit"): 5, ("global", "knob"): 0}
         fvec, avec = pg.vectors(program, fields, {})
+        want, _ = _run_calls(program, fvec, avec, 1 + HOT_CALLS,
+                             dispatch="tree")
         got, _ = _run_calls(program, fvec, avec, 1 + HOT_CALLS)
         assert _is_hot(program)
+        assert got == want
         assert set(got) == {("fault", "InterpreterFault",
                              "division by zero")}
 
@@ -289,11 +303,15 @@ class TestTierBoundary:
                                                 seed * 31 + i)
             snapshots.append(pg.vectors(program, fields, arrays))
         want = pg.run_interp_seq(program, snapshots, "tree")
+        assert not any(map(pg.stopped, want))
         batched = _cold_copy(program)
-        batch = pg.run_interp_batch(batched, snapshots, "pycodegen")
+        with pg.tree_walks() as walks:
+            batch = pg.run_interp_batch(batched, snapshots, "pycodegen",
+                                        op_budget=None)
+            scalar = pg.run_interp_seq(_cold_copy(program), snapshots,
+                                       "pycodegen", op_budget=None)
         assert _is_hot(batched)
-        scalar = pg.run_interp_seq(_cold_copy(program), snapshots,
-                                   "pycodegen")
+        assert walks == [0]
         assert batch == scalar == want
 
     def test_many_programs_round_robin_each_compile_once(self):
@@ -460,8 +478,8 @@ RECURSIVE_SOURCE = (
 
 
 class TestRecursion:
-    """A cyclic call graph proves no stack, call-chain or op bound, but
-    no frame of it holds more than ``bounds.frame`` words: where that
+    """A cyclic call graph proves no stack or call-chain bound, but no
+    frame of it holds more than ``bounds.frame`` words: where that
     times the call-depth limit fits the stack limit and no op budget
     is set, the generated code runs it, its CALLs testing the call
     depth, and agrees with the tree walk to the fault's pc."""
@@ -469,8 +487,7 @@ class TestRecursion:
     def _program(self):
         program = compile_ast(pg.lower_source(RECURSIVE_SOURCE))
         bounds = facts(program).bounds
-        assert (bounds.stack, bounds.calls, bounds.ops) == \
-            (None, None, None)
+        assert (bounds.stack, bounds.calls) == (None, None)
         assert bounds.frame == 3
         return program
 
@@ -821,9 +838,9 @@ class TestCorpus:
         fields = {("packet", "size"): 3, ("message", "counter"): 1,
                   ("message", "limit"): 5, ("global", "knob"): 0}
         fvec, avec = pg.vectors(program, fields, {})
-        tree = pg.run_interp(program, fvec, avec, "tree")
+        tree, hot, walks = pg.run_generated(program, fvec, avec)
         assert pycodegen.code_for(program) is not None
-        hot = pg.run_interp(program, fvec, avec, "pycodegen")
+        assert walks == 0
         assert tree[0] == "fault"
         assert tree == hot
         assert tree[1] == "InterpreterFault"
@@ -844,18 +861,12 @@ def _at_depth(request):
         pytest.skip("ten times the examples: run with -m differential")
 
 
-def _lengths(program, avec):
-    return [len(a) // ref.stride
-            for a, ref in zip(avec, program.array_table)]
-
-
 def _within_bounds(program, fvec, avec, label):
     """Every run of ``program`` on one input, on the tree walk and in
     generated code, stays within its :class:`Bounds`: an ok run's
-    ``ExecStats``, and — with the op budget and the stack limit at
-    the bounds — no run faults on either limit."""
+    ``ExecStats``, and — with the stack limit at the bound — no run
+    faults on the stack limit."""
     bounds = facts(program).bounds
-    lengths = _lengths(program, avec)
     stack_bound = bounds.stack
     if bounds.calls is None:
         stack_bound = bounds.frame * Interpreter().max_call_depth
@@ -863,18 +874,11 @@ def _within_bounds(program, fvec, avec, label):
         res = pg.run_interp(program, fvec, avec, dispatch,
                             op_budget=None)
         if res[0] == "ok":
-            ops, stack = res[4][0], res[4][1]
-            assert stack <= stack_bound, (label, dispatch, res)
-            if bounds.ops is not None:
-                assert ops <= bounds.ops.at(lengths), \
-                    (label, dispatch, ops, bounds.ops)
-        limits = {"max_operand_stack": stack_bound, "op_budget": None}
-        if bounds.ops is not None:
-            limits["op_budget"] = bounds.ops.at(lengths)
-        res = pg.run_interp(program, fvec, avec, dispatch, **limits)
-        assert res[0] == "ok" or not (
-            res[2].startswith("op budget") or
-            res[2].startswith("operand stack")), (label, dispatch, res)
+            assert res[4][1] <= stack_bound, (label, dispatch, res)
+        res = pg.run_interp(program, fvec, avec, dispatch,
+                            max_operand_stack=stack_bound, op_budget=None)
+        assert res[0] == "ok" or not res[2].startswith("operand stack"), \
+            (label, dispatch, res)
 
 
 def check_bounds(max_examples):
@@ -884,7 +888,6 @@ def check_bounds(max_examples):
     def prop(profile, seed, inputs):
         program = compile_ast(pg.lower_source(
             pg.generate_program(seed, profile=profile)))
-        assert facts(program).bounds.ops is not None, (profile, seed)
         fields, arrays = pg.generate_inputs(program, inputs)
         _within_bounds(program, *pg.vectors(program, fields, arrays),
                        f"{profile}{seed}")
@@ -895,8 +898,8 @@ def check_bounds(max_examples):
 class TestBounds:
     """Soundness of ``facts(program).bounds``: no run, ok or faulting,
     of any ``program_gen`` program, Table-1 demo or corpus reproducer
-    uses more ops or stack words than its bound, in generated code or
-    on the tree walk."""
+    uses more stack words than its bound, in generated code or on the
+    tree walk."""
 
     def test_fuzz_programs_stay_within_their_bounds(self):
         check_bounds(PROPERTY_EXAMPLES)
@@ -919,7 +922,6 @@ class TestBounds:
         "entry", _library_entries(), ids=lambda e: e.name)
     def test_library_demo_stays_within_its_bounds(self, entry):
         _, program = _compile_demo(entry.demo)
-        assert facts(program).bounds.ops is not None
         base = _stable_seed(entry.name)
         for i in range(4):
             fields, arrays = pg.generate_inputs(program, base + i)
@@ -968,6 +970,102 @@ def _summarize_execute(interp, program, fvec, avec):
         return pg.summary(fault) + (fault.pc,)
 
 
+def _action(profile, seed, mutation):
+    """The ``program_gen`` program of ``(profile, seed)`` as an action
+    named ``f`` — with ``mutation``, the first point mutation drawn
+    from it that the verifier accepts, if any."""
+    action = compile_action(pg.generate_program(seed, profile=profile),
+                            packet_schema=DEFAULT_PACKET_SCHEMA,
+                            message_schema=MSG_SCHEMA,
+                            global_schema=GLB_SCHEMA, name="f")
+    if mutation is not None:
+        mutant = _accepted_mutant(action.program, mutation)
+        if mutant is not None:
+            action = dataclasses.replace(action, program=mutant,
+                                         prog_ast=None)
+    return action
+
+
+def _install_f(enclave, action, backend, **rule):
+    """Install ``action`` as ``f`` with its arrays set, and a rule."""
+    fn = enclave.install_function(action, name="f", backend=backend)
+    enclave.set_global_array("f", "weights", list(range(1, 9)))
+    enclave.set_global_array("f", "scratch", [0] * 8)
+    enclave.install_rule("*", "f", **rule)
+    return fn
+
+
+def _record_faults(fn):
+    """Wrap ``fn.run_packet``: the enclave swallows a fault, this keeps
+    its reason."""
+    seen = []
+    inner = fn.run_packet
+
+    def run_packet(packet, msg_entry, acct=None):
+        try:
+            return inner(packet, msg_entry, acct)
+        except InterpreterFault as fault:
+            seen.append(fault.reason)
+            raise
+
+    fn.run_packet = run_packet
+    return seen
+
+
+def _state_of(fn):
+    """What an invocation of ``fn`` may commit, beside packet fields."""
+    store = fn.message_store
+    return ({k: dict(e.values) for k, e in store._entries.items()}
+            if store is not None else {},
+            fn.global_store and fn.global_store.snapshot(),
+            dataclasses.replace(fn.stats))
+
+
+def _assert_untouched(fn, before):
+    """A faulting invocation of ``fn`` committed nothing: message
+    entries (a new one holds its defaults), globals, and stats but one
+    more fault, as they were."""
+    entries, globals_before, stats = before
+    store = fn.message_store
+    if store is not None:
+        defaults = dict(MessageStore(fn.message_schema).lookup(
+            "m", 0)[0].values)
+        for key, entry in store._entries.items():
+            assert entry.values == entries.get(key, defaults), key
+    assert (fn.global_store and fn.global_store.snapshot()) == \
+        globals_before
+    stats = dataclasses.replace(stats, faults=stats.faults + 1)
+    assert fn.stats == stats
+
+
+def _stopped(reasons):
+    """Whether the op budget stopped a run whose fault reasons
+    :func:`_record_faults` keeps in ``reasons``."""
+    return any(reason.startswith("op budget") for reason in reasons)
+
+
+def _contained_run(enclave, fn, seed, reasons=()):
+    """:data:`CONTAINMENT_PACKETS` packets through ``process_packet``,
+    which propagates nothing; a packet ``f`` faults leaves its fields
+    and ``f``'s state as they were.  Returns the results and what the
+    run left behind.  The run ends early at a packet the op budget
+    stopped (``reasons``, :func:`_record_faults`'s list): the rest may
+    loop as long."""
+    rng = random.Random(seed)
+    packets = [_DiffPacket(rng, i) for i in range(CONTAINMENT_PACKETS)]
+    results = []
+    for i, packet in enumerate(packets):
+        before = dict(vars(packet)), _state_of(fn)
+        result = enclave.process_packet(packet, (), now_ns=i)
+        results.append(result)
+        if result.faults:
+            assert vars(packet) == before[0]
+            _assert_untouched(fn, before[1])
+        if _stopped(reasons):
+            break
+    return results, _left_behind(enclave, packets)
+
+
 def check_containment(max_examples):
     @settings(max_examples=max_examples, deadline=None)
     @given(profile=st.sampled_from(pg.PROFILES),
@@ -976,66 +1074,53 @@ def check_containment(max_examples):
            limit=st.sampled_from(("default", "op_budget",
                                   "max_operand_stack")))
     def prop(profile, seed, mutation, limit):
-        source = pg.generate_program(seed, profile=profile)
-        action = compile_action(source, packet_schema=DEFAULT_PACKET_SCHEMA,
-                                message_schema=MSG_SCHEMA,
-                                global_schema=GLB_SCHEMA, name="f")
+        action = _action(profile, seed, mutation)
         program = action.program
-        if mutation is not None:
-            program = _accepted_mutant(program, mutation) or program
-            action = dataclasses.replace(action, program=program,
-                                         prog_ast=None)
-        bounds = facts(program).bounds
-        # The differential budget stops a mutant's endless loop; a
-        # bound within it runs the generated code.
-        enclave = Enclave("contain", rng=random.Random(seed))
-        enclave.interpreter.op_budget = pg.OP_BUDGET
-        fn = enclave.install_function(action, name="f")
-        enclave.set_global_array("f", "weights", list(range(1, 9)))
-        enclave.set_global_array("f", "scratch", [0] * 8)
-        enclave.install_rule("*", "f")
-        interps = [Interpreter(dispatch=d, rng=random.Random(seed),
-                               op_budget=pg.OP_BUDGET)
-                   for d in ("tree", "pycodegen")]
-        lengths = [8 // ref.stride if ref.name != "records" else 0
-                   for ref in program.array_table]
-        if limit == "op_budget" and bounds.ops is not None:
-            value = bounds.ops.at(lengths) - 1
-        elif limit == "max_operand_stack" and bounds.stack is not None:
-            value = bounds.stack - 1
-        else:
-            limit, value = "op_budget", pg.OP_BUDGET
-        for interp in [enclave.interpreter] + interps:
-            setattr(interp, limit, value)
-        # Nothing but InterpreterFault leaves ``execute``, and the
-        # generated code equals the tree walk, pc included.
+        fits = pg.stack_fits(program)
+        # Nothing but InterpreterFault leaves ``execute``, and generated
+        # code, with no op budget, equals the tree walk under the
+        # harness's, pc included, on every input the tree walk finished.
+        tree = Interpreter(dispatch="tree", rng=random.Random(seed),
+                           op_budget=pg.OP_BUDGET)
+        hot = Interpreter(rng=random.Random(seed))
         for i in range(INPUTS_PER_PROGRAM):
             fields, arrays = pg.generate_inputs(program, seed * 31 + i)
             fvec, avec = pg.vectors(program, fields, arrays)
-            tree, hot = (_summarize_execute(interp, program, fvec, avec)
-                         for interp in interps)
-            assert tree == hot, (profile, seed, mutation, limit, i)
+            want = _summarize_execute(tree, program, fvec, avec)
+            if pg.stopped(want):
+                break
+            with pg.tree_walks() as walks:
+                got = _summarize_execute(hot, program, fvec, avec)
+            assert got == want, (profile, seed, mutation, i)
+            assert walks == [0] or not fits, (profile, seed, mutation, i)
         # ``process_packet`` propagates nothing, and a faulting
-        # invocation commits nothing.
-        defaults = dict(MessageStore(MSG_SCHEMA).lookup("m", 0)[0].values)
-        rng = random.Random(seed)
-        store = fn.message_store
-        for i in range(CONTAINMENT_PACKETS):
-            packet = _DiffPacket(rng, i)
-            before = (dict(vars(packet)),
-                      {k: dict(e.values) for k, e in store._entries.items()},
-                      fn.global_store.snapshot(),
-                      dataclasses.replace(fn.stats))
-            result = enclave.process_packet(packet, (), now_ns=i)
-            if not result.faults:
-                continue
-            packet_before, entries, globals_before, stats = before
-            assert vars(packet) == packet_before
-            assert fn.global_store.snapshot() == globals_before
-            for key, entry in store._entries.items():
-                assert entry.values == entries.get(key, defaults)
-            stats.faults += 1
-            assert fn.stats == stats
+        # invocation commits nothing.  The tree walk runs the packets
+        # first, under the harness's budget.  When the budget stopped
+        # one, which may loop forever, that run is the only one.
+        # Otherwise the default enclave runs them: at default limits on
+        # the plan, leaving what the tree walk left, and under a lowered
+        # limit on the tree walk the plan hands them.
+        twin = Enclave("contain", rng=random.Random(seed))
+        twin.interpreter.op_budget = pg.OP_BUDGET
+        twin_fn = _install_f(twin, action, "tree")
+        reasons = _record_faults(twin_fn)
+        results, left = _contained_run(twin, twin_fn, seed, reasons)
+        if _stopped(reasons):
+            return
+        enclave = Enclave("contain", rng=random.Random(seed))
+        fn = _install_f(enclave, action, "interpreter")
+        stack = facts(program).bounds.stack
+        if limit == "op_budget":
+            longest = max(r.interpreter_ops for r in results)
+            enclave.interpreter.op_budget = max(longest - 1, 1)
+        elif limit == "max_operand_stack" and stack is not None:
+            enclave.interpreter.max_operand_stack = stack - 1
+        else:
+            executes = _count_executes(fn)
+            assert _contained_run(enclave, fn, seed) == (results, left)
+            assert executes == [0] or not fits
+            return
+        _contained_run(enclave, fn, seed)
 
     prop()
 
@@ -1043,12 +1128,14 @@ def check_containment(max_examples):
 class TestFaultContainment:
     """A faulty function hurts only itself (Section 3.4.3), for
     ``program_gen`` programs and point mutations of them that the
-    verifier accepts, at default limits (generated code) and with the
-    op budget or the stack limit one below the program's bound (the
-    tree walk): nothing but :class:`InterpreterFault` leaves
-    ``execute``, ``process_packet`` propagates nothing, and a faulting
-    invocation leaves packet fields, message entries, globals and
-    function stats other than ``faults`` as they were."""
+    verifier accepts, at default limits (generated code, once the tree
+    walk under the harness's op budget has run the same input), under
+    an op budget one below the longest packet's need and with the
+    stack limit one below the program's bound (the tree walk): nothing
+    but :class:`InterpreterFault` leaves ``execute``, ``process_packet``
+    propagates nothing, and a faulting invocation leaves packet
+    fields, message entries, globals and function stats other than
+    ``faults`` as they were."""
 
     def test_faults_are_contained(self):
         check_containment(PROPERTY_EXAMPLES)
@@ -1056,3 +1143,125 @@ class TestFaultContainment:
     def test_faults_are_contained_at_depth(self, request):
         _at_depth(request)
         check_containment(10 * PROPERTY_EXAMPLES)
+
+
+#: The first and last hop of :class:`TestChainedFaults`' chain: each
+#: counts its packets in message state and faults on some packets
+#: after that write (``size % 5 == 0``; ``src_port % 4 == 0``).  The
+#: last hop reads what the middle hop may write.
+CHAIN_FIRST = (
+    "def first(packet, msg):\n"
+    "    msg.counter = msg.counter + 1\n"
+    "    packet.path_id = 60 // (packet.size % 5)\n"
+)
+CHAIN_LAST = (
+    "def last(packet, msg):\n"
+    "    msg.counter = msg.counter + packet.priority\n"
+    "    packet.ecn = (packet.priority + 3) // (packet.src_port % 4)\n"
+)
+#: The chain's hops in order, and the packet fields each one writes
+#: (the middle hop's are what ``program_gen`` programs write).
+CHAIN = (("first", ("path_id",)), ("f", ("priority", "queue_id")),
+         ("last", ("ecn",)))
+
+
+def _chain_enclave(action, seed, backend):
+    """``first`` in table 0, ``action`` as ``f`` in table 1 and
+    ``last`` in table 2, chained by ``next_table``."""
+    enclave = Enclave("chain", rng=random.Random(seed))
+    enclave.create_table(1)
+    enclave.create_table(2)
+    for name, source in (("first", CHAIN_FIRST), ("last", CHAIN_LAST)):
+        enclave.install_function(source, name=name,
+                                 message_schema=MSG_SCHEMA,
+                                 backend=backend)
+    _install_f(enclave, action, backend, table_id=1, next_table=2)
+    enclave.install_rule("*", "first", next_table=1)
+    enclave.install_rule("*", "last", table_id=2)
+    return enclave
+
+
+def _chain_run(enclave, seed, reasons=()):
+    """:data:`CONTAINMENT_PACKETS` packets through the chain.  Every
+    hop runs on every packet; a hop that faults commits nothing, the
+    hops before it stay committed and the hops after it run on the
+    packet as it left them.  Returns the results and what the run
+    left behind; ends early as :func:`_contained_run` does."""
+    rng = random.Random(seed)
+    packets = [_DiffPacket(rng, i) for i in range(CONTAINMENT_PACKETS)]
+    fns = [enclave.function(name) for name, _ in CHAIN]
+    results = []
+    for i, packet in enumerate(packets):
+        before = [_state_of(fn) for fn in fns]
+        fields = dict(vars(packet))
+        result = enclave.process_packet(packet, (), now_ns=i)
+        results.append(result)
+        ran = [name for name, _ in CHAIN if name in result.executed]
+        assert result.executed == ran
+        assert result.faults == len(CHAIN) - len(ran)
+        for fn, (name, writes), state in zip(fns, CHAIN, before):
+            if name not in ran:
+                _assert_untouched(fn, state)
+                for field in writes:
+                    assert getattr(packet, field, None) == \
+                        fields.get(field), (name, field)
+        if "first" in ran:
+            assert packet.path_id == 60 // (packet.size % 5)
+        if "last" in ran:
+            assert packet.ecn == wrap64(
+                wrap64(packet.priority + 3) // (packet.src_port % 4))
+        if _stopped(reasons):
+            break
+    return results, _left_behind(enclave, packets)
+
+
+def check_chained_faults(max_examples):
+    @settings(max_examples=max_examples, deadline=None)
+    @given(profile=st.sampled_from(pg.PROFILES),
+           seed=st.integers(0, 1 << 20),
+           mutation=st.one_of(st.none(), st.integers(0, 1 << 20)))
+    def prop(profile, seed, mutation):
+        action = _action(profile, seed, mutation)
+        # The tree walk runs the packets first, under the harness's op
+        # budget; the plans run them with none once none hit it.
+        tree = _chain_enclave(action, seed, "tree")
+        tree.interpreter.op_budget = pg.OP_BUDGET
+        reasons = _record_faults(tree.function("f"))
+        want = _chain_run(tree, seed, reasons)
+        if _stopped(reasons):
+            return
+        hot = _chain_enclave(action, seed, "interpreter")
+        executes = [_count_executes(hot.function(name))
+                    for name, _ in CHAIN]
+        assert _chain_run(hot, seed) == want
+        assert executes[1] == [0] or not pg.stack_fits(action.program)
+        assert executes[0] == executes[2] == [0]
+
+    prop()
+
+
+class TestChainedFaults:
+    """A fault in one hop of a ``next_table`` chain stays in that hop
+    (Section 3.4.3): the hops before it stay committed and the hops
+    after it still run.  The middle hop is a ``program_gen`` program or
+    a point mutation of it the verifier accepts, between two hops that
+    fault on packets of their own; the plans and a ``backend="tree"``
+    enclave leave equal results, packet fields, message entries,
+    globals and stats."""
+
+    def test_a_fault_stays_in_its_hop(self):
+        check_chained_faults(PROPERTY_EXAMPLES)
+
+    def test_every_hop_faults_on_some_packet(self):
+        """The property above is not vacuous: over a few programs each
+        hop of the chain faults on some packet and runs on another."""
+        faulted, ran = set(), set()
+        for seed in range(10):
+            enclave = _chain_enclave(_action("default", seed, None), seed,
+                                     "interpreter")
+            results, _ = _chain_run(enclave, seed)
+            for result in results:
+                executed = set(result.executed)
+                ran |= executed
+                faulted |= {name for name, _ in CHAIN} - executed
+        assert faulted == ran == {name for name, _ in CHAIN}
