@@ -21,7 +21,7 @@ from typing import (Callable, Dict, Iterable, List, Optional,
                     Sequence, Tuple, Union)
 
 from ..lang import backends as lang_backends
-from ..lang.analysis import ConcurrencyLevel, facts
+from ..lang.analysis import facts
 from ..lang.annotations import DEFAULT_PACKET_SCHEMA, Schema
 from ..lang.compiler import CompiledAction, compile_shared
 from ..lang.interpreter import (WORD_BYTES, ExecResult, Interpreter,
@@ -37,10 +37,6 @@ class EnclaveError(Exception):
     """A controller request to the enclave was invalid."""
 
 
-class ConcurrencyViolation(EnclaveError):
-    """The enclave's concurrency model would be violated."""
-
-
 class UnknownIdError(EnclaveError, KeyError):
     """A rule or table id named in an enclave API call does not exist.
 
@@ -52,49 +48,6 @@ class UnknownIdError(EnclaveError, KeyError):
     def __str__(self) -> str:
         # KeyError.__str__ reprs its argument; keep the message plain.
         return self.args[0] if self.args else ""
-
-
-class ConcurrencyGuard:
-    """Enforces the admissible parallelism of Section 3.4.4.
-
-    ``PARALLEL`` functions admit any number of in-flight invocations;
-    ``PER_MESSAGE`` at most one per message key; ``SERIAL`` one total.
-    The simulator is single-threaded, so in normal operation acquire and
-    release bracket each invocation without contention — but the guard
-    is real, and the test suite exercises it with overlapping holds.
-    """
-
-    def __init__(self, level: ConcurrencyLevel) -> None:
-        self.level = level
-        self._in_flight_total = 0
-        self._in_flight_msgs: Dict[object, int] = {}
-
-    def acquire(self, msg_key: object) -> None:
-        if self.level is ConcurrencyLevel.SERIAL and \
-                self._in_flight_total > 0:
-            raise ConcurrencyViolation(
-                f"function writes global state: only one invocation "
-                f"may run at a time (message {msg_key!r} must wait)")
-        if self.level is ConcurrencyLevel.PER_MESSAGE and \
-                self._in_flight_msgs.get(msg_key, 0) > 0:
-            raise ConcurrencyViolation(
-                f"function writes message state: message {msg_key!r} "
-                f"already has an invocation in flight")
-        self._in_flight_total += 1
-        self._in_flight_msgs[msg_key] = \
-            self._in_flight_msgs.get(msg_key, 0) + 1
-
-    def release(self, msg_key: object) -> None:
-        held = self._in_flight_msgs.get(msg_key, 0)
-        if held <= 0:
-            raise ConcurrencyViolation(
-                f"release without matching acquire for message "
-                f"{msg_key!r}")
-        self._in_flight_total -= 1
-        if held == 1:
-            del self._in_flight_msgs[msg_key]
-        else:
-            self._in_flight_msgs[msg_key] = held - 1
 
 
 @dataclass
@@ -164,13 +117,14 @@ class InstalledFunction:
         self.packet_schema = action.packet_schema
         self.message_schema = message_schema
         self.global_schema = action.global_schema
+        #: The level Section 3.4.4 derives from the program's writes
+        #: (``analysis.ConcurrencyLevel``), a fact of install: the
+        #: enclave runs one invocation at a time, and two invocations
+        #: the level admits at once commute.
         self.concurrency = facts(self.program).concurrency
         #: What one invocation can use at most: stack words, call
         #: chain and deepest frame (``analysis.Bounds``).
         self.bounds = facts(self.program).bounds
-        self.guard = ConcurrencyGuard(self.concurrency)
-        # A PARALLEL guard never refuses, so the data path skips it.
-        self.guarded = self.concurrency is not ConcurrencyLevel.PARALLEL
         self.interpreter = interpreter
         #: The enclave's per-hop instruments while it traces, else None.
         self.meters: Optional[Tuple] = None
@@ -457,12 +411,9 @@ def _slotted(cls):
 class ProcessResult:
     """Outcome of enclave processing for one packet.
 
-    ``error`` is only ever set by :meth:`Enclave.process_batch`: where
-    the scalar path raises :class:`ConcurrencyViolation` out of
-    :meth:`Enclave.process_packet`, the batch path isolates the
-    violation to the offending packet (the rest of the batch still
-    processes) and parks the exception here.  One is built per packet,
-    so the class carries ``__slots__`` (:func:`_slotted`).
+    ``error`` is always None; it stays because callers outside the
+    package read it.  One is built per packet, so the class carries
+    ``__slots__`` (:func:`_slotted`).
     """
 
     executed: List[str]                 # action functions run, in order
@@ -834,12 +785,6 @@ class Enclave:
         it).  What a batch saves is around the step: one class key per
         classification list, one clock read and one counter update
         per batch.
-
-        The one divergence from the scalar path is deliberate: a
-        packet whose invocation would raise
-        :class:`ConcurrencyViolation` gets a :class:`ProcessResult`
-        with ``error`` set (and is not counted as processed) while the
-        rest of the batch still processes.
         """
         entries = list(packets_with_cls)
         if not entries:
@@ -855,7 +800,7 @@ class Enclave:
         key_of_list: Dict[int, Tuple[str, ...]] = {}
         step = self._process_one
         results: List[ProcessResult] = []
-        processed = drops = 0
+        drops = 0
         with self.telemetry.tracer.span("enclave.process_batch",
                                         enclave=self.name) as span:
             for packet, cls in entries:
@@ -863,30 +808,20 @@ class Enclave:
                 if key is None:
                     key = key_of_list[id(cls)] = self._class_key(
                         packet, cls)
-                try:
-                    result = step(packet, cls, key, now)
-                except ConcurrencyViolation as violation:
-                    # Only a table-0 hit can have reached a guard.
-                    _, matched = self._tables[0].lookup(key)
-                    result = ProcessResult(executed=[],
-                                           matched_classes=[matched],
-                                           error=violation)
-                else:
-                    processed += 1
-                    if result.drop:
-                        drops += 1
+                result = step(packet, cls, key, now)
+                if result.drop:
+                    drops += 1
                 results.append(result)
             span.set(size=len(entries), drops=drops)
-        self.packets_processed += processed
+        self.packets_processed += len(entries)
         self.packets_dropped += drops
         if self._tracing:
             self._h_batch_size.observe(len(entries))
-            self._m_packets.inc(processed)
+            self._m_packets.inc(len(entries))
             if drops:
                 self._m_drops.inc(drops)
             for result in results:
-                if result.error is None:
-                    self._h_packet_ops.observe(result.interpreter_ops)
+                self._h_packet_ops.observe(result.interpreter_ops)
         return results
 
     def _class_key(self, packet, classifications
@@ -916,12 +851,10 @@ class Enclave:
                      key: Tuple[str, ...], now: int) -> ProcessResult:
         """The per-packet envelope, the only place a function runs.
 
-        Per table hop: lookup -> concurrency guard -> message-state
-        lookup -> ``fn.run_packet`` (state read, body, write-back,
-        function stats) -> fault accounting -> ``next_table``.  Raises
-        :class:`ConcurrencyViolation` when a ``PER_MESSAGE``/``SERIAL``
-        guard refuses the invocation; state committed by earlier hops
-        stays committed.
+        Per table hop: lookup -> message-state lookup ->
+        ``fn.run_packet`` (state read, body, write-back, function
+        stats) -> fault accounting -> ``next_table``.  A fault ends
+        only its own hop; the chain goes on.
         """
         tracing = self._tracing
         acct = self.accounting
@@ -932,7 +865,7 @@ class Enclave:
         executed: List[str] = []
         matched_classes: List[str] = []
         faults = ops = 0
-        # Derived on the first hop that needs it, once per packet.
+        # Derived on the first hop with message state, once per packet.
         msg_id: Optional[object] = None
 
         table_id = 0
@@ -958,26 +891,14 @@ class Enclave:
             matched_classes.append(matched)
             fn = self._functions[rule.function]
             store = fn.message_store
-            guarded = fn.guarded
             msg_entry = None
-            # A hop without guard or message state needs no message.
-            if guarded or store is not None:
+            if store is not None:
                 if msg_id is None:
                     msg_id = _message_id(packet, classifications)
-                if guarded:
-                    try:
-                        fn.guard.acquire(msg_id)
-                    except ConcurrencyViolation:
-                        # Earlier hops ran and counted, but the packet
-                        # is not counted: the summary's key misses it.
-                        self._summary_key = None
-                        raise
+                msg_entry, created = store.lookup(msg_id, now)
+                if created and classifications:
+                    store.seed(msg_entry, _int_metadata(classifications))
             try:
-                if store is not None:
-                    msg_entry, created = store.lookup(msg_id, now)
-                    if created and classifications:
-                        store.seed(msg_entry,
-                                   _int_metadata(classifications))
                 if tracing:
                     ops += self._traced_run(fn, packet, msg_entry, acct)
                 else:
@@ -995,9 +916,6 @@ class Enclave:
                 executed.append(fn.name)
                 if tracing:
                     self._m_invocations.inc()
-            finally:
-                if guarded:
-                    fn.guard.release(msg_id)
             table_id = rule.next_table
             if table_id is None:
                 break

@@ -6,8 +6,9 @@ data-plane state and computation but no application semantics and no
 network support.
 
 Both functions keep their state in writable *global* arrays (hash
-buckets), which per the concurrency model of Section 3.4.4 serializes
-their invocations — exactly the behavior a firewall wants.
+buckets), so the concurrency model of Section 3.4.4 derives the
+``SERIAL`` level for them: no two of their invocations may run at
+once, which is what a firewall wants.
 
 * :func:`stateful_firewall_action` handles both directions in one
   program: outbound packets record their flow in a symmetric hash

@@ -212,9 +212,7 @@ class HostStack:
         limiters as one :meth:`RateLimiterBank.submit_batch`.
 
         Per-packet results — writes, drops, delays, emission order —
-        match the scalar path exactly; a packet whose invocation hits
-        a :class:`ConcurrencyViolation` is forwarded unmodified, the
-        same isolation the enclave applies to interpreter faults.
+        match the scalar path exactly.
         """
         self._tx_flush_scheduled = False
         pending, self._tx_pending = self._tx_pending, []

@@ -7,9 +7,8 @@ import weakref
 
 import pytest
 
-from repro.core import (Classification, ConcurrencyGuard,
-                        ConcurrencyLevel, ConcurrencyViolation,
-                        Enclave, EnclaveError, MatchRule,
+from repro.core import (Classification, ConcurrencyLevel, Enclave,
+                        EnclaveError, MatchRule,
                         PLACEMENT_NIC, PLACEMENT_OS, ProcessResult)
 from repro.core.accounting import CpuAccounting
 from repro.lang import (DEFAULT_PACKET_SCHEMA, AccessLevel, Field,
@@ -366,34 +365,6 @@ class TestProcessing:
         enclave.install_rule("*", "set_priority_five")
         result = enclave.process_packet(FakePacket())
         assert result.interpreter_ops > 0
-
-
-class TestConcurrencyGuard:
-    def test_parallel_allows_overlap(self):
-        guard = ConcurrencyGuard(ConcurrencyLevel.PARALLEL)
-        guard.acquire("m1")
-        guard.acquire("m1")
-        guard.release("m1")
-        guard.release("m1")
-
-    def test_per_message_blocks_same_message(self):
-        guard = ConcurrencyGuard(ConcurrencyLevel.PER_MESSAGE)
-        guard.acquire("m1")
-        with pytest.raises(ConcurrencyViolation):
-            guard.acquire("m1")
-        guard.release("m1")
-        guard.acquire("m1")  # fine after release
-
-    def test_per_message_allows_different_messages(self):
-        guard = ConcurrencyGuard(ConcurrencyLevel.PER_MESSAGE)
-        guard.acquire("m1")
-        guard.acquire("m2")
-
-    def test_serial_blocks_everything(self):
-        guard = ConcurrencyGuard(ConcurrencyLevel.SERIAL)
-        guard.acquire("m1")
-        with pytest.raises(ConcurrencyViolation):
-            guard.acquire("m2")
 
 
 class TestPlacement:

@@ -3,9 +3,8 @@ function composition, and controller monitoring."""
 
 import pytest
 
-from repro.core import (ChainLink, CompositionError,
-                        ConcurrencyViolation, Controller, Enclave,
-                        FunctionChain)
+from repro.core import (ChainLink, CompositionError, Controller,
+                        Enclave, FunctionChain)
 from repro.core.stage import Classification
 from repro.lang import AccessLevel, Field, FieldKind, Lifetime, schema
 
@@ -268,25 +267,6 @@ class TestMonitoring:
         assert moved()["invocations"] == 1
         enclave.clear()
         assert moved() is None and seen[-1] == {}
-
-    def test_stats_summary_sees_hops_of_a_refused_packet(self):
-        """A guard refusing the second hop leaves the packet uncounted
-        but the first hop's run counted: the memo must not hide it."""
-        enclave = Enclave("e")
-        enclave.install_function(set_priority_one, name="p")
-        enclave.install_function(count_bytes,
-                                 message_schema=MSG_SCHEMA)
-        enclave.create_table(1)
-        enclave.install_rule("*", "p", next_table=1)
-        enclave.install_rule("*", "count_bytes", table_id=1)
-        before = enclave.stats_summary()
-        enclave.function("count_bytes").guard.acquire(
-            ("enclave", (1, 7, 2, 80, 6)))
-        with pytest.raises(ConcurrencyViolation):
-            enclave.process_packet(FakePacket(src_port=7))
-        assert enclave.packets_processed == 0
-        assert before["p"]["invocations"] == 0
-        assert enclave.stats_summary()["p"]["invocations"] == 1
 
     def test_controller_collects_from_all_hosts(self):
         controller = Controller()

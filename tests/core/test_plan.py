@@ -6,7 +6,7 @@ body inlined with fields and counters as Python locals, writes back
 and updates the function stats (``pycodegen.plan_for``).  These tests
 pin it against what only the enclave can do to it — limits, RNG and
 clock changed under a built plan, ``replace_function``, the dry-run
-flag, a held guard — and against a ``backend="tree"`` twin, which
+flag — and against a ``backend="tree"`` twin, which
 runs the generic tier, under every op budget and stack limit below
 what the Table-1 demos need, where the plan's entry test hands each
 packet to the generic tier; and they pin what its source may contain:
@@ -20,7 +20,7 @@ import weakref
 
 import pytest
 
-from repro.core import Classification, ConcurrencyViolation, Enclave
+from repro.core import Classification, Enclave
 from repro.functions import ddos, pias, qos
 from repro.functions.library import DemoPacket, table1
 from repro.lang import (DEFAULT_PACKET_SCHEMA, AccessLevel, Field,
@@ -578,33 +578,6 @@ def test_dry_run_under_a_plan_commits_message_state_only():
     enclave.process_packet(packet, _msg_cls(0), now_ns=1)
     assert packet.priority == 3
     assert entry.values["total"] == total + 20
-
-
-def test_held_per_message_guard_raises_before_the_plan_runs():
-    enclave = Enclave("batch.test")
-    fn = enclave.install_function(count_message_bytes,
-                                  message_schema=MSG_SCHEMA)
-    enclave.install_rule("*", "count_message_bytes")
-    executes = _heat(enclave, fn, _msg_cls(0))
-    entry = fn.message_store._entries[("m", 0)]
-    before = (dict(entry.values), entry.packets, fn.stats.invocations,
-              enclave.packets_processed)
-    fn.guard.acquire(("m", 0))
-    try:
-        with pytest.raises(ConcurrencyViolation):
-            enclave.process_packet(FakePacket(), _msg_cls(0), now_ns=1)
-        parked = enclave.process_batch([(FakePacket(), _msg_cls(0))],
-                                       now_ns=1)
-    finally:
-        fn.guard.release(("m", 0))
-    assert isinstance(parked[0].error, ConcurrencyViolation)
-    assert (dict(entry.values), entry.packets, fn.stats.invocations,
-            enclave.packets_processed) == before
-    assert executes[0] == 0
-    # The guard is free again: the plan runs the next packet.
-    enclave.process_packet(FakePacket(size=1), _msg_cls(0), now_ns=1)
-    assert entry.values["total"] == before[0]["total"] + 1
-    assert executes[0] == 0
 
 
 def test_generated_plan_allocates_no_snapshot_objects():

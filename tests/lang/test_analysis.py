@@ -1,8 +1,9 @@
 """The one bytecode analysis (``repro.lang.analysis.facts``).
 
-The enclave enforces the concurrency level the *bytecode* implies
+The enclave reports the concurrency level the *bytecode* implies
 (Section 3.4.4) — a hand-assembled program gets the level of what it
-actually writes.  :func:`concurrency_of` below is the same derivation
+actually writes; ``test_commutation.py`` checks what the level
+claims.  :func:`concurrency_of` below is the same derivation
 from the typed AST; it lives here, as the oracle: over every program
 the repo can compile the two agree, except where the peephole
 optimizer deleted a write, and then the bytecode level is the lower.

@@ -46,8 +46,9 @@ fuzz programs and verified mutants through ``Enclave.process_packet``
 at default limits, under an op budget below each run's need and with
 the stack limit one below the bound, where a faulting packet must
 commit nothing, and ``TestChainedFaults`` does so for the middle hop
-of a three-hop ``next_table`` chain.  They draw with hypothesis, ten
-times the examples under ``-m differential``.
+of a three-hop ``next_table`` chain.  They draw programs, mutations
+and packets with hypothesis, so a failing example shrinks, and run
+ten times the examples under ``-m differential``.
 
 Any fuzz failure is minimized (``program_gen.minimize``) and persisted
 into ``tests/lang/corpus/``; the corpus is replayed here in CI so past
@@ -550,17 +551,30 @@ class TestRecursion:
 
 
 class _DiffPacket:
-    """A deterministic packet exposing the default schema's fields."""
+    """A packet exposing the default schema's fields: ``size``,
+    ``priority`` and ``queue_id`` given, the flow of packet ``i`` one
+    of four."""
 
-    def __init__(self, rng, i):
-        self.size = rng.randint(0, 4000)
-        self.priority = rng.randint(0, 7)
-        self.queue_id = rng.randint(0, 3)
+    def __init__(self, i, size, priority, queue_id):
+        self.size = size
+        self.priority = priority
+        self.queue_id = queue_id
         self.src_ip = 1
         self.src_port = 1000 + (i % 4)
         self.dst_ip = 2
         self.dst_port = 80
         self.proto = 6
+
+
+def _seeded_inputs(rng, n):
+    """``n`` packets' ``(size, priority, queue_id)`` drawn from
+    ``rng``."""
+    return [(rng.randint(0, 4000), rng.randint(0, 7), rng.randint(0, 3))
+            for _ in range(n)]
+
+
+def _packets(inputs):
+    return [_DiffPacket(i, *fields) for i, fields in enumerate(inputs)]
 
 
 def _batch_enclave_for(source, seed, backend="interpreter"):
@@ -622,8 +636,8 @@ class TestEnclaveBatchDifferential:
     N_PACKETS = 24
 
     def _packets(self, seed):
-        rng = random.Random(seed * 7 + 1)
-        return [_DiffPacket(rng, i) for i in range(self.N_PACKETS)]
+        return _packets(_seeded_inputs(random.Random(seed * 7 + 1),
+                                       self.N_PACKETS))
 
     def _classifications(self, i):
         if i % 3 == 2:
@@ -945,6 +959,11 @@ class TestBounds:
 
 #: Packets per containment example.
 CONTAINMENT_PACKETS = 12
+#: Their ``(size, priority, queue_id)``, drawn so a failing example
+#: shrinks to the packets that matter.
+CONTAINMENT_INPUTS = st.lists(
+    st.tuples(st.integers(0, 4000), st.integers(0, 7), st.integers(0, 3)),
+    min_size=CONTAINMENT_PACKETS, max_size=CONTAINMENT_PACKETS)
 
 
 def _accepted_mutant(program, seed):
@@ -1044,15 +1063,14 @@ def _stopped(reasons):
     return any(reason.startswith("op budget") for reason in reasons)
 
 
-def _contained_run(enclave, fn, seed, reasons=()):
-    """:data:`CONTAINMENT_PACKETS` packets through ``process_packet``,
-    which propagates nothing; a packet ``f`` faults leaves its fields
-    and ``f``'s state as they were.  Returns the results and what the
-    run left behind.  The run ends early at a packet the op budget
-    stopped (``reasons``, :func:`_record_faults`'s list): the rest may
-    loop as long."""
-    rng = random.Random(seed)
-    packets = [_DiffPacket(rng, i) for i in range(CONTAINMENT_PACKETS)]
+def _contained_run(enclave, fn, inputs, reasons=()):
+    """The packets of ``inputs`` through ``process_packet``, which
+    propagates nothing; a packet ``f`` faults leaves its fields and
+    ``f``'s state as they were.  Returns the results and what the run
+    left behind.  The run ends early at a packet the op budget stopped
+    (``reasons``, :func:`_record_faults`'s list): the rest may loop as
+    long."""
+    packets = _packets(inputs)
     results = []
     for i, packet in enumerate(packets):
         before = dict(vars(packet)), _state_of(fn)
@@ -1072,8 +1090,9 @@ def check_containment(max_examples):
            seed=st.integers(0, 1 << 20),
            mutation=st.one_of(st.none(), st.integers(0, 1 << 20)),
            limit=st.sampled_from(("default", "op_budget",
-                                  "max_operand_stack")))
-    def prop(profile, seed, mutation, limit):
+                                  "max_operand_stack")),
+           inputs=CONTAINMENT_INPUTS)
+    def prop(profile, seed, mutation, limit, inputs):
         action = _action(profile, seed, mutation)
         program = action.program
         fits = pg.stack_fits(program)
@@ -1104,7 +1123,7 @@ def check_containment(max_examples):
         twin.interpreter.op_budget = pg.OP_BUDGET
         twin_fn = _install_f(twin, action, "tree")
         reasons = _record_faults(twin_fn)
-        results, left = _contained_run(twin, twin_fn, seed, reasons)
+        results, left = _contained_run(twin, twin_fn, inputs, reasons)
         if _stopped(reasons):
             return
         enclave = Enclave("contain", rng=random.Random(seed))
@@ -1117,10 +1136,10 @@ def check_containment(max_examples):
             enclave.interpreter.max_operand_stack = stack - 1
         else:
             executes = _count_executes(fn)
-            assert _contained_run(enclave, fn, seed) == (results, left)
+            assert _contained_run(enclave, fn, inputs) == (results, left)
             assert executes == [0] or not fits
             return
-        _contained_run(enclave, fn, seed)
+        _contained_run(enclave, fn, inputs)
 
     prop()
 
@@ -1181,14 +1200,13 @@ def _chain_enclave(action, seed, backend):
     return enclave
 
 
-def _chain_run(enclave, seed, reasons=()):
-    """:data:`CONTAINMENT_PACKETS` packets through the chain.  Every
-    hop runs on every packet; a hop that faults commits nothing, the
-    hops before it stay committed and the hops after it run on the
-    packet as it left them.  Returns the results and what the run
-    left behind; ends early as :func:`_contained_run` does."""
-    rng = random.Random(seed)
-    packets = [_DiffPacket(rng, i) for i in range(CONTAINMENT_PACKETS)]
+def _chain_run(enclave, inputs, reasons=()):
+    """The packets of ``inputs`` through the chain.  Every hop runs on
+    every packet; a hop that faults commits nothing, the hops before
+    it stay committed and the hops after it run on the packet as it
+    left them.  Returns the results and what the run left behind;
+    ends early as :func:`_contained_run` does."""
+    packets = _packets(inputs)
     fns = [enclave.function(name) for name, _ in CHAIN]
     results = []
     for i, packet in enumerate(packets):
@@ -1219,21 +1237,22 @@ def check_chained_faults(max_examples):
     @settings(max_examples=max_examples, deadline=None)
     @given(profile=st.sampled_from(pg.PROFILES),
            seed=st.integers(0, 1 << 20),
-           mutation=st.one_of(st.none(), st.integers(0, 1 << 20)))
-    def prop(profile, seed, mutation):
+           mutation=st.one_of(st.none(), st.integers(0, 1 << 20)),
+           inputs=CONTAINMENT_INPUTS)
+    def prop(profile, seed, mutation, inputs):
         action = _action(profile, seed, mutation)
         # The tree walk runs the packets first, under the harness's op
         # budget; the plans run them with none once none hit it.
         tree = _chain_enclave(action, seed, "tree")
         tree.interpreter.op_budget = pg.OP_BUDGET
         reasons = _record_faults(tree.function("f"))
-        want = _chain_run(tree, seed, reasons)
+        want = _chain_run(tree, inputs, reasons)
         if _stopped(reasons):
             return
         hot = _chain_enclave(action, seed, "interpreter")
         executes = [_count_executes(hot.function(name))
                     for name, _ in CHAIN]
-        assert _chain_run(hot, seed) == want
+        assert _chain_run(hot, inputs) == want
         assert executes[1] == [0] or not pg.stack_fits(action.program)
         assert executes[0] == executes[2] == [0]
 
@@ -1252,6 +1271,10 @@ class TestChainedFaults:
     def test_a_fault_stays_in_its_hop(self):
         check_chained_faults(PROPERTY_EXAMPLES)
 
+    def test_a_fault_stays_in_its_hop_at_depth(self, request):
+        _at_depth(request)
+        check_chained_faults(10 * PROPERTY_EXAMPLES)
+
     def test_every_hop_faults_on_some_packet(self):
         """The property above is not vacuous: over a few programs each
         hop of the chain faults on some packet and runs on another."""
@@ -1259,7 +1282,8 @@ class TestChainedFaults:
         for seed in range(10):
             enclave = _chain_enclave(_action("default", seed, None), seed,
                                      "interpreter")
-            results, _ = _chain_run(enclave, seed)
+            results, _ = _chain_run(enclave, _seeded_inputs(
+                random.Random(seed), CONTAINMENT_PACKETS))
             for result in results:
                 executed = set(result.executed)
                 ran |= executed
