@@ -23,9 +23,10 @@ from typing import (Callable, Dict, Iterable, List, Optional,
 from ..lang import backends as lang_backends
 from ..lang.analysis import facts
 from ..lang.annotations import DEFAULT_PACKET_SCHEMA, Schema
+from ..lang.bytecode import INT_MAX, INT_MIN
 from ..lang.compiler import CompiledAction, compile_shared
 from ..lang.interpreter import (WORD_BYTES, ExecResult, Interpreter,
-                                InterpreterFault)
+                                InterpreterFault, state_word)
 from ..lang.verifier import verify_action
 from ..telemetry import NULL_TELEMETRY, Telemetry
 from .accounting import CpuAccounting
@@ -145,32 +146,24 @@ class InstalledFunction:
         instead (:meth:`_build_readers`): only a backend without a plan
         (the ``tree`` and ``native`` pins) runs it.
         """
-        # The static write set as (slot, name) lists per scope: the
-        # slots some PUTF targets (the verifier has made sure they are
-        # writable), and writable arrays only when the program has an
-        # HSTORE at all.  Both tiers write back exactly these (the
-        # plan is generated from them).
-        found = facts(self.program)
-        packet_writes: List[Tuple[int, str]] = []
-        message_writes: List[Tuple[int, str]] = []
-        global_writes: List[Tuple[int, str]] = []
-        for i, ref in enumerate(self.program.field_table):
-            if i not in found.written:
-                continue
-            if ref.scope == "packet":
-                packet_writes.append((i, ref.name))
-            elif ref.scope == "message":
-                message_writes.append((i, ref.name))
-            else:
-                global_writes.append((i, ref.name))
-        self.packet_writes = packet_writes
-        self.message_writes = message_writes
-        self.global_writes = global_writes
-        self.array_writes = [
-            (i, aref.name)
-            for i, aref in enumerate(self.program.array_table)
-            if aref.writable and aref.scope == "global"
-        ] if found.stores_to_heap else []
+        # The static write set as (slot, name) lists per scope: each
+        # scope's may-write set (``analysis.Effects``: slots some PUTF
+        # targets, which the verifier has made sure are writable, and
+        # writable arrays only when the program has an HSTORE at all).
+        # Both tiers write back exactly these (the plan is generated
+        # from them).
+        scopes = facts(self.program).effects.scopes
+        table = self.program.field_table
+        self.packet_writes = [(i, table[i].name)
+                              for i in scopes["packet"].may_write]
+        self.message_writes = [(i, table[i].name)
+                               for i in scopes["message"].may_write]
+        self.global_writes = [(i, table[i].name)
+                              for i in scopes["global"].may_write]
+        arrays = self.program.array_table
+        self.array_writes = [(i, arrays[i].name)
+                             for i in scopes["array"].may_write
+                             if arrays[i].scope == "global"]
         # Bound at install, so whatever the backend compiles here
         # (pycodegen: the program; native: this binding's function)
         # fails the install, not a packet.
@@ -188,31 +181,41 @@ class InstalledFunction:
         """One reader closure per field-table and array-table slot, its
         scope decided once.  Readers dereference ``self.global_store``
         at call time so :meth:`Enclave.replace_function` can carry
-        stores over after construction."""
+        stores over after construction.
+
+        Only the slots of ``analysis.Effects.loads`` are read; any
+        other slot is never read before every exit has written it, or
+        never read nor written back, so its reader yields 0 without
+        touching the packet or the store.  A read value that is an
+        exact ``int`` in the 64-bit range is kept as is; any other goes
+        through ``interpreter.state_word``, which faults the invocation
+        on one ``int()`` refuses."""
+        loads = facts(self.program).effects.loads
+        program = self.program.name
         readers: List[Callable] = []
-        for ref in self.program.field_table:
+        for i, ref in enumerate(self.program.field_table):
+            if i not in loads:
+                readers.append(_unread)
+                continue
             if ref.scope == "packet":
                 f = self.packet_schema.field_named(ref.name)
                 if f.binder is not None:
-                    readers.append(
-                        lambda pkt, msg, _b=f.binder: int(_b(pkt, None)))
+                    read = lambda pkt, msg, _b=f.binder: _b(pkt, None)
                 else:
-                    readers.append(
-                        lambda pkt, msg, _n=ref.name, _d=f.default:
-                        int(getattr(pkt, _n, _d)))
+                    read = (lambda pkt, msg, _n=ref.name, _d=f.default:
+                            getattr(pkt, _n, _d))
             elif ref.scope == "message":
-                readers.append(
-                    lambda pkt, msg, _n=ref.name: msg.values[_n])
+                read = lambda pkt, msg, _n=ref.name: msg.values[_n]
             else:
                 f = self.global_schema.field_named(ref.name)
                 if f.binder is not None:
-                    readers.append(
-                        lambda pkt, msg, _b=f.binder, _fn=self:
-                        int(_b(pkt, _fn.global_store)))
+                    read = (lambda pkt, msg, _b=f.binder, _fn=self:
+                            _b(pkt, _fn.global_store))
                 else:
-                    readers.append(
-                        lambda pkt, msg, _n=ref.name, _fn=self:
-                        _fn.global_store.scalar(_n))
+                    read = (lambda pkt, msg, _n=ref.name, _fn=self:
+                            _fn.global_store.scalar(_n))
+            readers.append(_word_reader(read, ref.scope, ref.name,
+                                        program))
         self._field_readers = readers
 
         array_readers: List[Callable] = []
@@ -262,8 +265,9 @@ class InstalledFunction:
         return self.run_generic(packet, msg_entry, acct)
 
     def run_generic(self, packet, msg_entry, acct=None) -> int:
-        """The generic tier of :meth:`run_packet`: state read ->
-        :meth:`execute` -> write-back of the static write set ->
+        """The generic tier of :meth:`run_packet`: state read (the
+        slots of ``analysis.Effects.loads``) -> :meth:`execute` ->
+        write-back of the may-write sets ->
         function stats.  The ``tree``/``native`` pins run it; it is the
         oracle for the plan, which is the same sequence as one
         generated callable, and the plan hands it a packet whose limits
@@ -1075,6 +1079,24 @@ class Enclave:
 
 def _same(a: Optional[Schema], b: Optional[Schema]) -> bool:
     return a is b or a == b
+
+
+def _unread(pkt, msg) -> int:
+    """The generic tier's reader of a slot the body never reads before
+    writing it: the value is never seen."""
+    return 0
+
+
+def _word_reader(read: Callable, scope: str, name: str,
+                 program: str) -> Callable:
+    """``read`` with the generic tier's conversion: an exact in-range
+    ``int`` as is, anything else through :func:`state_word`."""
+    def reader(pkt, msg):
+        value = read(pkt, msg)
+        if value.__class__ is int and INT_MIN <= value <= INT_MAX:
+            return value
+        return state_word(value, scope, name, program)
+    return reader
 
 
 def _message_id(packet,

@@ -6,8 +6,10 @@ safe to install?), the generated-code backend (operand-stack depth per
 pc, each function's control structure, which ops each function uses,
 and the worst-case stack and call chain of one run — :class:`Bounds` —
 that its entry test holds against the limits) and the enclave (which
-field slots a run can change, and the concurrency level those writes
-imply, Section 3.4.4).  The record is
+slots a run reads before writing them, may write and must write —
+:class:`Effects`, from which both enclave tiers decide what to read
+and write back — and the concurrency level the writes imply, Section
+3.4.4).  The record is
 computed by one pass over every function and cached on the
 :class:`~repro.lang.bytecode.Program`; it depends only on the immutable
 bytecode, so nothing ever invalidates it.
@@ -146,6 +148,56 @@ class Bounds(NamedTuple):
     frame: int = 0
 
 
+class SlotEffects(NamedTuple):
+    """What one invocation does to the slots of one scope, as sorted
+    slot indices: field-table slots for packet, message and global
+    state, array-table slots for arrays."""
+
+    #: Slots some path reads before writing them (a GETF in a callee
+    #: counts).
+    read: Tuple[int, ...] = ()
+    #: Slots some PUTF (or, for arrays, some HSTORE) may write.
+    may_write: Tuple[int, ...] = ()
+    #: Slots every normal exit — a RET of the entry, or a HALT anywhere
+    #: — has written: the invocation leaves them holding what it wrote.
+    must_write: Tuple[int, ...] = ()
+
+
+#: The scopes of :attr:`Effects.scopes`, in the order the tiers commit.
+SCOPES = ("packet", "message", "global", "array")
+
+
+class Effects(NamedTuple):
+    """The per-slot effects of one invocation, over every path.
+
+    ``scopes`` maps each scope of :data:`SCOPES` to its
+    :class:`SlotEffects`.  An array's contents are read whole (every
+    array's length places the ones after it on the heap) and written
+    word by word, so arrays are all read, their may-write set is the
+    writable arrays when the program has an HSTORE at all, and no
+    array is must-written.
+
+    ``loads`` are the field slots a tier reads before the body: the
+    read set, the slots written on some paths but not on all (each
+    exit writes every may-write slot back, so a path that leaves one
+    alone writes back what it came in with), and — when some callee
+    has a GETF or PUTF, so the plan hands every slot to its callees
+    (``callee_fields``) — every slot.  A slot outside ``loads`` is
+    never converted: it is not read at all, or every exit has written
+    it before any read.
+    """
+
+    scopes: Dict[str, SlotEffects]
+    loads: Tuple[int, ...] = ()
+    callee_fields: bool = False
+
+    @property
+    def written(self) -> Tuple[int, ...]:
+        """Field slots some PUTF may write, in slot order."""
+        return tuple(sorted(i for scope in SCOPES[:3]
+                            for i in self.scopes[scope].may_write))
+
+
 class ProgramFacts(NamedTuple):
     """What the bytecode of one program says before it runs."""
 
@@ -161,11 +213,10 @@ class ProgramFacts(NamedTuple):
     structure: Tuple[Block, ...] = ()
     #: Per function, the distinct opcodes it contains, sorted.
     ops_used: Tuple[Tuple[Op, ...], ...] = ()
-    #: Field-table slots some PUTF targets, sorted.  A slot outside
-    #: them leaves every run with the value it came in with.
-    written: Tuple[int, ...] = ()
-    #: Whether any HSTORE exists; without one every array is unchanged.
-    stores_to_heap: bool = False
+    #: Per-slot read, may-write and must-write sets, per scope.  A slot
+    #: outside every may-write set leaves every run with the value it
+    #: came in with.
+    effects: Effects = Effects({scope: SlotEffects() for scope in SCOPES})
     concurrency: ConcurrencyLevel = ConcurrencyLevel.SERIAL
     #: Worst-case stack and call chain of one invocation.
     bounds: Bounds = Bounds()
@@ -320,19 +371,18 @@ def _analyse(program: Program) -> ProgramFacts:
         structure_per_fn.append(structure)
         ops_per_fn.append(tuple(sorted(ops)))
 
-    stores_to_heap = any(Op.HSTORE in ops for ops in ops_per_fn)
-    scopes = {fields[i].scope for i in written}
-    if stores_to_heap or "global" in scopes:
+    effects = _effects(program, ops_per_fn, written)
+    if any(Op.HSTORE in ops for ops in ops_per_fn) or \
+            effects.scopes["global"].may_write:
         level = ConcurrencyLevel.SERIAL
-    elif "message" in scopes:
+    elif effects.scopes["message"].may_write:
         level = ConcurrencyLevel.PER_MESSAGE
     else:
         level = ConcurrencyLevel.PARALLEL
     return ProgramFacts(
         violation=None, depths=tuple(depths), max_depth=max_depth,
         structure=tuple(structure_per_fn), ops_used=tuple(ops_per_fn),
-        written=tuple(sorted(written)),
-        stores_to_heap=stores_to_heap, concurrency=level,
+        effects=effects, concurrency=level,
         bounds=_bounds(program, depths))
 
 
@@ -355,6 +405,118 @@ def _table_violation(program: Program) -> Optional[str]:
                             f"type {want.__name__}, not "
                             f"{type(value).__name__}")
     return None
+
+
+# -- per-slot effects ---------------------------------------------------
+
+class _Summary(NamedTuple):
+    """One function's effects on field slots, as bit masks over slot
+    indices, from its entry with nothing written: ``reads``, the slots
+    some path reads before writing them; ``ret`` and ``halt``, the
+    slots written on every path to one of its RETs, and to a HALT in it
+    or in a callee — None while no such path is known."""
+
+    reads: int = 0
+    ret: Optional[int] = None
+    halt: Optional[int] = None
+
+
+def _meet(known: Optional[int], more: int) -> int:
+    return more if known is None else known & more
+
+
+def _summarise(code: Tuple[Instr, ...],
+               summaries: List[_Summary]) -> _Summary:
+    """One function's :class:`_Summary`, its callees' taken as given:
+    a forward pass over the slots written on every path to each pc,
+    met where paths join."""
+    done: List[Optional[int]] = [None] * len(code)
+    done[0] = 0
+    work = [0]
+    reads = 0
+    ret = halt = None
+    while work:
+        pc = work.pop()
+        written = done[pc]
+        op, arg = code[pc].op, code[pc].arg
+        if op is Op.GETF:
+            reads |= (1 << arg) & ~written
+        elif op is Op.PUTF:
+            written |= 1 << arg
+        elif op is Op.CALL:
+            callee = summaries[arg]
+            reads |= callee.reads & ~written
+            if callee.halt is not None:
+                halt = _meet(halt, written | callee.halt)
+            if callee.ret is None:
+                continue            # it never returns: nothing follows
+            written |= callee.ret
+        elif op is Op.RET:
+            ret = _meet(ret, written)
+            continue
+        elif op is Op.HALT:
+            halt = _meet(halt, written)
+            continue
+        if op is Op.JMP:
+            successors: Tuple[int, ...] = (arg,)
+        elif op is Op.JZ or op is Op.JNZ:
+            successors = (arg, pc + 1)
+        else:
+            successors = (pc + 1,)
+        for succ in successors:
+            seen = done[succ]
+            if seen is None or seen & ~written:
+                done[succ] = _meet(seen, written)
+                work.append(succ)
+    return _Summary(reads, ret, halt)
+
+
+def _effects(program: Program, ops_per_fn: List[Tuple[Op, ...]],
+             written: set) -> Effects:
+    """The program's :class:`Effects`.  With calls, function summaries
+    are iterated, callees (later functions) first, to a fixed point, so
+    a cyclic call graph is covered: read sets only grow and must-write
+    sets only shrink from "no exit known"."""
+    functions = program.functions
+    summaries = [_Summary()] * len(functions)
+    calls = any(Op.CALL in ops for ops in ops_per_fn)
+    order = range(len(functions) - 1, -1, -1) if calls else (0,)
+    changed = True
+    while changed:
+        changed = False
+        for fi in order:
+            summary = _summarise(functions[fi].code, summaries)
+            if summary != summaries[fi]:
+                summaries[fi] = summary
+                changed = calls
+    entry = summaries[0]
+    may = sum(1 << i for i in written)
+    must = entry.ret if entry.halt is None else _meet(entry.ret, entry.halt)
+    # No normal exit at all: no run writes anything back.
+    must = may if must is None else must & may
+    callee_fields = calls and any(
+        Op.GETF in ops_per_fn[k] or Op.PUTF in ops_per_fn[k]
+        for k in {instr.arg for fn in functions for instr in fn.code
+                  if instr.op is Op.CALL})
+    fields = program.field_table
+    loads = ~0 if callee_fields else entry.reads | (may & ~must)
+    sets: Dict[str, Tuple[list, list, list]] = {
+        scope: ([], [], []) for scope in SCOPES[:3]}
+    for i, ref in enumerate(fields):
+        lists = sets.get(ref.scope)
+        if lists is not None:
+            for mask, slots in zip((entry.reads, may, must), lists):
+                if mask >> i & 1:
+                    slots.append(i)
+    scopes = {scope: SlotEffects(*map(tuple, lists))
+              for scope, lists in sets.items()}
+    arrays = program.array_table
+    stores = any(Op.HSTORE in ops for ops in ops_per_fn)
+    scopes["array"] = SlotEffects(
+        tuple(range(len(arrays))),
+        tuple(i for i, ref in enumerate(arrays) if ref.writable and stores))
+    return Effects(scopes, tuple(i for i in range(len(fields))
+                                 if loads >> i & 1), callee_fields)
 
 
 def _loops(code: Tuple[Instr, ...],

@@ -138,6 +138,22 @@ def _copy_in(program: Program, fields: Sequence[int],
     return field_file, heap, bases, lengths, writable_ranges
 
 
+def state_word(value, scope: str, name: str, program: str) -> int:
+    """``value``, read from the state slot ``scope.name``, as a 64-bit
+    word: ``int()`` and the wrap.  The slow path of a state read
+    in both enclave tiers, taken by any value that is not an exact
+    in-range ``int``; a value ``int()`` refuses faults the invocation
+    (Section 3.4.3) instead of escaping the enclave."""
+    try:
+        value = int(value)
+    except (TypeError, ValueError, OverflowError):
+        raise InterpreterFault(
+            f"{scope}.{name} holds a {type(value).__name__}, not an "
+            f"integer",
+            program) from None
+    return wrap64(value)
+
+
 def _finish(program: Program, result: int, field_file: List[int],
             heap: List[int], bases: List[int], lengths: List[int],
             stats: ExecStats) -> ExecResult:

@@ -20,6 +20,13 @@ which faults where the limit says.  A recursive program's stack is
 bounded by its deepest frame times the call-depth limit, which its
 CALLs test.
 
+The per-packet plan (:func:`plan_for`) reads only the slots an
+invocation can observe, ``Effects.loads`` of
+:func:`repro.lang.analysis.facts` — the generic tier reads the same —
+keeps a value that is an exact ``int`` in the 64-bit range as it is,
+and converts any other with ``interpreter.state_word``, which faults
+the hop on a value ``int()`` refuses.
+
 A program is compiled once, by :func:`code_for`: at install
 (``PycodegenBackend.bind``), or on a direct caller's first call.
 :meth:`CodegenRunner.run` — the one execution body, which
@@ -50,10 +57,11 @@ from typing import Dict, List, Optional, Sequence
 
 from .analysis import (PUSHES, Block, Bounds, Exit, If, Loop, ProgramFacts,
                        Split, facts)
-from .bytecode import INT_MASK, INT_MAX, Instr, Op, Program, wrap64
+from .bytecode import (INT_MASK, INT_MAX, INT_MIN, Instr, Op, Program,
+                       wrap64)
 from .interpreter import (WORD_BYTES, ExecResult, ExecStats,
                           InterpreterFault, _copy_in, _finish,
-                          _make_locals)
+                          _make_locals, state_word)
 
 _CARRY = 1 << 64
 
@@ -157,7 +165,9 @@ class _Emitter:
             called = {instr.arg for fn in program.functions
                       for instr in fn.code if instr.op is Op.CALL}
             used = set().union(*(found.ops_used[k] for k in called))
-            self._spill_fields = Op.GETF in used or Op.PUTF in used
+            # A spill hands every slot over, so every slot is loaded
+            # (``Effects.loads``).
+            self._spill_fields = found.effects.callee_fields
             self._reload_fields = Op.PUTF in used
         self.recursive = found.bounds.calls is None
         self.code = program.functions[fi].code
@@ -695,21 +705,25 @@ def plan_for(interp, fn):
     generic tier refuses.
 
     ``plan(packet, msg_entry, acct)`` is ``fn.run_packet``'s generic
-    tier as one generated frame: each field-table slot read straight
-    from the packet / ``msg_entry.values`` / ``fn.global_store``
-    (``int()`` and the 64-bit wrap inline) into a Python local, the
-    heap with the stride and heap-limit checks, then the
+    tier as one generated frame: each slot of ``Effects.loads`` — the
+    read set, the slots written on some paths but not all, or every
+    slot when a callee touches field slots; the generic tier reads the
+    same — read straight from the packet / ``msg_entry.values`` /
+    ``fn.global_store`` into a Python local (an exact in-range ``int``
+    as it is, any other value through ``state_word``, whose
+    :class:`InterpreterFault` on a value ``int()`` refuses faults the
+    hop before anything runs), the heap with the stride and heap-limit
+    checks, then the
     :func:`entry_test` against the limits read from ``interp`` on every
     call — a packet the bounds do not fit, or any packet under an op
     budget, goes to ``fn.run_generic``, whose generated code hands it
     to the tree walk — then RNG and clock read from ``interp``, the entry
     function's body inlined — emitted by the same :class:`_Emitter` as
     ``_f0``, with field slots, op count and stack high-water mark as
-    locals of the plan — and at each of its
-    exits the function's write lists (``fn.packet_writes`` and its
-    siblings: the static write set) written back and ``fn.stats``
-    updated; it returns the op count and lets an
-    :class:`InterpreterFault` out before anything is written.  Callees
+    locals of the plan — and at each of its exits the function's write
+    lists (``fn.packet_writes`` and its siblings: the may-write sets)
+    written back and ``fn.stats`` updated; it returns the op count and
+    lets an :class:`InterpreterFault` out before anything is written.  Callees
     stay ``_fN(ctx, ...)``: around a CALL the plan hands them the op
     count and high-water mark on its context and takes them back.
 
@@ -758,14 +772,23 @@ def _compile_plan(compiled: CompiledProgram, fn) -> tuple:
     ns = {"InterpreterFault": InterpreterFault, "_NAME": program.name}
     if calls:
         ns.update((f"_f{k}", f) for k, f in enumerate(compiled.functions))
-    scopes = ({ref.scope for ref in program.field_table} |
+    table = program.field_table
+    loads = found.effects.loads
+    scopes = ({table[i].scope for i in loads} |
+              {table[i].scope for i in found.effects.written} |
               {ref.scope for ref in program.array_table})
     head: List[str] = []
     if "global" in scopes:
         head.append("_g = _fn.global_store")
     if "message" in scopes:
         head.append("_m = msg.values")
-    for i, ref in enumerate(program.field_table):
+    if loads:
+        ns["_word"] = state_word
+    # Only the slots ``Effects.loads`` names are read; an exact
+    # in-range int is kept as it is, anything else converted by
+    # ``state_word``, which faults on a value ``int()`` refuses.
+    for i in loads:
+        ref = table[i]
         if ref.scope == "message":
             expr = f"_m[{ref.name!r}]"
         else:
@@ -774,13 +797,17 @@ def _compile_plan(compiled: CompiledProgram, fn) -> tuple:
                      else fn.global_schema).field_named(ref.name)
             if field.binder is not None:
                 ns[f"_b{i}"] = field.binder
-                expr = f"int(_b{i}(packet, {'None' if packet else '_g'}))"
+                expr = f"_b{i}(packet, {'None' if packet else '_g'})"
             elif packet:
                 ns[f"_d{i}"] = field.default
-                expr = f"int(getattr(packet, {ref.name!r}, _d{i}))"
+                expr = f"getattr(packet, {ref.name!r}, _d{i})"
             else:
                 expr = f"_g.scalar({ref.name!r})"
-        head += _wrap_lines(f"f{i}", expr)
+        head += [f"f{i} = {expr}",
+                 f"if f{i}.__class__ is not int or not "
+                 f"{INT_MIN} <= f{i} <= {INT_MAX}:",
+                 f"    f{i} = _word(f{i}, {ref.scope!r}, {ref.name!r}, "
+                 f"_NAME)"]
     # Arrays the function neither writes nor binds per packet are read
     # from the store's heap image, which only a store write changes;
     # any other array is read and copied onto a fresh heap per packet.

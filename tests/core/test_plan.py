@@ -10,10 +10,14 @@ flag — and against a ``backend="tree"`` twin, which
 runs the generic tier, under every op budget and stack limit below
 what the Table-1 demos need, where the plan's entry test hands each
 packet to the generic tier; and they pin what its source may contain:
-no budget or stack-limit test.
+no budget or stack-limit test, and reads of exactly the slots
+``analysis.Effects.loads`` names (odd packet values leave the plan,
+``tree`` and ``native`` pins alike).
 """
 
 import gc
+import importlib.util
+import os
 import random
 import re
 import weakref
@@ -959,3 +963,133 @@ def test_every_lower_limit_faults_the_plan_like_the_generic_tier(
             # without one, so every value faults at least one.
             assert plan, (limit, value)
             assert plan == tree, (limit, value)
+
+
+# -- effect-precise reads ------------------------------------------------
+
+def _bench_tag():
+    """The function ``enclave_tag`` installs, loaded from
+    ``bench/actions.py`` itself (``bench/`` is no package): it reads
+    ``size`` and ``dst_port``, writes ``priority`` and ``path_id`` on
+    every path."""
+    path = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                        os.pardir, os.pardir, "bench", "actions.py")
+    spec = importlib.util.spec_from_file_location("bench_actions", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.tag
+
+
+def odd_slots(packet):
+    """``size`` is read, ``priority`` only written, ``queue_id``
+    written on some paths."""
+    if packet.size > 100:
+        packet.queue_id = packet.size % 4
+    packet.priority = 3
+
+
+class _Flag(int):
+    """An ``int`` subclass, as an ``IntEnum`` member is."""
+
+
+_MISSING = object()
+
+#: Packet attribute values ``int()`` refuses: ``TypeError``,
+#: ``ValueError``, ``OverflowError``.
+REFUSED = (None, "high", float("inf"))
+#: Packet attribute values other than an exact in-range ``int``.
+ODD_VALUES = (_MISSING, True, _Flag(7), (1 << 64) + 300, -(1 << 70),
+              2.5) + REFUSED
+
+
+@pytest.mark.parametrize("slot", ("size", "priority", "queue_id"),
+                         ids=("read", "only written", "sometimes written"))
+def test_odd_packet_values_leave_every_tier_alike(slot):
+    """An attribute that is missing, a bool, an ``int`` subclass, out
+    of the 64-bit range, a float or one ``int()`` refuses, in a slot
+    the body reads, one it only writes and one it writes on some
+    paths: the plan, a ``tree`` pin and a ``native`` pin leave the same
+    results, packet attributes, function stats and faults.  A slot the
+    plan does not read is never converted; one it reads faults its hop
+    when ``int()`` refuses the value."""
+
+    def run(backend):
+        enclave = Enclave("plan.odd")
+        fn = enclave.install_function(odd_slots, name="f",
+                                      backend=backend)
+        enclave.install_rule("*", "f")
+        faults = _record_faults(fn)
+        packets = []
+        for value in ODD_VALUES:
+            for size in (50, 500):
+                packet = FakePacket(size=size)
+                if value is _MISSING:
+                    delattr(packet, slot)
+                else:
+                    setattr(packet, slot, value)
+                packets.append(packet)
+        results = [enclave.process_packet(p) for p in packets]
+        return results, [vars(p) for p in packets], fn.stats, faults
+
+    plan = run("interpreter")
+    assert plan == run("tree")
+    results, packets, stats, faults = plan
+    native_results, native_packets, native_stats, native_faults = \
+        run("native")
+    assert [(r.executed, r.faults) for r in native_results] == \
+        [(r.executed, r.faults) for r in results]
+    assert (native_packets, native_faults) == (packets, faults)
+    assert (native_stats.invocations, native_stats.faults) == \
+        (stats.invocations, stats.faults)
+    if slot == "priority":
+        assert faults == []
+        assert [p["priority"] for p in packets] == [3] * len(packets)
+    else:
+        assert faults == [
+            (f"packet.{slot} holds a {type(value).__name__}, not an "
+             f"integer", -1) for value in REFUSED for _ in (50, 500)]
+        assert stats.faults == 2 * len(REFUSED)
+    assert stats.invocations == len(packets) - stats.faults
+
+
+def _plan_reads(source):
+    """The field slots a plan reads before its body, in order."""
+    head = source.split("\n    if acct is not None:\n")[0]
+    return [int(i) for i in re.findall(r"^    f(\d+) = ", head, re.M)]
+
+
+def test_every_table1_plan_reads_exactly_its_loads():
+    """The census: each Table-1 plan reads exactly the read set plus
+    the slots written on some paths but not all, and nothing else."""
+    for entry in _demo_entries():
+        spec = entry.demo
+        action = _compile_demo(spec)
+        effects = analysis.facts(action.program).effects
+        read, may, must = (
+            {i for scope in ("packet", "message", "global")
+             for i in getattr(effects.scopes[scope], kind)}
+            for kind in ("read", "may_write", "must_write"))
+        assert not effects.callee_fields, spec.function_name
+        assert effects.loads == tuple(sorted(read | (may - must)))
+        enclave, fn = _demo_enclave(spec, action, "interpreter")
+        source = pycodegen.plan_for(enclave.interpreter, fn).source
+        assert _plan_reads(source) == list(effects.loads), \
+            spec.function_name
+
+
+def test_tag_reads_only_size_and_dst_port():
+    """``enclave_tag``'s function reads two of its four slots, on the
+    fast path."""
+    enclave = Enclave("plan.tag")
+    fn = enclave.install_function(_bench_tag(), name="tag")
+    enclave.install_rule("*", "tag")
+    _heat(enclave, fn)
+    source = pycodegen.plan_for(enclave.interpreter, fn).source
+    table = fn.program.field_table
+    assert [table[i].name for i in _plan_reads(source)] == \
+        ["size", "dst_port"]
+    assert "int(" not in source
+    for size, ops, priority in ((2000, 15, 1), (64, 14, 5)):
+        packet = FakePacket(size=size, dst_port=7)
+        assert enclave.process_packet(packet).interpreter_ops == ops
+        assert (packet.priority, packet.path_id) == (priority, 4)

@@ -955,6 +955,85 @@ class TestBounds:
                            path)
 
 
+# -- per-slot effects ---------------------------------------------------
+
+#: Inputs per drawn program of the effects property: paths differ in
+#: what they write.
+EFFECT_INPUTS = 6
+#: What a slot outside ``Effects.loads`` may hold instead of its value.
+GARBAGE = st.lists(st.integers(-(1 << 63), (1 << 63) - 1),
+                   min_size=8, max_size=8)
+
+
+def _effect_outcome(program, fvec, avec, seed):
+    """What a tree walk of one input leaves that the effects speak
+    for: the value, the may-write slots, arrays and ``ExecStats`` — or
+    the fault's reason and pc."""
+    interp = Interpreter(dispatch="tree", rng=random.Random(seed),
+                         op_budget=pg.OP_BUDGET)
+    try:
+        res = interp.execute(program, list(fvec), [list(a) for a in avec])
+    except InterpreterFault as fault:
+        return ("fault", fault.reason, fault.pc)
+    return ("ok", res.value,
+            [res.fields[i] for i in facts(program).effects.written],
+            res.arrays, res.stats)
+
+
+def _unloaded(program):
+    loads = facts(program).effects.loads
+    return [i for i in range(len(program.field_table)) if i not in loads]
+
+
+def check_effects(max_examples):
+    @settings(max_examples=max_examples, deadline=None)
+    @given(profile=st.sampled_from(pg.PROFILES),
+           seed=st.integers(0, 1 << 20),
+           mutation=st.one_of(st.none(), st.integers(0, 1 << 20)),
+           inputs=st.integers(0, 1 << 20), garbage=GARBAGE)
+    def prop(profile, seed, mutation, inputs, garbage):
+        program = _action(profile, seed, mutation).program
+        unloaded = _unloaded(program)
+        for k in range(EFFECT_INPUTS):
+            fields, arrays = pg.generate_inputs(program, inputs * 31 + k)
+            fvec, avec = pg.vectors(program, fields, arrays)
+            junk = list(fvec)
+            for i in unloaded:
+                junk[i] = garbage[(i + k) % len(garbage)]
+            assert _effect_outcome(program, junk, avec, seed) == \
+                _effect_outcome(program, fvec, avec, seed), k
+
+    prop()
+
+
+class TestEffects:
+    """Soundness of ``facts(program).effects``: a slot outside
+    ``loads`` — never read before every exit has written it, or never
+    read nor written — cannot change a run.  With such slots holding
+    drawn garbage instead of their values, ``program_gen`` programs
+    and point mutations of them the verifier accepts return the same
+    value, leave the same may-write slots, arrays and ``ExecStats``,
+    or fault with the same reason at the same pc.  Both enclave tiers
+    read only ``loads``."""
+
+    def test_unloaded_slots_cannot_change_a_run(self):
+        check_effects(PROPERTY_EXAMPLES)
+
+    def test_unloaded_slots_cannot_change_a_run_at_depth(self, request):
+        _at_depth(request)
+        check_effects(10 * PROPERTY_EXAMPLES)
+
+    def test_the_property_is_not_vacuous(self):
+        """Over a few seeds, many programs leave some slot unloaded,
+        and some mutants do too."""
+        plain = sum(bool(_unloaded(_action("default", seed, None).program))
+                    for seed in range(40))
+        mutants = sum(bool(_unloaded(_action("default", seed, seed)
+                                     .program))
+                      for seed in range(40))
+        assert plain >= 8 and mutants >= 8, (plain, mutants)
+
+
 # -- fault containment (Section 3.4.3) ----------------------------------
 
 #: Packets per containment example.
@@ -1162,6 +1241,49 @@ class TestFaultContainment:
     def test_faults_are_contained_at_depth(self, request):
         _at_depth(request)
         check_containment(10 * PROPERTY_EXAMPLES)
+
+    def test_a_value_int_refuses_faults_only_its_hop(self):
+        """A packet whose ``queue_id`` is a string: the middle hop of a
+        three-hop chain reads it and faults — counted, nothing of it
+        committed — while the hops around it, which do not read it,
+        run; the plans and ``tree`` pins leave the same.  Only the
+        value's slow path converts it."""
+        action = compile_action(READS_QUEUE_ID,
+                                packet_schema=DEFAULT_PACKET_SCHEMA,
+                                message_schema=MSG_SCHEMA,
+                                global_schema=GLB_SCHEMA, name="f")
+
+        def run(backend):
+            enclave = _chain_enclave(action, 1, backend)
+            fn = enclave.function("f")
+            reasons = _record_faults(fn)
+            packets = _packets(_seeded_inputs(random.Random(1), 6))
+            results = []
+            for i, packet in enumerate(packets):
+                if i % 2:
+                    packet.queue_id = "high"
+                before = _state_of(fn), packet.priority
+                results.append(enclave.process_packet(packet, (),
+                                                      now_ns=i))
+                if i % 2:
+                    _assert_untouched(fn, before[0])
+                    assert packet.priority == before[1]
+            return results, _left_behind(enclave, packets), reasons
+
+        results, left, reasons = run("interpreter")
+        assert (results, left, reasons) == run("tree")
+        assert [r.executed.count("f") for r in results] == [1, 0] * 3
+        assert [r.executed for r in results[1::2]] == [["first", "last"]] * 3
+        assert reasons == ["packet.queue_id holds a str, not an "
+                           "integer"] * 3
+
+
+#: A middle hop that reads ``queue_id`` and writes ``priority``.
+READS_QUEUE_ID = (
+    "def f(packet, msg):\n"
+    "    msg.counter = msg.counter + packet.queue_id\n"
+    "    packet.priority = 2\n"
+)
 
 
 #: The first and last hop of :class:`TestChainedFaults`' chain: each
