@@ -4,13 +4,13 @@ Everything that needs to know something about a program's instructions
 before running them reads it from :func:`facts`: the verifier (is it
 safe to install?), the generated-code backend (operand-stack depth per
 pc, each function's control structure, which ops each function uses,
-and the worst-case stack and call chain of one run — :class:`Bounds` —
+the value :class:`Intervals` that leave a wrap or a heap test idle, and
+the worst-case stack and call chain of one run — :class:`Bounds` —
 that its entry test holds against the limits) and the enclave (which
 slots a run reads before writing them, may write and must write —
 :class:`Effects`, from which both enclave tiers decide what to read
 and write back — and the concurrency level the writes imply, Section
-3.4.4).  The record is
-computed by one pass over every function and cached on the
+3.4.4).  The record is computed on first request and cached on the
 :class:`~repro.lang.bytecode.Program`; it depends only on the immutable
 bytecode, so nothing ever invalidates it.
 
@@ -30,9 +30,12 @@ consumer reads them.
 from __future__ import annotations
 
 import enum
-from typing import Dict, List, NamedTuple, Optional, Tuple
+import heapq
+import sys
+from typing import Dict, FrozenSet, List, NamedTuple, Optional, Tuple
 
-from .bytecode import OPS_WITH_ARG, STACK_EFFECT, Instr, Op, Program
+from .bytecode import (INT_MAX, INT_MIN, OPS_WITH_ARG, STACK_EFFECT,
+                       Instr, Op, Program, wrap64)
 
 #: Deepest structure the generated-code backend renders.  CPython's
 #: tokenizer stops at 100 levels of indentation; the plan puts a body
@@ -198,6 +201,23 @@ class Effects(NamedTuple):
                             for i in self.scopes[scope].may_write))
 
 
+class Intervals(NamedTuple):
+    """What the interval pass proves of one function's code, on every
+    path that reaches each pc.
+
+    ``exact`` holds the pcs of the ADD, SUB, MUL, NEG, SHL and DIV whose
+    result, computed from words, is a word: the 64-bit wrap there is
+    the identity.  ``in_bounds`` holds the pcs of the HLOADs, and of
+    the HSTOREs into a writable array, whose address is ``ABASE k +
+    x*stride + off`` with ``0 <= x < ALEN k`` and ``0 <= off <
+    stride`` of array ``k``: the address lies in ``k``'s region of the
+    heap, so the heap test always passes, and the ops that form it are
+    exact."""
+
+    exact: FrozenSet[int] = frozenset()
+    in_bounds: FrozenSet[int] = frozenset()
+
+
 class ProgramFacts(NamedTuple):
     """What the bytecode of one program says before it runs."""
 
@@ -220,6 +240,9 @@ class ProgramFacts(NamedTuple):
     concurrency: ConcurrencyLevel = ConcurrencyLevel.SERIAL
     #: Worst-case stack and call chain of one invocation.
     bounds: Bounds = Bounds()
+    #: Per function, its :class:`Intervals`: the wraps and heap tests
+    #: that value ranges prove idle.
+    intervals: Tuple[Intervals, ...] = ()
 
     def uses(self, op: Op) -> bool:
         """Whether any function of the program contains ``op``."""
@@ -383,7 +406,7 @@ def _analyse(program: Program) -> ProgramFacts:
         violation=None, depths=tuple(depths), max_depth=max_depth,
         structure=tuple(structure_per_fn), ops_used=tuple(ops_per_fn),
         effects=effects, concurrency=level,
-        bounds=_bounds(program, depths))
+        bounds=_bounds(program, depths), intervals=_intervals(program))
 
 
 _FIELD_REF = (("scope", str), ("name", str), ("writable", bool))
@@ -751,3 +774,410 @@ def _bounds(program: Program,
         stack[fi] = deepest
         chain[fi] = longest
     return Bounds(stack[0], chain[0], frame)
+
+
+# -- value intervals ----------------------------------------------------
+#
+# A forward pass per function over abstract values ``(lo, hi, local,
+# shape)``: the word lies in ``[lo, hi]``; ``local`` is the local slot
+# it was loaded from while that slot still holds it; ``shape`` is None,
+# a compare ``("cmp", symbol, a, b)`` of two abstract values, or a step
+# towards an address inside array ``k``: ``("len", k)``, ``("base",
+# k)``, ``("row", ks)`` (a value ``0 <= v < ALEN k`` for each ``k`` of
+# ``ks``), ``("idx", ks, off)`` (``row * stride + off``) and ``("addr",
+# k, off)`` (``ABASE k + idx``).  A state is the locals' ranges, the
+# ``(slot, k)`` pairs with ``local[slot] < ALEN k``, and the stack.
+
+#: Symbols of the compare ops, as Python writes them.
+CMP_SYMBOLS = {Op.CEQ: "==", Op.CNE: "!=", Op.CLT: "<",
+               Op.CLE: "<=", Op.CGT: ">", Op.CGE: ">="}
+#: The compare that holds exactly when ``symbol`` does not.
+NEGATED = {"<": ">=", ">=": "<", "<=": ">", ">": "<=",
+           "==": "!=", "!=": "=="}
+_FLIPPED = {"<": ">", ">": "<", "<=": ">=", ">=": "<=",
+            "==": "==", "!=": "!="}
+#: No list is longer: ALEN, ABASE and every address in an array's
+#: region lie in ``[0, _SIZE]``.
+_SIZE = min(sys.maxsize, INT_MAX)
+_WORD = (INT_MIN, INT_MAX)
+_ANY = (INT_MIN, INT_MAX, None, None)
+_ZERO = (0, 0, None, None)
+#: Updates of a callee's parameter ranges joined exactly before the
+#: join widens.
+_WIDEN_AFTER = 3
+
+
+def _fit(lo: int, hi: int) -> Tuple[int, int, bool]:
+    """An op's result range from its exact range: as it is when every
+    value in it is a word (the op is exact), else every word."""
+    if INT_MIN <= lo and hi <= INT_MAX:
+        return lo, hi, True
+    return INT_MIN, INT_MAX, False
+
+
+def _corners(fn, a: tuple, bs) -> Tuple[int, int]:
+    values = [fn(x, y) for x in (a[0], a[1]) for y in bs]
+    return min(values), max(values)
+
+
+def _narrow(lo: int, hi: int, symbol: str,
+            other: tuple) -> Optional[Tuple[int, int]]:
+    """``[lo, hi]`` where ``v symbol w`` holds for some ``w`` of
+    ``other``; None when it holds for none."""
+    olo, ohi = other[0], other[1]
+    if symbol == "<":
+        hi = min(hi, ohi - 1)
+    elif symbol == "<=":
+        hi = min(hi, ohi)
+    elif symbol == ">":
+        lo = max(lo, olo + 1)
+    elif symbol == ">=":
+        lo = max(lo, olo)
+    elif symbol == "==":
+        lo, hi = max(lo, olo), min(hi, ohi)
+    elif olo == ohi:               # != one value: trim it off an end
+        if lo == olo:
+            lo += 1
+        elif hi == olo:
+            hi -= 1
+    return (lo, hi) if lo <= hi else None
+
+
+def _refine(state: tuple, symbol: str, a: tuple, b: tuple
+            ) -> Optional[tuple]:
+    """``state`` on the edge where ``a symbol b`` holds; None when no
+    values of the operands' ranges make it hold."""
+    locals_, rows, stack = state
+    left = _narrow(a[0], a[1], symbol, b)
+    right = _narrow(b[0], b[1], _FLIPPED[symbol], a)
+    if left is None or right is None:
+        return None
+    for av, narrowed in ((a, left), (b, right)):
+        slot = av[2]
+        if slot is not None:
+            lo, hi = locals_[slot]
+            lo, hi = max(lo, narrowed[0]), min(hi, narrowed[1])
+            if lo > hi:
+                return None
+            locals_ = locals_[:slot] + ((lo, hi),) + locals_[slot + 1:]
+    # The one relational fact: a guard ``local < ALEN k``.
+    if symbol == ">":
+        a, b, symbol = b, a, "<"
+    if symbol == "<" and a[2] is not None and b[3] is not None and \
+            b[3][0] == "len":
+        rows = rows | {(a[2], b[3][1])}
+    return locals_, rows, stack
+
+
+def _forget(av: tuple, slot: int) -> tuple:
+    """``av`` after a STORE to ``slot``: it no longer names the slot."""
+    lo, hi, local, shape = av
+    if local == slot:
+        local = None
+    if shape is not None and shape[0] == "cmp" and \
+            slot in (shape[2][2], shape[3][2]):
+        shape = None
+    return lo, hi, local, shape
+
+
+def _as_idx(av: tuple, arrays) -> Optional[Tuple[FrozenSet[int], int]]:
+    shape = av[3]
+    if shape is None:
+        return None
+    if shape[0] == "idx":
+        return shape[1], shape[2]
+    if shape[0] == "row":
+        ks = frozenset(k for k in shape[1] if arrays[k].stride == 1)
+        return (ks, 0) if ks else None
+    return None
+
+
+def _address(op: Op, a: tuple, b: tuple, arrays) -> Optional[tuple]:
+    """The shape of ``a op b`` on the way to an address inside one
+    array, or None."""
+    for x, y in ((a, b), (b, a)):
+        shape = x[3]
+        if shape is None:
+            continue
+        c = y[0] if y[0] == y[1] else None
+        kind = shape[0]
+        if op is Op.MUL:
+            if kind == "row" and c is not None and c >= 1:
+                ks = frozenset(k for k in shape[1]
+                               if arrays[k].stride == c)
+                if ks:
+                    return ("idx", ks, 0)
+        elif kind == "base":
+            idx = _as_idx(y, arrays)
+            if idx is not None and shape[1] in idx[0]:
+                return ("addr", shape[1], idx[1])
+        elif kind == "addr":
+            if c is not None and \
+                    0 <= shape[2] + c < arrays[shape[1]].stride:
+                return ("addr", shape[1], shape[2] + c)
+        elif c is not None:
+            idx = _as_idx(x, arrays)
+            if idx is not None:
+                off = idx[1] + c
+                ks = frozenset(k for k in idx[0]
+                               if 0 <= off < arrays[k].stride)
+                if ks:
+                    return ("idx", ks, off)
+    return None
+
+
+def _bitwise(op: Op, a: tuple, b: tuple) -> Tuple[int, int]:
+    if op is Op.BAND:
+        if a[0] >= 0 and b[0] >= 0:
+            return 0, min(a[1], b[1])
+        if a[0] >= 0 or b[0] >= 0:
+            return 0, a[1] if a[0] >= 0 else b[1]
+    elif a[0] >= 0 and b[0] >= 0:
+        return 0, (1 << max(a[1], b[1]).bit_length()) - 1
+    return _WORD
+
+
+#: The ops whose result the tree walk wraps, and the heap ops.
+_MAY_WRAP = frozenset({Op.ADD, Op.SUB, Op.MUL, Op.NEG, Op.SHL, Op.DIV})
+_HEAP = frozenset({Op.HLOAD, Op.HSTORE})
+
+
+def _step(pc: int, instr: Instr, state: tuple, program: Program,
+          proved: dict) -> List[Tuple[int, tuple]]:
+    """The successors of ``pc`` with their states.  ``proved[pc]`` is
+    set to what the op proves from ``state``: for an op that may wrap,
+    whether it is exact; for a heap op, whether its address is inside
+    its array; for a CALL, its arguments' ranges."""
+    locals_, rows, stack = state
+    op, arg = instr.op, instr.arg
+    nxt = pc + 1
+    arrays = program.array_table
+    if op is Op.JMP:
+        return [(arg, state)]
+    if op is Op.JZ or op is Op.JNZ:
+        v = stack[-1]
+        rest = (locals_, rows, stack[:-1])
+        shape = v[3]
+        symbol, a, b = shape[1:] if shape is not None and \
+            shape[0] == "cmp" else ("!=", v, _ZERO)
+        nonzero = _refine(rest, symbol, a, b)
+        zero = _refine(rest, NEGATED[symbol], a, b)
+        taken, fallen = (zero, nonzero) if op is Op.JZ else \
+            (nonzero, zero)
+        return [(succ, s) for succ, s in ((arg, taken), (nxt, fallen))
+                if s is not None]
+    if op is Op.RET or op is Op.HALT:
+        return []
+    if op is Op.STORE:
+        v = stack[-1]
+        stack = tuple(_forget(av, arg) for av in stack[:-1])
+        rows = frozenset(r for r in rows if r[0] != arg)
+        if v[3] is not None and v[3][0] == "row":
+            rows |= {(arg, k) for k in v[3][1]}
+        locals_ = locals_[:arg] + ((v[0], v[1]),) + locals_[arg + 1:]
+        return [(nxt, (locals_, rows, stack))]
+    if op is Op.CALL:
+        n_args = program.functions[arg].n_args
+        keep = len(stack) - n_args
+        proved[pc] = tuple((av[0], av[1]) for av in stack[keep:])
+        return [(nxt, (locals_, rows, stack[:keep] + (_ANY,)))]
+    if op is Op.HSTORE:
+        addr = stack[-1][3]
+        proved[pc] = addr is not None and addr[0] == "addr" and \
+            arrays[addr[1]].writable
+        return [(nxt, (locals_, rows, stack[:-2]))]
+    if op is Op.POP or op is Op.PUTF:
+        return [(nxt, (locals_, rows, stack[:-1]))]
+    if op is Op.SWAP:
+        return [(nxt, (locals_, rows, stack[:-2] + (stack[-1], stack[-2])))]
+
+    pops = STACK_EFFECT[op][0]
+    below = stack[:len(stack) - pops]
+    exact = False
+    if op is Op.CONST:
+        w = wrap64(arg)
+        out = (w, w, None, None)
+    elif op is Op.LOAD:
+        lo, hi = locals_[arg]
+        ks = frozenset(k for slot, k in rows if slot == arg)
+        out = (lo, hi, arg, ("row", ks) if ks and lo >= 0 else None)
+    elif op is Op.DUP:
+        below, out = stack, stack[-1]
+    elif op is Op.GETF or op is Op.CLOCK:
+        out = _ANY
+    elif op is Op.ABASE or op is Op.ALEN:
+        out = (0, _SIZE, None, ("base" if op is Op.ABASE else "len", arg))
+    elif op is Op.HLOAD:
+        addr = stack[-1][3]
+        proved[pc] = addr is not None and addr[0] == "addr"
+        out = _ANY
+    elif op is Op.RAND:
+        if stack[-1][1] < 1:
+            return []              # every bound faults
+        out = (0, stack[-1][1] - 1, None, None)
+    elif op in CMP_SYMBOLS:
+        out = (0, 1, None, ("cmp", CMP_SYMBOLS[op], stack[-2], stack[-1]))
+    elif op is Op.NOTL:
+        v = stack[-1]
+        shape = v[3]
+        out = (0, 1, None, ("cmp", NEGATED[shape[1]], shape[2], shape[3])
+               if shape is not None and shape[0] == "cmp"
+               else ("cmp", "==", v, _ZERO))
+    elif op is Op.NEG:
+        lo, hi, exact = _fit(-stack[-1][1], -stack[-1][0])
+        out = (lo, hi, None, None)
+    elif op is Op.BNOT:
+        out = (-stack[-1][1] - 1, -stack[-1][0] - 1, None, None)
+    else:
+        a, b = stack[-2], stack[-1]
+        shape = None
+        if op is Op.ADD or op is Op.SUB or op is Op.MUL:
+            if op is Op.ADD:
+                lo, hi = a[0] + b[0], a[1] + b[1]
+            elif op is Op.SUB:
+                lo, hi = a[0] - b[1], a[1] - b[0]
+            else:
+                lo, hi = _corners(int.__mul__, a, (b[0], b[1]))
+            lo, hi, exact = _fit(lo, hi)
+            if op is not Op.SUB:
+                shape = _address(op, a, b, arrays)
+                if shape is not None:
+                    lo, hi, exact = 0, _SIZE - 1, True
+        elif op is Op.DIV or op is Op.MOD:
+            divisors = [d for d in (b[0], b[1], -1, 1)
+                        if d and b[0] <= d <= b[1]]
+            if not divisors:
+                return []          # always divides by zero
+            if op is Op.DIV:
+                lo, hi, exact = _fit(*_corners(int.__floordiv__, a,
+                                               divisors))
+            else:
+                lo = b[0] + 1 if b[0] < 0 else 0
+                hi = b[1] - 1 if b[1] > 0 else 0
+        elif op is Op.SHL or op is Op.SHR:
+            shifts = (max(b[0], 0), min(b[1], 63))
+            if shifts[0] > shifts[1]:
+                return []          # every amount faults
+            if op is Op.SHL:
+                lo, hi, exact = _fit(*_corners(int.__lshift__, a, shifts))
+            else:
+                lo, hi = _corners(int.__rshift__, a, shifts)
+        else:
+            lo, hi = _bitwise(op, a, b)
+        out = (lo, hi, None, shape)
+    if op in _MAY_WRAP:
+        proved[pc] = exact
+    return [(nxt, (locals_, rows, below + (out,)))]
+
+
+def _join_range(old: tuple, new: tuple, widen: bool) -> Tuple[int, int]:
+    if widen:
+        return (old[0] if new[0] >= old[0] else INT_MIN,
+                old[1] if new[1] <= old[1] else INT_MAX)
+    return min(old[0], new[0]), max(old[1], new[1])
+
+
+def _join_value(old: tuple, new: tuple, widen: bool) -> tuple:
+    if old == new:
+        return old
+    shape, other = old[3], new[3]
+    if shape != other:
+        if shape is None or other is None or shape[0] != other[0]:
+            shape = None
+        elif shape[0] == "cmp":
+            shape = None if shape[1] != other[1] else (
+                "cmp", shape[1], _join_value(shape[2], other[2], widen),
+                _join_value(shape[3], other[3], widen))
+        elif shape[0] == "row":
+            ks = shape[1] & other[1]
+            shape = ("row", ks) if ks else None
+        else:
+            shape = None
+    return _join_range(old, new, widen) + (
+        old[2] if old[2] == new[2] else None, shape)
+
+
+def _join(old: tuple, new: tuple, widen: bool) -> tuple:
+    """Two states met where paths join, or a state revisited; ``widen``
+    at a loop header, where a bound that still moves goes to the end of
+    the word."""
+    return (tuple(_join_range(x, y, widen)
+                  for x, y in zip(old[0], new[0])),
+            old[1] & new[1],
+            tuple(_join_value(x, y, widen) for x, y in zip(old[2], new[2])))
+
+
+def _function_intervals(program: Program, fi: int, start: tuple
+                        ) -> Tuple[Intervals, Dict[int, tuple]]:
+    """One function's :class:`Intervals` from its locals' ranges at
+    entry, and the argument ranges its CALLs pass, by callee."""
+    code = program.functions[fi].code
+    heads = {instr.arg for pc, instr in enumerate(code)
+             if instr.op in _JUMPS and instr.arg <= pc}
+    state_at: List[Optional[tuple]] = [None] * len(code)
+    state_at[0] = (start, frozenset(), ())
+    # A pc is stepped again whenever its state grows, so its last step,
+    # which ``proved`` keeps, saw its final state.  In pc order: forward
+    # jumps go up, so a join is met once all its predecessors before
+    # it have been.
+    proved: Dict[int, object] = {}
+    work = [0]
+    queued = {0}
+    while work:
+        pc = heapq.heappop(work)
+        queued.discard(pc)
+        for succ, state in _step(pc, code[pc], state_at[pc], program,
+                                 proved):
+            old = state_at[succ]
+            if old is not None:
+                state = _join(old, state, succ in heads)
+                if state == old:
+                    continue
+            state_at[succ] = state
+            if succ not in queued:
+                queued.add(succ)
+                heapq.heappush(work, succ)
+    calls: Dict[int, tuple] = {}
+    for pc, args in proved.items():
+        callee = code[pc].arg
+        if code[pc].op is Op.CALL:
+            seen = calls.get(callee)
+            calls[callee] = args if seen is None else tuple(
+                (min(x[0], y[0]), max(x[1], y[1]))
+                for x, y in zip(seen, args))
+    return Intervals(
+        frozenset(pc for pc, ok in proved.items()
+                  if ok is True and code[pc].op in _MAY_WRAP),
+        frozenset(pc for pc, ok in proved.items()
+                  if ok is True and code[pc].op in _HEAP)), calls
+
+
+def _intervals(program: Program) -> Tuple[Intervals, ...]:
+    """Every function's :class:`Intervals`.  The entry's locals are
+    unknown (a caller's arguments can fill any of them); a callee's
+    parameters range over the join of what its CALL sites pass, and
+    its other locals start at 0.  A function is analysed again while
+    a caller widens its parameters; after :data:`_WIDEN_AFTER` updates
+    the join widens, so the passes end."""
+    functions = program.functions
+    params: List[Optional[tuple]] = [None] * len(functions)
+    params[0] = (_WORD,) * functions[0].n_locals
+    updates = [0] * len(functions)
+    found = [Intervals()] * len(functions)
+    dirty = {0}
+    while dirty:
+        fi = min(dirty)
+        dirty.discard(fi)
+        fn = functions[fi]
+        start = params[fi] + ((0, 0),) * (fn.n_locals - len(params[fi]))
+        found[fi], calls = _function_intervals(program, fi, start)
+        for callee, args in calls.items():
+            old = params[callee]
+            new = args if old is None else tuple(
+                _join_range(x, y, updates[callee] >= _WIDEN_AFTER)
+                for x, y in zip(old, args))
+            if new != old:
+                params[callee] = new
+                updates[callee] += 1
+                dirty.add(callee)
+    return tuple(found)

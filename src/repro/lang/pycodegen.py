@@ -3,12 +3,26 @@
 The tree walk (``Interpreter.execute_tree``) re-decodes every
 instruction through a long ``Op`` comparison chain.  This module
 removes dispatch entirely: each :class:`~repro.lang.bytecode.Program`
-is translated to Python source — one ``def`` per bytecode function,
-operand-stack slots lowered to Python locals — and ``compile()``d
-once.  Branches become real ``while``/``if`` structures, guards are
-inlined, and the 64-bit wraparound is folded away wherever the operand
-ranges make it the identity (``&``, ``|``, ``^``, ``~``, ``>>``, ``%``
-of in-range values stay in range).
+is translated to Python source — one ``def`` per bytecode function —
+and ``compile()``d once.  Branches become real ``while``/``if``
+structures and guards are inlined.  The operand stack is kept
+symbolically while the source is written: pure ops compute in Python
+expressions, a compare that feeds a branch is the ``if`` test itself,
+and a value lands in an operand-slot local only where it must (see
+:class:`_Emitter`).
+
+The 64-bit wraparound commutes with ``+ - * << & | ^ ~`` and negation,
+so it is taken only where a value is observed — a compare, a branch
+test, ``//``, ``%``, ``>>``, a shift amount, a heap address or stored
+word, a RAND bound, STORE/PUTF, a CALL argument, a return — as a range
+test that rarely calls ``wrap64``; a heap address is wrapped before
+its bounds test.  Where the per-function value intervals of
+:func:`repro.lang.analysis.facts` prove every op under a value exact,
+there is no wrap at all, and an HLOAD they prove inside its array
+(``ABASE k + x*stride + off`` under a guard ``x < ALEN k``: the record
+search of PIAS, SFF and WCMP) tests no bounds.  Every Python local,
+field slot and operand slot always holds a word: an entry argument
+that is not one sends the run to the tree walk.
 
 Generated code tests neither the op budget nor the operand-stack
 limit, nor, over an acyclic call graph, the call-depth limit.  The
@@ -53,10 +67,11 @@ slot on its ``Program`` and dies with it.
 from __future__ import annotations
 
 import keyword
-from typing import Dict, List, Optional, Sequence
+from typing import (Dict, FrozenSet, List, NamedTuple, Optional, Sequence,
+                    Tuple)
 
-from .analysis import (PUSHES, Block, Bounds, Exit, If, Loop, ProgramFacts,
-                       Split, facts)
+from .analysis import (CMP_SYMBOLS, NEGATED, PUSHES, Block, Bounds, Exit,
+                       If, Loop, ProgramFacts, Split, facts)
 from .bytecode import (INT_MASK, INT_MAX, INT_MIN, Instr, Op, Program,
                        wrap64)
 from .interpreter import (WORD_BYTES, ExecResult, ExecStats,
@@ -69,10 +84,6 @@ _CARRY = 1 << 64
 #: does not: it is rendered as a pop).
 _SEGMENT_ENDS = frozenset({Op.JMP, Op.CALL, Op.RET, Op.HALT})
 
-_CMP_SYM = {
-    Op.CEQ: "==", Op.CNE: "!=", Op.CLT: "<",
-    Op.CLE: "<=", Op.CGT: ">", Op.CGE: ">=",
-}
 
 
 class _Ctx:
@@ -109,12 +120,48 @@ class CompiledProgram:
         self.plan = None
 
 
-# -- shared per-op statement emission -----------------------------------
+# -- the emitter --------------------------------------------------------
 
-def _wrap_lines(target: str, expr: str) -> List[str]:
-    """``target = wrap64(expr)``, inline."""
-    return [f"_v = ({expr}) & {INT_MASK}",
-            f"{target} = _v - {_CARRY} if _v > {INT_MAX} else _v"]
+class _Val(NamedTuple):
+    """One operand-stack entry as Python source.
+
+    ``expr`` computes it: a word, or, with ``wrap``, an int congruent
+    to the word mod 2**64 (``+ - * << & | ^ ~`` and negation commute
+    with that reduction).  ``atom`` says it needs no parentheses as an
+    operand.  A compare result carries its ``test``, ``(symbol, left,
+    right)``, which holds when the value is 1.  ``reads`` names what it
+    reads: locals ``lK``, field slots ``fK``, operand slots ``sK`` (an
+    entry at depth ``d`` reads none below ``s{d}``) and the heap ``H``.
+    """
+
+    expr: str
+    atom: bool = True
+    wrap: bool = False
+    test: Optional[Tuple[str, str, str]] = None
+    reads: FrozenSet[str] = frozenset()
+
+
+def _slot(d: int) -> _Val:
+    """Operand slot ``d``, which always holds a word."""
+    return _Val(f"s{d}", reads=frozenset((f"s{d}",)))
+
+
+def _operand(v: _Val) -> str:
+    return v.expr if v.atom else f"({v.expr})"
+
+
+def _as_value(test: Tuple[str, str, str]) -> str:
+    """The 0/1 value of a compare ``test``."""
+    symbol, left, right = test
+    return f"1 if {left} {symbol} {right} else 0"
+
+
+def _reads_slot(v: _Val) -> bool:
+    return any(name[0] == "s" for name in v.reads)
+
+
+_ARITH = {Op.ADD: "+", Op.SUB: "-", Op.MUL: "*"}
+_BITWISE = {Op.BAND: "&", Op.BOR: "|", Op.BXOR: "^"}
 
 
 class _Emitter:
@@ -122,12 +169,31 @@ class _Emitter:
 
     It walks the function's structure from
     :func:`~repro.lang.analysis.facts` — loops, if/else shapes and the
-    straight-line pcs between them — and lowers each op.  Operand-stack
-    slot ``k`` is the Python local ``s{k}``; bytecode locals are the
-    parameters ``l{k}``.  The program is verified: every index, slot
-    and jump target is in range, every reachable pc has one
-    operand-stack depth, and every reachable pc sits in the recorded
-    structure.
+    straight-line pcs between them — and lowers each op onto a symbolic
+    operand stack of :class:`_Val`: a pure op (CONST, LOAD, GETF,
+    ABASE, ALEN, the arithmetic and bitwise ops, the compares, NOTL)
+    builds a Python expression instead of a statement, and a compare
+    that feeds a JZ/JNZ becomes the ``if`` test itself.  An entry is
+    materialised into its slot, the Python local ``s{depth}``, only
+    before an op that writes what it reads (STORE, PUTF, HSTORE), that
+    can fault and uses it twice, that calls, or at the edge of a
+    straight-line segment; bytecode locals are the parameters ``l{k}``.
+    Every Python local and every slot always holds a word.
+
+    The 64-bit wrap is taken where a value is observed — a compare, a
+    branch test, ``//``, ``%``, ``>>``, a shift amount, a heap address
+    or stored word, a RAND bound, STORE, PUTF, a CALL argument, a
+    return — as a range test, ``if not INT_MIN <= v <= INT_MAX: v =
+    _wrap(v)``, and not at all where the function's
+    :class:`~repro.lang.analysis.Intervals` prove every op under the
+    value exact.  An HLOAD or HSTORE they prove inside its array tests
+    no bounds.  Deferring a pure expression is invisible: it cannot
+    fault, and op counts, ``_ms``, fault reasons and pcs are the tree
+    walk's.
+
+    The program is verified: every index, slot and jump target is in
+    range, every reachable pc has one operand-stack depth, and every
+    reachable pc sits in the recorded structure.
 
     Code runs only under limits its bounds fit (:func:`entry_test`), so
     it tests neither the op budget nor the stack limit, and a CALL
@@ -173,7 +239,10 @@ class _Emitter:
         self.code = program.functions[fi].code
         self.depth_at = found.depths[fi]
         self.structure = found.structure[fi]
+        self.exact = found.intervals[fi].exact
+        self.in_bounds = found.intervals[fi].in_bounds
         self.lines: List[str] = []
+        self.stack: List[_Val] = []
         # A function's body sits in its ``def``; the plan's in a ``try``.
         self.indent = 1 if exit is None else 2
         # Segment state: where its counts go, its op count, its deepest
@@ -190,12 +259,14 @@ class _Emitter:
         self.lines.append("    " * self.indent + line)
 
     def new_segment(self, depth: int) -> None:
-        """Start a segment at an operand-stack depth of ``depth``."""
+        """Start a segment at an operand-stack depth of ``depth``, with
+        every entry in its slot."""
         self._anchor = len(self.lines)
         self._anchor_indent = self.indent
         self._pending = 0
         self._seg_high = 0
         self._floor = max(self._floor, depth)
+        self.stack[:] = [_slot(d) for d in range(depth)]
 
     def flush(self) -> None:
         """Splice the segment's counts in at its start."""
@@ -219,114 +290,235 @@ class _Emitter:
         if new_depth > self._seg_high:
             self._seg_high = new_depth
 
-    def _wrap_into(self, slot: str, expr: str) -> None:
-        for line in _wrap_lines(slot, expr):
-            self.w(line)
-
     def _raise(self, reason_expr: str, pc: int) -> None:
         self.w(f"raise InterpreterFault({reason_expr}, _NAME, {pc})")
+
+    def _fault_if(self, test: str, reason_expr: str, pc: int) -> None:
+        self.w(f"if {test}:")
+        self.indent += 1
+        self._raise(reason_expr, pc)
+        self.indent -= 1
+
+    # -- the symbolic stack ---------------------------------------------
+
+    def _wrap(self, name: str) -> None:
+        """Reduce the int in ``name`` to its word."""
+        self.w(f"if not {INT_MIN} <= {name} <= {INT_MAX}:")
+        self.w(f"    {name} = _wrap({name})")
+
+    def _assign(self, name: str, v: _Val) -> None:
+        """``name = v`` as a word; nothing live reads ``name``."""
+        if v.expr != name:
+            self.w(f"{name} = {v.expr}")
+        if v.wrap:
+            self._wrap(name)
+
+    def spill(self, pending: Sequence[_Val] = (), base: int = 0
+              ) -> List[_Val]:
+        """Materialise every live entry, and the popped ``pending``
+        from depth ``base`` on, each into its own slot, in one
+        simultaneous assignment."""
+        items = list(enumerate(self.stack)) + [
+            (base + k, v) for k, v in enumerate(pending)]
+        moves = [(d, v) for d, v in items if v.expr != f"s{d}"]
+        if moves:
+            self.w(", ".join(f"s{d}" for d, _ in moves) + " = " +
+                   ", ".join(v.expr for _, v in moves))
+            for d, v in moves:
+                if v.wrap:
+                    self._wrap(f"s{d}")
+        self.stack[:] = [_slot(d) for d in range(len(self.stack))]
+        return [_slot(base + k) for k in range(len(pending))]
+
+    def _spill_readers(self, name: str) -> None:
+        """Before a write to ``name``: spill if a live entry reads it."""
+        if any(name in v.reads for v in self.stack):
+            self.spill()
+
+    def _words(self, vals: Sequence[_Val], base: int,
+               needs: str = "") -> List[_Val]:
+        """The popped ``vals``, from depth ``base`` on, observed.  Per
+        value, ``needs`` says how: ``w`` (the default) a word, ``a`` a
+        word in one name (it is used more than once), ``-`` as it is.
+        A value that may lie outside the range where a word is needed,
+        or that is compound where a name is, goes to its slot."""
+        out = list(vals)
+        for i, v in enumerate(out):
+            need = needs[i] if i < len(needs) else "w"
+            if not (need == "w" and v.wrap or
+                    need == "a" and (v.wrap or not v.atom)):
+                continue
+            name = f"s{base + i}"
+            if any(name in e.reads for e in self.stack) or \
+                    any(name in out[k].reads for k in range(i)):
+                out[:i + 1] = self.spill(out[:i + 1], base)
+            else:
+                self._assign(name, v)
+                out[i] = _slot(base + i)
+        return out
+
+    def _pop_words(self, n: int, needs: str = "") -> List[_Val]:
+        """Pop the top ``n`` entries, lowest first, observed as
+        :meth:`_words` says."""
+        base = len(self.stack) - n
+        vals = self.stack[base:]
+        del self.stack[base:]
+        return self._words(vals, base, needs)
+
+    def _test(self, v: _Val, nonzero: bool) -> str:
+        """The Python test that the popped ``v`` is (or is not) 0."""
+        if v.test is not None:
+            symbol, left, right = v.test
+            if not nonzero:
+                symbol = NEGATED[symbol]
+            return f"{left} {symbol} {right}"
+        (v,) = self._words([v], len(self.stack))
+        return _operand(v) if nonzero else f"not {_operand(v)}"
+
+    def _cond(self, pc: int, taken: bool) -> str:
+        """Pop the JZ/JNZ operand at ``pc`` and spill the rest: the test
+        for the branch being taken (or not)."""
+        v = self.stack.pop()
+        test = self._test(v, (self.code[pc].op is Op.JNZ) == taken)
+        self.spill()
+        return test
 
     # -- one straight-line op -------------------------------------------
 
     def emit_op(self, pc: int, instr: Instr) -> None:
         """Emit a non-control op."""
         op = instr.op
-        d = self.depth_at[pc]
+        stack = self.stack
+        d = len(stack)
         self._pending += 1
-        top = f"s{d - 1}"
-        nxt = f"s{d}"
         if op in PUSHES:
             self._push(d + 1)
         if op is Op.CONST:
-            self.w(f"{nxt} = {wrap64(instr.arg)}")
+            value = wrap64(instr.arg)
+            stack.append(_Val(str(value) if value >= 0 else f"({value})"))
         elif op is Op.LOAD:
-            self.w(f"{nxt} = l{instr.arg}")
-        elif op is Op.STORE:
-            self.w(f"l{instr.arg} = {top}")
-        elif op is Op.POP or op is Op.JZ or op is Op.JNZ:
-            pass                   # a branch to the next pc only pops
-        elif op is Op.DUP:
-            self.w(f"{nxt} = {top}")
-        elif op is Op.SWAP:
-            self.w(f"s{d - 1}, s{d - 2} = s{d - 2}, s{d - 1}")
-        elif op in (Op.ADD, Op.SUB, Op.MUL):
-            sym = {Op.ADD: "+", Op.SUB: "-", Op.MUL: "*"}[op]
-            self._wrap_into(f"s{d - 2}", f"s{d - 2} {sym} {top}")
-        elif op is Op.DIV:
-            self.w(f"if {top} == 0:")
-            self.indent += 1
-            self._raise("'division by zero'", pc)
-            self.indent -= 1
-            self._wrap_into(f"s{d - 2}", f"s{d - 2} // {top}")
-        elif op is Op.MOD:
-            self.w(f"if {top} == 0:")
-            self.indent += 1
-            self._raise("'modulo by zero'", pc)
-            self.indent -= 1
-            self.w(f"s{d - 2} = s{d - 2} % {top}")
-        elif op is Op.NEG:
-            self._wrap_into(top, f"-{top}")
-        elif op in (Op.BAND, Op.BOR, Op.BXOR):
-            sym = {Op.BAND: "&", Op.BOR: "|", Op.BXOR: "^"}[op]
-            self.w(f"s{d - 2} = s{d - 2} {sym} {top}")
-        elif op is Op.BNOT:
-            self.w(f"{top} = ~{top}")
-        elif op in (Op.SHL, Op.SHR):
-            self.w(f"if not 0 <= {top} < 64:")
-            self.indent += 1
-            self._raise(
-                "f'shift amount {" + top + "} out of range'", pc)
-            self.indent -= 1
-            if op is Op.SHL:
-                self._wrap_into(f"s{d - 2}", f"s{d - 2} << {top}")
-            else:
-                self.w(f"s{d - 2} = s{d - 2} >> {top}")
-        elif op in _CMP_SYM:
-            self.w(f"s{d - 2} = 1 if s{d - 2} {_CMP_SYM[op]} {top} "
-                   f"else 0")
-        elif op is Op.NOTL:
-            self.w(f"{top} = 1 if {top} == 0 else 0")
+            stack.append(_Val(f"l{instr.arg}",
+                              reads=frozenset((f"l{instr.arg}",))))
         elif op is Op.GETF:
-            self.w(f"{nxt} = {self.field.format(instr.arg)}")
-        elif op is Op.PUTF:
-            self.w(f"{self.field.format(instr.arg)} = {top}")
+            stack.append(_Val(self.field.format(instr.arg),
+                              reads=frozenset((f"f{instr.arg}",))))
         elif op is Op.ABASE:
-            self.w(f"{nxt} = B[{instr.arg}]")
+            stack.append(_Val(f"_B{instr.arg}"))
         elif op is Op.ALEN:
-            self.w(f"{nxt} = L[{instr.arg}]")
+            stack.append(_Val(f"_L{instr.arg}"))
+        elif op is Op.STORE or op is Op.PUTF:
+            name = (f"l{instr.arg}" if op is Op.STORE
+                    else f"f{instr.arg}")
+            v = stack.pop()
+            self._spill_readers(name)
+            target = name if op is Op.STORE else \
+                self.field.format(instr.arg)
+            if v.wrap and target != name:   # a callee's ``F[k]``
+                (v,) = self._words([v], d - 1)
+            self._assign(target, v)
+        elif op is Op.POP or op is Op.JZ or op is Op.JNZ:
+            stack.pop()            # a branch to the next pc only pops
+        elif op is Op.DUP:
+            top = stack[-1]
+            if top.atom and not _reads_slot(top):
+                stack.append(top)
+            else:
+                self.spill()
+                self.w(f"s{d} = s{d - 1}")
+                stack.append(_slot(d))
+        elif op is Op.SWAP:
+            if _reads_slot(stack[-1]) or _reads_slot(stack[-2]):
+                self.spill()
+                self.w(f"s{d - 1}, s{d - 2} = s{d - 2}, s{d - 1}")
+            else:
+                stack[-1], stack[-2] = stack[-2], stack[-1]
+        elif op in _ARITH or op in _BITWISE:
+            rhs = stack.pop()
+            lhs = stack.pop()
+            wrap = lhs.wrap or rhs.wrap or (
+                op in _ARITH and pc not in self.exact)
+            symbol = _ARITH.get(op) or _BITWISE[op]
+            stack.append(_Val(f"{_operand(lhs)} {symbol} {_operand(rhs)}",
+                              False, wrap, None, lhs.reads | rhs.reads))
+        elif op is Op.NEG or op is Op.BNOT:
+            v = stack.pop()
+            wrap = v.wrap or (op is Op.NEG and pc not in self.exact)
+            symbol = "-" if op is Op.NEG else "~"
+            stack.append(_Val(f"{symbol}{_operand(v)}", False, wrap,
+                              None, v.reads))
+        elif op is Op.DIV or op is Op.MOD:
+            lhs, rhs = self._pop_words(2, "wa")
+            what = "division" if op is Op.DIV else "modulo"
+            self._fault_if(f"{rhs.expr} == 0", f"'{what} by zero'", pc)
+            symbol = "//" if op is Op.DIV else "%"
+            # Only INT_MIN // -1 leaves the range.
+            wrap = op is Op.DIV and pc not in self.exact
+            stack.append(_Val(f"{_operand(lhs)} {symbol} {rhs.expr}",
+                              False, wrap, None, lhs.reads | rhs.reads))
+        elif op is Op.SHL or op is Op.SHR:
+            lhs, rhs = self._pop_words(2, "-a" if op is Op.SHL else "wa")
+            self._fault_if(
+                f"not 0 <= {rhs.expr} < 64",
+                "f'shift amount {" + rhs.expr + "} out of range'", pc)
+            wrap = op is Op.SHL and (lhs.wrap or pc not in self.exact)
+            symbol = "<<" if op is Op.SHL else ">>"
+            stack.append(_Val(f"{_operand(lhs)} {symbol} {rhs.expr}",
+                              False, wrap, None, lhs.reads | rhs.reads))
+        elif op in CMP_SYMBOLS:
+            lhs, rhs = self._pop_words(2)
+            test = (CMP_SYMBOLS[op], _operand(lhs), _operand(rhs))
+            stack.append(_Val(_as_value(test),
+                              False, False, test, lhs.reads | rhs.reads))
+        elif op is Op.NOTL:
+            v = stack.pop()
+            if v.test is not None:
+                symbol, left, right = v.test
+                test = (NEGATED[symbol], left, right)
+            else:
+                (v,) = self._words([v], d - 1)
+                test = ("==", _operand(v), "0")
+            stack.append(_Val(_as_value(test),
+                              False, False, test, v.reads))
         elif op is Op.HLOAD:
-            self.w(f"if not 0 <= {top} < len(H):")
-            self.indent += 1
-            self._raise(
-                "f'heap read at {" + top + "} out of bounds "
-                "(heap has {len(H)} words)'", pc)
-            self.indent -= 1
-            self.w(f"{top} = H[{top}]")
+            (addr,) = self._pop_words(
+                1, "w" if pc in self.in_bounds else "a")
+            if pc not in self.in_bounds:
+                self._fault_if(
+                    f"not 0 <= {addr.expr} < len(H)",
+                    "f'heap read at {" + addr.expr + "} out of bounds "
+                    "(heap has {len(H)} words)'", pc)
+            stack.append(_Val(f"H[{addr.expr}]",
+                              reads=addr.reads | {"H"}))
         elif op is Op.HSTORE:
-            self.w("for _lo, _hi in W:")
-            self.w(f"    if _lo <= {top} < _hi:")
-            self.w(f"        H[{top}] = s{d - 2}")
-            self.w("        break")
-            self.w("else:")
-            self.indent += 1
-            self._raise(
-                "f'heap write at {" + top + "} outside writable "
-                "regions'", pc)
-            self.indent -= 1
+            value, addr = self._pop_words(
+                2, "ww" if pc in self.in_bounds else "wa")
+            self._spill_readers("H")
+            if pc in self.in_bounds:
+                self.w(f"H[{addr.expr}] = {value.expr}")
+            else:
+                self.w("for _lo, _hi in W:")
+                self.w(f"    if _lo <= {addr.expr} < _hi:")
+                self.w(f"        H[{addr.expr}] = {value.expr}")
+                self.w("        break")
+                self.w("else:")
+                self.indent += 1
+                self._raise(
+                    "f'heap write at {" + addr.expr + "} outside "
+                    "writable regions'", pc)
+                self.indent -= 1
         elif op is Op.RAND:
-            self.w(f"if {top} <= 0:")
-            self.indent += 1
-            self._raise(
-                "f'rand bound {" + top + "} must be positive'", pc)
-            self.indent -= 1
-            self.w(f"{top} = ctx.rng.randrange({top})")
+            (bound,) = self._pop_words(1, "a")
+            self._fault_if(
+                f"{bound.expr} <= 0",
+                "f'rand bound {" + bound.expr + "} must be positive'", pc)
+            self._spill_readers(f"s{d - 1}")
+            self.w(f"s{d - 1} = ctx.rng.randrange({bound.expr})")
+            stack.append(_slot(d - 1))
         elif op is Op.CLOCK:
             self.w("_c = ctx.clock_value")
             self.w("if _c is None:")
-            self.w(f"    _v = ctx.clock() & {INT_MASK}")
-            self.w(f"    _c = ctx.clock_value = _v - {_CARRY} "
-                   f"if _v > {INT_MAX} else _v")
-            self.w(f"{nxt} = _c")
+            self.w("    _c = ctx.clock_value = _wrap(ctx.clock())")
+            stack.append(_Val("_c"))
         elif op is Op.CALL:
             self._emit_call(pc, instr, d)
         else:                      # pragma: no cover - JMP, RET, HALT
@@ -338,16 +530,17 @@ class _Emitter:
         # The CALL op itself is counted before the callee runs, like
         # the tree walk.
         self.flush()
+        args = self._pop_words(n_args)
+        # The callee may write field slots and the heap.
+        self.spill()
         if self.recursive:
-            self.w("if ctx.depth >= ctx.call_limit:")
-            self.indent += 1
-            self._raise("f'call depth exceeds {ctx.call_limit}'", pc)
-            self.indent -= 1
+            self._fault_if("ctx.depth >= ctx.call_limit",
+                           "f'call depth exceeds {ctx.call_limit}'", pc)
         remain = d - n_args
-        args = ", ".join(f"s{k}" for k in range(remain, d))
         pad = ", ".join("0" for _ in
                         range(callee.n_locals - n_args))
-        call_args = ", ".join(p for p in ("ctx", args, pad) if p)
+        call_args = ", ".join(
+            p for p in ["ctx"] + [v.expr for v in args] + [pad] if p)
         if remain:
             self.w(f"ctx.outer += {remain}")
         self.w("ctx.depth += 1")
@@ -359,7 +552,7 @@ class _Emitter:
                            for i in range(len(self.program.field_table)))
         if self.exit is not None and self._spill_fields and fields:
             self.w(f"ctx.fields = [{fields}]")
-        self.w(f"_r = _f{instr.arg}({call_args})")
+        self.w(f"s{remain} = _f{instr.arg}({call_args})")
         self.w("_ops = ctx.ops")
         self.w("_ms = ctx.max_seen")
         if self.exit is not None and self._reload_fields and fields:
@@ -367,23 +560,24 @@ class _Emitter:
         self.w("ctx.depth -= 1")
         self.w("if ctx.halted:")
         self.indent += 1
-        self._leave("_r")
+        self._leave(f"s{remain}")
         self.indent -= 1
         if remain:
             self.w(f"ctx.outer -= {remain}")
         # The pushed result raises no mark: the callee pushed at least
         # as deep before its RET.
-        self.w(f"s{remain} = _r")
         self.new_segment(remain + 1)
 
     def emit_return(self, pc: int, instr: Instr) -> None:
         """RET or HALT (both return the frame's value)."""
-        d = self.depth_at[pc]
         self._pending += 1
         self.flush()
         if instr.op is Op.HALT and self.exit is None:
             self.w("ctx.halted = True")
-        self._leave(f"s{d - 1}" if d > 0 else "0")
+        value = "0"
+        if self.stack and self.exit is None:
+            value = self._pop_words(1)[0].expr
+        self._leave(value)
 
     def _leave(self, value: str) -> None:
         """End the invocation: return ``value``, or run ``exit``."""
@@ -421,6 +615,7 @@ class _Emitter:
                 if op is Op.JMP:       # forward, over dead code
                     self._pending += 1
                     self.flush()
+                    self.spill()
                     self.new_segment(self.depth(instr.arg, 0))
                 elif op is Op.RET or op is Op.HALT:
                     self.emit_return(item, instr)
@@ -436,11 +631,6 @@ class _Emitter:
                 self._exit(item)
         return block.falls
 
-    def _cond(self, pc: int, taken: bool) -> str:
-        """The test for a JZ/JNZ at ``pc`` being taken (or not)."""
-        jz = self.code[pc].op is Op.JZ
-        return f"s{self.depth_at[pc] - 1} {'==' if jz == taken else '!='} 0"
-
     def _loop(self, loop: Loop) -> None:
         # The straight-line ops that open the body run on every visit,
         # the first included: their deepest push is counted once, here.
@@ -452,6 +642,7 @@ class _Emitter:
             if self.code[item].op in PUSHES:
                 self._push(depth_at[item] + 1)
         self.flush()
+        self.spill()
         floor = self._floor
         self.w("while True:")
         self.indent += 1
@@ -461,6 +652,7 @@ class _Emitter:
             # conditional back edge as last op): count its pending
             # ops, then leave the loop.
             self.flush()
+            self.spill()
             self.w("break")
         self.indent -= 1
         self._floor = floor
@@ -470,6 +662,7 @@ class _Emitter:
         self._pending += 1
         self.flush()
         if self.code[node.pc].op is Op.JMP:
+            self.spill()
             self.w(node.kind)
             return
         self.w(f"if {self._cond(node.pc, True)}:")
@@ -489,6 +682,7 @@ class _Emitter:
         if self._block(block):
             self._pending += charge
             self.flush()
+            self.spill()
         if len(self.lines) == mark:
             self.w("pass")         # an empty arm: a branch to the join
         self.indent -= 1
@@ -542,13 +736,23 @@ def _function_source(program: Program, fi: int, found: ProgramFacts
         prologue.append("    F = ctx.fields")
     if Op.HLOAD in ops_used or Op.HSTORE in ops_used:
         prologue.append("    H = ctx.heap")
-    if Op.ABASE in ops_used:
-        prologue.append("    B = ctx.bases")
-    if Op.ALEN in ops_used:
-        prologue.append("    L = ctx.lengths")
     if Op.HSTORE in ops_used:
         prologue.append("    W = ctx.wranges")
+    prologue += ["    " + line for line in
+                 _array_locals(fn.code, "ctx.bases", "ctx.lengths")]
     return header + prologue + _Emitter(program, fi, found).generate()
+
+
+def _array_locals(code: Sequence[Instr], bases: str,
+                  lengths: str) -> List[str]:
+    """Lines that read each array base and length a function's ABASE
+    and ALEN name into a local, ``_B{k}`` and ``_L{k}``, once per
+    invocation: neither changes while it runs."""
+    return [f"{prefix}{k} = {source}[{k}]"
+            for op, prefix, source in ((Op.ABASE, "_B", bases),
+                                       (Op.ALEN, "_L", lengths))
+            for k in sorted({instr.arg for instr in code
+                             if instr.op is op})]
 
 
 _STATS = {
@@ -574,7 +778,8 @@ def compile_pycode(program: Program) -> Optional[CompiledProgram]:
         parts.extend(_function_source(program, fi, found))
         parts.append("")
     source = "\n".join(parts)
-    ns = {"InterpreterFault": InterpreterFault, "_NAME": program.name}
+    ns = {"InterpreterFault": InterpreterFault, "_NAME": program.name,
+          "_wrap": wrap64}
     exec(compile(source, f"<pycodegen:{program.name}>", "exec"), ns)
     _STATS["programs_compiled"] += 1
     return CompiledProgram(
@@ -649,12 +854,15 @@ class CodegenRunner:
         program = self.program
         interp = self._interp
         compiled = self.compiled
-        if compiled is None or len(args) > self.n_locals or \
-                not compiled.fits(interp):
-            # A program the verifier rejects, over-long entry args
-            # growing the frame beyond the generated signature (the
-            # tree walk tolerates that), an op budget, or limits the
-            # bounds do not fit.
+        if compiled is None or not compiled.fits(interp) or args and (
+                len(args) > self.n_locals or not all(
+                    a.__class__ is int and INT_MIN <= a <= INT_MAX
+                    for a in args)):
+            # A program the verifier rejects, an op budget, limits the
+            # bounds do not fit, over-long entry args growing the frame
+            # beyond the generated signature (the tree walk tolerates
+            # that), or an arg that is not a word: generated code keeps
+            # words in its locals.
             return interp.execute_tree(program, fields, arrays, args)
         plain = (self.no_arrays and not args and not len(arrays)
                  and len(fields) == self.n_fields)
@@ -769,7 +977,8 @@ def _compile_plan(compiled: CompiledProgram, fn) -> tuple:
     program = compiled.program
     found = facts(program)
     calls = found.uses(Op.CALL)
-    ns = {"InterpreterFault": InterpreterFault, "_NAME": program.name}
+    ns = {"InterpreterFault": InterpreterFault, "_NAME": program.name,
+          "_wrap": wrap64}
     if calls:
         ns.update((f"_f{k}", f) for k, f in enumerate(compiled.functions))
     table = program.field_table
@@ -864,6 +1073,7 @@ def _compile_plan(compiled: CompiledProgram, fn) -> tuple:
                 f"(b{i}, b{i} + n{i}), "
                 for i, ref in enumerate(program.array_table)
                 if ref.writable)]
+        body += _array_locals(program.entry.code, "B", "L")
         if calls:
             body.append("ctx.heap, ctx.bases, ctx.lengths, ctx.wranges "
                         "= H, B, L, W")

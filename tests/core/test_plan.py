@@ -1093,3 +1093,70 @@ def test_tag_reads_only_size_and_dst_port():
         packet = FakePacket(size=size, dst_port=7)
         assert enclave.process_packet(packet).interpreter_ops == ops
         assert (packet.priority, packet.path_id) == (priority, 4)
+
+
+# -- what the expression emitter and the interval pass leave out --------
+
+def pias_search_from_field(packet, msg, _global):
+    """PIAS' record search started at ``packet.queue_id`` instead of 0:
+    the start may be negative, so nothing proves the index in range."""
+    msg_size = msg.size + packet.size
+    msg.size = msg_size
+
+    def search(index):
+        if index >= len(_global.priorities):
+            return 0
+        elif msg_size <= _global.priorities[index].message_size_limit:
+            return _global.priorities[index].priority
+        else:
+            return search(index + 1)
+
+    packet.priority = search(packet.queue_id)
+
+
+def _generated_function(program, fi):
+    """The source of the generated ``_f{fi}``."""
+    source = pycodegen.code_for(program).source
+    return re.search(rf"^def _f{fi}\(.*?(?=^def |\Z)", source,
+                     re.M | re.S).group(0)
+
+
+def _pias(action):
+    return compile_action(action, packet_schema=DEFAULT_PACKET_SCHEMA,
+                          message_schema=pias.PIAS_MESSAGE_SCHEMA,
+                          global_schema=pias.PIAS_GLOBAL_SCHEMA,
+                          name="pias").program
+
+
+def test_the_pias_search_neither_wraps_nor_tests_the_heap():
+    """The census: PIAS' search loop (``_f1``) holds no 64-bit wrap and
+    no heap test — its one call site starts it at 0, and the guard
+    ``index < len`` bounds every record it reads — while the same
+    search started from a packet field keeps its heap test."""
+    search = _generated_function(_pias(pias.pias_action), 1)
+    assert "while True:" in search
+    for banned in ("& 18446744073709551615", "_wrap(", "len(H)"):
+        assert banned not in search, banned
+    assert "if l0 >= _L0:" in search
+    from_field = _generated_function(_pias(pias_search_from_field), 1)
+    assert "len(H)" in from_field
+
+
+def test_no_table1_code_tests_a_materialised_compare():
+    """The census: no Table-1 plan or generated function stores a
+    compare's 0/1 in a slot that the next ``if`` or ``while`` tests —
+    a compare that feeds a branch is the branch's test."""
+    for entry in _demo_entries():
+        spec = entry.demo
+        action = _compile_demo(spec)
+        enclave, fn = _demo_enclave(spec, action, "interpreter")
+        sources = [pycodegen.plan_for(enclave.interpreter, fn).source,
+                   pycodegen.code_for(action.program).source]
+        for source in sources:
+            lines = [line.strip() for line in source.split("\n")]
+            for line, after in zip(lines, lines[1:]):
+                stored = re.match(r"(s\d+) = 1 if .* else 0$", line)
+                if stored:
+                    assert not re.match(
+                        rf"(if|while) (not )?\(?{stored.group(1)}\b",
+                        after), (spec.function_name, line, after)

@@ -16,7 +16,9 @@ message / global scalars, local variables, ``if``/``else``, bounded
 global array reads/writes.  Array indices are always ``expr % 8`` and
 the input generator always materialises 8-element arrays, so programs
 exercise the heap without depending on out-of-bounds semantics (which
-the differential harness pins separately via the corpus).
+the differential harness pins separately via the corpus) — except in
+the "arith" and "helpers" profiles, whose indices may wrap, or be a
+raw state value, on purpose.
 
 :func:`mutate` goes below the DSL: one seeded point mutation of a
 compiled program's bytecode, for fuzzing the verifier as the trust
@@ -55,10 +57,21 @@ ARRAY_LEN = 8
 #: Generator profiles.  "default" is the historical statement mix;
 #: "loops" skews toward nested for/while bodies (back-edges, break
 #: jumps, budget pressure); "arrays" skews toward weights/scratch
-#: reads and writes (ABASE/HLOAD/HSTORE address arithmetic).  The
-#: differential harness sweeps all three so codegen sees every
-#: statement shape.
-PROFILES = ("default", "loops", "arrays")
+#: reads and writes (ABASE/HLOAD/HSTORE address arithmetic); "arith"
+#: chains ``+ - * << >>`` and unary minus over values at the 64-bit
+#: edges into every point where generated code observes a value
+#: (compares, ``//``, ``%``, branch tests, array indices, stores);
+#: "helpers" calls nested helpers as PIAS does, among them a recursive
+#: record search started at a constant at one call site and at a state
+#: value at another.  The differential harness sweeps them all so
+#: codegen sees every statement shape.
+PROFILES = ("default", "loops", "arrays", "arith", "helpers")
+
+#: Values at and around the edges of the 64-bit range.
+EDGES = (2**63 - 1, -2**63, 2**62, -2**62 + 1, 2**32 + 1, -1, 3)
+#: ``BIG + BIG`` is ``2**64 - 2``: an operand that is ``k - 2`` only
+#: once wrapped.
+BIG = 2**63 - 1
 
 
 def lower_source(source):
@@ -125,6 +138,8 @@ class ProgramGen:
     # -- statements -----------------------------------------------------
 
     def statement(self, indent, depth):
+        if self.profile == "arith":
+            return self._arith_statement(indent, depth)
         rng = self.rng
         pad = "    " * indent
         kinds = ["assign", "assign", "augment", "scratch"]
@@ -194,10 +209,155 @@ class ProgramGen:
     def program(self):
         body = ["    v0 = packet.size % 97",
                 "    v1 = msg.counter + 1"]
+        if self.profile == "helpers":
+            body += self._helpers() + self._helper_calls()
         depth = 3 if self.profile == "loops" else 2
         body.extend(self.block(indent=1, depth=depth))
         return ("def f(packet, msg, _global):\n"
                 + "\n".join(body) + "\n")
+
+    # -- the "arith" profile --------------------------------------------
+
+    def arith(self, depth=3):
+        """A chain of ``+ - * << >>`` and unary minus whose atoms sit at
+        the 64-bit edges as often as not."""
+        rng = self.rng
+        if depth == 0 or rng.random() < 0.2:
+            if rng.random() < 0.5:
+                value = rng.choice(EDGES)
+                return str(value) if value >= 0 else f"({value})"
+            return rng.choice(ATOMS + tuple(self._loop_vars))
+        roll = rng.random()
+        if roll < 0.12:
+            return f"(-{self.arith(depth - 1)})"
+        if roll < 0.3:
+            return (f"({self.arith(depth - 1)} "
+                    f"{rng.choice(('<<', '>>'))} {self.shift()})")
+        return (f"({self.arith(depth - 1)} {rng.choice(('+', '-', '*'))} "
+                f"{self.arith(depth - 1)})")
+
+    def wrapped(self, k):
+        """An expression that is ``k - 2`` only after the wrap; the
+        field in it keeps the optimizer from folding it."""
+        atom = self.rng.choice(ATOMS)
+        return f"({atom} - {atom} + {BIG} + {BIG} + {k})"
+
+    def shift(self):
+        """A shift amount: a constant, one in range only after the wrap,
+        or a chain reduced ``% 64``."""
+        rng = self.rng
+        roll = rng.random()
+        if roll < 0.5:
+            return str(rng.randrange(64))
+        if roll < 0.75:
+            return self.wrapped(rng.randrange(2, 66))
+        return f"({self.arith(1)} % 64)"
+
+    def _arith_statement(self, indent, depth):
+        rng = self.rng
+        pad = "    " * indent
+        kinds = ["assign", "assign", "divide", "compare", "index",
+                 "store"]
+        if depth > 0:
+            kinds += ["if", "if", "truth", "while"]
+        kind = rng.choice(kinds)
+        target = rng.choice(WRITABLE)
+        if kind == "assign":
+            return [f"{pad}{target} = {self.arith()}"]
+        if kind == "divide":
+            divisor = self.arith(2)
+            if rng.random() < 0.7:
+                divisor = f"({divisor} | 1)"
+            # A product: the dividend leaves the range as often as not.
+            return [f"{pad}{target} = ({self.arith(1)} * {self.arith(1)})"
+                    f" {rng.choice(('//', '%'))} {divisor}"]
+        if kind == "compare":
+            return [f"{pad}{target} = {self.arith(2)} {rng.choice(CMPS)} "
+                    f"{self.arith(2)}"]
+        if kind == "index":
+            roll = rng.random()
+            if roll < 0.5:
+                index = f"{self.arith(2)} % {ARRAY_LEN}"
+            elif roll < 0.8:
+                index = self.wrapped(rng.randrange(2, 2 + ARRAY_LEN))
+            else:
+                index = self.arith(1)
+            return [f"{pad}{target} = _global.weights[{index}]"]
+        if kind == "store":
+            return [f"{pad}_global.scratch[{self.arith(2)} % {ARRAY_LEN}]"
+                    f" = {self.arith(2)}"]
+        if kind == "truth":
+            lines = [f"{pad}if {self.arith(2)}:"]
+        elif kind == "if":
+            lines = [f"{pad}if {self.arith(2)} {rng.choice(CMPS)} "
+                     f"{self.arith(2)}:"]
+        else:
+            var = f"w{self._next_uid()}"
+            lines = [f"{pad}{var} = 0",
+                     f"{pad}while {var} < {rng.randint(1, 4)} and "
+                     f"{self.arith(2)} {rng.choice(CMPS)} {self.arith(1)}:",
+                     f"{pad}    {var} += 1"]
+            self._loop_vars.append(var)
+            lines += self.block(indent + 1, depth - 1)
+            self._loop_vars.pop()
+            return lines
+        lines += self.block(indent + 1, depth - 1)
+        if rng.random() < 0.5:
+            lines += [f"{pad}else:"]
+            lines += self.block(indent + 1, depth - 1)
+        return lines
+
+    # -- the "helpers" profile ------------------------------------------
+
+    def _helpers(self):
+        """Nested helpers: PIAS' recursive record search (its key an
+        argument or a captured local), an arithmetic helper and a
+        non-tail recursive one."""
+        rng = self.rng
+        captured = rng.random() < 0.5
+        key = "v1" if captured else "key"
+        miss = rng.choice(("0", "v0", "-1"))
+        self._captured = captured
+        return [
+            f"    def search(index{'' if captured else ', key'}):",
+            "        if index >= len(_global.records):",
+            f"            return {miss}",
+            f"        elif {key} <= _global.records[index].hi:",
+            "            return _global.records[index].lo",
+            "        else:",
+            f"            return search(index + 1{'' if captured else ', key'})",
+            "    def mix(a, b):",
+            f"        if a {rng.choice(CMPS)} b:",
+            f"            return {self._helper_arith('a', 'b')}",
+            f"        return {self._helper_arith('b', 'v0')}",
+            "    def depth(n):",
+            "        if n <= 0:",
+            f"            return {rng.choice(('msg.limit', 'v0', '0'))}",
+            "        return 1 + depth(n - 1)",
+        ]
+
+    def _helper_arith(self, a, b):
+        rng = self.rng
+        return (f"({a} {rng.choice(('+', '-', '*'))} {b}) "
+                f"{rng.choice(('+', '-', '^', '&'))} "
+                f"{rng.choice((a, b, str(rng.choice(EDGES))))}")
+
+    def _helper_calls(self):
+        """The search from a constant at one site and from a state value
+        (negative, or near the 64-bit edge, on some inputs) at another,
+        in either order, each the first write of a packet field, then
+        the other helpers."""
+        rng = self.rng
+        key = "" if self._captured else f", {rng.choice(ATOMS)}"
+        sites = [f"search({rng.randrange(3)}{key})",
+                 f"search({rng.choice(ATOMS[:4])}{key})"]
+        rng.shuffle(sites)
+        calls = [f"    packet.priority = {sites[0]}",
+                 f"    packet.queue_id = {sites[1]}"]
+        return calls + [
+            f"    {rng.choice(WRITABLE)} = "
+            f"mix({self.expression(1)}, {self.expression(1)})",
+            f"    {rng.choice(WRITABLE)} = depth({rng.choice(ATOMS)} % 8)"]
 
     def _next_uid(self):
         self._uid += 1
@@ -207,6 +367,24 @@ class ProgramGen:
 def generate_program(seed, profile="default"):
     """The canonical (seed, profile) -> source mapping."""
     return ProgramGen(seed, profile).program()
+
+
+def halt_in_helper(program, seed):
+    """``program`` with one RET of a helper — a function past the
+    entry — turned into HALT, which ends the whole invocation there;
+    ``seed`` picks the RET.  None when no helper has one.  The DSL never
+    emits a HALT, and a point mutation rarely puts one in a helper."""
+    rets = [(fi, pc) for fi, fn in enumerate(program.functions) if fi
+            for pc, instr in enumerate(fn.code) if instr.op is Op.RET]
+    if not rets:
+        return None
+    fi, pc = random.Random(seed).choice(rets)
+    fn = program.functions[fi]
+    code = fn.code[:pc] + (Instr(Op.HALT),) + fn.code[pc + 1:]
+    functions = list(program.functions)
+    functions[fi] = FunctionCode(fn.name, fn.n_args, fn.n_locals, code)
+    return Program(program.name, tuple(functions), program.field_table,
+                   program.array_table)
 
 
 def generate_inputs(program, seed):

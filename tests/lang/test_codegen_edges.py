@@ -15,6 +15,12 @@ and one it must never see: a ``PUTF`` to a read-only field slot,
 which the verifier rejects, so the program stays on the tree walk and
 every dispatch raises the tree walk's scope fault.
 
+Generated code also computes in Python expressions and takes the
+64-bit wrap only where a value is observed; ``TestDeferredWrap`` feeds
+one overflowed value to each such point — a compare, a branch test,
+``//``, ``%``, ``>>``, a shift amount, a heap address, PUTF, RET, a
+CALL argument, a RAND bound — where a missing wrap changes the answer.
+
 Every scenario is pinned to identical ``ExecStats`` and an identical
 fault — class, message and pc — for the tree walk and the default
 dispatch (whose first run compiles a verified program), using the
@@ -29,8 +35,8 @@ import pytest
 
 from repro.lang import Interpreter, InterpreterFault, pycodegen
 from repro.lang.analysis import facts
-from repro.lang.bytecode import (Assembler, FieldRef, FunctionCode,
-                                 Instr, Op, Program)
+from repro.lang.bytecode import (ArrayRef, Assembler, FieldRef,
+                                 FunctionCode, Instr, Op, Program)
 from repro.lang.compiler import compile_ast
 
 import program_gen as pg
@@ -271,3 +277,150 @@ class TestReadonlyPutfScopeFault:
         assert runs[0] == runs[1]
         assert runs[0][0] == "ok"
         assert runs[0][2] == [7]  # the PUTF landed
+
+
+# -- the wrap where a value is observed ----------------------------------
+
+INT_MAX = 2**63 - 1
+#: ``INT_MAX + INT_MAX + k`` is ``k - 2`` once wrapped.
+TWICE = ((Op.GETF, 0), (Op.GETF, 0), Op.ADD)
+
+
+def _wrap_program(*listing, helper=None):
+    """A hand-assembled entry over ``packet.size`` (read-only, slot 0),
+    ``packet.priority`` (slot 1) and ``message.counter`` (slot 2), both
+    writable, and an eight-word read-only array; ``helper`` is the
+    listing of a one-argument function 1."""
+    def code(items):
+        return tuple(Instr(*item) if isinstance(item, tuple)
+                     else Instr(item) for item in items)
+
+    functions = (FunctionCode("f", 0, 1, code(listing)),)
+    if helper is not None:
+        functions += (FunctionCode("g", 1, 1, code(helper)),)
+    program = Program(
+        name="wrap", functions=functions,
+        field_table=(FieldRef("packet", "size", False),
+                     FieldRef("packet", "priority", True),
+                     FieldRef("message", "counter", True)),
+        array_table=(ArrayRef("global", "weights", 1, False),))
+    assert pycodegen.code_for(program) is not None
+    return program
+
+
+def _flatten(*parts):
+    out = []
+    for part in parts:
+        out.extend(part if isinstance(part, tuple) and
+                   not isinstance(part[0], Op) else (part,))
+    return out
+
+
+WEIGHTS = [10, 11, 12, 13, 14, 15, 16, 17]
+
+#: One program per point where generated code observes a value, each
+#: fed a value outside the 64-bit range that the wrap brings back: a
+#: missing wrap changes the answer.  ``(listing, helper, expected)``:
+#: ``expected`` is the priority left behind, the value returned, or
+#: the fault reason.
+OBSERVED = {
+    "INT_MAX + 1 < 0": (_flatten(
+        (Op.GETF, 0), (Op.CONST, 1), Op.ADD, (Op.CONST, 0), Op.CLT,
+        (Op.PUTF, 1), (Op.CONST, 0), Op.RET), None, ("priority", 1)),
+    "JZ on a sum of 2**64": (_flatten(
+        TWICE, (Op.CONST, 2), Op.ADD, (Op.JZ, 8),
+        (Op.CONST, 5), (Op.PUTF, 1),
+        (Op.CONST, 0), Op.RET), None, ("priority", 0)),
+    "// of an overflowed product": (_flatten(
+        (Op.GETF, 0), (Op.CONST, 3), Op.MUL, (Op.CONST, 7), Op.DIV,
+        (Op.PUTF, 1), (Op.CONST, 0), Op.RET), None,
+        ("priority", (INT_MAX - 2) // 7)),
+    "% of an overflowed product": (_flatten(
+        (Op.GETF, 0), (Op.CONST, 3), Op.MUL, (Op.CONST, 7), Op.MOD,
+        (Op.PUTF, 1), (Op.CONST, 0), Op.RET), None,
+        ("priority", (INT_MAX - 2) % 7)),
+    ">> of an overflowed product": (_flatten(
+        (Op.GETF, 0), (Op.CONST, 3), Op.MUL, (Op.CONST, 60), Op.SHR,
+        (Op.PUTF, 1), (Op.CONST, 0), Op.RET), None,
+        ("priority", (INT_MAX - 2) >> 60)),
+    "a shift amount in range once wrapped": (_flatten(
+        (Op.CONST, 1), TWICE, (Op.CONST, 5), Op.ADD, Op.SHL,
+        (Op.PUTF, 1), (Op.CONST, 0), Op.RET), None, ("priority", 8)),
+    "a heap address 2**64 + k wrapping into range": (_flatten(
+        (Op.ABASE, 0), TWICE, Op.ADD, (Op.CONST, 5), Op.ADD, Op.HLOAD,
+        (Op.PUTF, 1), (Op.CONST, 0), Op.RET), None, ("priority", 13)),
+    "a heap address 2**64 + k wrapping out of range": (_flatten(
+        (Op.ABASE, 0), TWICE, Op.ADD, (Op.CONST, 13), Op.ADD, Op.HLOAD,
+        (Op.PUTF, 1), (Op.CONST, 0), Op.RET), None,
+        ("fault", "heap read at 11 out of bounds (heap has 8 words)", 7)),
+    "PUTF of an overflowed sum": (_flatten(
+        TWICE, (Op.PUTF, 2), (Op.CONST, 0), Op.RET), None,
+        ("counter", -2)),
+    "RET of an overflowed sum": (_flatten(TWICE, Op.RET), None,
+                                 ("value", -2)),
+    "a CALL argument that overflowed": (_flatten(
+        TWICE, (Op.CALL, 1), (Op.PUTF, 1), (Op.CONST, 0), Op.RET),
+        _flatten((Op.LOAD, 0), (Op.CONST, 3), Op.DIV, Op.RET),
+        ("priority", -1)),
+    "a RAND bound that overflowed": (_flatten(
+        TWICE, (Op.CONST, 3), Op.ADD, Op.RAND, (Op.CONST, 1), Op.ADD,
+        (Op.PUTF, 1), (Op.CONST, 0), Op.RET), None,
+        ("priority", random.Random(3).randrange(1) + 1)),
+}
+
+
+@pytest.mark.differential
+class TestDeferredWrap:
+    """Generated code wraps a value only where it is observed; each
+    program here observes an overflowed value at one such point, and
+    generated code must give the tree walk's value, ``ExecStats`` and
+    fault (reason and pc) — and must be what ran."""
+
+    @pytest.mark.parametrize("name", list(OBSERVED))
+    def test_observed_value_is_the_word(self, name):
+        listing, helper, (what, want, *pc) = OBSERVED[name]
+        program = _wrap_program(*listing, helper=helper)
+        fvec = [INT_MAX, 0, 0]
+        tree, generated, walked = _runs(program, fvec, [WEIGHTS])
+        assert generated == tree
+        assert not walked
+        if what == "fault":
+            assert tree[:3] == ("fault", "InterpreterFault", want)
+            assert tree[3] == pc[0]
+        else:
+            assert tree[0] == "ok"
+            got = {"value": tree[1], "priority": tree[2][1],
+                   "counter": tree[2][2]}[what]
+            assert got == want
+
+    def test_a_deferred_operand_keeps_its_slot(self):
+        """``(8 >> (size % 64)) << (counter % 64)``: the shifted value
+        is deferred while reading the first amount's slot, which the
+        second amount, one deeper, must not overwrite under it."""
+        program = _wrap_program(
+            (Op.CONST, 8), (Op.GETF, 0), (Op.CONST, 64), Op.MOD, Op.SHR,
+            (Op.GETF, 2), (Op.CONST, 64), Op.MOD, Op.SHL, (Op.PUTF, 1),
+            (Op.CONST, 0), Op.RET)
+        tree, generated, walked = _runs(program, [3, 0, 2], [WEIGHTS])
+        assert generated == tree
+        assert not walked
+        assert tree[2][1] == (8 >> 3) << 2
+
+    def test_an_entry_argument_outside_the_range_walks_the_tree(self):
+        """Generated code keeps words in its locals, and the intervals
+        take the entry's locals for words: a direct caller's argument
+        that is not one (``2**64`` here, which the tree walk's ADD
+        wraps to 0) runs on the tree walk."""
+        program = _wrap_program((Op.LOAD, 0), (Op.CONST, 0), Op.ADD,
+                                Op.RET)
+        results = []
+        for dispatch in DISPATCHES:
+            with pg.tree_walks() as walks:
+                result = Interpreter(dispatch=dispatch).execute(
+                    program, [0, 0, 0], [WEIGHTS], args=(2**64,))
+            results.append((result.value, walks[0]))
+        assert results == [(0, 1), (0, 1)]
+        with pg.tree_walks() as walks:
+            assert Interpreter().execute(program, [0, 0, 0], [WEIGHTS],
+                                         args=(-2,)).value == -2
+        assert walks == [0]

@@ -3,8 +3,9 @@
 This is the correctness guard for every execution backend in the
 :mod:`repro.lang.backends` registry and the enclave hot path: every
 DSL program in the repo (the §5 functions library via ``table1()``)
-plus hundreds of seeded fuzz programs — across the default, loop-heavy
-and array-heavy generator profiles — run through
+plus hundreds of seeded fuzz programs — across the default, loop-heavy,
+array-heavy, edge-arithmetic and helper-calling generator profiles —
+run through
 
 * the decode-per-op tree walk      (``Interpreter(dispatch="tree")``),
 * generated straight-line Python   (``Interpreter(dispatch="pycodegen")``,
@@ -38,6 +39,15 @@ a default enclave — whose function runs the generated per-packet plan
 from its first packet — and a ``backend="tree"`` enclave,
 which stays on the generic tier of ``InstalledFunction.run_packet``,
 and require the same of those two, RNG state included.
+
+The edge-arithmetic ("arith") and helper-calling ("helpers") profiles
+aim at what generated code leaves out: the 64-bit wrap where a value is
+not yet observed, and the heap test of a record search its intervals
+prove in range (one of its call sites starts it from a state value).
+Their addresses may leave their array on purpose, where the native
+backend's per-array lists legitimately differ from the flat heap, so
+they hold native to nothing.  ``program_gen.halt_in_helper`` turns a
+helper's RET into HALT; the effects property and the plan legs draw it.
 
 ``TestBounds`` holds every run of the same programs, ok or faulting,
 to the stack bounds ``analysis.facts`` proves, which generated code
@@ -76,7 +86,7 @@ from repro.lang import (DEFAULT_PACKET_SCHEMA, Interpreter,
                         verify, wrap64)
 from repro.lang.analysis import facts
 from repro.lang.bytecode import Assembler, FieldRef, Op, Program
-from repro.lang.compiler import compile_action, compile_ast
+from repro.lang.compiler import CompiledAction, compile_action, compile_ast
 from repro.functions.library import DemoPacket, table1
 
 import program_gen as pg
@@ -130,6 +140,28 @@ class TestLibraryPrograms:
             assert err is None, f"{entry.name}: {err}"
 
 
+#: Profiles whose addresses leave their array (an index that wraps,
+#: or is a raw state value): the flat heap reads a neighbour or wraps
+#: back in where the native backend's per-array lists fault, so native
+#: is held to nothing there.
+FLAT_HEAP_PROFILES = ("arith", "helpers")
+
+
+def _assert_profile_agrees(profile, seed):
+    source = pg.generate_program(seed, profile=profile)
+    prog_ast = pg.lower_source(source)
+    program = compile_ast(prog_ast)
+    for i in range(INPUTS_PER_PROGRAM):
+        fields, arrays = pg.generate_inputs(program, seed * 31 + i)
+        err = pg.check_parity(prog_ast, program, fields, arrays,
+                              native=profile not in FLAT_HEAP_PROFILES)
+        if err is not None:
+            path = _persist_failure(source, fields, arrays,
+                                    f"{profile}{seed}")
+            pytest.fail(f"profile {profile} seed {seed}: {err}\n"
+                        f"minimized reproducer saved to {path}")
+
+
 class TestFuzzedPrograms:
     """Seeded random programs through every backend."""
 
@@ -148,23 +180,37 @@ class TestFuzzedPrograms:
                     f"seed {seed}: {err}\n"
                     f"minimized reproducer saved to {path}")
 
-    @pytest.mark.parametrize("profile", ("loops", "arrays"))
+    @pytest.mark.parametrize("profile", pg.PROFILES[1:])
     @pytest.mark.parametrize("seed", PROFILE_SEEDS)
     def test_profiled_backends_agree(self, profile, seed):
-        """Loop-heavy and array-heavy sweeps of the same property."""
-        source = pg.generate_program(seed, profile=profile)
-        prog_ast = pg.lower_source(source)
-        program = compile_ast(prog_ast)
-        for i in range(INPUTS_PER_PROGRAM):
-            fields, arrays = pg.generate_inputs(program,
-                                                seed * 31 + i)
-            err = pg.check_parity(prog_ast, program, fields, arrays)
-            if err is not None:
-                path = _persist_failure(source, fields, arrays,
-                                        f"{profile}{seed}")
-                pytest.fail(
-                    f"profile {profile} seed {seed}: {err}\n"
-                    f"minimized reproducer saved to {path}")
+        """Loop-heavy, array-heavy, edge-arithmetic and helper-calling
+        sweeps of the same property."""
+        _assert_profile_agrees(profile, seed)
+
+    @pytest.mark.parametrize("profile", ("arith", "helpers"))
+    def test_profiled_backends_agree_at_depth(self, request, profile):
+        """The two profiles aimed at the generated code's wraps and
+        heap tests, on ten times the seeds."""
+        _at_depth(request)
+        for seed in range(len(PROFILE_SEEDS), 10 * len(PROFILE_SEEDS)):
+            _assert_profile_agrees(profile, seed)
+
+    def test_edge_profiles_exercise_both_outcomes(self):
+        """The arith and helpers sweeps see runs that finish and runs
+        that fault (a heap read out of bounds, a shift amount, a
+        division by zero)."""
+        for profile in ("arith", "helpers"):
+            outcomes = set()
+            for seed in range(20):
+                program = compile_ast(pg.lower_source(
+                    pg.generate_program(seed, profile=profile)))
+                for i in range(INPUTS_PER_PROGRAM):
+                    fields, arrays = pg.generate_inputs(program,
+                                                        seed * 31 + i)
+                    fvec, avec = pg.vectors(program, fields, arrays)
+                    outcomes.add(
+                        pg.run_interp(program, fvec, avec, "tree")[0])
+            assert outcomes == {"ok", "fault"}, profile
 
     def test_fuzz_exercises_both_outcomes(self):
         """The net catches faults, not just happy paths."""
@@ -577,13 +623,21 @@ def _packets(inputs):
     return [_DiffPacket(i, *fields) for i, fields in enumerate(inputs)]
 
 
+#: ``(lo, hi)`` rows of the ``records`` array the helpers profile
+#: searches: ``hi`` grows, as PIAS' size limits do.
+RECORDS = [(7 - i, 300 * i - 600) for i in range(8)]
+
+
 def _batch_enclave_for(source, seed, backend="interpreter"):
+    """An enclave running ``source`` — action source, or a compiled
+    action, which carries the schemas — as ``f`` on every packet."""
     enclave = Enclave("diff", rng=random.Random(seed))
-    enclave.install_function(source, name="f",
-                             message_schema=MSG_SCHEMA,
-                             global_schema=GLB_SCHEMA, backend=backend)
+    schemas = {} if isinstance(source, CompiledAction) else dict(
+        message_schema=MSG_SCHEMA, global_schema=GLB_SCHEMA)
+    enclave.install_function(source, name="f", backend=backend, **schemas)
     enclave.set_global_array("f", "weights", list(range(1, 9)))
     enclave.set_global_array("f", "scratch", [0] * 8)
+    enclave.set_global_records("f", "records", RECORDS)
     enclave.install_rule("*", "f")
     return enclave
 
@@ -724,6 +778,24 @@ class TestEnclaveBatchDifferential:
         self._assert_plan_equals_tree(
             pg.generate_program(seed, profile=profile), seed,
             f"{profile}{seed}")
+
+    @pytest.mark.parametrize("profile", ("arith", "helpers"))
+    def test_plan_equals_generic_tier_at_depth(self, request, profile):
+        _at_depth(request)
+        for seed in range(len(PROFILE_SEEDS), 10 * len(PROFILE_SEEDS)):
+            self._assert_plan_equals_tree(
+                pg.generate_program(seed, profile=profile), seed,
+                f"{profile}{seed}")
+
+    @pytest.mark.parametrize("seed", range(24))
+    def test_plan_equals_generic_tier_with_a_callee_halt(self, seed):
+        """A helper that HALTs ends the packet inside the callee: the
+        plan writes back what the generic tier does."""
+        action = _action("helpers", seed, None)
+        program = pg.halt_in_helper(action.program, seed)
+        self._assert_plan_equals_tree(
+            dataclasses.replace(action, program=program, prog_ast=None),
+            seed, f"helpers{seed} halting")
 
     @pytest.mark.parametrize("seed", (0, 1))
     def test_plan_runs_a_recursive_action(self, seed):
@@ -985,23 +1057,30 @@ def _unloaded(program):
     return [i for i in range(len(program.field_table)) if i not in loads]
 
 
+def _assert_effects_hold(program, inputs, garbage, seed):
+    unloaded = _unloaded(program)
+    for k in range(EFFECT_INPUTS):
+        fields, arrays = pg.generate_inputs(program, inputs * 31 + k)
+        fvec, avec = pg.vectors(program, fields, arrays)
+        junk = list(fvec)
+        for i in unloaded:
+            junk[i] = garbage[(i + k) % len(garbage)]
+        assert _effect_outcome(program, junk, avec, seed) == \
+            _effect_outcome(program, fvec, avec, seed), k
+
+
 def check_effects(max_examples):
     @settings(max_examples=max_examples, deadline=None)
     @given(profile=st.sampled_from(pg.PROFILES),
            seed=st.integers(0, 1 << 20),
            mutation=st.one_of(st.none(), st.integers(0, 1 << 20)),
+           halt=st.one_of(st.none(), st.integers(0, 1 << 20)),
            inputs=st.integers(0, 1 << 20), garbage=GARBAGE)
-    def prop(profile, seed, mutation, inputs, garbage):
+    def prop(profile, seed, mutation, halt, inputs, garbage):
         program = _action(profile, seed, mutation).program
-        unloaded = _unloaded(program)
-        for k in range(EFFECT_INPUTS):
-            fields, arrays = pg.generate_inputs(program, inputs * 31 + k)
-            fvec, avec = pg.vectors(program, fields, arrays)
-            junk = list(fvec)
-            for i in unloaded:
-                junk[i] = garbage[(i + k) % len(garbage)]
-            assert _effect_outcome(program, junk, avec, seed) == \
-                _effect_outcome(program, fvec, avec, seed), k
+        if halt is not None:
+            program = pg.halt_in_helper(program, halt) or program
+        _assert_effects_hold(program, inputs, garbage, seed)
 
     prop()
 
@@ -1022,6 +1101,23 @@ class TestEffects:
     def test_unloaded_slots_cannot_change_a_run_at_depth(self, request):
         _at_depth(request)
         check_effects(10 * PROPERTY_EXAMPLES)
+
+    @pytest.mark.parametrize("seed", range(16))
+    def test_a_helper_that_halts(self, seed):
+        """A helper's RET turned into HALT (``halt_in_helper``): a slot
+        the entry writes only after that call is not written on the
+        halting path, so it must stay loaded."""
+        program = pg.halt_in_helper(_action("helpers", seed, None).program,
+                                    seed)
+        _assert_effects_hold(program, seed, list(range(-4, 4)), seed)
+
+    def test_halting_helpers_leave_slots_unloaded(self):
+        """The sweep above is not vacuous: many of its programs leave a
+        slot unloaded, which a halting path must not depend on."""
+        unloaded = sum(bool(_unloaded(pg.halt_in_helper(
+            _action("helpers", seed, None).program, seed)))
+            for seed in range(16))
+        assert unloaded >= 4, unloaded
 
     def test_the_property_is_not_vacuous(self):
         """Over a few seeds, many programs leave some slot unloaded,
@@ -1089,6 +1185,7 @@ def _install_f(enclave, action, backend, **rule):
     fn = enclave.install_function(action, name="f", backend=backend)
     enclave.set_global_array("f", "weights", list(range(1, 9)))
     enclave.set_global_array("f", "scratch", [0] * 8)
+    enclave.set_global_records("f", "records", RECORDS)
     enclave.install_rule("*", "f", **rule)
     return fn
 
