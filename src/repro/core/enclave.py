@@ -173,7 +173,9 @@ class InstalledFunction:
         except (SyntaxError, RecursionError) as exc:   # from compile()
             raise EnclaveError(f"function {self.name!r} does not compile "
                                f"on {self.dispatch}: {exc!r}") from exc
-        self._plan: Union[Callable, bool, None] = None  # not asked yet
+        #: The backend's per-packet plan: None until the first packet
+        #: asks for it (:meth:`resolve_plan`), then the plan or False.
+        self.plan: Union[Callable, bool, None] = None
         self._field_readers: Optional[List[Callable]] = None
         self._array_readers: Optional[List[Callable]] = None
 
@@ -248,21 +250,29 @@ class InstalledFunction:
         """One invocation against live state; returns the op count.
 
         The backend's plan (``Backend.plan``), asked for once, on the
-        first packet (an install stays a bind), runs it; without one,
-        :meth:`run_generic` does.
+        first packet (:meth:`resolve_plan`; an install stays a bind),
+        runs it; without one, :meth:`run_generic` does.  Once a plan
+        exists the enclave's hop calls :attr:`plan` itself, so this is
+        the hop's call only for a function's first packet, for a
+        function without a plan, and while telemetry traces.
         An :class:`InterpreterFault` propagates with nothing of the
         invocation committed.  ``acct`` is the enclave's
         :class:`CpuAccounting` when it is enabled, else None.
         """
-        plan = self._plan
+        plan = self.plan
         if plan is None:
-            # False when there is none: a bound method of this
-            # binding here would make it a reference cycle.
-            plan = self._plan = (
-                self._executor.plan(self.interpreter, self) or False)
+            plan = self.resolve_plan()
         if plan:
             return plan(packet, msg_entry, acct)
         return self.run_generic(packet, msg_entry, acct)
+
+    def resolve_plan(self) -> Union[Callable, bool]:
+        """:attr:`plan`, asked of the backend if it has not been yet:
+        the plan, or False for a backend without one (a bound method
+        of this binding there would make it a reference cycle)."""
+        if self.plan is None:
+            self.plan = self._executor.plan(self.interpreter, self) or False
+        return self.plan
 
     def run_generic(self, packet, msg_entry, acct=None) -> int:
         """The generic tier of :meth:`run_packet`: state read (the
@@ -345,21 +355,24 @@ _MISS = object()
 class MatchActionTable:
     """An ordered set of :class:`MatchRule`, highest priority first.
 
-    Lookups are memoized per class-name tuple — packets of one flow
-    carry the same classes, so the per-packet cost collapses to one
-    dict probe.  ``add``/``remove`` invalidate the cache.
+    Lookups are memoized per class-name tuple in :attr:`memo` —
+    packets of one flow carry the same classes, so the per-packet cost
+    collapses to one dict probe, which the enclave's hop makes itself,
+    calling :meth:`lookup` only on a miss.  ``add``/``remove`` clear
+    the memo.
     """
 
     def __init__(self, table_id: int) -> None:
         self.table_id = table_id
         self._rules: List[MatchRule] = []
-        self._lookup_cache: Dict[Tuple[str, ...],
-                                 Optional[Tuple[MatchRule, str]]] = {}
+        #: class-name tuple -> what :meth:`lookup` returned for it.
+        self.memo: Dict[Tuple[str, ...],
+                        Optional[Tuple[MatchRule, str]]] = {}
 
     def add(self, rule: MatchRule) -> None:
         self._rules.append(rule)
         self._rules.sort(key=lambda r: (-r.priority, r.rule_id))
-        self._lookup_cache.clear()
+        self.memo.clear()
 
     def remove(self, rule_id: int) -> None:
         before = len(self._rules)
@@ -368,7 +381,7 @@ class MatchActionTable:
             raise UnknownIdError(
                 f"table {self.table_id}: no rule with id {rule_id} "
                 f"(known: {sorted(r.rule_id for r in self._rules)})")
-        self._lookup_cache.clear()
+        self.memo.clear()
 
     def _scan(self, class_names: Sequence[str]
               ) -> Optional[Tuple[MatchRule, str]]:
@@ -384,13 +397,13 @@ class MatchActionTable:
         """First rule (by priority) matching any of the packet's
         classes; returns (rule, matched class name)."""
         key = tuple(class_names)
-        hit = self._lookup_cache.get(key, _MISS)
+        hit = self.memo.get(key, _MISS)
         if hit is not _MISS:
             return hit
         found = self._scan(key)
-        if len(self._lookup_cache) >= _LOOKUP_CACHE_LIMIT:
-            self._lookup_cache.clear()
-        self._lookup_cache[key] = found
+        if len(self.memo) >= _LOOKUP_CACHE_LIMIT:
+            self.memo.clear()
+        self.memo[key] = found
         return found
 
     def rules(self) -> List[MatchRule]:
@@ -473,6 +486,8 @@ class Enclave:
         self.rng = rng if rng is not None else random.Random(1)
         self.clock = clock if clock is not None else (lambda: 0)
         self.accounting = accounting or CpuAccounting(enabled=False)
+        # ``CpuAccounting.enabled`` is fixed, so the hop reads it here.
+        self._acct = self.accounting if self.accounting.enabled else None
         self.telemetry = (telemetry if telemetry is not None
                           else NULL_TELEMETRY)
         self.interpreter = Interpreter(rng=self.rng, clock=self.clock)
@@ -736,7 +751,8 @@ class Enclave:
     def process_packet(self, packet,
                        classifications: Sequence[Classification] = (),
                        now_ns: Optional[int] = None) -> ProcessResult:
-        """Run the packet through the match-action pipeline.
+        """Run the packet through the match-action pipeline: the
+        per-packet envelope, the only place a function runs.
 
         ``packet`` is any object exposing the packet-schema fields as
         attributes.  ``classifications`` carries the class/metadata
@@ -744,30 +760,114 @@ class Enclave:
         enclave always appends its own flow-granularity class so
         functions that need no application support still apply
         (e.g. PIAS over unmodified applications).
+
+        Per table hop: the table's memo (:meth:`MatchActionTable.lookup`
+        on a miss) -> message-state lookup -> the function's plan, or
+        ``fn.run_packet`` (state read, body, write-back, function
+        stats) -> fault accounting -> ``next_table``.  A fault ends
+        only its own hop; the chain goes on.  ``self.clock()`` is read
+        only when ``now_ns`` is None, once, on the first hop whose
+        function keeps message state.
         """
         if self.on_change is not None:
             self._fire_on_change()
-        now = now_ns if now_ns is not None else self.clock()
-        key = self._class_key(packet, classifications)
-        if not self._tracing:
-            result = self._process_one(packet, classifications, key,
-                                       now)
+        if len(classifications) == 1 and not self.flow_stage._rules:
+            key = (classifications[0].class_name, _FLOW_CLASS)
         else:
-            with self.telemetry.tracer.span(
-                    "enclave.process", enclave=self.name,
-                    packet_id=getattr(packet, "packet_id", None),
-                    flow_id=getattr(packet, "five_tuple", None)
-                    ) as span:
-                result = self._process_one(packet, classifications,
-                                           key, now)
-                span.set(executed=len(result.executed),
-                         drop=result.drop)
+            key = self._class_key(packet, classifications)
+        tracing = self._tracing
+        if tracing:
+            span = self.telemetry.tracer.span(
+                "enclave.process", enclave=self.name,
+                packet_id=getattr(packet, "packet_id", None),
+                flow_id=getattr(packet, "five_tuple", None))
+        acct = self._acct
+        if acct is not None:
+            acct.mark()
+        executed: List[str] = []
+        matched_classes: List[str] = []
+        faults = ops = 0
+        # Derived on the first hop with message state, once per packet.
+        msg_id: Optional[object] = None
+        table_id = 0
+        hops = self.MAX_TABLE_HOPS
+        try:
+            while hops:
+                hops -= 1
+                table = self._tables[table_id]
+                if tracing:
+                    hit = self._traced_lookup(table, key, packet)
+                else:
+                    hit = table.memo.get(key, _MISS)
+                    if hit is _MISS:
+                        hit = table.lookup(key)
+                if hit is None:
+                    break
+                rule, matched = hit
+                matched_classes.append(matched)
+                fn = self._functions[rule.function]
+                store = fn.message_store
+                msg_entry = None
+                if store is not None:
+                    if msg_id is None:
+                        msg_id = _message_id(packet, classifications)
+                        if now_ns is None:
+                            now_ns = self.clock()
+                    msg_entry, created = store.lookup(msg_id, now_ns)
+                    if created and classifications:
+                        store.seed(msg_entry,
+                                   _int_metadata(classifications))
+                try:
+                    if tracing:
+                        ops += self._traced_run(fn, packet, msg_entry,
+                                                acct)
+                    else:
+                        ops += (fn.plan or fn.run_packet)(
+                            packet, msg_entry, acct)
+                except InterpreterFault:
+                    # Section 3.4.3: a faulty function terminates its
+                    # own execution without affecting the rest of the
+                    # system — the packet is forwarded unmodified and
+                    # the chain continues.
+                    fn.stats.faults += 1
+                    faults += 1
+                    if tracing:
+                        self._m_faults.inc()
+                else:
+                    executed.append(fn.name)
+                    if tracing:
+                        self._m_invocations.inc()
+                table_id = rule.next_table
+                if table_id is None:
+                    break
+        except BaseException as exc:
+            if tracing:
+                span.__exit__(type(exc), exc, exc.__traceback__)
+            raise
+        if acct is not None:
+            acct.lap("enclave")
+        drop = True if getattr(packet, "drop", 0) else False
+        # ``ProcessResult(...)`` without the class call, which Python
+        # 3.11 routes through a C trampoline into ``__init__``; every
+        # field is set here.
+        result = _new_result(ProcessResult)
+        result.executed = executed
+        result.matched_classes = matched_classes
+        result.drop = drop
+        result.to_controller = \
+            True if getattr(packet, "to_controller", 0) else False
+        result.faults = faults
+        result.interpreter_ops = ops
+        result.error = None
+        if tracing:
+            span.set(executed=len(executed), drop=drop)
+            span.__exit__(None, None, None)
             self._m_packets.inc()
-            self._h_packet_ops.observe(result.interpreter_ops)
-            if result.drop:
+            self._h_packet_ops.observe(ops)
+            if drop:
                 self._m_drops.inc()
         self.packets_processed += 1
-        if result.drop:
+        if drop:
             self.packets_dropped += 1
         return result
 
@@ -781,163 +881,58 @@ class Enclave:
         packets from multiple messages, the enclave will have to
         pre-process it and split it into messages."
 
-        Batching is an *optimization, never a semantic*: every packet
-        takes the same per-packet step as :meth:`process_packet`, in
-        arrival order, so results, packet writes, message/global
-        state, function stats and RNG consumption are those of the
-        scalar calls (``tests/lang/test_differential.py`` enforces
-        it).  What a batch saves is around the step: one class key per
-        classification list, one clock read and one counter update
-        per batch.
+        Batching is an *optimization, never a semantic*: a batch is
+        :meth:`process_packet` over its entries in arrival order, so
+        results, packet writes, message/global state, function stats,
+        counters and RNG consumption are those of the scalar calls
+        (``tests/lang/test_differential.py`` enforces it).  It adds
+        one ``enclave.process_batch`` span around them and one
+        ``enclave_batch_size`` observation.  The class's own
+        ``process_packet`` runs each entry, not the instance attribute,
+        so a wrapper on the instance sees calls, not batch entries.
         """
         entries = list(packets_with_cls)
         if not entries:
             return []
-        if self.on_change is not None:
-            self._fire_on_change()
-        now = now_ns if now_ns is not None else self.clock()
-        # Without enclave-stage rules the key depends only on the
-        # classification list, so a batch reusing one list object (the
-        # common TX case) builds it once — ``entries`` keeps the lists
-        # alive, making id() stable.
-        key_per_list = not self.flow_stage.has_rules()
-        key_of_list: Dict[int, Tuple[str, ...]] = {}
-        step = self._process_one
-        results: List[ProcessResult] = []
-        drops = 0
+        process = Enclave.process_packet
         with self.telemetry.tracer.span("enclave.process_batch",
                                         enclave=self.name) as span:
-            for packet, cls in entries:
-                key = key_of_list.get(id(cls)) if key_per_list else None
-                if key is None:
-                    key = key_of_list[id(cls)] = self._class_key(
-                        packet, cls)
-                result = step(packet, cls, key, now)
-                if result.drop:
-                    drops += 1
-                results.append(result)
-            span.set(size=len(entries), drops=drops)
-        self.packets_processed += len(entries)
-        self.packets_dropped += drops
-        if self._tracing:
-            self._h_batch_size.observe(len(entries))
-            self._m_packets.inc(len(entries))
-            if drops:
-                self._m_drops.inc(drops)
-            for result in results:
-                self._h_packet_ops.observe(result.interpreter_ops)
+            results = [process(self, packet, cls, now_ns)
+                       for packet, cls in entries]
+            if self._tracing:
+                span.set(size=len(results),
+                         drops=sum(result.drop for result in results))
+                self._h_batch_size.observe(len(results))
         return results
 
     def _class_key(self, packet, classifications
                    ) -> Tuple[str, ...]:
         """The class names the tables match on: the stages' classes,
         those of the enclave's own stage rules, then the flow class
-        every packet carries (paper Table 2, last row).
-
-        Built once per packet, so the common shapes — no enclave stage
-        rules and one stage class, or none — take no list and no call;
-        ``flow_stage._rules`` is :meth:`Stage.has_rules` inlined.
-        """
+        every packet carries (paper Table 2, last row).  The common
+        shape, no enclave stage rules and one stage class, is built in
+        :meth:`process_packet` itself."""
         stage_rules = self.flow_stage._rules
-        if not stage_rules:
-            if len(classifications) == 1:
-                return (classifications[0].class_name, _FLOW_CLASS)
-            if not classifications:
-                return _FLOW_KEY
+        if not stage_rules and not classifications:
+            return _FLOW_KEY
         names = [c.class_name for c in classifications]
         if stage_rules:
             names += self._enclave_stage_classes(packet)
         names.append(_FLOW_CLASS)
         return tuple(names)
 
-    def _process_one(self, packet,
-                     classifications: Sequence[Classification],
-                     key: Tuple[str, ...], now: int) -> ProcessResult:
-        """The per-packet envelope, the only place a function runs.
-
-        Per table hop: lookup -> message-state lookup ->
-        ``fn.run_packet`` (state read, body, write-back, function
-        stats) -> fault accounting -> ``next_table``.  A fault ends
-        only its own hop; the chain goes on.
-        """
-        tracing = self._tracing
-        acct = self.accounting
-        if acct.enabled:
-            acct.mark()
-        else:
-            acct = None
-        executed: List[str] = []
-        matched_classes: List[str] = []
-        faults = ops = 0
-        # Derived on the first hop with message state, once per packet.
-        msg_id: Optional[object] = None
-
-        table_id = 0
-        hops = self.MAX_TABLE_HOPS
-        while hops > 0:
-            hops -= 1
-            if tracing:
-                with self.telemetry.tracer.span(
-                        "enclave.lookup", enclave=self.name,
-                        table=table_id,
-                        packet_id=getattr(packet, "packet_id", None)
-                        ) as lspan:
-                    hit = self._tables[table_id].lookup(key)
-                    lspan.set(hit=hit is not None)
-                self._m_lookups.inc()
-                if hit is not None:
-                    self._m_lookup_hits.inc()
-            else:
-                hit = self._tables[table_id].lookup(key)
-            if hit is None:
-                break
-            rule, matched = hit
-            matched_classes.append(matched)
-            fn = self._functions[rule.function]
-            store = fn.message_store
-            msg_entry = None
-            if store is not None:
-                if msg_id is None:
-                    msg_id = _message_id(packet, classifications)
-                msg_entry, created = store.lookup(msg_id, now)
-                if created and classifications:
-                    store.seed(msg_entry, _int_metadata(classifications))
-            try:
-                if tracing:
-                    ops += self._traced_run(fn, packet, msg_entry, acct)
-                else:
-                    ops += fn.run_packet(packet, msg_entry, acct)
-            except InterpreterFault:
-                # Section 3.4.3: a faulty function terminates its own
-                # execution without affecting the rest of the system —
-                # the packet is forwarded unmodified and the chain
-                # continues.
-                fn.stats.faults += 1
-                faults += 1
-                if tracing:
-                    self._m_faults.inc()
-            else:
-                executed.append(fn.name)
-                if tracing:
-                    self._m_invocations.inc()
-            table_id = rule.next_table
-            if table_id is None:
-                break
-        if acct is not None:
-            acct.lap("enclave")
-        # ``ProcessResult(...)`` without the class call, which Python
-        # 3.11 routes through a C trampoline into ``__init__``; every
-        # field is set here.
-        result = _new_result(ProcessResult)
-        result.executed = executed
-        result.matched_classes = matched_classes
-        result.drop = True if getattr(packet, "drop", 0) else False
-        result.to_controller = \
-            True if getattr(packet, "to_controller", 0) else False
-        result.faults = faults
-        result.interpreter_ops = ops
-        result.error = None
-        return result
+    def _traced_lookup(self, table: MatchActionTable, key, packet):
+        """``table.lookup`` inside an ``enclave.lookup`` span, counted."""
+        with self.telemetry.tracer.span(
+                "enclave.lookup", enclave=self.name,
+                table=table.table_id,
+                packet_id=getattr(packet, "packet_id", None)) as span:
+            hit = table.lookup(key)
+            span.set(hit=hit is not None)
+        self._m_lookups.inc()
+        if hit is not None:
+            self._m_lookup_hits.inc()
+        return hit
 
     def _traced_run(self, fn: InstalledFunction, packet, msg_entry,
                     acct) -> int:

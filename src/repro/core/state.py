@@ -279,8 +279,8 @@ class MessageStore:
 
         The enclave itself writes straight into the
         :class:`MessageEntry` that :meth:`lookup` handed it
-        (``InstalledFunction.run_packet``); this is the by-key form
-        for everyone else.
+        (the plan or ``InstalledFunction.run_generic``); this is the
+        by-key form for everyone else.
         """
         entry = self._entries.get(key)
         if entry is None:

@@ -82,9 +82,10 @@ class Backend:
         whole invocation of the enclave's installed function ``fn`` —
         state read, body, write-back, function stats — or None.
 
-        ``InstalledFunction.run_packet`` asks once and without a plan
-        runs its generic tier (:meth:`bind`'s callable), which the plan
-        must equal bit for bit.  The rules of
+        ``InstalledFunction.run_packet`` asks once, on the first
+        packet, and the enclave's hop calls the plan from then on;
+        without a plan it runs its generic tier (:meth:`bind`'s
+        callable), which the plan must equal bit for bit.  The rules of
         :meth:`bind` apply: limits, RNG and clock are read from
         ``interp`` on every call.  The default is no plan.
         """

@@ -136,7 +136,7 @@ def test_a_binding_without_a_plan_is_freed_by_refcount(backend):
     enclave.install_rule("*", "f")
     packet = Packet()
     enclave.process_packet(packet)
-    assert packet.priority == 3 and fn._plan is False
+    assert packet.priority == 3 and fn.plan is False
     gone = weakref.ref(fn)
     was_enabled = gc.isenabled()
     gc.disable()

@@ -771,8 +771,8 @@ def test_process_result_keeps_its_dataclass_api():
 
 
 def test_the_data_path_builds_the_result_the_constructor_would():
-    """``_process_one`` fills a ``ProcessResult`` without calling the
-    class; every field must come out as the constructor sets it."""
+    """``process_packet`` fills a ``ProcessResult`` without calling
+    the class; every field must come out as the constructor sets it."""
     enclave = Enclave("result.test")
     enclave.install_function(set_priority_five)
     enclave.install_rule("*", "set_priority_five")
@@ -786,3 +786,261 @@ def test_the_data_path_builds_the_result_the_constructor_would():
             interpreter_ops=got.interpreter_ops)
         assert got == want and repr(got) == repr(want)
         assert got.interpreter_ops > 0
+
+
+def count_message_packets(packet, msg):
+    msg.total = msg.total + 1
+
+
+#: Install keywords of the functions the live-configuration test uses.
+_SCHEMAS = {bump_counter: {"global_schema": COUNTER_SCHEMA},
+            count_message_bytes: {"message_schema": MSG_SCHEMA},
+            count_message_packets: {"message_schema": MSG_SCHEMA}}
+
+
+def _live_packets():
+    cls = [Classification("app.r1.x", {"msg_id": ("m", 1)})]
+    return [(FakePacket(size=100 + i), cls) for i in range(2)]
+
+
+def _state(enclave):
+    """Per function: global snapshot and message entry values."""
+    out = {}
+    for name in enclave.functions():
+        fn = enclave.function(name)
+        store = fn.message_store
+        out[name] = (
+            fn.global_store and fn.global_store.snapshot(),
+            {key: dict(entry.values)
+             for key, entry in store._entries.items()} if store else {})
+    return out
+
+
+class TestLiveConfiguration:
+    """Enclave API calls between packets, against what the data path
+    caches: each table's lookup memo, which the hop probes itself, and
+    each binding's plan, which the hop calls itself.  After every step
+    the next packets — through ``process_packet`` or ``process_batch``,
+    on the plan or the generic tier — give the results and packet
+    fields of an enclave built fresh with the configuration the step
+    left, holding the same state, and change ``FunctionStats`` and
+    state as that enclave does; and each step shows on the very next
+    packet."""
+
+    def _fresh(self, config, live):
+        """An enclave installed from scratch with ``config`` and the
+        state ``live``'s functions hold."""
+        enclave = Enclave("live.reference")
+        for table_id in config["tables"]:
+            enclave.create_table(table_id)
+        for name, action in config["functions"].items():
+            fn = enclave.install_function(action, name=name,
+                                          backend=config["backend"],
+                                          **_SCHEMAS.get(action, {}))
+            held = live.function(name)
+            if held.global_store is not None:
+                for field, value in held.global_store.snapshot().items():
+                    enclave.set_global(name, field, value)
+            if held.message_store is not None:
+                for key, entry in held.message_store._entries.items():
+                    fn.message_store.lookup(key, 0)[0].values.update(
+                        entry.values)
+        for table_id, pattern, function, priority, next_table in \
+                config["rules"].values():
+            enclave.install_rule(pattern, function, table_id=table_id,
+                                 priority=priority,
+                                 next_table=next_table)
+        return enclave
+
+    def _install(self, live, config):
+        """The starting configuration: ``tagger`` chained to
+        ``second`` in table 1; ``counter`` and ``bytes`` installed
+        without a rule."""
+        live.create_table(1)
+        config["tables"] = [1]
+        for name, action in (("tagger", old_behavior),
+                             ("second", chain_second),
+                             ("counter", bump_counter),
+                             ("bytes", count_message_bytes)):
+            live.install_function(action, name=name,
+                                  **_SCHEMAS.get(action, {}),
+                                  backend=config["backend"])
+            config["functions"][name] = action
+        for rule in ((0, "app.r1.x", "tagger", 1, 1),
+                     (1, "*", "second", 0, None)):
+            self._add_rule(live, config, *rule)
+
+    @staticmethod
+    def _add_rule(live, config, table_id, pattern, function, priority,
+                  next_table):
+        rule_id = live.install_rule(pattern, function, table_id=table_id,
+                                    priority=priority,
+                                    next_table=next_table)
+        config["rules"][rule_id] = (table_id, pattern, function, priority,
+                                    next_table)
+        return rule_id
+
+    def _check(self, live, config, use_batch, now):
+        """The next two packets on ``live`` and on a fresh twin; returns
+        what ran and the priority the first packet left."""
+        fresh = self._fresh(config, live)
+        assert fresh.functions() == live.functions()
+        stats = {name: dataclasses.replace(live.function(name).stats)
+                 for name in live.functions()}
+        outcome = []
+        for enclave in (live, fresh):
+            pairs = _live_packets()
+            if use_batch:
+                results = enclave.process_batch(pairs, now_ns=now)
+            else:
+                results = [enclave.process_packet(p, cls, now_ns=now)
+                           for p, cls in pairs]
+            outcome.append((results, [vars(p) for p, _ in pairs],
+                            _state(enclave)))
+        assert outcome[0] == outcome[1]
+        for name, before in stats.items():
+            got = live.function(name).stats
+            want = fresh.function(name).stats
+            for field in ("invocations", "faults", "ops_executed"):
+                assert getattr(got, field) - getattr(before, field) == \
+                    getattr(want, field), (name, field)
+            if want.invocations:
+                # One program's high-water marks, whenever it ran.
+                assert (got.max_stack_bytes, got.max_heap_bytes) == \
+                    (want.max_stack_bytes, want.max_heap_bytes), name
+        results, fields, _ = outcome[0]
+        return results[0].executed, fields[0]["priority"]
+
+    @pytest.mark.parametrize("use_batch", (False, True))
+    @pytest.mark.parametrize("backend", ("interpreter", "tree"))
+    def test_every_step_shows_on_the_next_packet(self, backend,
+                                                 use_batch):
+        live = Enclave("live")
+        config = {"backend": backend, "tables": [], "functions": {},
+                  "rules": {}}
+        self._install(live, config)
+        saved = {}
+
+        def higher_priority_rule():
+            saved["rule"] = self._add_rule(live, config, 0, "app.r1.*",
+                                           "counter", 5, None)
+
+        def remove_higher_priority_rule():
+            live.remove_rule(saved["rule"])
+            del config["rules"][saved["rule"]]
+
+        def replace_tagger():
+            saved["tagger"] = live.function("tagger")
+            live.replace_function("tagger", new_behavior)
+            config["functions"]["tagger"] = new_behavior
+
+        def restore_earlier_tagger():
+            live.restore_function("tagger", saved["tagger"])
+            config["functions"]["tagger"] = old_behavior
+
+        def remove_chained_rule():
+            (rule_id,) = [r for r, rule in config["rules"].items()
+                          if rule[0] == 1]
+            live.remove_rule(rule_id, table_id=1)
+            del config["rules"][rule_id]
+
+        def message_rule_above_tagger():
+            self._add_rule(live, config, 0, "app.r1.x", "bytes", 3, None)
+
+        def restore_none_after_rules_gone():
+            live.restore_function("second", None)
+            del config["functions"]["second"]
+
+        def clear():
+            live.clear()
+            config.update(tables=[], functions={}, rules={})
+
+        def reinstall():
+            self._install(live, config)
+
+        steps = [
+            (None, (["tagger", "second"], 1)),
+            (higher_priority_rule, (["counter"], 0)),
+            (remove_higher_priority_rule, (["tagger", "second"], 1)),
+            (replace_tagger, (["tagger", "second"], 7)),
+            (restore_earlier_tagger, (["tagger", "second"], 1)),
+            (remove_chained_rule, (["tagger"], 1)),
+            (message_rule_above_tagger, (["bytes"], 0)),
+            (restore_none_after_rules_gone, (["bytes"], 0)),
+            (clear, ([], 0)),
+            (reinstall, (["tagger", "second"], 1)),
+        ]
+        for now, (step, want) in enumerate(steps):
+            if step is not None:
+                step()
+            assert self._check(live, config, use_batch, now) == want, \
+                step and step.__name__
+
+
+class _CountingClock:
+    def __init__(self):
+        self.reads = 0
+
+    def __call__(self):
+        self.reads += 1
+        return 1000 * self.reads
+
+
+class TestClockReads:
+    """The enclave reads its clock only for message state: once per
+    packet, on the first hop whose function keeps a message store, and
+    never when the caller passes ``now_ns``."""
+
+    def _enclave(self, stateful):
+        clock = _CountingClock()
+        enclave = Enclave("clock.test", clock=clock)
+        enclave.create_table(1)
+        if stateful:
+            enclave.install_function(count_message_bytes,
+                                     message_schema=MSG_SCHEMA)
+            enclave.install_function(count_message_packets,
+                                     message_schema=MSG_SCHEMA)
+            enclave.install_rule("*", "count_message_bytes",
+                                 next_table=1)
+            enclave.install_rule("*", "count_message_packets",
+                                 table_id=1)
+        else:
+            enclave.install_function(set_priority_five)
+            enclave.install_function(chain_second)
+            enclave.install_rule("*", "set_priority_five", next_table=1)
+            enclave.install_rule("*", "chain_second", table_id=1)
+        return enclave, clock
+
+    def test_stateless_hops_read_no_clock(self):
+        enclave, clock = self._enclave(stateful=False)
+        result = enclave.process_packet(FakePacket())
+        assert result.executed == ["set_priority_five", "chain_second"]
+        enclave.process_batch([(FakePacket(), ()) for _ in range(3)])
+        assert clock.reads == 0
+
+    def test_two_stateful_hops_read_it_once(self):
+        enclave, clock = self._enclave(stateful=True)
+        result = enclave.process_packet(FakePacket())
+        assert result.executed == ["count_message_bytes",
+                                   "count_message_packets"]
+        assert clock.reads == 1
+        # Both hops stamp their entries with the one value read.
+        for name in enclave.functions():
+            (entry,) = enclave.function(name).message_store._entries \
+                .values()
+            assert entry.created_at == entry.last_used_at == 1000
+        # A batch is the step in a loop: one read per packet.
+        enclave.process_batch([(FakePacket(), ()) for _ in range(3)])
+        assert clock.reads == 4
+
+    def test_a_given_time_reads_no_clock(self):
+        enclave, clock = self._enclave(stateful=True)
+        enclave.process_packet(FakePacket(), now_ns=5)
+        enclave.process_batch([(FakePacket(), ()) for _ in range(3)],
+                              now_ns=7)
+        assert clock.reads == 0
+        (entry,) = enclave.function("count_message_packets") \
+            .message_store._entries.values()
+        assert entry.values["total"] == 4 and entry.last_used_at == 7
+        assert enclave.expire_idle_messages(now_ns=7 + 1) == 0
+        assert enclave.expire_idle_messages(now_ns=10**12) == 2

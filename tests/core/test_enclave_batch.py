@@ -14,6 +14,7 @@ import random
 import pytest
 
 from repro.core import Classification, Enclave, EnclaveError
+from repro.telemetry import Telemetry
 
 from test_plan import (MSG_SCHEMA, FakePacket, _msg_cls, _send,
                        count_message_bytes, set_priority_five, tag_low)
@@ -40,6 +41,14 @@ def rand_priority(packet):
 
 def rand_path(packet):
     packet.path_id = rand(1000)
+
+
+def drop_packet(packet):
+    packet.drop = 1
+
+
+def divide_by_path(packet):
+    packet.priority = 100 // packet.path_id
 
 
 def test_empty_batch_returns_empty_list():
@@ -158,3 +167,67 @@ def test_table_still_chained_to_cannot_be_deleted(use_batch):
     enclave.delete_table(1)
     assert enclave.query_tables() == [0]
     assert _send(enclave, pairs, use_batch)[0].executed == []
+
+
+def _telemetry_run(use_batch, batches):
+    """An enclave under an enabled ``Telemetry``: a two-hop chain, a
+    drop, a fault, a message-state hop and a miss, the same packets
+    through either entry point in ``batches`` batches.  Returns the
+    enclave's instruments by name and the function stats."""
+    telemetry = Telemetry()
+    enclave = Enclave("batch.telemetry", telemetry=telemetry)
+    enclave.create_table(1)
+    enclave.install_function(set_priority_five)
+    enclave.install_function(tag_low, name="tag_low")
+    enclave.install_function(drop_packet)
+    enclave.install_function(divide_by_path)
+    enclave.install_function(count_message_bytes,
+                             message_schema=MSG_SCHEMA)
+    enclave.install_rule("app.r1.chain", "set_priority_five",
+                         next_table=1)
+    enclave.install_rule("*", "tag_low", table_id=1)
+    enclave.install_rule("app.r1.drop", "drop_packet")
+    enclave.install_rule("app.r1.fault", "divide_by_path")
+    enclave.install_rule("app.r1.x", "count_message_bytes")
+    classes = ("chain", "drop", "fault", "miss")
+    pairs = [(FakePacket(), [Classification(f"app.r1.{name}", {})])
+             for name in classes * 3] + \
+        [(FakePacket(size=64 * i), _msg_cls(i % 2)) for i in range(4)]
+    size = len(pairs) // batches
+    for start in range(0, len(pairs), size):
+        _send(enclave, pairs[start:start + size], use_batch, now_ns=1)
+    registry = telemetry.registry
+    names = ("enclave_packets_total", "enclave_drops_total",
+             "enclave_faults_total", "enclave_lookups_total",
+             "enclave_lookup_hits_total", "enclave_invocations_total")
+    counts = {name: registry.counter(name, enclave=enclave.name).value
+              for name in names}
+    ops = registry.histogram("enclave_packet_ops", enclave=enclave.name)
+    counts["enclave_packet_ops"] = (ops.count, ops.total)
+    sizes = registry.histogram("enclave_batch_size", enclave=enclave.name)
+    counts["enclave_batch_size"] = sizes.count
+    return counts, {name: enclave.function(name).stats
+                    for name in enclave.functions()}
+
+
+def test_batch_counts_what_its_packets_count():
+    """Under telemetry, ``process_batch`` of N packets and N
+    ``process_packet`` calls leave equal packet, drop, lookup, hit,
+    invocation and fault counters and an equal ``enclave_packet_ops``
+    count and sum: a batch is the scalar step in a loop and counts
+    nothing twice.  ``enclave_batch_size`` is observed once per
+    batch, and never by the scalar calls."""
+    scalar, scalar_stats = _telemetry_run(False, 1)
+    assert scalar.pop("enclave_batch_size") == 0
+    for batches in (1, 4):
+        batched, batched_stats = _telemetry_run(True, batches)
+        assert batched.pop("enclave_batch_size") == batches
+        assert batched == scalar
+        assert batched_stats == scalar_stats
+    ops_count, ops_sum = scalar.pop("enclave_packet_ops")
+    assert ops_count == 16 and ops_sum > 0
+    assert scalar == {
+        "enclave_packets_total": 16, "enclave_drops_total": 3,
+        "enclave_faults_total": 3, "enclave_lookups_total": 19,
+        "enclave_lookup_hits_total": 16,
+        "enclave_invocations_total": 13}

@@ -91,6 +91,17 @@ def _send(enclave, pairs, use_batch, now_ns=None):
             for p, cls in pairs]
 
 
+def _wrap_hops(fn, around):
+    """Route every hop of ``fn`` through ``around(inner)``, as
+    ``tests/lang/program_gen.wrap_hops`` does: the hop calls
+    ``fn.plan`` once it exists and ``fn.run_packet`` otherwise, so the
+    plan is asked for now and whichever the hop calls is wrapped."""
+    if fn.resolve_plan():
+        fn.plan = around(fn.plan)
+    else:
+        fn.run_packet = around(fn.run_packet)
+
+
 def _count_executes(fn):
     """Wrap ``fn.execute`` as ``bench/tracing.py`` does.  Only the
     generic tier of ``run_packet`` calls it, so the count tells
@@ -393,16 +404,17 @@ def _run_image_case(case, backend):
                                   **schemas)
     enclave.install_rule("*", "f")
     faults = []
-    inner = fn.run_packet
 
-    def run_packet(packet, msg_entry, acct=None):
-        try:
-            return inner(packet, msg_entry, acct)
-        except Exception as fault:
-            faults.append((type(fault), str(fault)))
-            raise
+    def around(inner):
+        def run(packet, msg_entry, acct=None):
+            try:
+                return inner(packet, msg_entry, acct)
+            except Exception as fault:
+                faults.append((type(fault), str(fault)))
+                raise
+        return run
 
-    fn.run_packet = run_packet
+    _wrap_hops(fn, around)
     executes = _count_executes(fn)
     trace = []
     sent = 0
@@ -794,19 +806,20 @@ def _compile_demo(spec):
 
 
 def _record_faults(fn):
-    """Wrap ``fn.run_packet``: the enclave swallows a fault, this keeps
-    its reason and pc."""
+    """Wrap every hop of ``fn`` (:func:`_wrap_hops`): the enclave
+    swallows a fault, this keeps its reason and pc."""
     seen = []
-    inner = fn.run_packet
 
-    def run_packet(packet, msg_entry, acct=None):
-        try:
-            return inner(packet, msg_entry, acct)
-        except InterpreterFault as fault:
-            seen.append((fault.reason, fault.pc))
-            raise
+    def around(inner):
+        def run(packet, msg_entry, acct=None):
+            try:
+                return inner(packet, msg_entry, acct)
+            except InterpreterFault as fault:
+                seen.append((fault.reason, fault.pc))
+                raise
+        return run
 
-    fn.run_packet = run_packet
+    _wrap_hops(fn, around)
     return seen
 
 

@@ -103,15 +103,15 @@ def test_the_fleet_heats_one_program():
         before["programs_compiled"] + 1
     assert installed["plans_compiled"] == before["plans_compiled"]
     fns = [enclave.function("account") for enclave in enclaves]
-    assert all(fn._plan is None for fn in fns)
+    assert all(fn.plan is None for fn in fns)
     # Each binding's first packet builds its plan from the one
     # compiled plan code.
     _rounds(enclaves, 2)
     after = pycodegen.stats()
     assert after["programs_compiled"] == installed["programs_compiled"]
     assert after["plans_compiled"] == before["plans_compiled"] + 1
-    assert all(fn._plan is not None for fn in fns)
-    assert len({id(fn._plan) for fn in fns}) == N
+    assert all(fn.plan is not None for fn in fns)
+    assert len({id(fn.plan) for fn in fns}) == N
     assert [e.query_global("account")["counter"] for e in enclaves] \
         == [2] * N
 
@@ -122,7 +122,7 @@ def test_one_binding_leaving_keeps_the_others_hot(op):
     enclaves = _fleet(action)
     _rounds(enclaves, 2)
     first, others = enclaves[0], enclaves[1:]
-    plans = [e.function("account")._plan for e in others]
+    plans = [e.function("account").plan for e in others]
     assert all(plan is not None for plan in plans)
     if op == "restart":
         first.clear()
@@ -136,7 +136,7 @@ def test_one_binding_leaving_keeps_the_others_hot(op):
     compiled = pycodegen.stats()["programs_compiled"]
     executes = [_count_executes(e.function("account")) for e in others]
     _rounds(others, 2)
-    assert all(e.function("account")._plan is plan
+    assert all(e.function("account").plan is plan
                for e, plan in zip(others, plans))
     assert executes == [[0]] * len(others)
     assert pycodegen.stats()["programs_compiled"] == compiled

@@ -95,7 +95,7 @@ def test_cache_eviction_keeps_answers_correct():
     distinct = [(f"app.c{i}",) for i in range(_LOOKUP_CACHE_LIMIT + 5)]
     for key in distinct:
         table.lookup(key)
-    assert len(table._lookup_cache) <= _LOOKUP_CACHE_LIMIT
+    assert len(table.memo) <= _LOOKUP_CACHE_LIMIT
 
     ref = _fresh_reference(rules)
     for key in distinct[:10] + distinct[-10:] + [("db.x",), ()]:

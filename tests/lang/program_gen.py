@@ -459,6 +459,21 @@ def tree_walks():
         Interpreter.execute_tree = inner
 
 
+def wrap_hops(fn, around):
+    """Route every hop of the installed function ``fn`` through
+    ``around(inner)``, a wrapper of the ``(packet, msg_entry, acct)``
+    callable ``inner``.  The enclave's hop calls ``fn.plan`` once the
+    plan exists and ``fn.run_packet`` otherwise (a backend without a
+    plan, or telemetry on, which reaches the plan through
+    ``run_packet``), so the plan is asked for here, as the first
+    packet would ask, and whichever of the two the hop calls is
+    wrapped."""
+    if fn.resolve_plan():
+        fn.plan = around(fn.plan)
+    else:
+        fn.run_packet = around(fn.run_packet)
+
+
 def stopped(summary):
     """Whether the op budget stopped the run ``summary`` describes."""
     return summary[0] == "fault" and summary[2].startswith("op budget")

@@ -137,21 +137,23 @@ class Case:
 
 
 def _record_writes(fn):
-    """Wrap ``fn.run_packet``: per invocation that ran, whether it
-    changed its packet's fields and whether it changed its message
-    entry."""
+    """Wrap every hop of ``fn`` (``program_gen.wrap_hops``): per
+    invocation that ran, whether it changed its packet's fields and
+    whether it changed its message entry."""
     seen = []
-    inner = fn.run_packet
 
-    def run_packet(packet, msg_entry, acct=None):
-        fields = dict(vars(packet))
-        values = msg_entry and dict(msg_entry.values)
-        ops = inner(packet, msg_entry, acct)
-        seen.append((vars(packet) != fields,
-                     msg_entry is not None and msg_entry.values != values))
-        return ops
+    def around(inner):
+        def run(packet, msg_entry, acct=None):
+            fields = dict(vars(packet))
+            values = msg_entry and dict(msg_entry.values)
+            ops = inner(packet, msg_entry, acct)
+            seen.append((vars(packet) != fields,
+                         msg_entry is not None and
+                         msg_entry.values != values))
+            return ops
+        return run
 
-    fn.run_packet = run_packet
+    pg.wrap_hops(fn, around)
     return seen
 
 

@@ -88,6 +88,7 @@ from repro.lang.analysis import facts
 from repro.lang.bytecode import Assembler, FieldRef, Op, Program
 from repro.lang.compiler import CompiledAction, compile_action, compile_ast
 from repro.functions.library import DemoPacket, table1
+from repro.telemetry import Telemetry
 
 import program_gen as pg
 from conftest import GLB_SCHEMA, MSG_SCHEMA, REJECTED_PROGRAMS
@@ -1191,19 +1192,20 @@ def _install_f(enclave, action, backend, **rule):
 
 
 def _record_faults(fn):
-    """Wrap ``fn.run_packet``: the enclave swallows a fault, this keeps
-    its reason."""
+    """Wrap every hop of ``fn`` (``program_gen.wrap_hops``): the
+    enclave swallows a fault, this keeps its reason."""
     seen = []
-    inner = fn.run_packet
 
-    def run_packet(packet, msg_entry, acct=None):
-        try:
-            return inner(packet, msg_entry, acct)
-        except InterpreterFault as fault:
-            seen.append(fault.reason)
-            raise
+    def around(inner):
+        def run(packet, msg_entry, acct=None):
+            try:
+                return inner(packet, msg_entry, acct)
+            except InterpreterFault as fault:
+                seen.append(fault.reason)
+                raise
+        return run
 
-    fn.run_packet = run_packet
+    pg.wrap_hops(fn, around)
     return seen
 
 
@@ -1403,10 +1405,11 @@ CHAIN = (("first", ("path_id",)), ("f", ("priority", "queue_id")),
          ("last", ("ecn",)))
 
 
-def _chain_enclave(action, seed, backend):
+def _chain_enclave(action, seed, backend, telemetry=None):
     """``first`` in table 0, ``action`` as ``f`` in table 1 and
     ``last`` in table 2, chained by ``next_table``."""
-    enclave = Enclave("chain", rng=random.Random(seed))
+    enclave = Enclave("chain", rng=random.Random(seed),
+                      telemetry=telemetry)
     enclave.create_table(1)
     enclave.create_table(2)
     for name, source in (("first", CHAIN_FIRST), ("last", CHAIN_LAST)):
@@ -1493,6 +1496,47 @@ class TestChainedFaults:
     def test_a_fault_stays_in_its_hop_at_depth(self, request):
         _at_depth(request)
         check_chained_faults(10 * PROPERTY_EXAMPLES)
+
+    @pytest.mark.parametrize("traced", (False, True))
+    @pytest.mark.parametrize("backend", ("interpreter", "tree"))
+    def test_no_hop_bypasses_the_hook(self, backend, traced):
+        """``program_gen.wrap_hops``, which the harness's fault and
+        write recorders use, sees every hop the enclave runs: over the
+        chain with a middle hop that faults on every other packet,
+        each function's wrapper counts its invocations plus its
+        faults, on the plan and the generic tier, with telemetry off
+        and on, through both entry points."""
+        action = compile_action(READS_QUEUE_ID,
+                                packet_schema=DEFAULT_PACKET_SCHEMA,
+                                message_schema=MSG_SCHEMA,
+                                global_schema=GLB_SCHEMA, name="f")
+        enclave = _chain_enclave(action, 1, backend,
+                                 Telemetry() if traced else None)
+        fns = [enclave.function(name) for name, _ in CHAIN]
+        counts = []
+        for fn in fns:
+            count = [0]
+
+            def around(inner, count=count):
+                def run(packet, msg_entry, acct=None):
+                    count[0] += 1
+                    return inner(packet, msg_entry, acct)
+                return run
+
+            pg.wrap_hops(fn, around)
+            counts.append(count)
+        packets = _packets(_seeded_inputs(random.Random(1), 12))
+        for packet in packets[1::2]:
+            packet.queue_id = "high"
+        for i, packet in enumerate(packets[:6]):
+            enclave.process_packet(packet, (), now_ns=i)
+        enclave.process_batch([(packet, ()) for packet in packets[6:]],
+                              now_ns=6)
+        for fn, (count,) in zip(fns, counts):
+            assert count == fn.stats.invocations + fn.stats.faults, \
+                fn.name
+        assert fns[1].stats.faults == fns[1].stats.invocations == 6
+        assert all(fn.stats.faults for fn in fns)
 
     def test_every_hop_faults_on_some_packet(self):
         """The property above is not vacuous: over a few programs each

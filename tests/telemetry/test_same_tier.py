@@ -78,7 +78,7 @@ def test_telemetry_on_runs_the_same_tier_as_off(entry, backend):
     assert executes_on == executes_off
     if backend == "interpreter":
         # Compiled, and the plan ran every packet.
-        assert fn_on._plan is not None
+        assert fn_on.plan is not None
         assert isinstance(fn_on.program._pycodegen,
                           pycodegen.CompiledProgram)
         assert not executes_on
