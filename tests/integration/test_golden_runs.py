@@ -111,34 +111,66 @@ def port_stats(net):
     return rows
 
 
-@pytest.mark.slow
-def test_fig9_pias_eden_golden(monkeypatch):
+def run_fig9(monkeypatch, policy, variant):
+    """One fig9 run at seed 5, 30 ms: (records, result, summary)."""
     recording = Recording(monkeypatch)
-    scenario = build_flow_scheduling("pias", "eden", seed=5,
+    scenario = build_flow_scheduling(policy, variant, seed=5,
                                      duration_ms=30)
     recording.nets.append(scenario.net)
     scenario.run()
     result = scenario.finish()
     records = [(r.flow_id, r.size_bytes, r.started_at, r.completed_at,
                 r.kind) for r in scenario.tracker.records]
+    return records, result, recording.summary()
+
+
+@pytest.mark.slow
+def test_fig9_pias_eden_golden(monkeypatch):
+    records, result, summary = run_fig9(monkeypatch, "pias", "eden")
     assert len(records) == FIG9["n_records"]
     assert digest(records) == FIG9["records"]
     assert digest(result) == FIG9["result"]
     assert digest(dataclasses.replace(result, events=0)) == \
         FIG9["result_sans_events"]
-    assert recording.summary() == FIG9["summary"]
+    assert summary == FIG9["summary"]
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("policy", ["pias", "sff"])
+def test_fig9_native_golden(monkeypatch, policy):
+    """The native variant: the policy charged a fixed cost per
+    executed action instead of per bytecode op."""
+    records, result, summary = run_fig9(monkeypatch, policy, "native")
+    pins = FIG9_NATIVE[policy]
+    assert len(records) == pins["n_records"]
+    assert digest(records) == pins["records"]
+    assert digest(result) == pins["result"]
+    assert summary == pins["summary"]
+
+
+def run_fig10(monkeypatch, variant):
+    """fig10's per-packet WCMP run at seed 5: (result, summary)."""
+    recording = Recording(monkeypatch, fig10, "asymmetric_two_path")
+    result = fig10.run_wcmp("wcmp", variant, granularity="packet",
+                            seed=5, duration_ms=20, warmup_ms=5,
+                            n_flows=2)
+    return result, recording.summary()
 
 
 @pytest.mark.slow
 def test_fig10_wcmp_packet_spraying_golden(monkeypatch):
     """Per-packet spraying reorders, so SACK, DSACK, the loss probe
     and fast recovery all run."""
-    recording = Recording(monkeypatch, fig10, "asymmetric_two_path")
-    result = fig10.run_wcmp("wcmp", "eden", granularity="packet",
-                            seed=5, duration_ms=20, warmup_ms=5,
-                            n_flows=2)
+    result, summary = run_fig10(monkeypatch, "eden")
     assert digest(result) == FIG10["result"]
-    assert recording.summary() == FIG10["summary"]
+    assert summary == FIG10["summary"]
+
+
+@pytest.mark.slow
+def test_fig10_wcmp_native_golden(monkeypatch):
+    result, summary = run_fig10(monkeypatch, "native")
+    assert digest(result) == FIG10_NATIVE["result"]
+    assert summary == FIG10_NATIVE["summary"]
 
 
 @pytest.mark.slow
@@ -226,3 +258,58 @@ FIG11 = {'simultaneous': {'result': 'cce44b851b270f6d6ada98bb5cb2a273109420fcaef
                                  'events': [40081],
                                  'now': [60000000],
                                  'pending': [9]}}}
+
+#: Recorded when the native variant still ran its own backend (an
+#: AST-level compile of each action, charged per executed action
+#: because it counted no ops); the variant must reproduce them exactly
+#: under the per-action charge model.
+FIG9_NATIVE = {'pias': {'n_records': 244,
+                        'records': '1c9a78648affa18c05b0e901309652c95c082aec02ebca87ce396a99a8288011',
+                        'result': '71ea2bf908ac02f0a8dbb74c6ca6007691e2e0590dc51cbd570bede2212de359',
+                        'summary': {'fire_log': '06cce20b29e49abe939f6df4fd2779f9bf1fa99917b5b603e2cc2177aeaf186e',
+                                    'effective_fire_log': '06cce20b29e49abe939f6df4fd2779f9bf1fa99917b5b603e2cc2177aeaf186e',
+                                    'tcp': {'segments_sent': 27867,
+                                            'bytes_sent': 38596082,
+                                            'retransmits': 4247,
+                                            'fast_retransmits': 154,
+                                            'timeouts': 621,
+                                            'dupacks_received': 9379,
+                                            'acks_received': 50732,
+                                            'bytes_delivered': 33757702},
+                                    'ports': 'b85466fa830a8c578a15adfde90e13a33cf3c1c90fd364f1b54381fb7923ca5a',
+                                    'events': [217593],
+                                    'now': [30000000],
+                                    'pending': [265]}},
+               'sff': {'n_records': 236,
+                       'records': 'a1e907b12dfbbc89b279f063960bff54ed825dac6bb150da2a0fcad1385fb30d',
+                       'result': '26c01353f3235915500c2e25b127efb74e166636192f1ce4347615237cca9d34',
+                       'summary': {'fire_log': 'e3439438897a8adcf67993a7b61c73a9f1337da262dd83bba77f47421b3f744c',
+                                   'effective_fire_log': 'e3439438897a8adcf67993a7b61c73a9f1337da262dd83bba77f47421b3f744c',
+                                   'tcp': {'segments_sent': 27715,
+                                           'bytes_sent': 38436895,
+                                           'retransmits': 3475,
+                                           'fast_retransmits': 86,
+                                           'timeouts': 606,
+                                           'dupacks_received': 6765,
+                                           'acks_received': 50683,
+                                           'bytes_delivered': 33120630},
+                                   'ports': '88fe50f43bbc268b034b06e76e1e8c62541485bc68a8c76ac278e077a78e3e11',
+                                   'events': [213209],
+                                   'now': [30000000],
+                                   'pending': [273]}}}
+
+FIG10_NATIVE = {'result': '7e4cd9eb8827c226387170b65af156c0203f0c6aa3f0a1dc36c7ecdba38ccb7f',
+                'summary': {'fire_log': '2ee7348fefb778db26a9e5cd2b7f58793d206c3f0e198bee41e468365c32629b',
+                            'effective_fire_log': '2ee7348fefb778db26a9e5cd2b7f58793d206c3f0e198bee41e468365c32629b',
+                            'tcp': {'segments_sent': 14271,
+                                    'bytes_sent': 20834060,
+                                    'retransmits': 372,
+                                    'fast_retransmits': 257,
+                                    'timeouts': 0,
+                                    'dupacks_received': 6520,
+                                    'acks_received': 29254,
+                                    'bytes_delivered': 20809240},
+                            'ports': 'ddfe979eaf00568acf683708ed1415ba8979e0dadf121cc2f99d7068a8b96f12',
+                            'events': [114480],
+                            'now': [20000000],
+                            'pending': [14]}}
