@@ -3,8 +3,9 @@
 Runs the search-style request-response workload at ~70% load with
 background bulk traffic, under three policies — no prioritization,
 PIAS (priorities learned by demotion), and SFF (priorities from
-app-declared flow sizes) — each both natively compiled and
-interpreted, and prints the Figure 9 rows.
+app-declared flow sizes) — each charged as a native policy (a fixed
+cost per executed action) and as interpreted bytecode (a cost per
+op), and prints the Figure 9 rows.
 
 Run:  python examples/flow_scheduling.py [--quick]
 """

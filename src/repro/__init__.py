@@ -4,7 +4,7 @@ complete Python reproduction.
 Subpackages:
 
 * :mod:`repro.lang` — the action-function DSL, compiler, bytecode
-  interpreter, static verifier, and native backend;
+  interpreter (a tree walk and generated code), and static verifier;
 * :mod:`repro.core` — the Eden architecture: controller, stages, and
   enclaves with match-action tables and state management;
 * :mod:`repro.netsim` — the deterministic discrete-event datacenter

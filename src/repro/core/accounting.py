@@ -24,7 +24,7 @@ from typing import Dict, List, Optional
 from ..telemetry.registry import (MetricRegistry, NULL_HISTOGRAM,
                                   nearest_rank)
 
-BUCKETS = ("api", "enclave", "interpreter", "native")
+BUCKETS = ("api", "enclave", "interpreter")
 
 #: Default per-bucket reservoir size: enough for stable tail
 #: percentiles (p95 rank error < 1% at this size) at fixed memory.

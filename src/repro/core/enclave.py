@@ -74,8 +74,8 @@ class InstalledFunction:
     ``backend`` selects how invocations execute: ``"interpreter"``
     is the enclave's shared :class:`Interpreter`'s dispatch, and any
     name from the :mod:`repro.lang.backends` registry (``tree``,
-    ``pycodegen``, ``native``) pins this function to that execution
-    backend.  Either way the binding resolves exactly one
+    ``pycodegen``) pins this function to that execution backend.
+    Either way the binding resolves exactly one
     :class:`~repro.lang.backends.Backend`, named by :attr:`dispatch`,
     and runs through its ``bind`` (the generic tier, bound here, at
     install) and its ``plan`` (asked for on the first packet).
@@ -144,7 +144,7 @@ class InstalledFunction:
         at install time; both tiers write back exactly these.  The
         generic tier's per-slot readers are built on its first use
         instead (:meth:`_build_readers`): only a backend without a plan
-        (the ``tree`` and ``native`` pins) runs it.
+        (the ``tree`` pin) runs it.
         """
         # The static write set as (slot, name) lists per scope: each
         # scope's may-write set (``analysis.Effects``: slots some PUTF
@@ -165,8 +165,7 @@ class InstalledFunction:
                              for i in scopes["array"].may_write
                              if arrays[i].scope == "global"]
         # Bound at install, so whatever the backend compiles here
-        # (pycodegen: the program; native: this binding's function)
-        # fails the install, not a packet.
+        # (pycodegen: the program) fails the install, not a packet.
         try:
             self._run = self._executor.bind(self.interpreter,
                                             self.program)
@@ -278,7 +277,7 @@ class InstalledFunction:
         """The generic tier of :meth:`run_packet`: state read (the
         slots of ``analysis.Effects.loads``) -> :meth:`execute` ->
         write-back of the may-write sets ->
-        function stats.  The ``tree``/``native`` pins run it; it is the
+        function stats.  The ``tree`` pin runs it; it is the
         oracle for the plan, which is the same sequence as one
         generated callable, and the plan hands it a packet whose limits
         the program's bounds do not fit, or any packet under an op
@@ -294,8 +293,7 @@ class InstalledFunction:
             result = self.execute(fields, arrays)
         finally:
             if acct is not None:
-                acct.lap("native" if self.dispatch == "native"
-                         else "interpreter")
+                acct.lap("interpreter")
         out = result.fields
         if self.commit_packet_writes:
             for i, name in self.packet_writes:

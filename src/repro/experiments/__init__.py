@@ -8,8 +8,8 @@ One module per evaluation artifact:
 * :mod:`.fig11` — Pulsar storage QoS (isolated / simultaneous /
   rate-controlled);
 * :mod:`.fig12` — CPU overhead of the Eden components;
-* :mod:`.micro` — Section 5.4 interpreter footprint and
-  interpreted-vs-native cost;
+* :mod:`.micro` — Section 5.4 interpreter footprint and the cost of
+  the tree walk against generated code;
 * Table 1 lives in :mod:`repro.functions.library`.
 
 ``python -m repro <artifact>`` runs one of them and ``python -m repro

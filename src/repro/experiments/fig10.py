@@ -6,7 +6,8 @@ selection.  With equal weights (ECMP) TCP throughput is dominated by
 the slow path and peaks just over 2 Gbps; with 10:1 WCMP it reaches
 about 7.8 Gbps — below the 11 Gbps min-cut because per-packet spraying
 reorders segments — and native vs Eden is statistically
-indistinguishable.
+indistinguishable.  The native variant runs the same WCMP function,
+charged per executed action instead of per op (see :mod:`.fig9`).
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from ..core.enclave import Enclave, PLACEMENT_NIC
 from ..functions.wcmp import WcmpDeployment
 from ..netsim.simulator import GBPS, MS, Simulator
 from ..netsim.topology import asymmetric_two_path
-from ..stack.netstack import HostStack
+from ..stack.netstack import HostStack, NATIVE_ACTION_COST_NS
 
 SINK_PORT = 9200
 CHUNK = 4_000_000
@@ -66,13 +67,14 @@ def run_wcmp(mode: str = "wcmp", variant: str = "eden",
                       clock=sim.clock, rng=sim.rng)
     controller.register_enclave("h1", enclave)
     s1 = HostStack(sim, net.hosts["h1"], enclave=enclave,
-                   process_pure_acks=False)
+                   process_pure_acks=False,
+                   native_action_cost_ns=(NATIVE_ACTION_COST_NS
+                                          if variant == "native"
+                                          else None))
     s2 = HostStack(sim, net.hosts["h2"])
 
-    backend = "interpreter" if variant == "eden" else "native"
     deployment = WcmpDeployment(controller, net,
-                                granularity=granularity,
-                                backend=backend)
+                                granularity=granularity)
     rows = deployment.provision_pair("h1", "h2",
                                      equal_weights=(mode == "ecmp"))
     assert len(rows) == 2, rows

@@ -14,9 +14,14 @@ Configurations here:
 * ``("baseline", "eden")``    — enclave + classification + interpreted
   PIAS run on every packet, but packet outputs ignored (the paper's
   baseline-EDEN overhead configuration);
-* ``("pias"|"sff", "native")`` — the policy hard-coded (natively
-  compiled) in the enclave;
-* ``("pias"|"sff", "eden")``   — the policy interpreted from bytecode.
+* ``("pias"|"sff", "native")`` — the policy hard-coded in the
+  enclave: the stack charges a fixed cost per executed action
+  (``HostStack(native_action_cost_ns=...)``);
+* ``("pias"|"sff", "eden")``   — the policy interpreted from bytecode,
+  charged per executed op.
+
+Both variants run the same generated code; they differ only in the
+simulated cost the stack charges for it.
 
 The scenario is split into :func:`build_flow_scheduling` (construct
 the network, stacks, enclaves and workloads — returns a
@@ -44,7 +49,7 @@ from ..functions.pulsar import PulsarDeployment
 from ..netsim.simulator import GBPS, MS, Simulator
 from ..netsim.topology import Network, star
 from ..netsim.tracing import FlowTracker
-from ..stack.netstack import HostStack
+from ..stack.netstack import HostStack, NATIVE_ACTION_COST_NS
 
 SERVICE_PORT = 9000
 SINK_PORT = 9100
@@ -192,7 +197,7 @@ def build_flow_scheduling(policy: str = "baseline",
     controller = Controller()
 
     needs_enclave = not (policy == "baseline" and variant == "native")
-    backend = "interpreter" if variant == "eden" else "native"
+    action_cost_ns = NATIVE_ACTION_COST_NS if variant == "native" else None
     bg_hosts = [f"h{i + 3}" for i in range(n_background)]
     sender_hosts = ["h2"] + bg_hosts
     stacks: Dict[str, HostStack] = {}
@@ -208,6 +213,7 @@ def build_flow_scheduling(policy: str = "baseline",
             controller.register_enclave(name, enclave)
         stacks[name] = HostStack(host.sim, host, enclave=enclave,
                                  process_pure_acks=False,
+                                 native_action_cost_ns=action_cost_ns,
                                  telemetry=telemetry)
 
     if needs_enclave:
@@ -220,7 +226,7 @@ def build_flow_scheduling(policy: str = "baseline",
         # baseline-eden runs interpreted PIAS with outputs ignored.
         effective_policy = policy if policy != "baseline" else "pias"
         deployment = FlowSchedulingDeployment(
-            controller, policy=effective_policy, backend=backend)
+            controller, policy=effective_policy)
         deployment.install(pias_hosts, PRIORITY_THRESHOLDS)
         if policy == "baseline":
             for host_name in pias_hosts:
@@ -229,7 +235,7 @@ def build_flow_scheduling(policy: str = "baseline",
                 fn.commit_packet_writes = False
 
     if background_rate_bps is not None:
-        pulsar = PulsarDeployment(controller, backend=backend)
+        pulsar = PulsarDeployment(controller)
         for name in bg_hosts:
             pulsar.install(name, stacks[name],
                            {BACKGROUND_TENANT: background_rate_bps})

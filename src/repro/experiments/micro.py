@@ -5,10 +5,10 @@ space of the interpreter are in the order of 64 and 256 bytes
 respectively."  This module compiles the case-study programs,
 measures their operand-stack/heap high-water marks and bytecode ops
 per invocation, the stack beside the worst case its bound proves
-(``InstalledFunction.bounds``), and times interpreted vs native
-execution of the function body — the ablation behind the paper's
-"small penalty for the convenience of injecting code at runtime"
-claim.
+(``InstalledFunction.bounds``), and times the function body on the
+decode-per-op tree walk against the generated code that runs it — the
+cost of interpreting bytecode op by op, behind the paper's "small
+penalty for the convenience of injecting code at runtime" claim.
 """
 
 from __future__ import annotations
@@ -29,25 +29,26 @@ class MicroResult:
     ops_per_packet: float
     stack_bytes: int
     heap_bytes: int
-    interp_ns_per_packet: float
-    native_ns_per_packet: float
+    tree_ns_per_packet: float
+    codegen_ns_per_packet: float
     #: The proven worst-case stack per invocation (None: no bound).
     bound_stack_words: Optional[int] = None
 
     @property
     def slowdown(self) -> float:
-        if self.native_ns_per_packet <= 0:
+        """The tree walk's time over the generated code's."""
+        if self.codegen_ns_per_packet <= 0:
             return 0.0
-        return self.interp_ns_per_packet / self.native_ns_per_packet
+        return self.tree_ns_per_packet / self.codegen_ns_per_packet
 
     def row(self) -> str:
         return (f"{self.name:<16} code={self.bytecode_len:3d} ops "
                 f"{self.ops_per_packet:5.1f}  "
                 f"stack {self.stack_bytes:3d} B (worst "
                 f"{self.bound_stack_words} words)  "
-                f"heap {self.heap_bytes:4d} B  interp "
-                f"{self.interp_ns_per_packet:8.0f} ns  native "
-                f"{self.native_ns_per_packet:8.0f} ns  "
+                f"heap {self.heap_bytes:4d} B  tree "
+                f"{self.tree_ns_per_packet:8.0f} ns  codegen "
+                f"{self.codegen_ns_per_packet:8.0f} ns  "
                 f"({self.slowdown:4.1f}x)")
 
 
@@ -117,20 +118,19 @@ def _body_ns(body: Callable, snapshots: List) -> float:
 def run_micro(packets: int = 300, repeat: int = 3,
               names: Tuple[str, ...] = CASE_STUDY_FUNCTIONS
               ) -> List[MicroResult]:
-    """Footprint and interpreted-vs-native cost of each program.
+    """Footprint and tree-walk-vs-generated-code cost of each program.
 
     Both are timed on the body alone, through what a binding of each
     backend binds (``Backend.bind``), over the snapshots the packets
-    read: per packet, the generated plan and native's generic tier
+    read: per packet, the generated plan and the tree's generic tier
     wrap the body in unlike envelopes.  Best of ``repeat``
     alternating rounds."""
     results = []
     for name in names:
         fn, snapshots = _drive(_spec_for(name), packets)
-        interp = fn.interpreter
-        bodies = [backends.get(dispatch).bind(interp, fn.program)
-                  for dispatch in (interp.dispatch, "native")]
-        interp_ns, native_ns = map(min, zip(*(
+        bodies = [backends.get(dispatch).bind(fn.interpreter, fn.program)
+                  for dispatch in ("tree", "pycodegen")]
+        tree_ns, codegen_ns = map(min, zip(*(
             [_body_ns(body, snapshots) for body in bodies]
             for _ in range(repeat))))
         results.append(MicroResult(
@@ -141,8 +141,8 @@ def run_micro(packets: int = 300, repeat: int = 3,
             max(1, fn.stats.invocations),
             stack_bytes=fn.stats.max_stack_bytes,
             heap_bytes=fn.stats.max_heap_bytes,
-            interp_ns_per_packet=interp_ns,
-            native_ns_per_packet=native_ns,
+            tree_ns_per_packet=tree_ns,
+            codegen_ns_per_packet=codegen_ns,
             bound_stack_words=fn.bounds.stack))
     return results
 
@@ -150,7 +150,7 @@ def run_micro(packets: int = 300, repeat: int = 3,
 def format_results(results: List[MicroResult]) -> str:
     lines = ["Section 5.4 micro — footprint per case-study program "
              "(measured; the stack also as the worst case its bound "
-             "proves); interp/native: ns per call of the body"]
+             "proves); tree/codegen: ns per call of the body"]
     lines += [r.row() for r in results]
     return "\n".join(lines)
 

@@ -2,14 +2,14 @@
 
 Typical use::
 
-    from repro.lang import (Field, Schema, Lifetime, AccessLevel,
-                            compile_action, Interpreter, verify)
+    from repro.lang import (DEFAULT_PACKET_SCHEMA, Interpreter,
+                            compile_action, verify)
 
     def bump_priority(packet):
         packet.priority = min(packet.priority + 1, 7)
 
-    ast, program = compile_action(
-        bump_priority, packet_schema=DEFAULT_PACKET_SCHEMA)
+    program = compile_action(
+        bump_priority, packet_schema=DEFAULT_PACKET_SCHEMA).program
     verify(program)
     result = Interpreter().execute(program, fields=[3], arrays=[])
 """
@@ -27,7 +27,6 @@ from .compiler import CompileError, compile_action, compile_ast
 from .dsl import DslError, lower, quote
 from .interpreter import (ExecResult, ExecStats, Interpreter,
                           InterpreterFault)
-from .native import NativeFault, NativeFunction
 from .optimizer import optimize_function, optimize_program
 from .pycodegen import CodegenRunner, execute_codegen
 from .verifier import VerificationError, verify
@@ -37,8 +36,8 @@ __all__ = [
     "CompileError", "DEFAULT_PACKET_SCHEMA",
     "DslError", "ExecResult", "ExecStats", "Field", "FieldKind",
     "FieldRef", "FunctionCode", "Instr", "Interpreter",
-    "InterpreterFault", "Lifetime", "NativeFault", "NativeFunction",
-    "Op", "Program", "ProgramAST", "Schema", "SchemaError",
+    "InterpreterFault", "Lifetime", "Op", "Program", "ProgramAST",
+    "Schema", "SchemaError",
     "VerificationError", "backend_names", "compile_action",
     "compile_ast", "execute_codegen", "get_backend", "lower",
     "optimize_function", "optimize_program", "quote",

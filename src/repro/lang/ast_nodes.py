@@ -2,9 +2,8 @@
 
 The DSL frontend (:mod:`repro.lang.dsl`) lowers a restricted Python
 function into these nodes after resolving every name against the three
-state schemas (packet / message / global).  Both backends — the bytecode
-compiler and the native code generator — consume this representation, so
-they are guaranteed to implement the same semantics.
+state schemas (packet / message / global).  The bytecode compiler
+(:mod:`repro.lang.compiler`) consumes this representation.
 """
 
 from __future__ import annotations

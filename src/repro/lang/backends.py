@@ -1,15 +1,13 @@
 """Execution-backend registry for :mod:`repro.lang`.
 
-Three ways of running a compiled :class:`~repro.lang.bytecode.Program`
+Two ways of running a compiled :class:`~repro.lang.bytecode.Program`
 live behind one :class:`Backend` protocol:
 
-* ``tree`` — the decode-per-op walk, the executable semantics every
+* ``tree`` — the decode-per-op walk, the executable semantics the
   other path is checked against;
 * ``pycodegen`` — what runs: generated straight-line Python, compiled
   once per program
-  (:mod:`repro.lang.pycodegen`);
-* ``native`` — the AST-level compiler, the paper's Eden-vs-native
-  baseline (Fig 12).
+  (:mod:`repro.lang.pycodegen`).
 
 Consumers (the :class:`Interpreter`, the enclave's installed functions,
 the CLI ``--backend`` flags) resolve backends by name through
@@ -18,19 +16,15 @@ backend, or its interpreter's dispatch — and runs only through that
 backend's :meth:`Backend.bind` and :meth:`Backend.plan`.
 
 The contract, enforced by the differential harness in
-``tests/lang/test_differential.py``:
+``tests/lang/test_differential.py``: ``tree`` and ``pycodegen`` are
+bit-for-bit equivalent — results, :class:`ExecStats`, fault class and
+fault *reason*.
 
-* ``tree`` and ``pycodegen`` are bit-for-bit equivalent — results,
-  :class:`ExecStats`, fault class and fault *reason*.
-* ``native`` agrees on the ok/fault outcome and, when ok, on
-  ``(value, fields, arrays)``; its stats are empty and its fault
-  wording is its own (it runs Python semantics, not the bytecode VM).
-
-A compiled artifact a backend keeps for a program lives in a slot on
-that ``Program`` (pycodegen's generated code, native's one-off
-function) and dies with it.  A ``Program`` is frozen, so the artifact
-can never go stale, and nothing takes it away earlier: one host's
-restart leaves the rest of a fleet's shared program compiled.
+A compiled artifact a backend keeps for a program (pycodegen's
+generated code) lives in a slot on that ``Program`` and dies with it.
+A ``Program`` is frozen, so the artifact can never go stale, and
+nothing takes it away earlier: one host's restart leaves the rest of
+a fleet's shared program compiled.
 """
 
 from __future__ import annotations
@@ -40,8 +34,7 @@ from typing import Dict, List, Sequence
 
 from . import pycodegen
 from .bytecode import Program
-from .interpreter import ExecResult, InterpreterFault
-from .native import NativeFunction
+from .interpreter import ExecResult
 
 
 class Backend:
@@ -115,54 +108,6 @@ class PycodegenBackend(Backend):
     plan = staticmethod(pycodegen.plan_for)
 
 
-class NativeBackend(Backend):
-    """AST-level compilation to plain Python (outcome parity only).
-
-    Needs the typed AST, which :func:`repro.lang.compiler.compile_action`
-    attaches to the program as ``_prog_ast``; hand-assembled programs
-    without it cannot run natively.  Stats are empty and entry
-    arguments are rejected — both documented native limitations.
-
-    :meth:`bind` compiles a :class:`NativeFunction` of the binding's
-    own, at install, drawing from the binding interpreter's RNG and
-    clock; :meth:`execute` keeps one in a slot on the program for
-    one-off calls and points it at the calling interpreter's sources
-    each time.
-    """
-
-    name = "native"
-
-    @staticmethod
-    def _ast(program):
-        prog_ast = getattr(program, "_prog_ast", None)
-        if prog_ast is None:
-            raise InterpreterFault(
-                "native backend needs a compiler-produced program "
-                "(no typed AST attached)", program.name)
-        return prog_ast
-
-    def bind(self, interp, program):
-        return NativeFunction(self._ast(program), program,
-                              rng=interp.rng, clock=interp.clock).execute
-
-    def _function(self, interp, program):
-        nf = getattr(program, "_native_fn", None)
-        if nf is None:
-            nf = NativeFunction(self._ast(program), program,
-                                rng=interp.rng, clock=interp.clock)
-            object.__setattr__(program, "_native_fn", nf)
-        else:
-            # The compiled entry is rng/clock-agnostic; rebind the
-            # sources so a cached function follows its interpreter.
-            nf.rng = interp.rng
-            nf.clock = interp.clock
-        return nf
-
-    def execute(self, interp, program, fields, arrays, args=()):
-        return self._function(interp, program).execute(fields, arrays,
-                                                       args)
-
-
 _REGISTRY: Dict[str, Backend] = {}
 
 
@@ -189,4 +134,3 @@ def names() -> List[str]:
 
 register(TreeBackend())
 register(PycodegenBackend())
-register(NativeBackend())

@@ -274,9 +274,10 @@ class CompiledAction:
     and equality and hashing go by it.  A schema field's ``binder``
     counts by its qualified name.
 
-    ``prog_ast`` is the typed AST, kept for the one consumer that
-    needs more than bytecode (``backend="native"``); it is not part of
-    the content.  The artifact unpacks as ``(prog_ast, program)``.
+    ``prog_ast`` is the typed AST; it is not part of the content.  The
+    artifact still unpacks as ``(prog_ast, program)`` because callers
+    outside the package (the benchmark's probes) unpack it that way;
+    both can go once none does.
     """
 
     program: Program
@@ -347,10 +348,6 @@ def compile_action(fn: Union[Callable, str],
     program = compile_ast(prog_ast,
                           optimize_tail_calls=optimize_tail_calls,
                           peephole=peephole)
-    # Side-attach the typed AST so the native backend in the registry
-    # can compile this program without replumbing every call site
-    # (Program is frozen; this is a cache slot, not program identity).
-    object.__setattr__(program, "_prog_ast", prog_ast)
     return CompiledAction(program, packet_schema, message_schema,
                           global_schema, optimize_tail_calls, peephole,
                           prog_ast)

@@ -179,8 +179,8 @@ class Interpreter:
     :mod:`repro.lang.pycodegen`, compiled on its first call;
     ``"tree"`` pins the decode-per-op reference loop.
     Those two are bit-for-bit identical (enforced by
-    ``tests/lang/test_differential``); any other registered backend
-    (e.g. ``"native"``) resolves the same way.
+    ``tests/lang/test_differential``); a backend registered later
+    resolves the same way.
     """
 
     def __init__(self,

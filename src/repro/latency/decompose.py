@@ -36,8 +36,8 @@ Segment taxonomy (all integer ns of simulated time):
     The enclave placement's per-packet base cost (match-action
     lookup; ``Enclave.per_packet_base_cost_ns``).
 ``interpreter_execute``
-    Action-function execution: interpreted bytecode ops or natively
-    compiled actions (``interpreter_ns_per_op`` /
+    Action-function execution: executed bytecode ops or, under the
+    native charge, executed actions (``interpreter_ns_per_op`` /
     ``native_action_cost_ns``).
 ``host_queue``
     Extra wait from the stack's monotonic-emission clamp (a packet

@@ -24,12 +24,24 @@ from ..transport.tcp import TcpConnection
 from .ratelimiter import RateLimiterBank
 
 
+#: The per-action charge of the paper's native baseline (Figs 9, 10).
+NATIVE_ACTION_COST_NS = 150
+
+
 class StackError(Exception):
     """The host stack was misconfigured or misused."""
 
 
 class HostStack:
-    """Transport + Eden data path of one end host."""
+    """Transport + Eden data path of one end host.
+
+    A packet the enclave processed is delayed by the placement's match
+    cost plus the cost of the actions it ran, charged one of two ways:
+    ``interpreter_ns_per_op`` per executed bytecode op (the default),
+    or, when ``native_action_cost_ns`` is given, that much per
+    executed action whatever its op count — the paper's "native"
+    baseline, a policy hard-coded in the enclave (Section 5.1).
+    """
 
     def __init__(self, sim: Simulator, host,
                  enclave: Optional[Enclave] = None,
@@ -38,7 +50,7 @@ class HostStack:
                  process_pure_acks: bool = True,
                  stack_latency_ns: int = 300,
                  interpreter_ns_per_op: int = 12,
-                 native_action_cost_ns: int = 150,
+                 native_action_cost_ns: Optional[int] = None,
                  batch_data_path: bool = False,
                  telemetry: Optional[Telemetry] = None) -> None:
         self.sim = sim
@@ -61,8 +73,7 @@ class HostStack:
         self.process_pure_acks = process_pure_acks
         # Simulated per-packet processing costs (Section 5.4's CPU
         # overheads translated into data-path latency): the vanilla
-        # stack cost, the per-bytecode-op interpreter cost, and the
-        # cost of one natively compiled action.
+        # stack cost, then the per-op or the per-action charge.
         self.stack_latency_ns = stack_latency_ns
         self.interpreter_ns_per_op = interpreter_ns_per_op
         self.native_action_cost_ns = native_action_cost_ns
@@ -170,10 +181,10 @@ class HostStack:
     def _enclave_delay_parts(self, result) -> Tuple[int, int]:
         """(match, execute) components of the enclave's modeled
         per-packet data-path delay: the placement's base cost for the
-        match-action lookup, then either interpreted bytecode ops or
-        natively compiled actions."""
+        match-action lookup, then the executed bytecode ops or the
+        executed actions, whichever the stack charges."""
         match_ns = self.enclave.per_packet_base_cost_ns
-        if result.interpreter_ops:
+        if self.native_action_cost_ns is None:
             exec_ns = (result.interpreter_ops *
                        self.interpreter_ns_per_op)
         else:

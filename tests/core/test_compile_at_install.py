@@ -123,7 +123,7 @@ def test_a_tree_pin_compiles_nothing(failing_compile):
     assert packet.priority == 3
 
 
-@pytest.mark.parametrize("backend", ("tree", "native"))
+@pytest.mark.parametrize("backend", ("tree",))
 def test_a_binding_without_a_plan_is_freed_by_refcount(backend):
     """A binding whose backend has no plan remembers so without a
     reference to itself, so dropping its enclave frees it at once,

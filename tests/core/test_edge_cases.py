@@ -70,7 +70,7 @@ class TestSideEffectStatements:
 
     def test_both_backends_agree_on_side_effects(self):
         totals = {}
-        for backend in ("interpreter", "native"):
+        for backend in ("interpreter", "tree"):
             enclave = Enclave(f"e.{backend}")
             enclave.install_function(helper_called_as_statement,
                                      message_schema=MSG_SCHEMA,
@@ -82,7 +82,7 @@ class TestSideEffectStatements:
                 "helper_called_as_statement").message_store
             totals[backend] = store.lookup(
                 ("a", 1), 0)[0].values["total"]
-        assert totals["interpreter"] == totals["native"] == 5
+        assert totals["interpreter"] == totals["tree"] == 5
 
 
 class TestMultiClassPackets:

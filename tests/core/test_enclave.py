@@ -2,7 +2,6 @@
 
 import dataclasses
 import gc
-import random
 import weakref
 
 import pytest
@@ -12,8 +11,7 @@ from repro.core import (Classification, ConcurrencyLevel, Enclave,
                         PLACEMENT_NIC, PLACEMENT_OS, ProcessResult)
 from repro.core.accounting import CpuAccounting
 from repro.lang import (DEFAULT_PACKET_SCHEMA, AccessLevel, Field,
-                        FieldKind, Interpreter, Lifetime, NativeFunction,
-                        pycodegen, schema)
+                        FieldKind, Lifetime, pycodegen, schema)
 from repro.lang.compiler import compile_action
 
 
@@ -46,10 +44,6 @@ def faulty_divide(packet):
 
 def bump_counter(packet, _global):
     _global.counter = _global.counter + 1
-
-
-def rand_path(packet):
-    packet.path_id = rand(1000)
 
 
 def to_controller_fn(packet):
@@ -205,7 +199,7 @@ class TestProcessing:
         assert result.executed == ["set_priority_five"]
 
     def test_generic_tier_readers_built_on_first_use(self):
-        # Only a backend without a plan (tree, native) runs the
+        # Only a backend without a plan (tree) runs the
         # generic tier: a default binding never reads a slot there.
         for backend in ("interpreter", "tree"):
             enclave = Enclave(f"e.{backend}")
@@ -347,9 +341,9 @@ class TestProcessing:
             now_ns=100_000_000_000)
         assert dropped == 1
 
-    def test_native_backend_equivalent(self):
+    def test_tree_backend_equivalent(self):
         results = {}
-        for backend in ("interpreter", "native"):
+        for backend in ("interpreter", "tree"):
             enclave = Enclave(f"e.{backend}")
             enclave.install_function(use_threshold,
                                      global_schema=GLB_SCHEMA,
@@ -358,7 +352,7 @@ class TestProcessing:
             packet = FakePacket(size=5000)
             enclave.process_packet(packet)
             results[backend] = packet.priority
-        assert results["interpreter"] == results["native"] == 1
+        assert results["interpreter"] == results["tree"] == 1
 
     def test_interpreter_ops_reported(self, enclave):
         enclave.install_function(set_priority_five)
@@ -496,11 +490,13 @@ class TestCpuAccounting:
         return enclave
 
     @pytest.mark.parametrize("use_batch", (False, True))
-    @pytest.mark.parametrize("backend", ("interpreter", "native"))
+    @pytest.mark.parametrize("backend", ("interpreter", "tree"))
     def test_samples_per_invocation(self, backend, use_batch):
+        """The plan and the generic tier each sample one enclave
+        stretch per packet and per invocation, and one interpreter
+        stretch per invocation."""
         acct = CpuAccounting(enabled=True)
         enclave = self._enclave(acct, backend)
-        bucket = "native" if backend == "native" else "interpreter"
         # (class, invocations per packet); a faulted one counts.
         mix = [("two", 2), ("one", 1), ("miss", 0), ("fault", 1)]
 
@@ -522,13 +518,13 @@ class TestCpuAccounting:
             invocations += rounds * sum(k for _, k in mix)
             counts = acct.counts()
             assert counts["enclave"] == invocations + packets
-            assert counts[bucket] == invocations
+            assert counts["interpreter"] == invocations
             assert sum(counts.values()) == 2 * invocations + packets
         assert enclave.function("faulty_divide").stats.faults == \
             packets // len(mix)
         if backend == "interpreter":
             assert _is_hot(enclave.function("chain_second").program)
-        assert all(ns > 0 for ns in acct.samples[bucket])
+        assert all(ns > 0 for ns in acct.samples["interpreter"])
 
     @pytest.mark.parametrize("use_batch", (False, True))
     def test_disabled_reads_no_clock_and_records_nothing(self,
@@ -558,7 +554,7 @@ def new_behavior(packet):
     packet.priority = 7
 
 
-ALL_BACKENDS = ("interpreter", "tree", "pycodegen", "native")
+ALL_BACKENDS = ("interpreter", "tree", "pycodegen")
 #: Backends whose programs compile to generated code.
 COMPILED_BACKENDS = ("interpreter", "pycodegen")
 
@@ -586,7 +582,10 @@ class TestBackendRegistry:
     @pytest.mark.parametrize("backend", ALL_BACKENDS)
     def test_pinned_backend_scalar_and_batch(self, backend):
         enclave = Enclave(f"e.{backend}")
-        enclave.install_function(set_priority_five, backend=backend)
+        fn = enclave.install_function(set_priority_five, backend=backend)
+        # One resolved backend per function.
+        assert fn.dispatch == ("pycodegen" if backend == "interpreter"
+                               else backend)
         enclave.install_rule("*", "set_priority_five")
         packet = FakePacket()
         result = enclave.process_packet(packet)
@@ -600,61 +599,30 @@ class TestBackendRegistry:
 
     def test_registered_names_accepted_others_rejected(self, enclave):
         from repro.lang import backend_names
-        assert backend_names() == ["native", "pycodegen", "tree"]
+        assert backend_names() == ["pycodegen", "tree"]
         for retired in ("fast", "jit"):
             with pytest.raises(EnclaveError, match="unknown backend"):
                 enclave.install_function(set_priority_five, name="x",
                                          backend=retired)
 
-    def test_native_function_built_only_for_native_backend(self):
+    def test_native_is_refused_and_leaves_the_enclave_unchanged(self):
+        """``native`` names no backend any more: the install is refused
+        with the registered names, and the enclave keeps the functions,
+        rules and behaviour it had."""
         enclave = Enclave("e.native")
-        for backend in ALL_BACKENDS:
-            fn = enclave.install_function(
-                set_priority_five, name=f"f.{backend}", backend=backend)
-            # One resolved backend per function; only native's bind
-            # compiles an AST-level function, of this binding's own.
-            assert fn.dispatch == ("pycodegen" if backend == "interpreter"
-                                   else backend)
-            bound = getattr(fn._run, "__self__", None)
-            assert isinstance(bound, NativeFunction) == \
-                (backend == "native")
-
-    def test_native_bindings_of_one_artifact_draw_from_their_own_rng(self):
-        """Two enclaves with different seeds bind one artifact on
-        ``native``: each draws exactly what a lone enclave with its
-        seed draws, interleaved or not, and a native interpreter with
-        that seed agrees."""
-        def artifact():
-            return compile_action(rand_path,
-                                  packet_schema=DEFAULT_PACKET_SCHEMA)
-
-        def native_enclave(seed, action):
-            enclave = Enclave(f"e.{seed}", rng=random.Random(seed))
-            enclave.install_function(action, backend="native")
-            enclave.install_rule("*", "rand_path")
-            return enclave
-
-        def draw(enclave):
-            packet = FakePacket()
-            assert enclave.process_packet(packet).executed == \
-                ["rand_path"]
-            return packet.path_id
-
-        lone = {}
-        for seed in (1, 2):
-            enclave = native_enclave(seed, artifact())
-            lone[seed] = [draw(enclave) for _ in range(20)]
-        shared = artifact()
-        pair = {seed: native_enclave(seed, shared) for seed in (1, 2)}
-        drawn = {1: [], 2: []}
-        for _ in range(20):
-            for seed, enclave in pair.items():
-                drawn[seed].append(draw(enclave))
-        assert drawn == lone
-        assert lone[1] != lone[2]
-        interp = Interpreter(dispatch="native", rng=random.Random(1))
-        assert [interp.execute(shared.program, [0], []).fields[0]
-                for _ in range(20)] == lone[1]
+        enclave.install_function(set_priority_five)
+        enclave.install_rule("*", "set_priority_five")
+        before = (enclave.functions(), enclave.query_rules(),
+                  enclave.stats_summary())
+        with pytest.raises(EnclaveError,
+                           match="unknown backend 'native'.*pycodegen, tree"):
+            enclave.install_function(old_behavior, backend="native")
+        assert (enclave.functions(), enclave.query_rules(),
+                enclave.stats_summary()) == before
+        packet = FakePacket()
+        assert enclave.process_packet(packet).executed == \
+            ["set_priority_five"]
+        assert packet.priority == 5
 
     @pytest.mark.parametrize("backend", ALL_BACKENDS)
     def test_replace_runs_new_program_not_stale_handler(self, backend):

@@ -55,8 +55,8 @@ class TestDemos:
         results = run_demos(backend="interpreter")
         assert results and all(results.values()), results
 
-    def test_all_demos_pass_native(self):
-        results = run_demos(backend="native")
+    def test_all_demos_pass_tree(self):
+        results = run_demos(backend="tree")
         assert results and all(results.values()), results
 
     def test_demo_count_matches_supported_rows(self):

@@ -68,5 +68,5 @@ class TestWeightedChoice:
         a = sample_distribution([(1, 700), (2, 300)], n=300, seed=9,
                                 backend="interpreter")
         b = sample_distribution([(1, 700), (2, 300)], n=300, seed=9,
-                                backend="native")
+                                backend="tree")
         assert a == b

@@ -126,8 +126,8 @@ class TestOverheads:
         assert interp > 0
 
     def test_micro_footprint_in_paper_ballpark(self):
-        # The interp-vs-native ordering has a wide true margin
-        # (~2-3x) but single-core CI boxes can land a load spike on
+        # The tree-walk-vs-generated-code ordering has a wide true
+        # margin but single-core CI boxes can land a load spike on
         # one side's measurement; retry the timing-ordering part and
         # gate on any clean attempt — a true inversion fails all.
         for attempt in range(4):
@@ -136,12 +136,12 @@ class TestOverheads:
                 # Section 5.4: stack ~64 B, heap ~256 B — same order.
                 assert res.stack_bytes <= 128, res.name
                 assert res.heap_bytes <= 1024, res.name
-            if all(res.interp_ns_per_packet >
-                   res.native_ns_per_packet for res in results):
+            if all(res.tree_ns_per_packet >
+                   res.codegen_ns_per_packet for res in results):
                 return
         for res in results:
-            assert res.interp_ns_per_packet > \
-                res.native_ns_per_packet, res.name
+            assert res.tree_ns_per_packet > \
+                res.codegen_ns_per_packet, res.name
 
 
 @pytest.mark.slow

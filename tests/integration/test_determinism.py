@@ -39,7 +39,7 @@ class TestDeterminism:
         assert a.read_mbytes_per_s == b.read_mbytes_per_s
         assert a.write_mbytes_per_s == b.write_mbytes_per_s
 
-    def test_interpreter_and_native_backends_deterministic(self):
+    def test_interpreter_and_tree_backends_deterministic(self):
         from repro.functions.library import run_demos
         assert run_demos("interpreter") == run_demos("interpreter")
-        assert run_demos("native") == run_demos("native")
+        assert run_demos("tree") == run_demos("tree")

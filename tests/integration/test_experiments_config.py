@@ -72,8 +72,8 @@ class TestFormatting:
         res = MicroResult(name="PIAS", bytecode_len=56,
                           ops_per_packet=59.0, stack_bytes=32,
                           heap_bytes=48,
-                          interp_ns_per_packet=1000.0,
-                          native_ns_per_packet=100.0)
+                          tree_ns_per_packet=1000.0,
+                          codegen_ns_per_packet=100.0)
         assert res.slowdown == pytest.approx(10.0)
         text = micro.format_results([res])
         assert "PIAS" in text and "10.0x" in text

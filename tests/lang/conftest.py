@@ -6,8 +6,8 @@ import pytest
 
 from repro.lang import (AccessLevel, ArrayRef, DEFAULT_PACKET_SCHEMA,
                         Field, FieldKind, FieldRef, FunctionCode, Instr,
-                        Interpreter, Lifetime, NativeFunction, Op,
-                        Program, compile_action, schema, verify)
+                        Interpreter, Lifetime, Op, Program,
+                        compile_action, schema, verify)
 
 MSG_SCHEMA = schema("M", Lifetime.MESSAGE, [
     Field("counter", AccessLevel.READ_WRITE),
@@ -28,12 +28,12 @@ class Harness:
 
     def __init__(self, source, optimize_tail_calls=True,
                  message=True, glb=True):
-        self.ast, self.program = compile_action(
+        self.program = compile_action(
             source,
             packet_schema=DEFAULT_PACKET_SCHEMA,
             message_schema=MSG_SCHEMA if message else None,
             global_schema=GLB_SCHEMA if glb else None,
-            optimize_tail_calls=optimize_tail_calls)
+            optimize_tail_calls=optimize_tail_calls).program
         verify(self.program)
 
     def field_index(self, scope, name):
@@ -44,6 +44,8 @@ class Harness:
 
     def run(self, backend="interpreter", fields=None, arrays=None,
             seed=0, clock=0, **interp_kwargs):
+        """One execution on ``backend``: ``"interpreter"`` is the
+        default dispatch, any other name a registered backend."""
         fields = dict(fields or {})
         arrays = dict(arrays or {})
         fvec = []
@@ -52,15 +54,11 @@ class Harness:
         avec = []
         for ref in self.program.array_table:
             avec.append(list(arrays.get((ref.scope, ref.name), [])))
-        rng = random.Random(seed)
-        if backend == "interpreter":
-            interp = Interpreter(rng=rng, clock=lambda: clock,
-                                 **interp_kwargs)
-            result = interp.execute(self.program, fvec, avec)
-        else:
-            native = NativeFunction(self.ast, self.program, rng=rng,
-                                    clock=lambda: clock)
-            result = native.execute(fvec, avec)
+        if backend != "interpreter":
+            interp_kwargs["dispatch"] = backend
+        interp = Interpreter(rng=random.Random(seed),
+                             clock=lambda: clock, **interp_kwargs)
+        result = interp.execute(self.program, fvec, avec)
         out_fields = {
             (ref.scope, ref.name): v
             for ref, v in zip(self.program.field_table, result.fields)}

@@ -5,8 +5,8 @@ yields the same program, which makes failures reproducible from a
 single integer and lets the corpus under ``tests/lang/corpus/`` replay
 byte-identical inputs in CI.  It is shared by:
 
-* ``test_differential.py`` — the tree / pycodegen / native
-  differential harness;
+* ``test_differential.py`` — the tree / pycodegen differential
+  harness;
 * ``test_fuzz_programs.py`` — pipeline fuzzing (compile/verify/optimize);
 * ``test_optimizer_properties.py`` — optimizer equivalence properties.
 
@@ -30,8 +30,8 @@ import contextlib
 import random
 
 from repro.lang import (DEFAULT_PACKET_SCHEMA, FunctionCode, Instr,
-                        Interpreter, InterpreterFault, NativeFunction,
-                        Op, Program, pycodegen)
+                        Interpreter, InterpreterFault, Op, Program,
+                        pycodegen)
 from repro.lang.analysis import facts
 from repro.lang.bytecode import OPS_WITH_ARG
 from repro.lang.dsl import lower
@@ -551,21 +551,6 @@ def run_interp_seq(program, snapshots, dispatch, seed=3,
     return out
 
 
-def run_native(prog_ast, program, fvec, avec, seed=3):
-    """One native-backend run; summarised without stats.
-
-    Native fault *reasons* differ legitimately (e.g. Python's
-    ZeroDivisionError text, RecursionError for call depth), so only
-    the fault/ok outcome participates in cross-backend comparison.
-    """
-    native = NativeFunction(prog_ast, program, rng=random.Random(seed))
-    try:
-        r = native.execute(list(fvec), [list(a) for a in avec])
-    except InterpreterFault:
-        return ("fault",)
-    return ("ok", r.value, r.fields, r.arrays)
-
-
 _JUMP_OPS = (Op.JMP, Op.JZ, Op.JNZ)
 
 
@@ -603,17 +588,15 @@ def mutate(program, seed):
                    program.array_table)
 
 
-def check_parity(prog_ast, program, fields, arrays, seed=3,
-                 native=True):
-    """Run every backend on one input; return an error or None.
+def check_parity(program, fields, arrays, seed=3):
+    """Run both backends on one input; return an error or None.
 
     The tree walk, under :data:`OP_BUDGET`, and the generated code,
     with no budget once the tree walk finished (:func:`run_generated`;
     the first pycodegen run compiles the program), must agree on
     everything — value, fields, arrays, stats, fault class and fault
     reason — and generated code must have run whenever
-    :func:`stack_fits`.  native must agree on the fault/ok outcome
-    and, when ok, on (value, fields, arrays).
+    :func:`stack_fits`.
     """
     fvec, avec = vectors(program, fields, arrays)
     tree, codegen, walks = run_generated(program, fvec, avec, seed=seed)
@@ -626,16 +609,6 @@ def check_parity(prog_ast, program, fields, arrays, seed=3,
                 stack_fits(program):
             return (f"generated code did not run on fields={fields!r} "
                     f"arrays={arrays!r}")
-    if native:
-        nat = run_native(prog_ast, program, fvec, avec, seed=seed)
-        if nat[0] != tree[0]:
-            return (f"native outcome differs on fields={fields!r} "
-                    f"arrays={arrays!r}: interp={tree!r} "
-                    f"native={nat!r}")
-        if nat[0] == "ok" and nat[1:] != (tree[1], tree[2], tree[3]):
-            return (f"native result differs on fields={fields!r} "
-                    f"arrays={arrays!r}: interp={tree!r} "
-                    f"native={nat!r}")
     return None
 
 

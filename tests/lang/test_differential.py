@@ -1,4 +1,4 @@
-"""Differential harness: tree, pycodegen and native.
+"""Differential harness: the tree walk and generated code.
 
 This is the correctness guard for every execution backend in the
 :mod:`repro.lang.backends` registry and the enclave hot path: every
@@ -10,13 +10,10 @@ run through
 * the decode-per-op tree walk      (``Interpreter(dispatch="tree")``),
 * generated straight-line Python   (``Interpreter(dispatch="pycodegen")``,
   which compiles a program on its first call),
-* the native compiled backend      (``repro.lang.native``),
 
 on randomized-but-seeded inputs.  tree and pycodegen must agree
 bit-for-bit on ``(value, fields, arrays)``, on ``ExecStats``, and on
-the fault class *and reason*; native must agree on the fault/ok
-outcome and the result triple (its fault wording legitimately differs
-— see ``program_gen.run_native``).  The tree walk runs under the
+the fault class *and reason*.  The tree walk runs under the
 harness's op budget, which stops a mutant's endless loop; generated
 code runs no budget (a run under one goes to the tree walk), so it
 runs an input with none, once the budgeted tree walk of that input
@@ -44,9 +41,9 @@ The edge-arithmetic ("arith") and helper-calling ("helpers") profiles
 aim at what generated code leaves out: the 64-bit wrap where a value is
 not yet observed, and the heap test of a record search its intervals
 prove in range (one of its call sites starts it from a state value).
-Their addresses may leave their array on purpose, where the native
-backend's per-array lists legitimately differ from the flat heap, so
-they hold native to nothing.  ``program_gen.halt_in_helper`` turns a
+Their addresses may leave their array on purpose: the flat heap then
+reads a neighbour or wraps back in, on both backends alike.
+``program_gen.halt_in_helper`` turns a
 helper's RET into HALT; the effects property and the plan legs draw it.
 
 ``TestBounds`` holds every run of the same programs, ok or faulting,
@@ -56,8 +53,9 @@ fuzz programs and verified mutants through ``Enclave.process_packet``
 at default limits, under an op budget below each run's need and with
 the stack limit one below the bound, where a faulting packet must
 commit nothing, and ``TestChainedFaults`` does so for the middle hop
-of a three-hop ``next_table`` chain.  They draw programs, mutations
-and packets with hypothesis, so a failing example shrinks, and run
+of a three-hop ``next_table`` chain.  They draw programs, mutations,
+packets and (containment) the ``execute``-level state words, at the
+64-bit edges too, with hypothesis, so a failing example shrinks, and run
 ten times the examples under ``-m differential``.
 
 Any fuzz failure is minimized (``program_gen.minimize``) and persisted
@@ -132,30 +130,21 @@ class TestLibraryPrograms:
     @pytest.mark.parametrize(
         "entry", _library_entries(), ids=lambda e: e.name)
     def test_backends_agree(self, entry):
-        prog_ast, program = _compile_demo(entry.demo)
+        program = _compile_demo(entry.demo).program
         base = _stable_seed(entry.name)
         for i in range(4):
             fields, arrays = pg.generate_inputs(program, base + i)
-            err = pg.check_parity(prog_ast, program, fields, arrays,
+            err = pg.check_parity(program, fields, arrays,
                                   seed=base % 1000 + i)
             assert err is None, f"{entry.name}: {err}"
 
 
-#: Profiles whose addresses leave their array (an index that wraps,
-#: or is a raw state value): the flat heap reads a neighbour or wraps
-#: back in where the native backend's per-array lists fault, so native
-#: is held to nothing there.
-FLAT_HEAP_PROFILES = ("arith", "helpers")
-
-
 def _assert_profile_agrees(profile, seed):
     source = pg.generate_program(seed, profile=profile)
-    prog_ast = pg.lower_source(source)
-    program = compile_ast(prog_ast)
+    program = compile_ast(pg.lower_source(source))
     for i in range(INPUTS_PER_PROGRAM):
         fields, arrays = pg.generate_inputs(program, seed * 31 + i)
-        err = pg.check_parity(prog_ast, program, fields, arrays,
-                              native=profile not in FLAT_HEAP_PROFILES)
+        err = pg.check_parity(program, fields, arrays)
         if err is not None:
             path = _persist_failure(source, fields, arrays,
                                     f"{profile}{seed}")
@@ -169,12 +158,11 @@ class TestFuzzedPrograms:
     @pytest.mark.parametrize("seed", FUZZ_SEEDS)
     def test_backends_agree(self, seed):
         source = pg.generate_program(seed)
-        prog_ast = pg.lower_source(source)
-        program = compile_ast(prog_ast)
+        program = compile_ast(pg.lower_source(source))
         for i in range(INPUTS_PER_PROGRAM):
             fields, arrays = pg.generate_inputs(program,
                                                 seed * 31 + i)
-            err = pg.check_parity(prog_ast, program, fields, arrays)
+            err = pg.check_parity(program, fields, arrays)
             if err is not None:
                 path = _persist_failure(source, fields, arrays, seed)
                 pytest.fail(
@@ -218,8 +206,7 @@ class TestFuzzedPrograms:
         outcomes = set()
         for seed in range(40):
             source = pg.generate_program(seed)
-            prog_ast = pg.lower_source(source)
-            program = compile_ast(prog_ast)
+            program = compile_ast(pg.lower_source(source))
             fields, arrays = pg.generate_inputs(program, seed * 31)
             fvec, avec = pg.vectors(program, fields, arrays)
             outcomes.add(
@@ -460,8 +447,7 @@ class TestMutatedBytecode:
                 continue
             label = f"{profile}{seed} mutation {k}"
             assert pycodegen.code_for(mutant) is not None, label
-            err = pg.check_parity(None, mutant, fields, arrays,
-                                  native=False)
+            err = pg.check_parity(mutant, fields, arrays)
             assert err is None, f"{label}: {err}"
 
     def test_mutants_exercise_both_verdicts_and_outcomes(self):
@@ -587,13 +573,11 @@ class TestRecursion:
             assert walks == 1, limits
 
     def test_parity_across_inputs(self):
-        prog_ast = pg.lower_source(RECURSIVE_SOURCE)
-        program = compile_ast(prog_ast)
+        program = compile_ast(pg.lower_source(RECURSIVE_SOURCE))
         for size in range(0, 80, 3):
-            err = pg.check_parity(prog_ast, program,
+            err = pg.check_parity(program,
                                   {("packet", "size"): size,
-                                   ("message", "limit"): size}, {},
-                                  native=size < 62)
+                                   ("message", "limit"): size}, {})
             assert err is None, err
 
 
@@ -884,11 +868,10 @@ def _persist_failure(source, fields, arrays, seed):
 
     def still_fails(candidate):
         try:
-            past = pg.lower_source(candidate)
-            prog = compile_ast(past)
+            prog = compile_ast(pg.lower_source(candidate))
         except Exception:
             return False
-        return pg.check_parity(past, prog, fields, arrays) is not None
+        return pg.check_parity(prog, fields, arrays) is not None
 
     minimized = pg.minimize(source, still_fails)
     os.makedirs(CORPUS_DIR, exist_ok=True)
@@ -907,12 +890,11 @@ class TestCorpus:
     def test_corpus_program_parity(self, path):
         with open(path) as fh:
             source = fh.read()
-        prog_ast = pg.lower_source(source)
-        program = compile_ast(prog_ast)
+        program = compile_ast(pg.lower_source(source))
         base = _stable_seed(os.path.basename(path))
         for i in range(6):
             fields, arrays = pg.generate_inputs(program, base + i)
-            err = pg.check_parity(prog_ast, program, fields, arrays)
+            err = pg.check_parity(program, fields, arrays)
             assert err is None, f"{path}: {err}"
 
     def test_corpus_fault_program_faults_identically(self):
@@ -920,8 +902,7 @@ class TestCorpus:
         path = os.path.join(CORPUS_DIR, "fault_div_and_shift.py")
         with open(path) as fh:
             source = fh.read()
-        prog_ast = pg.lower_source(source)
-        program = compile_ast(prog_ast)
+        program = compile_ast(pg.lower_source(source))
         fields = {("packet", "size"): 3, ("message", "counter"): 1,
                   ("message", "limit"): 5, ("global", "knob"): 0}
         fvec, avec = pg.vectors(program, fields, {})
@@ -932,8 +913,6 @@ class TestCorpus:
         assert tree == hot
         assert tree[1] == "InterpreterFault"
         assert "division by zero" in tree[2]
-        nat = pg.run_native(prog_ast, program, fvec, avec)
-        assert nat[0] == "fault"
 
 
 # -- resource bounds ----------------------------------------------------
@@ -1142,6 +1121,25 @@ CONTAINMENT_INPUTS = st.lists(
     min_size=CONTAINMENT_PACKETS, max_size=CONTAINMENT_PACKETS)
 
 
+#: A state word for ``execute``: at the 64-bit edges, where a wrap or
+#: a bound shows, small, or anywhere in range.  Shrinks towards 0.
+WORDS = st.one_of(st.sampled_from((0, 1, -1, -(1 << 63), (1 << 63) - 1)),
+                  st.integers(-1000, 1000),
+                  st.integers(-(1 << 63), (1 << 63) - 1))
+
+
+def _execute_inputs(program):
+    """``(fields, arrays)`` vectors for ``execute`` on ``program``:
+    every scalar slot (packet, message and global) a drawn word, each
+    array ``program_gen.ARRAY_LEN`` records of them."""
+    return st.tuples(
+        st.lists(WORDS, min_size=len(program.field_table),
+                 max_size=len(program.field_table)),
+        st.tuples(*(st.lists(WORDS, min_size=pg.ARRAY_LEN * ref.stride,
+                             max_size=pg.ARRAY_LEN * ref.stride)
+                    for ref in program.array_table)))
+
+
 def _accepted_mutant(program, seed):
     """The first of a few point mutations of ``program`` the verifier
     accepts, or None."""
@@ -1269,8 +1267,8 @@ def check_containment(max_examples):
            mutation=st.one_of(st.none(), st.integers(0, 1 << 20)),
            limit=st.sampled_from(("default", "op_budget",
                                   "max_operand_stack")),
-           inputs=CONTAINMENT_INPUTS)
-    def prop(profile, seed, mutation, limit, inputs):
+           inputs=CONTAINMENT_INPUTS, data=st.data())
+    def prop(profile, seed, mutation, limit, inputs, data):
         action = _action(profile, seed, mutation)
         program = action.program
         fits = pg.stack_fits(program)
@@ -1281,8 +1279,7 @@ def check_containment(max_examples):
                            op_budget=pg.OP_BUDGET)
         hot = Interpreter(rng=random.Random(seed))
         for i in range(INPUTS_PER_PROGRAM):
-            fields, arrays = pg.generate_inputs(program, seed * 31 + i)
-            fvec, avec = pg.vectors(program, fields, arrays)
+            fvec, avec = data.draw(_execute_inputs(program))
             want = _summarize_execute(tree, program, fvec, avec)
             if pg.stopped(want):
                 break

@@ -5,13 +5,13 @@ from integer seeds; every generated program must:
 
 * lower, compile (with and without the peephole optimizer), and pass
   the static verifier;
-* behave identically on the interpreter and the native backend —
+* behave identically on the tree walk and generated code —
   including *faulting identically* (e.g. division by zero);
 * behave identically with and without the optimizer.
 
 The generator was promoted from this file's old hypothesis strategies
 into the reusable, plain-``random`` module ``tests/lang/program_gen.py``
-so the three-backend differential harness (``test_differential.py``)
+so the differential harness (``test_differential.py``)
 and the optimizer property tests share it; a failing seed reproduces
 exactly and can be persisted to ``tests/lang/corpus/``.
 """
@@ -41,13 +41,10 @@ class TestFuzzedPrograms:
         fvec_opt, avec_opt = pg.vectors(opt, fields, arrays)
 
         res_interp = pg.run_interp(raw, fvec_raw, avec_raw, "tree")
-        res_native = pg.run_native(prog_ast, raw, fvec_raw, avec_raw)
         res_opt = pg.run_interp(opt, fvec_opt, avec_opt, "tree")
 
-        # Interpreter vs native: same outcome; same results when ok.
-        assert res_interp[0] == res_native[0], source
-        if res_interp[0] == "ok":
-            assert res_native[1:] == res_interp[1:4], source
+        # Tree walk vs generated code: equal in everything.
+        assert pg.check_parity(raw, fields, arrays) is None, source
         # Optimized vs raw bytecode: same outcome and same results
         # (stats differ legitimately — the optimizer removes ops).
         assert res_opt[0] == res_interp[0], source

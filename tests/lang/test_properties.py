@@ -1,5 +1,5 @@
-"""Property-based tests: interpreter/native equivalence and
-arithmetic invariants, via hypothesis."""
+"""Property-based tests: equivalence of generated code and the tree
+walk, and arithmetic invariants, via hypothesis."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -79,17 +79,15 @@ class TestBackendEquivalence:
         fields = {("packet", "size"): size,
                   ("message", "counter"): counter,
                   ("global", "knob"): knob}
-        ri, fi, ai = _ARITH.run("interpreter", fields=fields)
-        rn, fn_, an = _ARITH.run("native", fields=fields)
-        assert fi == fn_ and ai == an and ri.value == rn.value
+        generated = _ARITH.run("interpreter", fields=fields)
+        assert generated == _ARITH.run("tree", fields=fields)
 
     @settings(max_examples=60, deadline=None)
     @given(weights=st.lists(small_ints, max_size=20))
     def test_loop_program(self, weights):
         arrays = {("global", "weights"): weights}
-        _, fi, _ = _LOOPY.run("interpreter", arrays=arrays)
-        _, fn_, _ = _LOOPY.run("native", arrays=arrays)
-        assert fi == fn_
+        generated = _LOOPY.run("interpreter", arrays=arrays)
+        assert generated == _LOOPY.run("tree", arrays=arrays)
 
     @settings(max_examples=60, deadline=None)
     @given(size=st.integers(min_value=0, max_value=100_000),
@@ -101,11 +99,10 @@ class TestBackendEquivalence:
         flat = [v for rec in records for v in rec]
         fields = {("packet", "size"): size}
         arrays = {("global", "records"): flat}
-        _, fi, _ = _RECURSIVE.run("interpreter", fields=fields,
-                                  arrays=arrays)
-        _, fn_, _ = _RECURSIVE.run("native", fields=fields,
+        generated = _RECURSIVE.run("interpreter", fields=fields,
                                    arrays=arrays)
-        assert fi == fn_
+        assert generated == _RECURSIVE.run("tree", fields=fields,
+                                           arrays=arrays)
 
     @settings(max_examples=30, deadline=None)
     @given(seed=st.integers(min_value=0, max_value=2**31),
@@ -113,9 +110,7 @@ class TestBackendEquivalence:
     def test_rand_equivalence(self, seed, bound):
         h = Harness(f"def f(packet):\n"
                     f"    packet.queue_id = rand({bound})\n")
-        _, fi, _ = h.run("interpreter", seed=seed)
-        _, fn_, _ = h.run("native", seed=seed)
-        assert fi == fn_
+        assert h.run("interpreter", seed=seed) == h.run("tree", seed=seed)
 
 
 class TestInterpreterInvariants:

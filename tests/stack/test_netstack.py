@@ -110,6 +110,30 @@ class TestEnclaveOnTx:
         times = [t for t, _ in emitted]
         assert times == sorted(times)
 
+    @pytest.mark.parametrize("action_cost_ns", (None, 150))
+    def test_execute_charged_per_op_or_per_action(self, pair,
+                                                 action_cost_ns):
+        """By default the stack delays a packet by the ops its actions
+        executed; given ``native_action_cost_ns``, by that much per
+        executed action whatever its op count."""
+        sim, net = pair
+        enclave = Enclave("e", clock=sim.clock)
+        fn = enclave.install_function(tag_path_slow)
+        enclave.install_rule("*", "tag_path_slow")
+        s1 = HostStack(sim, net.hosts["h1"], enclave=enclave,
+                       stack_latency_ns=1000, interpreter_ns_per_op=7,
+                       native_action_cost_ns=action_cost_ns)
+        HostStack(sim, net.hosts["h2"])
+        emitted = []
+        s1.rate_limiters.submit = lambda p: emitted.append(sim.now)
+        s1.connect(net.host_ip("h2"), 80)
+        sim.run(until_ns=1 * MS)
+        ops = fn.stats.ops_executed
+        assert fn.stats.invocations == 1 and ops > 1
+        execute_ns = 7 * ops if action_cost_ns is None else 150
+        assert emitted == [1000 + enclave.per_packet_base_cost_ns +
+                           execute_ns]
+
 
 class TestPathSelection:
     def test_path_port_map_routes_by_label(self):

@@ -3,11 +3,11 @@
 An enclave with ``Telemetry(enabled=True)`` records its per-hop
 metrics and the ``interpreter.execute`` span around the function's
 run, whichever tier runs it: a pycodegen function runs its plan from
-the first packet exactly as without telemetry, a ``tree`` or
-``native`` one its generic tier.  Each Table-1 demo is driven through
-a telemetry-on enclave and a telemetry-off twin, on the default
-backend and pinned to ``tree`` and ``native``, and the two must agree
-packet by packet.
+the first packet exactly as without telemetry, a ``tree`` one its
+generic tier.  Each Table-1 demo is driven through a telemetry-on
+enclave and a telemetry-off twin, on the default backend and pinned
+to ``tree`` and to ``pycodegen``, and the two must agree packet by
+packet.
 """
 
 import random
@@ -57,7 +57,7 @@ def _observe(enclave, fn, packet, result):
         enclave.rng.getstate())
 
 
-@pytest.mark.parametrize("backend", ("interpreter", "tree", "native"))
+@pytest.mark.parametrize("backend", ("interpreter", "tree", "pycodegen"))
 @pytest.mark.parametrize("entry", DEMOS, ids=lambda e: e.name)
 def test_telemetry_on_runs_the_same_tier_as_off(entry, backend):
     spec = entry.demo
@@ -76,7 +76,7 @@ def test_telemetry_on_runs_the_same_tier_as_off(entry, backend):
             seen.append(_observe(enclave, fn, packet, result))
         assert seen[0] == seen[1], (i, seen)
     assert executes_on == executes_off
-    if backend == "interpreter":
+    if backend != "tree":
         # Compiled, and the plan ran every packet.
         assert fn_on.plan is not None
         assert isinstance(fn_on.program._pycodegen,

@@ -39,8 +39,8 @@ class TestExecution:
         out = capsys.readouterr().out
         assert "WCMP" in out and "14/14" in out
 
-    def test_table1_native_backend(self, capsys):
-        assert main(["table1", "--backend", "native"]) == 0
+    def test_table1_tree_backend(self, capsys):
+        assert main(["table1", "--backend", "tree"]) == 0
 
     def test_micro_runs(self, capsys):
         assert main(["micro", "--packets", "50"]) == 0
